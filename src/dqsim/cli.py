@@ -7,8 +7,9 @@ configuration), ``attack`` (name plus parameters), optional ``sweep``
 Unknown keys anywhere are rejected.  Identical scenario and seed produce
 byte-identical outputs.
 
-Exit codes: 0 success, 2 schema error, 3 check aborted under
---strict-abort, 4 I/O failure.
+Exit codes: 0 success, 2 schema error (including a scenario the attack
+cannot run under), 3 check aborted under --strict-abort, 4 I/O failure,
+5 too few kept rounds to estimate a required correlator.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_ABORTED = 3
 EXIT_IO = 4
+EXIT_INSUFFICIENT_ROUNDS = 5
 
 CSV_COLUMNS = [
     "theta", "phi", "F_hat", "epsilon_implied", "passed", "phi_hat",
@@ -61,6 +63,8 @@ ATTACKS = {
 
 
 def _require_keys(block, allowed, required, where):
+    if not isinstance(block, dict):
+        raise SchemaError(f"{where} must be an object")
     unknown = set(block) - set(allowed)
     if unknown:
         raise SchemaError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -98,14 +102,21 @@ def load_scenario(path) -> dict:
     _require_keys(params, allowed, set(), f"attack.params for {name!r}")
 
     if "sweep" in raw:
-        _require_keys(raw["sweep"], {"variable", "start", "stop", "steps"},
+        sweep = raw["sweep"]
+        _require_keys(sweep, {"variable", "start", "stop", "steps"},
                       {"variable", "start", "stop", "steps"}, "sweep block")
-        variable = raw["sweep"]["variable"]
-        if variable != "phi" and not variable.startswith("attack."):
+        variable = sweep["variable"]
+        if not isinstance(variable, str) or (
+                variable != "phi" and not variable.startswith("attack.")):
             raise SchemaError("sweep.variable must be 'phi' or 'attack.<param>'")
         if variable.startswith("attack.") and variable.split(".", 1)[1] not in allowed:
             raise SchemaError(f"swept parameter {variable!r} unknown for {name!r}")
-        if int(raw["sweep"]["steps"]) < 1:
+        for key, typ in (("start", (int, float)), ("stop", (int, float)), ("steps", int)):
+            if not isinstance(sweep[key], typ) or isinstance(sweep[key], bool):
+                raise SchemaError(f"sweep.{key} has the wrong type")
+        if not (math.isfinite(sweep["start"]) and math.isfinite(sweep["stop"])):
+            raise SchemaError("sweep.start and sweep.stop must be finite")
+        if sweep["steps"] < 1:
             raise SchemaError("sweep.steps must be >= 1")
     if "output" in raw:
         _require_keys(raw["output"], {"transcript", "summary", "csv"}, set(),
@@ -250,33 +261,23 @@ def run_sweep_point(scenario, value, seed_override=None, batches=20):
     phi = config.true_phi
     eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,
                             T=config.T, N_d=tr_att.N_d, n=config.n, phi=phi)
-    point = stats.SweepPoint(
-        theta=phi / 2.0,
-        phi=phi,
-        phi_hat_mean=est_att.phi_hat,
-        phi_hat_var=var_att,
-        bias_vs_ideal=abs(est_att.phi_hat - est_idl.phi_hat),
-        var_discrepancy=abs(var_att - var_idl),
-        bound_bias=metrics.bias_bound(eps0, config.n, phi),
-        bound_var=metrics.variance_bound(eps0, config.n, phi, mode,
-                                         N_e=max(tr_att.N_e, 1)),
-    )
     f_hat = chk.fidelity_estimate
     if isinstance(f_hat, dict):
         f_hat = min(f_hat.values())
     return {
-        "theta": point.theta,
-        "phi": point.phi,
+        "theta": phi / 2.0,
+        "phi": phi,
         "F_hat": f_hat,
         "epsilon_implied": chk.epsilon_implied,
         "passed": chk.passed,
-        "phi_hat": point.phi_hat_mean,
+        "phi_hat": est_att.phi_hat,
         "phi_hat_se": est_att.standard_error,
-        "bias_emp": point.bias_vs_ideal,
-        "bias_bound": point.bound_bias,
-        "var_emp": point.phi_hat_var,
-        "var_discrepancy": point.var_discrepancy,
-        "var_bound": point.bound_var,
+        "bias_emp": abs(est_att.phi_hat - est_idl.phi_hat),
+        "bias_bound": metrics.bias_bound(eps0, config.n, phi),
+        "var_emp": var_att,
+        "var_discrepancy": abs(var_att - var_idl),
+        "var_bound": metrics.variance_bound(eps0, config.n, phi, mode,
+                                            N_e=max(tr_att.N_e, 1)),
         "mode": mode,
         "variant": config.variant,
     }
@@ -434,9 +435,12 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario)
             return cmd_equivalence(scenario, args.seed, args.output)
         raise AssertionError("unreachable")
-    except SchemaError as exc:
+    except (SchemaError, protocol.UnsupportedAttackError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except protocol.InsufficientRoundsError as exc:
+        print(f"insufficient rounds: {exc}", file=sys.stderr)
+        return EXIT_INSUFFICIENT_ROUNDS
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

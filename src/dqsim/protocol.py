@@ -1,12 +1,22 @@
 """Round-based execution of the one- and two-way sensing protocols.
 
-Each round: prepare (entangled pair or random direct probe), let the
-adversary intercept the forward leg, draw the sensor's action
-(check / encode / discard), encode the phase where chosen, let the
-adversary intercept the return leg in two-way operation, then measure with
-randomized settings.  Reconciliation sifts the rounds whose settings match,
-the check rounds feed the fidelity threshold and the estimation rounds feed
-the phase estimator.
+Each round: prepare a probe, let the adversary intercept the forward leg,
+draw the sensor's action (check / encode / discard), encode the phase where
+chosen, let the adversary intercept the return leg in two-way operation,
+then measure with randomized settings.  Reconciliation sifts the rounds
+whose settings match, the check rounds feed the fidelity threshold and the
+estimation rounds feed the phase estimator.
+
+Both variants run on one probe core: the 2^n-dimensional probe prepared in
+one of the six signed logical eigenstates ``qcore.SIGNED_LABELS``.  In the
+direct-probe (MUB) variant the provider prepares that state.  In the
+entanglement variant the provider's measurement acts only on the
+provider's own qubit of the resource state, so it commutes with everything
+the channel, the adversary and the sensor do; a provider outcome s (uniform
++-1) on one axis leaves the sensor holding the eigenstate s of the partner
+logical axis (X <-> Z, Y <-> Y).  Simulating that conditional probe is
+exact (the equivalence of the two formulations), and the provider's
+(axis, outcome) is a view of the probe label.
 
 Memoryless attacks run on a vectorized fast path: every (action, settings)
 combination has a fixed joint outcome distribution which is computed once,
@@ -22,7 +32,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +53,10 @@ _B_ABSENT = -9  # sensor outcome sentinel; 0 is a real (leak) outcome
 
 class InsufficientRoundsError(RuntimeError):
     """A required correlator has no kept rounds to estimate it from."""
+
+
+class UnsupportedAttackError(ValueError):
+    """The attack cannot run under this protocol configuration."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,9 @@ class ProtocolConfig:
             raise ValueError("need at least one probe qubit")
         if self.T < 1:
             raise ValueError("need at least one round")
+        for name in ("p_c", "p_e", "p_d", "epsilon_threshold", "true_phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("p_c", "p_e", "p_d"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -105,18 +121,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    index: int
-    bob_action: str
-    alice_observable: str | None
-    alice_outcome: int | None
-    alice_probe_label: str | None
-    bob_observable: str | None
-    bob_outcome: int | None  # +-1, 0 for a leak outcome, None if unmeasured
-    sift_status: str
-
-
-@dataclass(frozen=True)
 class CheckResult:
     fidelity_estimate: float | dict
     passed: bool
@@ -133,44 +137,81 @@ class EstimateResult:
     standard_error: float
 
 
-class Transcript:
-    """Ordered record of one protocol execution.
+def _axis_index(axis: str) -> int:
+    return AXES.index(axis)
 
-    Backed by parallel arrays; ``rounds`` materializes RoundRecord objects
-    on first use.  Serialization discloses check-round outcomes before
-    estimation-round outcomes (reverse-reconciliation ordering).
+
+_LABEL_AXIS = np.array([_axis_index(qcore.parse_probe_label(lab)[0])
+                        for lab in qcore.SIGNED_LABELS], dtype=np.int8)
+_LABEL_SIGN = np.array([qcore.parse_probe_label(lab)[1]
+                        for lab in qcore.SIGNED_LABELS], dtype=np.int8)
+
+# Entanglement variant: the provider's axis and the sensor's probe axis it
+# heralds.  The relation is its own inverse.
+_PARTNER = {"X": "Z", "Y": "Y", "Z": "X"}
+
+
+def _provider_view(label_index: int) -> tuple:
+    """The entanglement-variant provider's (axis, outcome) behind a probe label."""
+    axis, sign = qcore.parse_probe_label(qcore.SIGNED_LABELS[label_index])
+    return _PARTNER[axis], sign
+
+
+# Each fast-path outcome table is keyed on the first setting drawn in a
+# round, and mixes the probe labels listed for that key with equal weight.
+# Direct-probe variant: the key is the label.  Entanglement variant: the key
+# is the provider's axis, and the provider's outcomes -1, +1 (the Pauli
+# spectrum in ascending order) pick the two signed eigenstates of the
+# partner axis.
+_TABLE_KEYS = {
+    "mub": tuple((li,) for li in range(len(qcore.SIGNED_LABELS))),
+    "entanglement": tuple(
+        tuple(qcore.SIGNED_LABELS.index(sign + _PARTNER[axis]) for sign in "-+")
+        for axis in AXES),
+}
+
+
+class Transcript:
+    """Ordered record of one protocol execution, one read-only column per field.
+
+    ``action`` indexes ACTIONS, ``probe`` indexes ``qcore.SIGNED_LABELS``,
+    ``bob_axis`` indexes AXES (-1 when the sensor did not measure),
+    ``bob_out`` is +-1, 0 for a leak outcome or -9 when unmeasured, and
+    ``status`` indexes SIFT_STATUSES.
+
+    Both variants record the probe label.  In the entanglement variant it
+    is the state the provider's measurement left the sensor with: the
+    provider's axis is the partner of the label's axis (X <-> Z, Y <-> Y)
+    and the provider's outcome is the label's sign, which is what the
+    serialized transcript reports.  Serialization discloses check-round
+    outcomes before estimation-round outcomes (reverse-reconciliation
+    ordering).
     """
 
-    def __init__(self, config, action, alice_idx, probe_idx, bob_axis_idx,
-                 a_out, b_out, status):
+    def __init__(self, config, action, probe, bob_axis, bob_out, status):
         self.config = config
-        self._action = action
-        self._alice_idx = alice_idx
-        self._probe_idx = probe_idx
-        self._bob_axis_idx = bob_axis_idx
-        self._a_out = a_out
-        self._b_out = b_out
-        self._status = status
+        self.action, self.probe, self.bob_axis, self.bob_out, self.status = (
+            _read_only(c) for c in (action, probe, bob_axis, bob_out, status))
 
     @property
     def N_c(self) -> int:
-        return int(np.sum(self._status == 1))
+        return int(np.sum(self.status == 1))
 
     @property
     def N_e(self) -> int:
-        return int(np.sum(self._status == 2))
+        return int(np.sum(self.status == 2))
 
     @property
     def N_d(self) -> int:
-        return int(np.sum(self._action == 2))
+        return int(np.sum(self.action == 2))
 
     @property
     def N_sifted_away(self) -> int:
-        return int(np.sum((self._status == 0) & (self._action != 2)))
+        return int(np.sum((self.status == 0) & (self.action != 2)))
 
     @property
     def N_leak(self) -> int:
-        return int(np.sum((self._status > 0) & (self._b_out == 0)))
+        return int(np.sum((self.status > 0) & (self.bob_out == 0)))
 
     @property
     def leak_rate(self) -> float:
@@ -180,26 +221,20 @@ class Transcript:
     def config_hash(self) -> str:
         return self.config.config_hash()
 
-    @cached_property
-    def rounds(self) -> list:
-        out = []
-        mub = self.config.variant == "mub"
-        for i in range(self.config.T):
-            action = ACTIONS[self._action[i]]
-            a_idx = int(self._alice_idx[i])
-            b_idx = int(self._bob_axis_idx[i])
-            b_out = int(self._b_out[i])
-            out.append(RoundRecord(
-                index=i,
-                bob_action=action,
-                alice_observable=None if (mub or a_idx < 0) else AXES[a_idx],
-                alice_outcome=None if (mub or a_idx < 0) else int(self._a_out[i]),
-                alice_probe_label=qcore.SIGNED_LABELS[self._probe_idx[i]] if mub else None,
-                bob_observable=None if b_idx < 0 else AXES[b_idx],
-                bob_outcome=None if b_out == _B_ABSENT else b_out,
-                sift_status=SIFT_STATUSES[self._status[i]],
-            ))
-        return out
+    def _row_suffix(self, i) -> str:
+        """Every field of round ``i`` after its index, tab-separated."""
+        if self.config.variant == "entanglement":
+            axis, sign = _provider_view(self.probe[i])
+            provider = [axis, str(sign), "NA"]
+        else:
+            provider = ["NA", "NA", qcore.SIGNED_LABELS[self.probe[i]]]
+        b_axis, b_out = int(self.bob_axis[i]), int(self.bob_out[i])
+        return "\t" + "\t".join([
+            ACTIONS[self.action[i]], *provider,
+            "NA" if b_axis < 0 else AXES[b_axis],
+            "NA" if b_out == _B_ABSENT else str(b_out),
+            SIFT_STATUSES[self.status[i]],
+        ]) + "\n"
 
     def serialize(self, target) -> None:
         """Write the line-oriented transcript; check rounds disclosed first."""
@@ -217,22 +252,21 @@ class Transcript:
             fh.write("#columns\tindex\taction\talice_obs\talice_out\tprobe"
                      "\tbob_obs\tbob_out\tstatus\n")
             order = np.concatenate([
-                np.flatnonzero(self._status == 1),
-                np.flatnonzero(self._status == 2),
-                np.flatnonzero(self._status == 0),
+                np.flatnonzero(self.status == 1),
+                np.flatnonzero(self.status == 2),
+                np.flatnonzero(self.status == 0),
             ])
-            rounds = self.rounds
-            for i in order:
-                r = rounds[int(i)]
-
-                def cell(v):
-                    return "NA" if v is None else str(v)
-
-                fh.write("\t".join([
-                    str(r.index), r.bob_action, cell(r.alice_observable),
-                    cell(r.alice_outcome), cell(r.alice_probe_label),
-                    cell(r.bob_observable), cell(r.bob_outcome), r.sift_status,
-                ]) + "\n")
+            # a row is its index plus a suffix fixed by the round's code
+            # (action x label x sensor axis x outcome x status, < 864 values)
+            code = self.action.astype(np.int32) * 6 + self.probe
+            code = code * 4 + self.bob_axis + 1
+            code = code * 4 + np.where(self.bob_out == _B_ABSENT, 0, self.bob_out + 2)
+            code = code * 3 + self.status
+            _codes, first, which = np.unique(code[order], return_index=True,
+                                             return_inverse=True)
+            suffixes = [self._row_suffix(order[f]) for f in first]
+            fh.writelines(map(str.__add__, map(str, order.tolist()),
+                              map(suffixes.__getitem__, which.tolist())))
         finally:
             if own:
                 fh.close()
@@ -241,6 +275,12 @@ class Transcript:
         buf = io.StringIO()
         self.serialize(buf)
         return buf.getvalue()
+
+
+def _read_only(column):
+    column = np.array(column, dtype=np.int8)
+    column.setflags(write=False)
+    return column
 
 
 def parse_transcript(text: str):
@@ -264,35 +304,17 @@ def parse_transcript(text: str):
 
 # ---------------------------------------------------------------- run engine
 
-def _axis_index(axis: str) -> int:
-    return AXES.index(axis)
-
-_CHECK_PAIR_IDX = {(_axis_index(a), _axis_index(b)) for a, b in CHECK_PAIRS}
-_EST_PAIR_IDX = {(_axis_index(a), _axis_index(b)) for a, b in ESTIMATION_PAIRS}
-
-
 class _Registry:
-    """Per-run cache of states and observables."""
+    """Per-run cache of the probe states and the sensor's observables."""
 
     def __init__(self, config):
         self.config = config
-        n = config.n
-        self.frame = qcore.LogicalFrame.standard(n)
+        self.frame = qcore.LogicalFrame.standard(config.n)
         self.bold = {a: qcore.bold_pauli(self.frame, a) for a in AXES}
-        self.pauli = {a: qcore.pauli(a) for a in AXES}
-        self.encoder = qcore.encoding_unitary(n, config.true_phi)
-        self.probe_dim = 2 ** n
-        if config.variant == "entanglement":
-            self.resource = qcore.resource_state(n).density().data
-            self.full_encoder = np.kron(np.eye(2), self.encoder)
-        else:
-            self.probes = [qcore.mub_probe(self.frame, lab).density().data
-                           for lab in qcore.SIGNED_LABELS]
-        self.probe_signs = np.array(
-            [qcore.parse_probe_label(lab)[1] for lab in qcore.SIGNED_LABELS], dtype=np.int8)
-        self.probe_axis_idx = np.array(
-            [_axis_index(qcore.parse_probe_label(lab)[0]) for lab in qcore.SIGNED_LABELS],
-            dtype=np.int8)
+        self.encoder = qcore.encoding_unitary(config.n, config.true_phi)
+        self.probe_dim = 2 ** config.n
+        self.probes = [qcore.mub_probe(self.frame, lab).density().data
+                       for lab in qcore.SIGNED_LABELS]
 
 
 def _wants_records(attack) -> bool:
@@ -301,137 +323,97 @@ def _wants_records(attack) -> bool:
 
 
 class _OutcomeTable:
-    __slots__ = ("fwd", "bwd", "a", "b", "cdf", "labels_f", "labels_b")
+    """Joint distribution over (forward branch, backward branch, probe label,
+    sensor outcome), flattened in that order and sampled by inverse CDF."""
 
-    def __init__(self, entries, labels_f, labels_b):
-        probs = np.array([e[0] for e in entries], dtype=float)
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
+    __slots__ = ("fwd", "bwd", "probe", "b", "cdf", "labels_f", "labels_b")
+
+    def __init__(self, probs, labels, b_values, labels_f, labels_b):
+        flat = np.clip(probs.ravel(), 0.0, None)
+        total = flat.sum()
         if total <= 0:
             raise RuntimeError("degenerate outcome table")
-        self.cdf = np.cumsum(probs / total)
+        self.cdf = np.cumsum(flat / total)
         self.cdf[-1] = 1.0 + 1e-9
-        self.fwd = np.array([e[1] for e in entries], dtype=np.int16)
-        self.bwd = np.array([e[2] for e in entries], dtype=np.int16)
-        self.a = np.array([e[3] for e in entries], dtype=np.int8)
-        self.b = np.array([e[4] for e in entries], dtype=np.int8)
+        f, bw, li, bi = np.indices(probs.shape).reshape(4, -1)
+        self.fwd = f.astype(np.int16)
+        self.bwd = bw.astype(np.int16)
+        self.probe = np.array(labels, dtype=np.int8)[li]
+        self.b = np.array(b_values, dtype=np.int8)[bi]
         self.labels_f = labels_f
         self.labels_b = labels_b
 
     def sample(self, u):
         idx = np.searchsorted(self.cdf, u)
-        return self.fwd[idx], self.bwd[idx], self.a[idx], self.b[idx]
+        return self.fwd[idx], self.bwd[idx], self.probe[idx], self.b[idx]
 
 
-def _branch_matrices(rho, branches, embed):
+def _branch_matrices(rho, branches):
     out = []
     for _label, weight, kraus in branches:
         m = np.zeros_like(rho)
         for k in kraus:
-            ke = embed(k)
-            m += ke @ rho @ ke.conj().T
+            m += k @ rho @ k.conj().T
         out.append(weight * m)
     return out
 
 
 def _build_tables(reg, attack):
-    """Exact joint outcome distributions for every (action, settings) key."""
+    """Exact joint outcome distributions for every (action, key, sensor pick).
+
+    The six probe states are evolved once, unencoded and encoded; each
+    table mixes the label distributions ``_TABLE_KEYS`` lists for its key.
+    """
     cfg = reg.config
-    n = cfg.n
-    fwd = attack.forward_branches(n, reg.frame)
+    fwd = attack.forward_branches(cfg.n, reg.frame)
     two_way = cfg.direction == "two_way"
-    bwd = attack.backward_branches(n, reg.frame) if two_way else None
+    bwd = attack.backward_branches(cfg.n, reg.frame) if two_way else None
     labels_f = [br[0] for br in fwd]
     labels_b = [br[0] for br in bwd] if bwd else [None]
 
-    if cfg.variant == "entanglement":
-        embed = lambda k: np.kron(np.eye(2, dtype=complex), k)
-        rho0 = reg.resource
-    else:
-        embed = lambda k: k
-        rho0 = None
-
-    def evolved(base, encoded):
-        mats = _branch_matrices(base, fwd, embed)
+    def evolved(rho, encoded):
+        mats = _branch_matrices(rho, fwd)
         if encoded:
-            u = reg.full_encoder if cfg.variant == "entanglement" else reg.encoder
-            mats = [u @ m @ u.conj().T for m in mats]
+            mats = [reg.encoder @ m @ reg.encoder.conj().T for m in mats]
         if bwd is None:
             return [[m] for m in mats]
-        return [_branch_matrices(m, bwd, embed) for m in mats]
+        return [_branch_matrices(m, bwd) for m in mats]
 
-    def bob_spectral(axis):
-        obs = reg.bold[axis]
-        vals = [int(round(v)) for v in obs.eigenvalues]
-        return list(zip(vals, obs.eigenprojectors))
+    spectral = {axis: ([int(round(v)) for v in obs.eigenvalues], obs.eigenprojectors)
+                for axis, obs in reg.bold.items()}
+    # (action, sensor pick) -> (sensor axis, whether encoded); discard
+    # rounds have the single sensor outcome "absent"
+    settings = {(0, bi): (axis, False) for bi, axis in enumerate(AXES)}
+    settings.update({(1, bi): (axis, True) for bi, axis in enumerate(ENCODE_AXES)})
+    settings[2, 0] = (None, False)
+
+    # (action, label, pick) -> probabilities over (forward, backward, outcome)
+    born = {}
+    for pl, rho in enumerate(reg.probes):
+        grids = {enc: evolved(rho, enc) for enc in (False, True)}
+        for (action, bi), (axis, enc) in settings.items():
+            born[action, pl, bi] = np.array([
+                [[np.trace(m).real] if axis is None
+                 else [np.trace(p @ m).real for p in spectral[axis][1]]
+                 for m in row]
+                for row in grids[enc]])
 
     tables = {}
-    if cfg.variant == "entanglement":
-        alice_spectral = {}
-        for ai, axis in enumerate(AXES):
-            obs = reg.pauli[axis]
-            alice_spectral[ai] = [(int(round(v)), p)
-                                  for v, p in zip(obs.eigenvalues, obs.eigenprojectors)]
-        for action, bob_axes in ((0, AXES), (1, ENCODE_AXES)):
-            grids = evolved(rho0, encoded=(action == 1))
-            for ai in range(3):
-                for bi, b_axis in enumerate(bob_axes):
-                    entries = []
-                    for i, row in enumerate(grids):
-                        for j, m in enumerate(row):
-                            for a_val, pa in alice_spectral[ai]:
-                                for b_val, pb in bob_spectral(b_axis):
-                                    prob = np.trace(np.kron(pa, pb) @ m).real
-                                    entries.append((prob, i, j, a_val, b_val))
-                    tables[(action, ai, bi)] = _OutcomeTable(entries, labels_f, labels_b)
-        # discard rounds: the probe still transits, only the provider measures
-        grids = evolved(rho0, encoded=False)
-        for ai in range(3):
-            entries = []
-            for i, row in enumerate(grids):
-                for j, m in enumerate(row):
-                    for a_val, pa in alice_spectral[ai]:
-                        prob = np.trace(np.kron(pa, np.eye(reg.probe_dim)) @ m).real
-                        entries.append((prob, i, j, a_val, _B_ABSENT))
-            tables[(2, ai, 0)] = _OutcomeTable(entries, labels_f, labels_b)
-    else:
-        for pl in range(6):
-            base = reg.probes[pl]
-            for action, bob_axes in ((0, AXES), (1, ENCODE_AXES)):
-                grids = evolved(base, encoded=(action == 1))
-                for bi, b_axis in enumerate(bob_axes):
-                    entries = []
-                    for i, row in enumerate(grids):
-                        for j, m in enumerate(row):
-                            for b_val, pb in bob_spectral(b_axis):
-                                prob = np.trace(pb @ m).real
-                                entries.append((prob, i, j, 0, b_val))
-                    tables[(action, pl, bi)] = _OutcomeTable(entries, labels_f, labels_b)
-            grids = evolved(base, encoded=False)
-            entries = []
-            for i, row in enumerate(grids):
-                for j, m in enumerate(row):
-                    entries.append((np.trace(m).real, i, j, 0, _B_ABSENT))
-            tables[(2, pl, 0)] = _OutcomeTable(entries, labels_f, labels_b)
+    for key, labels in enumerate(_TABLE_KEYS[cfg.variant]):
+        for (action, bi), (axis, _enc) in settings.items():
+            probs = np.stack([born[action, pl, bi] for pl in labels], axis=2)
+            b_values = [_B_ABSENT] if axis is None else spectral[axis][0]
+            tables[action, key, bi] = _OutcomeTable(probs / len(labels), labels, b_values,
+                                                    labels_f, labels_b)
     return tables
 
 
-def _sift_status(cfg, reg, action, alice_idx, probe_idx, bob_axis_idx):
-    T = action.shape[0]
-    status = np.zeros(T, dtype=np.int8)
-    if cfg.variant == "entanglement":
-        check_match = np.zeros(T, dtype=bool)
-        est_match = np.zeros(T, dtype=bool)
-        for fa, ba in _CHECK_PAIR_IDX:
-            check_match |= (alice_idx == fa) & (bob_axis_idx == ba)
-        for fa, ba in _EST_PAIR_IDX:
-            est_match |= (alice_idx == fa) & (bob_axis_idx == ba)
-    else:
-        probe_axis = reg.probe_axis_idx[probe_idx]
-        check_match = probe_axis == bob_axis_idx
-        est_match = check_match
-    status[(action == 0) & check_match] = 1
-    status[(action == 1) & est_match] = 2
+def _sift_status(action, probe, bob_axis):
+    """Keep the check and encode rounds measured on their probe's axis."""
+    match = _LABEL_AXIS[probe] == bob_axis
+    status = np.zeros(action.shape[0], dtype=np.int8)
+    status[(action == 0) & match] = 1
+    status[(action == 1) & match] = 2
     return status
 
 
@@ -440,15 +422,8 @@ def _run_fast(config, attack, rng, reg) -> Transcript:
     u = rng.random((4, T))
     cum = np.array([config.p_c, config.p_c + config.p_e])
     action = np.searchsorted(cum, u[0], side="right").astype(np.int8)
-
-    if config.variant == "entanglement":
-        alice_idx = np.minimum((u[1] * 3).astype(np.int8), 2)
-        probe_idx = np.full(T, -1, dtype=np.int8)
-        first_key = alice_idx
-    else:
-        probe_idx = np.minimum((u[1] * 6).astype(np.int8), 5)
-        alice_idx = np.full(T, -1, dtype=np.int8)
-        first_key = probe_idx
+    n_keys = len(_TABLE_KEYS[config.variant])
+    key = np.minimum((u[1] * n_keys).astype(np.int8), n_keys - 1)
 
     bob_pick = np.where(action == 0,
                         np.minimum((u[2] * 3).astype(np.int8), 2),
@@ -458,37 +433,29 @@ def _run_fast(config, attack, rng, reg) -> Transcript:
     tables = _build_tables(reg, attack)
     fwd_sample = np.zeros(T, dtype=np.int16)
     bwd_sample = np.zeros(T, dtype=np.int16)
-    a_out = np.zeros(T, dtype=np.int8)
+    probe = np.zeros(T, dtype=np.int8)
     b_out = np.full(T, _B_ABSENT, dtype=np.int8)
-    for key, table in tables.items():
-        act, fk, bi = key
-        mask = (action == act) & (first_key == fk)
+    for (act, k, bi), table in tables.items():
+        mask = (action == act) & (key == k)
         if act != 2:
             mask &= bob_pick == bi
         if not mask.any():
             continue
-        f, b, av, bv = table.sample(u[3, mask])
-        fwd_sample[mask] = f
-        bwd_sample[mask] = b
-        a_out[mask] = av
-        b_out[mask] = bv
+        f, b, pl, bv = table.sample(u[3, mask])
+        fwd_sample[mask], bwd_sample[mask], probe[mask], b_out[mask] = f, b, pl, bv
 
     # map the sensor's pick to a global axis index (encode picks are X or Z)
     enc_axis_lookup = np.array([_axis_index(a) for a in ENCODE_AXES], dtype=np.int8)
-    bob_axis_idx = np.where(action == 1, enc_axis_lookup[np.minimum(bob_pick, 1)], bob_pick)
-    bob_axis_idx = np.where(action == 2, np.int8(-1), bob_axis_idx).astype(np.int8)
-    if config.variant == "mub":
-        a_out = np.zeros(T, dtype=np.int8)
-
-    status = _sift_status(config, reg, action, alice_idx, probe_idx, bob_axis_idx)
+    bob_axis = np.where(action == 1, enc_axis_lookup[np.minimum(bob_pick, 1)], bob_pick)
+    bob_axis = np.where(action == 2, np.int8(-1), bob_axis).astype(np.int8)
 
     if _wants_records(attack):
         some_table = next(iter(tables.values()))
         for i in range(T):
             attack.record_round(i, some_table.labels_f[fwd_sample[i]],
                                 some_table.labels_b[bwd_sample[i]])
-    return Transcript(config, action, alice_idx, probe_idx, bob_axis_idx,
-                      a_out, b_out, status)
+    return Transcript(config, action, probe, bob_axis, b_out,
+                      _sift_status(action, probe, bob_axis))
 
 
 def _run_stateful(config, attack, rng, reg) -> Transcript:
@@ -496,12 +463,9 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
     two_way = config.direction == "two_way"
     cum = (config.p_c, config.p_c + config.p_e)
     action = np.zeros(T, dtype=np.int8)
-    alice_idx = np.full(T, -1, dtype=np.int8)
-    probe_idx = np.full(T, -1, dtype=np.int8)
-    bob_axis_idx = np.full(T, -1, dtype=np.int8)
-    a_out = np.zeros(T, dtype=np.int8)
+    probe = np.zeros(T, dtype=np.int8)
+    bob_axis = np.full(T, -1, dtype=np.int8)
     b_out = np.full(T, _B_ABSENT, dtype=np.int8)
-    ent = config.variant == "entanglement"
 
     for t in range(T):
         if t % attack.block_length == 0:
@@ -509,17 +473,9 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
         u = rng.random(3)
         act = 0 if u[0] < cum[0] else (1 if u[0] < cum[1] else 2)
         action[t] = act
-        if ent:
-            ai = min(int(u[1] * 3), 2)
-            alice_idx[t] = ai
-            world = qcore.RegisterState(["A", "B"], [2, reg.probe_dim],
-                                        reg.resource.copy())
-            world.probe = "B"
-        else:
-            pl = min(int(u[1] * 6), 5)
-            probe_idx[t] = pl
-            world = qcore.RegisterState(["B"], [reg.probe_dim], reg.probes[pl].copy())
-            world.probe = "B"
+        pl = min(int(u[1] * 6), 5)
+        probe[t] = pl
+        world = qcore.RegisterState(["B"], [reg.probe_dim], reg.probes[pl].copy())
         if act == 0:
             axis = AXES[min(int(u[2] * 3), 2)]
         elif act == 1:
@@ -533,25 +489,25 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
         if two_way:
             attack.backward_state(world, rng)
 
-        if ent:
-            a_out[t] = int(round(world.measure(reg.pauli[AXES[alice_idx[t]]], "A", rng)))
         if act != 2:
-            bob_axis_idx[t] = _axis_index(axis)
+            bob_axis[t] = _axis_index(axis)
             b_out[t] = int(round(world.measure(reg.bold[axis], world.probe, rng)))
         attack.end_round(world, rng)
 
-    status = _sift_status(config, reg, action, alice_idx, probe_idx, bob_axis_idx)
-    return Transcript(config, action, alice_idx, probe_idx, bob_axis_idx,
-                      a_out, b_out, status)
+    return Transcript(config, action, probe, bob_axis, b_out,
+                      _sift_status(action, probe, bob_axis))
 
 
 def run(config: ProtocolConfig, attack, rng=None) -> Transcript:
     """Execute T rounds against the given adversary; deterministic per seed."""
     if attack.requires_two_way and config.direction != "two_way":
-        raise ValueError(f"attack {attack.name!r} requires two-way operation")
+        raise UnsupportedAttackError(f"attack {attack.name!r} requires two-way operation")
     rng = np.random.default_rng(config.seed) if rng is None else rng
     reg = _Registry(config)
-    attack.on_run_start(config.public(), reg.frame)
+    try:
+        attack.on_run_start(config.public(), reg.frame)
+    except ValueError as exc:
+        raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
     if attack.forward_branches(config.n, reg.frame) is not None:
         return _run_fast(config, attack, rng, reg)
     return _run_stateful(config, attack, rng, reg)
@@ -560,44 +516,28 @@ def run(config: ProtocolConfig, attack, rng=None) -> Transcript:
 # ---------------------------------------------------------------- reconciliation
 
 def _kept_products(transcript, status_code):
-    """Per-correlator +-1 products (leak outcomes excluded)."""
+    """Per-label +-1 products (sensor outcome times the label's sign) from
+    the kept rounds with this status, leak outcomes excluded."""
     t = transcript
-    cfg = t.config
-    out = {}
-    if cfg.variant == "entanglement":
-        pairs = CHECK_PAIRS if status_code == 1 else ESTIMATION_PAIRS
-        for a_axis, b_axis in pairs:
-            mask = ((t._status == status_code)
-                    & (t._alice_idx == _axis_index(a_axis))
-                    & (t._bob_axis_idx == _axis_index(b_axis))
-                    & (t._b_out != 0) & (t._b_out != _B_ABSENT))
-            out[f"{a_axis}{b_axis}"] = (t._a_out[mask] * t._b_out[mask]).astype(float)
-    else:
-        reg_axes = AXES if status_code == 1 else ENCODE_AXES
-        for li, label in enumerate(qcore.SIGNED_LABELS):
-            axis, sign = qcore.parse_probe_label(label)
-            if axis not in reg_axes:
-                continue
-            mask = ((t._status == status_code)
-                    & (t._probe_idx == li)
-                    & (t._b_out != 0) & (t._b_out != _B_ABSENT))
-            out[label] = (sign * t._b_out[mask]).astype(float)
-    return out
+    kept = (t.status == status_code) & (t.bob_out != 0) & (t.bob_out != _B_ABSENT)
+    return {label: (_LABEL_SIGN[li] * t.bob_out[kept & (t.probe == li)]).astype(float)
+            for li, label in enumerate(qcore.SIGNED_LABELS)}
+
+
+def _pooled(products, axis):
+    """Products of both signed labels of one axis."""
+    return np.concatenate([products["+" + axis], products["-" + axis]])
 
 
 def estimation_products(transcript):
     """Pooled +-1 values from kept estimation rounds, in round order.
 
-    Entanglement variant: per-round products of the two outcomes; direct
-    probe variant: sign-corrected sensor outcomes.  Leak outcomes excluded.
+    Each is the sensor outcome times the probe label's sign, which in the
+    entanglement variant is the provider's outcome.  Leak outcomes excluded.
     """
     t = transcript
-    mask = (t._status == 2) & (t._b_out != 0) & (t._b_out != _B_ABSENT)
-    if t.config.variant == "entanglement":
-        return (t._a_out[mask] * t._b_out[mask]).astype(float)
-    label_signs = np.array([qcore.parse_probe_label(lab)[1]
-                            for lab in qcore.SIGNED_LABELS], dtype=np.int8)
-    return (label_signs[t._probe_idx[mask]] * t._b_out[mask]).astype(float)
+    mask = (t.status == 2) & (t.bob_out != 0) & (t.bob_out != _B_ABSENT)
+    return (_LABEL_SIGN[t.probe[mask]] * t.bob_out[mask]).astype(float)
 
 
 def check_fidelity(transcript) -> CheckResult:
@@ -609,6 +549,8 @@ def check_fidelity(transcript) -> CheckResult:
     """
     cfg = transcript.config
     products = _kept_products(transcript, 1)
+    if cfg.variant == "entanglement":
+        products = {a + b: _pooled(products, b) for a, b in CHECK_PAIRS}
     missing = [k for k, v in products.items() if v.size == 0]
     if missing:
         raise InsufficientRoundsError(
@@ -636,14 +578,10 @@ def estimate_phase(transcript, n=None) -> EstimateResult:
     if n != cfg.n:
         raise ValueError("qubit count does not match the transcript")
     products = _kept_products(transcript, 2)
-    if cfg.variant == "mub":
-        # pool the signed labels of each equatorial axis
-        by_axis = {"X": [], "Z": []}
-        for label, vals in products.items():
-            axis, _sign = qcore.parse_probe_label(label)
-            by_axis[axis].append(vals)
-        products = {axis: np.concatenate(v) if v else np.zeros(0)
-                    for axis, v in by_axis.items()}
+    if cfg.variant == "entanglement":
+        products = {a + b: _pooled(products, b) for a, b in ESTIMATION_PAIRS}
+    else:
+        products = {axis: _pooled(products, axis) for axis in ENCODE_AXES}
     missing = [k for k, v in products.items() if v.size == 0]
     if missing:
         raise InsufficientRoundsError(

@@ -50,14 +50,6 @@ def _frozen(a):
     return a
 
 
-def kron_all(*ops):
-    """Tensor product of matrices or vectors, left to right."""
-    out = np.array([[1.0 + 0j]]) if ops[0].ndim == 2 else np.array([1.0 + 0j])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
 def kron_power(op, n):
     out = np.array([[1.0 + 0j]]) if op.ndim == 2 else np.array([1.0 + 0j])
     for _ in range(n):

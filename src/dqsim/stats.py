@@ -110,17 +110,3 @@ def batch_statistics(values, batches: int) -> BatchSummary:
         batch_size=size,
         dropped=dropped,
     )
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One row of a bound-versus-empirical sweep."""
-
-    theta: float
-    phi: float
-    phi_hat_mean: float
-    phi_hat_var: float
-    bias_vs_ideal: float
-    var_discrepancy: float
-    bound_bias: float
-    bound_var: float

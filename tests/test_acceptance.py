@@ -178,7 +178,7 @@ def test_criterion_08_two_way_leak_demonstration():
     attack = adversary.two_way_swap_leak()
     tr = protocol.run(cfg, attack)
     assert tr.N_e + tr.N_sifted_away >= 0  # transcript sanity
-    encoded_rounds = int(np.sum(tr._action == 1))
+    encoded_rounds = int(np.sum(tr.action == 1))
     assert encoded_rounds >= 10_000 * 0.95
     estimate = attack.eve_estimate()
     assert abs(estimate.phi_hat_eve - 0.3) <= 3 * estimate.standard_error

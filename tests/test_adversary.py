@@ -159,8 +159,9 @@ def test_memoryless_outcome_distribution_permutation_invariant():
     # first-half and second-half kept-check products should be homogeneous
     cfg = make_config(T=40_000, seed=71)
     tr = protocol.run(cfg, adversary.depolarizing_attack(0.3))
-    kept = (tr._status == 1) & (tr._b_out != protocol._B_ABSENT)
-    products = (tr._a_out[kept] * tr._b_out[kept]).astype(int)
+    signs = np.array([qcore.parse_probe_label(lab)[1] for lab in qcore.SIGNED_LABELS])
+    kept = (tr.status == 1) & (tr.bob_out != protocol._B_ABSENT)
+    products = signs[tr.probe[kept]] * tr.bob_out[kept]
     half = products.size // 2
     table = np.array([
         [(products[:half] == 1).sum(), (products[:half] == -1).sum()],

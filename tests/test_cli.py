@@ -1,6 +1,9 @@
 """Tests for scenario loading, subcommands, output contracts and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +63,44 @@ def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p_c", float("nan")), ("p_e", float("nan")), ("p_d", float("inf")),
+    ("epsilon_threshold", float("nan")), ("epsilon_threshold", float("inf")),
+    ("true_phi", float("nan")), ("true_phi", float("-inf")),
+])
+def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
+    path, scenario = write_scenario(tmp_path)
+    scenario["protocol"][field] = value
+    path.write_text(json.dumps(scenario))
+    with pytest.raises(cli.SchemaError):
+        cli.build_config(cli.load_scenario(path))
+    assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("command,protocol_edit,block_edit,code", [
+    ("run", {"T": 2}, {}, cli.EXIT_INSUFFICIENT_ROUNDS),
+    ("run", {"p_c": 0.0, "p_e": 0.5, "p_d": 0.5}, {}, cli.EXIT_INSUFFICIENT_ROUNDS),
+    ("run", {"n": 2}, {"attack": {"name": "entangling_memory",
+                                  "params": {"coupling_angle": 0.3}}}, cli.EXIT_SCHEMA),
+    ("sweep", {}, {"sweep": {"variable": "phi", "start": 0.1, "stop": 0.5,
+                             "steps": "x"}}, cli.EXIT_SCHEMA),
+    ("sweep", {}, {"sweep": {"variable": 3, "start": 0.1, "stop": 0.5,
+                             "steps": 2}}, cli.EXIT_SCHEMA),
+], ids=["T2", "no_check_rounds", "memory_n2", "steps_string", "variable_number"])
+def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
+                                            block_edit, code):
+    path, scenario = write_scenario(tmp_path, **block_edit)
+    scenario["protocol"].update(protocol_edit)
+    path.write_text(json.dumps(scenario))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "dqsim.cli", command, str(path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_gives_io_exit():
