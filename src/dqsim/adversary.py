@@ -9,8 +9,12 @@ label is what her classical memory records.  The round engine samples
 branch and measurement outcomes from the exact joint distribution.
 
 Attacks that keep quantum memory across rounds instead implement the
-stateful hooks and are driven round by round on an explicit register-machine
-state; this is exact but limited to small blocks.
+stateful hooks and run on explicit register-machine states.  Their quantum
+memory never outlives a block of at most three rounds, so blocks are
+independent: the engine runs a batch of blocks at once, one position inside
+the block after another, on a ``qcore.RegisterState`` whose leading batch
+axis holds that position's round of every block.  This is exact but limited
+to small blocks.
 
 In one-way operation an attack object never sees measurement outcomes or
 reconciliation data before acting on the probe: the engine only calls the
@@ -65,7 +69,12 @@ class AttackModel:
         """Classical-memory hook; called per round on the fast path."""
 
     # -- stateful interface (quantum-memory attacks) -------------------------
-    def begin_block(self, rng) -> None:
+    # begin_block opens ``blocks`` independent blocks of ``block_length``
+    # rounds.  Then, for each position inside a block, the round hooks get a
+    # RegisterState whose batch axis holds that position's round of every
+    # block still running, in block order: all of them, or all but the
+    # last when the run's final block is short.
+    def begin_block(self, blocks, rng) -> None:
         pass
 
     def forward_state(self, world, rng) -> None:
@@ -186,9 +195,11 @@ class EntanglingMemoryAttack(AttackModel):
     """Couples each probe in a block to one persistent ancilla qubit.
 
     The ancilla is reset at block boundaries, either silently (traced out)
-    or after a recorded Z measurement.  Exact simulation carries the ancilla
-    in the round's register state, so the attack is limited to single-qubit
-    probes and short blocks.
+    or after a recorded Z measurement.  The reset makes blocks independent,
+    so the attack carries one ancilla state per block of the batch, a
+    (blocks, 2, 2) stack, and splices it into each position's register
+    state.  Exact simulation is limited to single-qubit probes and short
+    blocks.
     """
 
     max_block_length = 3
@@ -204,28 +215,37 @@ class EntanglingMemoryAttack(AttackModel):
         self.block_length = int(block_length)
         self.ancilla_mode = ancilla_mode
         self._rho_e = None
+        self._position = 0
+        self._blocks_left = 0
         self.memory = []
 
     def on_run_start(self, public_config, frame):
         if public_config["n"] != 1:
             raise ValueError("entangling memory attack supports single-qubit probes only")
         self._rho_e = None
+        self._blocks_left = -(-public_config["T"] // self.block_length)
 
-    def begin_block(self, rng):
-        if self._rho_e is not None and self.ancilla_mode == "measure":
-            p1 = float(self._rho_e[1, 1].real)
-            outcome = -1 if rng.random() < p1 else 1
-            self.memory.append(outcome)
-        self._rho_e = np.array([[1, 0], [0, 0]], dtype=complex)
+    def begin_block(self, blocks, rng):
+        self._rho_e = np.zeros((blocks, 2, 2), dtype=complex)
+        self._rho_e[:, 0, 0] = 1.0
+        self._position = 0
+        self._blocks_left -= blocks
 
     def forward_state(self, world, rng):
-        world.attach("eve_mem", qcore.DensityMatrix(self._rho_e))
+        world.attach("eve_mem", self._rho_e[:world.batch])
         world.apply_unitary(_controlled_rotation(self.coupling_angle),
                             [world.probe, "eve_mem"])
 
     def end_round(self, world, rng):
-        self._rho_e = world.reduced("eve_mem").data.copy()
+        self._rho_e[:world.batch] = world.reduced("eve_mem")
         world.trace_out("eve_mem")
+        self._position += 1
+        if self._position == self.block_length and self.ancilla_mode == "measure":
+            # every block but the run's last is followed by a block start,
+            # where its ancilla is measured before the reset
+            ended = self._rho_e if self._blocks_left else self._rho_e[:-1]
+            p1 = ended[:, 1, 1].real
+            self.memory.extend(np.where(rng.random(p1.size) < p1, -1, 1).tolist())
 
 
 def entangling_memory_attack(coupling_angle, block_length=2,
@@ -243,8 +263,12 @@ class TwoWaySwapLeakAttack(AttackModel):
     cos(2 n phi) for that observable while unencoded rounds return it
     untouched (outcome +1 with certainty).  A -1 outcome therefore certifies
     an encoded round; those get re-encoded with the adversary's running
-    estimate before the original is released, and check rounds are always
-    forwarded faithfully.
+    estimate (from every outcome up to and including the round's own)
+    before the original is released, and check rounds are always forwarded
+    faithfully.  The outcome depends only on the sensor's action and phi,
+    never on earlier re-encodings, so a batch of rounds is read out at once
+    and its running estimates come from prefix sums; the outcome sum and
+    count carry over between batches.
     """
 
     requires_two_way = True
@@ -252,7 +276,8 @@ class TwoWaySwapLeakAttack(AttackModel):
 
     def __init__(self):
         self.name = "two_way_swap_leak"
-        self._outcomes = []
+        self._sum = 0
+        self._count = 0
         self._p_e = None
         self._n = None
         self._frame = None
@@ -268,7 +293,8 @@ class TwoWaySwapLeakAttack(AttackModel):
         self._frame = frame
         self._xbar = qcore.bold_pauli(frame, "X")
         self._substitute = qcore.mub_probe(frame, "+X").density()
-        self._outcomes = []
+        self._sum = 0
+        self._count = 0
 
     def forward_state(self, world, rng):
         self._original_probe = world.probe
@@ -276,31 +302,25 @@ class TwoWaySwapLeakAttack(AttackModel):
         world.probe = "eve_sub"
 
     def backward_state(self, world, rng):
-        outcome = int(round(world.measure(self._xbar, "eve_sub", rng)))
-        self._outcomes.append(outcome)
-        if outcome == -1:
-            phi_hat = self._running_phi()
-            if phi_hat is not None and phi_hat > 0:
-                world.apply_unitary(qcore.encoding_unitary(self._n, phi_hat),
-                                    [self._original_probe])
+        outcome = np.rint(world.measure(self._xbar, "eve_sub", rng)).astype(np.int64)
+        # running sum and count of the nonzero outcomes, this round included
+        total = self._sum + np.cumsum(outcome)
+        count = self._count + np.cumsum(outcome != 0)
+        self._sum, self._count = int(total[-1]), int(count[-1])
+        mean = total / np.maximum(count, 1)
+        c = np.clip(1.0 - (1.0 - mean) / self._p_e, -1.0, 1.0)
+        phi_hat = np.arccos(c) / (2.0 * self._n)
+        reencode = (outcome == -1) & (count >= self._min_samples_for_reencoding) & (phi_hat > 0)
+        if reencode.any():
+            world.apply_unitary(qcore.encoding_unitary(self._n, np.where(reencode, phi_hat, 0.0)),
+                                [self._original_probe])
         world.trace_out("eve_sub")
         world.probe = self._original_probe
 
-    def _mean_and_count(self):
-        vals = [o for o in self._outcomes if o != 0]
-        return (float(np.mean(vals)), len(vals)) if vals else (1.0, 0)
-
-    def _running_phi(self):
-        mean, count = self._mean_and_count()
-        if count < self._min_samples_for_reencoding:
-            return None
-        c = min(1.0, max(-1.0, 1.0 - (1.0 - mean) / self._p_e))
-        return math.acos(c) / (2.0 * self._n)
-
     def eve_estimate(self) -> EveEstimate:
-        mean, count = self._mean_and_count()
-        if count == 0:
+        if self._count == 0:
             return EveEstimate(None, 0)
+        mean, count = self._sum / self._count, self._count
         c = min(1.0, max(-1.0, 1.0 - (1.0 - mean) / self._p_e))
         phi_hat = math.acos(c) / (2.0 * self._n)
         var_mean = (1.0 - mean ** 2) / count

@@ -310,6 +310,32 @@ def cmd_sweep(scenario, seed_override=None, threads=1, batches=20) -> int:
 
 # ---------------------------------------------------------------- bounds
 
+# the counts each bound mode needs, by argument name
+_BOUNDS_COUNTS = {"one_way_individual": ("N_e",), "one_way_gc": ("T", "N_d"),
+                  "two_way_gc": ("T", "N_d")}
+
+
+def _bounds_phis(args):
+    """The phi grid of a bounds request, once its inputs are checked."""
+    if args.phi is not None:
+        ends = [args.phi]
+    elif None not in (args.phi_start, args.phi_stop, args.phi_steps):
+        if args.phi_steps < 1:
+            raise SchemaError("--phi-steps must be at least 1")
+        ends = [args.phi_start, args.phi_stop]
+    else:
+        raise SchemaError("bounds needs --phi or --phi-start/stop/steps")
+    if not all(math.isfinite(v) for v in [args.epsilon, *ends]):
+        raise SchemaError("--epsilon and the phi values must be finite")
+    missing = ["--" + name.replace("_", "-") for name in _BOUNDS_COUNTS[args.mode]
+               if getattr(args, name) is None]
+    if missing:
+        raise SchemaError(f"bounds --mode {args.mode} needs {' and '.join(missing)}")
+    if args.phi is not None:
+        return ends
+    return list(np.linspace(args.phi_start, args.phi_stop, args.phi_steps))
+
+
 def cmd_bounds(mode, variant, epsilon, n, phis, T=None, N_d=None, N_e=None,
                output=None) -> int:
     rows = [metrics.bound_report(mode, variant, epsilon, n, phi,
@@ -416,12 +442,7 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario)
             return cmd_sweep(scenario, args.seed, args.threads, args.batches)
         if args.command == "bounds":
-            if args.phi is not None:
-                phis = [args.phi]
-            elif None not in (args.phi_start, args.phi_stop, args.phi_steps):
-                phis = list(np.linspace(args.phi_start, args.phi_stop, args.phi_steps))
-            else:
-                raise SchemaError("bounds needs --phi or --phi-start/stop/steps")
+            phis = _bounds_phis(args)
             try:
                 return cmd_bounds(args.mode, args.variant, args.epsilon, args.n,
                                   phis, T=args.T, N_d=args.N_d, N_e=args.N_e,

@@ -20,9 +20,12 @@ exact (the equivalence of the two formulations), and the provider's
 
 Memoryless attacks run on a vectorized fast path: every (action, settings)
 combination has a fixed joint outcome distribution which is computed once,
-exactly, and then sampled per round.  Quantum-memory attacks run round by
-round on an explicit register state.  Both paths draw randomness in a fixed
-documented order, so a seed fully determines the transcript.
+exactly, and then sampled per round.  Quantum-memory attacks run on explicit
+register states, a batch of independent blocks at a time: the engine steps
+through the at most three positions inside a block, and each step runs that
+position's round of every block in the batch at once.  Both paths draw
+randomness in a fixed documented order, so a seed fully determines the
+transcript.
 """
 
 from __future__ import annotations
@@ -313,8 +316,15 @@ class _Registry:
         self.bold = {a: qcore.bold_pauli(self.frame, a) for a in AXES}
         self.encoder = qcore.encoding_unitary(config.n, config.true_phi)
         self.probe_dim = 2 ** config.n
-        self.probes = [qcore.mub_probe(self.frame, lab).density().data
-                       for lab in qcore.SIGNED_LABELS]
+        self.probes = np.array([qcore.mub_probe(self.frame, lab).density().data
+                                for lab in qcore.SIGNED_LABELS])
+        # the trivial measurement written on the sensor's spectrum, so that
+        # discarded rounds share a batch with measured ones: it always
+        # yields the last eigenvalue and leaves the state as it is
+        values = self.bold["X"].eigenvalues
+        eye = np.eye(self.probe_dim, dtype=complex)
+        self.unmeasured = qcore.Observable(
+            eye, values, (np.zeros_like(eye),) * (len(values) - 1) + (eye,))
 
 
 def _wants_records(attack) -> bool:
@@ -417,18 +427,28 @@ def _sift_status(action, probe, bob_axis):
     return status
 
 
+def _sensor_settings(config, u_action, u_pick):
+    """Each round's action, the sensor's pick among the axes its action
+    allows (check X/Y/Z, encode X/Z, discard the single pick 0) and that
+    pick as an index into AXES (-1 on discarded rounds)."""
+    cum = np.array([config.p_c, config.p_c + config.p_e])
+    action = np.searchsorted(cum, u_action, side="right").astype(np.int8)
+    bob_pick = np.where(action == 0,
+                        np.minimum((u_pick * 3).astype(np.int8), 2),
+                        np.minimum((u_pick * 2).astype(np.int8), 1))
+    bob_pick = np.where(action == 2, np.int8(0), bob_pick)
+    enc_axis_lookup = np.array([_axis_index(a) for a in ENCODE_AXES], dtype=np.int8)
+    bob_axis = np.where(action == 1, enc_axis_lookup[np.minimum(bob_pick, 1)], bob_pick)
+    bob_axis = np.where(action == 2, np.int8(-1), bob_axis).astype(np.int8)
+    return action, bob_pick, bob_axis
+
+
 def _run_fast(config, attack, rng, reg) -> Transcript:
     T = config.T
     u = rng.random((4, T))
-    cum = np.array([config.p_c, config.p_c + config.p_e])
-    action = np.searchsorted(cum, u[0], side="right").astype(np.int8)
+    action, bob_pick, bob_axis = _sensor_settings(config, u[0], u[2])
     n_keys = len(_TABLE_KEYS[config.variant])
     key = np.minimum((u[1] * n_keys).astype(np.int8), n_keys - 1)
-
-    bob_pick = np.where(action == 0,
-                        np.minimum((u[2] * 3).astype(np.int8), 2),
-                        np.minimum((u[2] * 2).astype(np.int8), 1))
-    bob_pick = np.where(action == 2, np.int8(0), bob_pick)
 
     tables = _build_tables(reg, attack)
     fwd_sample = np.zeros(T, dtype=np.int16)
@@ -444,11 +464,6 @@ def _run_fast(config, attack, rng, reg) -> Transcript:
         f, b, pl, bv = table.sample(u[3, mask])
         fwd_sample[mask], bwd_sample[mask], probe[mask], b_out[mask] = f, b, pl, bv
 
-    # map the sensor's pick to a global axis index (encode picks are X or Z)
-    enc_axis_lookup = np.array([_axis_index(a) for a in ENCODE_AXES], dtype=np.int8)
-    bob_axis = np.where(action == 1, enc_axis_lookup[np.minimum(bob_pick, 1)], bob_pick)
-    bob_axis = np.where(action == 2, np.int8(-1), bob_axis).astype(np.int8)
-
     if _wants_records(attack):
         some_table = next(iter(tables.values()))
         for i in range(T):
@@ -458,41 +473,49 @@ def _run_fast(config, attack, rng, reg) -> Transcript:
                       _sift_status(action, probe, bob_axis))
 
 
+# Byte budget of the register stack of one batch of blocks, for an
+# adversary register no larger than the probe.  It keeps the stateful
+# engine's working set to a few hundred kilobytes at every probe size.
+_BATCH_BYTES = 1 << 18
+
+
 def _run_stateful(config, attack, rng, reg) -> Transcript:
-    T = config.T
-    two_way = config.direction == "two_way"
-    cum = (config.p_c, config.p_c + config.p_e)
-    action = np.zeros(T, dtype=np.int8)
-    probe = np.zeros(T, dtype=np.int8)
-    bob_axis = np.full(T, -1, dtype=np.int8)
+    """Quantum-memory attacks: independent blocks a batch at a time, one
+    position inside the block after another, each position's round of every
+    block in the batch run at once on a batched register state.
+
+    Draw order: the settings of all T rounds (one (3, T) batch of
+    uniforms), then, batch by batch and position by position, one uniform
+    per round for each measurement the hooks and the sensor make, in call
+    order.
+    """
+    T, L = config.T, attack.block_length
+    u = rng.random((3, T))
+    action, _pick, bob_axis = _sensor_settings(config, u[0], u[2])
+    probe = np.minimum((u[1] * 6).astype(np.int8), 5)
     b_out = np.full(T, _B_ABSENT, dtype=np.int8)
+    sensor = [reg.bold[a] for a in AXES] + [reg.unmeasured]
+    which = np.where(action == 2, len(AXES), bob_axis)
+    encoders = np.stack([np.eye(reg.probe_dim, dtype=complex), reg.encoder])
 
-    for t in range(T):
-        if t % attack.block_length == 0:
-            attack.begin_block(rng)
-        u = rng.random(3)
-        act = 0 if u[0] < cum[0] else (1 if u[0] < cum[1] else 2)
-        action[t] = act
-        pl = min(int(u[1] * 6), 5)
-        probe[t] = pl
-        world = qcore.RegisterState(["B"], [reg.probe_dim], reg.probes[pl].copy())
-        if act == 0:
-            axis = AXES[min(int(u[2] * 3), 2)]
-        elif act == 1:
-            axis = ENCODE_AXES[min(int(u[2] * 2), 1)]
-        else:
-            axis = None
-
-        attack.forward_state(world, rng)
-        if act == 1:
-            world.apply_unitary(reg.encoder, [world.probe])
-        if two_way:
-            attack.backward_state(world, rng)
-
-        if act != 2:
-            bob_axis[t] = _axis_index(axis)
-            b_out[t] = int(round(world.measure(reg.bold[axis], world.probe, rng)))
-        attack.end_round(world, rng)
+    per_batch = max(1, _BATCH_BYTES // (16 * reg.probe_dim ** 4 * L))
+    n_blocks = -(-T // L)
+    for first in range(0, n_blocks, per_batch):
+        blocks = np.arange(first, min(first + per_batch, n_blocks))
+        attack.begin_block(blocks.size, rng)
+        for pos in range(L):
+            t = blocks * L + pos
+            t = t[t < T]
+            if t.size == 0:
+                break
+            world = qcore.RegisterState(["B"], [reg.probe_dim], reg.probes[probe[t]])
+            attack.forward_state(world, rng)
+            world.apply_unitary(encoders[(action[t] == 1).astype(np.intp)], [world.probe])
+            if config.direction == "two_way":
+                attack.backward_state(world, rng)
+            b_out[t] = np.rint(world.measure(sensor, world.probe, rng, which[t]))
+            attack.end_round(world, rng)
+    b_out[action == 2] = _B_ABSENT
 
     return Transcript(config, action, probe, bob_axis, b_out,
                       _sift_status(action, probe, bob_axis))

@@ -87,18 +87,29 @@ class DensityMatrix:
     def __post_init__(self):
         m = _frozen(np.asarray(self.data, dtype=complex))
         object.__setattr__(self, "data", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise ValueError("density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValueError("density matrix trace deviates from 1")
-        if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
-            raise ValueError("density matrix has a negative eigenvalue below tolerance")
+        _check_density_stack(m)
 
     @property
     def dim(self) -> int:
         return self.data.shape[0]
+
+
+def _check_density_stack(m):
+    """Raise ValueError unless every matrix of the stack ``m`` (shape
+    (..., d, d)) is Hermitian, of unit trace and positive semidefinite
+    within tolerance; returns ``m``.  One eigvalsh covers the whole stack."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("density matrix must be square")
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > HERMITIAN_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = m.trace(axis1=-2, axis2=-1)
+    if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
+        raise ValueError("density matrix trace deviates from 1")
+    if np.linalg.eigvalsh(m)[..., 0].min() < -PSD_TOL:
+        raise ValueError("density matrix has a negative eigenvalue below tolerance")
+    return m
 
 
 def as_density(state) -> DensityMatrix:
@@ -303,13 +314,25 @@ def mub_probe(frame: LogicalFrame, label) -> PureState:
     return PureState(vec)
 
 
-def encoding_unitary(n: int, phi: float):
+def _kron_stack(a, b):
+    """Kronecker product of the last two axes, broadcast over the leading ones."""
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (rows, cols))
+
+
+def encoding_unitary(n: int, phi):
     """Per-qubit phase rotation exp(i*phi*Y), tensored over n qubits.
 
     Restricted to span{R^n, L^n} it acts as diag(e^{i n phi}, e^{-i n phi}).
+    An array of angles gives the stack of their unitaries.
     """
+    phi = np.asarray(phi, dtype=float)[..., None, None]
     single = np.cos(phi) * _I2 + 1j * np.sin(phi) * _PAULI["Y"]
-    return kron_power(single, n)
+    out = single
+    for _ in range(n - 1):
+        out = _kron_stack(out, single)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,20 +397,6 @@ def depolarizing_channel(p: float, n_qubits: int = 1) -> Channel:
     return Channel(d, d, tuple(kraus))
 
 
-def apply(op, state) -> DensityMatrix:
-    """Apply a Channel or a unitary matrix to a state."""
-    rho = as_density(state)
-    if isinstance(op, Channel):
-        if op.dim_in != rho.dim:
-            raise DimensionMismatchError(f"channel acts on dim {op.dim_in}, state has dim {rho.dim}")
-        out = sum(k @ rho.data @ k.conj().T for k in op.kraus_operators)
-        return DensityMatrix(out)
-    u = np.asarray(op, dtype=complex)
-    if u.shape != (rho.dim, rho.dim):
-        raise DimensionMismatchError(f"operator shape {u.shape} does not match state dim {rho.dim}")
-    return DensityMatrix(u @ rho.data @ u.conj().T)
-
-
 def expectation(obs: Observable, state) -> float:
     """Tr[O rho]."""
     rho = as_density(state)
@@ -395,26 +404,6 @@ def expectation(obs: Observable, state) -> float:
         raise DimensionMismatchError("observable and state dimensions differ")
     val = np.trace(obs.matrix @ rho.data)
     return float(val.real)
-
-
-def born_probabilities(obs: Observable, state):
-    rho = as_density(state)
-    if obs.dim != rho.dim:
-        raise DimensionMismatchError("observable and state dimensions differ")
-    probs = np.array([np.trace(p @ rho.data).real for p in obs.eigenprojectors])
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
-def measure(obs: Observable, state, rng) -> tuple:
-    """Projective measurement: returns (eigenvalue, post-measurement state)."""
-    rho = as_density(state)
-    probs = born_probabilities(obs, rho)
-    k = int(rng.choice(len(probs), p=probs))
-    proj = obs.eigenprojectors[k]
-    post = proj @ rho.data @ proj
-    post = post / np.trace(post).real
-    return float(obs.eigenvalues[k]), DensityMatrix(post)
 
 
 def _sqrtm_psd(m):
@@ -474,22 +463,42 @@ def partial_trace(state, dims, keep) -> DensityMatrix:
     return DensityMatrix(tensor.reshape(d_keep, d_keep))
 
 
-def embed_operator(op, dims, targets):
-    """Lift ``op`` acting on the listed subsystems to the full product space."""
-    op = np.asarray(op, dtype=complex)
-    dims = list(dims)
-    targets = list(targets)
-    n = len(dims)
-    rest = [i for i in range(n) if i not in targets]
+@functools.lru_cache(maxsize=None)
+def _lift_plan(dims, targets):
+    """Index map lifting an operator on ``targets`` to the product space.
+
+    Entry (i, j) of the lifted operator is entry ``plan[i, j]`` of the
+    operator's flattened matrix with one zero appended: the operator's
+    element for the target parts of basis states i and j where their other
+    parts agree, the zero where they differ.
+    """
+    rest = [i for i in range(len(dims)) if i not in targets]
     d = int(np.prod(dims))
+    multi = np.unravel_index(np.arange(d), dims)
+    t_idx, r_idx = np.zeros(d, dtype=np.intp), np.zeros(d, dtype=np.intp)
+    for i in targets:
+        t_idx = t_idx * dims[i] + multi[i]
+    for i in rest:
+        r_idx = r_idx * dims[i] + multi[i]
     d_t = int(np.prod([dims[i] for i in targets]))
-    if op.shape != (d_t, d_t):
+    plan = t_idx[:, None] * d_t + t_idx[None, :]
+    plan[r_idx[:, None] != r_idx[None, :]] = d_t * d_t
+    plan.setflags(write=False)
+    return plan, d_t
+
+
+def embed_operator(op, dims, targets):
+    """Lift ``op`` acting on the listed subsystems to the full product space.
+
+    ``op`` may be a stack (..., d_t, d_t); each matrix is lifted.
+    """
+    op = np.asarray(op, dtype=complex)
+    plan, d_t = _lift_plan(tuple(dims), tuple(targets))
+    if op.ndim < 2 or op.shape[-2:] != (d_t, d_t):
         raise DimensionMismatchError("operator does not match target register dims")
-    big = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest])) if rest else 1, dtype=complex))
-    perm = targets + rest
-    multi = np.array(np.unravel_index(np.arange(d), dims))
-    ridx = np.ravel_multi_index([multi[i] for i in perm], [dims[i] for i in perm])
-    return big[np.ix_(ridx, ridx)]
+    flat = op.reshape(op.shape[:-2] + (d_t * d_t,))
+    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,), dtype=complex)], axis=-1)
+    return padded[..., plan]
 
 
 def random_pure_state(dim: int, rng) -> PureState:
@@ -505,67 +514,113 @@ def random_density_matrix(dim: int, rng, rank=None) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-class RegisterState:
-    """Mutable multi-register density matrix used by the round engine.
+def _dagger(m):
+    return m.conj().swapaxes(-1, -2)
 
-    Registers are addressed by label; attach/trace operations let an
-    adversary splice its own ancillas into the round's quantum state.  This
-    is the one deliberately mutable object in the module; each protocol
-    round owns a fresh instance.
+
+class RegisterState:
+    """Mutable stack of multi-register density matrices used by the round engine.
+
+    ``rho`` has shape (B, d, d): a leading batch axis over B independent
+    rounds that undergo the same sequence of operations, then the product
+    space of the registers (dimension d).  An operator applied to the stack
+    is either one matrix for every element or a stack of B matrices, one
+    per element.  Registers are addressed by label; attach/trace operations
+    let an adversary splice its own ancillas into the rounds' quantum state.
+    This is the one deliberately mutable object in the module; the engine
+    makes a fresh instance for every batch of rounds.
     """
 
     def __init__(self, labels, dims, rho):
         self.labels = list(labels)
         self.dims = list(dims)
         self.rho = np.asarray(rho, dtype=complex)
+        d = int(np.prod(self.dims))
+        if self.rho.ndim != 3 or self.rho.shape[1:] != (d, d):
+            raise DimensionMismatchError(
+                f"register stack of shape {self.rho.shape} does not match dims {self.dims}")
         self.probe = self.labels[-1]
 
     @classmethod
-    def from_state(cls, labels, dims, state):
-        return cls(labels, dims, as_density(state).data)
+    def from_state(cls, labels, dims, state, batch=1):
+        """``batch`` copies of one state."""
+        rho = as_density(state).data
+        return cls(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape).copy())
+
+    @property
+    def batch(self) -> int:
+        return self.rho.shape[0]
 
     def index(self, label):
         return self.labels.index(label)
 
     def attach(self, label, state):
-        rho = as_density(state)
-        self.rho = np.kron(self.rho, rho.data)
+        """Append register ``label`` in ``state``: one state for every
+        element, or a (B, d, d) stack of checked density matrices."""
+        if isinstance(state, (PureState, DensityMatrix)) or np.ndim(state) < 3:
+            new = as_density(state).data
+        else:
+            new = _check_density_stack(np.asarray(state, dtype=complex))
+        self.rho = _kron_stack(self.rho, new)
         self.labels.append(label)
-        self.dims.append(rho.dim)
+        self.dims.append(new.shape[-1])
 
     def apply_unitary(self, u, labels):
         full = embed_operator(u, self.dims, [self.index(l) for l in labels])
-        self.rho = full @ self.rho @ full.conj().T
+        self.rho = full @ self.rho @ _dagger(full)
 
     def apply_kraus(self, kraus_list, labels):
         targets = [self.index(l) for l in labels]
         acc = np.zeros_like(self.rho)
         for k in kraus_list:
             full = embed_operator(k, self.dims, targets)
-            acc += full @ self.rho @ full.conj().T
+            acc += full @ self.rho @ _dagger(full)
         self.rho = acc
 
-    def embedded_projectors(self, obs: Observable, label):
-        idx = self.index(label)
-        return [embed_operator(p, self.dims, [idx]) for p in obs.eigenprojectors]
+    def measure(self, obs: Observable, label, rng, which=None):
+        """Projective measurement of register ``label`` in every element.
 
-    def measure(self, obs: Observable, label, rng):
-        projs = self.embedded_projectors(obs, label)
-        probs = np.array([np.trace(p @ self.rho).real for p in projs])
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        k = int(rng.choice(len(probs), p=probs))
-        post = projs[k] @ self.rho @ projs[k]
-        self.rho = post / np.trace(post).real
-        return float(obs.eigenvalues[k])
+        ``obs`` is one Observable, or a list of Observables sharing one
+        spectrum, element b measuring ``obs[which[b]]``.  One uniform per
+        element picks its outcome by inverse CDF of the Born probabilities.
+        Returns the eigenvalues found, shape (B,).
+        """
+        if which is None:
+            obs, which = [obs], np.zeros(self.batch, dtype=np.intp)
+        values = obs[0].eigenvalues
+        if any(o.eigenvalues.shape != values.shape
+               or np.max(np.abs(o.eigenvalues - values)) > EIGENVALUE_GROUP_TOL for o in obs):
+            raise ValueError("observables measured in one batch must share a spectrum")
+        projs = np.array([o.eigenprojectors for o in obs])[np.asarray(which)]
+        # (k, B, d, d): outcome k's projector for every element
+        full = embed_operator(projs.swapaxes(0, 1), self.dims, [self.index(label)])
+        probs = np.einsum("kbij,bji->bk", full, self.rho).real
+        cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
+        u = rng.random(self.batch) * cdf[:, -1]
+        k = np.minimum((cdf <= u[:, None]).sum(axis=1), len(values) - 1)
+        sel = full[k, np.arange(self.batch)]
+        post = sel @ self.rho @ sel
+        self.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
+        return values[k]
 
-    def reduced(self, label) -> DensityMatrix:
-        return partial_trace(DensityMatrix(self.rho), self.dims, [self.index(label)])
+    def _reduced(self, keep):
+        """Checked reduced stack on the registers at the positions ``keep``."""
+        _check_density_stack(self.rho)
+        n, keep = len(self.dims), sorted(keep)
+        rows = list(range(1, n + 1))
+        cols = [r if i not in keep else n + r for i, r in enumerate(rows)]
+        out = [0] + [rows[i] for i in keep] + [cols[i] for i in keep]
+        tensor = self.rho.reshape([self.batch] + self.dims + self.dims)
+        d_keep = int(np.prod([self.dims[i] for i in keep]))
+        red = np.einsum(tensor, [0] + rows + cols, out).reshape(self.batch, d_keep, d_keep)
+        return _check_density_stack(red)
+
+    def reduced(self, label):
+        """Checked (B, d, d) stack of the reduced states of one register."""
+        return self._reduced([self.index(label)])
 
     def trace_out(self, label):
         idx = self.index(label)
-        keep = [i for i in range(len(self.dims)) if i != idx]
-        reduced = partial_trace(DensityMatrix(self.rho), self.dims, keep)
-        self.rho = reduced.data.copy()
+        self.rho = self._reduced([i for i in range(len(self.dims)) if i != idx])
         del self.labels[idx]
         del self.dims[idx]

@@ -226,27 +226,25 @@ def test_memory_attack_block_correlations_match_oracle():
                        for o1 in (1, -1) for o2 in (1, -1))
     assert tv_gap > 0.05
 
-    # drive the attack's stateful interface directly with pinned settings
-    att = adversary.entangling_memory_attack(theta, block_length=2)
-    att.on_run_start({"n": 1}, FRAME1)
-    rng = np.random.default_rng(82)
-    probe = qcore.mub_probe(FRAME1, "+X").density().data
-    obs = qcore.bold_pauli(FRAME1, "Y")
-    counts = {key: 0 for key in joint}
+    # drive the attack's batched stateful hooks directly with pinned
+    # settings: every block at once, one position inside the block at a time
     blocks = 20_000
-    for _ in range(blocks):
-        att.begin_block(rng)
-        outs = []
-        for _round in range(2):
-            world = qcore.RegisterState(["B"], [2], probe.copy())
-            world.probe = "B"
-            att.forward_state(world, rng)
-            outs.append(int(round(world.measure(obs, "B", rng))))
-            att.end_round(world, rng)
-        counts[tuple(outs)] += 1
-    for key, prob in joint.items():
+    att = adversary.entangling_memory_attack(theta, block_length=2)
+    att.on_run_start({"n": 1, "T": 2 * blocks}, FRAME1)
+    rng = np.random.default_rng(82)
+    probe = qcore.mub_probe(FRAME1, "+X")
+    obs = qcore.bold_pauli(FRAME1, "Y")
+    att.begin_block(blocks, rng)
+    outs = []
+    for _round in range(2):
+        world = qcore.RegisterState.from_state(["B"], [2], probe, batch=blocks)
+        att.forward_state(world, rng)
+        outs.append(np.rint(world.measure(obs, "B", rng)).astype(int))
+        att.end_round(world, rng)
+    for (o1, o2), prob in joint.items():
+        count = int(np.sum((outs[0] == o1) & (outs[1] == o2)))
         sigma = math.sqrt(blocks * prob * (1 - prob))
-        assert abs(counts[key] - blocks * prob) < 4 * sigma + 1e-9
+        assert abs(count - blocks * prob) < 4 * sigma + 1e-9
 
 
 def exact_fidelity_oracle_over_block(theta, block_length=2):
@@ -354,20 +352,20 @@ class _SpyAttack(adversary.AttackModel):
     name = "spy"
 
     def __init__(self):
-        self.forward_calls = 0
-        self.backward_calls = 0
+        self.forward_rounds = 0
+        self.backward_rounds = 0
         self.world_was_unmeasured = True
 
     def forward_state(self, world, rng):
-        self.forward_calls += 1
+        self.forward_rounds += world.batch
         # a freshly prepared round is always a pure state; any prior
         # measurement or reconciliation would have broken purity
-        purity = np.trace(world.rho @ world.rho).real
-        if abs(purity - 1.0) > 1e-9:
+        purity = np.einsum("bij,bji->b", world.rho, world.rho).real
+        if np.any(np.abs(purity - 1.0) > 1e-9):
             self.world_was_unmeasured = False
 
     def backward_state(self, world, rng):
-        self.backward_calls += 1
+        self.backward_rounds += world.batch
 
 
 def test_one_way_attack_sees_only_preshared_states():
@@ -376,6 +374,6 @@ def test_one_way_attack_sees_only_preshared_states():
     # never fires
     att = _SpyAttack()
     protocol.run(make_config(T=300, seed=96), att)
-    assert att.forward_calls == 300
-    assert att.backward_calls == 0
+    assert att.forward_rounds == 300
+    assert att.backward_rounds == 0
     assert att.world_was_unmeasured

@@ -94,13 +94,25 @@ def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
     path, scenario = write_scenario(tmp_path, **block_edit)
     scenario["protocol"].update(protocol_edit)
     path.write_text(json.dumps(scenario))
+    proc = run_module(command, str(path))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def run_module(*args):
+    """``python -m dqsim.cli ARGS`` in a subprocess, importing this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "dqsim.cli", command, str(path)],
+    return subprocess.run([sys.executable, "-m", "dqsim.cli", *args],
                           capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
+
+
+def test_module_entry_point_starts_without_warnings():
+    proc = run_module("bounds", "--mode", "one_way_individual", "--variant", "mub",
+                      "--epsilon", "0.1", "--phi", "0.5", "--N-e", "10")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_missing_file_gives_io_exit():
@@ -252,6 +264,24 @@ def test_bounds_requires_phi(capsys):
     rc = cli.main(["bounds", "--mode", "one_way_individual",
                    "--variant", "mub", "--epsilon", "0.1"])
     assert rc == cli.EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "two_way_gc", "--epsilon", "nan", "--T", "100", "--N-d", "10", "--phi", "0.5"],
+    ["--mode", "one_way_individual", "--epsilon", "0.2", "--N-e", "10", "--phi", "inf"],
+    ["--mode", "one_way_gc", "--epsilon", "0.2", "--T", "100", "--N-d", "10",
+     "--phi-start", "0.1", "--phi-stop", "nan", "--phi-steps", "3"],
+    ["--mode", "one_way_gc", "--epsilon", "0.2", "--phi", "0.5"],
+    ["--mode", "two_way_gc", "--epsilon", "0.2", "--T", "100", "--phi", "0.5"],
+    ["--mode", "one_way_individual", "--epsilon", "0.2", "--N-e", "10",
+     "--phi-start", "0.1", "--phi-stop", "0.5", "--phi-steps", "-1"],
+], ids=["epsilon_nan", "phi_inf", "grid_nan", "gc_without_T", "two_way_without_N_d",
+        "negative_steps"])
+def test_bounds_bad_inputs_exit_with_schema_code(args):
+    proc = run_module("bounds", "--variant", "entanglement", *args)
+    assert proc.returncode == cli.EXIT_SCHEMA, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "NaN" not in proc.stdout
 
 
 def test_bounds_phi_grid(tmp_path, capsys):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from dqsim import adversary, protocol, qcore
 
@@ -287,21 +288,25 @@ def test_transcript_columns_are_read_only():
 
 # ---------------------------------------------------------------- rng stream
 
-# Version of the map from seed to transcript.  Stream 2 simulates the
-# entanglement variant through the conditional probe, so its stateful runs
-# no longer draw the provider's measurement (one draw fewer per round); the
-# other three digests are unchanged from stream 1.
-RNG_STREAM = 2
+# Version of the map from seed to transcript.  Stream 3 runs the stateful
+# engine a batch of independent blocks at a time: it draws the settings of
+# all rounds first, then one uniform per round for each measurement, batch
+# by batch (so the stateful digests also depend on protocol._BATCH_BYTES);
+# both stateful digests changed and the swap-leak digest is new; the two
+# fast-path digests are unchanged from streams 1 and 2.
+RNG_STREAM = 3
 
 STREAM_DIGESTS = {
     ("entanglement", "fast"):
         "067b272e690f25b1d767de74db8bbb1671be12c5ceed192d9be2707a0332c40c",
     ("entanglement", "stateful"):
-        "951ed0dcd2551db004cb89bc803db5b0e88b8c56446497ffdcf7a41aa2883c15",
+        "f521ded9878a4b09d430a0d5096e26bff2b501817d1274f4bf690ffa8e48b11a",
+    ("entanglement", "swap_leak"):
+        "2e7365ef2b897b3dd72f6ca2a7d62274f344bbb68156a0dfb177875cd36ec190",
     ("mub", "fast"):
         "34a38521bd9e2204af84f13835e1ca3b364c8ebd18eeadf3a467ee94d75f687b",
     ("mub", "stateful"):
-        "abbea7bde0b35af8f11dea911330ededc82d22b28eeadf7d8d5ffe8ca698da56",
+        "ec4d53e4d83d59471dcc744a7a48c084a494251da4e55ad26bd1239346dc03ba",
 }
 
 
@@ -309,8 +314,11 @@ STREAM_DIGESTS = {
 def test_rng_stream_digest(variant, engine):
     if engine == "fast":
         cfg, attack = make_config(n=2, T=2000), adversary.depolarizing_attack(0.2)
-    else:
+    elif engine == "stateful":
         cfg, attack = make_config(T=200), adversary.entangling_memory_attack(0.3)
+    else:
+        cfg = make_config(n=2, T=300, direction="two_way")
+        attack = adversary.two_way_swap_leak()
     cfg = replace(cfg, variant=variant, p_c=0.4, p_e=0.4, p_d=0.2, seed=2024)
     digest = hashlib.sha256(protocol.run(cfg, attack).serialized().encode()).hexdigest()
     assert digest == STREAM_DIGESTS[variant, engine], (
@@ -358,6 +366,19 @@ class _BackwardDepolarizing(adversary.AttackModel):
     def backward_branches(self, n, frame):
         channel = qcore.depolarizing_channel(self.p, n)
         return [("depol", 1.0, list(channel.kraus_operators))]
+
+
+class _BackwardTamper(adversary.AttackModel):
+    """Return-leg-only coherent rotation, which unlike depolarizing noise
+    does not commute with the phase encoding."""
+
+    name = "backward_tamper"
+
+    def forward_branches(self, n, frame):
+        return [("id", 1.0, [np.eye(2 ** n, dtype=complex)])]
+
+    def backward_branches(self, n, frame):
+        return adversary.unitary_tamper("X", 0.2).forward_branches(n, frame)
 
 
 @pytest.mark.parametrize("variant", ["entanglement", "mub"])
@@ -436,6 +457,7 @@ ORACLE_ATTACKS = {
     "intercept_resend": lambda: adversary.intercept_resend("random"),
     "unitary_tamper": lambda: adversary.unitary_tamper("X", 0.2),
     "backward_depolarizing": lambda: _BackwardDepolarizing(0.3),
+    "backward_tamper": _BackwardTamper,
 }
 
 
@@ -464,3 +486,95 @@ def test_entanglement_tables_match_joint_born_probabilities(n, direction, attack
         labels = [qcore.SIGNED_LABELS.index(("+" if e[3] > 0 else "-") + PARTNER[a_axis])
                   for e in entries]
         assert table.probe.tolist() == labels
+
+
+# ---------------------------------------------------------------- engine differential
+
+class _StatefulAdapter(adversary.AttackModel):
+    """A memoryless attack run through the stateful engine instead of the
+    fast path: each leg's weighted instrument becomes one Kraus set, the
+    branch weight w folded in as sqrt(w), applied with apply_kraus."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = f"stateful({inner.name})"
+
+    def on_run_start(self, public_config, frame):
+        n = public_config["n"]
+
+        def kraus(branches):
+            return [math.sqrt(w) * k for _label, w, ks in branches for k in ks]
+
+        self.fwd = kraus(self.inner.forward_branches(n, frame))
+        bwd = self.inner.backward_branches(n, frame)
+        self.bwd = None if bwd is None else kraus(bwd)
+
+    def forward_state(self, world, rng):
+        world.apply_kraus(self.fwd, [world.probe])
+
+    def backward_state(self, world, rng):
+        if self.bwd is not None:
+            world.apply_kraus(self.bwd, [world.probe])
+
+
+def exact_cell_probabilities(cfg, attack):
+    """P(action, probe label, sensor axis, sensor outcome) of one round,
+    from the fast path's exact outcome tables."""
+    tables = protocol._build_tables(protocol._Registry(cfg), attack)
+    n_keys = len(protocol._TABLE_KEYS[cfg.variant])
+    picks = {0: protocol.AXES, 1: protocol.ENCODE_AXES, 2: (None,)}
+    p_action = (cfg.p_c, cfg.p_e, cfg.p_d)
+    cells = {}
+    for (action, _key, pick), table in tables.items():
+        axis = picks[action][pick]
+        axis = -1 if axis is None else protocol.AXES.index(axis)
+        # the last CDF entry is padded past 1
+        probs = np.diff(np.minimum(table.cdf, 1.0), prepend=0.0)
+        weight = p_action[action] / n_keys / len(picks[action])
+        for p, label, b in zip(probs, table.probe.tolist(), table.b.tolist()):
+            cell = (action, label, axis, b)
+            cells[cell] = cells.get(cell, 0.0) + weight * p
+    return cells
+
+
+# Each case passes when its chi-square p-value exceeds ALPHA; for a correct
+# engine a case fails with probability ALPHA, so the 40 cases below fail
+# together at most 40 * ALPHA = 0.4 % of seeds.
+DIFFERENTIAL_ALPHA = 1e-4
+
+
+@pytest.mark.parametrize("attack_name", sorted(ORACLE_ATTACKS))
+@pytest.mark.parametrize("direction", ["one_way", "two_way"])
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_stateful_engine_matches_exact_tables(n, variant, direction, attack_name):
+    # the stateful engine, run on a memoryless attack, samples every
+    # (action, label, sensor axis, outcome) cell as often as the fast
+    # path's exact distribution says
+    cfg = make_config(variant=variant, direction=direction, n=n, T=20_000,
+                      p_c=0.4, p_e=0.4, p_d=0.2, true_phi=0.37 / n, seed=700 + n)
+    attack = ORACLE_ATTACKS[attack_name]()
+    cells = exact_cell_probabilities(cfg, attack)
+    assert abs(sum(cells.values()) - 1.0) < 1e-9
+    tr = protocol.run(cfg, _StatefulAdapter(attack))
+    keys, counts = np.unique(np.stack([tr.action, tr.probe, tr.bob_axis, tr.bob_out]),
+                             axis=1, return_counts=True)
+    observed = {tuple(k): c for k, c in zip(keys.T.tolist(), counts.tolist())}
+    possible = {cell: p for cell, p in cells.items() if p > 1e-12}
+    assert set(observed) <= set(possible)
+    expected = np.array([cfg.T * p for p in possible.values()])
+    obs = np.array([observed.get(cell, 0) for cell in possible])
+    _stat, pvalue = scipy.stats.chisquare(*pool_small_cells(obs, expected))
+    assert pvalue > DIFFERENTIAL_ALPHA
+
+
+def pool_small_cells(observed, expected, floor=5.0):
+    """Merge the cells of smallest expectation into one until every cell
+    expects at least ``floor`` counts, as the chi-square approximation needs."""
+    order = np.argsort(expected)
+    observed, expected = observed[order], expected[order]
+    k = max(int(np.sum(expected < floor)), int(np.searchsorted(np.cumsum(expected), floor)) + 1)
+    if expected[0] >= floor:
+        return observed, expected
+    return (np.concatenate([[observed[:k].sum()], observed[k:]]),
+            np.concatenate([[expected[:k].sum()], expected[k:]]))

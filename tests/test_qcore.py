@@ -24,6 +24,12 @@ KET_R = np.array([1, 1j], dtype=complex) / np.sqrt(2)
 KET_L = np.array([1, -1j], dtype=complex) / np.sqrt(2)
 
 
+def register(*states):
+    """One-register state stack holding the given states, one per element."""
+    stack = np.array([q.as_density(s).data for s in states])
+    return q.RegisterState(["A"], [stack.shape[-1]], stack)
+
+
 # ---------------------------------------------------------------- paulis
 
 def test_pauli_z_on_ket0():
@@ -100,9 +106,10 @@ def test_encoding_phi_pi_is_global_phase():
     u = q.encoding_unitary(1, np.pi)
     assert np.allclose(u, -I2)
     rho = q.random_density_matrix(2, np.random.default_rng(0))
-    out = q.apply(u, rho)
+    w = register(rho)
+    w.apply_unitary(u, ["A"])
     for axis in "XYZ":
-        assert q.expectation(q.pauli(axis), out) == pytest.approx(
+        assert q.expectation(q.pauli(axis), w.rho[0]) == pytest.approx(
             q.expectation(q.pauli(axis), rho))
 
 
@@ -193,30 +200,33 @@ def test_mub_probe_is_signed_plus_one_eigenvector(n, label):
 
 def test_apply_identity_channel():
     rho = q.random_density_matrix(4, np.random.default_rng(1))
-    out = q.apply(q.identity_channel(4), rho)
-    assert np.allclose(out.data, rho.data)
+    w = register(rho)
+    w.apply_kraus(q.identity_channel(4).kraus_operators, ["A"])
+    assert np.allclose(w.rho[0], rho.data)
 
 
 def test_full_depolarizing_gives_maximally_mixed():
-    rho = q.random_density_matrix(2, np.random.default_rng(2))
-    out = q.apply(q.depolarizing_channel(1.0, 1), rho)
-    assert np.allclose(out.data, I2 / 2, atol=1e-12)
+    rng = np.random.default_rng(2)
+    w = register(q.random_density_matrix(2, rng), q.random_density_matrix(2, rng))
+    w.apply_kraus(q.depolarizing_channel(1.0, 1).kraus_operators, ["A"])
+    assert np.allclose(w.rho, I2 / 2, atol=1e-12)
 
 
 def test_depolarized_resource_state_fidelity_oracle():
     # analytic oracle: (1-p)|psi><psi| + p/4 I has fidelity 1 - 3p/4 to |psi>
     psi = q.resource_state(1)
     for p in (0.084, 0.2, 0.5):
-        kraus = [np.kron(I2, k) for k in q.depolarizing_channel(p, 1).kraus_operators]
-        noisy = q.apply(q.Channel(4, 4, tuple(kraus)), psi)
-        assert q.fidelity(psi, noisy) == pytest.approx(1 - 3 * p / 4, abs=1e-12)
+        w = q.RegisterState.from_state(["A", "B"], [2, 2], psi)
+        w.apply_kraus(q.depolarizing_channel(p, 1).kraus_operators, ["B"])
+        assert q.fidelity(psi, w.rho[0]) == pytest.approx(1 - 3 * p / 4, abs=1e-12)
 
 
 def test_apply_dimension_mismatch():
+    w = register(q.random_density_matrix(4, np.random.default_rng(3)))
     with pytest.raises(q.DimensionMismatchError):
-        q.apply(q.identity_channel(2), q.random_density_matrix(4, np.random.default_rng(3)))
+        w.apply_kraus(q.identity_channel(2).kraus_operators, ["A"])
     with pytest.raises(q.DimensionMismatchError):
-        q.apply(np.eye(4), q.PureState(KET0))
+        register(q.PureState(KET0)).apply_unitary(np.eye(4), ["A"])
 
 
 def test_channel_completeness_enforced():
@@ -239,19 +249,19 @@ def test_encoded_probe_expectation_matches_rotation_oracle():
     assert oracle == pytest.approx(np.cos(2 * phi))
 
     frame = q.LogicalFrame.standard(1)
-    probe = q.mub_probe(frame, "+X")
-    encoded = q.apply(q.encoding_unitary(1, phi), probe)
-    assert q.expectation(q.bold_pauli(frame, "X"), encoded) == pytest.approx(oracle)
+    w = register(q.mub_probe(frame, "+X"))
+    w.apply_unitary(q.encoding_unitary(1, phi), ["A"])
+    assert q.expectation(q.bold_pauli(frame, "X"), w.rho[0]) == pytest.approx(oracle)
 
 
 def test_measurement_frequencies_match_born_rule():
     rng = np.random.default_rng(123)
     state = q.PureState(np.array([np.cos(0.4), np.sin(0.4)], dtype=complex))
     obs = q.pauli("Z")
-    probs = q.born_probabilities(obs, state)
+    # eigenvalues ascending: -1 (amplitude sin 0.4 on |1>), then +1
+    probs = [np.sin(0.4) ** 2, np.cos(0.4) ** 2]
     shots = 100_000
-    outcomes = np.array([q.measure(obs, state, rng)[0] for _ in range(shots)])
-    # eigenvalues ascending: index 0 is -1
+    outcomes = q.RegisterState.from_state(["A"], [2], state, batch=shots).measure(obs, "A", rng)
     counts = np.array([(outcomes < 0).sum(), (outcomes > 0).sum()])
     for k in range(2):
         sigma = np.sqrt(shots * probs[k] * (1 - probs[k]))
@@ -259,29 +269,44 @@ def test_measurement_frequencies_match_born_rule():
 
 
 def test_measurement_reproducible_for_fixed_seed():
-    state = q.PureState(PLUS)
     obs = q.pauli("Z")
-    seq1 = [q.measure(obs, state, np.random.default_rng(9))[0] for _ in range(1)]
-    run = np.random.default_rng(9)
-    seq2 = [q.measure(obs, state, np.random.default_rng(9))[0] for _ in range(1)]
-    assert seq1 == seq2
-    a = [q.measure(obs, state, run)[0] for _ in range(20)]
-    b = [q.measure(obs, state, np.random.default_rng(9))[0] for _ in range(1)]
-    assert a[0] == b[0]
+
+    def outcomes(rng, batch=20):
+        return q.RegisterState.from_state(["A"], [2], q.PureState(PLUS), batch).measure(
+            obs, "A", rng)
+
+    a = outcomes(np.random.default_rng(9))
+    assert np.array_equal(a, outcomes(np.random.default_rng(9)))
+    assert set(a.tolist()) == {-1.0, 1.0}
+    # one uniform per element, in element order
+    assert a[0] == outcomes(np.random.default_rng(9), batch=1)[0]
 
 
 def test_measurement_post_state_is_eigenstate():
     rng = np.random.default_rng(5)
     obs = q.pauli("X")
-    val, post = q.measure(obs, q.PureState(KET0), rng)
-    assert q.expectation(obs, post) == pytest.approx(val)
+    w = q.RegisterState.from_state(["A"], [2], q.PureState(KET0), batch=8)
+    vals = w.measure(obs, "A", rng)
+    for val, post in zip(vals, w.rho):
+        assert q.expectation(obs, post) == pytest.approx(val)
+
+
+def test_measurement_per_element_observables():
+    # element b measures obs[which[b]]: X on |+> and Z on |1> are certain
+    w = register(q.PureState(PLUS), q.PureState(KET1), q.PureState(PLUS))
+    vals = w.measure([q.pauli("X"), q.pauli("Z")], "A", np.random.default_rng(7),
+                     which=[0, 1, 0])
+    assert vals.tolist() == [1.0, -1.0, 1.0]
+    with pytest.raises(ValueError):
+        w.measure([q.pauli("X"), q.Observable.from_matrix(np.diag([0.0, 2.0]))], "A",
+                  np.random.default_rng(7), which=[0, 1, 0])
 
 
 def test_measurement_dimension_guard():
     rng = np.random.default_rng(6)
     rho4 = q.random_density_matrix(4, rng)
     with pytest.raises(q.DimensionMismatchError):
-        q.measure(q.pauli("Z"), rho4, rng)
+        register(rho4).measure(q.pauli("Z"), "A", rng)
     with pytest.raises(q.DimensionMismatchError):
         q.expectation(q.pauli("Z"), rho4)
 
@@ -332,7 +357,9 @@ def test_trace_distance_unitary_invariance():
         b = q.random_density_matrix(4, rng)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u = np.linalg.qr(g)[0]
-        assert q.trace_distance(q.apply(u, a), q.apply(u, b)) == pytest.approx(
+        w = register(a, b)
+        w.apply_unitary(u, ["A"])
+        assert q.trace_distance(w.rho[0], w.rho[1]) == pytest.approx(
             q.trace_distance(a, b), abs=1e-10)
 
 
@@ -375,11 +402,11 @@ def test_canonical_eigh_phase_convention():
 def test_register_state_stabilizer_round_is_deterministic():
     rng = np.random.default_rng(23)
     frame = q.LogicalFrame.standard(1)
-    for _ in range(20):
-        w = q.RegisterState.from_state(["A", "B"], [2, 2], q.resource_state(1))
-        a = w.measure(q.pauli("X"), "A", rng)
-        b = w.measure(q.bold_pauli(frame, "Z"), "B", rng)
-        assert a * b == pytest.approx(1.0)
+    w = q.RegisterState.from_state(["A", "B"], [2, 2], q.resource_state(1), batch=20)
+    a = w.measure(q.pauli("X"), "A", rng)
+    b = w.measure(q.bold_pauli(frame, "Z"), "B", rng)
+    assert set(a.tolist()) == {-1.0, 1.0}
+    assert np.allclose(a * b, 1.0)
 
 
 def test_register_attach_apply_trace_roundtrip():
@@ -396,13 +423,29 @@ def test_register_attach_apply_trace_roundtrip():
 
 
 def test_register_kraus_matches_channel_apply():
-    rng = np.random.default_rng(31)
+    # oracle: the channel lifted by kron and applied to the raw matrix
     ch = q.depolarizing_channel(0.3, 1)
     w = q.RegisterState.from_state(["A", "B"], [2, 2], q.resource_state(1))
     w.apply_kraus(ch.kraus_operators, ["B"])
-    direct = q.apply(q.Channel(4, 4, tuple(np.kron(I2, k) for k in ch.kraus_operators)),
-                     q.resource_state(1))
-    assert np.allclose(w.rho, direct.data, atol=1e-12)
+    rho = q.resource_state(1).density().data
+    lifted = [np.kron(I2, k) for k in ch.kraus_operators]
+    direct = sum(k @ rho @ k.conj().T for k in lifted)
+    assert np.allclose(w.rho[0], direct, atol=1e-12)
+
+
+def test_register_stack_operators_and_checks():
+    # a stack of unitaries acts element by element; attach and trace_out
+    # check every element of a stack like DensityMatrix checks one matrix
+    w = register(q.PureState(KET0), q.PureState(KET0))
+    w.apply_unitary(np.stack([I2, X]), ["A"])
+    assert np.allclose(w.rho, [np.outer(KET0, KET0), np.outer(KET1, KET1)])
+    bad = np.array([np.outer(KET0, KET0), np.diag([1.5, -0.5])]).astype(complex)
+    with pytest.raises(ValueError):
+        w.attach("E", bad)
+    w.rho = w.rho * np.array([1.0, 0.7])[:, None, None]
+    w.attach("E", q.PureState(KET0))
+    with pytest.raises(ValueError):
+        w.trace_out("E")
 
 
 def test_embed_operator_on_noncontiguous_targets():
