@@ -131,9 +131,9 @@ def depolarizing_attack(p: float) -> AttackModel:
 class UnitaryTamperAttack(_InstrumentAttack):
     def __init__(self, axis, angle):
         super().__init__(f"unitary_tamper({axis}, {angle:.6g})")
-        self.axis = axis.upper()
-        if self.axis not in qcore.PAULI_AXES:
+        if not isinstance(axis, str) or axis.upper() not in qcore.PAULI_AXES:
             raise ValueError(f"unknown Pauli axis {axis!r}")
+        self.axis = axis.upper()
         self.angle = float(angle)
 
     def forward_branches(self, n, frame):

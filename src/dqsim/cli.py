@@ -73,6 +73,14 @@ def _require_keys(block, allowed, required, where):
         raise SchemaError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _finite(number) -> bool:
+    """Whether a JSON number is finite as a float; a huge integer is not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def load_scenario(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -89,17 +97,22 @@ def load_scenario(path) -> dict:
     for key, typ in _PROTOCOL_FIELDS.items():
         if not isinstance(proto[key], typ) or isinstance(proto[key], bool):
             raise SchemaError(f"protocol.{key} has the wrong type")
+        if typ is not str and not _finite(proto[key]):
+            raise SchemaError(f"protocol.{key} must be finite")
 
     attack = raw["attack"]
     _require_keys(attack, {"name", "params"}, {"name"}, "attack block")
     name = attack["name"]
-    if name not in ATTACKS:
+    if not isinstance(name, str) or name not in ATTACKS:
         raise SchemaError(f"unknown attack {name!r}; known: {sorted(ATTACKS)}")
     params = attack.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("attack.params must be an object")
     _, allowed = ATTACKS[name]
     _require_keys(params, allowed, set(), f"attack.params for {name!r}")
+    for key, value in params.items():
+        if isinstance(value, (int, float)) and not _finite(value):
+            raise SchemaError(f"attack.params.{key} must be finite")
 
     if "sweep" in raw:
         sweep = raw["sweep"]
@@ -114,13 +127,16 @@ def load_scenario(path) -> dict:
         for key, typ in (("start", (int, float)), ("stop", (int, float)), ("steps", int)):
             if not isinstance(sweep[key], typ) or isinstance(sweep[key], bool):
                 raise SchemaError(f"sweep.{key} has the wrong type")
-        if not (math.isfinite(sweep["start"]) and math.isfinite(sweep["stop"])):
+        if not (_finite(sweep["start"]) and _finite(sweep["stop"])):
             raise SchemaError("sweep.start and sweep.stop must be finite")
         if sweep["steps"] < 1:
             raise SchemaError("sweep.steps must be >= 1")
     if "output" in raw:
         _require_keys(raw["output"], {"transcript", "summary", "csv"}, set(),
                       "output block")
+        for key, path in raw["output"].items():
+            if not isinstance(path, str) or "\0" in path:
+                raise SchemaError(f"output.{key} must be a file path")
     if "bounds" in raw:
         _require_keys(raw["bounds"], {"mode"}, set(), "bounds block")
         if raw["bounds"].get("mode") not in metrics.MODES:

@@ -18,18 +18,19 @@ logical axis (X <-> Z, Y <-> Y).  Simulating that conditional probe is
 exact (the equivalence of the two formulations), and the provider's
 (axis, outcome) is a view of the probe label.
 
-Memoryless attacks run on a vectorized fast path: every (action, settings)
-combination has a fixed joint outcome distribution which is computed once,
-exactly, and then sampled per round.  Quantum-memory attacks run on explicit
-register states, a batch of independent blocks at a time: the engine steps
-through the at most three positions inside a block, and each step runs that
-position's round of every block in the batch at once.  Both paths draw
-randomness in a fixed documented order, so a seed fully determines the
-transcript.
+Memoryless attacks run on a vectorized fast path: each cell, a sensor
+setting with a probe label, has an exact outcome table computed once, and
+one searchsorted over the stacked tables samples every round.  Quantum-memory
+attacks run on explicit register states, a batch of independent blocks at a
+time, one position inside the block after another.  Neither engine reads the
+variant, and both draw randomness in a fixed documented order, so a seed
+fully determines the transcript.  The check and the estimator read per-cell
+round counts; only their pooling of correlators depends on the variant.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -52,6 +53,11 @@ CHECK_PAIRS = (("X", "Z"), ("Z", "X"), ("Y", "Y"))
 ESTIMATION_PAIRS = (("X", "Z"), ("Z", "X"))
 
 _B_ABSENT = -9  # sensor outcome sentinel; 0 is a real (leak) outcome
+
+# Largest probe simulated exactly.  The costliest memoryless attack,
+# register depolarizing noise, has 4^n Kraus operators of size 2^n: 16 MB
+# of them at n = 5, 268 MB at n = 6.
+MAX_QUBITS = 5
 
 
 class InsufficientRoundsError(RuntimeError):
@@ -82,8 +88,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.n < 1:
-            raise ValueError("need at least one probe qubit")
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValueError(f"probe qubit count must lie in [1, {MAX_QUBITS}]")
         if self.T < 1:
             raise ValueError("need at least one round")
         for name in ("p_c", "p_e", "p_d", "epsilon_threshold", "true_phi"):
@@ -140,11 +146,7 @@ class EstimateResult:
     standard_error: float
 
 
-def _axis_index(axis: str) -> int:
-    return AXES.index(axis)
-
-
-_LABEL_AXIS = np.array([_axis_index(qcore.parse_probe_label(lab)[0])
+_LABEL_AXIS = np.array([AXES.index(qcore.parse_probe_label(lab)[0])
                         for lab in qcore.SIGNED_LABELS], dtype=np.int8)
 _LABEL_SIGN = np.array([qcore.parse_probe_label(lab)[1]
                         for lab in qcore.SIGNED_LABELS], dtype=np.int8)
@@ -154,24 +156,32 @@ _LABEL_SIGN = np.array([qcore.parse_probe_label(lab)[1]
 _PARTNER = {"X": "Z", "Y": "Y", "Z": "X"}
 
 
-def _provider_view(label_index: int) -> tuple:
-    """The entanglement-variant provider's (axis, outcome) behind a probe label."""
-    axis, sign = qcore.parse_probe_label(qcore.SIGNED_LABELS[label_index])
-    return _PARTNER[axis], sign
+# The sensor's settings in cell order: (action, pick, the axis measured or
+# None when discarded).  With the probe label a setting fixes a round's
+# outcome distribution.
+_SETTINGS = (tuple((0, pick, axis) for pick, axis in enumerate(AXES))
+             + tuple((1, pick, axis) for pick, axis in enumerate(ENCODE_AXES))
+             + ((2, 0, None),))
+# each action's number of settings, and the position of its first
+_PICKS = np.array([len(AXES), len(ENCODE_AXES), 1], dtype=np.int8)
+_FIRST_SETTING = np.cumsum(_PICKS, dtype=np.int8) - _PICKS
+_SETTING_AXIS = np.array([-1 if axis is None else AXES.index(axis)
+                          for _action, _pick, axis in _SETTINGS], dtype=np.int8)
 
 
-# Each fast-path outcome table is keyed on the first setting drawn in a
-# round, and mixes the probe labels listed for that key with equal weight.
-# Direct-probe variant: the key is the label.  Entanglement variant: the key
-# is the provider's axis, and the provider's outcomes -1, +1 (the Pauli
-# spectrum in ascending order) pick the two signed eigenstates of the
-# partner axis.
-_TABLE_KEYS = {
-    "mub": tuple((li,) for li in range(len(qcore.SIGNED_LABELS))),
-    "entanglement": tuple(
-        tuple(qcore.SIGNED_LABELS.index(sign + _PARTNER[axis]) for sign in "-+")
-        for axis in AXES),
-}
+# Every round lies in one cell of (action, probe label, sensor axis + 1,
+# sensor outcome slot, sift status); the outcome slots are unmeasured, -1,
+# 0 (leak) and +1, so a measured outcome b has slot b + 2.
+_CELL_SHAPE = (len(ACTIONS), len(qcore.SIGNED_LABELS), 1 + len(AXES), 4,
+               len(SIFT_STATUSES))
+_SLOT_PLUS, _SLOT_LEAK, _SLOT_MINUS = 3, 2, 1
+
+
+def _round_code(t):
+    """Each round's cell of ``_CELL_SHAPE`` as one flat index (< 864)."""
+    slot = np.where(t.bob_out == _B_ABSENT, 0, t.bob_out + 2)
+    return np.ravel_multi_index((t.action, t.probe, t.bob_axis + 1, slot, t.status),
+                                _CELL_SHAPE)
 
 
 class Transcript:
@@ -180,7 +190,10 @@ class Transcript:
     ``action`` indexes ACTIONS, ``probe`` indexes ``qcore.SIGNED_LABELS``,
     ``bob_axis`` indexes AXES (-1 when the sensor did not measure),
     ``bob_out`` is +-1, 0 for a leak outcome or -9 when unmeasured, and
-    ``status`` indexes SIFT_STATUSES.
+    ``status`` indexes SIFT_STATUSES.  ``counts`` holds the number of
+    rounds in each (action, label, sensor axis, outcome, status) cell; the
+    round counts, the check and the estimator read it, and only
+    ``estimation_products`` and serialization need the round order.
 
     Both variants record the probe label.  In the entanglement variant it
     is the state the provider's measurement left the sensor with: the
@@ -196,25 +209,33 @@ class Transcript:
         self.action, self.probe, self.bob_axis, self.bob_out, self.status = (
             _read_only(c) for c in (action, probe, bob_axis, bob_out, status))
 
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """Rounds per cell, a read-only array of shape ``_CELL_SHAPE``."""
+        counts = np.bincount(_round_code(self), minlength=math.prod(_CELL_SHAPE))
+        counts = counts.reshape(_CELL_SHAPE)
+        counts.setflags(write=False)
+        return counts
+
     @property
     def N_c(self) -> int:
-        return int(np.sum(self.status == 1))
+        return int(self.counts[..., 1].sum())
 
     @property
     def N_e(self) -> int:
-        return int(np.sum(self.status == 2))
+        return int(self.counts[..., 2].sum())
 
     @property
     def N_d(self) -> int:
-        return int(np.sum(self.action == 2))
+        return int(self.counts[2].sum())
 
     @property
     def N_sifted_away(self) -> int:
-        return int(np.sum((self.status == 0) & (self.action != 2)))
+        return int(self.counts[:2, ..., 0].sum())
 
     @property
     def N_leak(self) -> int:
-        return int(np.sum((self.status > 0) & (self.bob_out == 0)))
+        return int(self.counts[..., _SLOT_LEAK, 1:].sum())
 
     @property
     def leak_rate(self) -> float:
@@ -224,19 +245,17 @@ class Transcript:
     def config_hash(self) -> str:
         return self.config.config_hash()
 
-    def _row_suffix(self, i) -> str:
-        """Every field of round ``i`` after its index, tab-separated."""
-        if self.config.variant == "entanglement":
-            axis, sign = _provider_view(self.probe[i])
-            provider = [axis, str(sign), "NA"]
-        else:
-            provider = ["NA", "NA", qcore.SIGNED_LABELS[self.probe[i]]]
-        b_axis, b_out = int(self.bob_axis[i]), int(self.bob_out[i])
+    def _cell_suffix(self, action, label, axis, slot, status) -> str:
+        """Every field of a round in this cell after its index, tab-separated."""
+        probe_axis, sign = qcore.parse_probe_label(qcore.SIGNED_LABELS[label])
+        provider = ([_PARTNER[probe_axis], str(sign), "NA"]
+                    if self.config.variant == "entanglement"
+                    else ["NA", "NA", qcore.SIGNED_LABELS[label]])
         return "\t" + "\t".join([
-            ACTIONS[self.action[i]], *provider,
-            "NA" if b_axis < 0 else AXES[b_axis],
-            "NA" if b_out == _B_ABSENT else str(b_out),
-            SIFT_STATUSES[self.status[i]],
+            ACTIONS[action], *provider,
+            "NA" if axis == 0 else AXES[axis - 1],
+            "NA" if slot == 0 else str(slot - 2),
+            SIFT_STATUSES[status],
         ]) + "\n"
 
     def serialize(self, target) -> None:
@@ -254,22 +273,15 @@ class Transcript:
             fh.write(f"#T\t{cfg.T}\n")
             fh.write("#columns\tindex\taction\talice_obs\talice_out\tprobe"
                      "\tbob_obs\tbob_out\tstatus\n")
-            order = np.concatenate([
-                np.flatnonzero(self.status == 1),
-                np.flatnonzero(self.status == 2),
-                np.flatnonzero(self.status == 0),
-            ])
-            # a row is its index plus a suffix fixed by the round's code
-            # (action x label x sensor axis x outcome x status, < 864 values)
-            code = self.action.astype(np.int32) * 6 + self.probe
-            code = code * 4 + self.bob_axis + 1
-            code = code * 4 + np.where(self.bob_out == _B_ABSENT, 0, self.bob_out + 2)
-            code = code * 3 + self.status
-            _codes, first, which = np.unique(code[order], return_index=True,
-                                             return_inverse=True)
-            suffixes = [self._row_suffix(order[f]) for f in first]
+            # kept check rounds, then kept estimation rounds, then the rest
+            order = np.argsort((self.status + 2) % 3, kind="stable")
+            # a row is its index plus a suffix fixed by the round's cell
+            cells = np.flatnonzero(self.counts)
+            fields = np.transpose(np.unravel_index(cells, _CELL_SHAPE)).tolist()
+            suffixes = np.empty(self.counts.size, dtype=object)
+            suffixes[cells] = [self._cell_suffix(*cell) for cell in fields]
             fh.writelines(map(str.__add__, map(str, order.tolist()),
-                              map(suffixes.__getitem__, which.tolist())))
+                              suffixes[_round_code(self)[order]]))
         finally:
             if own:
                 fh.close()
@@ -318,6 +330,10 @@ class _Registry:
         self.probe_dim = 2 ** config.n
         self.probes = np.array([qcore.mub_probe(self.frame, lab).density().data
                                 for lab in qcore.SIGNED_LABELS])
+        # the sensor's outcome values per measured axis; None: unmeasured
+        self.outcomes = {a: np.rint(o.eigenvalues).astype(np.int8)
+                         for a, o in self.bold.items()}
+        self.outcomes[None] = np.array([_B_ABSENT], dtype=np.int8)
         # the trivial measurement written on the sensor's spectrum, so that
         # discarded rounds share a batch with measured ones: it always
         # yields the last eigenvalue and leaves the state as it is
@@ -332,32 +348,6 @@ def _wants_records(attack) -> bool:
     return type(attack).record_round is not AttackModel.record_round
 
 
-class _OutcomeTable:
-    """Joint distribution over (forward branch, backward branch, probe label,
-    sensor outcome), flattened in that order and sampled by inverse CDF."""
-
-    __slots__ = ("fwd", "bwd", "probe", "b", "cdf", "labels_f", "labels_b")
-
-    def __init__(self, probs, labels, b_values, labels_f, labels_b):
-        flat = np.clip(probs.ravel(), 0.0, None)
-        total = flat.sum()
-        if total <= 0:
-            raise RuntimeError("degenerate outcome table")
-        self.cdf = np.cumsum(flat / total)
-        self.cdf[-1] = 1.0 + 1e-9
-        f, bw, li, bi = np.indices(probs.shape).reshape(4, -1)
-        self.fwd = f.astype(np.int16)
-        self.bwd = bw.astype(np.int16)
-        self.probe = np.array(labels, dtype=np.int8)[li]
-        self.b = np.array(b_values, dtype=np.int8)[bi]
-        self.labels_f = labels_f
-        self.labels_b = labels_b
-
-    def sample(self, u):
-        idx = np.searchsorted(self.cdf, u)
-        return self.fwd[idx], self.bwd[idx], self.probe[idx], self.b[idx]
-
-
 def _branch_matrices(rho, branches):
     out = []
     for _label, weight, kraus in branches:
@@ -368,18 +358,22 @@ def _branch_matrices(rho, branches):
     return out
 
 
-def _build_tables(reg, attack):
-    """Exact joint outcome distributions for every (action, key, sensor pick).
+# A table's total may differ from 1 by roundoff only; an instrument whose
+# tables miss it by more does not preserve trace.
+_TABLE_TOLERANCE = 1e-9
 
-    The six probe states are evolved once, unencoded and encoded; each
-    table mixes the label distributions ``_TABLE_KEYS`` lists for its key.
-    """
+
+def _build_tables(reg, attack):
+    """Exact outcome table of every (action, probe label, sensor pick): the
+    probabilities of (forward branch, backward branch, sensor outcome), the
+    outcomes in ``reg.outcomes`` order.  The six probe states are evolved
+    once, unencoded and encoded.  A total off 1, or an entry below 0, by more
+    than ``_TABLE_TOLERANCE`` raises UnsupportedAttackError; roundoff
+    negatives are set to 0."""
     cfg = reg.config
     fwd = attack.forward_branches(cfg.n, reg.frame)
     two_way = cfg.direction == "two_way"
     bwd = attack.backward_branches(cfg.n, reg.frame) if two_way else None
-    labels_f = [br[0] for br in fwd]
-    labels_b = [br[0] for br in bwd] if bwd else [None]
 
     def evolved(rho, encoded):
         mats = _branch_matrices(rho, fwd)
@@ -389,86 +383,77 @@ def _build_tables(reg, attack):
             return [[m] for m in mats]
         return [_branch_matrices(m, bwd) for m in mats]
 
-    spectral = {axis: ([int(round(v)) for v in obs.eigenvalues], obs.eigenprojectors)
-                for axis, obs in reg.bold.items()}
-    # (action, sensor pick) -> (sensor axis, whether encoded); discard
-    # rounds have the single sensor outcome "absent"
-    settings = {(0, bi): (axis, False) for bi, axis in enumerate(AXES)}
-    settings.update({(1, bi): (axis, True) for bi, axis in enumerate(ENCODE_AXES)})
-    settings[2, 0] = (None, False)
-
-    # (action, label, pick) -> probabilities over (forward, backward, outcome)
-    born = {}
-    for pl, rho in enumerate(reg.probes):
-        grids = {enc: evolved(rho, enc) for enc in (False, True)}
-        for (action, bi), (axis, enc) in settings.items():
-            born[action, pl, bi] = np.array([
-                [[np.trace(m).real] if axis is None
-                 else [np.trace(p @ m).real for p in spectral[axis][1]]
-                 for m in row]
-                for row in grids[enc]])
-
     tables = {}
-    for key, labels in enumerate(_TABLE_KEYS[cfg.variant]):
-        for (action, bi), (axis, _enc) in settings.items():
-            probs = np.stack([born[action, pl, bi] for pl in labels], axis=2)
-            b_values = [_B_ABSENT] if axis is None else spectral[axis][0]
-            tables[action, key, bi] = _OutcomeTable(probs / len(labels), labels, b_values,
-                                                    labels_f, labels_b)
+    for label, rho in enumerate(reg.probes):
+        grids = {enc: evolved(rho, enc) for enc in (False, True)}
+        for action, pick, axis in _SETTINGS:
+            probs = np.array([
+                [[np.trace(m).real] if axis is None
+                 else [np.trace(p @ m).real for p in reg.bold[axis].eigenprojectors]
+                 for m in row]
+                for row in grids[action == 1]])
+            total, least = probs.sum(), probs.min()
+            if not (abs(total - 1.0) <= _TABLE_TOLERANCE and least >= -_TABLE_TOLERANCE):
+                raise UnsupportedAttackError(
+                    f"attack {attack.name!r} does not preserve trace: an outcome table "
+                    f"sums to {total:.12g} with least entry {least:.3g}")
+            tables[action, label, pick] = np.clip(probs, 0.0, None)
     return tables
 
 
 def _sift_status(action, probe, bob_axis):
     """Keep the check and encode rounds measured on their probe's axis."""
-    match = _LABEL_AXIS[probe] == bob_axis
-    status = np.zeros(action.shape[0], dtype=np.int8)
-    status[(action == 0) & match] = 1
-    status[(action == 1) & match] = 2
-    return status
+    return np.where(_LABEL_AXIS[probe] == bob_axis, action + 1, 0).astype(np.int8)
 
 
-def _sensor_settings(config, u_action, u_pick):
-    """Each round's action, the sensor's pick among the axes its action
-    allows (check X/Y/Z, encode X/Z, discard the single pick 0) and that
-    pick as an index into AXES (-1 on discarded rounds)."""
+def _sensor_settings(config, u):
+    """Each round's action, probe label, setting (an index into _SETTINGS,
+    uniform among the action's) and the setting's axis as an index into AXES
+    (-1 on discarded rounds), from rows 0, 1 and 2 of the uniforms ``u``."""
     cum = np.array([config.p_c, config.p_c + config.p_e])
-    action = np.searchsorted(cum, u_action, side="right").astype(np.int8)
-    bob_pick = np.where(action == 0,
-                        np.minimum((u_pick * 3).astype(np.int8), 2),
-                        np.minimum((u_pick * 2).astype(np.int8), 1))
-    bob_pick = np.where(action == 2, np.int8(0), bob_pick)
-    enc_axis_lookup = np.array([_axis_index(a) for a in ENCODE_AXES], dtype=np.int8)
-    bob_axis = np.where(action == 1, enc_axis_lookup[np.minimum(bob_pick, 1)], bob_pick)
-    bob_axis = np.where(action == 2, np.int8(-1), bob_axis).astype(np.int8)
-    return action, bob_pick, bob_axis
+    action = np.searchsorted(cum, u[0], side="right").astype(np.int8)
+    probe = np.minimum((u[1] * 6).astype(np.int8), 5)
+    picks = _PICKS[action]
+    setting = _FIRST_SETTING[action] + np.minimum((u[2] * picks).astype(np.int8), picks - 1)
+    return action, probe, setting, _SETTING_AXIS[setting]
 
 
 def _run_fast(config, attack, rng, reg) -> Transcript:
-    T = config.T
-    u = rng.random((4, T))
-    action, bob_pick, bob_axis = _sensor_settings(config, u[0], u[2])
-    n_keys = len(_TABLE_KEYS[config.variant])
-    key = np.minimum((u[1] * n_keys).astype(np.int8), n_keys - 1)
+    """Memoryless attacks: each round's outcome is drawn from the exact table
+    of its cell, the (action, sensor pick) setting and the probe label.
 
+    Draw order: one (4, T) batch of uniforms; rows 0-2 set the action, the
+    probe label and the sensor pick, row 3 draws the table entry.
+    """
     tables = _build_tables(reg, attack)
-    fwd_sample = np.zeros(T, dtype=np.int16)
-    bwd_sample = np.zeros(T, dtype=np.int16)
-    probe = np.zeros(T, dtype=np.int8)
-    b_out = np.full(T, _B_ABSENT, dtype=np.int8)
-    for (act, k, bi), table in tables.items():
-        mask = (action == act) & (key == k)
-        if act != 2:
-            mask &= bob_pick == bi
-        if not mask.any():
-            continue
-        f, b, pl, bv = table.sample(u[3, mask])
-        fwd_sample[mask], bwd_sample[mask], probe[mask], b_out[mask] = f, b, pl, bv
+    cells = [(tables[action, label, pick], reg.outcomes[axis])
+             for action, pick, axis in _SETTINGS
+             for label in range(len(qcore.SIGNED_LABELS))]
+    u = rng.random((4, config.T))
+    action, probe, setting, bob_axis = _sensor_settings(config, u)
+    cell = setting * len(qcore.SIGNED_LABELS) + probe
+    # Inverse-CDF sampling of all rounds at once: the inner CDF boundaries of
+    # table c, shifted by 2c, in one sorted array.  The draw 2c + u, u in
+    # [0, 1), lies among table c's boundaries whatever its rounding, and its
+    # searchsorted index plus c is its entry in the tables laid end to end.
+    bounds = np.concatenate([2 * c + np.cumsum(probs)[:-1]
+                             for c, (probs, _values) in enumerate(cells)])
+    u[3] += 2 * cell
+    entry = np.searchsorted(bounds, u[3])
+    entry += cell
+    b_out = np.concatenate([np.broadcast_to(values, probs.shape).ravel()
+                            for probs, values in cells])[entry]
 
     if _wants_records(attack):
-        some_table = next(iter(tables.values()))
-        for i in range(T):
-            attack.record_round(i, some_table.labels_f[fwd_sample[i]],
-                                some_table.labels_b[bwd_sample[i]])
+        fwd_of, bwd_of = np.concatenate([np.indices(probs.shape)[:2].reshape(2, -1)
+                                         for probs, _values in cells], axis=1)
+        labels_f = [br[0] for br in attack.forward_branches(config.n, reg.frame)]
+        bwd = (attack.backward_branches(config.n, reg.frame)
+               if config.direction == "two_way" else None)
+        labels_b = [br[0] for br in bwd] if bwd else [None]
+        rounds = zip(fwd_of[entry].tolist(), bwd_of[entry].tolist())
+        for i, (f, b) in enumerate(rounds):
+            attack.record_round(i, labels_f[f], labels_b[b])
     return Transcript(config, action, probe, bob_axis, b_out,
                       _sift_status(action, probe, bob_axis))
 
@@ -490,9 +475,7 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
     order.
     """
     T, L = config.T, attack.block_length
-    u = rng.random((3, T))
-    action, _pick, bob_axis = _sensor_settings(config, u[0], u[2])
-    probe = np.minimum((u[1] * 6).astype(np.int8), 5)
+    action, probe, _setting, bob_axis = _sensor_settings(config, rng.random((3, T)))
     b_out = np.full(T, _B_ABSENT, dtype=np.int8)
     sensor = [reg.bold[a] for a in AXES] + [reg.unmeasured]
     which = np.where(action == 2, len(AXES), bob_axis)
@@ -538,18 +521,31 @@ def run(config: ProtocolConfig, attack, rng=None) -> Transcript:
 
 # ---------------------------------------------------------------- reconciliation
 
-def _kept_products(transcript, status_code):
-    """Per-label +-1 products (sensor outcome times the label's sign) from
-    the kept rounds with this status, leak outcomes excluded."""
-    t = transcript
-    kept = (t.status == status_code) & (t.bob_out != 0) & (t.bob_out != _B_ABSENT)
-    return {label: (_LABEL_SIGN[li] * t.bob_out[kept & (t.probe == li)]).astype(float)
-            for li, label in enumerate(qcore.SIGNED_LABELS)}
+def _coincidences(transcript, status):
+    """2x2 coincidence counts of the kept rounds with this status, one table
+    per signed probe label.  The row is the label's sign (+, -), which in
+    the entanglement variant is the provider's outcome; the column is the
+    sensor's outcome (+1, -1).  Leak outcomes are left out."""
+    by_outcome = transcript.counts[..., status].sum(axis=(0, 2))
+    tables = np.zeros((len(qcore.SIGNED_LABELS), 2, 2), dtype=np.int64)
+    rows = (_LABEL_SIGN < 0).astype(np.intp)
+    tables[np.arange(len(tables)), rows] = by_outcome[:, [_SLOT_PLUS, _SLOT_MINUS]]
+    return tables
 
 
-def _pooled(products, axis):
-    """Products of both signed labels of one axis."""
-    return np.concatenate([products["+" + axis], products["-" + axis]])
+def _axis_table(tables, axis):
+    """The coincidence table of both signed labels of one axis."""
+    return tables[_LABEL_AXIS == AXES.index(axis)].sum(axis=0)
+
+
+def _correlators(tables, rounds):
+    """Each named coincidence table's correlator and sample count."""
+    missing = [k for k, table in tables.items() if not table.any()]
+    if missing:
+        raise InsufficientRoundsError(
+            f"no kept {rounds} rounds for correlator(s) {', '.join(missing)}")
+    return ({k: stats.correlator(table) for k, table in tables.items()},
+            {k: int(table.sum()) for k, table in tables.items()})
 
 
 def estimation_products(transcript):
@@ -571,26 +567,18 @@ def check_fidelity(transcript) -> CheckResult:
     (mean + 1) / 2, all of which must clear 1 - eps^2.
     """
     cfg = transcript.config
-    products = _kept_products(transcript, 1)
+    tables = _coincidences(transcript, 1)
     if cfg.variant == "entanglement":
-        products = {a + b: _pooled(products, b) for a, b in CHECK_PAIRS}
-    missing = [k for k, v in products.items() if v.size == 0]
-    if missing:
-        raise InsufficientRoundsError(
-            f"no kept check rounds for correlator(s) {', '.join(missing)}")
-    means = {k: float(v.mean()) for k, v in products.items()}
-    counts = {k: int(v.size) for k, v in products.items()}
-    threshold = 1.0 - cfg.epsilon_threshold ** 2
-    if cfg.variant == "entanglement":
-        f_hat = (1.0 + sum(means.values())) / 4.0
-        passed = f_hat >= threshold
-        eps_implied = math.sqrt(min(1.0, max(0.0, 1.0 - f_hat)))
-        return CheckResult(f_hat, passed, eps_implied, means, counts)
-    fidelities = {k: (m + 1.0) / 2.0 for k, m in means.items()}
-    worst = min(fidelities.values())
-    passed = worst >= threshold
+        means, counts = _correlators(
+            {a + b: _axis_table(tables, b) for a, b in CHECK_PAIRS}, "check")
+        estimate = worst = (1.0 + sum(means.values())) / 4.0
+    else:
+        means, counts = _correlators(dict(zip(qcore.SIGNED_LABELS, tables)), "check")
+        estimate = {k: (m + 1.0) / 2.0 for k, m in means.items()}
+        worst = min(estimate.values())
+    passed = worst >= 1.0 - cfg.epsilon_threshold ** 2
     eps_implied = math.sqrt(min(1.0, max(0.0, 1.0 - worst)))
-    return CheckResult(fidelities, passed, eps_implied, means, counts)
+    return CheckResult(estimate, passed, eps_implied, means, counts)
 
 
 def estimate_phase(transcript, n=None) -> EstimateResult:
@@ -600,19 +588,13 @@ def estimate_phase(transcript, n=None) -> EstimateResult:
     n = cfg.n if n is None else n
     if n != cfg.n:
         raise ValueError("qubit count does not match the transcript")
-    products = _kept_products(transcript, 2)
+    tables = _coincidences(transcript, 2)
     if cfg.variant == "entanglement":
-        products = {a + b: _pooled(products, b) for a, b in ESTIMATION_PAIRS}
+        tables = {a + b: _axis_table(tables, b) for a, b in ESTIMATION_PAIRS}
     else:
-        products = {axis: _pooled(products, axis) for axis in ENCODE_AXES}
-    missing = [k for k, v in products.items() if v.size == 0]
-    if missing:
-        raise InsufficientRoundsError(
-            f"no kept estimation rounds for correlator(s) {', '.join(missing)}")
-    means = {k: float(v.mean()) for k, v in products.items()}
-    counts = {k: int(v.size) for k, v in products.items()}
-    pooled = np.concatenate(list(products.values()))
-    m = min(1.0, max(-1.0, float(pooled.mean())))
+        tables = {axis: _axis_table(tables, axis) for axis in ENCODE_AXES}
+    means, counts = _correlators(tables, "estimation")
+    m = min(1.0, max(-1.0, stats.correlator(sum(tables.values()))))
     phi_hat = math.acos(m) / (2.0 * n)
     variances = [(1.0 - c ** 2) / counts[k] for k, c in means.items()]
     mean_sum = min(2.0, max(-2.0, sum(means.values())))

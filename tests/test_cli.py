@@ -4,10 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dqsim import cli, protocol
+from dqsim import adversary, cli, protocol, qcore
 
 
 def write_scenario(tmp_path, **overrides):
@@ -94,9 +98,8 @@ def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
     path, scenario = write_scenario(tmp_path, **block_edit)
     scenario["protocol"].update(protocol_edit)
     path.write_text(json.dumps(scenario))
-    proc = run_module(command, str(path))
-    assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
+    # an exception escaping main fails the test
+    assert cli.main([command, str(path)]) == code
 
 
 def run_module(*args):
@@ -106,6 +109,29 @@ def run_module(*args):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "dqsim.cli", *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+class _Lossy(adversary.AttackModel):
+    """A forward instrument that loses weight: one half-weight branch, or a
+    depolarizing Kraus set without its identity operator."""
+
+    name = "lossy"
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def forward_branches(self, n, frame):
+        if self.kind == "half_weight":
+            return [("half", 0.5, [np.eye(2 ** n)])]
+        return [("lossy", 1.0, list(qcore.depolarizing_channel(0.3, n).kraus_operators[1:]))]
+
+
+@pytest.mark.parametrize("kind", ["half_weight", "incomplete_kraus"])
+def test_run_rejects_instrument_that_does_not_preserve_trace(tmp_path, monkeypatch, kind):
+    monkeypatch.setitem(cli.ATTACKS, "lossy", (_Lossy, {"kind"}))
+    path, _ = write_scenario(tmp_path, attack={"name": "lossy", "params": {"kind": kind}})
+    assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+    assert not (tmp_path / "tr.tsv").exists()
 
 
 def test_module_entry_point_starts_without_warnings():
@@ -277,11 +303,9 @@ def test_bounds_requires_phi(capsys):
      "--phi-start", "0.1", "--phi-stop", "0.5", "--phi-steps", "-1"],
 ], ids=["epsilon_nan", "phi_inf", "grid_nan", "gc_without_T", "two_way_without_N_d",
         "negative_steps"])
-def test_bounds_bad_inputs_exit_with_schema_code(args):
-    proc = run_module("bounds", "--variant", "entanglement", *args)
-    assert proc.returncode == cli.EXIT_SCHEMA, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "NaN" not in proc.stdout
+def test_bounds_bad_inputs_exit_with_schema_code(args, capsys):
+    assert cli.main(["bounds", "--variant", "entanglement", *args]) == cli.EXIT_SCHEMA
+    assert "NaN" not in capsys.readouterr().out
 
 
 def test_bounds_phi_grid(tmp_path, capsys):
@@ -326,3 +350,95 @@ def test_equivalence_subcommand(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["identity_holds"] is True
     assert set(payload["mub_fidelities"]) == {"+X", "-X", "+Y", "-Y", "+Z", "-Z"}
+
+
+# ---------------------------------------------------------------- scenario fuzzing
+
+# one valid attack block per attack; a fuzzed scenario starts from one
+_FUZZ_ATTACKS = [
+    {"name": "identity", "params": {}},
+    {"name": "depolarizing", "params": {"p": 0.1}},
+    {"name": "unitary_tamper", "params": {"axis": "X", "angle": 0.2}},
+    {"name": "intercept_resend", "params": {"basis_strategy": "random"}},
+    {"name": "entangling_memory",
+     "params": {"coupling_angle": 0.3, "block_length": 2, "ancilla_mode": "measure"}},
+    {"name": "two_way_swap_leak", "params": {}},
+]
+# where each fuzzed block sits in the scenario, and the keys an edit may set
+# in it besides an unknown one
+_FUZZ_BLOCKS = {
+    "scenario": ((), ["protocol", "attack", "sweep", "output", "bounds"]),
+    "protocol": (("protocol",), ["variant", "direction", "n", "p_c", "p_e", "p_d",
+                                 "epsilon_threshold", "true_phi", "seed"]),
+    "attack": (("attack",), ["name", "params"]),
+    "params": (("attack", "params"),
+               sorted({k for _factory, keys in cli.ATTACKS.values() for k in keys})),
+    "sweep": (("sweep",), ["variable", "start", "stop", "steps"]),
+    "output": (("output",), ["transcript", "summary", "csv"]),
+}
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(2 ** 63, 2 ** 70),
+    st.just(10 ** 400), st.floats(), st.text(max_size=3),
+    st.sampled_from(["entanglement", "mub", "one_way", "two_way", "X", "random",
+                     "trace", "measure", "phi", "attack.p", *cli.ATTACKS]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["p", "mode", "variable"]), st.integers(0, 3),
+                    max_size=2),
+)
+# T stays in [1, 200] so that every run is short; its bad values are types
+_FUZZ_T = st.one_of(st.integers(1, 200), st.integers(-3, 0), st.none(),
+                    st.floats(), st.text(max_size=2))
+
+
+def _mutated(attack, T, edits):
+    scenario = {
+        "protocol": {"variant": "mub", "direction": "two_way", "n": 1, "T": T,
+                     "p_c": 0.4, "p_e": 0.4, "p_d": 0.2, "epsilon_threshold": 0.3,
+                     "true_phi": 0.3, "seed": 5},
+        "attack": json.loads(json.dumps(_FUZZ_ATTACKS[attack])),
+        "sweep": {"variable": "phi", "start": 0.1, "stop": 0.5, "steps": 3},
+        "output": {"transcript": "tr.tsv", "summary": "summary.json"},
+    }
+    for block, index, value in edits:
+        path, keys = _FUZZ_BLOCKS[block]
+        target = scenario
+        for key in path:
+            target = target.get(key) if isinstance(target, dict) else None
+        if isinstance(target, dict):
+            keys = keys + ["unknown"]
+            target[keys[index % len(keys)]] = value
+    return scenario
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+# holes the fuzzing found: each escaped main with an exception before,
+# except a huge n, which sized the probe register 2^n
+@example(attack=0, T=100, edits=[("attack", 0, [])])            # unhashable name
+@example(attack=0, T=200, edits=[("protocol", 0, "entanglement"),
+                                 ("output", 0, None)])        # null output path
+@example(attack=2, T=100, edits=[("params", 2, None)])          # tamper axis null
+@example(attack=2, T=100, edits=[("params", 1, float("inf"))])  # tamper angle inf
+@example(attack=4, T=100, edits=[("params", 5, float("inf"))])  # coupling inf
+@example(attack=1, T=100, edits=[("params", 6, 10 ** 400)])     # p beyond float
+@example(attack=0, T=100, edits=[("protocol", 3, 10 ** 400)])   # p_c beyond float
+@example(attack=0, T=100, edits=[("sweep", 1, 10 ** 400)])      # start beyond float
+@example(attack=0, T=100, edits=[("protocol", 2, 2 ** 63)])     # n past MAX_QUBITS
+@given(attack=st.integers(0, len(_FUZZ_ATTACKS) - 1), T=_FUZZ_T, edits=st.lists(
+    st.tuples(st.sampled_from(sorted(_FUZZ_BLOCKS)), st.integers(0, 20), _FUZZ_VALUES),
+    max_size=3))
+def test_run_fuzzed_scenario_exits_with_documented_code(attack, T, edits):
+    # any scenario ends with a documented exit code; an exception escaping
+    # main fails the test
+    scenario = _mutated(attack, T, edits)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(scenario, fh)
+        cwd = os.getcwd()
+        os.chdir(folder)  # relative output paths land in the scratch folder
+        try:
+            code = cli.main(["run", path])
+        finally:
+            os.chdir(cwd)
+    assert code in {cli.EXIT_OK, cli.EXIT_SCHEMA, cli.EXIT_ABORTED, cli.EXIT_IO,
+                    cli.EXIT_INSUFFICIENT_ROUNDS}

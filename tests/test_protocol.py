@@ -226,6 +226,54 @@ def test_estimate_phase_rejects_mismatched_n():
         protocol.estimate_phase(tr, n=3)
 
 
+# ---------------------------------------------------------------- analysis on cell counts
+
+def reference_products(tr, status):
+    """Per-label +-1 products (sensor outcome times the label's sign) of the
+    kept rounds with this status, leak outcomes excluded: the analysis as
+    it ran on the columns before it read cell counts."""
+    kept = (tr.status == status) & (tr.bob_out != 0) & (tr.bob_out != protocol._B_ABSENT)
+    return {label: (qcore.parse_probe_label(label)[1] * tr.bob_out[kept & (tr.probe == li)])
+            .astype(float) for li, label in enumerate(qcore.SIGNED_LABELS)}
+
+
+def pooled(products, axis):
+    return np.concatenate([products["+" + axis], products["-" + axis]])
+
+
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+def test_cell_counts_reproduce_round_counts_and_product_means(variant):
+    # n = 2 under depolarizing noise, so that leak outcomes occur
+    cfg = make_config(variant=variant, n=2, T=6000, p_c=0.4, p_e=0.4, p_d=0.2, seed=90)
+    tr = protocol.run(cfg, adversary.depolarizing_attack(0.3))
+    assert tr.counts.sum() == cfg.T
+    kept = tr.status > 0
+    assert (tr.N_c, tr.N_e, tr.N_d, tr.N_sifted_away, tr.N_leak) == (
+        np.sum(tr.status == 1), np.sum(tr.status == 2), np.sum(tr.action == 2),
+        np.sum((tr.status == 0) & (tr.action != 2)), np.sum(kept & (tr.bob_out == 0)))
+    assert tr.N_leak > 0
+
+    check, estimation = reference_products(tr, 1), reference_products(tr, 2)
+    if variant == "entanglement":
+        check = {a + b: pooled(check, b) for a, b in protocol.CHECK_PAIRS}
+        estimation = {a + b: pooled(estimation, b) for a, b in protocol.ESTIMATION_PAIRS}
+    else:
+        estimation = {axis: pooled(estimation, axis) for axis in protocol.ENCODE_AXES}
+    chk = protocol.check_fidelity(tr)
+    means = {k: float(v.mean()) for k, v in check.items()}
+    assert chk.correlator_means == means
+    assert chk.sample_counts == {k: v.size for k, v in check.items()}
+    if variant == "entanglement":
+        assert chk.fidelity_estimate == (1.0 + sum(means.values())) / 4.0
+    else:
+        assert chk.fidelity_estimate == {k: (m + 1.0) / 2.0 for k, m in means.items()}
+    est = protocol.estimate_phase(tr)
+    assert est.correlator_means == {k: float(v.mean()) for k, v in estimation.items()}
+    assert est.sample_counts == {k: v.size for k, v in estimation.items()}
+    mean = float(np.concatenate(list(estimation.values())).mean())
+    assert est.phi_hat == math.acos(mean) / (2 * cfg.n)
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_serialization_disclosure_order_and_roundtrip():
@@ -288,17 +336,20 @@ def test_transcript_columns_are_read_only():
 
 # ---------------------------------------------------------------- rng stream
 
-# Version of the map from seed to transcript.  Stream 3 runs the stateful
-# engine a batch of independent blocks at a time: it draws the settings of
-# all rounds first, then one uniform per round for each measurement, batch
-# by batch (so the stateful digests also depend on protocol._BATCH_BYTES);
-# both stateful digests changed and the swap-leak digest is new; the two
-# fast-path digests are unchanged from streams 1 and 2.
-RNG_STREAM = 3
+# Version of the map from seed to transcript.  Stream 4 draws the probe
+# label of every round in both engines as min(int(6 u), 5) from the second
+# row of uniforms, and samples the fast path's exact outcome tables, one per
+# (action, label, sensor pick), by one searchsorted over their stacked CDFs
+# with the fourth row.  The entanglement fast path used to draw the
+# provider's axis and take the label from its table, so only its digest
+# changed; the direct-probe fast digest is unchanged from streams 1-3 and
+# the three stateful digests from stream 3 (which depend on
+# protocol._BATCH_BYTES, since the stateful engine draws batch by batch).
+RNG_STREAM = 4
 
 STREAM_DIGESTS = {
     ("entanglement", "fast"):
-        "067b272e690f25b1d767de74db8bbb1671be12c5ceed192d9be2707a0332c40c",
+        "309e17275b169c465943a7dec8bada9510af460f6e51df12b8c74903e9ed4381",
     ("entanglement", "stateful"):
         "f521ded9878a4b09d430a0d5096e26bff2b501817d1274f4bf690ffa8e48b11a",
     ("entanglement", "swap_leak"):
@@ -402,9 +453,52 @@ def test_two_way_backward_channel_statistics(variant):
             assert abs(value - (1 - p / 2)) < 4 * sigma + 1e-9
 
 
+# ---------------------------------------------------------------- instrument checks
+
+class _Instrument(adversary.AttackModel):
+    """A memoryless attack with given forward branches, trace-preserving or not."""
+
+    name = "instrument"
+
+    def __init__(self, branches):
+        self.branches = branches
+
+    def forward_branches(self, n, frame):
+        return self.branches(n)
+
+
+NOT_TRACE_PRESERVING = {
+    "half_weight": lambda n: [("half", 0.5, [np.eye(2 ** n)])],
+    # the depolarizing channel without its identity Kraus operator
+    "incomplete_kraus": lambda n: [
+        ("lossy", 1.0, list(qcore.depolarizing_channel(0.3, n).kraus_operators[1:]))],
+    "negative_weight": lambda n: [("gain", 2.0, [np.eye(2 ** n)]),
+                                  ("loss", -1.0, [np.eye(2 ** n)])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_TRACE_PRESERVING))
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+def test_instrument_that_does_not_preserve_trace_is_rejected(variant, name):
+    # the tables are checked, not renormalized: a half-weight instrument
+    # used to pass the check with a plausible phase estimate
+    cfg = make_config(variant=variant, T=2000)
+    with pytest.raises(protocol.UnsupportedAttackError, match="does not preserve trace"):
+        protocol.run(cfg, _Instrument(NOT_TRACE_PRESERVING[name]))
+
+
+@pytest.mark.parametrize("weight", [1.0 - 1e-12, 1.0 + 1e-12])
+def test_instrument_roundoff_within_tolerance_runs(weight):
+    attack = _Instrument(lambda n: [("id", weight, [np.eye(2 ** n)])])
+    tr = protocol.run(make_config(T=2000), attack)
+    assert protocol.check_fidelity(tr).fidelity_estimate == 1.0
+
+
 # ---------------------------------------------------------------- outcome-table oracle
 
 PARTNER = {"X": "Z", "Y": "Y", "Z": "X"}
+# the sensor's axis for each (action, pick); None when discarded
+SENSOR_AXES = {0: protocol.AXES, 1: protocol.ENCODE_AXES, 2: (None,)}
 
 
 def reference_entanglement_tables(cfg, attack):
@@ -465,27 +559,30 @@ ORACLE_ATTACKS = {
 @pytest.mark.parametrize("direction", ["one_way", "two_way"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_entanglement_tables_match_joint_born_probabilities(n, direction, attack_name):
-    # the conditional-probe tables equal the literal provider-plus-probe
-    # simulation entry by entry, with the provider's (axis, outcome) read
-    # off the probe label
+    # the label-keyed tables equal the literal provider-plus-probe
+    # simulation entry by entry: the provider's outcome s on axis a, which
+    # has probability 1/2, leaves the probe in label s.partner(a)
     cfg = make_config(n=n, direction=direction, true_phi=0.37 / n)
     attack = ORACLE_ATTACKS[attack_name]()
-    tables = protocol._build_tables(protocol._Registry(cfg), attack)
+    reg = protocol._Registry(cfg)
+    tables = protocol._build_tables(reg, attack)
     reference = reference_entanglement_tables(cfg, attack)
-    assert set(tables) == set(reference)
+    assert set(tables) == {(action, label, bi) for action, _ai, bi in reference
+                           for label in range(len(qcore.SIGNED_LABELS))}
     for (action, ai, bi), entries in reference.items():
-        table = tables[action, ai, bi]
         probs = np.array([e[0] for e in entries])
         assert abs(probs.sum() - 1.0) < 1e-12
-        # the last CDF entry is padded past 1, the rest are the probabilities
-        assert np.max(np.abs(table.cdf[:-1] - np.cumsum(probs)[:-1])) < 1e-12
-        assert table.fwd.tolist() == [e[1] for e in entries]
-        assert table.bwd.tolist() == [e[2] for e in entries]
-        assert table.b.tolist() == [e[4] for e in entries]
-        a_axis = protocol.AXES[ai]
-        labels = [qcore.SIGNED_LABELS.index(("+" if e[3] > 0 else "-") + PARTNER[a_axis])
-                  for e in entries]
-        assert table.probe.tolist() == labels
+        for a in (-1, 1):
+            label = ("+" if a > 0 else "-") + PARTNER[protocol.AXES[ai]]
+            table = tables[action, qcore.SIGNED_LABELS.index(label), bi]
+            mine = [e for e in entries if e[3] == a]
+            # entries run over (forward branch, backward branch, outcome)
+            f, w, k = np.indices(table.shape).reshape(3, -1)
+            outcomes = reg.outcomes[SENSOR_AXES[action][bi]][k]
+            assert [e[1:3] + e[4:] for e in mine] == list(
+                zip(f.tolist(), w.tolist(), outcomes.tolist()))
+            mine_probs = np.array([e[0] for e in mine])
+            assert np.max(np.abs(mine_probs - 0.5 * table.ravel())) < 1e-12
 
 
 # ---------------------------------------------------------------- engine differential
@@ -520,19 +617,15 @@ class _StatefulAdapter(adversary.AttackModel):
 def exact_cell_probabilities(cfg, attack):
     """P(action, probe label, sensor axis, sensor outcome) of one round,
     from the fast path's exact outcome tables."""
-    tables = protocol._build_tables(protocol._Registry(cfg), attack)
-    n_keys = len(protocol._TABLE_KEYS[cfg.variant])
-    picks = {0: protocol.AXES, 1: protocol.ENCODE_AXES, 2: (None,)}
+    reg = protocol._Registry(cfg)
+    tables = protocol._build_tables(reg, attack)
     p_action = (cfg.p_c, cfg.p_e, cfg.p_d)
     cells = {}
-    for (action, _key, pick), table in tables.items():
-        axis = picks[action][pick]
-        axis = -1 if axis is None else protocol.AXES.index(axis)
-        # the last CDF entry is padded past 1
-        probs = np.diff(np.minimum(table.cdf, 1.0), prepend=0.0)
-        weight = p_action[action] / n_keys / len(picks[action])
-        for p, label, b in zip(probs, table.probe.tolist(), table.b.tolist()):
-            cell = (action, label, axis, b)
+    for (action, label, pick), table in tables.items():
+        axis = SENSOR_AXES[action][pick]
+        weight = p_action[action] / len(qcore.SIGNED_LABELS) / len(SENSOR_AXES[action])
+        for b, p in zip(reg.outcomes[axis].tolist(), table.sum(axis=(0, 1))):
+            cell = (action, label, -1 if axis is None else protocol.AXES.index(axis), b)
             cells[cell] = cells.get(cell, 0.0) + weight * p
     return cells
 
