@@ -5,8 +5,10 @@ in two-way operation, again on its way back (backward leg).  Memoryless
 attacks describe each leg as a weighted quantum instrument on the probe
 register: a list of (label, weight, kraus_operators) branches, where the
 weight carries the adversary's own classical randomization and the branch
-label is what her classical memory records.  The round engine samples
-branch and measurement outcomes from the exact joint distribution.
+label is what her classical memory records.  The engine asks for each
+instrument once per run, samples branch and measurement outcomes of every
+round from the exact joint distribution, and then hands the attack all the
+rounds' branch labels in one ``record_round`` call.
 
 Attacks that keep quantum memory across rounds instead implement the
 stateful hooks and run on explicit register-machine states.  Their quantum
@@ -65,8 +67,11 @@ class AttackModel:
         """Weighted instrument for the return leg; None means identity."""
         return None
 
-    def record_round(self, index, forward_label, backward_label=None):
-        """Classical-memory hook; called per round on the fast path."""
+    def record_round(self, forward_labels, backward_labels=None):
+        """Classical-memory hook, called once per fast-path run with every
+        round's forward branch label and backward branch label, each an
+        array in round order; ``backward_labels`` is None when no backward
+        instrument acts (one-way runs, or ``backward_branches`` None)."""
 
     # -- stateful interface (quantum-memory attacks) -------------------------
     # begin_block opens ``blocks`` independent blocks of ``block_length``
@@ -161,6 +166,7 @@ class InterceptResendAttack(_InstrumentAttack):
             self.axes = [strategy]
         else:
             raise ValueError("basis strategy must be 'random' or a Pauli axis name")
+        # every recorded round's outcome label, in round order, run after run
         self.memory = []
 
     def forward_branches(self, n, frame):
@@ -172,8 +178,8 @@ class InterceptResendAttack(_InstrumentAttack):
                 branches.append((f"{axis}:{int(round(value)):+d}", weight, [proj]))
         return branches
 
-    def record_round(self, index, forward_label, backward_label=None):
-        self.memory.append((index, forward_label))
+    def record_round(self, forward_labels, backward_labels=None):
+        self.memory.extend(forward_labels.tolist())
 
 
 def intercept_resend(basis_strategy="random") -> AttackModel:

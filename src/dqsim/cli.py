@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -354,8 +354,8 @@ def _bounds_phis(args):
 
 def cmd_bounds(mode, variant, epsilon, n, phis, T=None, N_d=None, N_e=None,
                output=None) -> int:
-    rows = [metrics.bound_report(mode, variant, epsilon, n, phi,
-                                 T=T, N_d=N_d, N_e=N_e).to_dict()
+    rows = [asdict(metrics.bound_report(mode, variant, epsilon, n, phi,
+                                        T=T, N_d=N_d, N_e=N_e))
             for phi in phis]
     _dump_json({"bounds": rows}, output)
     return EXIT_OK
@@ -381,19 +381,7 @@ def cmd_verify(seed, restarts=6, inject_violation=False, output=None) -> int:
 def cmd_equivalence(scenario, seed_override=None, output=None) -> int:
     config = build_config(scenario, seed_override)
     attack = build_attack(scenario)
-    report = protocol.run_mub_equivalence(config, attack)
-    payload = {
-        "entanglement_fidelity": report.entanglement_fidelity,
-        "mub_fidelities": report.mub_fidelities,
-        "combined_from_mub": report.combined_from_mub,
-        "identity_sigma": report.identity_sigma,
-        "identity_holds": report.identity_holds,
-        "entanglement_passed": report.entanglement_passed,
-        "mub_passed": report.mub_passed,
-        "entanglement_phi_hat": report.entanglement_phi_hat,
-        "mub_phi_hat": report.mub_phi_hat,
-    }
-    _dump_json(payload, output)
+    _dump_json(asdict(protocol.run_mub_equivalence(config, attack)), output)
     return EXIT_OK
 
 
@@ -441,7 +429,7 @@ def build_parser():
     p_verify.add_argument("--output", default=None)
 
     p_eq = sub.add_parser("equivalence",
-                          help="paired run of both protocol variants")
+                          help="one run analysed as both protocol variants")
     p_eq.add_argument("scenario")
     p_eq.add_argument("--output", default=None)
     return parser

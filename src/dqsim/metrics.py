@@ -40,21 +40,6 @@ class BoundReport:
     N_d: int | None
     N_e: int | None
 
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "protocol_variant": self.protocol_variant,
-            "f_value": self.f_value,
-            "epsilon0": self.epsilon0,
-            "bias_bound": self.bias_bound,
-            "variance_bound": self.variance_bound,
-            "phi": self.phi,
-            "n": self.n,
-            "T": self.T,
-            "N_d": self.N_d,
-            "N_e": self.N_e,
-        }
-
 
 @dataclass(frozen=True)
 class Locc1Result:

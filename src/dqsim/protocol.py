@@ -58,6 +58,11 @@ _B_ABSENT = -9  # sensor outcome sentinel; 0 is a real (leak) outcome
 # register depolarizing noise, has 4^n Kraus operators of size 2^n: 16 MB
 # of them at n = 5, 268 MB at n = 6.
 MAX_QUBITS = 5
+# Most rounds in one run.  A run's per-round arrays (draws, sampled
+# entries, columns, transcript rows) take about 80 bytes per round: the peak
+# RSS of ``dqsim run`` at T = 1e6 lies 72-81 MB above a short run's.  The
+# cap keeps a run near 1 GB.
+MAX_ROUNDS = 10 ** 7
 
 
 class InsufficientRoundsError(RuntimeError):
@@ -90,8 +95,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown direction {self.direction!r}")
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"probe qubit count must lie in [1, {MAX_QUBITS}]")
-        if self.T < 1:
-            raise ValueError("need at least one round")
+        if not 1 <= self.T <= MAX_ROUNDS:
+            raise ValueError(f"round count must lie in [1, {MAX_ROUNDS}]")
         for name in ("p_c", "p_e", "p_d", "epsilon_threshold", "true_phi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -343,11 +348,6 @@ class _Registry:
             eye, values, (np.zeros_like(eye),) * (len(values) - 1) + (eye,))
 
 
-def _wants_records(attack) -> bool:
-    from .adversary import AttackModel
-    return type(attack).record_round is not AttackModel.record_round
-
-
 def _branch_matrices(rho, branches):
     out = []
     for _label, weight, kraus in branches:
@@ -358,22 +358,24 @@ def _branch_matrices(rho, branches):
     return out
 
 
+def _labels(branches):
+    """An instrument's branch labels as an object array, in branch order."""
+    return np.array([label for label, _weight, _kraus in branches], dtype=object)
+
+
 # A table's total may differ from 1 by roundoff only; an instrument whose
 # tables miss it by more does not preserve trace.
 _TABLE_TOLERANCE = 1e-9
 
 
-def _build_tables(reg, attack):
-    """Exact outcome table of every (action, probe label, sensor pick): the
-    probabilities of (forward branch, backward branch, sensor outcome), the
-    outcomes in ``reg.outcomes`` order.  The six probe states are evolved
-    once, unencoded and encoded.  A total off 1, or an entry below 0, by more
-    than ``_TABLE_TOLERANCE`` raises UnsupportedAttackError; roundoff
-    negatives are set to 0."""
-    cfg = reg.config
-    fwd = attack.forward_branches(cfg.n, reg.frame)
-    two_way = cfg.direction == "two_way"
-    bwd = attack.backward_branches(cfg.n, reg.frame) if two_way else None
+def _build_tables(reg, fwd, bwd):
+    """Exact outcome table of every (action, probe label, sensor pick) under
+    the forward instrument ``fwd`` and the backward instrument ``bwd`` (None:
+    identity): the probabilities of (forward branch, backward branch, sensor
+    outcome), the outcomes in ``reg.outcomes`` order.  The six probe states
+    are evolved once, unencoded and encoded.  A total off 1, or an entry
+    below 0, by more than ``_TABLE_TOLERANCE`` raises UnsupportedAttackError;
+    roundoff negatives are set to 0."""
 
     def evolved(rho, encoded):
         mats = _branch_matrices(rho, fwd)
@@ -395,8 +397,8 @@ def _build_tables(reg, attack):
             total, least = probs.sum(), probs.min()
             if not (abs(total - 1.0) <= _TABLE_TOLERANCE and least >= -_TABLE_TOLERANCE):
                 raise UnsupportedAttackError(
-                    f"attack {attack.name!r} does not preserve trace: an outcome table "
-                    f"sums to {total:.12g} with least entry {least:.3g}")
+                    f"the attack's instrument does not preserve trace: an outcome "
+                    f"table sums to {total:.12g} with least entry {least:.3g}")
             tables[action, label, pick] = np.clip(probs, 0.0, None)
     return tables
 
@@ -418,14 +420,16 @@ def _sensor_settings(config, u):
     return action, probe, setting, _SETTING_AXIS[setting]
 
 
-def _run_fast(config, attack, rng, reg) -> Transcript:
+def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
     """Memoryless attacks: each round's outcome is drawn from the exact table
-    of its cell, the (action, sensor pick) setting and the probe label.
+    of its cell, the (action, sensor pick) setting and the probe label, under
+    the attack's forward and backward instruments ``fwd`` and ``bwd``.  The
+    attack records every round's branch labels in one ``record_round`` call.
 
     Draw order: one (4, T) batch of uniforms; rows 0-2 set the action, the
     probe label and the sensor pick, row 3 draws the table entry.
     """
-    tables = _build_tables(reg, attack)
+    tables = _build_tables(reg, fwd, bwd)
     cells = [(tables[action, label, pick], reg.outcomes[axis])
              for action, pick, axis in _SETTINGS
              for label in range(len(qcore.SIGNED_LABELS))]
@@ -443,17 +447,11 @@ def _run_fast(config, attack, rng, reg) -> Transcript:
     entry += cell
     b_out = np.concatenate([np.broadcast_to(values, probs.shape).ravel()
                             for probs, values in cells])[entry]
-
-    if _wants_records(attack):
-        fwd_of, bwd_of = np.concatenate([np.indices(probs.shape)[:2].reshape(2, -1)
-                                         for probs, _values in cells], axis=1)
-        labels_f = [br[0] for br in attack.forward_branches(config.n, reg.frame)]
-        bwd = (attack.backward_branches(config.n, reg.frame)
-               if config.direction == "two_way" else None)
-        labels_b = [br[0] for br in bwd] if bwd else [None]
-        rounds = zip(fwd_of[entry].tolist(), bwd_of[entry].tolist())
-        for i, (f, b) in enumerate(rounds):
-            attack.record_round(i, labels_f[f], labels_b[b])
+    # every entry's forward and backward branch, then every round's labels
+    fwd_of, bwd_of = np.concatenate([np.indices(probs.shape)[:2].reshape(2, -1)
+                                     for probs, _values in cells], axis=1)
+    attack.record_round(_labels(fwd)[fwd_of][entry],
+                        None if bwd is None else _labels(bwd)[bwd_of][entry])
     return Transcript(config, action, probe, bob_axis, b_out,
                       _sift_status(action, probe, bob_axis))
 
@@ -514,9 +512,12 @@ def run(config: ProtocolConfig, attack, rng=None) -> Transcript:
         attack.on_run_start(config.public(), reg.frame)
     except ValueError as exc:
         raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
-    if attack.forward_branches(config.n, reg.frame) is not None:
-        return _run_fast(config, attack, rng, reg)
-    return _run_stateful(config, attack, rng, reg)
+    fwd = attack.forward_branches(config.n, reg.frame)
+    if fwd is None:
+        return _run_stateful(config, attack, rng, reg)
+    bwd = (attack.backward_branches(config.n, reg.frame)
+           if config.direction == "two_way" else None)
+    return _run_fast(config, attack, rng, reg, fwd, bwd)
 
 
 # ---------------------------------------------------------------- reconciliation
@@ -606,7 +607,7 @@ def estimate_phase(transcript, n=None) -> EstimateResult:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Paired entanglement/direct-probe runs under one attack."""
+    """One run under one attack, analysed as both protocol variants."""
 
     entanglement_fidelity: float
     mub_fidelities: dict
@@ -620,24 +621,25 @@ class EquivalenceReport:
 
 
 def run_mub_equivalence(config: ProtocolConfig, attack, rng=None) -> EquivalenceReport:
-    """Run both protocol variants with matched seeds under clones of one
-    attack and compare their fidelity estimates.
+    """Analyse one simulation as both protocol variants and compare their
+    fidelity estimates.
 
-    The entanglement-variant estimate should equal
+    Neither engine reads the variant, so one run under a clone of the
+    attack, seeded from config.seed, gives the columns of both: the
+    entanglement-variant transcript and, with the same columns, the
+    direct-probe view.  The entanglement-variant estimate should equal
     (1 + (1/2) sum_P (2 F_P - 1)) / 4 built from the six per-label
-    fidelities, within Monte Carlo error.  The direct-probe run uses the
-    rescaled threshold epsbar = sqrt(2/3) * eps so both runs implement the
-    same safety margin.
-
-    Both runs seed their randomness from config.seed (that is the matched
-    pairing); an explicit ``rng`` is accepted for interface uniformity but
-    ignored.
+    fidelities, within Monte Carlo error.  The direct-probe view uses the
+    rescaled threshold epsbar = sqrt(2/3) * eps so both analyses implement
+    the same safety margin.  An explicit ``rng`` is accepted for interface
+    uniformity but ignored.
     """
     cfg_ent = replace(config, variant="entanglement")
     cfg_mub = replace(config, variant="mub",
                       epsilon_threshold=math.sqrt(2.0 / 3.0) * config.epsilon_threshold)
     t_ent = run(cfg_ent, attack.clone())
-    t_mub = run(cfg_mub, attack.clone())
+    t_mub = Transcript(cfg_mub, t_ent.action, t_ent.probe, t_ent.bob_axis,
+                       t_ent.bob_out, t_ent.status)
     c_ent = check_fidelity(t_ent)
     c_mub = check_fidelity(t_mub)
 

@@ -445,22 +445,24 @@ def trace_distance(a, b) -> float:
     return float(0.5 * np.sum(np.abs(vals)))
 
 
+def _partial_trace_stack(rho, dims, keep):
+    """Reduced stack (B, d_keep, d_keep) of a (B, d, d) stack on the
+    subsystems at the positions ``keep`` (indices into dims), by one einsum."""
+    n, keep = len(dims), sorted(keep)
+    rows = list(range(1, n + 1))
+    cols = [r if i not in keep else n + r for i, r in enumerate(rows)]
+    out = [0] + [rows[i] for i in keep] + [cols[i] for i in keep]
+    tensor = rho.reshape([rho.shape[0]] + list(dims) * 2)
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    return np.einsum(tensor, [0] + rows + cols, out).reshape(rho.shape[0], d_keep, d_keep)
+
+
 def partial_trace(state, dims, keep) -> DensityMatrix:
     """Reduced state over the subsystems listed in ``keep`` (indices into dims)."""
     rho = as_density(state)
-    dims = list(dims)
     if int(np.prod(dims)) != rho.dim:
         raise DimensionMismatchError("subsystem dims do not multiply to the state dim")
-    keep = sorted(keep)
-    n = len(dims)
-    tensor = rho.data.reshape(dims + dims)
-    cur = n
-    # Trace highest non-kept axis first so remaining axis positions stay valid.
-    for idx in sorted((i for i in range(n) if i not in keep), reverse=True):
-        tensor = np.trace(tensor, axis1=idx, axis2=idx + cur)
-        cur -= 1
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return DensityMatrix(tensor.reshape(d_keep, d_keep))
+    return DensityMatrix(_partial_trace_stack(rho.data[None], dims, keep)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -606,14 +608,7 @@ class RegisterState:
     def _reduced(self, keep):
         """Checked reduced stack on the registers at the positions ``keep``."""
         _check_density_stack(self.rho)
-        n, keep = len(self.dims), sorted(keep)
-        rows = list(range(1, n + 1))
-        cols = [r if i not in keep else n + r for i, r in enumerate(rows)]
-        out = [0] + [rows[i] for i in keep] + [cols[i] for i in keep]
-        tensor = self.rho.reshape([self.batch] + self.dims + self.dims)
-        d_keep = int(np.prod([self.dims[i] for i in keep]))
-        red = np.einsum(tensor, [0] + rows + cols, out).reshape(self.batch, d_keep, d_keep)
-        return _check_density_stack(red)
+        return _check_density_stack(_partial_trace_stack(self.rho, self.dims, keep))
 
     def reduced(self, label):
         """Checked (B, d, d) stack of the reduced states of one register."""

@@ -144,7 +144,7 @@ def test_intercept_resend_records_outcomes():
     att = adversary.intercept_resend("random")
     protocol.run(make_config(T=500, seed=62), att)
     assert len(att.memory) == 500
-    axes = {label.split(":")[0] for _idx, label in att.memory}
+    axes = {label.split(":")[0] for label in att.memory}
     assert axes == {"X", "Y", "Z"}
 
 

@@ -31,3 +31,14 @@ def test_tracer_installs_and_uninstalls_on_live_package():
         tracer.uninstall()
     for owner, attr, original in originals:
         assert vars(owner)[attr] is original
+
+
+def test_names_the_benchmark_reads_untraced_exist():
+    # the benchmark's workloads and self-test read these outside the tracer
+    from dqsim import adversary, cli, qcore
+
+    assert callable(adversary.AttackModel.record_round)
+    assert callable(adversary.expected_check_fidelity)
+    assert callable(cli.build_attack)
+    assert isinstance(cli.CSV_COLUMNS, list) and cli.CSV_COLUMNS
+    assert isinstance(qcore.LogicalFrame.standard(1), qcore.LogicalFrame)

@@ -85,6 +85,7 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
 
 @pytest.mark.parametrize("command,protocol_edit,block_edit,code", [
     ("run", {"T": 2}, {}, cli.EXIT_INSUFFICIENT_ROUNDS),
+    ("run", {"T": protocol.MAX_ROUNDS + 1}, {}, cli.EXIT_SCHEMA),
     ("run", {"p_c": 0.0, "p_e": 0.5, "p_d": 0.5}, {}, cli.EXIT_INSUFFICIENT_ROUNDS),
     ("run", {"n": 2}, {"attack": {"name": "entangling_memory",
                                   "params": {"coupling_angle": 0.3}}}, cli.EXIT_SCHEMA),
@@ -92,7 +93,8 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
                              "steps": "x"}}, cli.EXIT_SCHEMA),
     ("sweep", {}, {"sweep": {"variable": 3, "start": 0.1, "stop": 0.5,
                              "steps": 2}}, cli.EXIT_SCHEMA),
-], ids=["T2", "no_check_rounds", "memory_n2", "steps_string", "variable_number"])
+], ids=["T2", "T_past_MAX_ROUNDS", "no_check_rounds", "memory_n2", "steps_string",
+        "variable_number"])
 def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
                                             block_edit, code):
     path, scenario = write_scenario(tmp_path, **block_edit)
@@ -412,7 +414,8 @@ def _mutated(attack, T, edits):
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 # holes the fuzzing found: each escaped main with an exception before,
-# except a huge n, which sized the probe register 2^n
+# except a huge n, which sized the probe register 2^n; a huge T ran out of
+# memory allocating its per-round draws
 @example(attack=0, T=100, edits=[("attack", 0, [])])            # unhashable name
 @example(attack=0, T=200, edits=[("protocol", 0, "entanglement"),
                                  ("output", 0, None)])        # null output path
@@ -423,6 +426,7 @@ def _mutated(attack, T, edits):
 @example(attack=0, T=100, edits=[("protocol", 3, 10 ** 400)])   # p_c beyond float
 @example(attack=0, T=100, edits=[("sweep", 1, 10 ** 400)])      # start beyond float
 @example(attack=0, T=100, edits=[("protocol", 2, 2 ** 63)])     # n past MAX_QUBITS
+@example(attack=0, T=10 ** 13, edits=[])                         # T past MAX_ROUNDS
 @given(attack=st.integers(0, len(_FUZZ_ATTACKS) - 1), T=_FUZZ_T, edits=st.lists(
     st.tuples(st.sampled_from(sorted(_FUZZ_BLOCKS)), st.integers(0, 20), _FUZZ_VALUES),
     max_size=3))

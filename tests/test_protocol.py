@@ -396,6 +396,44 @@ def test_equivalence_depolarizing_within_monte_carlo_error():
     assert abs(rep.entanglement_fidelity - rep.combined_from_mub) <= 4 * rep.identity_sigma + 1e-12
 
 
+def test_equivalence_simulates_once(monkeypatch):
+    # both variants are analysed from one simulation
+    variants = []
+    original = protocol.run
+
+    def counting_run(config, attack, rng=None):
+        variants.append(config.variant)
+        return original(config, attack, rng)
+
+    monkeypatch.setattr(protocol, "run", counting_run)
+    rep = protocol.run_mub_equivalence(make_config(T=3000), adversary.depolarizing_attack(0.2))
+    assert variants == ["entanglement"]
+    assert rep.identity_holds
+
+
+VARIANT_BLIND_CASES = {
+    "depolarizing": (dict(n=2), lambda: adversary.depolarizing_attack(0.3)),
+    "intercept_resend": (dict(direction="two_way"), lambda: adversary.intercept_resend("random")),
+    "memory": (dict(T=400), lambda: adversary.entangling_memory_attack(0.3, 2, "measure")),
+    "swap_leak": (dict(n=2, T=300, direction="two_way"), adversary.two_way_swap_leak),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VARIANT_BLIND_CASES))
+def test_engines_give_both_variants_the_same_columns(case):
+    # run_mub_equivalence analyses one run as both variants, which is exact
+    # only while neither engine reads the variant
+    overrides, make_attack = VARIANT_BLIND_CASES[case]
+    cfg = make_config(p_c=0.4, p_e=0.4, p_d=0.2, seed=77, **overrides)
+    attacks = [make_attack(), make_attack()]
+    ent = protocol.run(replace(cfg, variant="entanglement"), attacks[0])
+    mub = protocol.run(replace(cfg, variant="mub"), attacks[1])
+    for column in ("action", "probe", "bob_axis", "bob_out", "status"):
+        assert np.array_equal(getattr(ent, column), getattr(mub, column))
+    assert getattr(attacks[0], "memory", None) == getattr(attacks[1], "memory", None)
+    assert attacks[0].eve_estimate() == attacks[1].eve_estimate()
+
+
 # ---------------------------------------------------------------- attack gating
 
 def test_two_way_attack_rejected_in_one_way_mode():
@@ -451,6 +489,52 @@ def test_two_way_backward_channel_statistics(variant):
             mean = 1 - p
             sigma = math.sqrt((1 - mean ** 2) / count) / 2
             assert abs(value - (1 - p / 2)) < 4 * sigma + 1e-9
+
+
+class _Counting(adversary.AttackModel):
+    """A memoryless attack that counts the engine's calls into it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = f"counting({inner.name})"
+        self.calls = {"forward_branches": 0, "backward_branches": 0, "record_round": 0}
+        self.recorded = []
+
+    def forward_branches(self, n, frame):
+        self.calls["forward_branches"] += 1
+        return self.inner.forward_branches(n, frame)
+
+    def backward_branches(self, n, frame):
+        self.calls["backward_branches"] += 1
+        return self.inner.backward_branches(n, frame)
+
+    def record_round(self, forward_labels, backward_labels=None):
+        self.calls["record_round"] += 1
+        self.recorded.append((forward_labels, backward_labels))
+        self.inner.record_round(forward_labels, backward_labels)
+
+
+@pytest.mark.parametrize("make_inner", [lambda: adversary.depolarizing_attack(0.3),
+                                        lambda: adversary.intercept_resend("random"),
+                                        lambda: _BackwardTamper()],
+                         ids=["depolarizing", "intercept_resend", "backward_tamper"])
+def test_fast_path_consults_the_attack_once_per_run(make_inner):
+    # one instrument fetch per leg and one batched record per run
+    cfg = make_config(direction="two_way", T=2000, p_c=0.4, p_e=0.4, p_d=0.2)
+    attack = _Counting(make_inner())
+    protocol.run(cfg, attack)
+    assert attack.calls == {"forward_branches": 1, "backward_branches": 1, "record_round": 1}
+    [(forward, backward)] = attack.recorded
+    frame = qcore.LogicalFrame.standard(cfg.n)
+    for labels, legs in ((forward, attack.inner.forward_branches(cfg.n, frame)),
+                         (backward, attack.inner.backward_branches(cfg.n, frame))):
+        if legs is None:
+            assert labels is None
+        else:
+            assert len(labels) == cfg.T
+            assert set(labels) <= {label for label, _w, _k in legs}
+    if isinstance(attack.inner, adversary.InterceptResendAttack):
+        assert attack.inner.memory == list(forward)
 
 
 # ---------------------------------------------------------------- instrument checks
@@ -546,6 +630,14 @@ def reference_entanglement_tables(cfg, attack):
     return tables
 
 
+def exact_tables(cfg, attack):
+    """The fast path's registry and exact outcome tables under this attack."""
+    reg = protocol._Registry(cfg)
+    fwd = attack.forward_branches(cfg.n, reg.frame)
+    bwd = attack.backward_branches(cfg.n, reg.frame) if cfg.direction == "two_way" else None
+    return reg, protocol._build_tables(reg, fwd, bwd)
+
+
 ORACLE_ATTACKS = {
     "depolarizing": lambda: adversary.depolarizing_attack(0.3),
     "intercept_resend": lambda: adversary.intercept_resend("random"),
@@ -564,8 +656,7 @@ def test_entanglement_tables_match_joint_born_probabilities(n, direction, attack
     # has probability 1/2, leaves the probe in label s.partner(a)
     cfg = make_config(n=n, direction=direction, true_phi=0.37 / n)
     attack = ORACLE_ATTACKS[attack_name]()
-    reg = protocol._Registry(cfg)
-    tables = protocol._build_tables(reg, attack)
+    reg, tables = exact_tables(cfg, attack)
     reference = reference_entanglement_tables(cfg, attack)
     assert set(tables) == {(action, label, bi) for action, _ai, bi in reference
                            for label in range(len(qcore.SIGNED_LABELS))}
@@ -617,8 +708,7 @@ class _StatefulAdapter(adversary.AttackModel):
 def exact_cell_probabilities(cfg, attack):
     """P(action, probe label, sensor axis, sensor outcome) of one round,
     from the fast path's exact outcome tables."""
-    reg = protocol._Registry(cfg)
-    tables = protocol._build_tables(reg, attack)
+    reg, tables = exact_tables(cfg, attack)
     p_action = (cfg.p_c, cfg.p_e, cfg.p_d)
     cells = {}
     for (action, label, pick), table in tables.items():
