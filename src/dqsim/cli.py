@@ -35,7 +35,7 @@ EXIT_INSUFFICIENT_ROUNDS = 5
 CSV_COLUMNS = [
     "theta", "phi", "F_hat", "epsilon_implied", "passed", "phi_hat",
     "phi_hat_se", "bias_emp", "bias_bound", "var_emp", "var_discrepancy",
-    "var_bound", "mode", "variant",
+    "var_bound", "mode", "variant", "sweep_value",
 ]
 
 
@@ -296,6 +296,7 @@ def run_sweep_point(scenario, value, seed_override=None, batches=20):
                                             N_e=max(tr_att.N_e, 1)),
         "mode": mode,
         "variant": config.variant,
+        "sweep_value": float(value),
     }
 
 
@@ -308,6 +309,8 @@ def sweep_values(scenario):
 def cmd_sweep(scenario, seed_override=None, threads=1, batches=20) -> int:
     if "sweep" not in scenario:
         raise SchemaError("sweep command needs a sweep block")
+    if batches < 2:
+        raise SchemaError("--batches must be at least 2")
     values = sweep_values(scenario)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -364,6 +367,8 @@ def cmd_bounds(mode, variant, epsilon, n, phis, T=None, N_d=None, N_e=None,
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(seed, restarts=6, inject_violation=False, output=None) -> int:
+    if restarts < 1:
+        raise SchemaError("--restarts must be at least 1")
     results = metrics.run_inequality_suites(seed=seed, restarts=restarts,
                                             inject_violation=inject_violation)
     payload = {"suites": [{"name": r.name, "checks": r.checks,
@@ -405,7 +410,8 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="bound-versus-empirical sweep")
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--batches", type=int, default=20,
-                         help="windows for the empirical variance estimate")
+                         help="windows for the empirical variance estimate "
+                              "(at least 2)")
 
     p_bounds = sub.add_parser("bounds", help="evaluate the theoretical bounds")
     p_bounds.add_argument("--mode", choices=metrics.MODES, required=True)
@@ -423,7 +429,9 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run the inequality property suites")
     p_verify.add_argument("--verify-seed", type=int, default=20240001)
-    p_verify.add_argument("--restarts", type=int, default=6)
+    p_verify.add_argument("--restarts", type=int, default=6,
+                          help="starting points of the three-party LOCC1 search "
+                               "(at least 1); the suites' two-party searches run one")
     p_verify.add_argument("--inject-violation", action="store_true",
                           help=argparse.SUPPRESS)
     p_verify.add_argument("--output", default=None)

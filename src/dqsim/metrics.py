@@ -3,8 +3,8 @@
 Permutation-symmetry error terms, composed tamper thresholds, bias and
 variance bounds for every attack mode, arc-length/minimum-fidelity tools for
 the two-way bound, a lower-bound optimizer for the sequential-local-
-measurement distance, and the inequality checks the verification command
-drives.
+measurement (LOCC1) distance between states of 1-3 qubit parties, and the
+inequality checks the verification command drives.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize_scalar
 
 from . import qcore
 
@@ -43,7 +41,11 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class Locc1Result:
-    """Certified lower bound on the sequential-measurement distance."""
+    """Certified lower bound on the sequential-measurement distance.
+
+    ``best_measurement_parameters`` holds two Bloch angles per block, one
+    block per (party, outcome history) below the last party, in that order.
+    """
 
     lower_bound: float
     best_measurement_parameters: np.ndarray
@@ -179,150 +181,139 @@ def acin_min_fidelity(u) -> float:
 
 # ---------------------------------------------------------------- LOCC1 lower bound
 
-def _trace_norm_hermitian(m) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+# Each block (one party's basis given one outcome history) is searched on a
+# Bloch-angle grid, then on shrinking 5 x 5 grids around the best point,
+# the step halving each round.
+_THETA_POINTS, _PHASE_POINTS = 17, 32
+_GRID_STEP = np.array([math.pi / (_THETA_POINTS - 1), 2 * math.pi / _PHASE_POINTS])
+_GRID = np.stack(np.meshgrid(np.arange(_THETA_POINTS) * _GRID_STEP[0],
+                             np.arange(_PHASE_POINTS) * _GRID_STEP[1],
+                             indexing="ij"), axis=-1).reshape(-1, 2)
+_REFINE_OFFSETS = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5),
+                                       indexing="ij"), axis=-1).reshape(-1, 2)
+_REFINE_ROUNDS = 20
+_SWEEP_TOL, _MAX_SWEEPS = 1e-7, 40
 
 
-def _params_per_basis(dim: int) -> int:
-    return 2 if dim == 2 else dim * dim
+def _half_trace_norm_qubit(ops):
+    """Half the trace norm of each Hermitian 2x2 matrix in a (..., 2, 2) stack.
 
-
-def _basis_columns(dim: int, params):
-    """Orthonormal measurement basis from real parameters.
-
-    Qubits use two Bloch angles; larger parties use expm(iH) with H built
-    from dim^2 real parameters.
+    [[a, b], [b*, d]] has eigenvalues (a + d)/2 +- r with
+    r = sqrt(((a - d)/2)^2 + |b|^2), whose absolute values sum to
+    max(|a + d|, 2 r).
     """
-    if dim == 2:
-        theta, phase = params
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        v0 = np.array([c, np.exp(1j * phase) * s])
-        v1 = np.array([s, -np.exp(1j * phase) * c])
-        return np.stack([v0, v1], axis=1)
-    h = np.zeros((dim, dim), dtype=complex)
-    idx = 0
-    for i in range(dim):
-        h[i, i] = params[idx]
-        idx += 1
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            h[i, j] = params[idx] + 1j * params[idx + 1]
-            h[j, i] = params[idx] - 1j * params[idx + 1]
-            idx += 2
-    return scipy.linalg.expm(1j * h)
+    a, d = ops[..., 0, 0].real, ops[..., 1, 1].real
+    r = np.hypot(0.5 * (a - d), np.abs(ops[..., 0, 1]))
+    return 0.5 * np.maximum(np.abs(a + d), 2.0 * r)
 
 
-def _layer_slices(dims):
-    """Parameter layout: one basis per (party, outcome-history) pair.
+def _qubit_bases(angles):
+    """Orthonormal qubit bases, as columns, from Bloch angles (..., 2):
+    (cos t/2, e^{ip} sin t/2) and (sin t/2, -e^{ip} cos t/2)."""
+    c, s = np.cos(0.5 * angles[..., 0]), np.sin(0.5 * angles[..., 0])
+    phase = np.exp(1j * angles[..., 1])
+    return np.stack([np.stack([c, s], axis=-1),
+                     np.stack([phase * s, -phase * c], axis=-1)], axis=-2)
 
-    Only parties before the last are parameterized; the final party's
-    measurement is solved exactly per history.
+
+def _sequential_distances(delta, n_parties, params):
+    """Distance reached by each parameter vector of a (K, 2 * blocks) stack.
+
+    After outcome history h, party j measures in the basis of block
+    2^j - 1 + h.  The last party measures each conditional difference
+    operator in its eigenbasis, which is optimal there, so every value is
+    attained by an explicit sequential measurement.
     """
-    slices = {}
-    offset = 0
-    histories = 1
-    for j, d in enumerate(dims[:-1]):
-        p = _params_per_basis(d)
-        for h in range(histories):
-            slices[(j, h)] = slice(offset, offset + p)
-            offset += p
-        histories *= d
-    return slices, offset
+    k = params.shape[0]
+    angles = params.reshape(k, -1, 2)
+    ops = np.broadcast_to(delta, (k, 1) + delta.shape)
+    for j in range(n_parties - 1):
+        histories, rest = 2 ** j, ops.shape[-1] // 2
+        bases = _qubit_bases(angles[:, histories - 1:2 * histories - 1])
+        ops = np.einsum("khai,kharbs,khbi->khirs", bases.conj(),
+                        ops.reshape(k, histories, 2, rest, 2, rest), bases)
+        ops = ops.reshape(k, 2 * histories, rest, rest)
+    return _half_trace_norm_qubit(ops).sum(axis=1)
 
 
-def _sequential_distance(delta, dims, slices, params) -> float:
-    """Distance reached by the parameterized adaptive measurement sequence.
+def _maximize_block(objective, params, block):
+    """Best (value, params) when only one block's two angles vary."""
+    cols = slice(2 * block, 2 * block + 2)
 
-    The last party's projective measurement is taken in the eigenbasis of
-    each conditional difference operator, which is optimal there, so the
-    returned value is attained by an explicit sequential measurement channel.
+    def best_of(angles):
+        stack = np.repeat(params[None], len(angles), axis=0)
+        stack[:, cols] = angles
+        values = objective(stack)
+        i = int(np.argmax(values))
+        return values[i], stack[i]
+
+    value, params = best_of(np.vstack([params[cols], _GRID]))
+    step = _GRID_STEP
+    for _ in range(_REFINE_ROUNDS):
+        trial_value, trial = best_of(params[cols] + _REFINE_OFFSETS * step)
+        if trial_value > value:
+            value, params = trial_value, trial
+        step = step / 2
+    return value, params
+
+
+def _block_ascent(objective, params, n_blocks):
+    """Maximize each block in turn until a sweep gains less than _SWEEP_TOL.
+
+    A single block is done after one sweep, since a second would repeat it.
     """
-    m = len(dims)
-
-    def rec(op, j, hist):
-        if j == m - 1:
-            return 0.5 * _trace_norm_hermitian(op)
-        d = dims[j]
-        basis = _basis_columns(d, params[slices[(j, hist)]])
-        rest = int(np.prod(dims[j + 1:]))
-        tensor = op.reshape(d, rest, d, rest)
-        total = 0.0
-        for i in range(d):
-            b = basis[:, i]
-            cond = np.einsum("a,arbs,b->rs", b.conj(), tensor, b)
-            total += rec(cond, j + 1, hist * d + i)
-        return total
-
-    return rec(delta, 0, 0)
-
-
-def _coordinate_search(fun, x0, bounds, tol=1e-7, max_sweeps=40):
-    x = np.array(x0, dtype=float)
-    best = fun(x)
-    converged = False
-    for _ in range(max_sweeps):
-        start = best
-        for c in range(x.size):
-            frozen = x.copy()
-
-            def neg(t, _c=c, _frozen=frozen):
-                trial = _frozen.copy()
-                trial[_c] = t
-                return -fun(trial)
-
-            res = minimize_scalar(neg, bounds=bounds[c], method="bounded",
-                                  options={"xatol": 1e-7})
-            if -res.fun > best:
-                best = -res.fun
-                x[c] = res.x
-        if best - start < tol:
-            converged = True
-            break
-    return best, x, converged
+    value = objective(params[None])[0]
+    for _ in range(_MAX_SWEEPS):
+        start = value
+        for block in range(n_blocks):
+            value, params = _maximize_block(objective, params, block)
+        if n_blocks == 1 or value - start < _SWEEP_TOL:
+            return value, params, True
+    return value, params, False
 
 
 def locc1_lower_bound(rho, sigma, dims, restarts=32, rng=None) -> Locc1Result:
     """Maximize the output distance over sequential adaptive local projective
     measurements; the best value found certifies a lower bound.
 
-    ``dims`` lists the party dimensions (at most 3 parties, each of dim <= 4).
-    A single-party partition is solved exactly via the eigenbasis of the
-    difference operator.
+    ``dims`` lists the party dimensions: 1 to 3 qubit parties.  One party is
+    solved exactly in the eigenbasis of the difference operator.  Otherwise
+    each block, one party's basis given one outcome history (one block for
+    two parties, three for three), is searched on a Bloch-angle grid with
+    shrinking refinement grids, block after block, and the last party
+    measures in the eigenbasis of each conditional difference operator.
+
+    ``restarts`` counts starting points: the zero vector, then starts drawn
+    from ``rng``.  A single block's grid search does not depend on its
+    start, so two parties run one start, draw nothing from ``rng`` and
+    report ``restarts_used`` = 1.  ``converged`` says that the best start's
+    last sweep over the blocks gained less than 1e-7 before the sweep cap.
     """
     dims = [int(d) for d in dims]
-    if len(dims) > 3 or any(d > 4 or d < 2 for d in dims):
-        raise ValueError("supported partitions: at most 3 parties of dim 2..4")
+    if not 1 <= len(dims) <= 3 or any(d != 2 for d in dims):
+        raise ValueError("supported partitions: 1 to 3 parties of dimension 2")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     ra, rb = qcore.as_density(rho), qcore.as_density(sigma)
-    if ra.dim != rb.dim or ra.dim != int(np.prod(dims)):
+    if ra.dim != rb.dim or ra.dim != 2 ** len(dims):
         raise qcore.DimensionMismatchError("states do not match the party dims")
     delta = ra.data - rb.data
     if len(dims) == 1:
-        value = 0.5 * _trace_norm_hermitian(delta)
-        return Locc1Result(value, np.zeros(0), 0, True)
+        return Locc1Result(float(_half_trace_norm_qubit(delta)), np.zeros(0), 0, True)
 
-    rng = np.random.default_rng(0) if rng is None else rng
-    slices, n_params = _layer_slices(dims)
-    bounds = []
-    for (j, _h), _sl in sorted(slices.items(), key=lambda kv: kv[1].start):
-        d = dims[j]
-        if d == 2:
-            bounds += [(0.0, math.pi), (0.0, 2 * math.pi)]
-        else:
-            bounds += [(-math.pi, math.pi)] * (d * d)
+    n_blocks = 2 ** (len(dims) - 1) - 1
+    starts = [np.zeros(2 * n_blocks)]
+    if n_blocks > 1:
+        rng = np.random.default_rng(0) if rng is None else rng
+        high = np.tile([math.pi, 2 * math.pi], n_blocks)
+        starts += [rng.uniform(0.0, high) for _ in range(restarts - 1)]
 
-    def fun(params):
-        return _sequential_distance(delta, dims, slices, params)
+    def objective(stack):
+        return _sequential_distances(delta, len(dims), stack)
 
-    best_value, best_params, best_converged = -1.0, None, False
-    for r in range(restarts):
-        if r == 0:
-            x0 = np.zeros(n_params)
-        else:
-            x0 = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-        value, x, conv = _coordinate_search(fun, x0, bounds)
-        if value > best_value:
-            best_value, best_params, best_converged = value, x, conv
-    return Locc1Result(best_value, best_params, restarts, best_converged)
+    value, params, converged = max(
+        (_block_ascent(objective, x0, n_blocks) for x0 in starts), key=lambda r: r[0])
+    return Locc1Result(float(value), params, len(starts), converged)
 
 
 # ---------------------------------------------------------------- inequality checks

@@ -104,13 +104,18 @@ def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
     assert cli.main([command, str(path)]) == code
 
 
-def run_module(*args):
-    """``python -m dqsim.cli ARGS`` in a subprocess, importing this checkout."""
+def run_python(*args):
+    """``python ARGS`` in a subprocess, importing this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "dqsim.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_module(*args):
+    """``python -m dqsim.cli ARGS`` in a subprocess, importing this checkout."""
+    return run_python("-m", "dqsim.cli", *args)
 
 
 class _Lossy(adversary.AttackModel):
@@ -141,6 +146,14 @@ def test_module_entry_point_starts_without_warnings():
                       "--epsilon", "0.1", "--phi", "0.5", "--N-e", "10")
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: the tests use it as an oracle
+    proc = run_python("-c", "import sys, dqsim, dqsim.cli; "
+                            "print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_file_gives_io_exit():
@@ -234,8 +247,10 @@ def test_sweep_over_attack_parameter(tmp_path):
         sweep={"variable": "attack.p", "start": 0.0, "stop": 0.4, "steps": 3})
     assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    f_hats = [float(line.split(",")[2]) for line in lines[1:]]
+    rows = [dict(zip(cli.CSV_COLUMNS, line.split(","))) for line in lines[1:]]
+    f_hats = [float(row["F_hat"]) for row in rows]
     assert f_hats[0] > f_hats[1] > f_hats[2]
+    assert [float(row["sweep_value"]) for row in rows] == [0.0, 0.2, 0.4]
 
 
 def test_sweep_requires_sweep_block(tmp_path):
@@ -333,6 +348,24 @@ def test_verify_passes_and_reports_counts(tmp_path):
     assert "fuchs_van_de_graaf" in names
     assert all(s["violations"] == 0 for s in payload["suites"])
     assert all(s["checks"] > 0 for s in payload["suites"])
+
+
+@pytest.mark.parametrize("command, args", [
+    ("verify", ["--restarts", "0"]),
+    ("verify", ["--restarts", "-1"]),
+    ("sweep", ["--batches", "1"]),
+    ("sweep", ["--batches", "0"]),
+], ids=["restarts_0", "restarts_negative", "batches_1", "batches_0"])
+def test_bad_counts_exit_with_schema_code(tmp_path, command, args):
+    # each once exited 0 with wrong numbers: 50 passing LOCC1 checks from
+    # no search at all, or var_emp = inf in every sweep row
+    path, _ = write_scenario(
+        tmp_path, sweep={"variable": "phi", "start": 0.3, "stop": 0.9, "steps": 2})
+    out = tmp_path / "verify.json"
+    target = ["--output", str(out)] if command == "verify" else [str(path)]
+    assert cli.main([command, *target, *args]) == cli.EXIT_SCHEMA
+    assert not out.exists()
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_verify_injected_violation_fails(tmp_path):

@@ -211,6 +211,22 @@ def test_locc1_two_party_pure_states_reach_trace_distance():
     assert res.lower_bound == pytest.approx(d, abs=2e-3)
 
 
+def test_locc1_three_party_pure_states_reach_trace_distance():
+    # one-way adaptive LOCC attains the Helstrom optimum for any two pure
+    # states (Virmani, Sacchi, Plenio, Markham, Phys. Lett. A 288, 62 (2001));
+    # D(|000>, |+++>) = sqrt(1 - 1/8)
+    rho = qcore.PureState(qcore.kron_power(KET0, 3))
+    sig = qcore.PureState(qcore.kron_power(PLUS, 3))
+    d = math.sqrt(7 / 8)
+    assert qcore.trace_distance(rho, sig) == pytest.approx(d, abs=1e-12)
+    res = metrics.locc1_lower_bound(rho, sig, dims=[2, 2, 2], restarts=2,
+                                    rng=np.random.default_rng(3))
+    assert res.lower_bound <= d + 1e-9
+    assert res.lower_bound == pytest.approx(d, abs=1e-6)
+    assert res.best_measurement_parameters.shape == (6,)
+    assert res.restarts_used == 2
+
+
 def test_locc1_never_exceeds_trace_distance():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -224,8 +240,28 @@ def test_locc1_rejects_oversized_partitions():
     rho = qcore.random_density_matrix(4, np.random.default_rng(0))
     with pytest.raises(ValueError):
         metrics.locc1_lower_bound(rho, rho, dims=[2, 2, 2, 2])
+    with pytest.raises(ValueError):
+        metrics.locc1_lower_bound(rho, rho, dims=[4])
+    six = qcore.random_density_matrix(6, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        metrics.locc1_lower_bound(six, six, dims=[3, 2])
     with pytest.raises(qcore.DimensionMismatchError):
         metrics.locc1_lower_bound(rho, rho, dims=[2])
+
+
+def test_locc1_rejects_zero_restarts():
+    rho = qcore.random_density_matrix(4, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        metrics.locc1_lower_bound(rho, rho, dims=[2, 2], restarts=0)
+
+
+def test_half_trace_norm_qubit_matches_eigvalsh():
+    rng = np.random.default_rng(14)
+    g = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+    herm = g + g.conj().transpose(0, 2, 1)
+    oracle = 0.5 * np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
+    np.testing.assert_allclose(metrics._half_trace_norm_qubit(herm), oracle,
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- gentle measurement
