@@ -7,16 +7,18 @@ register: a list of (label, weight, kraus_operators) branches, where the
 weight carries the adversary's own classical randomization and the branch
 label is what her classical memory records.  The engine asks for each
 instrument once per run, samples branch and measurement outcomes of every
-round from the exact joint distribution, and then hands the attack all the
-rounds' branch labels in one ``record_round`` call.
+round from the exact joint distribution, and then hands the attack every
+round's branch, as an index into the instrument's labels, in one
+``record_round`` call.
 
 Attacks that keep quantum memory across rounds instead implement the
 stateful hooks and run on explicit register-machine states.  Their quantum
 memory never outlives a block of at most three rounds, so blocks are
 independent: the engine runs a batch of blocks at once, one position inside
 the block after another, on a ``qcore.RegisterState`` whose leading batch
-axis holds that position's round of every block.  This is exact but limited
-to small blocks.
+axis holds that position's round of every block, and whose tensor factors
+keep an ancilla apart from the probe until an operator couples them.  This
+is exact but limited to small blocks.
 
 In one-way operation an attack object never sees measurement outcomes or
 reconciliation data before acting on the probe: the engine only calls the
@@ -67,11 +69,13 @@ class AttackModel:
         """Weighted instrument for the return leg; None means identity."""
         return None
 
-    def record_round(self, forward_labels, backward_labels=None):
+    def record_round(self, forward_branch, forward_labels,
+                     backward_branch=None, backward_labels=None):
         """Classical-memory hook, called once per fast-path run with every
-        round's forward branch label and backward branch label, each an
-        array in round order; ``backward_labels`` is None when no backward
-        instrument acts (one-way runs, or ``backward_branches`` None)."""
+        round's forward branch, an integer array in round order indexing the
+        instrument's label tuple ``forward_labels``; the backward pair is
+        None when no backward instrument acts (one-way runs, or
+        ``backward_branches`` None)."""
 
     # -- stateful interface (quantum-memory attacks) -------------------------
     # begin_block opens ``blocks`` independent blocks of ``block_length``
@@ -178,8 +182,9 @@ class InterceptResendAttack(_InstrumentAttack):
                 branches.append((f"{axis}:{int(round(value)):+d}", weight, [proj]))
         return branches
 
-    def record_round(self, forward_labels, backward_labels=None):
-        self.memory.extend(forward_labels.tolist())
+    def record_round(self, forward_branch, forward_labels,
+                     backward_branch=None, backward_labels=None):
+        self.memory.extend(np.array(forward_labels, dtype=object)[forward_branch].tolist())
 
 
 def intercept_resend(basis_strategy="random") -> AttackModel:
@@ -286,7 +291,6 @@ class TwoWaySwapLeakAttack(AttackModel):
         self._count = 0
         self._p_e = None
         self._n = None
-        self._frame = None
         self._xbar = None
         self._substitute = None
         self._original_probe = None
@@ -296,7 +300,6 @@ class TwoWaySwapLeakAttack(AttackModel):
         if self._p_e <= 0:
             raise ValueError("swap-leak attack needs a nonzero encoding probability")
         self._n = public_config["n"]
-        self._frame = frame
         self._xbar = qcore.bold_pauli(frame, "X")
         self._substitute = qcore.mub_probe(frame, "+X").density()
         self._sum = 0

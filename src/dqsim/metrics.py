@@ -230,8 +230,10 @@ def _sequential_distances(delta, n_parties, params):
     for j in range(n_parties - 1):
         histories, rest = 2 ** j, ops.shape[-1] // 2
         bases = _qubit_bases(angles[:, histories - 1:2 * histories - 1])
-        ops = np.einsum("khai,kharbs,khbi->khirs", bases.conj(),
-                        ops.reshape(k, histories, 2, rest, 2, rest), bases)
+        # outcome i's projector entries conj(v_ia) v_ib times the (a, b) blocks
+        projs = np.einsum("khai,khbi->khiab", bases.conj(), bases).reshape(k, histories, 2, 4)
+        blocks = ops.reshape(k, histories, 2, rest, 2, rest).transpose(0, 1, 2, 4, 3, 5)
+        ops = projs @ blocks.reshape(k, histories, 4, rest * rest)
         ops = ops.reshape(k, 2 * histories, rest, rest)
     return _half_trace_norm_qubit(ops).sum(axis=1)
 

@@ -359,8 +359,8 @@ def _branch_matrices(rho, branches):
 
 
 def _labels(branches):
-    """An instrument's branch labels as an object array, in branch order."""
-    return np.array([label for label, _weight, _kraus in branches], dtype=object)
+    """An instrument's branch labels, in branch order."""
+    return tuple(label for label, _weight, _kraus in branches)
 
 
 # A table's total may differ from 1 by roundoff only; an instrument whose
@@ -424,7 +424,7 @@ def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
     """Memoryless attacks: each round's outcome is drawn from the exact table
     of its cell, the (action, sensor pick) setting and the probe label, under
     the attack's forward and backward instruments ``fwd`` and ``bwd``.  The
-    attack records every round's branch labels in one ``record_round`` call.
+    attack records every round's branches in one ``record_round`` call.
 
     Draw order: one (4, T) batch of uniforms; rows 0-2 set the action, the
     probe label and the sensor pick, row 3 draws the table entry.
@@ -447,18 +447,18 @@ def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
     entry += cell
     b_out = np.concatenate([np.broadcast_to(values, probs.shape).ravel()
                             for probs, values in cells])[entry]
-    # every entry's forward and backward branch, then every round's labels
+    # the forward and backward branch of every table entry, gathered per round
     fwd_of, bwd_of = np.concatenate([np.indices(probs.shape)[:2].reshape(2, -1)
                                      for probs, _values in cells], axis=1)
-    attack.record_round(_labels(fwd)[fwd_of][entry],
-                        None if bwd is None else _labels(bwd)[bwd_of][entry])
+    backward = () if bwd is None else (bwd_of[entry], _labels(bwd))
+    attack.record_round(fwd_of[entry], _labels(fwd), *backward)
     return Transcript(config, action, probe, bob_axis, b_out,
                       _sift_status(action, probe, bob_axis))
 
 
-# Byte budget of the register stack of one batch of blocks, for an
-# adversary register no larger than the probe.  It keeps the stateful
-# engine's working set to a few hundred kilobytes at every probe size.
+# Byte budget of a batch's largest register factor, taken to be the probe
+# plus one qubit of adversary memory.  It keeps the stateful engine's
+# working set to a few hundred kilobytes at every probe size.
 _BATCH_BYTES = 1 << 18
 
 
@@ -479,7 +479,7 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
     which = np.where(action == 2, len(AXES), bob_axis)
     encoders = np.stack([np.eye(reg.probe_dim, dtype=complex), reg.encoder])
 
-    per_batch = max(1, _BATCH_BYTES // (16 * reg.probe_dim ** 4 * L))
+    per_batch = max(1, _BATCH_BYTES // (16 * (2 * reg.probe_dim) ** 2 * L))
     n_blocks = -(-T // L)
     for first in range(0, n_blocks, per_batch):
         blocks = np.arange(first, min(first + per_batch, n_blocks))

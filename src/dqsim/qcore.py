@@ -3,8 +3,8 @@
 States, observables, channels and measurements for registers of up to a few
 qubits, plus the specific entangled resource states, logical-subspace Pauli
 operators and phase-encoding unitaries used by the sensing protocols.
-Everything is dense complex linear algebra; nothing here scales past n = 4
-probe qubits and nothing needs to.
+Everything is dense complex linear algebra, sized for probes of up to
+``protocol.MAX_QUBITS`` = 5 qubits.
 
 All objects are immutable after construction and all operations are pure
 functions taking an explicit rng where sampling is involved, so concurrent
@@ -520,64 +520,92 @@ def _dagger(m):
     return m.conj().swapaxes(-1, -2)
 
 
+@dataclass(eq=False)
+class _Factor:
+    """Registers of one tensor factor of a RegisterState, with their stack."""
+
+    labels: list
+    dims: list
+    rho: np.ndarray
+
+
 class RegisterState:
     """Mutable stack of multi-register density matrices used by the round engine.
 
-    ``rho`` has shape (B, d, d): a leading batch axis over B independent
-    rounds that undergo the same sequence of operations, then the product
-    space of the registers (dimension d).  An operator applied to the stack
-    is either one matrix for every element or a stack of B matrices, one
-    per element.  Registers are addressed by label; attach/trace operations
-    let an adversary splice its own ancillas into the rounds' quantum state.
-    This is the one deliberately mutable object in the module; the engine
-    makes a fresh instance for every batch of rounds.
+    The state is a tensor product of factors, each a (B, d_f, d_f) stack over
+    some registers: B independent rounds undergo the same operations.
+    ``attach`` appends a factor; an operator (one matrix, or a stack of B)
+    on registers of several factors first merges them by one Kronecker
+    product, so registers that never interact stay in small stacks.  The
+    density checks run on every factor, which checks the joint state.
+    ``labels``/``dims`` list the registers factor by factor, and ``rho`` is
+    the joint stack in that order.  This is the one deliberately mutable
+    object in the module; the engine makes a fresh instance for every batch.
     """
 
     def __init__(self, labels, dims, rho):
-        self.labels = list(labels)
-        self.dims = list(dims)
-        self.rho = np.asarray(rho, dtype=complex)
-        d = int(np.prod(self.dims))
-        if self.rho.ndim != 3 or self.rho.shape[1:] != (d, d):
+        rho = np.asarray(rho, dtype=complex)
+        d = int(np.prod(dims))
+        if rho.ndim != 3 or rho.shape[1:] != (d, d):
             raise DimensionMismatchError(
-                f"register stack of shape {self.rho.shape} does not match dims {self.dims}")
+                f"register stack of shape {rho.shape} does not match dims {list(dims)}")
+        self._factors = [_Factor(list(labels), list(dims), rho)]
         self.probe = self.labels[-1]
 
     @classmethod
     def from_state(cls, labels, dims, state, batch=1):
         """``batch`` copies of one state."""
         rho = as_density(state).data
-        return cls(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape).copy())
+        return cls(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape))
 
     @property
     def batch(self) -> int:
-        return self.rho.shape[0]
+        return self._factors[0].rho.shape[0]
 
-    def index(self, label):
-        return self.labels.index(label)
+    @property
+    def labels(self) -> list:
+        return [label for f in self._factors for label in f.labels]
+
+    @property
+    def dims(self) -> list:
+        return [dim for f in self._factors for dim in f.dims]
+
+    @property
+    def rho(self):
+        return functools.reduce(_kron_stack, [f.rho for f in self._factors])
+
+    def _merge(self, labels, checked=False):
+        """The factor holding ``labels``, into which the factors they lie in
+        are merged, and their positions in it; ``checked`` first checks every
+        factor as a density stack (a tensor product of Hermitian, unit-trace,
+        PSD factors is itself one)."""
+        if checked:
+            for f in self._factors:
+                _check_density_stack(f.rho)
+        [f, *rest] = [g for g in self._factors if set(labels) & set(g.labels)]
+        for g in rest:
+            f.labels, f.dims = f.labels + g.labels, f.dims + g.dims
+            f.rho = _kron_stack(f.rho, g.rho)
+            self._factors.remove(g)
+        return f, [f.labels.index(label) for label in labels]
 
     def attach(self, label, state):
-        """Append register ``label`` in ``state``: one state for every
-        element, or a (B, d, d) stack of checked density matrices."""
+        """Append register ``label`` in ``state`` as a factor: one state for
+        every element, or a (B, d, d) stack of checked density matrices."""
         if isinstance(state, (PureState, DensityMatrix)) or np.ndim(state) < 3:
             new = as_density(state).data
         else:
             new = _check_density_stack(np.asarray(state, dtype=complex))
-        self.rho = _kron_stack(self.rho, new)
-        self.labels.append(label)
-        self.dims.append(new.shape[-1])
+        new = np.broadcast_to(new, (self.batch,) + new.shape[-2:])
+        self._factors.append(_Factor([label], [new.shape[-1]], new))
 
     def apply_unitary(self, u, labels):
-        full = embed_operator(u, self.dims, [self.index(l) for l in labels])
-        self.rho = full @ self.rho @ _dagger(full)
+        self.apply_kraus([u], labels)
 
     def apply_kraus(self, kraus_list, labels):
-        targets = [self.index(l) for l in labels]
-        acc = np.zeros_like(self.rho)
-        for k in kraus_list:
-            full = embed_operator(k, self.dims, targets)
-            acc += full @ self.rho @ _dagger(full)
-        self.rho = acc
+        f, targets = self._merge(labels)
+        lifted = (embed_operator(k, f.dims, targets) for k in kraus_list)
+        f.rho = sum(k @ f.rho @ _dagger(k) for k in lifted)
 
     def measure(self, obs: Observable, label, rng, which=None):
         """Projective measurement of register ``label`` in every element.
@@ -593,29 +621,31 @@ class RegisterState:
         if any(o.eigenvalues.shape != values.shape
                or np.max(np.abs(o.eigenvalues - values)) > EIGENVALUE_GROUP_TOL for o in obs):
             raise ValueError("observables measured in one batch must share a spectrum")
+        f, targets = self._merge([label])
         projs = np.array([o.eigenprojectors for o in obs])[np.asarray(which)]
         # (k, B, d, d): outcome k's projector for every element
-        full = embed_operator(projs.swapaxes(0, 1), self.dims, [self.index(label)])
-        probs = np.einsum("kbij,bji->bk", full, self.rho).real
+        full = embed_operator(projs.swapaxes(0, 1), f.dims, targets)
+        probs = np.einsum("kbij,bji->bk", full, f.rho).real
         cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
         u = rng.random(self.batch) * cdf[:, -1]
         k = np.minimum((cdf <= u[:, None]).sum(axis=1), len(values) - 1)
         sel = full[k, np.arange(self.batch)]
-        post = sel @ self.rho @ sel
-        self.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
+        post = sel @ f.rho @ sel
+        f.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
         return values[k]
-
-    def _reduced(self, keep):
-        """Checked reduced stack on the registers at the positions ``keep``."""
-        _check_density_stack(self.rho)
-        return _check_density_stack(_partial_trace_stack(self.rho, self.dims, keep))
 
     def reduced(self, label):
         """Checked (B, d, d) stack of the reduced states of one register."""
-        return self._reduced([self.index(label)])
+        f, targets = self._merge([label], checked=True)
+        if len(f.dims) == 1:
+            return f.rho
+        return _check_density_stack(_partial_trace_stack(f.rho, f.dims, targets))
 
     def trace_out(self, label):
-        idx = self.index(label)
-        self.rho = self._reduced([i for i in range(len(self.dims)) if i != idx])
-        del self.labels[idx]
-        del self.dims[idx]
+        f, [target] = self._merge([label], checked=True)
+        if len(f.dims) == 1:
+            self._factors.remove(f)
+            return
+        keep = [i for i in range(len(f.dims)) if i != target]
+        f.rho = _check_density_stack(_partial_trace_stack(f.rho, f.dims, keep))
+        del f.labels[target], f.dims[target]

@@ -321,6 +321,21 @@ def test_swap_leak_entanglement_variant():
     assert abs(estimate.phi_hat_eve - 0.3) <= 3 * estimate.standard_error
 
 
+@pytest.mark.parametrize("n", [4, protocol.MAX_QUBITS])
+def test_swap_leak_at_the_largest_probes(n):
+    # the substitute never interacts with the stored original, so the
+    # register keeps them in two 2^n-dimensional factors and the largest
+    # probes run in well under a second
+    cfg = make_config(direction="two_way", n=n, T=400, p_c=0.4, p_e=0.5, p_d=0.1, seed=93)
+    att = adversary.two_way_swap_leak()
+    chk = protocol.check_fidelity(protocol.run(cfg, att))
+    assert chk.passed
+    assert chk.fidelity_estimate == 1.0
+    estimate = att.eve_estimate()
+    assert estimate.phi_hat_eve is not None
+    assert estimate.samples_used == cfg.T
+
+
 def test_swap_leak_rejected_in_one_way_mode():
     with pytest.raises(ValueError):
         protocol.run(make_config(variant="mub", direction="one_way"),

@@ -236,6 +236,32 @@ def test_locc1_never_exceeds_trace_distance():
         assert res.lower_bound <= qcore.trace_distance(a, b) + 1e-9
 
 
+def einsum_sequential_distances(delta, n_parties, params):
+    """Reference: the per-party contraction written as one three-operand
+    einsum over basis vectors, operator blocks and basis vectors."""
+    k = params.shape[0]
+    angles = params.reshape(k, -1, 2)
+    ops = np.broadcast_to(delta, (k, 1) + delta.shape)
+    for j in range(n_parties - 1):
+        histories, rest = 2 ** j, ops.shape[-1] // 2
+        bases = metrics._qubit_bases(angles[:, histories - 1:2 * histories - 1])
+        ops = np.einsum("khai,kharbs,khbi->khirs", bases.conj(),
+                        ops.reshape(k, histories, 2, rest, 2, rest), bases)
+        ops = ops.reshape(k, 2 * histories, rest, rest)
+    return metrics._half_trace_norm_qubit(ops).sum(axis=1)
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_sequential_distances_match_einsum_reference(parties):
+    rng = np.random.default_rng(21 + parties)
+    d = 2 ** parties
+    delta = (qcore.random_density_matrix(d, rng).data
+             - qcore.random_density_matrix(d, rng).data)
+    params = rng.uniform(0.0, 2 * math.pi, size=(64, 2 * (2 ** (parties - 1) - 1)))
+    got = metrics._sequential_distances(delta, parties, params)
+    assert np.abs(got - einsum_sequential_distances(delta, parties, params)).max() < 1e-12
+
+
 def test_locc1_rejects_oversized_partitions():
     rho = qcore.random_density_matrix(4, np.random.default_rng(0))
     with pytest.raises(ValueError):

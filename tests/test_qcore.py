@@ -442,7 +442,7 @@ def test_register_stack_operators_and_checks():
     bad = np.array([np.outer(KET0, KET0), np.diag([1.5, -0.5])]).astype(complex)
     with pytest.raises(ValueError):
         w.attach("E", bad)
-    w.rho = w.rho * np.array([1.0, 0.7])[:, None, None]
+    w = q.RegisterState(["A"], [2], w.rho * np.array([1.0, 0.7])[:, None, None])
     w.attach("E", q.PureState(KET0))
     with pytest.raises(ValueError):
         w.trace_out("E")
@@ -456,3 +456,138 @@ def test_embed_operator_on_noncontiguous_targets():
     psi[0b100] = 1.0
     out = full @ psi
     assert np.argmax(np.abs(out)) == 0b101
+
+
+# ---------------------------------------------------------------- factored vs dense register
+
+class DenseRegister:
+    """Oracle: the register machine on one dense (B, d, d) stack of every
+    register, with a Kronecker product on each attach and a partial trace on
+    each reduced/trace_out."""
+
+    def __init__(self, labels, dims, rho):
+        self.labels, self.dims = list(labels), list(dims)
+        self.rho = np.asarray(rho, dtype=complex)
+
+    def index(self, label):
+        return self.labels.index(label)
+
+    def attach(self, label, state):
+        new = np.asarray(state, dtype=complex)
+        self.rho = q._kron_stack(self.rho, new)
+        self.labels.append(label)
+        self.dims.append(new.shape[-1])
+
+    def apply_unitary(self, u, labels):
+        full = q.embed_operator(u, self.dims, [self.index(l) for l in labels])
+        self.rho = full @ self.rho @ full.conj().swapaxes(-1, -2)
+
+    def apply_kraus(self, kraus_list, labels):
+        targets = [self.index(l) for l in labels]
+        acc = np.zeros_like(self.rho)
+        for k in kraus_list:
+            full = q.embed_operator(k, self.dims, targets)
+            acc += full @ self.rho @ full.conj().swapaxes(-1, -2)
+        self.rho = acc
+
+    def measure(self, obs, label, rng, which=None):
+        if which is None:
+            obs, which = [obs], np.zeros(self.rho.shape[0], dtype=np.intp)
+        values = obs[0].eigenvalues
+        projs = np.array([o.eigenprojectors for o in obs])[np.asarray(which)]
+        full = q.embed_operator(projs.swapaxes(0, 1), self.dims, [self.index(label)])
+        probs = np.einsum("kbij,bji->bk", full, self.rho).real
+        cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
+        u = rng.random(self.rho.shape[0]) * cdf[:, -1]
+        k = np.minimum((cdf <= u[:, None]).sum(axis=1), len(values) - 1)
+        sel = full[k, np.arange(self.rho.shape[0])]
+        post = sel @ self.rho @ sel
+        self.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
+        return values[k]
+
+    def reduced(self, label):
+        return q._partial_trace_stack(self.rho, self.dims, [self.index(label)])
+
+    def trace_out(self, label):
+        idx = self.index(label)
+        self.rho = q._partial_trace_stack(
+            self.rho, self.dims, [i for i in range(len(self.dims)) if i != idx])
+        del self.labels[idx]
+        del self.dims[idx]
+
+
+def random_unitaries(rng, batch, d):
+    g = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
+    return np.linalg.qr(g)[0]
+
+
+def random_kraus(rng, d, count=3):
+    """Kraus operators of a random channel on dimension d: the blocks of a
+    random (count * d, d) isometry."""
+    g = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
+    return list(np.linalg.qr(g)[0].reshape(count, d, d))
+
+
+def random_stack(rng, batch, d):
+    return np.array([q.random_density_matrix(d, rng).data for _ in range(batch)])
+
+
+def in_order(dense, labels):
+    """The dense oracle's joint stack with its registers in ``labels`` order."""
+    n, batch, d = len(dense.dims), dense.rho.shape[0], dense.rho.shape[-1]
+    order = [dense.index(l) for l in labels]
+    axes = [0] + [1 + i for i in order] + [1 + n + i for i in order]
+    return dense.rho.reshape([batch] + dense.dims * 2).transpose(axes).reshape(batch, d, d)
+
+
+@pytest.mark.parametrize("probe_dim", [2, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_factored_register_matches_dense_oracle(probe_dim, seed):
+    # the same seeded sequence on the factored register and on the dense
+    # oracle: attach, operators within one factor and across two and three
+    # (merging them), stacked measurements with the same draws, reduced
+    # states inside and as whole factors, and trace_out
+    rng = np.random.default_rng(seed)
+    batch = 16
+    rho0 = random_stack(rng, batch, probe_dim)
+    fact = q.RegisterState(["B"], [probe_dim], rho0)
+    dense = DenseRegister(["B"], [probe_dim], rho0)
+
+    def agree():
+        assert sorted(fact.labels) == sorted(dense.labels)
+        assert np.abs(fact.rho - in_order(dense, fact.labels)).max() < 1e-12
+
+    def both(method, *args):
+        getattr(fact, method)(*args)
+        getattr(dense, method)(*args)
+        agree()
+
+    def measured(obs, label, which=None):
+        draw = int(rng.integers(2 ** 32))
+        a = fact.measure(obs, label, np.random.default_rng(draw), which)
+        b = dense.measure(obs, label, np.random.default_rng(draw), which)
+        assert np.abs(a - b).max() < 1e-12
+        agree()
+
+    frame = q.LogicalFrame.standard(probe_dim.bit_length() - 1)
+    sensor = [q.bold_pauli(frame, a) for a in q.PAULI_AXES]
+    pure = q.random_pure_state(2, rng)
+
+    both("attach", "E1", random_stack(rng, batch, 2))
+    fact.attach("E2", pure)
+    dense.attach("E2", pure.density().data[None])
+    agree()
+    assert np.abs(fact.reduced("E2") - dense.reduced("E2")).max() < 1e-12
+    both("apply_unitary", random_unitaries(rng, batch, 2), ["E1"])
+    both("apply_kraus", random_kraus(rng, 2 * probe_dim), ["E2", "B"])
+    measured(sensor, "B", rng.integers(len(sensor), size=batch))
+    both("attach", "E3", random_stack(rng, batch, 2))
+    both("apply_unitary", random_unitaries(rng, batch, 8 * probe_dim), ["E3", "E1", "B", "E2"])
+    for label in ("E1", "B"):
+        assert np.abs(fact.reduced(label) - dense.reduced(label)).max() < 1e-12
+    both("trace_out", "E2")
+    measured(q.pauli("Z"), "E3")
+    both("apply_kraus", random_kraus(rng, 2), ["E1"])
+    both("trace_out", "E3")
+    both("trace_out", "B")
+    assert fact.labels == dense.labels == ["E1"]
