@@ -217,6 +217,8 @@ class EntanglingMemoryAttack(AttackModel):
 
     def __init__(self, coupling_angle, block_length=2, ancilla_mode="trace"):
         self.name = f"entangling_memory({coupling_angle:.6g}, block={block_length})"
+        if block_length != int(block_length):
+            raise ValueError(f"block length must be a whole number, not {block_length!r}")
         if block_length < 1 or block_length > self.max_block_length:
             raise ValueError(
                 f"block length beyond exact-simulation limit {self.max_block_length}")

@@ -85,8 +85,8 @@ def load_scenario(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"scenario is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("scenario top level must be an object")
     _require_keys(raw, {"protocol", "attack", "sweep", "output", "bounds"},
@@ -369,6 +369,8 @@ def cmd_bounds(mode, variant, epsilon, n, phis, T=None, N_d=None, N_e=None,
 def cmd_verify(seed, restarts=6, inject_violation=False, output=None) -> int:
     if restarts < 1:
         raise SchemaError("--restarts must be at least 1")
+    if seed < 0:
+        raise SchemaError("--verify-seed must be nonnegative")
     results = metrics.run_inequality_suites(seed=seed, restarts=restarts,
                                             inject_violation=inject_violation)
     payload = {"suites": [{"name": r.name, "checks": r.checks,

@@ -329,12 +329,11 @@ class InequalityReport:
     detail: dict = field(default_factory=dict)
 
 
-def gentle_measurement_check(e_op, tau, sigma, locc1_estimate=None) -> InequalityReport:
+def gentle_measurement_check(e_op, tau, sigma) -> InequalityReport:
     """Check Tr[E sigma] >= Tr[E tau] - 2 D(tau, sigma).
 
     The trace distance upper-bounds the sequential-measurement distance, so
-    the check is conservative and must always pass; an optional lower-bound
-    estimate of the latter is echoed for context.
+    the check is conservative and must always pass.
     """
     e_op = np.asarray(e_op, dtype=complex)
     vals = np.linalg.eigvalsh(e_op)
@@ -344,10 +343,8 @@ def gentle_measurement_check(e_op, tau, sigma, locc1_estimate=None) -> Inequalit
     d = qcore.trace_distance(rt, rs)
     lhs = float(np.trace(e_op @ rs.data).real)
     rhs = float(np.trace(e_op @ rt.data).real) - 2.0 * d
-    detail = {"trace_distance": d}
-    if locc1_estimate is not None:
-        detail["locc1_estimate"] = float(locc1_estimate)
-    return InequalityReport("gentle_measurement", lhs, rhs, lhs >= rhs - 1e-10, detail)
+    return InequalityReport("gentle_measurement", lhs, rhs, lhs >= rhs - 1e-10,
+                            {"trace_distance": d})
 
 
 def uniform_continuity_bound(a: float, K: int, distance: float) -> float:

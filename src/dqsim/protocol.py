@@ -172,6 +172,9 @@ _PICKS = np.array([len(AXES), len(ENCODE_AXES), 1], dtype=np.int8)
 _FIRST_SETTING = np.cumsum(_PICKS, dtype=np.int8) - _PICKS
 _SETTING_AXIS = np.array([-1 if axis is None else AXES.index(axis)
                           for _action, _pick, axis in _SETTINGS], dtype=np.int8)
+# whether a setting encodes: its index into _Registry.encoders
+_SETTING_ENCODER = np.array([action == 1 for action, _pick, _axis in _SETTINGS],
+                            dtype=np.intp)
 
 
 # Every round lies in one cell of (action, probe label, sensor axis + 1,
@@ -325,37 +328,36 @@ def parse_transcript(text: str):
 # ---------------------------------------------------------------- run engine
 
 class _Registry:
-    """Per-run cache of the probe states and the sensor's observables."""
+    """Per-run cache of the probe states and the sensor model shared by both
+    engines.  ``sensor`` lists the sensor's observables X, Y, Z and then the
+    trivial measurement of a discarded round, so ``_SETTING_AXIS`` indexes
+    it (-1: discarded); all four share the spectrum ``values``.
+    ``encoders`` stacks the identity and the phase encoding, indexed by
+    whether a round encodes."""
 
     def __init__(self, config):
-        self.config = config
         self.frame = qcore.LogicalFrame.standard(config.n)
-        self.bold = {a: qcore.bold_pauli(self.frame, a) for a in AXES}
-        self.encoder = qcore.encoding_unitary(config.n, config.true_phi)
         self.probe_dim = 2 ** config.n
         self.probes = np.array([qcore.mub_probe(self.frame, lab).density().data
                                 for lab in qcore.SIGNED_LABELS])
-        # the sensor's outcome values per measured axis; None: unmeasured
-        self.outcomes = {a: np.rint(o.eigenvalues).astype(np.int8)
-                         for a, o in self.bold.items()}
-        self.outcomes[None] = np.array([_B_ABSENT], dtype=np.int8)
-        # the trivial measurement written on the sensor's spectrum, so that
-        # discarded rounds share a batch with measured ones: it always
-        # yields the last eigenvalue and leaves the state as it is
-        values = self.bold["X"].eigenvalues
+        bold = [qcore.bold_pauli(self.frame, a) for a in AXES]
+        spectrum = bold[0].eigenvalues
+        self.values = np.rint(spectrum).astype(np.int8)
+        # the trivial measurement written on the same spectrum, so that
+        # discarded rounds share a batch and a table shape with measured
+        # ones: it always yields the last eigenvalue and leaves the state as
+        # it is
         eye = np.eye(self.probe_dim, dtype=complex)
-        self.unmeasured = qcore.Observable(
-            eye, values, (np.zeros_like(eye),) * (len(values) - 1) + (eye,))
+        self.sensor = bold + [qcore.Observable(
+            eye, spectrum, (np.zeros_like(eye),) * (len(spectrum) - 1) + (eye,))]
+        self.encoders = np.stack([eye, qcore.encoding_unitary(config.n, config.true_phi)])
 
 
-def _branch_matrices(rho, branches):
-    out = []
-    for _label, weight, kraus in branches:
-        m = np.zeros_like(rho)
-        for k in kraus:
-            m += k @ rho @ k.conj().T
-        out.append(weight * m)
-    return out
+def _push(states, branches):
+    """A stack of states (..., d, d) through every branch of an instrument:
+    the weighted branch images, shape (..., branch, d, d)."""
+    return np.stack([weight * sum(k @ states @ k.conj().T for k in kraus)
+                     for _label, weight, kraus in branches], axis=-3)
 
 
 def _labels(branches):
@@ -369,38 +371,34 @@ _TABLE_TOLERANCE = 1e-9
 
 
 def _build_tables(reg, fwd, bwd):
-    """Exact outcome table of every (action, probe label, sensor pick) under
-    the forward instrument ``fwd`` and the backward instrument ``bwd`` (None:
-    identity): the probabilities of (forward branch, backward branch, sensor
-    outcome), the outcomes in ``reg.outcomes`` order.  The six probe states
-    are evolved once, unencoded and encoded.  A total off 1, or an entry
-    below 0, by more than ``_TABLE_TOLERANCE`` raises UnsupportedAttackError;
-    roundoff negatives are set to 0."""
-
-    def evolved(rho, encoded):
-        mats = _branch_matrices(rho, fwd)
-        if encoded:
-            mats = [reg.encoder @ m @ reg.encoder.conj().T for m in mats]
-        if bwd is None:
-            return [[m] for m in mats]
-        return [_branch_matrices(m, bwd) for m in mats]
-
-    tables = {}
-    for label, rho in enumerate(reg.probes):
-        grids = {enc: evolved(rho, enc) for enc in (False, True)}
-        for action, pick, axis in _SETTINGS:
-            probs = np.array([
-                [[np.trace(m).real] if axis is None
-                 else [np.trace(p @ m).real for p in reg.bold[axis].eigenprojectors]
-                 for m in row]
-                for row in grids[action == 1]])
-            total, least = probs.sum(), probs.min()
-            if not (abs(total - 1.0) <= _TABLE_TOLERANCE and least >= -_TABLE_TOLERANCE):
-                raise UnsupportedAttackError(
-                    f"the attack's instrument does not preserve trace: an outcome "
-                    f"table sums to {total:.12g} with least entry {least:.3g}")
-            tables[action, label, pick] = np.clip(probs, 0.0, None)
-    return tables
+    """Exact outcome tables of every cell under the forward instrument
+    ``fwd`` and the backward instrument ``bwd`` (None: identity), one float
+    array of shape (setting, probe label, forward branch, backward branch,
+    sensor outcome): the probabilities of a round's branches and outcome,
+    the outcomes in ``reg.values`` order.  A discarded round's mass lies on
+    the last outcome.  The six probe states are pushed through the forward
+    instrument once as a stack, encoded once and pushed through the
+    backward one; each encoder's states are contracted with every sensor
+    projector, and the settings gather their encoder and observable.  A
+    total off 1, or an entry below 0, by more than ``_TABLE_TOLERANCE``
+    raises UnsupportedAttackError; roundoff negatives are set to 0."""
+    enc = reg.encoders[:, None, None]
+    states = enc @ _push(reg.probes, fwd) @ enc.conj().swapaxes(-1, -2)
+    states = states[..., None, :, :] if bwd is None else _push(states, bwd)
+    # Tr(P rho) is the sum over the entries of P^T times rho
+    proj = np.array([o.eigenprojectors for o in reg.sensor])
+    d = reg.probe_dim
+    probs = (states.reshape(states.shape[:-2] + (d * d,))
+             @ proj.swapaxes(-1, -2).reshape(-1, d * d).T).real
+    probs = probs.reshape(probs.shape[:-1] + proj.shape[:2])
+    tables = probs[_SETTING_ENCODER, ..., _SETTING_AXIS, :]
+    totals, least = tables.sum(axis=(2, 3, 4)), tables.min()
+    total = totals.flat[np.argmax(np.abs(totals - 1.0))]
+    if not (abs(total - 1.0) <= _TABLE_TOLERANCE and least >= -_TABLE_TOLERANCE):
+        raise UnsupportedAttackError(
+            f"the attack's instrument does not preserve trace: an outcome "
+            f"table sums to {total:.12g} with least entry {least:.3g}")
+    return np.clip(tables, 0.0, None)
 
 
 def _sift_status(action, probe, bob_axis):
@@ -420,40 +418,44 @@ def _sensor_settings(config, u):
     return action, probe, setting, _SETTING_AXIS[setting]
 
 
+def _transcript(config, action, probe, bob_axis, b_out) -> Transcript:
+    """A run's transcript from its columns: the outcomes of discarded rounds
+    (which the sensor model measures trivially) become ``_B_ABSENT``, and
+    every round is sifted."""
+    b_out[action == 2] = _B_ABSENT
+    return Transcript(config, action, probe, bob_axis, b_out,
+                      _sift_status(action, probe, bob_axis))
+
+
 def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
-    """Memoryless attacks: each round's outcome is drawn from the exact table
-    of its cell, the (action, sensor pick) setting and the probe label, under
-    the attack's forward and backward instruments ``fwd`` and ``bwd``.  The
-    attack records every round's branches in one ``record_round`` call.
+    """Memoryless attacks: each round's branches and outcome are drawn from
+    the exact table of its cell, the setting with the probe label, in the
+    stacked tables under the attack's forward and backward instruments
+    ``fwd`` and ``bwd``: one searchsorted over their CDFs samples every
+    round's flat table entry.  The attack records every round's branches in
+    one ``record_round`` call.
 
     Draw order: one (4, T) batch of uniforms; rows 0-2 set the action, the
     probe label and the sensor pick, row 3 draws the table entry.
     """
     tables = _build_tables(reg, fwd, bwd)
-    cells = [(tables[action, label, pick], reg.outcomes[axis])
-             for action, pick, axis in _SETTINGS
-             for label in range(len(qcore.SIGNED_LABELS))]
     u = rng.random((4, config.T))
     action, probe, setting, bob_axis = _sensor_settings(config, u)
     cell = setting * len(qcore.SIGNED_LABELS) + probe
     # Inverse-CDF sampling of all rounds at once: the inner CDF boundaries of
     # table c, shifted by 2c, in one sorted array.  The draw 2c + u, u in
     # [0, 1), lies among table c's boundaries whatever its rounding, and its
-    # searchsorted index plus c is its entry in the tables laid end to end.
-    bounds = np.concatenate([2 * c + np.cumsum(probs)[:-1]
-                             for c, (probs, _values) in enumerate(cells)])
+    # searchsorted index plus c is its entry in the flat tables.
+    flat = tables.reshape(-1, math.prod(tables.shape[2:]))
+    bounds = (2 * np.arange(len(flat))[:, None] + np.cumsum(flat, axis=1))[:, :-1]
     u[3] += 2 * cell
-    entry = np.searchsorted(bounds, u[3])
+    entry = np.searchsorted(bounds.ravel(), u[3])
     entry += cell
-    b_out = np.concatenate([np.broadcast_to(values, probs.shape).ravel()
-                            for probs, values in cells])[entry]
-    # the forward and backward branch of every table entry, gathered per round
-    fwd_of, bwd_of = np.concatenate([np.indices(probs.shape)[:2].reshape(2, -1)
-                                     for probs, _values in cells], axis=1)
+    # the forward branch, backward branch and outcome of every flat entry
+    fwd_of, bwd_of, outcome_of = np.indices(tables.shape).reshape(5, -1)[2:]
     backward = () if bwd is None else (bwd_of[entry], _labels(bwd))
     attack.record_round(fwd_of[entry], _labels(fwd), *backward)
-    return Transcript(config, action, probe, bob_axis, b_out,
-                      _sift_status(action, probe, bob_axis))
+    return _transcript(config, action, probe, bob_axis, reg.values[outcome_of][entry])
 
 
 # Byte budget of a batch's largest register factor, taken to be the probe
@@ -473,11 +475,8 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
     order.
     """
     T, L = config.T, attack.block_length
-    action, probe, _setting, bob_axis = _sensor_settings(config, rng.random((3, T)))
-    b_out = np.full(T, _B_ABSENT, dtype=np.int8)
-    sensor = [reg.bold[a] for a in AXES] + [reg.unmeasured]
-    which = np.where(action == 2, len(AXES), bob_axis)
-    encoders = np.stack([np.eye(reg.probe_dim, dtype=complex), reg.encoder])
+    action, probe, setting, bob_axis = _sensor_settings(config, rng.random((3, T)))
+    b_out = np.zeros(T, dtype=np.int8)
 
     per_batch = max(1, _BATCH_BYTES // (16 * (2 * reg.probe_dim) ** 2 * L))
     n_blocks = -(-T // L)
@@ -491,15 +490,12 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
                 break
             world = qcore.RegisterState(["B"], [reg.probe_dim], reg.probes[probe[t]])
             attack.forward_state(world, rng)
-            world.apply_unitary(encoders[(action[t] == 1).astype(np.intp)], [world.probe])
+            world.apply_unitary(reg.encoders[_SETTING_ENCODER[setting[t]]], [world.probe])
             if config.direction == "two_way":
                 attack.backward_state(world, rng)
-            b_out[t] = np.rint(world.measure(sensor, world.probe, rng, which[t]))
+            b_out[t] = np.rint(world.measure(reg.sensor, world.probe, rng, bob_axis[t]))
             attack.end_round(world, rng)
-    b_out[action == 2] = _B_ABSENT
-
-    return Transcript(config, action, probe, bob_axis, b_out,
-                      _sift_status(action, probe, bob_axis))
+    return _transcript(config, action, probe, bob_axis, b_out)
 
 
 def run(config: ProtocolConfig, attack, rng=None) -> Transcript:

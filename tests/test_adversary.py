@@ -278,6 +278,8 @@ def test_memory_attack_fidelity_decreases_with_coupling():
 def test_memory_attack_limits():
     with pytest.raises(ValueError):
         adversary.entangling_memory_attack(0.3, block_length=4)
+    # attack.<param> sweeps pass whole numbers as floats
+    assert adversary.entangling_memory_attack(0.3, block_length=2.0).block_length == 2
     att = adversary.entangling_memory_attack(0.3, block_length=2)
     with pytest.raises(ValueError):
         protocol.run(make_config(n=2, T=10), att)

@@ -67,6 +67,9 @@ def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+    # bytes that are not UTF-8 are no more a scenario than broken JSON is
+    path.write_bytes(b'{"protocol": "\xff"}')
+    assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
 
 
 @pytest.mark.parametrize("field,value", [
@@ -93,8 +96,11 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
                              "steps": "x"}}, cli.EXIT_SCHEMA),
     ("sweep", {}, {"sweep": {"variable": 3, "start": 0.1, "stop": 0.5,
                              "steps": 2}}, cli.EXIT_SCHEMA),
+    ("run", {}, {"attack": {"name": "entangling_memory",
+                            "params": {"coupling_angle": 0.3, "block_length": 2.5}}},
+     cli.EXIT_SCHEMA),
 ], ids=["T2", "T_past_MAX_ROUNDS", "no_check_rounds", "memory_n2", "steps_string",
-        "variable_number"])
+        "variable_number", "block_length_fractional"])
 def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
                                             block_edit, code):
     path, scenario = write_scenario(tmp_path, **block_edit)
@@ -355,7 +361,8 @@ def test_verify_passes_and_reports_counts(tmp_path):
     ("verify", ["--restarts", "-1"]),
     ("sweep", ["--batches", "1"]),
     ("sweep", ["--batches", "0"]),
-], ids=["restarts_0", "restarts_negative", "batches_1", "batches_0"])
+    ("verify", ["--verify-seed", "-1"]),
+], ids=["restarts_0", "restarts_negative", "batches_1", "batches_0", "verify_seed_negative"])
 def test_bad_counts_exit_with_schema_code(tmp_path, command, args):
     # each once exited 0 with wrong numbers: 50 passing LOCC1 checks from
     # no search at all, or var_emp = inf in every sweep row

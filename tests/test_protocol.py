@@ -351,7 +351,10 @@ def test_transcript_columns_are_read_only():
 # run draws its measurement uniforms in two batches instead of five and
 # only its digest changed (with the old batch size the factored register
 # reproduces the stream-4 digest).  At n = 1 the batch size is unchanged, so
-# the other four digests are those of stream 4.
+# the other four digests are those of stream 4.  The intercept-resend digests
+# pin the fast path's sampling of multi-branch tables.  Stacking the tables
+# into one array, discarded rounds' tables padded with zero-probability
+# outcomes, left every digest as it was.
 RNG_STREAM = 5
 
 STREAM_DIGESTS = {
@@ -365,6 +368,11 @@ STREAM_DIGESTS = {
         "34a38521bd9e2204af84f13835e1ca3b364c8ebd18eeadf3a467ee94d75f687b",
     ("mub", "stateful"):
         "ec4d53e4d83d59471dcc744a7a48c084a494251da4e55ad26bd1239346dc03ba",
+    # multi-branch fast path: intercept-resend's nine-branch instrument at n = 2
+    ("entanglement", "intercept_resend"):
+        "28eccec3c0ca449d8c22e1d0e6647f9c4f9cce8adee66e11b800be08ab17aefa",
+    ("mub", "intercept_resend"):
+        "bc832ed4f2a12a87cd67f3d8f804147404eb445bd3dd4dd5d16de1849288dc83",
 }
 
 
@@ -372,6 +380,8 @@ STREAM_DIGESTS = {
 def test_rng_stream_digest(variant, engine):
     if engine == "fast":
         cfg, attack = make_config(n=2, T=2000), adversary.depolarizing_attack(0.2)
+    elif engine == "intercept_resend":
+        cfg, attack = make_config(n=2, T=2000), adversary.intercept_resend("random")
     elif engine == "stateful":
         cfg, attack = make_config(T=200), adversary.entangling_memory_attack(0.3)
     else:
@@ -642,11 +652,24 @@ def reference_entanglement_tables(cfg, attack):
 
 
 def exact_tables(cfg, attack):
-    """The fast path's registry and exact outcome tables under this attack."""
+    """The fast path's registry and exact outcome tables under this attack,
+    one table per (action, probe label, sensor pick) with the outcomes in
+    ``reg.outcomes[axis]`` order: a discarded round's table keeps only its
+    last outcome, ``_B_ABSENT``, the others being exactly 0."""
     reg = protocol._Registry(cfg)
     fwd = attack.forward_branches(cfg.n, reg.frame)
     bwd = attack.backward_branches(cfg.n, reg.frame) if cfg.direction == "two_way" else None
-    return reg, protocol._build_tables(reg, fwd, bwd)
+    stacked = protocol._build_tables(reg, fwd, bwd)
+    reg.outcomes = {axis: reg.values for axis in protocol.AXES}
+    reg.outcomes[None] = np.array([protocol._B_ABSENT], dtype=np.int8)
+    tables = {}
+    for setting, (action, pick, axis) in enumerate(protocol._SETTINGS):
+        for label, table in enumerate(stacked[setting]):
+            if axis is None:
+                assert np.all(table[..., :-1] == 0.0)
+                table = table[..., -1:]
+            tables[action, label, pick] = table
+    return reg, tables
 
 
 ORACLE_ATTACKS = {
