@@ -250,8 +250,7 @@ class EntanglingMemoryAttack(AttackModel):
                             [world.probe, "eve_mem"])
 
     def end_round(self, world, rng):
-        self._rho_e[:world.batch] = world.reduced("eve_mem")
-        world.trace_out("eve_mem")
+        self._rho_e[:world.batch] = world.trace_out("eve_mem")
         self._position += 1
         if self._position == self.block_length and self.ancilla_mode == "measure":
             # every block but the run's last is followed by a block start,

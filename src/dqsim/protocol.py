@@ -18,13 +18,15 @@ logical axis (X <-> Z, Y <-> Y).  Simulating that conditional probe is
 exact (the equivalence of the two formulations), and the provider's
 (axis, outcome) is a view of the probe label.
 
-Memoryless attacks run on a vectorized fast path: each cell, a sensor
-setting with a probe label, has an exact outcome table computed once, and
-one searchsorted over the stacked tables samples every round.  Quantum-memory
-attacks run on explicit register states, a batch of independent blocks at a
-time, one position inside the block after another.  Neither engine reads the
-variant, and both draw randomness in a fixed documented order, so a seed
-fully determines the transcript.  The check and the estimator read per-cell
+Each round's sensor setting and probe label, its cell, are drawn from the
+prior ``_prior``.  Memoryless attacks run on a vectorized fast path: each
+cell has an exact outcome table computed once, and one categorical draw
+from the prior times the tables gives every round its cell, branches and
+outcome together.  Quantum-memory attacks run on
+explicit register states, a batch of independent blocks at a time, one
+position inside the block after another.  Neither engine reads the variant,
+and both draw randomness in a fixed documented order, so a seed fully
+determines the transcript.  The check and the estimator read per-cell
 round counts; only their pooling of correlators depends on the variant.
 """
 
@@ -167,9 +169,7 @@ _PARTNER = {"X": "Z", "Y": "Y", "Z": "X"}
 _SETTINGS = (tuple((0, pick, axis) for pick, axis in enumerate(AXES))
              + tuple((1, pick, axis) for pick, axis in enumerate(ENCODE_AXES))
              + ((2, 0, None),))
-# each action's number of settings, and the position of its first
-_PICKS = np.array([len(AXES), len(ENCODE_AXES), 1], dtype=np.int8)
-_FIRST_SETTING = np.cumsum(_PICKS, dtype=np.int8) - _PICKS
+_SETTING_ACTION = np.array([action for action, _pick, _axis in _SETTINGS], dtype=np.int8)
 _SETTING_AXIS = np.array([-1 if axis is None else AXES.index(axis)
                           for _action, _pick, axis in _SETTINGS], dtype=np.int8)
 # whether a setting encodes: its index into _Registry.encoders
@@ -406,16 +406,20 @@ def _sift_status(action, probe, bob_axis):
     return np.where(_LABEL_AXIS[probe] == bob_axis, action + 1, 0).astype(np.int8)
 
 
-def _sensor_settings(config, u):
-    """Each round's action, probe label, setting (an index into _SETTINGS,
-    uniform among the action's) and the setting's axis as an index into AXES
-    (-1 on discarded rounds), from rows 0, 1 and 2 of the uniforms ``u``."""
-    cum = np.array([config.p_c, config.p_c + config.p_e])
-    action = np.searchsorted(cum, u[0], side="right").astype(np.int8)
-    probe = np.minimum((u[1] * 6).astype(np.int8), 5)
-    picks = _PICKS[action]
-    setting = _FIRST_SETTING[action] + np.minimum((u[2] * picks).astype(np.int8), picks - 1)
-    return action, probe, setting, _SETTING_AXIS[setting]
+def _prior(config):
+    """P(setting, probe label) of one round, shape (setting, label): the
+    action's probability shared evenly among its settings and the labels."""
+    p = np.array([config.p_c, config.p_e, config.p_d])[_SETTING_ACTION]
+    p = p / np.bincount(_SETTING_ACTION)[_SETTING_ACTION] / len(qcore.SIGNED_LABELS)
+    return np.repeat(p[:, None], len(qcore.SIGNED_LABELS), axis=1)
+
+
+def _draw(weights, rng, T):
+    """T independent draws of a cell of the probability array ``weights``,
+    one uniform each: the cells' indices, one small-integer array per axis."""
+    flat = rng.choice(weights.size, T, p=weights.ravel())
+    index = np.indices(weights.shape, dtype=np.min_scalar_type(max(weights.shape)))
+    return tuple(np.take(index.reshape(weights.ndim, -1), flat, axis=1))
 
 
 def _transcript(config, action, probe, bob_axis, b_out) -> Transcript:
@@ -428,34 +432,18 @@ def _transcript(config, action, probe, bob_axis, b_out) -> Transcript:
 
 
 def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
-    """Memoryless attacks: each round's branches and outcome are drawn from
-    the exact table of its cell, the setting with the probe label, in the
-    stacked tables under the attack's forward and backward instruments
-    ``fwd`` and ``bwd``: one searchsorted over their CDFs samples every
-    round's flat table entry.  The attack records every round's branches in
-    one ``record_round`` call.
+    """Memoryless attacks: every round's setting, probe label, branches and
+    outcome are one draw from the prior times the stacked exact tables under
+    the attack's forward and backward instruments ``fwd`` and ``bwd``.  The
+    attack records every round's branches in one ``record_round`` call.
 
-    Draw order: one (4, T) batch of uniforms; rows 0-2 set the action, the
-    probe label and the sensor pick, row 3 draws the table entry.
+    Draw order: one uniform per round, through ``_draw``.
     """
-    tables = _build_tables(reg, fwd, bwd)
-    u = rng.random((4, config.T))
-    action, probe, setting, bob_axis = _sensor_settings(config, u)
-    cell = setting * len(qcore.SIGNED_LABELS) + probe
-    # Inverse-CDF sampling of all rounds at once: the inner CDF boundaries of
-    # table c, shifted by 2c, in one sorted array.  The draw 2c + u, u in
-    # [0, 1), lies among table c's boundaries whatever its rounding, and its
-    # searchsorted index plus c is its entry in the flat tables.
-    flat = tables.reshape(-1, math.prod(tables.shape[2:]))
-    bounds = (2 * np.arange(len(flat))[:, None] + np.cumsum(flat, axis=1))[:, :-1]
-    u[3] += 2 * cell
-    entry = np.searchsorted(bounds.ravel(), u[3])
-    entry += cell
-    # the forward branch, backward branch and outcome of every flat entry
-    fwd_of, bwd_of, outcome_of = np.indices(tables.shape).reshape(5, -1)[2:]
-    backward = () if bwd is None else (bwd_of[entry], _labels(bwd))
-    attack.record_round(fwd_of[entry], _labels(fwd), *backward)
-    return _transcript(config, action, probe, bob_axis, reg.values[outcome_of][entry])
+    tables = _prior(config)[..., None, None, None] * _build_tables(reg, fwd, bwd)
+    setting, probe, forward, backward, outcome = _draw(tables, rng, config.T)
+    attack.record_round(forward, _labels(fwd), *(() if bwd is None else (backward, _labels(bwd))))
+    return _transcript(config, _SETTING_ACTION[setting], probe, _SETTING_AXIS[setting],
+                       reg.values[outcome])
 
 
 # Byte budget of a batch's largest register factor, taken to be the probe
@@ -469,13 +457,14 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
     position inside the block after another, each position's round of every
     block in the batch run at once on a batched register state.
 
-    Draw order: the settings of all T rounds (one (3, T) batch of
-    uniforms), then, batch by batch and position by position, one uniform
-    per round for each measurement the hooks and the sensor make, in call
-    order.
+    Draw order: the setting and probe label of all T rounds (one uniform
+    per round, through ``_draw``), then, batch by batch and position by
+    position, one uniform per round for each measurement the hooks and the
+    sensor make, in call order.
     """
     T, L = config.T, attack.block_length
-    action, probe, setting, bob_axis = _sensor_settings(config, rng.random((3, T)))
+    setting, probe = _draw(_prior(config), rng, T)
+    action, bob_axis = _SETTING_ACTION[setting], _SETTING_AXIS[setting]
     b_out = np.zeros(T, dtype=np.int8)
 
     per_batch = max(1, _BATCH_BYTES // (16 * (2 * reg.probe_dim) ** 2 * L))
@@ -498,11 +487,11 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
     return _transcript(config, action, probe, bob_axis, b_out)
 
 
-def run(config: ProtocolConfig, attack, rng=None) -> Transcript:
+def run(config: ProtocolConfig, attack) -> Transcript:
     """Execute T rounds against the given adversary; deterministic per seed."""
     if attack.requires_two_way and config.direction != "two_way":
         raise UnsupportedAttackError(f"attack {attack.name!r} requires two-way operation")
-    rng = np.random.default_rng(config.seed) if rng is None else rng
+    rng = np.random.default_rng(config.seed)
     reg = _Registry(config)
     try:
         attack.on_run_start(config.public(), reg.frame)
@@ -578,13 +567,11 @@ def check_fidelity(transcript) -> CheckResult:
     return CheckResult(estimate, passed, eps_implied, means, counts)
 
 
-def estimate_phase(transcript, n=None) -> EstimateResult:
+def estimate_phase(transcript) -> EstimateResult:
     """Pooled-correlator phase estimate arccos(m) / (2n) from kept
     estimation rounds, with its propagated standard error."""
     cfg = transcript.config
-    n = cfg.n if n is None else n
-    if n != cfg.n:
-        raise ValueError("qubit count does not match the transcript")
+    n = cfg.n
     tables = _coincidences(transcript, 2)
     if cfg.variant == "entanglement":
         tables = {a + b: _axis_table(tables, b) for a, b in ESTIMATION_PAIRS}
@@ -616,7 +603,7 @@ class EquivalenceReport:
     mub_phi_hat: float | None
 
 
-def run_mub_equivalence(config: ProtocolConfig, attack, rng=None) -> EquivalenceReport:
+def run_mub_equivalence(config: ProtocolConfig, attack) -> EquivalenceReport:
     """Analyse one simulation as both protocol variants and compare their
     fidelity estimates.
 
@@ -627,8 +614,7 @@ def run_mub_equivalence(config: ProtocolConfig, attack, rng=None) -> Equivalence
     (1 + (1/2) sum_P (2 F_P - 1)) / 4 built from the six per-label
     fidelities, within Monte Carlo error.  The direct-probe view uses the
     rescaled threshold epsbar = sqrt(2/3) * eps so both analyses implement
-    the same safety margin.  An explicit ``rng`` is accepted for interface
-    uniformity but ignored.
+    the same safety margin.
     """
     cfg_ent = replace(config, variant="entanglement")
     cfg_mub = replace(config, variant="mub",

@@ -67,7 +67,7 @@ class PureState:
         amps = _frozen(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
         object.__setattr__(self, "amplitudes", amps)
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector norm {norm} deviates from 1 by more than {NORM_TOL}")
 
     @property
@@ -99,16 +99,20 @@ class DensityMatrix:
 def _check_density_stack(m):
     """Raise ValueError unless every matrix of the stack ``m`` (shape
     (..., d, d)) is Hermitian, of unit trace and positive semidefinite
-    within tolerance; returns ``m``.  One eigvalsh covers the whole stack."""
+    within tolerance; returns ``m``.  Every check fails on NaN.  Every
+    eigenvalue exceeds -PSD_TOL exactly when m + PSD_TOL * I has a Cholesky
+    factor, so one batched Cholesky covers the whole stack."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("density matrix must be square")
-    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > HERMITIAN_TOL:
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= HERMITIAN_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = m.trace(axis1=-2, axis2=-1)
-    if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
+    if not (np.abs(tr.real - 1.0).max() <= TRACE_TOL and np.abs(tr.imag).max() <= TRACE_TOL):
         raise ValueError("density matrix trace deviates from 1")
-    if np.linalg.eigvalsh(m)[..., 0].min() < -PSD_TOL:
-        raise ValueError("density matrix has a negative eigenvalue below tolerance")
+    try:
+        np.linalg.cholesky(m + PSD_TOL * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ValueError("density matrix has a negative eigenvalue below tolerance") from None
     return m
 
 
@@ -158,17 +162,17 @@ class Observable:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eigenvalues", _frozen(np.asarray(self.eigenvalues, dtype=float)))
         object.__setattr__(self, "eigenprojectors", tuple(_frozen(p) for p in self.eigenprojectors))
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
             raise ValueError("observable is not Hermitian within tolerance")
         recon = sum(l * p for l, p in zip(self.eigenvalues, self.eigenprojectors))
-        if np.max(np.abs(recon - m)) > HERMITIAN_TOL:
+        if not np.max(np.abs(recon - m)) <= HERMITIAN_TOL:
             raise ValueError("spectral decomposition does not reproduce the matrix")
         total = sum(self.eigenprojectors)
-        if np.max(np.abs(total - np.eye(self.dim))) > HERMITIAN_TOL:
+        if not np.max(np.abs(total - np.eye(self.dim))) <= HERMITIAN_TOL:
             raise ValueError("eigenprojectors are not complete")
         for i, p in enumerate(self.eigenprojectors):
             for q in self.eigenprojectors[i + 1:]:
-                if np.max(np.abs(p @ q)) > HERMITIAN_TOL:
+                if not np.max(np.abs(p @ q)) <= HERMITIAN_TOL:
                     raise ValueError("eigenprojectors are not orthogonal")
 
     @property
@@ -237,7 +241,7 @@ class LogicalFrame:
         if self.pole0.dim != 2 ** self.n or self.pole1.dim != 2 ** self.n:
             raise ValueError("pole dimension does not match qubit count")
         overlap = np.vdot(self.pole0.amplitudes, self.pole1.amplitudes)
-        if abs(overlap) > NORM_TOL * 10:
+        if not abs(overlap) <= NORM_TOL * 10:
             raise ValueError("poles are not orthogonal")
 
     @property
@@ -371,7 +375,7 @@ class Channel:
             if k.shape != (self.dim_out, self.dim_in):
                 raise DimensionMismatchError("Kraus operator shape does not match channel dims")
         total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(self.dim_in))) > KRAUS_TOL:
+        if not np.max(np.abs(total - np.eye(self.dim_in))) <= KRAUS_TOL:
             raise ValueError("Kraus operators do not satisfy the completeness relation")
 
 
@@ -619,7 +623,8 @@ class RegisterState:
             obs, which = [obs], np.zeros(self.batch, dtype=np.intp)
         values = obs[0].eigenvalues
         if any(o.eigenvalues.shape != values.shape
-               or np.max(np.abs(o.eigenvalues - values)) > EIGENVALUE_GROUP_TOL for o in obs):
+               or not np.max(np.abs(o.eigenvalues - values)) <= EIGENVALUE_GROUP_TOL
+               for o in obs):
             raise ValueError("observables measured in one batch must share a spectrum")
         f, targets = self._merge([label])
         projs = np.array([o.eigenprojectors for o in obs])[np.asarray(which)]
@@ -634,18 +639,15 @@ class RegisterState:
         f.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
         return values[k]
 
-    def reduced(self, label):
-        """Checked (B, d, d) stack of the reduced states of one register."""
-        f, targets = self._merge([label], checked=True)
-        if len(f.dims) == 1:
-            return f.rho
-        return _check_density_stack(_partial_trace_stack(f.rho, f.dims, targets))
-
     def trace_out(self, label):
+        """Drop register ``label``; returns the checked (B, d, d) stack of
+        its reduced states."""
         f, [target] = self._merge([label], checked=True)
         if len(f.dims) == 1:
             self._factors.remove(f)
-            return
+            return f.rho
         keep = [i for i in range(len(f.dims)) if i != target]
+        dropped = _check_density_stack(_partial_trace_stack(f.rho, f.dims, [target]))
         f.rho = _check_density_stack(_partial_trace_stack(f.rho, f.dims, keep))
         del f.labels[target], f.dims[target]
+        return dropped

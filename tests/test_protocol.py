@@ -65,14 +65,22 @@ def test_config_hash_is_stable_and_sensitive():
 
 # ---------------------------------------------------------------- run basics
 
-def test_all_rounds_discarded_when_pd_one():
-    cfg = make_config(p_c=0.0, p_e=0.0, p_d=1.0, T=200)
-    tr = protocol.run(cfg, adversary.identity_attack())
-    assert tr.N_c == 0 and tr.N_e == 0 and tr.N_d == 200
-    with pytest.raises(protocol.InsufficientRoundsError):
-        protocol.check_fidelity(tr)
-    with pytest.raises(protocol.InsufficientRoundsError):
-        protocol.estimate_phase(tr)
+@pytest.mark.parametrize("engine", ["fast", "stateful"])
+@pytest.mark.parametrize("action", protocol.ACTIONS)
+def test_every_round_takes_the_only_possible_action(action, engine):
+    # an action of probability 1 is every round's, on both engines; the
+    # analysis that needs the other actions' rounds finds none
+    p = {f"p_{a[0]}": float(a == action) for a in protocol.ACTIONS}
+    cfg = make_config(T=200, **p)
+    attack = adversary.identity_attack()
+    tr = protocol.run(cfg, attack if engine == "fast" else _StatefulAdapter(attack))
+    assert np.all(tr.action == protocol.ACTIONS.index(action))
+    assert tr.N_d == (200 if action == "discard" else 0)
+    for needs, analyse in (("check", protocol.check_fidelity),
+                           ("encode", protocol.estimate_phase)):
+        if needs != action:
+            with pytest.raises(protocol.InsufficientRoundsError):
+                analyse(tr)
 
 
 @pytest.mark.parametrize("variant", ["entanglement", "mub"])
@@ -220,12 +228,6 @@ def test_estimate_phase_pooling_weights_by_counts():
     assert est.correlator_means["ZX"] == 0.0
 
 
-def test_estimate_phase_rejects_mismatched_n():
-    tr = protocol.run(make_config(T=2000), adversary.identity_attack())
-    with pytest.raises(ValueError):
-        protocol.estimate_phase(tr, n=3)
-
-
 # ---------------------------------------------------------------- analysis on cell counts
 
 def reference_products(tr, status):
@@ -336,43 +338,35 @@ def test_transcript_columns_are_read_only():
 
 # ---------------------------------------------------------------- rng stream
 
-# Version of the map from seed to transcript.  Stream 4 draws the probe
-# label of every round in both engines as min(int(6 u), 5) from the second
-# row of uniforms, and samples the fast path's exact outcome tables, one per
-# (action, label, sensor pick), by one searchsorted over their stacked CDFs
-# with the fourth row.  The entanglement fast path used to draw the
-# provider's axis and take the label from its table, so only its digest
-# changed; the direct-probe fast digest is unchanged from streams 1-3 and
-# the three stateful digests from stream 3 (which depend on
-# protocol._BATCH_BYTES, since the stateful engine draws batch by batch).
-# Stream 5 sizes the stateful engine's batches by its largest register
-# factor, the probe plus one qubit, instead of the joint probe-and-substitute
-# stack: at n = 2 a batch holds 256 blocks instead of 64, so the swap-leak
-# run draws its measurement uniforms in two batches instead of five and
-# only its digest changed (with the old batch size the factored register
-# reproduces the stream-4 digest).  At n = 1 the batch size is unchanged, so
-# the other four digests are those of stream 4.  The intercept-resend digests
-# pin the fast path's sampling of multi-branch tables.  Stacking the tables
-# into one array, discarded rounds' tables padded with zero-probability
-# outcomes, left every digest as it was.
-RNG_STREAM = 5
+# Version of the map from seed to transcript.  Stream 6 draws each round's
+# cell with one uniform through ``protocol._draw``, a categorical draw over
+# a flat probability array: the stateful engine draws (setting, probe label)
+# from the prior ``protocol._prior``, and the fast path draws (setting,
+# label, forward branch, backward branch, outcome) from the prior times the
+# exact outcome tables.  Stream 5 drew the action, the label and the
+# sensor pick from three rows of uniforms, and the fast path's table entry
+# from a fourth, so every digest changed.  The stateful digests also
+# depend on protocol._BATCH_BYTES, since that engine draws its measurement
+# uniforms batch by batch.  The intercept-resend digests pin the fast
+# path's sampling of multi-branch tables.
+RNG_STREAM = 6
 
 STREAM_DIGESTS = {
     ("entanglement", "fast"):
-        "309e17275b169c465943a7dec8bada9510af460f6e51df12b8c74903e9ed4381",
+        "166ea01843a626dcb640a8b7d3b8fa7469b18ecfea032f81e66fe096fbf3c1b0",
     ("entanglement", "stateful"):
-        "f521ded9878a4b09d430a0d5096e26bff2b501817d1274f4bf690ffa8e48b11a",
+        "a3f12c7a8f0e1f4f129ab2b0418b9256cbbe25ec1c6911e44d514749d1858182",
     ("entanglement", "swap_leak"):
-        "a15e8411f0c3e65bff46511726e9cf01a9f238120100f552334c4073094b397c",
+        "e99cb5114f092e6668aedbebd1d57115edab75b1b416f903986099f328c406c1",
     ("mub", "fast"):
-        "34a38521bd9e2204af84f13835e1ca3b364c8ebd18eeadf3a467ee94d75f687b",
+        "e33fa94b82baf191587c4c05a7658ad5b14aaae73b3df968f0f739cb0236d219",
     ("mub", "stateful"):
-        "ec4d53e4d83d59471dcc744a7a48c084a494251da4e55ad26bd1239346dc03ba",
+        "f4df6c94a2dbc31b740dc4286c68ef5d684ec219559d1067acf635ff35674bbe",
     # multi-branch fast path: intercept-resend's nine-branch instrument at n = 2
     ("entanglement", "intercept_resend"):
-        "28eccec3c0ca449d8c22e1d0e6647f9c4f9cce8adee66e11b800be08ab17aefa",
+        "36baab3358b9cb6856a5d958dae280d0a32b9e4a9bf99879958f645708dc91ca",
     ("mub", "intercept_resend"):
-        "bc832ed4f2a12a87cd67f3d8f804147404eb445bd3dd4dd5d16de1849288dc83",
+        "b3c7361dde2f3de8a73cc880ffdf719747958d087197e099b2971bcb33248c91",
 }
 
 
@@ -418,9 +412,9 @@ def test_equivalence_simulates_once(monkeypatch):
     variants = []
     original = protocol.run
 
-    def counting_run(config, attack, rng=None):
+    def counting_run(config, attack):
         variants.append(config.variant)
-        return original(config, attack, rng)
+        return original(config, attack)
 
     monkeypatch.setattr(protocol, "run", counting_run)
     rep = protocol.run_mub_equivalence(make_config(T=3000), adversary.depolarizing_attack(0.2))
@@ -755,25 +749,25 @@ def exact_cell_probabilities(cfg, attack):
 
 
 # Each case passes when its chi-square p-value exceeds ALPHA; for a correct
-# engine a case fails with probability ALPHA, so the 40 cases below fail
-# together at most 40 * ALPHA = 0.4 % of seeds.
+# engine a case fails with probability ALPHA, so the 80 cases below (40 per
+# engine) fail together at most 80 * ALPHA = 0.8 % of seeds.
 DIFFERENTIAL_ALPHA = 1e-4
+DIFFERENTIAL_CASES = pytest.mark.parametrize("n,variant,direction,attack_name", [
+    (n, variant, direction, attack_name) for n in (1, 2)
+    for variant in ("entanglement", "mub") for direction in ("one_way", "two_way")
+    for attack_name in sorted(ORACLE_ATTACKS)])
 
 
-@pytest.mark.parametrize("attack_name", sorted(ORACLE_ATTACKS))
-@pytest.mark.parametrize("direction", ["one_way", "two_way"])
-@pytest.mark.parametrize("variant", ["entanglement", "mub"])
-@pytest.mark.parametrize("n", [1, 2])
-def test_stateful_engine_matches_exact_tables(n, variant, direction, attack_name):
-    # the stateful engine, run on a memoryless attack, samples every
-    # (action, label, sensor axis, outcome) cell as often as the fast
-    # path's exact distribution says
+def assert_engine_matches_exact_tables(n, variant, direction, attack_name, engine):
+    """The engine (the attack itself or wrapped for the stateful engine)
+    samples every (action, label, sensor axis, outcome) cell as often as
+    the exact outcome tables say."""
     cfg = make_config(variant=variant, direction=direction, n=n, T=20_000,
                       p_c=0.4, p_e=0.4, p_d=0.2, true_phi=0.37 / n, seed=700 + n)
     attack = ORACLE_ATTACKS[attack_name]()
     cells = exact_cell_probabilities(cfg, attack)
     assert abs(sum(cells.values()) - 1.0) < 1e-9
-    tr = protocol.run(cfg, _StatefulAdapter(attack))
+    tr = protocol.run(cfg, engine(attack))
     keys, counts = np.unique(np.stack([tr.action, tr.probe, tr.bob_axis, tr.bob_out]),
                              axis=1, return_counts=True)
     observed = {tuple(k): c for k, c in zip(keys.T.tolist(), counts.tolist())}
@@ -783,6 +777,16 @@ def test_stateful_engine_matches_exact_tables(n, variant, direction, attack_name
     obs = np.array([observed.get(cell, 0) for cell in possible])
     _stat, pvalue = scipy.stats.chisquare(*pool_small_cells(obs, expected))
     assert pvalue > DIFFERENTIAL_ALPHA
+
+
+@DIFFERENTIAL_CASES
+def test_stateful_engine_matches_exact_tables(n, variant, direction, attack_name):
+    assert_engine_matches_exact_tables(n, variant, direction, attack_name, _StatefulAdapter)
+
+
+@DIFFERENTIAL_CASES
+def test_fast_engine_matches_exact_tables(n, variant, direction, attack_name):
+    assert_engine_matches_exact_tables(n, variant, direction, attack_name, lambda a: a)
 
 
 def pool_small_cells(observed, expected, floor=5.0):

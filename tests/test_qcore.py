@@ -230,8 +230,9 @@ def test_apply_dimension_mismatch():
 
 
 def test_channel_completeness_enforced():
-    with pytest.raises(ValueError):
-        q.Channel(2, 2, (0.5 * I2,))
+    for kraus in (0.5 * I2, np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+        with pytest.raises(ValueError):
+            q.Channel(2, 2, (kraus,))
 
 
 # ---------------------------------------------------------------- measurement
@@ -366,8 +367,9 @@ def test_trace_distance_unitary_invariance():
 # ---------------------------------------------------------------- type invariants
 
 def test_pure_state_norm_enforced():
-    with pytest.raises(ValueError):
-        q.PureState(np.array([1.0, 1.0]))
+    for amplitudes in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError):
+            q.PureState(np.array(amplitudes))
 
 
 def test_density_matrix_invariants_enforced():
@@ -377,6 +379,13 @@ def test_density_matrix_invariants_enforced():
         q.DensityMatrix(np.array([[0.7, 0.0], [0.0, 0.7]]))  # trace != 1
     with pytest.raises(ValueError):
         q.DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
+    with pytest.raises(ValueError):
+        q.DensityMatrix(np.diag([1.0 + 2e-10, -2e-10]))  # just below -PSD_TOL
+    q.DensityMatrix(np.diag([1.0 + 0.5e-10, -0.5e-10]))  # within tolerance
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0 - np.inf]),
+                np.array([[0.5, np.inf], [np.inf, 0.5]])):
+        with pytest.raises(ValueError):
+            q.DensityMatrix(bad)
 
 
 def test_observable_spectral_invariants():
@@ -384,6 +393,12 @@ def test_observable_spectral_invariants():
     recon = sum(l * p for l, p in zip(obs.eigenvalues, obs.eigenprojectors))
     assert np.max(np.abs(recon - obs.matrix)) < 1e-10
     assert np.allclose(sum(obs.eigenprojectors), np.eye(4), atol=1e-10)
+    projectors = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            q.Observable(np.diag([bad, 1.0]), np.array([-1.0, 1.0]), projectors)
+        with pytest.raises(ValueError):
+            q.Observable(Z, np.array([-1.0, 1.0]), (np.diag([0.0, 1.0]), np.diag([bad, 0.0])))
 
 
 def test_canonical_eigh_phase_convention():
@@ -416,8 +431,7 @@ def test_register_attach_apply_trace_roundtrip():
     # CNOT from B onto E, but B is |0>, so E stays |0>
     cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     w.apply_unitary(cx, ["B", "E"])
-    assert np.allclose(w.reduced("E").data, np.outer(KET0, KET0.conj()))
-    w.trace_out("E")
+    assert np.allclose(w.trace_out("E"), np.outer(KET0, KET0.conj()))
     assert w.labels == ["B"]
     assert np.allclose(w.rho, np.outer(KET0, KET0.conj()))
 
@@ -442,10 +456,15 @@ def test_register_stack_operators_and_checks():
     bad = np.array([np.outer(KET0, KET0), np.diag([1.5, -0.5])]).astype(complex)
     with pytest.raises(ValueError):
         w.attach("E", bad)
-    w = q.RegisterState(["A"], [2], w.rho * np.array([1.0, 0.7])[:, None, None])
-    w.attach("E", q.PureState(KET0))
-    with pytest.raises(ValueError):
-        w.trace_out("E")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            w.attach("E", np.array([np.outer(KET0, KET0), np.diag([bad, 0.0])]))
+    for bad in (0.7, np.nan, np.inf):
+        rho = np.array([np.outer(KET0, KET0), np.diag([0.0, bad])], dtype=complex)
+        w = q.RegisterState(["A"], [2], rho)
+        w.attach("E", q.PureState(KET0))
+        with pytest.raises(ValueError):
+            w.trace_out("E")
 
 
 def test_embed_operator_on_noncontiguous_targets():
@@ -463,7 +482,7 @@ def test_embed_operator_on_noncontiguous_targets():
 class DenseRegister:
     """Oracle: the register machine on one dense (B, d, d) stack of every
     register, with a Kronecker product on each attach and a partial trace on
-    each reduced/trace_out."""
+    each trace_out; ``reduced`` gives what trace_out drops."""
 
     def __init__(self, labels, dims, rho):
         self.labels, self.dims = list(labels), list(dims)
@@ -546,7 +565,7 @@ def test_factored_register_matches_dense_oracle(probe_dim, seed):
     # the same seeded sequence on the factored register and on the dense
     # oracle: attach, operators within one factor and across two and three
     # (merging them), stacked measurements with the same draws, reduced
-    # states inside and as whole factors, and trace_out
+    # states inside and as whole factors as trace_out returns them
     rng = np.random.default_rng(seed)
     batch = 16
     rho0 = random_stack(rng, batch, probe_dim)
@@ -560,6 +579,12 @@ def test_factored_register_matches_dense_oracle(probe_dim, seed):
     def both(method, *args):
         getattr(fact, method)(*args)
         getattr(dense, method)(*args)
+        agree()
+
+    def dropped(label):
+        expected = dense.reduced(label)
+        assert np.abs(fact.trace_out(label) - expected).max() < 1e-12
+        dense.trace_out(label)
         agree()
 
     def measured(obs, label, which=None):
@@ -577,17 +602,16 @@ def test_factored_register_matches_dense_oracle(probe_dim, seed):
     fact.attach("E2", pure)
     dense.attach("E2", pure.density().data[None])
     agree()
-    assert np.abs(fact.reduced("E2") - dense.reduced("E2")).max() < 1e-12
+    both("attach", "E4", random_stack(rng, batch, 2))
+    dropped("E4")
     both("apply_unitary", random_unitaries(rng, batch, 2), ["E1"])
     both("apply_kraus", random_kraus(rng, 2 * probe_dim), ["E2", "B"])
     measured(sensor, "B", rng.integers(len(sensor), size=batch))
     both("attach", "E3", random_stack(rng, batch, 2))
     both("apply_unitary", random_unitaries(rng, batch, 8 * probe_dim), ["E3", "E1", "B", "E2"])
-    for label in ("E1", "B"):
-        assert np.abs(fact.reduced(label) - dense.reduced(label)).max() < 1e-12
-    both("trace_out", "E2")
+    dropped("E2")
     measured(q.pauli("Z"), "E3")
     both("apply_kraus", random_kraus(rng, 2), ["E1"])
-    both("trace_out", "E3")
-    both("trace_out", "B")
+    dropped("E3")
+    dropped("B")
     assert fact.labels == dense.labels == ["E1"]
