@@ -441,7 +441,8 @@ def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
     """
     tables = _prior(config)[..., None, None, None] * _build_tables(reg, fwd, bwd)
     setting, probe, forward, backward, outcome = _draw(tables, rng, config.T)
-    attack.record_round(forward, _labels(fwd), *(() if bwd is None else (backward, _labels(bwd))))
+    backward = () if bwd is None else (backward, _labels(bwd))
+    attack.record_round(forward, _labels(fwd), *backward)
     return _transcript(config, _SETTING_ACTION[setting], probe, _SETTING_AXIS[setting],
                        reg.values[outcome])
 
