@@ -32,6 +32,10 @@ EXIT_ABORTED = 3
 EXIT_IO = 4
 EXIT_INSUFFICIENT_ROUNDS = 5
 
+# Most points in one sweep or bounds grid.  Every row is held in memory until
+# written; at about 1 kB per bounds row with its JSON text, a grid stays near 100 MB.
+MAX_GRID_STEPS = 10 ** 5
+
 CSV_COLUMNS = [
     "theta", "phi", "F_hat", "epsilon_implied", "passed", "phi_hat",
     "phi_hat_se", "bias_emp", "bias_bound", "var_emp", "var_discrepancy",
@@ -129,8 +133,8 @@ def load_scenario(path) -> dict:
                 raise SchemaError(f"sweep.{key} has the wrong type")
         if not (_finite(sweep["start"]) and _finite(sweep["stop"])):
             raise SchemaError("sweep.start and sweep.stop must be finite")
-        if sweep["steps"] < 1:
-            raise SchemaError("sweep.steps must be >= 1")
+        if not 1 <= sweep["steps"] <= MAX_GRID_STEPS:
+            raise SchemaError(f"sweep.steps must lie in [1, {MAX_GRID_STEPS}]")
     if "output" in raw:
         _require_keys(raw["output"], {"transcript", "summary", "csv"}, set(),
                       "output block")
@@ -339,8 +343,8 @@ def _bounds_phis(args):
     if args.phi is not None:
         ends = [args.phi]
     elif None not in (args.phi_start, args.phi_stop, args.phi_steps):
-        if args.phi_steps < 1:
-            raise SchemaError("--phi-steps must be at least 1")
+        if not 1 <= args.phi_steps <= MAX_GRID_STEPS:
+            raise SchemaError(f"--phi-steps must lie in [1, {MAX_GRID_STEPS}]")
         ends = [args.phi_start, args.phi_stop]
     else:
         raise SchemaError("bounds needs --phi or --phi-start/stop/steps")

@@ -18,14 +18,16 @@ logical axis (X <-> Z, Y <-> Y).  Simulating that conditional probe is
 exact (the equivalence of the two formulations), and the provider's
 (axis, outcome) is a view of the probe label.
 
-Each round's sensor setting and probe label, its cell, are drawn from the
-prior ``_prior``.  Memoryless attacks run on a vectorized fast path: each
-cell has an exact outcome table computed once, and one categorical draw
-from the prior times the tables gives every round its cell, branches and
-outcome together.  Quantum-memory attacks run on
-explicit register states, a batch of independent blocks at a time, one
-position inside the block after another.  Neither engine reads the variant,
-and both draw randomness in a fixed documented order, so a seed fully
+Each round's sensor setting and probe label are drawn from the prior
+``_prior``; with the sensor's outcome they make the round's cell, the one
+column a transcript stores, and every other field of a round is a lookup
+in a small per-cell table.  Memoryless attacks run on a vectorized fast
+path: each (setting, label) pair has an exact outcome table computed once,
+and one categorical draw from the prior times the tables gives every round
+its cell and branches together.  Quantum-memory attacks run on explicit
+register states, a batch of independent blocks at a time, one position
+inside the block after another.  Neither engine reads the variant, and
+both draw randomness in a fixed documented order, so a seed fully
 determines the transcript.  The check and the estimator read per-cell
 round counts; only their pooling of correlators depends on the variant.
 """
@@ -177,31 +179,45 @@ _SETTING_ENCODER = np.array([action == 1 for action, _pick, _axis in _SETTINGS],
                             dtype=np.intp)
 
 
-# Every round lies in one cell of (action, probe label, sensor axis + 1,
-# sensor outcome slot, sift status); the outcome slots are unmeasured, -1,
-# 0 (leak) and +1, so a measured outcome b has slot b + 2.
-_CELL_SHAPE = (len(ACTIONS), len(qcore.SIGNED_LABELS), 1 + len(AXES), 4,
-               len(SIFT_STATUSES))
-_SLOT_PLUS, _SLOT_LEAK, _SLOT_MINUS = 3, 2, 1
+# Every round lies in one cell: its setting, its probe label and the slot
+# b + 1 of its sensor outcome b = -1, 0 (leak) or +1.  A discarded round lies
+# in slot +1, the outcome the trivial sensor measurement yields.  The
+# per-cell tables below give each field of a round from its cell.
+_CELL_SHAPE = (len(_SETTINGS), len(qcore.SIGNED_LABELS), 3)
+_N_CELLS = math.prod(_CELL_SHAPE)
+_CELL_SETTING, _CELL_LABEL, _CELL_SLOT = np.indices(_CELL_SHAPE, dtype=np.int8).reshape(3, -1)
+_CELL_ACTION = _SETTING_ACTION[_CELL_SETTING]
+_CELL_AXIS = _SETTING_AXIS[_CELL_SETTING]
+_CELL_OUT = np.where(_CELL_ACTION == 2, _B_ABSENT, _CELL_SLOT - 1).astype(np.int8)
+# the sift: keep the check and encode rounds measured on their probe's axis
+_CELL_STATUS = np.where(_LABEL_AXIS[_CELL_LABEL] == _CELL_AXIS,
+                        _CELL_ACTION + 1, 0).astype(np.int8)
+# a kept estimation round's product of sensor outcome and label sign; 0 for
+# every other round and for leak outcomes
+_CELL_PRODUCT = np.where(_CELL_STATUS == 2, _LABEL_SIGN[_CELL_LABEL] * _CELL_OUT, 0).astype(float)
 
 
-def _round_code(t):
-    """Each round's cell of ``_CELL_SHAPE`` as one flat index (< 864)."""
-    slot = np.where(t.bob_out == _B_ABSENT, 0, t.bob_out + 2)
-    return np.ravel_multi_index((t.action, t.probe, t.bob_axis + 1, slot, t.status),
-                                _CELL_SHAPE)
+def _lookup(table):
+    """A read-only field of every round: the per-cell ``table`` at its cell."""
+    return property(lambda self: table[self.cell])
+
+
+def _rounds_in(cells):
+    """A round count: the rounds in the cells the per-cell mask selects."""
+    return property(lambda self: int(self.counts.ravel()[cells].sum()))
 
 
 class Transcript:
-    """Ordered record of one protocol execution, one read-only column per field.
+    """Ordered record of one protocol execution: one read-only uint8
+    ``cell`` column, each round's flat index into ``_CELL_SHAPE`` (setting,
+    probe label, outcome slot); every other field is a per-cell lookup.
 
-    ``action`` indexes ACTIONS, ``probe`` indexes ``qcore.SIGNED_LABELS``,
-    ``bob_axis`` indexes AXES (-1 when the sensor did not measure),
-    ``bob_out`` is +-1, 0 for a leak outcome or -9 when unmeasured, and
-    ``status`` indexes SIFT_STATUSES.  ``counts`` holds the number of
-    rounds in each (action, label, sensor axis, outcome, status) cell; the
-    round counts, the check and the estimator read it, and only
-    ``estimation_products`` and serialization need the round order.
+    ``action`` indexes ACTIONS, ``probe`` ``qcore.SIGNED_LABELS``,
+    ``bob_axis`` AXES (-1 when the sensor did not measure) and ``status``
+    SIFT_STATUSES; ``bob_out`` is +-1, 0 for a leak outcome or -9 when
+    unmeasured.  ``counts`` holds the rounds in each cell; the round counts,
+    the check and the estimator read it, and only ``estimation_products``
+    and serialization need the round order.
 
     Both variants record the probe label.  In the entanglement variant it
     is the state the provider's measurement left the sensor with: the
@@ -212,38 +228,33 @@ class Transcript:
     ordering).
     """
 
-    def __init__(self, config, action, probe, bob_axis, bob_out, status):
+    def __init__(self, config, cell):
+        cell = np.asarray(cell)
+        if (cell.ndim != 1 or not np.issubdtype(cell.dtype, np.integer)
+                or (cell.size and not 0 <= cell.min() <= cell.max() < _N_CELLS)):
+            raise ValueError(f"cells must be a 1-D integer array in [0, {_N_CELLS})")
         self.config = config
-        self.action, self.probe, self.bob_axis, self.bob_out, self.status = (
-            _read_only(c) for c in (action, probe, bob_axis, bob_out, status))
+        self.cell = cell.astype(np.uint8)
+        self.cell.setflags(write=False)
+
+    action = _lookup(_CELL_ACTION)
+    probe = _lookup(_CELL_LABEL)
+    bob_axis = _lookup(_CELL_AXIS)
+    bob_out = _lookup(_CELL_OUT)
+    status = _lookup(_CELL_STATUS)
 
     @functools.cached_property
     def counts(self) -> np.ndarray:
         """Rounds per cell, a read-only array of shape ``_CELL_SHAPE``."""
-        counts = np.bincount(_round_code(self), minlength=math.prod(_CELL_SHAPE))
-        counts = counts.reshape(_CELL_SHAPE)
+        counts = np.bincount(self.cell, minlength=_N_CELLS).reshape(_CELL_SHAPE)
         counts.setflags(write=False)
         return counts
 
-    @property
-    def N_c(self) -> int:
-        return int(self.counts[..., 1].sum())
-
-    @property
-    def N_e(self) -> int:
-        return int(self.counts[..., 2].sum())
-
-    @property
-    def N_d(self) -> int:
-        return int(self.counts[2].sum())
-
-    @property
-    def N_sifted_away(self) -> int:
-        return int(self.counts[:2, ..., 0].sum())
-
-    @property
-    def N_leak(self) -> int:
-        return int(self.counts[..., _SLOT_LEAK, 1:].sum())
+    N_c = _rounds_in(_CELL_STATUS == 1)
+    N_e = _rounds_in(_CELL_STATUS == 2)
+    N_d = _rounds_in(_CELL_ACTION == 2)
+    N_sifted_away = _rounds_in((_CELL_STATUS == 0) & (_CELL_ACTION != 2))
+    N_leak = _rounds_in((_CELL_STATUS > 0) & (_CELL_OUT == 0))
 
     @property
     def leak_rate(self) -> float:
@@ -253,17 +264,17 @@ class Transcript:
     def config_hash(self) -> str:
         return self.config.config_hash()
 
-    def _cell_suffix(self, action, label, axis, slot, status) -> str:
+    def _row_suffix(self, cell) -> str:
         """Every field of a round in this cell after its index, tab-separated."""
-        probe_axis, sign = qcore.parse_probe_label(qcore.SIGNED_LABELS[label])
+        label = qcore.SIGNED_LABELS[_CELL_LABEL[cell]]
+        probe_axis, sign = qcore.parse_probe_label(label)
         provider = ([_PARTNER[probe_axis], str(sign), "NA"]
-                    if self.config.variant == "entanglement"
-                    else ["NA", "NA", qcore.SIGNED_LABELS[label]])
+                    if self.config.variant == "entanglement" else ["NA", "NA", label])
         return "\t" + "\t".join([
-            ACTIONS[action], *provider,
-            "NA" if axis == 0 else AXES[axis - 1],
-            "NA" if slot == 0 else str(slot - 2),
-            SIFT_STATUSES[status],
+            ACTIONS[_CELL_ACTION[cell]], *provider,
+            "NA" if _CELL_AXIS[cell] < 0 else AXES[_CELL_AXIS[cell]],
+            "NA" if _CELL_OUT[cell] == _B_ABSENT else str(_CELL_OUT[cell]),
+            SIFT_STATUSES[_CELL_STATUS[cell]],
         ]) + "\n"
 
     def serialize(self, target) -> None:
@@ -282,14 +293,11 @@ class Transcript:
             fh.write("#columns\tindex\taction\talice_obs\talice_out\tprobe"
                      "\tbob_obs\tbob_out\tstatus\n")
             # kept check rounds, then kept estimation rounds, then the rest
-            order = np.argsort((self.status + 2) % 3, kind="stable")
+            order = np.argsort(((_CELL_STATUS + 2) % 3)[self.cell], kind="stable")
             # a row is its index plus a suffix fixed by the round's cell
-            cells = np.flatnonzero(self.counts)
-            fields = np.transpose(np.unravel_index(cells, _CELL_SHAPE)).tolist()
-            suffixes = np.empty(self.counts.size, dtype=object)
-            suffixes[cells] = [self._cell_suffix(*cell) for cell in fields]
+            suffixes = np.array([self._row_suffix(c) for c in range(_N_CELLS)], dtype=object)
             fh.writelines(map(str.__add__, map(str, order.tolist()),
-                              suffixes[_round_code(self)[order]]))
+                              suffixes[self.cell[order]]))
         finally:
             if own:
                 fh.close()
@@ -298,12 +306,6 @@ class Transcript:
         buf = io.StringIO()
         self.serialize(buf)
         return buf.getvalue()
-
-
-def _read_only(column):
-    column = np.array(column, dtype=np.int8)
-    column.setflags(write=False)
-    return column
 
 
 def parse_transcript(text: str):
@@ -401,11 +403,6 @@ def _build_tables(reg, fwd, bwd):
     return np.clip(tables, 0.0, None)
 
 
-def _sift_status(action, probe, bob_axis):
-    """Keep the check and encode rounds measured on their probe's axis."""
-    return np.where(_LABEL_AXIS[probe] == bob_axis, action + 1, 0).astype(np.int8)
-
-
 def _prior(config):
     """P(setting, probe label) of one round, shape (setting, label): the
     action's probability shared evenly among its settings and the labels."""
@@ -415,20 +412,9 @@ def _prior(config):
 
 
 def _draw(weights, rng, T):
-    """T independent draws of a cell of the probability array ``weights``,
-    one uniform each: the cells' indices, one small-integer array per axis."""
-    flat = rng.choice(weights.size, T, p=weights.ravel())
-    index = np.indices(weights.shape, dtype=np.min_scalar_type(max(weights.shape)))
-    return tuple(np.take(index.reshape(weights.ndim, -1), flat, axis=1))
-
-
-def _transcript(config, action, probe, bob_axis, b_out) -> Transcript:
-    """A run's transcript from its columns: the outcomes of discarded rounds
-    (which the sensor model measures trivially) become ``_B_ABSENT``, and
-    every round is sifted."""
-    b_out[action == 2] = _B_ABSENT
-    return Transcript(config, action, probe, bob_axis, b_out,
-                      _sift_status(action, probe, bob_axis))
+    """T independent draws of an entry of the probability array ``weights``,
+    one uniform each: the entries' flat indices."""
+    return rng.choice(weights.size, T, p=weights.ravel())
 
 
 def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
@@ -440,11 +426,15 @@ def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
     Draw order: one uniform per round, through ``_draw``.
     """
     tables = _prior(config)[..., None, None, None] * _build_tables(reg, fwd, bwd)
-    setting, probe, forward, backward, outcome = _draw(tables, rng, config.T)
+    # each table entry's (cell, forward branch, backward branch)
+    setting, label, forward, backward, outcome = np.indices(tables.shape)
+    cell = np.ravel_multi_index((setting, label, reg.values[outcome] + 1), _CELL_SHAPE)
+    entries = np.stack([cell, forward, backward]).reshape(3, -1)
+    entries = entries.astype(np.min_scalar_type(max(_N_CELLS, *tables.shape)))
+    cell, forward, backward = np.take(entries, _draw(tables, rng, config.T), axis=1)
     backward = () if bwd is None else (backward, _labels(bwd))
     attack.record_round(forward, _labels(fwd), *backward)
-    return _transcript(config, _SETTING_ACTION[setting], probe, _SETTING_AXIS[setting],
-                       reg.values[outcome])
+    return Transcript(config, cell)
 
 
 # Byte budget of a batch's largest register factor, taken to be the probe
@@ -464,8 +454,8 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
     sensor make, in call order.
     """
     T, L = config.T, attack.block_length
-    setting, probe = _draw(_prior(config), rng, T)
-    action, bob_axis = _SETTING_ACTION[setting], _SETTING_AXIS[setting]
+    setting, label = np.divmod(_draw(_prior(config), rng, T), len(qcore.SIGNED_LABELS))
+    bob_axis = _SETTING_AXIS[setting]
     b_out = np.zeros(T, dtype=np.int8)
 
     per_batch = max(1, _BATCH_BYTES // (16 * (2 * reg.probe_dim) ** 2 * L))
@@ -478,14 +468,14 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
             t = t[t < T]
             if t.size == 0:
                 break
-            world = qcore.RegisterState(["B"], [reg.probe_dim], reg.probes[probe[t]])
+            world = qcore.RegisterState(["B"], [reg.probe_dim], reg.probes[label[t]])
             attack.forward_state(world, rng)
             world.apply_unitary(reg.encoders[_SETTING_ENCODER[setting[t]]], [world.probe])
             if config.direction == "two_way":
                 attack.backward_state(world, rng)
             b_out[t] = np.rint(world.measure(reg.sensor, world.probe, rng, bob_axis[t]))
             attack.end_round(world, rng)
-    return _transcript(config, action, probe, bob_axis, b_out)
+    return Transcript(config, np.ravel_multi_index((setting, label, b_out + 1), _CELL_SHAPE))
 
 
 def run(config: ProtocolConfig, attack) -> Transcript:
@@ -513,10 +503,11 @@ def _coincidences(transcript, status):
     per signed probe label.  The row is the label's sign (+, -), which in
     the entanglement variant is the provider's outcome; the column is the
     sensor's outcome (+1, -1).  Leak outcomes are left out."""
-    by_outcome = transcript.counts[..., status].sum(axis=(0, 2))
+    kept = np.where(_CELL_STATUS == status, transcript.counts.ravel(), 0)
+    by_outcome = kept.reshape(_CELL_SHAPE).sum(axis=0)
     tables = np.zeros((len(qcore.SIGNED_LABELS), 2, 2), dtype=np.int64)
     rows = (_LABEL_SIGN < 0).astype(np.intp)
-    tables[np.arange(len(tables)), rows] = by_outcome[:, [_SLOT_PLUS, _SLOT_MINUS]]
+    tables[np.arange(len(tables)), rows] = by_outcome[:, [2, 0]]  # the slots of +1, -1
     return tables
 
 
@@ -541,9 +532,8 @@ def estimation_products(transcript):
     Each is the sensor outcome times the probe label's sign, which in the
     entanglement variant is the provider's outcome.  Leak outcomes excluded.
     """
-    t = transcript
-    mask = (t.status == 2) & (t.bob_out != 0) & (t.bob_out != _B_ABSENT)
-    return (_LABEL_SIGN[t.probe[mask]] * t.bob_out[mask]).astype(float)
+    products = _CELL_PRODUCT[transcript.cell]
+    return products[products != 0]
 
 
 def check_fidelity(transcript) -> CheckResult:
@@ -610,7 +600,7 @@ def run_mub_equivalence(config: ProtocolConfig, attack) -> EquivalenceReport:
 
     Neither engine reads the variant, so one run under a clone of the
     attack, seeded from config.seed, gives the columns of both: the
-    entanglement-variant transcript and, with the same columns, the
+    entanglement-variant transcript and, with the same cells, the
     direct-probe view.  The entanglement-variant estimate should equal
     (1 + (1/2) sum_P (2 F_P - 1)) / 4 built from the six per-label
     fidelities, within Monte Carlo error.  The direct-probe view uses the
@@ -621,8 +611,7 @@ def run_mub_equivalence(config: ProtocolConfig, attack) -> EquivalenceReport:
     cfg_mub = replace(config, variant="mub",
                       epsilon_threshold=math.sqrt(2.0 / 3.0) * config.epsilon_threshold)
     t_ent = run(cfg_ent, attack.clone())
-    t_mub = Transcript(cfg_mub, t_ent.action, t_ent.probe, t_ent.bob_axis,
-                       t_ent.bob_out, t_ent.status)
+    t_mub = Transcript(cfg_mub, t_ent.cell)
     c_ent = check_fidelity(t_ent)
     c_mub = check_fidelity(t_mub)
 

@@ -99,11 +99,13 @@ class DensityMatrix:
 def _check_density_stack(m):
     """Raise ValueError unless every matrix of the stack ``m`` (shape
     (..., d, d)) is Hermitian, of unit trace and positive semidefinite
-    within tolerance; returns ``m``.  Every check fails on NaN.  Every
+    within tolerance; returns ``m``.  Non-finite entries fail first.  Every
     eigenvalue exceeds -PSD_TOL exactly when m + PSD_TOL * I has a Cholesky
     factor, so one batched Cholesky covers the whole stack."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("density matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix has a non-finite entry")
     if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= HERMITIAN_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = m.trace(axis1=-2, axis2=-1)
@@ -162,6 +164,8 @@ class Observable:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eigenvalues", _frozen(np.asarray(self.eigenvalues, dtype=float)))
         object.__setattr__(self, "eigenprojectors", tuple(_frozen(p) for p in self.eigenprojectors))
+        if not all(np.isfinite(a).all() for a in (m, self.eigenvalues, *self.eigenprojectors)):
+            raise ValueError("observable has a non-finite entry")
         if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
             raise ValueError("observable is not Hermitian within tolerance")
         recon = sum(l * p for l, p in zip(self.eigenvalues, self.eigenprojectors))
@@ -374,6 +378,8 @@ class Channel:
         for k in ops:
             if k.shape != (self.dim_out, self.dim_in):
                 raise DimensionMismatchError("Kraus operator shape does not match channel dims")
+        if not all(np.isfinite(k).all() for k in ops):
+            raise ValueError("Kraus operators have a non-finite entry")
         total = sum(k.conj().T @ k for k in ops)
         if not np.max(np.abs(total - np.eye(self.dim_in))) <= KRAUS_TOL:
             raise ValueError("Kraus operators do not satisfy the completeness relation")

@@ -99,8 +99,10 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
     ("run", {}, {"attack": {"name": "entangling_memory",
                             "params": {"coupling_angle": 0.3, "block_length": 2.5}}},
      cli.EXIT_SCHEMA),
+    ("sweep", {}, {"sweep": {"variable": "phi", "start": 0.1, "stop": 0.5,
+                             "steps": 10 ** 15}}, cli.EXIT_SCHEMA),
 ], ids=["T2", "T_past_MAX_ROUNDS", "no_check_rounds", "memory_n2", "steps_string",
-        "variable_number", "block_length_fractional"])
+        "variable_number", "block_length_fractional", "steps_past_MAX_GRID_STEPS"])
 def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
                                             block_edit, code):
     path, scenario = write_scenario(tmp_path, **block_edit)
@@ -324,8 +326,10 @@ def test_bounds_requires_phi(capsys):
     ["--mode", "two_way_gc", "--epsilon", "0.2", "--T", "100", "--phi", "0.5"],
     ["--mode", "one_way_individual", "--epsilon", "0.2", "--N-e", "10",
      "--phi-start", "0.1", "--phi-stop", "0.5", "--phi-steps", "-1"],
+    ["--mode", "one_way_individual", "--epsilon", "0.2", "--N-e", "10",
+     "--phi-start", "0.1", "--phi-stop", "0.5", "--phi-steps", str(10 ** 15)],
 ], ids=["epsilon_nan", "phi_inf", "grid_nan", "gc_without_T", "two_way_without_N_d",
-        "negative_steps"])
+        "negative_steps", "steps_past_MAX_GRID_STEPS"])
 def test_bounds_bad_inputs_exit_with_schema_code(args, capsys):
     assert cli.main(["bounds", "--variant", "entanglement", *args]) == cli.EXIT_SCHEMA
     assert "NaN" not in capsys.readouterr().out

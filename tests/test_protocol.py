@@ -27,16 +27,18 @@ def synthetic_transcript(pair_products, est_products=None, config=None):
     axis) so the sensor outcome carries the product.
     """
     est_products = est_products or {}
-    rows = []
-    for status, products in ((1, pair_products), (2, est_products)):
+    settings = [(action, axis) for action, _pick, axis in protocol._SETTINGS]
+    cells = []
+    for action, products in ((0, pair_products), (1, est_products)):
         for key, vals in products.items():
+            setting = settings.index((action, key[1]))
             probe = qcore.SIGNED_LABELS.index("+" + key[1])
-            b_idx = protocol.AXES.index(key[1])
-            rows.extend((status - 1, probe, b_idx, v, status) for v in vals)
-    T = len(rows)
+            cells.extend(np.ravel_multi_index((setting, probe, v + 1), protocol._CELL_SHAPE)
+                         for v in vals)
+    T = len(cells)
     config = config or make_config(T=T)
     assert config.T == T
-    return protocol.Transcript(config, *np.array(rows, dtype=np.int8).T)
+    return protocol.Transcript(config, np.array(cells, dtype=int))
 
 
 # ---------------------------------------------------------------- config
@@ -333,7 +335,52 @@ def test_serialization_field_level_roundtrip(variant):
 def test_transcript_columns_are_read_only():
     tr = protocol.run(make_config(T=100), adversary.identity_attack())
     with pytest.raises(ValueError):
-        tr.status[0] = 2
+        tr.cell[0] = 2
+
+
+@pytest.mark.parametrize("cell", [
+    np.array([0, 108]), np.array([-1, 0]), np.array([0.0, 1.0]),
+    np.array([True, False]), np.zeros((2, 1), dtype=int),
+], ids=["past_last_cell", "negative", "float", "bool", "two_dimensional"])
+def test_transcript_rejects_bad_cells(cell):
+    # without the check, the cast to uint8 would wrap -1 to 255, and a cell
+    # past the last would index beyond the per-cell tables
+    with pytest.raises(ValueError):
+        protocol.Transcript(make_config(T=2), cell)
+
+
+def test_every_cell_sifts_by_the_paper_pair_lists():
+    # each of the 108 cells once, in the entanglement view: a round is kept
+    # exactly when its action matches and (partner of the label's axis, the
+    # sensor's axis) is one of the action's pairs
+    partner = {"X": "Z", "Y": "Y", "Z": "X"}
+    n_cells = len(protocol._SETTINGS) * len(qcore.SIGNED_LABELS) * 3
+    tr = protocol.Transcript(make_config(T=n_cells), np.arange(n_cells))
+    kept_as = {"check": ("kept_check", protocol.CHECK_PAIRS),
+               "encode": ("kept_estimation", protocol.ESTIMATION_PAIRS)}
+    for action, label, axis, out, status in zip(
+            tr.action, tr.probe, tr.bob_axis, tr.bob_out, tr.status):
+        action = protocol.ACTIONS[action]
+        status = protocol.SIFT_STATUSES[status]
+        if action == "discard":
+            assert (axis, out, status) == (-1, protocol._B_ABSENT, "discarded")
+            continue
+        assert out in (-1, 0, 1)
+        pair = (partner[qcore.SIGNED_LABELS[label][1]], protocol.AXES[axis])
+        kept, pairs = kept_as[action]
+        assert status == (kept if pair in pairs else "discarded")
+    assert tr.counts.shape == (len(protocol._SETTINGS), len(qcore.SIGNED_LABELS), 3)
+    assert np.all(tr.counts == 1)
+    # 3 check pairs and 2 estimation pairs, each with two signed labels and
+    # three outcome slots; the discard setting's 18 cells
+    assert (tr.N_c, tr.N_e, tr.N_d, tr.N_sifted_away) == (18, 12, 18, n_cells - 48)
+    assert tr.N_leak == (18 + 12) // 3
+    # kept estimation rounds' outcomes times their label's sign, leaks left out
+    estimated = (tr.status == 2) & (tr.bob_out != 0)
+    signs = np.array([qcore.parse_probe_label(lab)[1] for lab in qcore.SIGNED_LABELS])
+    assert protocol.estimation_products(tr).tolist() == (
+        signs[tr.probe[estimated]] * tr.bob_out[estimated]).tolist()
+    assert protocol.estimation_products(tr).size == 8
 
 
 # ---------------------------------------------------------------- rng stream
