@@ -39,6 +39,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,10 +63,10 @@ _B_ABSENT = -9  # sensor outcome sentinel; 0 is a real (leak) outcome
 # register depolarizing noise, has 4^n Kraus operators of size 2^n: 16 MB
 # of them at n = 5, 268 MB at n = 6.
 MAX_QUBITS = 5
-# Most rounds in one run.  A run's per-round arrays (draws, sampled
-# entries, columns, transcript rows) take about 80 bytes per round: the peak
-# RSS of ``dqsim run`` at T = 1e6 lies 72-81 MB above a short run's.  The
-# cap keeps a run near 1 GB.
+# Most rounds in one run.  A run's per-round arrays (the draw, the cell
+# column, the disclosure order; transcript rows go out a chunk at a time)
+# take 19-27 bytes per round: the peak RSS of ``dqsim run`` at T = 1e6 lies
+# 19-27 MB above a T = 1e3 run's, and at the cap it is 211-287 MB.
 MAX_ROUNDS = 10 ** 7
 
 
@@ -160,10 +161,6 @@ _LABEL_AXIS = np.array([AXES.index(qcore.parse_probe_label(lab)[0])
 _LABEL_SIGN = np.array([qcore.parse_probe_label(lab)[1]
                         for lab in qcore.SIGNED_LABELS], dtype=np.int8)
 
-# Entanglement variant: the provider's axis and the sensor's probe axis it
-# heralds.  The relation is its own inverse.
-_PARTNER = {"X": "Z", "Y": "Y", "Z": "X"}
-
 
 # The sensor's settings in cell order: (action, pick, the axis measured or
 # None when discarded).  With the probe label a setting fixes a round's
@@ -195,6 +192,28 @@ _CELL_STATUS = np.where(_LABEL_AXIS[_CELL_LABEL] == _CELL_AXIS,
 # a kept estimation round's product of sensor outcome and label sign; 0 for
 # every other round and for leak outcomes
 _CELL_PRODUCT = np.where(_CELL_STATUS == 2, _LABEL_SIGN[_CELL_LABEL] * _CELL_OUT, 0).astype(float)
+
+
+def _row_suffixes(variant):
+    """Each cell's serialized row after the index, as zero-padded bytes."""
+    partner = dict(pair[::-1] for pair in CHECK_PAIRS)  # probe axis -> provider axis
+    rows = []
+    for cell in range(_N_CELLS):
+        label = qcore.SIGNED_LABELS[_CELL_LABEL[cell]]
+        axis, sign = qcore.parse_probe_label(label)
+        rows.append("\t".join([
+            "", ACTIONS[_CELL_ACTION[cell]],
+            *([partner[axis], str(sign), "NA"] if variant == "entanglement"
+              else ["NA", "NA", label]),
+            "NA" if _CELL_AXIS[cell] < 0 else AXES[_CELL_AXIS[cell]],
+            "NA" if _CELL_OUT[cell] == _B_ABSENT else str(_CELL_OUT[cell]),
+            SIFT_STATUSES[_CELL_STATUS[cell]] + "\n"]).encode("ascii"))
+    return np.array(rows).view(np.uint8).reshape(_N_CELLS, -1)
+
+
+_ROW_SUFFIXES = {variant: _row_suffixes(variant) for variant in VARIANTS}
+# Rows serialized per chunk; the row buffer stays under a megabyte.
+_CHUNK_ROWS = 2 ** 14
 
 
 def _lookup(table):
@@ -230,9 +249,10 @@ class Transcript:
 
     def __init__(self, config, cell):
         cell = np.asarray(cell)
-        if (cell.ndim != 1 or not np.issubdtype(cell.dtype, np.integer)
+        if (cell.ndim != 1 or cell.size != config.T or not np.issubdtype(cell.dtype, np.integer)
                 or (cell.size and not 0 <= cell.min() <= cell.max() < _N_CELLS)):
-            raise ValueError(f"cells must be a 1-D integer array in [0, {_N_CELLS})")
+            raise ValueError(f"cells must be a 1-D integer array of T = {config.T} "
+                             f"entries in [0, {_N_CELLS})")
         self.config = config
         self.cell = cell.astype(np.uint8)
         self.cell.setflags(write=False)
@@ -264,40 +284,34 @@ class Transcript:
     def config_hash(self) -> str:
         return self.config.config_hash()
 
-    def _row_suffix(self, cell) -> str:
-        """Every field of a round in this cell after its index, tab-separated."""
-        label = qcore.SIGNED_LABELS[_CELL_LABEL[cell]]
-        probe_axis, sign = qcore.parse_probe_label(label)
-        provider = ([_PARTNER[probe_axis], str(sign), "NA"]
-                    if self.config.variant == "entanglement" else ["NA", "NA", label])
-        return "\t" + "\t".join([
-            ACTIONS[_CELL_ACTION[cell]], *provider,
-            "NA" if _CELL_AXIS[cell] < 0 else AXES[_CELL_AXIS[cell]],
-            "NA" if _CELL_OUT[cell] == _B_ABSENT else str(_CELL_OUT[cell]),
-            SIFT_STATUSES[_CELL_STATUS[cell]],
-        ]) + "\n"
-
     def serialize(self, target) -> None:
-        """Write the line-oriented transcript; check rounds disclosed first."""
-        own = isinstance(target, (str, bytes))
-        fh = open(target, "w", encoding="utf-8") if own else target
+        """Write the line-oriented transcript, check rounds disclosed first, as
+        bytes to a path (``os.PathLike``, str, bytes) or as str to a text handle."""
+        own = isinstance(target, (str, bytes, os.PathLike))
+        fh = open(target, "wb") if own else target
+        write = fh.write if own else (lambda chunk: fh.write(chunk.decode("ascii")))
         try:
             cfg = self.config
-            fh.write("#dqs-transcript v1\n")
-            fh.write(f"#config_hash\t{self.config_hash()}\n")
-            fh.write(f"#seed\t{int(cfg.seed)}\n")
-            fh.write(f"#variant\t{cfg.variant}\n")
-            fh.write(f"#direction\t{cfg.direction}\n")
-            fh.write(f"#n\t{cfg.n}\n")
-            fh.write(f"#T\t{cfg.T}\n")
-            fh.write("#columns\tindex\taction\talice_obs\talice_out\tprobe"
-                     "\tbob_obs\tbob_out\tstatus\n")
-            # kept check rounds, then kept estimation rounds, then the rest
-            order = np.argsort(((_CELL_STATUS + 2) % 3)[self.cell], kind="stable")
-            # a row is its index plus a suffix fixed by the round's cell
-            suffixes = np.array([self._row_suffix(c) for c in range(_N_CELLS)], dtype=object)
-            fh.writelines(map(str.__add__, map(str, order.tolist()),
-                              suffixes[self.cell[order]]))
+            write((f"#dqs-transcript v1\n#config_hash\t{self.config_hash()}\n"
+                   f"#seed\t{int(cfg.seed)}\n#variant\t{cfg.variant}\n"
+                   f"#direction\t{cfg.direction}\n#n\t{cfg.n}\n#T\t{cfg.T}\n"
+                   "#columns\tindex\taction\talice_obs\talice_out\tprobe"
+                   "\tbob_obs\tbob_out\tstatus\n").encode("ascii"))
+            # kept check rounds, then kept estimation rounds, then the rest;
+            # int32 holds every index below MAX_ROUNDS and divides faster
+            order = np.argsort(((_CELL_STATUS + 2) % 3)[self.cell], kind="stable").astype(np.int32)
+            # a row is the round's index in decimal, then its cell's suffix; the
+            # slots before an index's leading digit, and the padding, hold 0
+            suffixes = _ROW_SUFFIXES[cfg.variant]
+            places = 10 ** np.arange(len(str(cfg.T - 1)) - 1, -1, -1, dtype=np.int32)
+            rows = np.empty((_CHUNK_ROWS, places.size + suffixes.shape[1]), dtype=np.uint8)
+            for start in range(0, cfg.T, _CHUNK_ROWS):
+                index = order[start:start + _CHUNK_ROWS]
+                chunk = rows[:index.size]
+                chunk[:, :places.size] = np.where((index[:, None] >= places) | (places == 1),
+                                                  index[:, None] // places % 10 + ord("0"), 0)
+                np.take(suffixes, self.cell[index], axis=0, out=chunk[:, places.size:])
+                write(chunk[chunk != 0].tobytes())
         finally:
             if own:
                 fh.close()

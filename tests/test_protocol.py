@@ -332,6 +332,61 @@ def test_serialization_field_level_roundtrip(variant):
         assert row["bob_out"] == ("NA" if b_out == protocol._B_ABSENT else str(b_out))
 
 
+def reference_serialized(tr):
+    """The transcript formatted one row at a time in Python: the reference
+    the chunked writer of ``Transcript.serialize`` must match byte for byte."""
+    cfg = tr.config
+    partner = {"X": "Z", "Y": "Y", "Z": "X"}
+    action, probe, bob_axis, bob_out, status = (
+        getattr(tr, name).tolist() for name in ("action", "probe", "bob_axis", "bob_out", "status"))
+    lines = ["#dqs-transcript v1", f"#config_hash\t{tr.config_hash()}", f"#seed\t{cfg.seed}",
+             f"#variant\t{cfg.variant}", f"#direction\t{cfg.direction}", f"#n\t{cfg.n}",
+             f"#T\t{cfg.T}",
+             "#columns\tindex\taction\talice_obs\talice_out\tprobe\tbob_obs\tbob_out\tstatus"]
+    # kept check rounds, then kept estimation rounds, then the rest; sorted() is stable
+    disclosure = {"kept_check": 0, "kept_estimation": 1, "discarded": 2}
+    for i in sorted(range(cfg.T), key=lambda i: disclosure[protocol.SIFT_STATUSES[status[i]]]):
+        label = qcore.SIGNED_LABELS[probe[i]]
+        axis, sign = qcore.parse_probe_label(label)
+        provider = ([partner[axis], str(sign), "NA"] if cfg.variant == "entanglement"
+                    else ["NA", "NA", label])
+        lines.append("\t".join([
+            str(i), protocol.ACTIONS[action[i]], *provider,
+            "NA" if bob_axis[i] < 0 else protocol.AXES[bob_axis[i]],
+            "NA" if bob_out[i] == -9 else str(bob_out[i]),
+            protocol.SIFT_STATUSES[status[i]]]))
+    return "\n".join(lines) + "\n"
+
+
+BLOCK = protocol._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("T", [1, 9, 10, 11, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+@pytest.mark.parametrize("attack", ["two_way_depolarizing", "intercept_resend"])
+def test_serialize_matches_reference_writer(tmp_path, T, variant, attack):
+    # index widths and chunk boundaries both vary over T; two-way
+    # depolarizing noise at n = 2 gives leak outcomes
+    if attack == "two_way_depolarizing":
+        cfg = make_config(direction="two_way", n=2)
+        attack_model = adversary.depolarizing_attack(0.5)
+    else:
+        cfg, attack_model = make_config(n=2), adversary.intercept_resend("random")
+    cfg = replace(cfg, variant=variant, T=T, p_c=0.4, p_e=0.4, p_d=0.2, seed=T)
+    tr = protocol.run(cfg, attack_model)
+    expected = reference_serialized(tr)
+    assert tr.serialized() == expected
+    # a str path and an os.PathLike path both get the same bytes
+    tr.serialize(str(tmp_path / "str.tsv"))
+    tr.serialize(tmp_path / "pathlike.tsv")
+    for name in ("str.tsv", "pathlike.tsv"):
+        assert (tmp_path / name).read_bytes() == expected.encode("ascii")
+    if T > 2 * BLOCK:
+        assert attack == "intercept_resend" or tr.N_leak > 0
+        _, rows = protocol.parse_transcript(expected)
+        assert sorted(int(r["index"]) for r in rows) == list(range(T))
+
+
 def test_transcript_columns_are_read_only():
     tr = protocol.run(make_config(T=100), adversary.identity_attack())
     with pytest.raises(ValueError):
@@ -340,11 +395,12 @@ def test_transcript_columns_are_read_only():
 
 @pytest.mark.parametrize("cell", [
     np.array([0, 108]), np.array([-1, 0]), np.array([0.0, 1.0]),
-    np.array([True, False]), np.zeros((2, 1), dtype=int),
-], ids=["past_last_cell", "negative", "float", "bool", "two_dimensional"])
+    np.array([True, False]), np.zeros((2, 1), dtype=int), np.array([0, 1, 2]),
+], ids=["past_last_cell", "negative", "float", "bool", "two_dimensional", "count_not_T"])
 def test_transcript_rejects_bad_cells(cell):
-    # without the check, the cast to uint8 would wrap -1 to 255, and a cell
-    # past the last would index beyond the per-cell tables
+    # without the check, the cast to uint8 would wrap -1 to 255, a cell
+    # past the last would index beyond the per-cell tables, and a header's
+    # T would disagree with its rows
     with pytest.raises(ValueError):
         protocol.Transcript(make_config(T=2), cell)
 
