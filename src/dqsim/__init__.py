@@ -4,7 +4,7 @@ Library layout:
 
 - ``qcore``     exact states, observables, channels, measurements
 - ``metrics``   faithfulness bounds, sequential-measurement distance tools
-- ``stats``     counts-based correlators and error propagation
+- ``stats``     error propagation, batch statistics, overflow-free squares
 - ``adversary`` pluggable eavesdropper strategies
 - ``protocol``  round-by-round execution of the sensing protocols
 - ``cli``       scenario runner, sweeps and bound reports

@@ -350,6 +350,9 @@ def _bounds_phis(args):
         raise SchemaError("bounds needs --phi or --phi-start/stop/steps")
     if not all(math.isfinite(v) for v in [args.epsilon, *ends]):
         raise SchemaError("--epsilon and the phi values must be finite")
+    # the bound formulas do float arithmetic on the counts, exact up to 2^53
+    if any(abs(v) > 2 ** 53 for v in (args.n, args.T, args.N_d, args.N_e) if v is not None):
+        raise SchemaError("--n, --T, --N-d and --N-e must lie in [-2^53, 2^53]")
     missing = ["--" + name.replace("_", "-") for name in _BOUNDS_COUNTS[args.mode]
                if getattr(args, name) is None]
     if missing:

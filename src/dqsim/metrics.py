@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qcore
+from . import qcore, stats
 
 MODES = ("one_way_gc", "one_way_individual", "two_way_gc")
 VARIANTS = ("entanglement", "mub")
@@ -94,7 +94,8 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
         raise ValueError("collective modes need T, N_d and n")
     f = f_definetti(T, N_d, n)
     coef = 2.0 if (mode == "two_way_gc" and variant == "mub") else 4.0
-    inner = (2.0 / 3.0) * threshold ** 2 if variant == "entanglement" else threshold ** 2
+    square = stats.squared(threshold)
+    inner = (2.0 / 3.0) * square if variant == "entanglement" else square
     value = math.sqrt(inner + coef * f)
     if mode == "two_way_gc":
         if phi is None:
@@ -128,9 +129,9 @@ def variance_bound(eps0: float, n: int, phi: float, mode: str, N_e=None) -> floa
     if mode == "one_way_individual":
         if N_e is None or N_e < 1:
             raise ValueError("individual mode needs N_e >= 1")
-        numer = 2.0 * eps0 / N_e + eps0 ** 2
+        numer = 2.0 * eps0 / N_e + stats.squared(eps0)
     else:
-        numer = 2.0 * eps0 + eps0 ** 2
+        numer = 2.0 * eps0 + stats.squared(eps0)
     if denom < SIN_FLOOR ** 2:
         return math.inf
     return numer / denom

@@ -28,8 +28,9 @@ its cell and branches together.  Quantum-memory attacks run on explicit
 register states, a batch of independent blocks at a time, one position
 inside the block after another.  Neither engine reads the variant, and
 both draw randomness in a fixed documented order, so a seed fully
-determines the transcript.  The check and the estimator read per-cell
-round counts; only their pooling of correlators depends on the variant.
+determines the transcript.  The check and the estimator read per-label
+signed sums of the cell counts; only their pooling into correlators
+(``_POOLS``) depends on the variant.
 """
 
 from __future__ import annotations
@@ -512,32 +513,40 @@ def run(config: ProtocolConfig, attack) -> Transcript:
 
 # ---------------------------------------------------------------- reconciliation
 
-def _coincidences(transcript, status):
-    """2x2 coincidence counts of the kept rounds with this status, one table
-    per signed probe label.  The row is the label's sign (+, -), which in
-    the entanglement variant is the provider's outcome; the column is the
-    sensor's outcome (+1, -1).  Leak outcomes are left out."""
-    kept = np.where(_CELL_STATUS == status, transcript.counts.ravel(), 0)
-    by_outcome = kept.reshape(_CELL_SHAPE).sum(axis=0)
-    tables = np.zeros((len(qcore.SIGNED_LABELS), 2, 2), dtype=np.int64)
-    rows = (_LABEL_SIGN < 0).astype(np.intp)
-    tables[np.arange(len(tables)), rows] = by_outcome[:, [2, 0]]  # the slots of +1, -1
-    return tables
+def _axis_pool(axis_of):
+    """Correlators that each pool both signed labels of one axis, from
+    {name: axis}: the names and the (label, correlator) mask matrix."""
+    return tuple(axis_of), _LABEL_AXIS[:, None] == [AXES.index(a) for a in axis_of.values()]
 
 
-def _axis_table(tables, axis):
-    """The coincidence table of both signed labels of one axis."""
-    return tables[_LABEL_AXIS == AXES.index(axis)].sum(axis=0)
+# How each variant pools its kept check and estimation rounds: each
+# correlator's name and the signed labels it pools.  An entanglement-variant
+# correlator, named by (provider axis, sensor axis), pools both signs of the
+# sensor's axis; the direct-probe check keeps every signed label apart.
+_POOLS = {
+    ("entanglement", "check"): _axis_pool({a + b: b for a, b in CHECK_PAIRS}),
+    ("mub", "check"): (qcore.SIGNED_LABELS, np.eye(len(qcore.SIGNED_LABELS), dtype=bool)),
+    ("entanglement", "estimation"): _axis_pool({a + b: b for a, b in ESTIMATION_PAIRS}),
+    ("mub", "estimation"): _axis_pool({axis: axis for axis in ENCODE_AXES}),
+}
 
 
-def _correlators(tables, rounds):
-    """Each named coincidence table's correlator and sample count."""
-    missing = [k for k, table in tables.items() if not table.any()]
+def _correlators(transcript, rounds):
+    """Each correlator's mean and round count by name, and their pooled mean,
+    from the kept ``rounds`` ("check" or "estimation").  A signed label gives
+    the signed sum sign * (n(+1) - n(-1)) and the count n(+1) + n(-1), leak
+    outcomes left out; a correlator sums those of the labels it pools."""
+    names, pool = _POOLS[transcript.config.variant, rounds]
+    kept = np.where(_CELL_STATUS == SIFT_STATUSES.index("kept_" + rounds),
+                    transcript.counts.ravel(), 0)
+    minus, _leak, plus = kept.reshape(_CELL_SHAPE).sum(axis=0).T
+    sums, counts = np.stack([_LABEL_SIGN * (plus - minus), plus + minus]) @ pool
+    missing = [name for name, count in zip(names, counts) if count == 0]
     if missing:
         raise InsufficientRoundsError(
             f"no kept {rounds} rounds for correlator(s) {', '.join(missing)}")
-    return ({k: stats.correlator(table) for k, table in tables.items()},
-            {k: int(table.sum()) for k, table in tables.items()})
+    return (dict(zip(names, (sums / counts).tolist())), dict(zip(names, counts.tolist())),
+            float(sums.sum() / counts.sum()))
 
 
 def estimation_products(transcript):
@@ -558,16 +567,13 @@ def check_fidelity(transcript) -> CheckResult:
     (mean + 1) / 2, all of which must clear 1 - eps^2.
     """
     cfg = transcript.config
-    tables = _coincidences(transcript, 1)
+    means, counts, _pooled = _correlators(transcript, "check")
     if cfg.variant == "entanglement":
-        means, counts = _correlators(
-            {a + b: _axis_table(tables, b) for a, b in CHECK_PAIRS}, "check")
         estimate = worst = (1.0 + sum(means.values())) / 4.0
     else:
-        means, counts = _correlators(dict(zip(qcore.SIGNED_LABELS, tables)), "check")
         estimate = {k: (m + 1.0) / 2.0 for k, m in means.items()}
         worst = min(estimate.values())
-    passed = worst >= 1.0 - cfg.epsilon_threshold ** 2
+    passed = worst >= 1.0 - stats.squared(cfg.epsilon_threshold)
     eps_implied = math.sqrt(min(1.0, max(0.0, 1.0 - worst)))
     return CheckResult(estimate, passed, eps_implied, means, counts)
 
@@ -575,16 +581,9 @@ def check_fidelity(transcript) -> CheckResult:
 def estimate_phase(transcript) -> EstimateResult:
     """Pooled-correlator phase estimate arccos(m) / (2n) from kept
     estimation rounds, with its propagated standard error."""
-    cfg = transcript.config
-    n = cfg.n
-    tables = _coincidences(transcript, 2)
-    if cfg.variant == "entanglement":
-        tables = {a + b: _axis_table(tables, b) for a, b in ESTIMATION_PAIRS}
-    else:
-        tables = {axis: _axis_table(tables, axis) for axis in ENCODE_AXES}
-    means, counts = _correlators(tables, "estimation")
-    m = min(1.0, max(-1.0, stats.correlator(sum(tables.values()))))
-    phi_hat = math.acos(m) / (2.0 * n)
+    n = transcript.config.n
+    means, counts, pooled = _correlators(transcript, "estimation")
+    phi_hat = math.acos(min(1.0, max(-1.0, pooled))) / (2.0 * n)
     variances = [(1.0 - c ** 2) / counts[k] for k, c in means.items()]
     mean_sum = min(2.0, max(-2.0, sum(means.values())))
     var = stats.phase_variance(tuple(variances), mean_sum) / n ** 2
@@ -630,9 +629,9 @@ def run_mub_equivalence(config: ProtocolConfig, attack) -> EquivalenceReport:
     c_mub = check_fidelity(t_mub)
 
     combined = (1.0 + 0.5 * sum(2.0 * f - 1.0 for f in c_mub.fidelity_estimate.values())) / 4.0
-    var_ent = sum((1.0 - c ** 2) / max(c_ent.sample_counts[k], 1)
+    var_ent = sum((1.0 - c ** 2) / c_ent.sample_counts[k]
                   for k, c in c_ent.correlator_means.items()) / 16.0
-    var_mub = sum((1.0 - m ** 2) / max(c_mub.sample_counts[k], 1)
+    var_mub = sum((1.0 - m ** 2) / c_mub.sample_counts[k]
                   for k, m in c_mub.correlator_means.items()) / 64.0
     sigma = math.sqrt(var_ent + var_mub)
     holds = abs(c_ent.fidelity_estimate - combined) <= 4.0 * sigma + 1e-12

@@ -1,5 +1,7 @@
-"""Finite-sample estimation helpers: counts-based correlators, error
-propagation for the phase estimator, and windowed batch statistics."""
+"""Finite-sample estimation helpers: error propagation for the phase
+estimator, windowed batch statistics and an overflow-free square.  The
+correlators themselves are per-label signed sums of a transcript's cell
+counts (``protocol.check_fidelity``, ``protocol.estimate_phase``)."""
 
 from __future__ import annotations
 
@@ -9,35 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CountsTable:
-    """2x2 coincidence counts indexed by the outcome pair (i, j) in {0,1}^2."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.counts)
-        if arr.shape != (2, 2):
-            raise ValueError("counts table must be 2x2")
-        if np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError("counts must be nonnegative integers")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def correlator(counts) -> float:
-    """Signed normalized parity sum_{ij} (-1)^{i+j} N_ij / sum_{ij} N_ij."""
-    table = counts if isinstance(counts, CountsTable) else CountsTable(np.asarray(counts))
-    if table.total == 0:
-        raise ValueError("empty counts table")
-    n = table.counts
-    signed = n[0, 0] - n[0, 1] - n[1, 0] + n[1, 1]
-    return float(signed) / table.total
+def squared(x: float) -> float:
+    """x ** 2, or inf where the square overflows a float."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def phase_variance(correlator_variances, mean_sum: float) -> float:

@@ -1,6 +1,8 @@
 """Tests for scenario loading, subcommands, output contracts and exit codes."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -328,8 +330,15 @@ def test_bounds_requires_phi(capsys):
      "--phi-start", "0.1", "--phi-stop", "0.5", "--phi-steps", "-1"],
     ["--mode", "one_way_individual", "--epsilon", "0.2", "--N-e", "10",
      "--phi-start", "0.1", "--phi-stop", "0.5", "--phi-steps", str(10 ** 15)],
+    ["--mode", "one_way_gc", "--epsilon", "0.2", "--T", str(10 ** 400), "--N-d", "10",
+     "--phi", "0.5"],
+    ["--mode", "one_way_individual", "--epsilon", "0.2", "--N-e", str(10 ** 400),
+     "--phi", "0.5"],
+    ["--mode", "one_way_individual", "--epsilon", "0.2", "--N-e", "10",
+     "--n", str(10 ** 400), "--phi", "0.5"],
 ], ids=["epsilon_nan", "phi_inf", "grid_nan", "gc_without_T", "two_way_without_N_d",
-        "negative_steps", "steps_past_MAX_GRID_STEPS"])
+        "negative_steps", "steps_past_MAX_GRID_STEPS", "T_beyond_float", "N_e_beyond_float",
+        "n_beyond_float"])
 def test_bounds_bad_inputs_exit_with_schema_code(args, capsys):
     assert cli.main(["bounds", "--variant", "entanglement", *args]) == cli.EXIT_SCHEMA
     assert "NaN" not in capsys.readouterr().out
@@ -345,6 +354,33 @@ def test_bounds_phi_grid(tmp_path, capsys):
     assert len(rows) == 4
     assert [r["phi"] for r in rows] == pytest.approx([0.1, 0.3, 0.5, 0.7])
     assert all(r["mode"] == "one_way_gc" and r["n"] == 2 for r in rows)
+
+
+def test_huge_threshold_passes_and_bounds_are_infinite(tmp_path, capsys):
+    # epsilon^2 overflows a float: every check passes and the composed
+    # bounds are infinite, with no OverflowError on the way
+    path, scenario = write_scenario(
+        tmp_path, attack={"name": "depolarizing", "params": {"p": 0.5}},
+        sweep={"variable": "phi", "start": 0.3, "stop": 0.9, "steps": 2})
+    scenario["protocol"]["epsilon_threshold"] = 1e200
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    assert json.loads((tmp_path / "summary.json").read_text())["passed"] is True
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    eq = tmp_path / "eq.json"
+    assert cli.main(["equivalence", str(path), "--output", str(eq)]) == cli.EXIT_OK
+    report = json.loads(eq.read_text())
+    assert report["entanglement_passed"] is True and report["mub_passed"] is True
+    for mode in ("one_way_gc", "two_way_gc"):
+        for variant in ("entanglement", "mub"):
+            capsys.readouterr()
+            assert cli.main(["bounds", "--mode", mode, "--variant", variant,
+                             "--epsilon", "1e200", "--phi", "0.3", "--T", "100",
+                             "--N-d", "10"]) == cli.EXIT_OK
+            row = json.loads(capsys.readouterr().out)["bounds"][0]
+            assert row["epsilon0"] == row["bias_bound"] == row["variance_bound"] == math.inf
 
 
 # ---------------------------------------------------------------- verify
@@ -396,6 +432,63 @@ def test_equivalence_subcommand(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["identity_holds"] is True
     assert set(payload["mub_fidelities"]) == {"+X", "-X", "+Y", "-Y", "+Z", "-Z"}
+
+
+# ---------------------------------------------------------------- analysis outputs
+
+# sha256 of the analysis outputs of one small scenario per variant and
+# engine: the fast path under depolarizing noise at n = 2, where leak
+# outcomes occur, and the stateful path under the entangling-memory attack.
+# They pin the check, the estimator, the bounds and the equivalence report
+# on top of the transcripts that STREAM_DIGESTS in test_protocol pins; the
+# equivalence report analyses one run as both variants, so it does not
+# depend on the scenario's variant.
+ANALYSIS_DIGESTS = {
+    ("entanglement", "fast"): {
+        "run": "c1a474274f042b792c6c38657b03b1b6f708ff251a663bc09fd3a9f39f44aedf",
+        "sweep": "ee1edf6acb7804b85e6daeec0febfc6205363833d46a85f6513f7aab1037d37c",
+        "equivalence": "ec13cbadb5f29064c6f1bdb88c6df5db453c7addd77a260b77c6f1befe4489d8",
+    },
+    ("entanglement", "stateful"): {
+        "run": "68fdfd446f3113debeaf9846012c68eaede326998965c41facb89a67d6663aa8",
+        "sweep": "be3433ac9fc6de98c73db18ba3b9b4c7e6f21c650a2246fd53fea90d570566f2",
+        "equivalence": "ede39b056e41cca1e70092e65016f427556479b91b5b8171e973e8943990bafb",
+    },
+    ("mub", "fast"): {
+        "run": "b4b372211e3ee2950da21cf52f5296477262f3d5c2cbd392da35d13cab87068f",
+        "sweep": "bccdd2c63f3c0d348373b08d6dab7cb8170c5cef87b4300e6ad639db1f7e9062",
+        "equivalence": "ec13cbadb5f29064c6f1bdb88c6df5db453c7addd77a260b77c6f1befe4489d8",
+    },
+    ("mub", "stateful"): {
+        "run": "473fdb4af53942968431a6ead441a905b5d7b70df1830409a451d00dfe409587",
+        "sweep": "5aae885fbb006173993c4ad1fe516b65dbdd843a5da8813f36e1cb48400ce3e4",
+        "equivalence": "ede39b056e41cca1e70092e65016f427556479b91b5b8171e973e8943990bafb",
+    },
+}
+_ANALYSIS_ENGINES = {
+    "fast": (dict(n=2, T=3000), {"name": "depolarizing", "params": {"p": 0.2}}),
+    "stateful": (dict(n=1, T=600), {"name": "entangling_memory",
+                                    "params": {"coupling_angle": 0.3}}),
+}
+
+
+@pytest.mark.parametrize("variant,engine", sorted(ANALYSIS_DIGESTS))
+def test_analysis_output_digests(tmp_path, variant, engine):
+    protocol_edit, attack = _ANALYSIS_ENGINES[engine]
+    path, scenario = write_scenario(
+        tmp_path, attack=attack,
+        sweep={"variable": "phi", "start": 0.3, "stop": 0.9, "steps": 2})
+    scenario["protocol"].update(variant=variant, p_c=0.4, p_e=0.4, p_d=0.2, seed=2024,
+                                **protocol_edit)
+    path.write_text(json.dumps(scenario))
+    outputs = {"run": tmp_path / "summary.json", "sweep": tmp_path / "sweep.csv",
+               "equivalence": tmp_path / "eq.json"}
+    for command, out in outputs.items():
+        extra = ["--output", str(out)] if command == "equivalence" else []
+        assert cli.main([command, str(path), *extra]) == cli.EXIT_OK
+    digests = {command: hashlib.sha256(out.read_bytes()).hexdigest()
+               for command, out in outputs.items()}
+    assert digests == ANALYSIS_DIGESTS[variant, engine]
 
 
 # ---------------------------------------------------------------- scenario fuzzing

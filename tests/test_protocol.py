@@ -7,6 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dqsim import adversary, protocol, qcore
 
@@ -276,6 +279,45 @@ def test_cell_counts_reproduce_round_counts_and_product_means(variant):
     assert est.sample_counts == {k: v.size for k, v in estimation.items()}
     mean = float(np.concatenate(list(estimation.values())).mean())
     assert est.phi_hat == math.acos(mean) / (2 * cfg.n)
+
+
+# ---------------------------------------------------------------- correlator symmetries
+
+_OPPOSITE_LABEL = np.array([qcore.SIGNED_LABELS.index({"+": "-", "-": "+"}[lab[0]] + lab[1:])
+                            for lab in qcore.SIGNED_LABELS])
+
+
+def remapped(tr, label_map, slot_map):
+    """The transcript with every kept round's probe label and outcome slot
+    moved through the two index maps; the other rounds stay as they are."""
+    setting, label, slot = np.unravel_index(tr.cell, protocol._CELL_SHAPE)
+    kept = tr.status > 0
+    cell = np.ravel_multi_index((setting, np.where(kept, label_map[label], label),
+                                 np.where(kept, slot_map[slot], slot)), protocol._CELL_SHAPE)
+    return protocol.Transcript(tr.config, cell)
+
+
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(counts=arrays(np.int64, protocol._CELL_SHAPE, elements=st.integers(1, 4)))
+def test_mirrored_outcomes_or_signs_negate_every_correlator(variant, counts):
+    # every cell holds a round, so every correlator has rounds to read
+    cell = np.repeat(np.arange(counts.size), counts.ravel())
+    tr = protocol.Transcript(make_config(variant=variant, T=cell.size), cell)
+    outcomes = remapped(tr, np.arange(6), np.array([2, 1, 0]))  # outcome +1 <-> -1
+    signs = remapped(tr, _OPPOSITE_LABEL, np.arange(3))         # label +P <-> -P
+    # a correlator of one signed label (the direct-probe check) trades
+    # places with its opposite label's
+    opposite = {lab: qcore.SIGNED_LABELS[i] for lab, i in zip(qcore.SIGNED_LABELS, _OPPOSITE_LABEL)}
+    for analyse in (protocol.check_fidelity, protocol.estimate_phase):
+        before = analyse(tr)
+        means, counts = before.correlator_means, before.sample_counts
+        after = analyse(outcomes)
+        assert after.correlator_means == {k: -m for k, m in means.items()}
+        assert after.sample_counts == counts
+        after = analyse(signs)
+        assert after.correlator_means == {k: -means[opposite.get(k, k)] for k in means}
+        assert after.sample_counts == {k: counts[opposite.get(k, k)] for k in counts}
 
 
 # ---------------------------------------------------------------- serialization

@@ -1,40 +1,16 @@
-"""Tests for counts-based correlators and windowed statistics."""
+"""Tests for error propagation, windowed statistics and the overflow-free square."""
 
 import numpy as np
 import pytest
-import scipy.stats
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from dqsim import stats
 
 
-def test_correlator_arithmetic():
-    assert stats.correlator(np.array([[30, 10], [10, 50]])) == pytest.approx(0.6)
-
-
-def test_correlator_degenerate_tables():
-    assert stats.correlator(np.array([[7, 0], [0, 0]])) == 1.0
-    assert stats.correlator(np.array([[5, 5], [5, 5]])) == 0.0
-
-
-def test_correlator_rejects_empty_and_negative():
-    with pytest.raises(ValueError):
-        stats.correlator(np.zeros((2, 2), dtype=int))
-    with pytest.raises(ValueError):
-        stats.CountsTable(np.array([[1, -1], [0, 0]]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(counts=arrays(np.int64, (2, 2), elements=st.integers(0, 1000)))
-def test_correlator_sign_flips_under_relabeling(counts):
-    if counts.sum() == 0:
-        counts[0, 0] = 1
-    flipped = counts[::-1, :].copy()
-    assert stats.correlator(flipped) == pytest.approx(-stats.correlator(counts))
-    flipped_cols = counts[:, ::-1].copy()
-    assert stats.correlator(flipped_cols) == pytest.approx(-stats.correlator(counts))
+def test_squared_saturates_at_infinity():
+    assert stats.squared(0.251) == 0.251 ** 2
+    assert stats.squared(-3.0) == 9.0
+    assert stats.squared(1e200) == np.inf
+    assert stats.squared(np.inf) == np.inf
 
 
 def test_phase_variance_arithmetic():
