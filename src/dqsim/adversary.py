@@ -24,6 +24,12 @@ In one-way operation an attack object never sees measurement outcomes or
 reconciliation data before acting on the probe: the engine only calls the
 forward hook with the in-flight state.  Attacks that need the return leg
 declare ``requires_two_way`` and are rejected outright in one-way runs.
+
+``expected_check_fidelity`` is the exact check fidelity under a memoryless
+attack's forward instrument, applied by ``qcore.apply_instrument`` as the
+engine applies it.  Depolarizing noise shrinks every check correlator by
+1 - p (the logical Paulis are traceless), so ``calibrate_depolarizing``
+inverts the fidelity 1 - 3p/4 in closed form.
 """
 
 from __future__ import annotations
@@ -357,56 +363,40 @@ def expected_check_fidelity(attack: AttackModel, n: int, variant="entanglement")
     correlators.  Direct-probe variant: returns the map from signed probe
     label to its per-label fidelity.
     """
+    if variant not in ("entanglement", "mub"):
+        raise ValueError(f"unknown variant {variant!r}")
     frame = qcore.LogicalFrame.standard(n)
     branches = attack.forward_branches(n, frame)
     if branches is None:
         raise ValueError("expected fidelity is defined for memoryless attacks only")
 
-    def push(rho):
-        out = np.zeros_like(rho)
-        for _label, weight, kraus in branches:
-            for k in kraus:
-                out += weight * (k @ rho @ k.conj().T)
-        return out
-
     if variant == "entanglement":
-        rho = qcore.resource_state(n).density().data
         d = 2 ** n
-        rho = rho.reshape(2, d, 2, d)
-        # apply the instrument on the probe factor only
-        out = np.einsum("arbs->abrs", rho).reshape(4, d, d)
-        pushed = np.stack([push(out[i]) for i in range(4)])
-        rho = np.einsum("abrs->arbs", pushed.reshape(2, 2, d, d)).reshape(2 * d, 2 * d)
+        rho = qcore.resource_state(n).density().data.reshape(2, d, 2, d)
+        # the instrument acts on the probe factor of each provider block
+        blocks = np.einsum("arbs->abrs", rho)
+        pushed = qcore.apply_instrument(blocks, branches).sum(axis=-3)
+        rho = np.einsum("abrs->arbs", pushed).reshape(2 * d, 2 * d)
         total = 0.0
         for a_axis, b_axis in (("X", "Z"), ("Z", "X"), ("Y", "Y")):
             op = np.kron(qcore.pauli_matrix(a_axis), qcore.bold_pauli(frame, b_axis).matrix)
             total += float(np.trace(op @ rho).real)
         return (1.0 + total) / 4.0
 
+    probes = np.array([qcore.mub_probe(frame, label).density().data
+                       for label in qcore.SIGNED_LABELS])
+    pushed = qcore.apply_instrument(probes, branches).sum(axis=-3)
     fidelities = {}
-    for label in qcore.SIGNED_LABELS:
+    for label, rho in zip(qcore.SIGNED_LABELS, pushed):
         axis, sign = qcore.parse_probe_label(label)
-        probe = qcore.mub_probe(frame, label).density().data
-        pushed = push(probe)
-        mean = sign * float(np.trace(qcore.bold_pauli(frame, axis).matrix @ pushed).real)
+        mean = sign * float(np.trace(qcore.bold_pauli(frame, axis).matrix @ rho).real)
         fidelities[label] = (mean + 1.0) / 2.0
     return fidelities
 
 
-def calibrate_depolarizing(target_fidelity: float, n: int = 1, tol: float = 1e-10) -> float:
-    """Bisection for the depolarizing strength whose expected check fidelity
-    matches the target (entanglement variant)."""
+def calibrate_depolarizing(target_fidelity: float) -> float:
+    """The depolarizing strength whose expected check fidelity (entanglement
+    variant) is the target F: 4 (1 - F) / 3 at every n."""
     if not 0.25 <= target_fidelity <= 1.0:
         raise ValueError("reachable targets lie in [0.25, 1]")
-    lo, hi = 0.0, 1.0
-
-    def value(p):
-        return expected_check_fidelity(depolarizing_attack(p), n)
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if value(mid) > target_fidelity:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 4.0 * (1.0 - target_fidelity) / 3.0

@@ -61,8 +61,8 @@ ESTIMATION_PAIRS = (("X", "Z"), ("Z", "X"))
 _B_ABSENT = -9  # sensor outcome sentinel; 0 is a real (leak) outcome
 
 # Largest probe simulated exactly.  The costliest memoryless attack,
-# register depolarizing noise, has 4^n Kraus operators of size 2^n: 16 MB
-# of them at n = 5, 268 MB at n = 6.
+# register depolarizing noise, has 4^n + 1 Kraus operators of size 2^n:
+# 16 MB of them at n = 5, 268 MB at n = 6.
 MAX_QUBITS = 5
 # Most rounds in one run.  A run's per-round arrays (the draw, the cell
 # column, the disclosure order; transcript rows go out a chunk at a time)
@@ -370,13 +370,6 @@ class _Registry:
         self.encoders = np.stack([eye, qcore.encoding_unitary(config.n, config.true_phi)])
 
 
-def _push(states, branches):
-    """A stack of states (..., d, d) through every branch of an instrument:
-    the weighted branch images, shape (..., branch, d, d)."""
-    return np.stack([weight * sum(k @ states @ k.conj().T for k in kraus)
-                     for _label, weight, kraus in branches], axis=-3)
-
-
 def _labels(branches):
     """An instrument's branch labels, in branch order."""
     return tuple(label for label, _weight, _kraus in branches)
@@ -400,8 +393,8 @@ def _build_tables(reg, fwd, bwd):
     total off 1, or an entry below 0, by more than ``_TABLE_TOLERANCE``
     raises UnsupportedAttackError; roundoff negatives are set to 0."""
     enc = reg.encoders[:, None, None]
-    states = enc @ _push(reg.probes, fwd) @ enc.conj().swapaxes(-1, -2)
-    states = states[..., None, :, :] if bwd is None else _push(states, bwd)
+    states = enc @ qcore.apply_instrument(reg.probes, fwd) @ enc.conj().swapaxes(-1, -2)
+    states = states[..., None, :, :] if bwd is None else qcore.apply_instrument(states, bwd)
     # Tr(P rho) is the sum over the entries of P^T times rho
     proj = np.array([o.eigenprojectors for o in reg.sensor])
     d = reg.probe_dim

@@ -389,22 +389,27 @@ def identity_channel(dim: int) -> Channel:
     return Channel(dim, dim, (np.eye(dim, dtype=complex),))
 
 
-def _pauli_strings(n: int):
-    ops = [np.array([[1.0 + 0j]])]
-    for _ in range(n):
-        ops = [np.kron(o, m) for o in ops for m in (_I2, _PAULI["X"], _PAULI["Y"], _PAULI["Z"])]
-    return ops
-
-
 def depolarizing_channel(p: float, n_qubits: int = 1) -> Channel:
-    """Register depolarizing map rho -> (1-p) rho + p I/d on n qubits."""
+    """Register depolarizing map rho -> (1-p) rho + p I/d on n qubits.
+
+    Kraus form: sqrt(1-p) I, then the d^2 matrix units |i><j| scaled by
+    sqrt(p/d), since sum_ij |i><j| rho |j><i| = Tr(rho) I; the units are
+    the rows of one d^2 x d^2 identity.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing probability must lie in [0, 1]")
     d = 2 ** n_qubits
-    strings = _pauli_strings(n_qubits)
-    kraus = [np.sqrt(1.0 - p + p / d ** 2) * strings[0]]
-    kraus += [np.sqrt(p / d ** 2) * s for s in strings[1:]]
-    return Channel(d, d, tuple(kraus))
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    units *= np.sqrt(p / d)
+    return Channel(d, d, (np.sqrt(1.0 - p) * np.eye(d, dtype=complex), *units))
+
+
+def apply_instrument(states, branches):
+    """A stack of states (..., d, d) through every branch of a weighted
+    instrument, a list of (label, weight, kraus_operators) branches: the
+    weighted branch images, shape (..., branch, d, d)."""
+    return np.stack([weight * sum(k @ states @ k.conj().T for k in kraus)
+                     for _label, weight, kraus in branches], axis=-3)
 
 
 def expectation(obs: Observable, state) -> float:

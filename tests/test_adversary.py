@@ -73,6 +73,12 @@ def test_depolarizing_calibration_recovers_operating_point():
         adversary.depolarizing_attack(p_star), 1) == pytest.approx(0.937, abs=1e-9)
 
 
+@pytest.mark.parametrize("variant", ["entanglment", "MUB", ""])
+def test_expected_fidelity_rejects_unknown_variant(variant):
+    with pytest.raises(ValueError, match="unknown variant"):
+        adversary.expected_check_fidelity(adversary.identity_attack(), 1, variant)
+
+
 # ---------------------------------------------------------------- unitary tamper
 
 def test_tamper_zero_angle_is_identity():

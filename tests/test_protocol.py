@@ -745,6 +745,17 @@ PARTNER = {"X": "Z", "Y": "Y", "Z": "X"}
 SENSOR_AXES = {0: protocol.AXES, 1: protocol.ENCODE_AXES, 2: (None,)}
 
 
+def literal_branches(rho, branches, provider_dim=2):
+    """Each branch's weighted image of ``rho``, the Kraus operators lifted
+    by a literal Kronecker product onto a provider register of
+    ``provider_dim`` (1: the probe alone)."""
+    out = []
+    for _label, weight, kraus in branches:
+        lifted = [np.kron(np.eye(provider_dim), k) for k in kraus]
+        out.append(weight * sum(k @ rho @ k.conj().T for k in lifted))
+    return out
+
+
 def reference_entanglement_tables(cfg, attack):
     """Literal (1+n)-qubit tables: the resource state evolves with the
     attack and the encoding on its probe factor, and each entry is the Born
@@ -757,20 +768,13 @@ def reference_entanglement_tables(cfg, attack):
     bwd = attack.backward_branches(n, frame) if cfg.direction == "two_way" else None
     encoder = np.kron(np.eye(2), qcore.encoding_unitary(n, cfg.true_phi))
 
-    def branch_matrices(rho, branches):
-        out = []
-        for _label, weight, kraus in branches:
-            lifted = [np.kron(np.eye(2), k) for k in kraus]
-            out.append(weight * sum(k @ rho @ k.conj().T for k in lifted))
-        return out
-
     def evolved(encoded):
-        mats = branch_matrices(rho0, fwd)
+        mats = literal_branches(rho0, fwd)
         if encoded:
             mats = [encoder @ m @ encoder.conj().T for m in mats]
         if bwd is None:
             return [[m] for m in mats]
-        return [branch_matrices(m, bwd) for m in mats]
+        return [literal_branches(m, bwd) for m in mats]
 
     def spectral(obs):
         return [(int(round(v)), p) for v, p in zip(obs.eigenvalues, obs.eigenprojectors)]
@@ -847,6 +851,36 @@ def test_entanglement_tables_match_joint_born_probabilities(n, direction, attack
                 zip(f.tolist(), w.tolist(), outcomes.tolist()))
             mine_probs = np.array([e[0] for e in mine])
             assert np.max(np.abs(mine_probs - 0.5 * table.ravel())) < 1e-12
+
+
+@pytest.mark.parametrize("attack_name", sorted(ORACLE_ATTACKS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fidelity_oracle_matches_literal_push(n, attack_name):
+    # expected_check_fidelity under the forward instrument against literal
+    # Kraus pushes: the entanglement value from the one-way Born tables of
+    # the (1+n)-qubit resource state, the MUB map from each probe pushed
+    # alone; a leak outcome (b = 0) adds nothing to a correlator
+    cfg = make_config(n=n)
+    attack = ORACLE_ATTACKS[attack_name]()
+    tables = reference_entanglement_tables(cfg, attack)
+    total = sum(p * a * b for a_axis, b_axis in protocol.CHECK_PAIRS
+                for p, _i, _j, a, b in tables[0, protocol.AXES.index(a_axis),
+                                              protocol.AXES.index(b_axis)])
+    fidelity = adversary.expected_check_fidelity(attack, n, "entanglement")
+    assert abs(fidelity - (1.0 + total) / 4.0) < 1e-12
+
+    frame = qcore.LogicalFrame.standard(n)
+    fwd = attack.forward_branches(n, frame)
+    per_label = adversary.expected_check_fidelity(attack, n, "mub")
+    assert list(per_label) == list(qcore.SIGNED_LABELS)
+    for label, value in per_label.items():
+        axis, sign = qcore.parse_probe_label(label)
+        probe = qcore.mub_probe(frame, label).density().data
+        rho = sum(literal_branches(probe, fwd, provider_dim=1))
+        obs = qcore.bold_pauli(frame, axis)
+        mean = sign * sum(round(v) * np.trace(proj @ rho).real
+                          for v, proj in zip(obs.eigenvalues, obs.eigenprojectors))
+        assert abs(value - (1.0 + mean) / 2.0) < 1e-12
 
 
 # ---------------------------------------------------------------- engine differential

@@ -221,6 +221,39 @@ def test_depolarized_resource_state_fidelity_oracle():
         assert q.fidelity(psi, w.rho[0]) == pytest.approx(1 - 3 * p / 4, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_depolarizing_channel_action(n, p):
+    # closed form: rho -> (1-p) rho + p I/d on random states
+    d = 2 ** n
+    rng = np.random.default_rng(10 * n + int(10 * p))
+    kraus = q.depolarizing_channel(p, n).kraus_operators
+    assert len(kraus) == d * d + 1
+    for _ in range(3):
+        rho = q.random_density_matrix(d, rng).data
+        out = sum(k @ rho @ k.conj().T for k in kraus)
+        assert np.max(np.abs(out - ((1 - p) * rho + p * np.eye(d) / d))) < 1e-12
+    if p < 1:
+        # without its identity operator the set is not complete: the
+        # incomplete-instrument tests rely on that
+        partial = sum(k.conj().T @ k for k in kraus[1:])
+        assert np.max(np.abs(partial - np.eye(d))) > 1e-3
+
+
+def test_apply_instrument_stacks_weighted_branches():
+    # oracle: each branch's weighted Kraus sum on each state, one by one
+    rng = np.random.default_rng(4)
+    states = np.array([q.random_density_matrix(4, rng).data for _ in range(3)])[:, None]
+    u = q.encoding_unitary(2, 0.4)
+    branches = [("noise", 0.25, q.depolarizing_channel(0.5, 2).kraus_operators),
+                ("turn", 0.75, [u])]
+    out = q.apply_instrument(states, branches)
+    assert out.shape == (3, 1, 2, 4, 4)
+    for rho, images in zip(states[:, 0], out[:, 0]):
+        assert np.allclose(images[0], 0.25 * (0.5 * rho + 0.5 * np.eye(4) / 4), atol=1e-12)
+        assert np.allclose(images[1], 0.75 * u @ rho @ u.conj().T, atol=1e-12)
+
+
 def test_apply_dimension_mismatch():
     w = register(q.random_density_matrix(4, np.random.default_rng(3)))
     with pytest.raises(q.DimensionMismatchError):
