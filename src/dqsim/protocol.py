@@ -66,8 +66,8 @@ _B_ABSENT = -9  # sensor outcome sentinel; 0 is a real (leak) outcome
 MAX_QUBITS = 5
 # Most rounds in one run.  A run's per-round arrays (the draw, the cell
 # column, the disclosure order; transcript rows go out a chunk at a time)
-# take 19-27 bytes per round: the peak RSS of ``dqsim run`` at T = 1e6 lies
-# 19-27 MB above a T = 1e3 run's, and at the cap it is 211-287 MB.
+# take 17-25 bytes per round: the peak RSS of ``dqsim run`` at n = 1 and
+# T = 1e6 lies 17-25 MB above a T = 1e3 run's, so the cap adds 170-250 MB.
 MAX_ROUNDS = 10 ** 7
 
 
@@ -192,7 +192,7 @@ _CELL_STATUS = np.where(_LABEL_AXIS[_CELL_LABEL] == _CELL_AXIS,
                         _CELL_ACTION + 1, 0).astype(np.int8)
 # a kept estimation round's product of sensor outcome and label sign; 0 for
 # every other round and for leak outcomes
-_CELL_PRODUCT = np.where(_CELL_STATUS == 2, _LABEL_SIGN[_CELL_LABEL] * _CELL_OUT, 0).astype(float)
+_CELL_PRODUCT = np.where(_CELL_STATUS == 2, _LABEL_SIGN[_CELL_LABEL] * _CELL_OUT, 0).astype(np.int8)
 
 
 def _row_suffixes(variant):
@@ -344,30 +344,42 @@ def parse_transcript(text: str):
 
 # ---------------------------------------------------------------- run engine
 
+@functools.lru_cache(maxsize=None)
+def _sensor_model(n):
+    """The n-qubit probe states and sensor model shared by every run at n:
+    the frame, the six probe densities in ``qcore.SIGNED_LABELS`` order, the
+    sensor's observables X, Y, Z and then the trivial measurement of a
+    discarded round, so that ``_SETTING_AXIS`` indexes them (-1: discarded),
+    and their shared spectrum as int8.  Its arrays are read-only, since every
+    caller shares them."""
+    frame = qcore.LogicalFrame.standard(n)
+    probes = np.array([qcore.mub_probe(frame, lab).density().data
+                       for lab in qcore.SIGNED_LABELS])
+    bold = [qcore.bold_pauli(frame, a) for a in AXES]
+    spectrum = bold[0].eigenvalues
+    values = np.rint(spectrum).astype(np.int8)
+    # the trivial measurement written on the same spectrum, so that
+    # discarded rounds share a batch and a table shape with measured ones:
+    # it always yields the last eigenvalue and leaves the state as it is
+    eye = np.eye(2 ** n, dtype=complex)
+    sensor = (*bold, qcore.Observable(
+        eye, spectrum, (np.zeros_like(eye),) * (len(spectrum) - 1) + (eye,)))
+    for array in (probes, values):
+        array.setflags(write=False)
+    return frame, probes, sensor, values
+
+
 class _Registry:
-    """Per-run cache of the probe states and the sensor model shared by both
-    engines.  ``sensor`` lists the sensor's observables X, Y, Z and then the
-    trivial measurement of a discarded round, so ``_SETTING_AXIS`` indexes
-    it (-1: discarded); all four share the spectrum ``values``.
-    ``encoders`` stacks the identity and the phase encoding, indexed by
-    whether a round encodes."""
+    """Per-run view of the probe states and the sensor model shared by both
+    engines: ``_sensor_model(n)``'s ``frame``, ``probes``, ``sensor`` and
+    ``values``, plus ``encoders``, which stacks the identity and the phase
+    encoding, indexed by whether a round encodes."""
 
     def __init__(self, config):
-        self.frame = qcore.LogicalFrame.standard(config.n)
+        self.frame, self.probes, self.sensor, self.values = _sensor_model(config.n)
         self.probe_dim = 2 ** config.n
-        self.probes = np.array([qcore.mub_probe(self.frame, lab).density().data
-                                for lab in qcore.SIGNED_LABELS])
-        bold = [qcore.bold_pauli(self.frame, a) for a in AXES]
-        spectrum = bold[0].eigenvalues
-        self.values = np.rint(spectrum).astype(np.int8)
-        # the trivial measurement written on the same spectrum, so that
-        # discarded rounds share a batch and a table shape with measured
-        # ones: it always yields the last eigenvalue and leaves the state as
-        # it is
-        eye = np.eye(self.probe_dim, dtype=complex)
-        self.sensor = bold + [qcore.Observable(
-            eye, spectrum, (np.zeros_like(eye),) * (len(spectrum) - 1) + (eye,))]
-        self.encoders = np.stack([eye, qcore.encoding_unitary(config.n, config.true_phi)])
+        self.encoders = np.stack([np.eye(self.probe_dim, dtype=complex),
+                                  qcore.encoding_unitary(config.n, config.true_phi)])
 
 
 def _labels(branches):
@@ -419,10 +431,58 @@ def _prior(config):
     return np.repeat(p[:, None], len(qcore.SIGNED_LABELS), axis=1)
 
 
+# The round draw's guide table splits [0, 1) into this many equal buckets,
+# a power of two so that scaling by it is exact, and it draws the uniforms
+# this many at a time.
+_GUIDE_BUCKETS = 2 ** 12
+_DRAW_CHUNK = 2 ** 14
+# numpy's tolerance on a categorical distribution's total
+_TOTAL_TOL = math.sqrt(np.finfo(float).eps)
+
+
 def _draw(weights, rng, T):
     """T independent draws of an entry of the probability array ``weights``,
-    one uniform each: the entries' flat indices."""
-    return rng.choice(weights.size, T, p=weights.ravel())
+    one uniform each: the entries' flat indices, in the smallest integer
+    dtype that holds ``weights.size``.
+
+    The draw is the one ``rng.choice(weights.size, T, p=weights.ravel())``
+    makes, index for index, and it leaves ``rng`` in the same state: the
+    uniforms come from ``rng.random`` in order, and each round takes the
+    inverse CDF ``searchsorted(cdf, u, side="right")`` of numpy's own CDF
+    ``cumsum / total``.  A guide table (indexed search) finds most of them
+    without a search.  Scaled by the power of two ``_GUIDE_BUCKETS`` = m,
+    the CDF and the uniforms keep their order exactly, and a uniform u in
+    bucket k = floor(u m) has #(cdf m <= k) <= result <= #(cdf m < k + 1);
+    where the two counts agree the table holds the result, and the other
+    rounds, fewer than ``weights.size`` buckets' worth, search the scaled
+    CDF.  Weights with a non-finite or negative entry, or whose total is
+    off 1 by more than sqrt(eps), raise ValueError, as in ``rng.choice``.
+    """
+    p = np.asarray(weights, dtype=float).ravel()
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if (p < 0).any():
+        raise ValueError("probabilities must be nonnegative")
+    if not abs(p.sum() - 1.0) <= _TOTAL_TOL:
+        raise ValueError("probabilities must sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    cdf *= _GUIDE_BUCKETS
+    edges = np.arange(_GUIDE_BUCKETS + 1, dtype=float)
+    lo = cdf.searchsorted(edges[:-1], side="right")
+    hi = cdf.searchsorted(edges[1:], side="left")
+    # an ambiguous bucket holds p.size, which no draw returns
+    dtype = np.min_scalar_type(p.size)
+    guide = np.where(lo == hi, lo, p.size).astype(dtype)
+    out = np.empty(T, dtype=dtype)
+    for start in range(0, T, _DRAW_CHUNK):
+        u = rng.random(min(_DRAW_CHUNK, T - start))
+        u *= _GUIDE_BUCKETS
+        chunk = out[start:start + u.size]
+        np.take(guide, u.astype(np.intp), out=chunk)
+        ambiguous = np.flatnonzero(chunk == p.size)
+        chunk[ambiguous] = cdf.searchsorted(u[ambiguous], side="right")
+    return out
 
 
 def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
@@ -543,10 +603,13 @@ def _correlators(transcript, rounds):
 
 
 def estimation_products(transcript):
-    """Pooled +-1 values from kept estimation rounds, in round order.
+    """Pooled +-1 values from kept estimation rounds, in round order, as
+    int8: one gather from the per-cell product table.
 
     Each is the sensor outcome times the probe label's sign, which in the
     entanglement variant is the provider's outcome.  Leak outcomes excluded.
+    Sums of +-1 values are exact in float64, so means taken from this array
+    equal those taken from its float copy.
     """
     products = _CELL_PRODUCT[transcript.cell]
     return products[products != 0]

@@ -373,15 +373,16 @@ class Channel:
     kraus_operators: tuple
 
     def __post_init__(self):
-        ops = tuple(_frozen(np.asarray(k, dtype=complex)) for k in self.kraus_operators)
-        object.__setattr__(self, "kraus_operators", ops)
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimensionMismatchError("Kraus operator shape does not match channel dims")
-        if not all(np.isfinite(k).all() for k in ops):
+        shape = (self.dim_out, self.dim_in)
+        if any(np.shape(k) != shape for k in self.kraus_operators):
+            raise DimensionMismatchError("Kraus operator shape does not match channel dims")
+        stack = _frozen(np.asarray(self.kraus_operators, dtype=complex)).reshape(-1, *shape)
+        object.__setattr__(self, "kraus_operators", tuple(stack))
+        if not np.isfinite(stack).all():
             raise ValueError("Kraus operators have a non-finite entry")
-        total = sum(k.conj().T @ k for k in ops)
-        if not np.max(np.abs(total - np.eye(self.dim_in))) <= KRAUS_TOL:
+        # sum_k K_k^dagger K_k is S^dagger S for the operators S stacked row-wise
+        rows = stack.reshape(-1, self.dim_in)
+        if not np.max(np.abs(rows.conj().T @ rows - np.eye(self.dim_in))) <= KRAUS_TOL:
             raise ValueError("Kraus operators do not satisfy the completeness relation")
 
 
@@ -394,14 +395,16 @@ def depolarizing_channel(p: float, n_qubits: int = 1) -> Channel:
 
     Kraus form: sqrt(1-p) I, then the d^2 matrix units |i><j| scaled by
     sqrt(p/d), since sum_ij |i><j| rho |j><i| = Tr(rho) I; the units are
-    the rows of one d^2 x d^2 identity.
+    the rows of a d^2 x d^2 diagonal, and all 4^n + 1 operators are one
+    array that the channel keeps without a copy.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing probability must lie in [0, 1]")
     d = 2 ** n_qubits
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    units *= np.sqrt(p / d)
-    return Channel(d, d, (np.sqrt(1.0 - p) * np.eye(d, dtype=complex), *units))
+    kraus = np.zeros((d * d + 1, d, d), dtype=complex)
+    np.fill_diagonal(kraus[0], np.sqrt(1.0 - p))
+    np.fill_diagonal(kraus[1:].reshape(d * d, d * d), np.sqrt(p / d))
+    return Channel(d, d, kraus)
 
 
 def apply_instrument(states, branches):

@@ -485,7 +485,10 @@ def test_every_cell_sifts_by_the_paper_pair_lists():
 
 # Version of the map from seed to transcript.  Stream 6 draws each round's
 # cell with one uniform through ``protocol._draw``, a categorical draw over
-# a flat probability array: the stateful engine draws (setting, probe label)
+# a flat probability array that returns exactly the indices
+# ``rng.choice(size, T, p=...)`` returns from the same uniforms (its guide
+# table only skips the search; ``test_draw_matches_rng_choice``), so either
+# draw gives the same stream: the stateful engine draws (setting, probe label)
 # from the prior ``protocol._prior``, and the fast path draws (setting,
 # label, forward branch, backward branch, outcome) from the prior times the
 # exact outcome tables.  Stream 5 drew the action, the label and the
@@ -531,6 +534,94 @@ def test_rng_stream_digest(variant, engine):
     assert digest == STREAM_DIGESTS[variant, engine], (
         f"the seed-to-transcript map changed: bump RNG_STREAM (now {RNG_STREAM}) "
         "and record the new digests")
+
+
+def fast_path_weights(variant, direction, n, attack):
+    """The fast path's flat draw weights: the prior times the exact tables."""
+    cfg = make_config(variant=variant, direction=direction, n=n)
+    reg = protocol._Registry(cfg)
+    fwd = attack.forward_branches(n, reg.frame)
+    bwd = attack.backward_branches(n, reg.frame) if direction == "two_way" else None
+    return protocol._prior(cfg)[..., None, None, None] * protocol._build_tables(reg, fwd, bwd)
+
+
+DRAW_ATTACKS = {
+    "identity": adversary.identity_attack,
+    "depolarizing": lambda: adversary.depolarizing_attack(0.2),
+    "intercept_resend": lambda: adversary.intercept_resend("random"),
+    "unitary_tamper": lambda: adversary.unitary_tamper("Y", 0.3),
+}
+CHUNK = protocol._DRAW_CHUNK
+# a bucket of the guide table crowded with 200 tiny entries: the rounds in
+# it take the search
+CROWDED = np.concatenate([[0.5], np.full(200, 1e-6), [0.5 - 2e-4]])
+DRAW_CASES = {
+    **{(f"fast/{variant}/{direction}/n{n}/{name}", 3000): (variant, direction, n, name)
+       for variant in protocol.VARIANTS for direction in protocol.DIRECTIONS
+       for n in (1, 2, 3, 4) for name in sorted(DRAW_ATTACKS)},
+    ("stateful_prior", 3000): protocol._prior(make_config(p_c=0.3, p_e=0.5, p_d=0.2)),
+    ("zeros", 3000): np.array([0.0, 0.3, 0.0, 0.0, 0.7, 0.0]),
+    ("bucket_edges", 3000): np.array([0.25, 0.25, 0.5]),
+    ("crowded_bucket", 200_000): CROWDED,
+    ("more_entries_than_buckets", 3000): np.full(5000, 1 / 5000),
+    ("single_entry", 3000): np.array([1.0]),
+    **{(f"chunks/{T}", T): np.array([0.1, 0.2, 0.3, 0.4])
+       for T in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 3 * CHUNK + 1)},
+}
+
+
+@pytest.mark.parametrize("case,T", sorted(DRAW_CASES))
+def test_draw_matches_rng_choice(case, T):
+    weights = DRAW_CASES[case, T]
+    if isinstance(weights, tuple):
+        variant, direction, n, name = weights
+        weights = fast_path_weights(variant, direction, n, DRAW_ATTACKS[name]())
+    ours, numpys = np.random.default_rng([7, T]), np.random.default_rng([7, T])
+    drawn = protocol._draw(weights, ours, T)
+    assert drawn.dtype == np.min_scalar_type(weights.size)
+    np.testing.assert_array_equal(drawn, numpys.choice(weights.size, T, p=weights.ravel()))
+    np.testing.assert_array_equal(ours.random(3), numpys.random(3))
+
+
+def test_draw_searches_the_crowded_bucket():
+    # the crowded case's rounds in the bucket the tiny entries share are
+    # drawn by the search, and some of them land on a tiny entry
+    drawn = protocol._draw(CROWDED, np.random.default_rng([7, 200_000]), 200_000)
+    assert np.any((drawn >= 1) & (drawn <= 200))
+
+
+@pytest.mark.parametrize("weights", [
+    [0.5, np.nan, 0.5], [0.5, np.inf], [1.2, -0.2], [0.5, 0.5 + 1e-7], [0.5, 0.5 - 1e-7], []])
+def test_draw_rejects_what_rng_choice_rejects(weights):
+    weights = np.array(weights, dtype=float)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(max(weights.size, 1), 5, p=weights)
+    with pytest.raises(ValueError):
+        protocol._draw(weights, np.random.default_rng(0), 5)
+
+
+def test_draw_accepts_a_total_within_numpy_tolerance():
+    weights = np.array([0.5, 0.5 + 1e-9])
+    ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
+    np.testing.assert_array_equal(protocol._draw(weights, ours, 100),
+                                  numpys.choice(2, 100, p=weights))
+
+
+def test_sensor_model_is_shared_read_only_and_run_order_free():
+    frame, probes, sensor, values = protocol._sensor_model(2)
+    assert protocol._sensor_model(2)[1] is probes
+    for array in (probes, values, frame.pole0.amplitudes, *sensor[-1].eigenprojectors):
+        with pytest.raises(ValueError):
+            array.flat[0] = 1
+    cases = [(make_config(n=2, T=500, p_c=0.4, p_e=0.4, p_d=0.2), adversary.depolarizing_attack(0.2)),
+             (make_config(n=2, T=200, p_c=0.4, p_e=0.4, p_d=0.2, direction="two_way"),
+              adversary.two_way_swap_leak())]
+    protocol._sensor_model.cache_clear()
+    first = [protocol.run(cfg, attack.clone()).serialized() for cfg, attack in cases]
+    for n in (1, 3, 4):
+        for cfg, attack in cases:
+            protocol.run(replace(cfg, n=n), attack.clone())
+    assert [protocol.run(cfg, attack.clone()).serialized() for cfg, attack in cases] == first
 
 
 # ---------------------------------------------------------------- equivalence

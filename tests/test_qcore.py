@@ -266,6 +266,15 @@ def test_channel_completeness_enforced():
     for kraus in (0.5 * I2, np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
         with pytest.raises(ValueError):
             q.Channel(2, 2, (kraus,))
+    # many operators: one matrix unit missing, or one non-finite operator
+    ops = q.depolarizing_channel(0.3, 3).kraus_operators
+    assert isinstance(ops, tuple) and not any(k.flags.writeable for k in ops)
+    with pytest.raises(ValueError, match="completeness"):
+        q.Channel(8, 8, ops[:5] + ops[6:])
+    nan = np.zeros((8, 8), dtype=complex)
+    nan[3, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        q.Channel(8, 8, ops[:5] + (nan,) + ops[5:])
 
 
 # ---------------------------------------------------------------- measurement
