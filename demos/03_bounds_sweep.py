@@ -28,11 +28,10 @@ scenario = {
     "output": {"csv": str(out_csv)},
 }
 
-with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-    json.dump(scenario, fh)
-    scenario_path = fh.name
-
-rc = cli.main(["sweep", scenario_path])
+with tempfile.TemporaryDirectory() as tmp:
+    scenario_path = pathlib.Path(tmp) / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    rc = cli.main(["sweep", str(scenario_path)])
 assert rc == 0
 
 rows = out_csv.read_text().splitlines()

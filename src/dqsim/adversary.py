@@ -105,17 +105,8 @@ class AttackModel:
         return None
 
 
-class _InstrumentAttack(AttackModel):
-    def __init__(self, name):
-        self.name = name
-
-    def forward_state(self, world, rng):
-        raise RuntimeError("instrument attacks run on the fast path")
-
-
-class IdentityAttack(_InstrumentAttack):
-    def __init__(self):
-        super().__init__("identity")
+class IdentityAttack(AttackModel):
+    name = "identity"
 
     def forward_branches(self, n, frame):
         return [("identity", 1.0, [np.eye(2 ** n, dtype=complex)])]
@@ -126,16 +117,15 @@ def identity_attack() -> AttackModel:
     return IdentityAttack()
 
 
-class DepolarizingAttack(_InstrumentAttack):
+class DepolarizingAttack(AttackModel):
     def __init__(self, p):
-        super().__init__(f"depolarizing(p={p:.6g})")
+        self.name = f"depolarizing(p={p:.6g})"
         if not 0.0 <= p <= 1.0:
             raise ValueError("depolarizing probability must lie in [0, 1]")
         self.p = float(p)
 
     def forward_branches(self, n, frame):
-        channel = qcore.depolarizing_channel(self.p, n)
-        return [("depolarizing", 1.0, list(channel.kraus_operators))]
+        return [("depolarizing", 1.0, qcore.depolarizing_channel(self.p, n))]
 
 
 def depolarizing_attack(p: float) -> AttackModel:
@@ -143,9 +133,9 @@ def depolarizing_attack(p: float) -> AttackModel:
     return DepolarizingAttack(p)
 
 
-class UnitaryTamperAttack(_InstrumentAttack):
+class UnitaryTamperAttack(AttackModel):
     def __init__(self, axis, angle):
-        super().__init__(f"unitary_tamper({axis}, {angle:.6g})")
+        self.name = f"unitary_tamper({axis}, {angle:.6g})"
         if not isinstance(axis, str) or axis.upper() not in qcore.PAULI_AXES:
             raise ValueError(f"unknown Pauli axis {axis!r}")
         self.axis = axis.upper()
@@ -166,9 +156,9 @@ def unitary_tamper(axis: str, angle: float) -> AttackModel:
     return UnitaryTamperAttack(axis, angle)
 
 
-class InterceptResendAttack(_InstrumentAttack):
+class InterceptResendAttack(AttackModel):
     def __init__(self, basis_strategy):
-        super().__init__(f"intercept_resend({basis_strategy})")
+        self.name = f"intercept_resend({basis_strategy})"
         strategy = basis_strategy.upper() if isinstance(basis_strategy, str) else basis_strategy
         if strategy == "RANDOM":
             self.axes = list(qcore.PAULI_AXES)

@@ -1,9 +1,10 @@
 """Scenario runner: single executions, bound-versus-empirical sweeps,
 bound tables, inequality verification and the variant-equivalence check.
 
-Scenario files are JSON with four blocks: ``protocol`` (the run
+Scenario files are JSON with five blocks: ``protocol`` (the run
 configuration), ``attack`` (name plus parameters), optional ``sweep``
-(variable, start, stop, steps) and optional ``output`` (file paths).
+(variable, start, stop, steps), optional ``output`` (file paths) and
+optional ``bounds`` (the sweep's bound ``mode``, required in the block).
 Unknown keys anywhere are rejected.  Identical scenario and seed produce
 byte-identical outputs.
 
@@ -142,8 +143,8 @@ def load_scenario(path) -> dict:
             if not isinstance(path, str) or "\0" in path:
                 raise SchemaError(f"output.{key} must be a file path")
     if "bounds" in raw:
-        _require_keys(raw["bounds"], {"mode"}, set(), "bounds block")
-        if raw["bounds"].get("mode") not in metrics.MODES:
+        _require_keys(raw["bounds"], {"mode"}, {"mode"}, "bounds block")
+        if raw["bounds"]["mode"] not in metrics.MODES:
             raise SchemaError(f"bounds.mode must be one of {metrics.MODES}")
     return raw
 
@@ -171,9 +172,8 @@ def build_attack(scenario, override=None):
 
 
 def _bounds_mode(scenario, config):
-    if "bounds" in scenario and "mode" in scenario["bounds"]:
-        return scenario["bounds"]["mode"]
-    return "two_way_gc" if config.direction == "two_way" else "one_way_individual"
+    return (scenario["bounds"]["mode"] if "bounds" in scenario
+            else "two_way_gc" if config.direction == "two_way" else "one_way_individual")
 
 
 # ---------------------------------------------------------------- run
@@ -244,12 +244,16 @@ def cmd_run(scenario, seed_override=None, strict_abort=False) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _batched_phi_variance(transcript, batches):
+# Windows of the empirical variance estimate ``var_emp``.
+VARIANCE_WINDOWS = 20
+
+
+def _batched_phi_variance(transcript):
     """Estimator-variance estimate: variance over per-window phase estimates
     divided by the window count."""
     values = protocol.estimation_products(transcript)
     n = transcript.config.n
-    usable = min(batches, values.size)
+    usable = min(VARIANCE_WINDOWS, values.size)
     if usable < 2:
         return math.inf
     size = values.size // usable
@@ -259,7 +263,7 @@ def _batched_phi_variance(transcript, batches):
     return summary.variance_of_mean
 
 
-def run_sweep_point(scenario, value, seed_override=None, batches=20):
+def run_sweep_point(scenario, value, seed_override=None):
     """Twin runs (attacked versus identity, shared seed) at one sweep point."""
     variable = scenario["sweep"]["variable"]
     if variable == "phi":
@@ -275,8 +279,8 @@ def run_sweep_point(scenario, value, seed_override=None, batches=20):
     est_att = protocol.estimate_phase(tr_att)
     est_idl = protocol.estimate_phase(tr_idl)
 
-    var_att = _batched_phi_variance(tr_att, batches)
-    var_idl = _batched_phi_variance(tr_idl, batches)
+    var_att = _batched_phi_variance(tr_att)
+    var_idl = _batched_phi_variance(tr_idl)
     mode = _bounds_mode(scenario, config)
     phi = config.true_phi
     eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,
@@ -310,18 +314,15 @@ def sweep_values(scenario):
                        int(block["steps"]))
 
 
-def cmd_sweep(scenario, seed_override=None, threads=1, batches=20) -> int:
+def cmd_sweep(scenario, seed_override=None, threads=1) -> int:
     if "sweep" not in scenario:
         raise SchemaError("sweep command needs a sweep block")
-    if batches < 2:
-        raise SchemaError("--batches must be at least 2")
     values = sweep_values(scenario)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda v: run_sweep_point(scenario, v, seed_override, batches), values))
+            rows = list(pool.map(lambda v: run_sweep_point(scenario, v, seed_override), values))
     else:
-        rows = [run_sweep_point(scenario, v, seed_override, batches) for v in values]
+        rows = [run_sweep_point(scenario, v, seed_override) for v in values]
     path = scenario.get("output", {}).get("csv", "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -418,9 +419,6 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="bound-versus-empirical sweep")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--batches", type=int, default=20,
-                         help="windows for the empirical variance estimate "
-                              "(at least 2)")
 
     p_bounds = sub.add_parser("bounds", help="evaluate the theoretical bounds")
     p_bounds.add_argument("--mode", choices=metrics.MODES, required=True)
@@ -461,7 +459,7 @@ def main(argv=None) -> int:
             return cmd_run(scenario, args.seed, args.strict_abort)
         if args.command == "sweep":
             scenario = load_scenario(args.scenario)
-            return cmd_sweep(scenario, args.seed, args.threads, args.batches)
+            return cmd_sweep(scenario, args.seed, args.threads)
         if args.command == "bounds":
             phis = _bounds_phis(args)
             try:

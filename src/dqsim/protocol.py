@@ -35,6 +35,7 @@ signed sums of the cell counts; only their pooling into correlators
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import io
@@ -172,7 +173,7 @@ _SETTINGS = (tuple((0, pick, axis) for pick, axis in enumerate(AXES))
 _SETTING_ACTION = np.array([action for action, _pick, _axis in _SETTINGS], dtype=np.int8)
 _SETTING_AXIS = np.array([-1 if axis is None else AXES.index(axis)
                           for _action, _pick, axis in _SETTINGS], dtype=np.int8)
-# whether a setting encodes: its index into _Registry.encoders
+# whether a setting encodes: its index into ``_encoders(config)``
 _SETTING_ENCODER = np.array([action == 1 for action, _pick, _axis in _SETTINGS],
                             dtype=np.intp)
 
@@ -287,17 +288,15 @@ class Transcript:
 
     def serialize(self, target) -> None:
         """Write the line-oriented transcript, check rounds disclosed first, as
-        bytes to a path (``os.PathLike``, str, bytes) or as str to a text handle."""
+        bytes to a path (``os.PathLike``, str, bytes) or a binary handle."""
         own = isinstance(target, (str, bytes, os.PathLike))
-        fh = open(target, "wb") if own else target
-        write = fh.write if own else (lambda chunk: fh.write(chunk.decode("ascii")))
-        try:
+        with open(target, "wb") if own else contextlib.nullcontext(target) as fh:
             cfg = self.config
-            write((f"#dqs-transcript v1\n#config_hash\t{self.config_hash()}\n"
-                   f"#seed\t{int(cfg.seed)}\n#variant\t{cfg.variant}\n"
-                   f"#direction\t{cfg.direction}\n#n\t{cfg.n}\n#T\t{cfg.T}\n"
-                   "#columns\tindex\taction\talice_obs\talice_out\tprobe"
-                   "\tbob_obs\tbob_out\tstatus\n").encode("ascii"))
+            fh.write((f"#dqs-transcript v1\n#config_hash\t{self.config_hash()}\n"
+                      f"#seed\t{int(cfg.seed)}\n#variant\t{cfg.variant}\n"
+                      f"#direction\t{cfg.direction}\n#n\t{cfg.n}\n#T\t{cfg.T}\n"
+                      "#columns\tindex\taction\talice_obs\talice_out\tprobe"
+                      "\tbob_obs\tbob_out\tstatus\n").encode("ascii"))
             # kept check rounds, then kept estimation rounds, then the rest;
             # int32 holds every index below MAX_ROUNDS and divides faster
             order = np.argsort(((_CELL_STATUS + 2) % 3)[self.cell], kind="stable").astype(np.int32)
@@ -312,15 +311,12 @@ class Transcript:
                 chunk[:, :places.size] = np.where((index[:, None] >= places) | (places == 1),
                                                   index[:, None] // places % 10 + ord("0"), 0)
                 np.take(suffixes, self.cell[index], axis=0, out=chunk[:, places.size:])
-                write(chunk[chunk != 0].tobytes())
-        finally:
-            if own:
-                fh.close()
+                fh.write(chunk[chunk != 0].tobytes())
 
     def serialized(self) -> str:
-        buf = io.StringIO()
+        buf = io.BytesIO()
         self.serialize(buf)
-        return buf.getvalue()
+        return buf.getvalue().decode("ascii")
 
 
 def parse_transcript(text: str):
@@ -369,17 +365,11 @@ def _sensor_model(n):
     return frame, probes, sensor, values
 
 
-class _Registry:
-    """Per-run view of the probe states and the sensor model shared by both
-    engines: ``_sensor_model(n)``'s ``frame``, ``probes``, ``sensor`` and
-    ``values``, plus ``encoders``, which stacks the identity and the phase
-    encoding, indexed by whether a round encodes."""
-
-    def __init__(self, config):
-        self.frame, self.probes, self.sensor, self.values = _sensor_model(config.n)
-        self.probe_dim = 2 ** config.n
-        self.encoders = np.stack([np.eye(self.probe_dim, dtype=complex),
-                                  qcore.encoding_unitary(config.n, config.true_phi)])
+def _encoders(config):
+    """The identity and the run's phase encoding, stacked so that
+    ``_SETTING_ENCODER`` indexes them."""
+    return np.stack([np.eye(2 ** config.n, dtype=complex),
+                     qcore.encoding_unitary(config.n, config.true_phi)])
 
 
 def _labels(branches):
@@ -392,24 +382,26 @@ def _labels(branches):
 _TABLE_TOLERANCE = 1e-9
 
 
-def _build_tables(reg, fwd, bwd):
+def _build_tables(config, fwd, bwd):
     """Exact outcome tables of every cell under the forward instrument
     ``fwd`` and the backward instrument ``bwd`` (None: identity), one float
     array of shape (setting, probe label, forward branch, backward branch,
     sensor outcome): the probabilities of a round's branches and outcome,
-    the outcomes in ``reg.values`` order.  A discarded round's mass lies on
-    the last outcome.  The six probe states are pushed through the forward
-    instrument once as a stack, encoded once and pushed through the
-    backward one; each encoder's states are contracted with every sensor
-    projector, and the settings gather their encoder and observable.  A
-    total off 1, or an entry below 0, by more than ``_TABLE_TOLERANCE``
-    raises UnsupportedAttackError; roundoff negatives are set to 0."""
-    enc = reg.encoders[:, None, None]
-    states = enc @ qcore.apply_instrument(reg.probes, fwd) @ enc.conj().swapaxes(-1, -2)
+    the outcomes in ``_sensor_model(n)``'s ``values`` order.  A discarded
+    round's mass lies on the last outcome.  The six probe states are pushed
+    through the forward instrument once as a stack, encoded once and pushed
+    through the backward one; each encoder's states are contracted with
+    every sensor projector, and the settings gather their encoder and
+    observable.  A total off 1, or an entry below 0, by more than
+    ``_TABLE_TOLERANCE`` raises UnsupportedAttackError; roundoff negatives
+    are set to 0."""
+    _frame, probes, sensor, _values = _sensor_model(config.n)
+    enc = _encoders(config)[:, None, None]
+    states = enc @ qcore.apply_instrument(probes, fwd) @ enc.conj().swapaxes(-1, -2)
     states = states[..., None, :, :] if bwd is None else qcore.apply_instrument(states, bwd)
     # Tr(P rho) is the sum over the entries of P^T times rho
-    proj = np.array([o.eigenprojectors for o in reg.sensor])
-    d = reg.probe_dim
+    proj = np.array([o.eigenprojectors for o in sensor])
+    d = 2 ** config.n
     probs = (states.reshape(states.shape[:-2] + (d * d,))
              @ proj.swapaxes(-1, -2).reshape(-1, d * d).T).real
     probs = probs.reshape(probs.shape[:-1] + proj.shape[:2])
@@ -485,7 +477,7 @@ def _draw(weights, rng, T):
     return out
 
 
-def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
+def _run_fast(config, attack, rng, fwd, bwd) -> Transcript:
     """Memoryless attacks: every round's setting, probe label, branches and
     outcome are one draw from the prior times the stacked exact tables under
     the attack's forward and backward instruments ``fwd`` and ``bwd``.  The
@@ -493,10 +485,11 @@ def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
 
     Draw order: one uniform per round, through ``_draw``.
     """
-    tables = _prior(config)[..., None, None, None] * _build_tables(reg, fwd, bwd)
+    tables = _prior(config)[..., None, None, None] * _build_tables(config, fwd, bwd)
     # each table entry's (cell, forward branch, backward branch)
     setting, label, forward, backward, outcome = np.indices(tables.shape)
-    cell = np.ravel_multi_index((setting, label, reg.values[outcome] + 1), _CELL_SHAPE)
+    *_, values = _sensor_model(config.n)
+    cell = np.ravel_multi_index((setting, label, values[outcome] + 1), _CELL_SHAPE)
     entries = np.stack([cell, forward, backward]).reshape(3, -1)
     entries = entries.astype(np.min_scalar_type(max(_N_CELLS, *tables.shape)))
     cell, forward, backward = np.take(entries, _draw(tables, rng, config.T), axis=1)
@@ -511,7 +504,7 @@ def _run_fast(config, attack, rng, reg, fwd, bwd) -> Transcript:
 _BATCH_BYTES = 1 << 18
 
 
-def _run_stateful(config, attack, rng, reg) -> Transcript:
+def _run_stateful(config, attack, rng) -> Transcript:
     """Quantum-memory attacks: independent blocks a batch at a time, one
     position inside the block after another, each position's round of every
     block in the batch run at once on a batched register state.
@@ -521,12 +514,14 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
     position, one uniform per round for each measurement the hooks and the
     sensor make, in call order.
     """
-    T, L = config.T, attack.block_length
+    T, L, d = config.T, attack.block_length, 2 ** config.n
+    _frame, probes, sensor, _values = _sensor_model(config.n)
+    encoders = _encoders(config)
     setting, label = np.divmod(_draw(_prior(config), rng, T), len(qcore.SIGNED_LABELS))
     bob_axis = _SETTING_AXIS[setting]
     b_out = np.zeros(T, dtype=np.int8)
 
-    per_batch = max(1, _BATCH_BYTES // (16 * (2 * reg.probe_dim) ** 2 * L))
+    per_batch = max(1, _BATCH_BYTES // (16 * (2 * d) ** 2 * L))
     n_blocks = -(-T // L)
     for first in range(0, n_blocks, per_batch):
         blocks = np.arange(first, min(first + per_batch, n_blocks))
@@ -536,12 +531,12 @@ def _run_stateful(config, attack, rng, reg) -> Transcript:
             t = t[t < T]
             if t.size == 0:
                 break
-            world = qcore.RegisterState(["B"], [reg.probe_dim], reg.probes[label[t]])
+            world = qcore.RegisterState(["B"], [d], probes[label[t]])
             attack.forward_state(world, rng)
-            world.apply_unitary(reg.encoders[_SETTING_ENCODER[setting[t]]], [world.probe])
+            world.apply_unitary(encoders[_SETTING_ENCODER[setting[t]]], [world.probe])
             if config.direction == "two_way":
                 attack.backward_state(world, rng)
-            b_out[t] = np.rint(world.measure(reg.sensor, world.probe, rng, bob_axis[t]))
+            b_out[t] = np.rint(world.measure(sensor, world.probe, rng, bob_axis[t]))
             attack.end_round(world, rng)
     return Transcript(config, np.ravel_multi_index((setting, label, b_out + 1), _CELL_SHAPE))
 
@@ -551,17 +546,16 @@ def run(config: ProtocolConfig, attack) -> Transcript:
     if attack.requires_two_way and config.direction != "two_way":
         raise UnsupportedAttackError(f"attack {attack.name!r} requires two-way operation")
     rng = np.random.default_rng(config.seed)
-    reg = _Registry(config)
+    frame, *_ = _sensor_model(config.n)
     try:
-        attack.on_run_start(config.public(), reg.frame)
+        attack.on_run_start(config.public(), frame)
     except ValueError as exc:
         raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
-    fwd = attack.forward_branches(config.n, reg.frame)
+    fwd = attack.forward_branches(config.n, frame)
     if fwd is None:
-        return _run_stateful(config, attack, rng, reg)
-    bwd = (attack.backward_branches(config.n, reg.frame)
-           if config.direction == "two_way" else None)
-    return _run_fast(config, attack, rng, reg, fwd, bwd)
+        return _run_stateful(config, attack, rng)
+    bwd = attack.backward_branches(config.n, frame) if config.direction == "two_way" else None
+    return _run_fast(config, attack, rng, fwd, bwd)
 
 
 # ---------------------------------------------------------------- reconciliation

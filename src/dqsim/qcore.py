@@ -1,6 +1,6 @@
 """Exact linear-algebra substrate for small multi-qubit protocol simulations.
 
-States, observables, channels and measurements for registers of up to a few
+States, observables, Kraus instruments and measurements for registers of up to a few
 qubits, plus the specific entangled resource states, logical-subspace Pauli
 operators and phase-encoding unitaries used by the sensing protocols.
 Everything is dense complex linear algebra, sized for probes of up to
@@ -23,7 +23,6 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
-KRAUS_TOL = 1e-10
 EIGENVALUE_GROUP_TOL = 1e-8
 
 PAULI_AXES = ("X", "Y", "Z")
@@ -213,35 +212,27 @@ def pauli_matrix(axis: str):
     return _PAULI[axis.upper()].copy()
 
 
-# Cyclic successor on (X, Y, Z): successor(X)=Y, successor(Y)=Z, successor(Z)=X.
-_SUCC = {"X": "Y", "Y": "Z", "Z": "X"}
-
-
 @dataclass(frozen=True)
 class LogicalFrame:
     """Two-dimensional logical subspace of an n-qubit register.
 
     ``pole0``/``pole1`` span the subspace and are the +1/-1 eigenstates of
-    the logical Pauli named by ``pole_axis``.  The other two logical Paulis
-    are fixed by the cyclic algebra: the successor axis of ``pole_axis`` acts
-    as the flip |pole0><pole1| + h.c., the predecessor as the corresponding
-    -i/+i combination, so that the three operators square to the subspace
-    projector and anticommute pairwise on it.
+    the diagonal logical Pauli Y.  Logical Z is the flip |pole0><pole1| +
+    h.c. and logical X the corresponding -i/+i combination, so that the
+    three operators square to the subspace projector and anticommute
+    pairwise on it.
 
     The protocol frame (``standard``) uses the per-qubit circular states
-    R^n / L^n as poles with pole_axis Y: the per-qubit phase encoding then
-    acts inside the subspace as a rotation about the diagonal logical Pauli,
-    and at n = 1 all three logical operators reduce to the ordinary Paulis.
+    R^n / L^n as poles: the per-qubit phase encoding then acts inside the
+    subspace as a rotation about logical Y, and at n = 1 all three logical
+    operators reduce to the ordinary Paulis.
     """
 
     n: int
     pole0: PureState
     pole1: PureState
-    pole_axis: str = "Y"
 
     def __post_init__(self):
-        if self.pole_axis not in PAULI_AXES:
-            raise ValueError(f"invalid pole axis {self.pole_axis!r}")
         if self.pole0.dim != 2 ** self.n or self.pole1.dim != 2 ** self.n:
             raise ValueError("pole dimension does not match qubit count")
         overlap = np.vdot(self.pole0.amplitudes, self.pole1.amplitudes)
@@ -254,17 +245,8 @@ class LogicalFrame:
 
     @classmethod
     def standard(cls, n: int) -> "LogicalFrame":
-        """Protocol frame: poles R^n and L^n, diagonal axis Y."""
-        return cls(n, PureState(kron_power(KET_R, n)), PureState(kron_power(KET_L, n)), "Y")
-
-    @classmethod
-    def computational(cls, n: int) -> "LogicalFrame":
-        """Frame with poles |0...0> and |1...1>, diagonal axis Z."""
-        e0 = np.zeros(2 ** n, dtype=complex)
-        e0[0] = 1.0
-        e1 = np.zeros(2 ** n, dtype=complex)
-        e1[-1] = 1.0
-        return cls(n, PureState(e0), PureState(e1), "Z")
+        """Protocol frame: poles R^n and L^n."""
+        return cls(n, PureState(kron_power(KET_R, n)), PureState(kron_power(KET_L, n)))
 
     def subspace_projector(self):
         p0, p1 = self.pole0.amplitudes, self.pole1.amplitudes
@@ -276,9 +258,9 @@ class LogicalFrame:
         m11 = np.outer(p1, p1.conj())
         m01 = np.outer(p0, p1.conj())
         m10 = np.outer(p1, p0.conj())
-        if axis == self.pole_axis:
+        if axis == "Y":
             return m00 - m11
-        if axis == _SUCC[self.pole_axis]:
+        if axis == "Z":
             return m01 + m10
         return -1j * m01 + 1j * m10
 
@@ -313,9 +295,9 @@ def mub_probe(frame: LogicalFrame, label) -> PureState:
     """+1 eigenvector of the signed logical Pauli within the frame subspace."""
     axis, sign = parse_probe_label(label)
     p0, p1 = frame.pole0.amplitudes, frame.pole1.amplitudes
-    if axis == frame.pole_axis:
+    if axis == "Y":
         vec = p0 if sign == 1 else p1
-    elif axis == _SUCC[frame.pole_axis]:
+    elif axis == "Z":
         vec = (p0 + sign * p1) / np.sqrt(2)
     else:
         vec = (p0 + sign * 1j * p1) / np.sqrt(2)
@@ -364,39 +346,13 @@ def resource_state(n: int) -> PureState:
     return PureState(vecs[:, -1])
 
 
-@dataclass(frozen=True)
-class Channel:
-    """Completely positive trace-preserving map in Kraus form."""
-
-    dim_in: int
-    dim_out: int
-    kraus_operators: tuple
-
-    def __post_init__(self):
-        shape = (self.dim_out, self.dim_in)
-        if any(np.shape(k) != shape for k in self.kraus_operators):
-            raise DimensionMismatchError("Kraus operator shape does not match channel dims")
-        stack = _frozen(np.asarray(self.kraus_operators, dtype=complex)).reshape(-1, *shape)
-        object.__setattr__(self, "kraus_operators", tuple(stack))
-        if not np.isfinite(stack).all():
-            raise ValueError("Kraus operators have a non-finite entry")
-        # sum_k K_k^dagger K_k is S^dagger S for the operators S stacked row-wise
-        rows = stack.reshape(-1, self.dim_in)
-        if not np.max(np.abs(rows.conj().T @ rows - np.eye(self.dim_in))) <= KRAUS_TOL:
-            raise ValueError("Kraus operators do not satisfy the completeness relation")
-
-
-def identity_channel(dim: int) -> Channel:
-    return Channel(dim, dim, (np.eye(dim, dtype=complex),))
-
-
-def depolarizing_channel(p: float, n_qubits: int = 1) -> Channel:
-    """Register depolarizing map rho -> (1-p) rho + p I/d on n qubits.
+def depolarizing_channel(p: float, n_qubits: int = 1):
+    """Kraus operators of the register depolarizing map
+    rho -> (1-p) rho + p I/d on n qubits, one read-only (4^n + 1, d, d) stack.
 
     Kraus form: sqrt(1-p) I, then the d^2 matrix units |i><j| scaled by
     sqrt(p/d), since sum_ij |i><j| rho |j><i| = Tr(rho) I; the units are
-    the rows of a d^2 x d^2 diagonal, and all 4^n + 1 operators are one
-    array that the channel keeps without a copy.
+    the rows of a d^2 x d^2 diagonal.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing probability must lie in [0, 1]")
@@ -404,7 +360,8 @@ def depolarizing_channel(p: float, n_qubits: int = 1) -> Channel:
     kraus = np.zeros((d * d + 1, d, d), dtype=complex)
     np.fill_diagonal(kraus[0], np.sqrt(1.0 - p))
     np.fill_diagonal(kraus[1:].reshape(d * d, d * d), np.sqrt(p / d))
-    return Channel(d, d, kraus)
+    kraus.setflags(write=False)
+    return kraus
 
 
 def apply_instrument(states, branches):

@@ -40,6 +40,12 @@ def test_unknown_top_level_key_rejected(tmp_path):
     assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
 
 
+def test_bounds_block_without_mode_rejected(tmp_path):
+    path, _ = write_scenario(tmp_path, bounds={})
+    assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+    assert not (tmp_path / "tr.tsv").exists()
+
+
 def test_missing_protocol_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -140,7 +146,7 @@ class _Lossy(adversary.AttackModel):
     def forward_branches(self, n, frame):
         if self.kind == "half_weight":
             return [("half", 0.5, [np.eye(2 ** n)])]
-        return [("lossy", 1.0, list(qcore.depolarizing_channel(0.3, n).kraus_operators[1:]))]
+        return [("lossy", 1.0, qcore.depolarizing_channel(0.3, n)[1:])]
 
 
 @pytest.mark.parametrize("kind", ["half_weight", "incomplete_kraus"])
@@ -396,23 +402,17 @@ def test_verify_passes_and_reports_counts(tmp_path):
     assert all(s["checks"] > 0 for s in payload["suites"])
 
 
-@pytest.mark.parametrize("command, args", [
-    ("verify", ["--restarts", "0"]),
-    ("verify", ["--restarts", "-1"]),
-    ("sweep", ["--batches", "1"]),
-    ("sweep", ["--batches", "0"]),
-    ("verify", ["--verify-seed", "-1"]),
-], ids=["restarts_0", "restarts_negative", "batches_1", "batches_0", "verify_seed_negative"])
-def test_bad_counts_exit_with_schema_code(tmp_path, command, args):
-    # each once exited 0 with wrong numbers: 50 passing LOCC1 checks from
-    # no search at all, or var_emp = inf in every sweep row
-    path, _ = write_scenario(
-        tmp_path, sweep={"variable": "phi", "start": 0.3, "stop": 0.9, "steps": 2})
+@pytest.mark.parametrize("args", [
+    ["--restarts", "0"],
+    ["--restarts", "-1"],
+    ["--verify-seed", "-1"],
+], ids=["restarts_0", "restarts_negative", "verify_seed_negative"])
+def test_bad_counts_exit_with_schema_code(tmp_path, args):
+    # a zero restart count once exited 0 with 50 passing LOCC1 checks from
+    # no search at all
     out = tmp_path / "verify.json"
-    target = ["--output", str(out)] if command == "verify" else [str(path)]
-    assert cli.main([command, *target, *args]) == cli.EXIT_SCHEMA
+    assert cli.main(["verify", "--output", str(out), *args]) == cli.EXIT_SCHEMA
     assert not out.exists()
-    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_verify_injected_violation_fails(tmp_path):

@@ -1,0 +1,17 @@
+"""Every demo script runs to completion against the current API."""
+
+import pathlib
+import runpy
+import shutil
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_runs(tmp_path, capsys, demo):
+    # a copy, since a demo may write its output next to the script
+    script = shutil.copy(demo, tmp_path)
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out

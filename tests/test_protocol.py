@@ -539,10 +539,10 @@ def test_rng_stream_digest(variant, engine):
 def fast_path_weights(variant, direction, n, attack):
     """The fast path's flat draw weights: the prior times the exact tables."""
     cfg = make_config(variant=variant, direction=direction, n=n)
-    reg = protocol._Registry(cfg)
-    fwd = attack.forward_branches(n, reg.frame)
-    bwd = attack.backward_branches(n, reg.frame) if direction == "two_way" else None
-    return protocol._prior(cfg)[..., None, None, None] * protocol._build_tables(reg, fwd, bwd)
+    frame = qcore.LogicalFrame.standard(n)
+    fwd = attack.forward_branches(n, frame)
+    bwd = attack.backward_branches(n, frame) if direction == "two_way" else None
+    return protocol._prior(cfg)[..., None, None, None] * protocol._build_tables(cfg, fwd, bwd)
 
 
 DRAW_ATTACKS = {
@@ -700,8 +700,7 @@ class _BackwardDepolarizing(adversary.AttackModel):
         return [("id", 1.0, [np.eye(2 ** n, dtype=complex)])]
 
     def backward_branches(self, n, frame):
-        channel = qcore.depolarizing_channel(self.p, n)
-        return [("depol", 1.0, list(channel.kraus_operators))]
+        return [("depol", 1.0, qcore.depolarizing_channel(self.p, n))]
 
 
 class _BackwardTamper(adversary.AttackModel):
@@ -806,9 +805,10 @@ NOT_TRACE_PRESERVING = {
     "half_weight": lambda n: [("half", 0.5, [np.eye(2 ** n)])],
     # the depolarizing channel without its identity Kraus operator
     "incomplete_kraus": lambda n: [
-        ("lossy", 1.0, list(qcore.depolarizing_channel(0.3, n).kraus_operators[1:]))],
+        ("lossy", 1.0, qcore.depolarizing_channel(0.3, n)[1:])],
     "negative_weight": lambda n: [("gain", 2.0, [np.eye(2 ** n)]),
                                   ("loss", -1.0, [np.eye(2 ** n)])],
+    "non_finite": lambda n: [("nan", 1.0, [np.full((2 ** n, 2 ** n), np.nan)])],
 }
 
 
@@ -886,16 +886,17 @@ def reference_entanglement_tables(cfg, attack):
 
 
 def exact_tables(cfg, attack):
-    """The fast path's registry and exact outcome tables under this attack,
-    one table per (action, probe label, sensor pick) with the outcomes in
-    ``reg.outcomes[axis]`` order: a discarded round's table keeps only its
-    last outcome, ``_B_ABSENT``, the others being exactly 0."""
-    reg = protocol._Registry(cfg)
-    fwd = attack.forward_branches(cfg.n, reg.frame)
-    bwd = attack.backward_branches(cfg.n, reg.frame) if cfg.direction == "two_way" else None
-    stacked = protocol._build_tables(reg, fwd, bwd)
-    reg.outcomes = {axis: reg.values for axis in protocol.AXES}
-    reg.outcomes[None] = np.array([protocol._B_ABSENT], dtype=np.int8)
+    """The sensor outcomes of each axis and the fast path's exact outcome
+    tables under this attack, one table per (action, probe label, sensor
+    pick) with the outcomes in ``outcomes[axis]`` order: a discarded round's
+    table keeps only its last outcome, ``_B_ABSENT``, the others being
+    exactly 0."""
+    frame, _probes, _sensor, values = protocol._sensor_model(cfg.n)
+    fwd = attack.forward_branches(cfg.n, frame)
+    bwd = attack.backward_branches(cfg.n, frame) if cfg.direction == "two_way" else None
+    stacked = protocol._build_tables(cfg, fwd, bwd)
+    outcomes = {axis: values for axis in protocol.AXES}
+    outcomes[None] = np.array([protocol._B_ABSENT], dtype=np.int8)
     tables = {}
     for setting, (action, pick, axis) in enumerate(protocol._SETTINGS):
         for label, table in enumerate(stacked[setting]):
@@ -903,7 +904,7 @@ def exact_tables(cfg, attack):
                 assert np.all(table[..., :-1] == 0.0)
                 table = table[..., -1:]
             tables[action, label, pick] = table
-    return reg, tables
+    return outcomes, tables
 
 
 ORACLE_ATTACKS = {
@@ -924,7 +925,7 @@ def test_entanglement_tables_match_joint_born_probabilities(n, direction, attack
     # has probability 1/2, leaves the probe in label s.partner(a)
     cfg = make_config(n=n, direction=direction, true_phi=0.37 / n)
     attack = ORACLE_ATTACKS[attack_name]()
-    reg, tables = exact_tables(cfg, attack)
+    outcomes, tables = exact_tables(cfg, attack)
     reference = reference_entanglement_tables(cfg, attack)
     assert set(tables) == {(action, label, bi) for action, _ai, bi in reference
                            for label in range(len(qcore.SIGNED_LABELS))}
@@ -937,9 +938,9 @@ def test_entanglement_tables_match_joint_born_probabilities(n, direction, attack
             mine = [e for e in entries if e[3] == a]
             # entries run over (forward branch, backward branch, outcome)
             f, w, k = np.indices(table.shape).reshape(3, -1)
-            outcomes = reg.outcomes[SENSOR_AXES[action][bi]][k]
+            b = outcomes[SENSOR_AXES[action][bi]][k]
             assert [e[1:3] + e[4:] for e in mine] == list(
-                zip(f.tolist(), w.tolist(), outcomes.tolist()))
+                zip(f.tolist(), w.tolist(), b.tolist()))
             mine_probs = np.array([e[0] for e in mine])
             assert np.max(np.abs(mine_probs - 0.5 * table.ravel())) < 1e-12
 
@@ -1006,13 +1007,13 @@ class _StatefulAdapter(adversary.AttackModel):
 def exact_cell_probabilities(cfg, attack):
     """P(action, probe label, sensor axis, sensor outcome) of one round,
     from the fast path's exact outcome tables."""
-    reg, tables = exact_tables(cfg, attack)
+    outcomes, tables = exact_tables(cfg, attack)
     p_action = (cfg.p_c, cfg.p_e, cfg.p_d)
     cells = {}
     for (action, label, pick), table in tables.items():
         axis = SENSOR_AXES[action][pick]
         weight = p_action[action] / len(qcore.SIGNED_LABELS) / len(SENSOR_AXES[action])
-        for b, p in zip(reg.outcomes[axis].tolist(), table.sum(axis=(0, 1))):
+        for b, p in zip(outcomes[axis].tolist(), table.sum(axis=(0, 1))):
             cell = (action, label, -1 if axis is None else protocol.AXES.index(axis), b)
             cells[cell] = cells.get(cell, 0.0) + weight * p
     return cells

@@ -55,12 +55,6 @@ def test_pauli_rejects_unknown_axis():
 
 # ---------------------------------------------------------------- logical frames
 
-def test_bold_pauli_n1_computational_frame_reduces_to_pauli():
-    frame = q.LogicalFrame.computational(1)
-    for axis in "XYZ":
-        assert np.allclose(q.bold_pauli(frame, axis).matrix, q.pauli(axis).matrix)
-
-
 def test_bold_pauli_n1_standard_frame_reduces_to_pauli():
     frame = q.LogicalFrame.standard(1)
     for axis in "XYZ":
@@ -68,7 +62,7 @@ def test_bold_pauli_n1_standard_frame_reduces_to_pauli():
 
 
 def test_bold_z_spectrum_n2():
-    frame = q.LogicalFrame.computational(2)
+    frame = q.LogicalFrame.standard(2)
     obs = q.bold_pauli(frame, "Z")
     assert np.allclose(obs.eigenvalues, [-1.0, 0.0, 1.0])
     # the zero eigenvalue carries the rank-2 complement
@@ -76,14 +70,20 @@ def test_bold_z_spectrum_n2():
     assert np.trace(zero_proj).real == pytest.approx(2.0)
 
 
-def test_bold_x_is_logical_flip():
-    frame = q.LogicalFrame.computational(2)
-    xb = q.bold_pauli(frame, "X").matrix
-    val = frame.pole0.amplitudes.conj() @ xb @ frame.pole1.amplitudes
+def test_bold_z_is_logical_flip():
+    frame = q.LogicalFrame.standard(2)
+    zb = q.bold_pauli(frame, "Z").matrix
+    val = frame.pole0.amplitudes.conj() @ zb @ frame.pole1.amplitudes
     assert val == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("make_frame", [q.LogicalFrame.standard, q.LogicalFrame.computational])
+def computational(n):
+    """A frame built from other orthogonal poles, |0...0> and |1...1>."""
+    poles = np.eye(2 ** n, dtype=complex)[[0, -1]]
+    return q.LogicalFrame(n, q.PureState(poles[0]), q.PureState(poles[1]))
+
+
+@pytest.mark.parametrize("make_frame", [q.LogicalFrame.standard, computational])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bold_pauli_subspace_algebra(make_frame, n):
     frame = make_frame(n)
@@ -179,11 +179,11 @@ def test_stabilizer_product_identity():
 # ---------------------------------------------------------------- MUB probes
 
 def test_mub_probe_pole_axis():
-    frame = q.LogicalFrame.computational(2)
-    assert np.allclose(q.mub_probe(frame, "+Z").amplitudes, frame.pole0.amplitudes)
-    assert np.allclose(q.mub_probe(frame, "-Z").amplitudes, frame.pole1.amplitudes)
+    frame = q.LogicalFrame.standard(2)
+    assert np.allclose(q.mub_probe(frame, "+Y").amplitudes, frame.pole0.amplitudes)
+    assert np.allclose(q.mub_probe(frame, "-Y").amplitudes, frame.pole1.amplitudes)
     plus = (frame.pole0.amplitudes + frame.pole1.amplitudes) / np.sqrt(2)
-    assert np.allclose(q.mub_probe(frame, "+X").amplitudes, plus)
+    assert np.allclose(q.mub_probe(frame, "+Z").amplitudes, plus)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -201,14 +201,14 @@ def test_mub_probe_is_signed_plus_one_eigenvector(n, label):
 def test_apply_identity_channel():
     rho = q.random_density_matrix(4, np.random.default_rng(1))
     w = register(rho)
-    w.apply_kraus(q.identity_channel(4).kraus_operators, ["A"])
+    w.apply_kraus([np.eye(4)], ["A"])
     assert np.allclose(w.rho[0], rho.data)
 
 
 def test_full_depolarizing_gives_maximally_mixed():
     rng = np.random.default_rng(2)
     w = register(q.random_density_matrix(2, rng), q.random_density_matrix(2, rng))
-    w.apply_kraus(q.depolarizing_channel(1.0, 1).kraus_operators, ["A"])
+    w.apply_kraus(q.depolarizing_channel(1.0, 1), ["A"])
     assert np.allclose(w.rho, I2 / 2, atol=1e-12)
 
 
@@ -217,7 +217,7 @@ def test_depolarized_resource_state_fidelity_oracle():
     psi = q.resource_state(1)
     for p in (0.084, 0.2, 0.5):
         w = q.RegisterState.from_state(["A", "B"], [2, 2], psi)
-        w.apply_kraus(q.depolarizing_channel(p, 1).kraus_operators, ["B"])
+        w.apply_kraus(q.depolarizing_channel(p, 1), ["B"])
         assert q.fidelity(psi, w.rho[0]) == pytest.approx(1 - 3 * p / 4, abs=1e-12)
 
 
@@ -227,7 +227,7 @@ def test_depolarizing_channel_action(n, p):
     # closed form: rho -> (1-p) rho + p I/d on random states
     d = 2 ** n
     rng = np.random.default_rng(10 * n + int(10 * p))
-    kraus = q.depolarizing_channel(p, n).kraus_operators
+    kraus = q.depolarizing_channel(p, n)
     assert len(kraus) == d * d + 1
     for _ in range(3):
         rho = q.random_density_matrix(d, rng).data
@@ -245,7 +245,7 @@ def test_apply_instrument_stacks_weighted_branches():
     rng = np.random.default_rng(4)
     states = np.array([q.random_density_matrix(4, rng).data for _ in range(3)])[:, None]
     u = q.encoding_unitary(2, 0.4)
-    branches = [("noise", 0.25, q.depolarizing_channel(0.5, 2).kraus_operators),
+    branches = [("noise", 0.25, q.depolarizing_channel(0.5, 2)),
                 ("turn", 0.75, [u])]
     out = q.apply_instrument(states, branches)
     assert out.shape == (3, 1, 2, 4, 4)
@@ -257,24 +257,22 @@ def test_apply_instrument_stacks_weighted_branches():
 def test_apply_dimension_mismatch():
     w = register(q.random_density_matrix(4, np.random.default_rng(3)))
     with pytest.raises(q.DimensionMismatchError):
-        w.apply_kraus(q.identity_channel(2).kraus_operators, ["A"])
+        w.apply_kraus([np.eye(2)], ["A"])
     with pytest.raises(q.DimensionMismatchError):
         register(q.PureState(KET0)).apply_unitary(np.eye(4), ["A"])
 
 
-def test_channel_completeness_enforced():
-    for kraus in (0.5 * I2, np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+def test_depolarizing_kraus_stack_is_complete_and_read_only():
+    # the instrument tables check trace preservation at run time; this is
+    # the stack itself: 4^n + 1 operators with sum K^dagger K = I
+    for n in range(1, 6):
+        d = 2 ** n
+        kraus = q.depolarizing_channel(0.3, n)
+        assert kraus.shape == (4 ** n + 1, d, d)
+        gram = np.einsum("kji,kjl->il", kraus.conj(), kraus)
+        assert np.max(np.abs(gram - np.eye(d))) < 1e-10
         with pytest.raises(ValueError):
-            q.Channel(2, 2, (kraus,))
-    # many operators: one matrix unit missing, or one non-finite operator
-    ops = q.depolarizing_channel(0.3, 3).kraus_operators
-    assert isinstance(ops, tuple) and not any(k.flags.writeable for k in ops)
-    with pytest.raises(ValueError, match="completeness"):
-        q.Channel(8, 8, ops[:5] + ops[6:])
-    nan = np.zeros((8, 8), dtype=complex)
-    nan[3, 4] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        q.Channel(8, 8, ops[:5] + (nan,) + ops[5:])
+            kraus[0, 0, 0] = 0.0
 
 
 # ---------------------------------------------------------------- measurement
@@ -482,9 +480,9 @@ def test_register_kraus_matches_channel_apply():
     # oracle: the channel lifted by kron and applied to the raw matrix
     ch = q.depolarizing_channel(0.3, 1)
     w = q.RegisterState.from_state(["A", "B"], [2, 2], q.resource_state(1))
-    w.apply_kraus(ch.kraus_operators, ["B"])
+    w.apply_kraus(ch, ["B"])
     rho = q.resource_state(1).density().data
-    lifted = [np.kron(I2, k) for k in ch.kraus_operators]
+    lifted = [np.kron(I2, k) for k in ch]
     direct = sum(k @ rho @ k.conj().T for k in lifted)
     assert np.allclose(w.rho[0], direct, atol=1e-12)
 
