@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``qcore``     exact states, observables, channels, measurements
+- ``qcore``     exact states, observables, weighted Kraus instruments, measurements
 - ``metrics``   faithfulness bounds, sequential-measurement distance tools
 - ``stats``     error propagation, batch statistics, overflow-free squares
 - ``adversary`` pluggable eavesdropper strategies

@@ -16,9 +16,9 @@ stateful hooks and run on explicit register-machine states.  Their quantum
 memory never outlives a block of at most three rounds, so blocks are
 independent: the engine runs a batch of blocks at once, one position inside
 the block after another, on a ``qcore.RegisterState`` whose leading batch
-axis holds that position's round of every block, and whose tensor factors
-keep an ancilla apart from the probe until an operator couples them.  This
-is exact but limited to small blocks.
+axis holds that position's round of every block.  An attack keeps the
+systems it stores itself between legs and rounds, and attaches them to the
+register only while they act.  This is exact but limited to small blocks.
 
 In one-way operation an attack object never sees measurement outcomes or
 reconciliation data before acting on the probe: the engine only calls the
@@ -290,7 +290,7 @@ class TwoWaySwapLeakAttack(AttackModel):
         self._n = None
         self._xbar = None
         self._substitute = None
-        self._original_probe = None
+        self._original = None
 
     def on_run_start(self, public_config, frame):
         self._p_e = public_config["p_e"]
@@ -303,12 +303,11 @@ class TwoWaySwapLeakAttack(AttackModel):
         self._count = 0
 
     def forward_state(self, world, rng):
-        self._original_probe = world.probe
-        world.attach("eve_sub", self._substitute)
-        world.probe = "eve_sub"
+        self._original = world.trace_out(world.probe)
+        world.attach(world.probe, self._substitute)
 
     def backward_state(self, world, rng):
-        outcome = np.rint(world.measure(self._xbar, "eve_sub", rng)).astype(np.int64)
+        outcome = np.rint(world.measure(self._xbar, world.probe, rng)).astype(np.int64)
         # running sum and count of the nonzero outcomes, this round included
         total = self._sum + np.cumsum(outcome)
         count = self._count + np.cumsum(outcome != 0)
@@ -317,11 +316,11 @@ class TwoWaySwapLeakAttack(AttackModel):
         c = np.clip(1.0 - (1.0 - mean) / self._p_e, -1.0, 1.0)
         phi_hat = np.arccos(c) / (2.0 * self._n)
         reencode = (outcome == -1) & (count >= self._min_samples_for_reencoding) & (phi_hat > 0)
+        world.trace_out(world.probe)
+        world.attach(world.probe, self._original)
         if reencode.any():
             world.apply_unitary(qcore.encoding_unitary(self._n, np.where(reencode, phi_hat, 0.0)),
-                                [self._original_probe])
-        world.trace_out("eve_sub")
-        world.probe = self._original_probe
+                                [world.probe])
 
     def eve_estimate(self) -> EveEstimate:
         if self._count == 0:

@@ -116,6 +116,8 @@ def load_scenario(path) -> dict:
     _, allowed = ATTACKS[name]
     _require_keys(params, allowed, set(), f"attack.params for {name!r}")
     for key, value in params.items():
+        if isinstance(value, bool):
+            raise SchemaError(f"attack.params.{key} has the wrong type")
         if isinstance(value, (int, float)) and not _finite(value):
             raise SchemaError(f"attack.params.{key} must be finite")
 

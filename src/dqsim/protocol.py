@@ -498,7 +498,7 @@ def _run_fast(config, attack, rng, fwd, bwd) -> Transcript:
     return Transcript(config, cell)
 
 
-# Byte budget of a batch's largest register factor, taken to be the probe
+# Byte budget of a batch's largest register stack, taken to be the probe
 # plus one qubit of adversary memory.  It keeps the stateful engine's
 # working set to a few hundred kilobytes at every probe size.
 _BATCH_BYTES = 1 << 18

@@ -495,27 +495,16 @@ def _dagger(m):
     return m.conj().swapaxes(-1, -2)
 
 
-@dataclass(eq=False)
-class _Factor:
-    """Registers of one tensor factor of a RegisterState, with their stack."""
-
-    labels: list
-    dims: list
-    rho: np.ndarray
-
-
 class RegisterState:
     """Mutable stack of multi-register density matrices used by the round engine.
 
-    The state is a tensor product of factors, each a (B, d_f, d_f) stack over
-    some registers: B independent rounds undergo the same operations.
-    ``attach`` appends a factor; an operator (one matrix, or a stack of B)
-    on registers of several factors first merges them by one Kronecker
-    product, so registers that never interact stay in small stacks.  The
-    density checks run on every factor, which checks the joint state.
-    ``labels``/``dims`` list the registers factor by factor, and ``rho`` is
-    the joint stack in that order.  This is the one deliberately mutable
-    object in the module; the engine makes a fresh instance for every batch.
+    ``rho`` is one dense (B, d, d) stack over the registers ``labels`` of
+    dimensions ``dims``, in that order: B independent rounds undergo the
+    same operations.  ``attach`` appends a register by one Kronecker
+    product, and an operator (one matrix, or a stack of B) acts on its
+    registers lifted to the whole stack.  This is the one deliberately
+    mutable object in the module; the engine makes a fresh instance for
+    every batch.
     """
 
     def __init__(self, labels, dims, rho):
@@ -524,7 +513,7 @@ class RegisterState:
         if rho.ndim != 3 or rho.shape[1:] != (d, d):
             raise DimensionMismatchError(
                 f"register stack of shape {rho.shape} does not match dims {list(dims)}")
-        self._factors = [_Factor(list(labels), list(dims), rho)]
+        self.labels, self.dims, self.rho = list(labels), list(dims), rho
         self.probe = self.labels[-1]
 
     @classmethod
@@ -535,52 +524,29 @@ class RegisterState:
 
     @property
     def batch(self) -> int:
-        return self._factors[0].rho.shape[0]
-
-    @property
-    def labels(self) -> list:
-        return [label for f in self._factors for label in f.labels]
-
-    @property
-    def dims(self) -> list:
-        return [dim for f in self._factors for dim in f.dims]
-
-    @property
-    def rho(self):
-        return functools.reduce(_kron_stack, [f.rho for f in self._factors])
-
-    def _merge(self, labels, checked=False):
-        """The factor holding ``labels``, into which the factors they lie in
-        are merged, and their positions in it; ``checked`` first checks every
-        factor as a density stack (a tensor product of Hermitian, unit-trace,
-        PSD factors is itself one)."""
-        if checked:
-            for f in self._factors:
-                _check_density_stack(f.rho)
-        [f, *rest] = [g for g in self._factors if set(labels) & set(g.labels)]
-        for g in rest:
-            f.labels, f.dims = f.labels + g.labels, f.dims + g.dims
-            f.rho = _kron_stack(f.rho, g.rho)
-            self._factors.remove(g)
-        return f, [f.labels.index(label) for label in labels]
+        return self.rho.shape[0]
 
     def attach(self, label, state):
-        """Append register ``label`` in ``state`` as a factor: one state for
-        every element, or a (B, d, d) stack of checked density matrices."""
+        """Append register ``label`` in ``state``: one state for every
+        element, or a (B, d, d) stack of checked density matrices."""
         if isinstance(state, (PureState, DensityMatrix)) or np.ndim(state) < 3:
             new = as_density(state).data
         else:
             new = _check_density_stack(np.asarray(state, dtype=complex))
-        new = np.broadcast_to(new, (self.batch,) + new.shape[-2:])
-        self._factors.append(_Factor([label], [new.shape[-1]], new))
+        # a non-finite stack from the unchecked constructor is left for
+        # trace_out's check to reject
+        with np.errstate(invalid="ignore"):
+            self.rho = _kron_stack(self.rho, new)
+        self.labels.append(label)
+        self.dims.append(new.shape[-1])
 
     def apply_unitary(self, u, labels):
         self.apply_kraus([u], labels)
 
     def apply_kraus(self, kraus_list, labels):
-        f, targets = self._merge(labels)
-        lifted = (embed_operator(k, f.dims, targets) for k in kraus_list)
-        f.rho = sum(k @ f.rho @ _dagger(k) for k in lifted)
+        targets = [self.labels.index(label) for label in labels]
+        lifted = (embed_operator(k, self.dims, targets) for k in kraus_list)
+        self.rho = sum(k @ self.rho @ _dagger(k) for k in lifted)
 
     def measure(self, obs: Observable, label, rng, which=None):
         """Projective measurement of register ``label`` in every element.
@@ -597,28 +563,29 @@ class RegisterState:
                or not np.max(np.abs(o.eigenvalues - values)) <= EIGENVALUE_GROUP_TOL
                for o in obs):
             raise ValueError("observables measured in one batch must share a spectrum")
-        f, targets = self._merge([label])
         projs = np.array([o.eigenprojectors for o in obs])[np.asarray(which)]
         # (k, B, d, d): outcome k's projector for every element
-        full = embed_operator(projs.swapaxes(0, 1), f.dims, targets)
-        probs = np.einsum("kbij,bji->bk", full, f.rho).real
+        full = embed_operator(projs.swapaxes(0, 1), self.dims, [self.labels.index(label)])
+        probs = np.einsum("kbij,bji->bk", full, self.rho).real
         cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
         u = rng.random(self.batch) * cdf[:, -1]
         k = np.minimum((cdf <= u[:, None]).sum(axis=1), len(values) - 1)
         sel = full[k, np.arange(self.batch)]
-        post = sel @ f.rho @ sel
-        f.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
+        post = sel @ self.rho @ sel
+        self.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
         return values[k]
 
     def trace_out(self, label):
         """Drop register ``label``; returns the checked (B, d, d) stack of
-        its reduced states."""
-        f, [target] = self._merge([label], checked=True)
-        if len(f.dims) == 1:
-            self._factors.remove(f)
-            return f.rho
-        keep = [i for i in range(len(f.dims)) if i != target]
-        dropped = _check_density_stack(_partial_trace_stack(f.rho, f.dims, [target]))
-        f.rho = _check_density_stack(_partial_trace_stack(f.rho, f.dims, keep))
-        del f.labels[target], f.dims[target]
+        its reduced states.  Dropping the only register leaves a stack of
+        1 x 1 ones."""
+        target = self.labels.index(label)
+        rho = _check_density_stack(self.rho)
+        if len(self.dims) == 1:
+            dropped, self.rho = rho, np.ones((self.batch, 1, 1), dtype=complex)
+        else:
+            keep = [i for i in range(len(self.dims)) if i != target]
+            dropped = _check_density_stack(_partial_trace_stack(rho, self.dims, [target]))
+            self.rho = _check_density_stack(_partial_trace_stack(rho, self.dims, keep))
+        del self.labels[target], self.dims[target]
         return dropped

@@ -331,9 +331,9 @@ def test_swap_leak_entanglement_variant():
 
 @pytest.mark.parametrize("n", [4, protocol.MAX_QUBITS])
 def test_swap_leak_at_the_largest_probes(n):
-    # the substitute never interacts with the stored original, so the
-    # register keeps them in two 2^n-dimensional factors and the largest
-    # probes run in well under a second
+    # the attack keeps the stored original itself while the substitute
+    # travels, so the register holds one 2^n-dimensional probe at a time
+    # and the largest probes run in well under a second
     cfg = make_config(direction="two_way", n=n, T=400, p_c=0.4, p_e=0.5, p_d=0.1, seed=93)
     att = adversary.two_way_swap_leak()
     chk = protocol.check_fidelity(protocol.run(cfg, att))

@@ -109,8 +109,15 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
      cli.EXIT_SCHEMA),
     ("sweep", {}, {"sweep": {"variable": "phi", "start": 0.1, "stop": 0.5,
                              "steps": 10 ** 15}}, cli.EXIT_SCHEMA),
+    ("run", {}, {"attack": {"name": "depolarizing", "params": {"p": True}}}, cli.EXIT_SCHEMA),
+    ("run", {}, {"attack": {"name": "unitary_tamper",
+                            "params": {"axis": "Y", "angle": True}}}, cli.EXIT_SCHEMA),
+    ("run", {}, {"attack": {"name": "entangling_memory",
+                            "params": {"coupling_angle": 0.3, "block_length": True}}},
+     cli.EXIT_SCHEMA),
 ], ids=["T2", "T_past_MAX_ROUNDS", "no_check_rounds", "memory_n2", "steps_string",
-        "variable_number", "block_length_fractional", "steps_past_MAX_GRID_STEPS"])
+        "variable_number", "block_length_fractional", "steps_past_MAX_GRID_STEPS",
+        "p_boolean", "angle_boolean", "block_length_boolean"])
 def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
                                             block_edit, code):
     path, scenario = write_scenario(tmp_path, **block_edit)

@@ -510,6 +510,8 @@ STREAM_DIGESTS = {
         "e33fa94b82baf191587c4c05a7658ad5b14aaae73b3df968f0f739cb0236d219",
     ("mub", "stateful"):
         "f4df6c94a2dbc31b740dc4286c68ef5d684ec219559d1067acf635ff35674bbe",
+    ("mub", "swap_leak"):
+        "187cdc8caf95b99071caf934c90b56cf4442babf5113450a44a1ae73e94468d6",
     # multi-branch fast path: intercept-resend's nine-branch instrument at n = 2
     ("entanglement", "intercept_resend"):
         "36baab3358b9cb6856a5d958dae280d0a32b9e4a9bf99879958f645708dc91ca",

@@ -517,7 +517,7 @@ def test_embed_operator_on_noncontiguous_targets():
     assert np.argmax(np.abs(out)) == 0b101
 
 
-# ---------------------------------------------------------------- factored vs dense register
+# ---------------------------------------------------------------- register vs dense oracle
 
 class DenseRegister:
     """Oracle: the register machine on one dense (B, d, d) stack of every
@@ -601,35 +601,36 @@ def in_order(dense, labels):
 
 @pytest.mark.parametrize("probe_dim", [2, 4])
 @pytest.mark.parametrize("seed", range(4))
-def test_factored_register_matches_dense_oracle(probe_dim, seed):
-    # the same seeded sequence on the factored register and on the dense
-    # oracle: attach, operators within one factor and across two and three
-    # (merging them), stacked measurements with the same draws, reduced
-    # states inside and as whole factors as trace_out returns them
+def test_register_matches_dense_oracle(probe_dim, seed):
+    # the same seeded sequence on the register and on the dense oracle:
+    # attach, operators on one, two and four registers, stacked
+    # measurements with the same draws, the reduced states trace_out
+    # returns, and swap-leak's pattern of dropping the only register and
+    # attaching a new one under its label
     rng = np.random.default_rng(seed)
     batch = 16
     rho0 = random_stack(rng, batch, probe_dim)
-    fact = q.RegisterState(["B"], [probe_dim], rho0)
+    reg = q.RegisterState(["B"], [probe_dim], rho0)
     dense = DenseRegister(["B"], [probe_dim], rho0)
 
     def agree():
-        assert sorted(fact.labels) == sorted(dense.labels)
-        assert np.abs(fact.rho - in_order(dense, fact.labels)).max() < 1e-12
+        assert sorted(reg.labels) == sorted(dense.labels)
+        assert np.abs(reg.rho - in_order(dense, reg.labels)).max() < 1e-12
 
     def both(method, *args):
-        getattr(fact, method)(*args)
+        getattr(reg, method)(*args)
         getattr(dense, method)(*args)
         agree()
 
     def dropped(label):
         expected = dense.reduced(label)
-        assert np.abs(fact.trace_out(label) - expected).max() < 1e-12
+        assert np.abs(reg.trace_out(label) - expected).max() < 1e-12
         dense.trace_out(label)
         agree()
 
     def measured(obs, label, which=None):
         draw = int(rng.integers(2 ** 32))
-        a = fact.measure(obs, label, np.random.default_rng(draw), which)
+        a = reg.measure(obs, label, np.random.default_rng(draw), which)
         b = dense.measure(obs, label, np.random.default_rng(draw), which)
         assert np.abs(a - b).max() < 1e-12
         agree()
@@ -639,7 +640,7 @@ def test_factored_register_matches_dense_oracle(probe_dim, seed):
     pure = q.random_pure_state(2, rng)
 
     both("attach", "E1", random_stack(rng, batch, 2))
-    fact.attach("E2", pure)
+    reg.attach("E2", pure)
     dense.attach("E2", pure.density().data[None])
     agree()
     both("attach", "E4", random_stack(rng, batch, 2))
@@ -654,4 +655,9 @@ def test_factored_register_matches_dense_oracle(probe_dim, seed):
     both("apply_kraus", random_kraus(rng, 2), ["E1"])
     dropped("E3")
     dropped("B")
-    assert fact.labels == dense.labels == ["E1"]
+    assert reg.labels == dense.labels == ["E1"]
+    dropped("E1")
+    both("attach", "E1", random_stack(rng, batch, probe_dim))
+    both("apply_unitary", random_unitaries(rng, batch, probe_dim), ["E1"])
+    measured(sensor, "E1", rng.integers(len(sensor), size=batch))
+    assert reg.labels == dense.labels == ["E1"]
