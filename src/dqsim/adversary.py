@@ -1,28 +1,29 @@
 """Pluggable eavesdropper strategies.
 
 An attack intercepts the probe on its way to the sensor (forward leg) and,
-in two-way operation, again on its way back (backward leg).  Memoryless
-attacks describe each leg as a weighted quantum instrument on the probe
-register: a list of (label, weight, kraus_operators) branches, where the
-weight carries the adversary's own classical randomization and the branch
-label is what her classical memory records.  The engine asks for each
-instrument once per run, samples branch and measurement outcomes of every
-round from the exact joint distribution, and then hands the attack every
-round's branch, as an index into the instrument's labels, in one
-``record_round`` call.
+in two-way operation, again on its way back (backward leg).  It is one of
+three kinds, each a narrow array interface the engine reads once per run:
 
-Attacks that keep quantum memory across rounds instead implement the
-stateful hooks and run on explicit register-machine states.  Their quantum
-memory never outlives a block of at most three rounds, so blocks are
-independent: the engine runs a batch of blocks at once, one position inside
-the block after another, on a ``qcore.RegisterState`` whose leading batch
-axis holds that position's round of every block.  An attack keeps the
-systems it stores itself between legs and rounds, and attaches them to the
-register only while they act.  This is exact but limited to small blocks.
+- A memoryless attack describes each leg as a weighted quantum instrument
+  on the probe register: a list of (label, weight, kraus_operators)
+  branches, where the weight carries the adversary's own classical
+  randomization and the branch label is what her classical memory records.
+  The engine samples every round's branches and outcome from the exact
+  joint distribution and hands the attack every round's branch, as an
+  index into the instrument's labels, in one ``record_round`` call.
+- A block-memory attack couples each probe of a block of at most three
+  rounds to one ancilla qubit reset to |0> at the block's start, which is
+  traced out or read out in Z at the block's end: it gives the coupling
+  unitary and that readout mode.
+- A swap attack sends a substitute in the probe's place, reads the
+  returned substitute out and forwards the stored original, re-encoded by
+  angles it computes from its outcomes: it gives the substitute, the
+  readout observable and those angles.
 
-In one-way operation an attack object never sees measurement outcomes or
-reconciliation data before acting on the probe: the engine only calls the
-forward hook with the in-flight state.  Attacks that need the return leg
+In one-way operation an attack never sees a measurement outcome or
+reconciliation data before acting on the probe: it gives its operators
+before the first round is drawn, and only a block-memory attack's own
+ancilla readouts come back to it.  Attacks that need the return leg
 declare ``requires_two_way`` and are rejected outright in one-way runs.
 
 ``expected_check_fidelity`` is the exact check fidelity under a memoryless
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +54,15 @@ class EveEstimate:
     standard_error: float = math.inf
 
 
+def _real(name, value):
+    """``value`` as a float, if it is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    return float(value)
+
+
 class AttackModel:
-    """Base class; subclasses override either the instrument or the stateful
-    interface."""
+    """Base class; subclasses override one of the three interfaces."""
 
     name = "abstract"
     block_length = 1
@@ -68,7 +76,7 @@ class AttackModel:
 
     # -- instrument interface (memoryless attacks) --------------------------
     def forward_branches(self, n, frame):
-        """Weighted instrument for the forward leg, or None if stateful."""
+        """Weighted instrument for the forward leg, or None for a memory attack."""
         return None
 
     def backward_branches(self, n, frame):
@@ -83,23 +91,31 @@ class AttackModel:
         None when no backward instrument acts (one-way runs, or
         ``backward_branches`` None)."""
 
-    # -- stateful interface (quantum-memory attacks) -------------------------
-    # begin_block opens ``blocks`` independent blocks of ``block_length``
-    # rounds.  Then, for each position inside a block, the round hooks get a
-    # RegisterState whose batch axis holds that position's round of every
-    # block still running, in block order: all of them, or all but the
-    # last when the run's final block is short.
-    def begin_block(self, blocks, rng) -> None:
+    # -- block-memory interface -----------------------------------------------
+    # The coupling acts on (probe, ancilla) on each round's forward leg; the
+    # ancilla starts each block of ``block_length`` rounds in |0>.  In
+    # ``ancilla_mode`` "measure" each batch of blocks' Z readouts (+-1, in
+    # block order, the run's last block left out) go to ``record_readouts``.
+    ancilla_mode = "trace"
+
+    def block_coupling(self, n):
+        """Coupling unitary of shape (2^(n+1), 2^(n+1)), or None."""
+        return None
+
+    def record_readouts(self, outcomes) -> None:
         pass
 
-    def forward_state(self, world, rng) -> None:
+    # -- swap interface (two-way substitution) --------------------------------
+    # The sensor encodes the substitute; the original is forwarded with the
+    # re-encoding ``qcore.encoding_unitary(n, angle)``.
+    def swap_readout(self, n, frame):
+        """The substitute's density matrix and the readout Observable, or None."""
+        return None
+
+    def reencoding_angles(self, outcomes):
+        """Each round's re-encoding angle from the readout outcomes of a
+        batch of rounds (ints, in round order); 0 forwards the original."""
         raise NotImplementedError
-
-    def backward_state(self, world, rng) -> None:
-        pass
-
-    def end_round(self, world, rng) -> None:
-        pass
 
     def eve_estimate(self) -> EveEstimate | None:
         return None
@@ -119,10 +135,11 @@ def identity_attack() -> AttackModel:
 
 class DepolarizingAttack(AttackModel):
     def __init__(self, p):
+        p = _real("p", p)
         self.name = f"depolarizing(p={p:.6g})"
         if not 0.0 <= p <= 1.0:
             raise ValueError("depolarizing probability must lie in [0, 1]")
-        self.p = float(p)
+        self.p = p
 
     def forward_branches(self, n, frame):
         return [("depolarizing", 1.0, qcore.depolarizing_channel(self.p, n))]
@@ -135,11 +152,11 @@ def depolarizing_attack(p: float) -> AttackModel:
 
 class UnitaryTamperAttack(AttackModel):
     def __init__(self, axis, angle):
-        self.name = f"unitary_tamper({axis}, {angle:.6g})"
+        self.angle = _real("angle", angle)
+        self.name = f"unitary_tamper({axis}, {self.angle:.6g})"
         if not isinstance(axis, str) or axis.upper() not in qcore.PAULI_AXES:
             raise ValueError(f"unknown Pauli axis {axis!r}")
         self.axis = axis.upper()
-        self.angle = float(angle)
 
     def forward_branches(self, n, frame):
         p = qcore.pauli_matrix(self.axis)
@@ -189,71 +206,42 @@ def intercept_resend(basis_strategy="random") -> AttackModel:
     return InterceptResendAttack(basis_strategy)
 
 
-def _controlled_rotation(theta):
-    # ancilla rotates by exp(-i*theta*Y) iff the probe qubit is |1>
-    ry = math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * qcore.pauli_matrix("Y")
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = np.eye(2)
-    out[2:, 2:] = ry
-    return out
-
-
 class EntanglingMemoryAttack(AttackModel):
     """Couples each probe in a block to one persistent ancilla qubit.
 
     The ancilla is reset at block boundaries, either silently (traced out)
-    or after a recorded Z measurement.  The reset makes blocks independent,
-    so the attack carries one ancilla state per block of the batch, a
-    (blocks, 2, 2) stack, and splices it into each position's register
-    state.  Exact simulation is limited to single-qubit probes and short
-    blocks.
+    or after a recorded Z measurement.  Exact simulation is limited to
+    single-qubit probes and short blocks.
     """
 
     max_block_length = 3
 
     def __init__(self, coupling_angle, block_length=2, ancilla_mode="trace"):
-        self.name = f"entangling_memory({coupling_angle:.6g}, block={block_length})"
-        if block_length != int(block_length):
+        self.coupling_angle = _real("coupling_angle", coupling_angle)
+        self.name = f"entangling_memory({self.coupling_angle:.6g}, block={block_length})"
+        if not _real("block_length", block_length).is_integer():
             raise ValueError(f"block length must be a whole number, not {block_length!r}")
         if block_length < 1 or block_length > self.max_block_length:
             raise ValueError(
                 f"block length beyond exact-simulation limit {self.max_block_length}")
         if ancilla_mode not in ("trace", "measure"):
             raise ValueError("ancilla_mode must be 'trace' or 'measure'")
-        self.coupling_angle = float(coupling_angle)
         self.block_length = int(block_length)
         self.ancilla_mode = ancilla_mode
-        self._rho_e = None
-        self._position = 0
-        self._blocks_left = 0
         self.memory = []
 
     def on_run_start(self, public_config, frame):
         if public_config["n"] != 1:
             raise ValueError("entangling memory attack supports single-qubit probes only")
-        self._rho_e = None
-        self._blocks_left = -(-public_config["T"] // self.block_length)
 
-    def begin_block(self, blocks, rng):
-        self._rho_e = np.zeros((blocks, 2, 2), dtype=complex)
-        self._rho_e[:, 0, 0] = 1.0
-        self._position = 0
-        self._blocks_left -= blocks
+    def block_coupling(self, n):
+        # the ancilla rotates by exp(-i theta Y) iff the probe qubit is |1>
+        coupling = np.eye(4, dtype=complex)
+        coupling[2:, 2:] = qcore.encoding_unitary(1, -self.coupling_angle)
+        return coupling
 
-    def forward_state(self, world, rng):
-        world.attach("eve_mem", self._rho_e[:world.batch])
-        world.apply_unitary(_controlled_rotation(self.coupling_angle),
-                            [world.probe, "eve_mem"])
-
-    def end_round(self, world, rng):
-        self._rho_e[:world.batch] = world.trace_out("eve_mem")
-        self._position += 1
-        if self._position == self.block_length and self.ancilla_mode == "measure":
-            # every block but the run's last is followed by a block start,
-            # where its ancilla is measured before the reset
-            ended = self._rho_e if self._blocks_left else self._rho_e[:-1]
-            p1 = ended[:, 1, 1].real
-            self.memory.extend(np.where(rng.random(p1.size) < p1, -1, 1).tolist())
+    def record_readouts(self, outcomes):
+        self.memory.extend(outcomes.tolist())
 
 
 def entangling_memory_attack(coupling_angle, block_length=2,
@@ -279,48 +267,32 @@ class TwoWaySwapLeakAttack(AttackModel):
     count carry over between batches.
     """
 
+    name = "two_way_swap_leak"
     requires_two_way = True
     _min_samples_for_reencoding = 50
-
-    def __init__(self):
-        self.name = "two_way_swap_leak"
-        self._sum = 0
-        self._count = 0
-        self._p_e = None
-        self._n = None
-        self._xbar = None
-        self._substitute = None
-        self._original = None
+    _sum = _count = 0  # the running outcome sum and count, reset by each run
 
     def on_run_start(self, public_config, frame):
         self._p_e = public_config["p_e"]
         if self._p_e <= 0:
             raise ValueError("swap-leak attack needs a nonzero encoding probability")
         self._n = public_config["n"]
-        self._xbar = qcore.bold_pauli(frame, "X")
-        self._substitute = qcore.mub_probe(frame, "+X").density()
         self._sum = 0
         self._count = 0
 
-    def forward_state(self, world, rng):
-        self._original = world.trace_out(world.probe)
-        world.attach(world.probe, self._substitute)
+    def swap_readout(self, n, frame):
+        return qcore.mub_probe(frame, "+X").density().data, qcore.bold_pauli(frame, "X")
 
-    def backward_state(self, world, rng):
-        outcome = np.rint(world.measure(self._xbar, world.probe, rng)).astype(np.int64)
+    def reencoding_angles(self, outcomes):
         # running sum and count of the nonzero outcomes, this round included
-        total = self._sum + np.cumsum(outcome)
-        count = self._count + np.cumsum(outcome != 0)
+        total = self._sum + np.cumsum(outcomes)
+        count = self._count + np.cumsum(outcomes != 0)
         self._sum, self._count = int(total[-1]), int(count[-1])
         mean = total / np.maximum(count, 1)
         c = np.clip(1.0 - (1.0 - mean) / self._p_e, -1.0, 1.0)
         phi_hat = np.arccos(c) / (2.0 * self._n)
-        reencode = (outcome == -1) & (count >= self._min_samples_for_reencoding) & (phi_hat > 0)
-        world.trace_out(world.probe)
-        world.attach(world.probe, self._original)
-        if reencode.any():
-            world.apply_unitary(qcore.encoding_unitary(self._n, np.where(reencode, phi_hat, 0.0)),
-                                [world.probe])
+        reencode = (outcomes == -1) & (count >= self._min_samples_for_reencoding) & (phi_hat > 0)
+        return np.where(reencode, phi_hat, 0.0)
 
     def eve_estimate(self) -> EveEstimate:
         if self._count == 0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -404,7 +405,9 @@ def cmd_equivalence(scenario, seed_override=None, output=None) -> int:
 
 # ---------------------------------------------------------------- entry point
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="dqsim",
         description="Distributed quantum sensing protocol simulator")

@@ -24,13 +24,13 @@ column a transcript stores, and every other field of a round is a lookup
 in a small per-cell table.  Memoryless attacks run on a vectorized fast
 path: each (setting, label) pair has an exact outcome table computed once,
 and one categorical draw from the prior times the tables gives every round
-its cell and branches together.  Quantum-memory attacks run on explicit
-register states, a batch of independent blocks at a time, one position
-inside the block after another.  Neither engine reads the variant, and
-both draw randomness in a fixed documented order, so a seed fully
-determines the transcript.  The check and the estimator read per-label
-signed sums of the cell counts; only their pooling into correlators
-(``_POOLS``) depends on the variant.
+its cell and branches together.  Quantum-memory attacks draw each round's
+outcome from its exact law given the adversary's memory, a batch of
+independent blocks at a time, one position inside the block after another.
+No engine reads the variant, and each draws randomness in a fixed
+documented order, so a seed fully determines the transcript.  The check
+and the estimator read per-label signed sums of the cell counts; only
+their pooling into correlators (``_POOLS``) depends on the variant.
 """
 
 from __future__ import annotations
@@ -498,47 +498,94 @@ def _run_fast(config, attack, rng, fwd, bwd) -> Transcript:
     return Transcript(config, cell)
 
 
-# Byte budget of a batch's largest register stack, taken to be the probe
-# plus one qubit of adversary memory.  It keeps the stateful engine's
-# working set to a few hundred kilobytes at every probe size.
+# The memory engines draw their uniforms a batch at a time, so the batch size
+# is a stream constant: max(1, _BATCH_BYTES // (16 (2d)^2 L)) blocks of L rounds
+# at probe dimension d, as many probe-plus-qubit density matrices as fill it.
 _BATCH_BYTES = 1 << 18
 
 
-def _run_stateful(config, attack, rng) -> Transcript:
-    """Quantum-memory attacks: independent blocks a batch at a time, one
-    position inside the block after another, each position's round of every
-    block in the batch run at once on a batched register state.
-
-    Draw order: the setting and probe label of all T rounds (one uniform
-    per round, through ``_draw``), then, batch by batch and position by
-    position, one uniform per round for each measurement the hooks and the
-    sensor make, in call order.
-    """
-    T, L, d = config.T, attack.block_length, 2 ** config.n
-    _frame, probes, sensor, _values = _sensor_model(config.n)
-    encoders = _encoders(config)
-    setting, label = np.divmod(_draw(_prior(config), rng, T), len(qcore.SIGNED_LABELS))
-    bob_axis = _SETTING_AXIS[setting]
-    b_out = np.zeros(T, dtype=np.int8)
-
-    per_batch = max(1, _BATCH_BYTES // (16 * (2 * d) ** 2 * L))
-    n_blocks = -(-T // L)
+def _batches(config, L):
+    """Per batch of blocks of L rounds: whether it is the run's last, and
+    the round indices at each position in the blocks (the last may be short)."""
+    per_batch = max(1, _BATCH_BYTES // (16 * (2 * 2 ** config.n) ** 2 * L))
+    n_blocks = -(-config.T // L)
     for first in range(0, n_blocks, per_batch):
-        blocks = np.arange(first, min(first + per_batch, n_blocks))
-        attack.begin_block(blocks.size, rng)
-        for pos in range(L):
-            t = blocks * L + pos
-            t = t[t < T]
-            if t.size == 0:
-                break
-            world = qcore.RegisterState(["B"], [d], probes[label[t]])
-            attack.forward_state(world, rng)
-            world.apply_unitary(encoders[_SETTING_ENCODER[setting[t]]], [world.probe])
-            if config.direction == "two_way":
-                attack.backward_state(world, rng)
-            b_out[t] = np.rint(world.measure(sensor, world.probe, rng, bob_axis[t]))
-            attack.end_round(world, rng)
-    return Transcript(config, np.ravel_multi_index((setting, label, b_out + 1), _CELL_SHAPE))
+        rounds = np.arange(first, min(first + per_batch, n_blocks)) * L + np.arange(L)[:, None]
+        yield first + per_batch >= n_blocks, [t[t < config.T] for t in rounds]
+
+
+def _pick(probs, rng):
+    """One outcome index per row of ``probs`` (B, K), one uniform each: the
+    inverse CDF of the clipped row, as ``qcore.RegisterState.measure`` picks."""
+    cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
+    u = rng.random(len(cdf)) * cdf[:, -1]
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
+def _memory_maps(config, coupling):
+    """Each cell's linear map on a block-memory attack's ancilla qubit under
+    the coupling C, M(sigma) = Tr_probe[(P_k U_s (x) I) C (rho_l (x) sigma)
+    C^dagger (U_s^dagger P_k (x) I)], as a matrix on the flattened sigma,
+    shape (setting, label, outcome, 4, 4).  A coupling off unitary by more
+    than 1e-10, or maps whose traces summed over the outcomes miss the
+    trace by more than ``_TABLE_TOLERANCE``, raise UnsupportedAttackError."""
+    _frame, probes, sensor, _values = _sensor_model(config.n)
+    d, c = 2 ** config.n, np.asarray(coupling, dtype=complex)
+    if not (c.shape == (2 * d, 2 * d) and np.abs(c @ c.conj().T - np.eye(2 * d)).max() <= 1e-10):
+        raise UnsupportedAttackError("the attack's coupling is not unitary on probe and qubit")
+    measured = (np.array([o.eigenprojectors for o in sensor])[_SETTING_AXIS]
+                @ _encoders(config)[_SETTING_ENCODER][:, None])
+    w = np.einsum("skpr,reqg->skpeqg", measured, c.reshape(d, 2, d, 2))
+    maps = np.einsum("skpeqg,lqr,skpfrh->slkefgh", w, probes, w.conj(), optimize=True)
+    maps = maps.reshape(maps.shape[:3] + (4, 4))
+    # each map's trace row, Tr M(sigma) = row . sigma, summed over the outcomes
+    if not np.abs(maps[..., [0, 3], :].sum(axis=(2, 3)) - [1, 0, 0, 1]).max() <= _TABLE_TOLERANCE:
+        raise UnsupportedAttackError("the attack's coupling does not preserve trace")
+    return maps
+
+
+def _run_memory(config, attack, rng, coupling, setting, label, b_out):
+    """Block-memory attacks: each block's ancilla starts in |0>, and the round's
+    cell maps give its outcome's law and the ancilla after it.  Draw order,
+    batch by batch: position by position, one uniform per round for the sensor's
+    outcome; then, in "measure" mode, one per block but the run's last."""
+    maps = _memory_maps(config, coupling)
+    *_, values = _sensor_model(config.n)
+    for last, positions in _batches(config, attack.block_length):
+        sigma = np.tile([1, 0, 0, 0j], (positions[0].size, 1))  # |0><0|, flattened
+        for t in positions:
+            after = (maps[setting[t], label[t]] @ sigma[:t.size, None, :, None])[..., 0]
+            probs = (after[..., 0] + after[..., 3]).real
+            k, b = _pick(probs, rng), np.arange(t.size)
+            b_out[t] = values[k]
+            sigma[:t.size] = after[b, k] / probs[b, k, None]
+        if attack.ancilla_mode == "measure":
+            p1 = sigma[:sigma.shape[0] - last, 3].real
+            attack.record_readouts(np.where(rng.random(p1.size) < p1, -1, 1))
+
+
+def _run_swap(config, attack, rng, swap, setting, label, b_out):
+    """Swap attacks: the attack reads out the substitute as the round's
+    encoder returns it, and the sensor measures the label's state re-encoded
+    by the attack's angle a, in span{R^n, L^n}, where the re-encoding is
+    diag(e^{i n a}, e^{-i n a}): in the pole basis Tr(P V rho V^dagger) =
+    P_00 rho_00 + P_11 rho_11 + 2 Re(P_10 rho_01 e^{2ina}).  Draw order,
+    batch by batch: one uniform per round for the attack's readout, then
+    one per round for the sensor's outcome."""
+    frame, probes, sensor, values = _sensor_model(config.n)
+    (substitute, readout), enc = swap, _encoders(config)[_SETTING_ENCODER]
+    returned = enc @ substitute @ enc.conj().swapaxes(-1, -2)
+    eve = np.einsum("kij,sji->sk", np.array(readout.eigenprojectors), returned).real
+    poles = np.stack([frame.pole0.amplitudes, frame.pole1.amplitudes], axis=1)
+    rho = poles.conj().T @ probes @ poles
+    proj = poles.conj().T @ np.array([o.eigenprojectors for o in sensor])[_SETTING_AXIS] @ poles
+    static = np.einsum("skii,lii->slk", proj, rho).real
+    coherent = proj[:, None, :, 1, 0] * rho[None, :, None, 0, 1]
+    for _last, (t,) in _batches(config, 1):
+        s, l = setting[t], label[t]
+        outcomes = np.rint(readout.eigenvalues).astype(np.int64)[_pick(eve[s], rng)]
+        phase = np.exp(2j * config.n * attack.reencoding_angles(outcomes))[:, None]
+        b_out[t] = values[_pick(static[s, l] + 2.0 * (coherent[s, l] * phase).real, rng)]
 
 
 def run(config: ProtocolConfig, attack) -> Transcript:
@@ -552,10 +599,19 @@ def run(config: ProtocolConfig, attack) -> Transcript:
     except ValueError as exc:
         raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
     fwd = attack.forward_branches(config.n, frame)
-    if fwd is None:
-        return _run_stateful(config, attack, rng)
-    bwd = attack.backward_branches(config.n, frame) if config.direction == "two_way" else None
-    return _run_fast(config, attack, rng, fwd, bwd)
+    if fwd is not None:
+        bwd = attack.backward_branches(config.n, frame) if config.direction == "two_way" else None
+        return _run_fast(config, attack, rng, fwd, bwd)
+    coupling = attack.block_coupling(config.n)
+    engine, law = ((_run_memory, coupling) if coupling is not None
+                   else (_run_swap, attack.swap_readout(config.n, frame)))
+    if law is None:
+        raise UnsupportedAttackError(f"attack {attack.name!r} has no instrument, coupling "
+                                     "or substitute")
+    setting, label = np.divmod(_draw(_prior(config), rng, config.T), len(qcore.SIGNED_LABELS))
+    b_out = np.zeros(config.T, dtype=np.int8)
+    engine(config, attack, rng, law, setting, label, b_out)
+    return Transcript(config, np.ravel_multi_index((setting, label, b_out + 1), _CELL_SHAPE))
 
 
 # ---------------------------------------------------------------- reconciliation

@@ -14,6 +14,7 @@ read access is safe.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -440,42 +441,19 @@ def partial_trace(state, dims, keep) -> DensityMatrix:
     return DensityMatrix(_partial_trace_stack(rho.data[None], dims, keep)[0])
 
 
-@functools.lru_cache(maxsize=None)
-def _lift_plan(dims, targets):
-    """Index map lifting an operator on ``targets`` to the product space.
-
-    Entry (i, j) of the lifted operator is entry ``plan[i, j]`` of the
-    operator's flattened matrix with one zero appended: the operator's
-    element for the target parts of basis states i and j where their other
-    parts agree, the zero where they differ.
-    """
-    rest = [i for i in range(len(dims)) if i not in targets]
-    d = int(np.prod(dims))
-    multi = np.unravel_index(np.arange(d), dims)
-    t_idx, r_idx = np.zeros(d, dtype=np.intp), np.zeros(d, dtype=np.intp)
-    for i in targets:
-        t_idx = t_idx * dims[i] + multi[i]
-    for i in rest:
-        r_idx = r_idx * dims[i] + multi[i]
-    d_t = int(np.prod([dims[i] for i in targets]))
-    plan = t_idx[:, None] * d_t + t_idx[None, :]
-    plan[r_idx[:, None] != r_idx[None, :]] = d_t * d_t
-    plan.setflags(write=False)
-    return plan, d_t
-
-
 def embed_operator(op, dims, targets):
-    """Lift ``op`` acting on the listed subsystems to the full product space.
-
-    ``op`` may be a stack (..., d_t, d_t); each matrix is lifted.
-    """
+    """Lift ``op`` acting on the listed subsystems to the full product space,
+    as its Kronecker product with the identity on the others moved into
+    place; a stack (..., d_t, d_t) is lifted matrix by matrix."""
     op = np.asarray(op, dtype=complex)
-    plan, d_t = _lift_plan(tuple(dims), tuple(targets))
+    order = list(targets) + [i for i in range(len(dims)) if i not in targets]
+    d, d_t = math.prod(dims), math.prod(dims[i] for i in targets)
     if op.ndim < 2 or op.shape[-2:] != (d_t, d_t):
         raise DimensionMismatchError("operator does not match target register dims")
-    flat = op.reshape(op.shape[:-2] + (d_t * d_t,))
-    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,), dtype=complex)], axis=-1)
-    return padded[..., plan]
+    n, lead = len(dims), op.shape[:-2]
+    full = _kron_stack(op, np.eye(d // d_t)).reshape(lead + tuple(dims[i] for i in order) * 2)
+    back = [len(lead) + order.index(i) for i in range(n)]
+    return full.transpose(*range(len(lead)), *back, *(b + n for b in back)).reshape(lead + (d, d))
 
 
 def random_pure_state(dim: int, rng) -> PureState:
@@ -491,20 +469,17 @@ def random_density_matrix(dim: int, rng, rank=None) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-def _dagger(m):
-    return m.conj().swapaxes(-1, -2)
-
-
 class RegisterState:
-    """Mutable stack of multi-register density matrices used by the round engine.
+    """Mutable stack of multi-register density matrices, for round-by-round
+    simulation (the tests' register walk).
 
     ``rho`` is one dense (B, d, d) stack over the registers ``labels`` of
     dimensions ``dims``, in that order: B independent rounds undergo the
     same operations.  ``attach`` appends a register by one Kronecker
     product, and an operator (one matrix, or a stack of B) acts on its
     registers lifted to the whole stack.  This is the one deliberately
-    mutable object in the module; the engine makes a fresh instance for
-    every batch.
+    mutable object in the module; a walk makes a fresh instance for every
+    batch.
     """
 
     def __init__(self, labels, dims, rho):
@@ -515,12 +490,6 @@ class RegisterState:
                 f"register stack of shape {rho.shape} does not match dims {list(dims)}")
         self.labels, self.dims, self.rho = list(labels), list(dims), rho
         self.probe = self.labels[-1]
-
-    @classmethod
-    def from_state(cls, labels, dims, state, batch=1):
-        """``batch`` copies of one state."""
-        rho = as_density(state).data
-        return cls(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape))
 
     @property
     def batch(self) -> int:
@@ -546,7 +515,7 @@ class RegisterState:
     def apply_kraus(self, kraus_list, labels):
         targets = [self.labels.index(label) for label in labels]
         lifted = (embed_operator(k, self.dims, targets) for k in kraus_list)
-        self.rho = sum(k @ self.rho @ _dagger(k) for k in lifted)
+        self.rho = sum(k @ self.rho @ k.conj().swapaxes(-1, -2) for k in lifted)
 
     def measure(self, obs: Observable, label, rng, which=None):
         """Projective measurement of register ``label`` in every element.

@@ -232,25 +232,18 @@ def test_memory_attack_block_correlations_match_oracle():
                        for o1 in (1, -1) for o2 in (1, -1))
     assert tv_gap > 0.05
 
-    # drive the attack's batched stateful hooks directly with pinned
-    # settings: every block at once, one position inside the block at a time
-    blocks = 20_000
-    att = adversary.entangling_memory_attack(theta, block_length=2)
-    att.on_run_start({"n": 1, "T": 2 * blocks}, FRAME1)
-    rng = np.random.default_rng(82)
-    probe = qcore.mub_probe(FRAME1, "+X")
-    obs = qcore.bold_pauli(FRAME1, "Y")
-    att.begin_block(blocks, rng)
-    outs = []
-    for _round in range(2):
-        world = qcore.RegisterState.from_state(["B"], [2], probe, batch=blocks)
-        att.forward_state(world, rng)
-        outs.append(np.rint(world.measure(obs, "B", rng)).astype(int))
-        att.end_round(world, rng)
-    for (o1, o2), prob in joint.items():
-        count = int(np.sum((outs[0] == o1) & (outs[1] == o2)))
-        sigma = math.sqrt(blocks * prob * (1 - prob))
-        assert abs(count - blocks * prob) < 4 * sigma + 1e-9
+    # the memory engine's cell maps with pinned settings (a check round on
+    # the Y axis, probe +X) give the joint law of a block's two outcomes
+    coupling = adversary.entangling_memory_attack(theta).block_coupling(1)
+    maps = protocol._memory_maps(make_config(T=2), coupling)
+    setting = [axis for _action, _pick, axis in protocol._SETTINGS].index("Y")
+    label = qcore.SIGNED_LABELS.index("+X")
+    *_, values = protocol._sensor_model(1)
+    start = np.array([1, 0, 0, 0], dtype=complex)  # the ancilla's |0><0|, flattened
+    for k1, o1 in enumerate(values.tolist()):
+        for k2, o2 in enumerate(values.tolist()):
+            after = maps[setting, label, k2] @ maps[setting, label, k1] @ start
+            assert abs(after[0] + after[3] - joint.get((o1, o2), 0.0)) < 1e-12
 
 
 def exact_fidelity_oracle_over_block(theta, block_length=2):
@@ -369,34 +362,29 @@ def test_attack_clone_is_independent():
 
 # ---------------------------------------------------------------- one-way isolation
 
-class _SpyAttack(adversary.AttackModel):
-    """Stateful no-op that records when its hooks fire and what it can see."""
+class _SpyAttack(adversary.EntanglingMemoryAttack):
+    """Block-memory attack that records every call the engine makes into it."""
 
-    name = "spy"
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+        for name in ("on_run_start", "forward_branches", "backward_branches", "record_round",
+                     "block_coupling", "record_readouts", "swap_readout", "reencoding_angles"):
+            setattr(self, name, self._spy(name, getattr(self, name)))
 
-    def __init__(self):
-        self.forward_rounds = 0
-        self.backward_rounds = 0
-        self.world_was_unmeasured = True
-
-    def forward_state(self, world, rng):
-        self.forward_rounds += world.batch
-        # a freshly prepared round is always a pure state; any prior
-        # measurement or reconciliation would have broken purity
-        purity = np.einsum("bij,bji->b", world.rho, world.rho).real
-        if np.any(np.abs(purity - 1.0) > 1e-9):
-            self.world_was_unmeasured = False
-
-    def backward_state(self, world, rng):
-        self.backward_rounds += world.batch
+    def _spy(self, name, method):
+        def spy(*args):
+            self.calls.append(name)
+            return method(*args)
+        return spy
 
 
 def test_one_way_attack_sees_only_preshared_states():
-    # structural isolation: in one-way operation the attack acts once per
-    # round, before any measurement outcome exists, and the return-leg hook
-    # never fires
-    att = _SpyAttack()
-    protocol.run(make_config(T=300, seed=96), att)
-    assert att.forward_rounds == 300
-    assert att.backward_rounds == 0
-    assert att.world_was_unmeasured
+    # structural isolation: in one-way operation a memory attack gives its
+    # coupling once, before any round is drawn, never sees a state or an
+    # outcome of the sensor, and nothing of the return leg is asked for; in
+    # measure mode only its own ancilla readouts come back, after the batch
+    for mode, back in (("trace", []), ("measure", ["record_readouts"])):
+        att = _SpyAttack(0.4, 2, mode)
+        protocol.run(make_config(T=300, seed=96), att)
+        assert att.calls == ["on_run_start", "forward_branches", "block_coupling", *back]

@@ -115,9 +115,15 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
     ("run", {}, {"attack": {"name": "entangling_memory",
                             "params": {"coupling_angle": 0.3, "block_length": True}}},
      cli.EXIT_SCHEMA),
+    ("run", {}, {"attack": {"name": "depolarizing", "params": {"p": "0.05"}}}, cli.EXIT_SCHEMA),
+    ("run", {}, {"attack": {"name": "unitary_tamper",
+                            "params": {"axis": "Y", "angle": None}}}, cli.EXIT_SCHEMA),
+    ("run", {}, {"attack": {"name": "entangling_memory",
+                            "params": {"coupling_angle": [0.3]}}}, cli.EXIT_SCHEMA),
 ], ids=["T2", "T_past_MAX_ROUNDS", "no_check_rounds", "memory_n2", "steps_string",
         "variable_number", "block_length_fractional", "steps_past_MAX_GRID_STEPS",
-        "p_boolean", "angle_boolean", "block_length_boolean"])
+        "p_boolean", "angle_boolean", "block_length_boolean", "p_string", "angle_null",
+        "coupling_angle_list"])
 def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
                                             block_edit, code):
     path, scenario = write_scenario(tmp_path, **block_edit)
@@ -125,6 +131,38 @@ def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
     path.write_text(json.dumps(scenario))
     # an exception escaping main fails the test
     assert cli.main([command, str(path)]) == code
+
+
+@pytest.mark.parametrize("name,params,key", [
+    ("depolarizing", {"p": "0.05"}, "p"),
+    ("unitary_tamper", {"axis": "Y", "angle": None}, "angle"),
+    ("entangling_memory", {"coupling_angle": [0.3]}, "coupling_angle"),
+    ("entangling_memory", {"coupling_angle": 0.3, "block_length": "2"}, "block_length"),
+])
+def test_attack_parameter_type_errors_name_the_parameter(tmp_path, capsys, name, params, key):
+    # each value is checked to be a real number before the attack formats
+    # its name with it, so the message names the parameter
+    path, _ = write_scenario(tmp_path, attack={"name": name, "params": params})
+    assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+    assert f"{key} must be a real number, not {params[key]!r}" in capsys.readouterr().err
+
+
+def test_successive_main_calls_parse_independently(tmp_path, capsys):
+    # the parser is built once per process; no option of one call, global
+    # or of a subcommand, carries over to the next
+    assert cli.build_parser() is cli.build_parser()
+    path, _ = write_scenario(tmp_path, attack={"name": "depolarizing", "params": {"p": 0.5}})
+    summary = tmp_path / "summary.json"
+    assert cli.main(["--seed", "5", "--strict-abort", "run", str(path)]) == cli.EXIT_ABORTED
+    assert json.loads(summary.read_text())["seed"] == 5
+    bounds = ["bounds", "--mode", "one_way_individual", "--variant", "mub",
+              "--epsilon", "0.1", "--phi", "0.3", "--N-e", "100"]
+    assert cli.main([*bounds, "--output", str(tmp_path / "bounds.json")]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(bounds) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["bounds"]
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    assert json.loads(summary.read_text())["seed"] == 777
 
 
 def run_python(*args):
@@ -161,6 +199,31 @@ def test_run_rejects_instrument_that_does_not_preserve_trace(tmp_path, monkeypat
     monkeypatch.setitem(cli.ATTACKS, "lossy", (_Lossy, {"kind"}))
     path, _ = write_scenario(tmp_path, attack={"name": "lossy", "params": {"kind": kind}})
     assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+    assert not (tmp_path / "tr.tsv").exists()
+
+
+class _BadCoupling(adversary.EntanglingMemoryAttack):
+    """Entangling memory whose coupling is scaled off unitary or holds a NaN."""
+
+    def __init__(self, kind):
+        super().__init__(0.3)
+        self.kind = kind
+
+    def block_coupling(self, n):
+        coupling = super().block_coupling(n)
+        if self.kind == "non_unitary":
+            return 1.001 * coupling
+        coupling[3, 3] = np.nan
+        return coupling
+
+
+@pytest.mark.parametrize("kind", ["non_unitary", "nan"])
+def test_run_rejects_coupling_that_is_not_unitary(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.setitem(cli.ATTACKS, "bad_coupling", (_BadCoupling, {"kind"}))
+    path, _ = write_scenario(tmp_path, attack={"name": "bad_coupling", "params": {"kind": kind}})
+    assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "coupling is not unitary" in err and "Traceback" not in err
     assert not (tmp_path / "tr.tsv").exists()
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dqsim import adversary, protocol, qcore
+from test_register_walk import StatefulAdapter, run_register_walk
 
 
 def make_config(**overrides):
@@ -73,12 +74,13 @@ def test_config_hash_is_stable_and_sensitive():
 @pytest.mark.parametrize("engine", ["fast", "stateful"])
 @pytest.mark.parametrize("action", protocol.ACTIONS)
 def test_every_round_takes_the_only_possible_action(action, engine):
-    # an action of probability 1 is every round's, on both engines; the
-    # analysis that needs the other actions' rounds finds none
+    # an action of probability 1 is every round's, on the fast path and on
+    # the memory engine; the analysis that needs the other actions' rounds
+    # finds none
     p = {f"p_{a[0]}": float(a == action) for a in protocol.ACTIONS}
     cfg = make_config(T=200, **p)
-    attack = adversary.identity_attack()
-    tr = protocol.run(cfg, attack if engine == "fast" else _StatefulAdapter(attack))
+    tr = protocol.run(cfg, adversary.identity_attack() if engine == "fast"
+                      else adversary.entangling_memory_attack(0.3, 3, "measure"))
     assert np.all(tr.action == protocol.ACTIONS.index(action))
     assert tr.N_d == (200 if action == "discard" else 0)
     for needs, analyse in (("check", protocol.check_fidelity),
@@ -488,14 +490,17 @@ def test_every_cell_sifts_by_the_paper_pair_lists():
 # a flat probability array that returns exactly the indices
 # ``rng.choice(size, T, p=...)`` returns from the same uniforms (its guide
 # table only skips the search; ``test_draw_matches_rng_choice``), so either
-# draw gives the same stream: the stateful engine draws (setting, probe label)
+# draw gives the same stream: the memory engines draw (setting, probe label)
 # from the prior ``protocol._prior``, and the fast path draws (setting,
 # label, forward branch, backward branch, outcome) from the prior times the
 # exact outcome tables.  Stream 5 drew the action, the label and the
 # sensor pick from three rows of uniforms, and the fast path's table entry
-# from a fourth, so every digest changed.  The stateful digests also
-# depend on protocol._BATCH_BYTES, since that engine draws its measurement
-# uniforms batch by batch.  The intercept-resend digests pin the fast
+# from a fourth, so every digest changed.  The memory engines draw their
+# outcome and readout uniforms a batch of blocks at a time, so the batch
+# size (``protocol._BATCH_BYTES``) is a stream constant: the digests move
+# with it.  They draw in the order the register walk drew (stream 6 was
+# first pinned on that walk), and still give its bytes
+# (``test_register_walk``).  The intercept-resend digests pin the fast
 # path's sampling of multi-branch tables.
 RNG_STREAM = 6
 
@@ -789,6 +794,12 @@ def test_fast_path_consults_the_attack_once_per_run(make_inner):
         assert attack.inner.memory == list(forward)
 
 
+def test_attack_without_an_interface_is_rejected():
+    # an attack that gives no instrument, coupling or substitute cannot run
+    with pytest.raises(protocol.UnsupportedAttackError, match="no instrument"):
+        protocol.run(make_config(T=10), adversary.AttackModel())
+
+
 # ---------------------------------------------------------------- instrument checks
 
 class _Instrument(adversary.AttackModel):
@@ -979,33 +990,6 @@ def test_fidelity_oracle_matches_literal_push(n, attack_name):
 
 # ---------------------------------------------------------------- engine differential
 
-class _StatefulAdapter(adversary.AttackModel):
-    """A memoryless attack run through the stateful engine instead of the
-    fast path: each leg's weighted instrument becomes one Kraus set, the
-    branch weight w folded in as sqrt(w), applied with apply_kraus."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = f"stateful({inner.name})"
-
-    def on_run_start(self, public_config, frame):
-        n = public_config["n"]
-
-        def kraus(branches):
-            return [math.sqrt(w) * k for _label, w, ks in branches for k in ks]
-
-        self.fwd = kraus(self.inner.forward_branches(n, frame))
-        bwd = self.inner.backward_branches(n, frame)
-        self.bwd = None if bwd is None else kraus(bwd)
-
-    def forward_state(self, world, rng):
-        world.apply_kraus(self.fwd, [world.probe])
-
-    def backward_state(self, world, rng):
-        if self.bwd is not None:
-            world.apply_kraus(self.bwd, [world.probe])
-
-
 def exact_cell_probabilities(cfg, attack):
     """P(action, probe label, sensor axis, sensor outcome) of one round,
     from the fast path's exact outcome tables."""
@@ -1021,9 +1005,12 @@ def exact_cell_probabilities(cfg, attack):
     return cells
 
 
-# Each case passes when its chi-square p-value exceeds ALPHA; for a correct
-# engine a case fails with probability ALPHA, so the 80 cases below (40 per
-# engine) fail together at most 80 * ALPHA = 0.8 % of seeds.
+# The register walk (``test_register_walk``) runs memoryless instruments
+# too, so its cases check the byte-level oracle of the memory engines
+# against the exact tables.  Each case passes when its chi-square p-value
+# exceeds ALPHA; for a correct engine a case fails with probability ALPHA,
+# so the 80 cases below (40 per engine) fail together at most
+# 80 * ALPHA = 0.8 % of seeds.
 DIFFERENTIAL_ALPHA = 1e-4
 DIFFERENTIAL_CASES = pytest.mark.parametrize("n,variant,direction,attack_name", [
     (n, variant, direction, attack_name) for n in (1, 2)
@@ -1032,15 +1019,15 @@ DIFFERENTIAL_CASES = pytest.mark.parametrize("n,variant,direction,attack_name", 
 
 
 def assert_engine_matches_exact_tables(n, variant, direction, attack_name, engine):
-    """The engine (the attack itself or wrapped for the stateful engine)
-    samples every (action, label, sensor axis, outcome) cell as often as
-    the exact outcome tables say."""
+    """The engine (``protocol.run``, or the register walk with the attack
+    wrapped for it) samples every (action, label, sensor axis, outcome)
+    cell as often as the exact outcome tables say."""
     cfg = make_config(variant=variant, direction=direction, n=n, T=20_000,
                       p_c=0.4, p_e=0.4, p_d=0.2, true_phi=0.37 / n, seed=700 + n)
     attack = ORACLE_ATTACKS[attack_name]()
     cells = exact_cell_probabilities(cfg, attack)
     assert abs(sum(cells.values()) - 1.0) < 1e-9
-    tr = protocol.run(cfg, engine(attack))
+    tr = engine(cfg, attack)
     keys, counts = np.unique(np.stack([tr.action, tr.probe, tr.bob_axis, tr.bob_out]),
                              axis=1, return_counts=True)
     observed = {tuple(k): c for k, c in zip(keys.T.tolist(), counts.tolist())}
@@ -1054,12 +1041,13 @@ def assert_engine_matches_exact_tables(n, variant, direction, attack_name, engin
 
 @DIFFERENTIAL_CASES
 def test_stateful_engine_matches_exact_tables(n, variant, direction, attack_name):
-    assert_engine_matches_exact_tables(n, variant, direction, attack_name, _StatefulAdapter)
+    assert_engine_matches_exact_tables(n, variant, direction, attack_name,
+                                       lambda cfg, a: run_register_walk(cfg, StatefulAdapter(a)))
 
 
 @DIFFERENTIAL_CASES
 def test_fast_engine_matches_exact_tables(n, variant, direction, attack_name):
-    assert_engine_matches_exact_tables(n, variant, direction, attack_name, lambda a: a)
+    assert_engine_matches_exact_tables(n, variant, direction, attack_name, protocol.run)
 
 
 def pool_small_cells(observed, expected, floor=5.0):

@@ -30,6 +30,12 @@ def register(*states):
     return q.RegisterState(["A"], [stack.shape[-1]], stack)
 
 
+def copies(labels, dims, state, batch=1):
+    """A register stack of ``batch`` copies of one state."""
+    rho = q.as_density(state).data
+    return q.RegisterState(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape))
+
+
 # ---------------------------------------------------------------- paulis
 
 def test_pauli_z_on_ket0():
@@ -216,7 +222,7 @@ def test_depolarized_resource_state_fidelity_oracle():
     # analytic oracle: (1-p)|psi><psi| + p/4 I has fidelity 1 - 3p/4 to |psi>
     psi = q.resource_state(1)
     for p in (0.084, 0.2, 0.5):
-        w = q.RegisterState.from_state(["A", "B"], [2, 2], psi)
+        w = copies(["A", "B"], [2, 2], psi)
         w.apply_kraus(q.depolarizing_channel(p, 1), ["B"])
         assert q.fidelity(psi, w.rho[0]) == pytest.approx(1 - 3 * p / 4, abs=1e-12)
 
@@ -302,7 +308,7 @@ def test_measurement_frequencies_match_born_rule():
     # eigenvalues ascending: -1 (amplitude sin 0.4 on |1>), then +1
     probs = [np.sin(0.4) ** 2, np.cos(0.4) ** 2]
     shots = 100_000
-    outcomes = q.RegisterState.from_state(["A"], [2], state, batch=shots).measure(obs, "A", rng)
+    outcomes = copies(["A"], [2], state, batch=shots).measure(obs, "A", rng)
     counts = np.array([(outcomes < 0).sum(), (outcomes > 0).sum()])
     for k in range(2):
         sigma = np.sqrt(shots * probs[k] * (1 - probs[k]))
@@ -313,7 +319,7 @@ def test_measurement_reproducible_for_fixed_seed():
     obs = q.pauli("Z")
 
     def outcomes(rng, batch=20):
-        return q.RegisterState.from_state(["A"], [2], q.PureState(PLUS), batch).measure(
+        return copies(["A"], [2], q.PureState(PLUS), batch).measure(
             obs, "A", rng)
 
     a = outcomes(np.random.default_rng(9))
@@ -326,7 +332,7 @@ def test_measurement_reproducible_for_fixed_seed():
 def test_measurement_post_state_is_eigenstate():
     rng = np.random.default_rng(5)
     obs = q.pauli("X")
-    w = q.RegisterState.from_state(["A"], [2], q.PureState(KET0), batch=8)
+    w = copies(["A"], [2], q.PureState(KET0), batch=8)
     vals = w.measure(obs, "A", rng)
     for val, post in zip(vals, w.rho):
         assert q.expectation(obs, post) == pytest.approx(val)
@@ -457,7 +463,7 @@ def test_canonical_eigh_phase_convention():
 def test_register_state_stabilizer_round_is_deterministic():
     rng = np.random.default_rng(23)
     frame = q.LogicalFrame.standard(1)
-    w = q.RegisterState.from_state(["A", "B"], [2, 2], q.resource_state(1), batch=20)
+    w = copies(["A", "B"], [2, 2], q.resource_state(1), batch=20)
     a = w.measure(q.pauli("X"), "A", rng)
     b = w.measure(q.bold_pauli(frame, "Z"), "B", rng)
     assert set(a.tolist()) == {-1.0, 1.0}
@@ -466,7 +472,7 @@ def test_register_state_stabilizer_round_is_deterministic():
 
 def test_register_attach_apply_trace_roundtrip():
     rng = np.random.default_rng(29)
-    w = q.RegisterState.from_state(["B"], [2], q.PureState(KET0))
+    w = copies(["B"], [2], q.PureState(KET0))
     w.attach("E", q.PureState(KET0))
     # CNOT from B onto E, but B is |0>, so E stays |0>
     cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -479,7 +485,7 @@ def test_register_attach_apply_trace_roundtrip():
 def test_register_kraus_matches_channel_apply():
     # oracle: the channel lifted by kron and applied to the raw matrix
     ch = q.depolarizing_channel(0.3, 1)
-    w = q.RegisterState.from_state(["A", "B"], [2, 2], q.resource_state(1))
+    w = copies(["A", "B"], [2, 2], q.resource_state(1))
     w.apply_kraus(ch, ["B"])
     rho = q.resource_state(1).density().data
     lifted = [np.kron(I2, k) for k in ch]
