@@ -2,7 +2,7 @@
 
 An attack intercepts the probe on its way to the sensor (forward leg) and,
 in two-way operation, again on its way back (backward leg).  It is one of
-three kinds, each a narrow array interface the engine reads once per run:
+three kinds:
 
 - A memoryless attack describes each leg as a weighted quantum instrument
   on the probe register: a list of (label, weight, kraus_operators)
@@ -15,15 +15,15 @@ three kinds, each a narrow array interface the engine reads once per run:
   rounds to one ancilla qubit reset to |0> at the block's start, which is
   traced out or read out in Z at the block's end: it gives the coupling
   unitary and that readout mode.
-- A swap attack sends a substitute in the probe's place, reads the
-  returned substitute out and forwards the stored original, re-encoded by
-  angles it computes from its outcomes: it gives the substitute, the
-  readout observable and those angles.
+- A register attack (two-way swap-leak) acts on a ``qcore.RegisterState``
+  holding a batch of rounds' probes: ``forward_state`` before the sensor
+  encodes and, in two-way runs, ``backward_state`` after.  It keeps what
+  it stores between the legs itself.
 
 In one-way operation an attack never sees a measurement outcome or
-reconciliation data before acting on the probe: it gives its operators
-before the first round is drawn, and only a block-memory attack's own
-ancilla readouts come back to it.  Attacks that need the return leg
+reconciliation data before acting on the probe: ``forward_state`` sees
+only the prepared probes, and only a block-memory attack's own ancilla
+readouts come back to an attack.  Attacks that need the return leg
 declare ``requires_two_way`` and are rejected outright in one-way runs.
 
 ``expected_check_fidelity`` is the exact check fidelity under a memoryless
@@ -105,17 +105,14 @@ class AttackModel:
     def record_readouts(self, outcomes) -> None:
         pass
 
-    # -- swap interface (two-way substitution) --------------------------------
-    # The sensor encodes the substitute; the original is forwarded with the
-    # re-encoding ``qcore.encoding_unitary(n, angle)``.
-    def swap_readout(self, n, frame):
-        """The substitute's density matrix and the readout Observable, or None."""
-        return None
+    # -- register interface (two-way substitution) -----------------------------
+    # Both hooks get a RegisterState whose batch axis holds a batch of
+    # rounds, in round order, and may draw from ``rng`` in call order.
+    def forward_state(self, world, rng) -> None:
+        raise NotImplementedError("the attack gives no instrument, coupling or register hooks")
 
-    def reencoding_angles(self, outcomes):
-        """Each round's re-encoding angle from the readout outcomes of a
-        batch of rounds (ints, in round order); 0 forwards the original."""
-        raise NotImplementedError
+    def backward_state(self, world, rng) -> None:
+        pass
 
     def eve_estimate(self) -> EveEstimate | None:
         return None
@@ -277,22 +274,30 @@ class TwoWaySwapLeakAttack(AttackModel):
         if self._p_e <= 0:
             raise ValueError("swap-leak attack needs a nonzero encoding probability")
         self._n = public_config["n"]
+        self._xbar = qcore.bold_pauli(frame, "X")
+        self._substitute = qcore.mub_probe(frame, "+X").density()
         self._sum = 0
         self._count = 0
 
-    def swap_readout(self, n, frame):
-        return qcore.mub_probe(frame, "+X").density().data, qcore.bold_pauli(frame, "X")
+    def forward_state(self, world, rng):
+        self._original = world.trace_out(world.probe)
+        world.attach(world.probe, self._substitute)
 
-    def reencoding_angles(self, outcomes):
+    def backward_state(self, world, rng):
+        outcome = np.rint(world.measure(self._xbar, world.probe, rng)).astype(np.int64)
         # running sum and count of the nonzero outcomes, this round included
-        total = self._sum + np.cumsum(outcomes)
-        count = self._count + np.cumsum(outcomes != 0)
+        total = self._sum + np.cumsum(outcome)
+        count = self._count + np.cumsum(outcome != 0)
         self._sum, self._count = int(total[-1]), int(count[-1])
         mean = total / np.maximum(count, 1)
         c = np.clip(1.0 - (1.0 - mean) / self._p_e, -1.0, 1.0)
         phi_hat = np.arccos(c) / (2.0 * self._n)
-        reencode = (outcomes == -1) & (count >= self._min_samples_for_reencoding) & (phi_hat > 0)
-        return np.where(reencode, phi_hat, 0.0)
+        reencode = (outcome == -1) & (count >= self._min_samples_for_reencoding) & (phi_hat > 0)
+        world.trace_out(world.probe)
+        world.attach(world.probe, self._original)
+        if reencode.any():
+            world.apply_unitary(qcore.encoding_unitary(self._n, np.where(reencode, phi_hat, 0.0)),
+                                [world.probe])
 
     def eve_estimate(self) -> EveEstimate:
         if self._count == 0:

@@ -24,9 +24,10 @@ column a transcript stores, and every other field of a round is a lookup
 in a small per-cell table.  Memoryless attacks run on a vectorized fast
 path: each (setting, label) pair has an exact outcome table computed once,
 and one categorical draw from the prior times the tables gives every round
-its cell and branches together.  Quantum-memory attacks draw each round's
-outcome from its exact law given the adversary's memory, a batch of
-independent blocks at a time, one position inside the block after another.
+its cell and branches together.  Block-memory attacks draw each round's
+outcome from its exact law given the adversary's ancilla, a batch of
+independent blocks at a time, one position inside the block after another;
+register attacks act on a batch of rounds' register states.
 No engine reads the variant, and each draws randomness in a fixed
 documented order, so a seed fully determines the transcript.  The check
 and the estimator read per-label signed sums of the cell counts; only
@@ -564,28 +565,21 @@ def _run_memory(config, attack, rng, coupling, setting, label, b_out):
             attack.record_readouts(np.where(rng.random(p1.size) < p1, -1, 1))
 
 
-def _run_swap(config, attack, rng, swap, setting, label, b_out):
-    """Swap attacks: the attack reads out the substitute as the round's
-    encoder returns it, and the sensor measures the label's state re-encoded
-    by the attack's angle a, in span{R^n, L^n}, where the re-encoding is
-    diag(e^{i n a}, e^{-i n a}): in the pole basis Tr(P V rho V^dagger) =
-    P_00 rho_00 + P_11 rho_11 + 2 Re(P_10 rho_01 e^{2ina}).  Draw order,
-    batch by batch: one uniform per round for the attack's readout, then
-    one per round for the sensor's outcome."""
-    frame, probes, sensor, values = _sensor_model(config.n)
-    (substitute, readout), enc = swap, _encoders(config)[_SETTING_ENCODER]
-    returned = enc @ substitute @ enc.conj().swapaxes(-1, -2)
-    eve = np.einsum("kij,sji->sk", np.array(readout.eigenprojectors), returned).real
-    poles = np.stack([frame.pole0.amplitudes, frame.pole1.amplitudes], axis=1)
-    rho = poles.conj().T @ probes @ poles
-    proj = poles.conj().T @ np.array([o.eigenprojectors for o in sensor])[_SETTING_AXIS] @ poles
-    static = np.einsum("skii,lii->slk", proj, rho).real
-    coherent = proj[:, None, :, 1, 0] * rho[None, :, None, 0, 1]
+def _run_register(config, attack, rng, setting, label, b_out):
+    """Register attacks: a batch of rounds at a time on a register state
+    holding each round's probe, through the attack's ``forward_state`` and,
+    in two-way runs, ``backward_state`` hooks around the sensor's encoding.
+    Draw order, batch by batch: one uniform per round for each measurement
+    the hooks make, in call order, then one per round for the sensor's."""
+    _frame, probes, sensor, _values = _sensor_model(config.n)
+    encoders = _encoders(config)[_SETTING_ENCODER]
     for _last, (t,) in _batches(config, 1):
-        s, l = setting[t], label[t]
-        outcomes = np.rint(readout.eigenvalues).astype(np.int64)[_pick(eve[s], rng)]
-        phase = np.exp(2j * config.n * attack.reencoding_angles(outcomes))[:, None]
-        b_out[t] = values[_pick(static[s, l] + 2.0 * (coherent[s, l] * phase).real, rng)]
+        world = qcore.RegisterState(["B"], [2 ** config.n], probes[label[t]])
+        attack.forward_state(world, rng)
+        world.apply_unitary(encoders[setting[t]], [world.probe])
+        if config.direction == "two_way":
+            attack.backward_state(world, rng)
+        b_out[t] = np.rint(world.measure(sensor, world.probe, rng, _SETTING_AXIS[setting[t]]))
 
 
 def run(config: ProtocolConfig, attack) -> Transcript:
@@ -603,14 +597,15 @@ def run(config: ProtocolConfig, attack) -> Transcript:
         bwd = attack.backward_branches(config.n, frame) if config.direction == "two_way" else None
         return _run_fast(config, attack, rng, fwd, bwd)
     coupling = attack.block_coupling(config.n)
-    engine, law = ((_run_memory, coupling) if coupling is not None
-                   else (_run_swap, attack.swap_readout(config.n, frame)))
-    if law is None:
-        raise UnsupportedAttackError(f"attack {attack.name!r} has no instrument, coupling "
-                                     "or substitute")
     setting, label = np.divmod(_draw(_prior(config), rng, config.T), len(qcore.SIGNED_LABELS))
     b_out = np.zeros(config.T, dtype=np.int8)
-    engine(config, attack, rng, law, setting, label, b_out)
+    if coupling is None:
+        try:
+            _run_register(config, attack, rng, setting, label, b_out)
+        except ValueError as exc:  # a state the hooks made is not a density matrix
+            raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
+    else:
+        _run_memory(config, attack, rng, coupling, setting, label, b_out)
     return Transcript(config, np.ravel_multi_index((setting, label, b_out + 1), _CELL_SHAPE))
 
 

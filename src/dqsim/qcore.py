@@ -108,7 +108,7 @@ def _check_density_stack(m):
         raise ValueError("density matrix has a non-finite entry")
     if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= HERMITIAN_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = m.trace(axis1=-2, axis2=-1)
+    tr = np.einsum("...ii->...", m)
     if not (np.abs(tr.real - 1.0).max() <= TRACE_TOL and np.abs(tr.imag).max() <= TRACE_TOL):
         raise ValueError("density matrix trace deviates from 1")
     try:
@@ -471,14 +471,14 @@ def random_density_matrix(dim: int, rng, rank=None) -> DensityMatrix:
 
 class RegisterState:
     """Mutable stack of multi-register density matrices, for round-by-round
-    simulation (the tests' register walk).
+    simulation (the protocol's register engine).
 
     ``rho`` is one dense (B, d, d) stack over the registers ``labels`` of
     dimensions ``dims``, in that order: B independent rounds undergo the
     same operations.  ``attach`` appends a register by one Kronecker
     product, and an operator (one matrix, or a stack of B) acts on its
     registers lifted to the whole stack.  This is the one deliberately
-    mutable object in the module; a walk makes a fresh instance for every
+    mutable object in the module; the engine makes a fresh instance for every
     batch.
     """
 
@@ -541,7 +541,7 @@ class RegisterState:
         k = np.minimum((cdf <= u[:, None]).sum(axis=1), len(values) - 1)
         sel = full[k, np.arange(self.batch)]
         post = sel @ self.rho @ sel
-        self.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
+        self.rho = post / np.einsum("bii->b", post).real[:, None, None]
         return values[k]
 
     def trace_out(self, label):

@@ -369,7 +369,7 @@ class _SpyAttack(adversary.EntanglingMemoryAttack):
         super().__init__(*args)
         self.calls = []
         for name in ("on_run_start", "forward_branches", "backward_branches", "record_round",
-                     "block_coupling", "record_readouts", "swap_readout", "reencoding_angles"):
+                     "block_coupling", "record_readouts", "forward_state", "backward_state"):
             setattr(self, name, self._spy(name, getattr(self, name)))
 
     def _spy(self, name, method):
@@ -388,3 +388,36 @@ def test_one_way_attack_sees_only_preshared_states():
         att = _SpyAttack(0.4, 2, mode)
         protocol.run(make_config(T=300, seed=96), att)
         assert att.calls == ["on_run_start", "forward_branches", "block_coupling", *back]
+
+
+class _RegisterSpy(adversary.AttackModel):
+    """Register attack that counts its hook calls and checks what it sees."""
+
+    name = "register_spy"
+
+    def __init__(self):
+        self.forward_rounds = 0
+        self.backward_rounds = 0
+        self.world_was_unmeasured = True
+
+    def forward_state(self, world, rng):
+        self.forward_rounds += world.batch
+        # a freshly prepared round is always a pure state; any prior
+        # measurement or reconciliation would have broken purity
+        purity = np.einsum("bij,bji->b", world.rho, world.rho).real
+        if np.any(np.abs(purity - 1.0) > 1e-9):
+            self.world_was_unmeasured = False
+
+    def backward_state(self, world, rng):
+        self.backward_rounds += world.batch
+
+
+def test_one_way_register_attack_acts_once_on_prepared_probes():
+    # in one-way operation the register engine calls the forward hook once
+    # per round, before any measurement outcome exists, and never the
+    # return-leg hook
+    att = _RegisterSpy()
+    protocol.run(make_config(T=300, seed=96), att)
+    assert att.forward_rounds == 300
+    assert att.backward_rounds == 0
+    assert att.world_was_unmeasured

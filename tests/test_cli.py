@@ -227,6 +227,33 @@ def test_run_rejects_coupling_that_is_not_unitary(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "tr.tsv").exists()
 
 
+class _BadSubstitute(adversary.TwoWaySwapLeakAttack):
+    """Swap-leak whose substitute is off unit trace or not positive."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def on_run_start(self, public_config, frame):
+        super().on_run_start(public_config, frame)
+        good = self._substitute.data
+        self._substitute = (1.5 * good if self.kind == "not_unit_trace"
+                            else np.diag([1.2, -0.2]).astype(complex))
+
+
+@pytest.mark.parametrize("kind", ["not_unit_trace", "not_positive"])
+def test_run_rejects_substitute_that_is_not_a_state(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.setitem(cli.ATTACKS, "bad_substitute", (_BadSubstitute, {"kind"}))
+    protocol = {"variant": "mub", "direction": "two_way", "n": 1, "T": 300, "p_c": 0.5,
+                "p_e": 0.5, "p_d": 0.0, "epsilon_threshold": 0.251, "true_phi": 0.3,
+                "seed": 7}
+    path, _ = write_scenario(tmp_path, protocol=protocol,
+                             attack={"name": "bad_substitute", "params": {"kind": kind}})
+    assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "density matrix" in err and "Traceback" not in err
+    assert not (tmp_path / "tr.tsv").exists()
+
+
 def test_module_entry_point_starts_without_warnings():
     proc = run_module("bounds", "--mode", "one_way_individual", "--variant", "mub",
                       "--epsilon", "0.1", "--phi", "0.5", "--N-e", "10")

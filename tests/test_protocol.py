@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dqsim import adversary, protocol, qcore
-from test_register_walk import StatefulAdapter, run_register_walk
+from test_register_walk import StatefulAdapter
 
 
 def make_config(**overrides):
@@ -498,9 +498,9 @@ def test_every_cell_sifts_by_the_paper_pair_lists():
 # from a fourth, so every digest changed.  The memory engines draw their
 # outcome and readout uniforms a batch of blocks at a time, so the batch
 # size (``protocol._BATCH_BYTES``) is a stream constant: the digests move
-# with it.  They draw in the order the register walk drew (stream 6 was
-# first pinned on that walk), and still give its bytes
-# (``test_register_walk``).  The intercept-resend digests pin the fast
+# with it.  The block-memory engine draws in the order the block register
+# walk drew (stream 6 was first pinned on that walk), and still gives its
+# bytes (``test_register_walk``).  The intercept-resend digests pin the fast
 # path's sampling of multi-branch tables.
 RNG_STREAM = 6
 
@@ -795,8 +795,8 @@ def test_fast_path_consults_the_attack_once_per_run(make_inner):
 
 
 def test_attack_without_an_interface_is_rejected():
-    # an attack that gives no instrument, coupling or substitute cannot run
-    with pytest.raises(protocol.UnsupportedAttackError, match="no instrument"):
+    # an attack that gives no instrument, coupling or register hooks cannot run
+    with pytest.raises(NotImplementedError, match="no instrument"):
         protocol.run(make_config(T=10), adversary.AttackModel())
 
 
@@ -1005,8 +1005,8 @@ def exact_cell_probabilities(cfg, attack):
     return cells
 
 
-# The register walk (``test_register_walk``) runs memoryless instruments
-# too, so its cases check the byte-level oracle of the memory engines
+# The register engine runs memoryless instruments too, wrapped as register
+# attacks (``test_register_walk.StatefulAdapter``), so its cases check it
 # against the exact tables.  Each case passes when its chi-square p-value
 # exceeds ALPHA; for a correct engine a case fails with probability ALPHA,
 # so the 80 cases below (40 per engine) fail together at most
@@ -1019,8 +1019,8 @@ DIFFERENTIAL_CASES = pytest.mark.parametrize("n,variant,direction,attack_name", 
 
 
 def assert_engine_matches_exact_tables(n, variant, direction, attack_name, engine):
-    """The engine (``protocol.run``, or the register walk with the attack
-    wrapped for it) samples every (action, label, sensor axis, outcome)
+    """The engine (``protocol.run`` under the attack, or under the attack
+    wrapped for the register engine) samples every (action, label, sensor axis, outcome)
     cell as often as the exact outcome tables say."""
     cfg = make_config(variant=variant, direction=direction, n=n, T=20_000,
                       p_c=0.4, p_e=0.4, p_d=0.2, true_phi=0.37 / n, seed=700 + n)
@@ -1042,7 +1042,7 @@ def assert_engine_matches_exact_tables(n, variant, direction, attack_name, engin
 @DIFFERENTIAL_CASES
 def test_stateful_engine_matches_exact_tables(n, variant, direction, attack_name):
     assert_engine_matches_exact_tables(n, variant, direction, attack_name,
-                                       lambda cfg, a: run_register_walk(cfg, StatefulAdapter(a)))
+                                       lambda cfg, a: protocol.run(cfg, StatefulAdapter(a)))
 
 
 @DIFFERENTIAL_CASES
