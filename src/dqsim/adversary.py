@@ -274,7 +274,9 @@ class TwoWaySwapLeakAttack(AttackModel):
         if self._p_e <= 0:
             raise ValueError("swap-leak attack needs a nonzero encoding probability")
         self._n = public_config["n"]
-        self._xbar = qcore.bold_pauli(frame, "X")
+        xbar = qcore.bold_pauli(frame, "X")
+        self._xbar, self._xbar_values = (np.array(xbar.eigenprojectors),
+                                         np.rint(xbar.eigenvalues).astype(np.int64))
         self._substitute = qcore.mub_probe(frame, "+X").density()
         self._sum = 0
         self._count = 0
@@ -284,7 +286,7 @@ class TwoWaySwapLeakAttack(AttackModel):
         world.attach(world.probe, self._substitute)
 
     def backward_state(self, world, rng):
-        outcome = np.rint(world.measure(self._xbar, world.probe, rng)).astype(np.int64)
+        outcome = self._xbar_values[world.measure(self._xbar, world.probe, rng)]
         # running sum and count of the nonzero outcomes, this round included
         total = self._sum + np.cumsum(outcome)
         count = self._count + np.cumsum(outcome != 0)

@@ -378,12 +378,12 @@ def cmd_bounds(mode, variant, epsilon, n, phis, T=None, N_d=None, N_e=None,
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(seed, restarts=6, inject_violation=False, output=None) -> int:
+    # no suite reads ``restarts``; existing command lines keep their exit codes
     if restarts < 1:
         raise SchemaError("--restarts must be at least 1")
     if seed < 0:
         raise SchemaError("--verify-seed must be nonnegative")
-    results = metrics.run_inequality_suites(seed=seed, restarts=restarts,
-                                            inject_violation=inject_violation)
+    results = metrics.run_inequality_suites(seed=seed, inject_violation=inject_violation)
     payload = {"suites": [{"name": r.name, "checks": r.checks,
                            "violations": r.violations} for r in results]}
     _dump_json(payload, output)
@@ -442,8 +442,9 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run the inequality property suites")
     p_verify.add_argument("--verify-seed", type=int, default=20240001)
     p_verify.add_argument("--restarts", type=int, default=6,
-                          help="starting points of the three-party LOCC1 search "
-                               "(at least 1); the suites' two-party searches run one")
+                          help="accepted and checked (at least 1) for existing "
+                               "command lines, but no suite reads it: their LOCC1 "
+                               "searches are two-party and run one start")
     p_verify.add_argument("--inject-violation", action="store_true",
                           help=argparse.SUPPRESS)
     p_verify.add_argument("--output", default=None)

@@ -423,15 +423,17 @@ class SuiteResult:
         return self.violations == 0
 
 
-def run_inequality_suites(seed=20240001, restarts=6, inject_violation=False):
+def run_inequality_suites(seed=20240001, inject_violation=False):
     """Run the fixed-seed inequality property suites; returns SuiteResults.
 
     Suites: the two-sided fidelity/trace-distance inequality on random
     pairs, the gentle-measurement check on random triples, uniform
     continuity for local observables, the iid product-mixture case of the
     marginal-vs-mixture bound, and lower-bound-vs-trace-distance sanity of
-    the sequential-measurement optimizer.  ``inject_violation`` appends one
-    deliberately failed check so harness error paths can be exercised.
+    the sequential-measurement optimizer.  Every optimizer search here is
+    two-party, so it runs one start and draws nothing from ``rng``.
+    ``inject_violation`` appends one deliberately failed check so harness
+    error paths can be exercised.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -473,8 +475,7 @@ def run_inequality_suites(seed=20240001, restarts=6, inject_violation=False):
     checks = violations = 0
     comp = qcore.random_density_matrix(2, rng)
     iid = qcore.DensityMatrix(qcore.kron_power(comp.data, 3))
-    report = definetti_inequality_check(iid, m=3, k=2, mixture=[(1.0, comp)],
-                                        restarts=2, rng=rng)
+    report = definetti_inequality_check(iid, m=3, k=2, mixture=[(1.0, comp)])
     checks += 1
     if not (report.lhs <= 1e-9 <= report.rhs + 1e-12 and report.holds):
         violations += 1
@@ -484,7 +485,7 @@ def run_inequality_suites(seed=20240001, restarts=6, inject_violation=False):
     for _ in range(50):
         a = qcore.random_density_matrix(4, rng)
         b = qcore.random_density_matrix(4, rng)
-        res = locc1_lower_bound(a, b, dims=[2, 2], restarts=restarts, rng=rng)
+        res = locc1_lower_bound(a, b, dims=[2, 2])
         checks += 1
         if res.lower_bound > qcore.trace_distance(a, b) + 1e-9:
             violations += 1

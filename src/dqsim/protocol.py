@@ -345,23 +345,23 @@ def parse_transcript(text: str):
 def _sensor_model(n):
     """The n-qubit probe states and sensor model shared by every run at n:
     the frame, the six probe densities in ``qcore.SIGNED_LABELS`` order, the
-    sensor's observables X, Y, Z and then the trivial measurement of a
-    discarded round, so that ``_SETTING_AXIS`` indexes them (-1: discarded),
-    and their shared spectrum as int8.  Its arrays are read-only, since every
-    caller shares them."""
+    sensor as one projector table of shape (4, outcome, d, d), the
+    eigenprojectors of X, Y, Z and then the trivial measurement of a
+    discarded round, so that ``_SETTING_AXIS`` indexes it (-1: discarded),
+    and the outcomes' shared values as int8.  Its arrays are read-only,
+    since every caller shares them."""
     frame = qcore.LogicalFrame.standard(n)
     probes = np.array([qcore.mub_probe(frame, lab).density().data
                        for lab in qcore.SIGNED_LABELS])
     bold = [qcore.bold_pauli(frame, a) for a in AXES]
-    spectrum = bold[0].eigenvalues
-    values = np.rint(spectrum).astype(np.int8)
-    # the trivial measurement written on the same spectrum, so that
-    # discarded rounds share a batch and a table shape with measured ones:
-    # it always yields the last eigenvalue and leaves the state as it is
-    eye = np.eye(2 ** n, dtype=complex)
-    sensor = (*bold, qcore.Observable(
-        eye, spectrum, (np.zeros_like(eye),) * (len(spectrum) - 1) + (eye,)))
-    for array in (probes, values):
+    values = np.rint(bold[0].eigenvalues).astype(np.int8)
+    # the trivial measurement on the same outcomes, so that discarded rounds
+    # share a batch and a table shape with measured ones: it always yields
+    # the last outcome and leaves the state as it is
+    sensor = np.zeros((len(AXES) + 1, values.size, 2 ** n, 2 ** n), dtype=complex)
+    sensor[:-1] = [o.eigenprojectors for o in bold]
+    sensor[-1, -1] = np.eye(2 ** n)
+    for array in (probes, sensor, values):
         array.setflags(write=False)
     return frame, probes, sensor, values
 
@@ -393,7 +393,7 @@ def _build_tables(config, fwd, bwd):
     through the forward instrument once as a stack, encoded once and pushed
     through the backward one; each encoder's states are contracted with
     every sensor projector, and the settings gather their encoder and
-    observable.  A total off 1, or an entry below 0, by more than
+    projectors.  A total off 1, or an entry below 0, by more than
     ``_TABLE_TOLERANCE`` raises UnsupportedAttackError; roundoff negatives
     are set to 0."""
     _frame, probes, sensor, _values = _sensor_model(config.n)
@@ -401,11 +401,10 @@ def _build_tables(config, fwd, bwd):
     states = enc @ qcore.apply_instrument(probes, fwd) @ enc.conj().swapaxes(-1, -2)
     states = states[..., None, :, :] if bwd is None else qcore.apply_instrument(states, bwd)
     # Tr(P rho) is the sum over the entries of P^T times rho
-    proj = np.array([o.eigenprojectors for o in sensor])
     d = 2 ** config.n
     probs = (states.reshape(states.shape[:-2] + (d * d,))
-             @ proj.swapaxes(-1, -2).reshape(-1, d * d).T).real
-    probs = probs.reshape(probs.shape[:-1] + proj.shape[:2])
+             @ sensor.swapaxes(-1, -2).reshape(-1, d * d).T).real
+    probs = probs.reshape(probs.shape[:-1] + sensor.shape[:2])
     tables = probs[_SETTING_ENCODER, ..., _SETTING_AXIS, :]
     totals, least = tables.sum(axis=(2, 3, 4)), tables.min()
     total = totals.flat[np.argmax(np.abs(totals - 1.0))]
@@ -515,14 +514,6 @@ def _batches(config, L):
         yield first + per_batch >= n_blocks, [t[t < config.T] for t in rounds]
 
 
-def _pick(probs, rng):
-    """One outcome index per row of ``probs`` (B, K), one uniform each: the
-    inverse CDF of the clipped row, as ``qcore.RegisterState.measure`` picks."""
-    cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
-    u = rng.random(len(cdf)) * cdf[:, -1]
-    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
-
-
 def _memory_maps(config, coupling):
     """Each cell's linear map on a block-memory attack's ancilla qubit under
     the coupling C, M(sigma) = Tr_probe[(P_k U_s (x) I) C (rho_l (x) sigma)
@@ -534,8 +525,7 @@ def _memory_maps(config, coupling):
     d, c = 2 ** config.n, np.asarray(coupling, dtype=complex)
     if not (c.shape == (2 * d, 2 * d) and np.abs(c @ c.conj().T - np.eye(2 * d)).max() <= 1e-10):
         raise UnsupportedAttackError("the attack's coupling is not unitary on probe and qubit")
-    measured = (np.array([o.eigenprojectors for o in sensor])[_SETTING_AXIS]
-                @ _encoders(config)[_SETTING_ENCODER][:, None])
+    measured = sensor[_SETTING_AXIS] @ _encoders(config)[_SETTING_ENCODER][:, None]
     w = np.einsum("skpr,reqg->skpeqg", measured, c.reshape(d, 2, d, 2))
     maps = np.einsum("skpeqg,lqr,skpfrh->slkefgh", w, probes, w.conj(), optimize=True)
     maps = maps.reshape(maps.shape[:3] + (4, 4))
@@ -557,7 +547,7 @@ def _run_memory(config, attack, rng, coupling, setting, label, b_out):
         for t in positions:
             after = (maps[setting[t], label[t]] @ sigma[:t.size, None, :, None])[..., 0]
             probs = (after[..., 0] + after[..., 3]).real
-            k, b = _pick(probs, rng), np.arange(t.size)
+            k, b = qcore.pick(probs, rng), np.arange(t.size)
             b_out[t] = values[k]
             sigma[:t.size] = after[b, k] / probs[b, k, None]
         if attack.ancilla_mode == "measure":
@@ -571,7 +561,7 @@ def _run_register(config, attack, rng, setting, label, b_out):
     in two-way runs, ``backward_state`` hooks around the sensor's encoding.
     Draw order, batch by batch: one uniform per round for each measurement
     the hooks make, in call order, then one per round for the sensor's."""
-    _frame, probes, sensor, _values = _sensor_model(config.n)
+    _frame, probes, sensor, values = _sensor_model(config.n)
     encoders = _encoders(config)[_SETTING_ENCODER]
     for _last, (t,) in _batches(config, 1):
         world = qcore.RegisterState(["B"], [2 ** config.n], probes[label[t]])
@@ -579,7 +569,7 @@ def _run_register(config, attack, rng, setting, label, b_out):
         world.apply_unitary(encoders[setting[t]], [world.probe])
         if config.direction == "two_way":
             attack.backward_state(world, rng)
-        b_out[t] = np.rint(world.measure(sensor, world.probe, rng, _SETTING_AXIS[setting[t]]))
+        b_out[t] = values[world.measure(sensor[_SETTING_AXIS[setting[t]]], world.probe, rng)]
 
 
 def run(config: ProtocolConfig, attack) -> Transcript:

@@ -4,7 +4,9 @@ States, observables, Kraus instruments and measurements for registers of up to a
 qubits, plus the specific entangled resource states, logical-subspace Pauli
 operators and phase-encoding unitaries used by the sensing protocols.
 Everything is dense complex linear algebra, sized for probes of up to
-``protocol.MAX_QUBITS`` = 5 qubits.
+``protocol.MAX_QUBITS`` = 5 qubits.  An instrument is a list of weighted
+Kraus branches and a measurement a stack of outcome projectors; every
+sampled outcome comes from one inverse-CDF rule, ``pick``.
 
 All objects are immutable after construction and all operations are pure
 functions taking an explicit rng where sampling is involved, so concurrent
@@ -389,17 +391,8 @@ def _sqrtm_psd(m):
 
 
 def fidelity(a, b) -> float:
-    """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2; |<a|b>|^2 for pure inputs."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        if a.dim != b.dim:
-            raise DimensionMismatchError("states have different dimensions")
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    if isinstance(a, PureState) or isinstance(b, PureState):
-        psi, rho = (a, b) if isinstance(a, PureState) else (b, a)
-        rho = as_density(rho)
-        if psi.dim != rho.dim:
-            raise DimensionMismatchError("states have different dimensions")
-        return float((psi.amplitudes.conj() @ rho.data @ psi.amplitudes).real)
+    """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2, which is |<a|b>|^2
+    for pure inputs and <psi|rho|psi> for one pure input."""
     ra, rb = as_density(a), as_density(b)
     if ra.dim != rb.dim:
         raise DimensionMismatchError("states have different dimensions")
@@ -461,12 +454,21 @@ def random_pure_state(dim: int, rng) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
-def random_density_matrix(dim: int, rng, rank=None) -> DensityMatrix:
-    """Ginibre-induced random state (full rank unless ``rank`` given)."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density_matrix(dim: int, rng) -> DensityMatrix:
+    """Ginibre-induced random state of full rank."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
+
+
+def pick(probs, rng):
+    """One outcome index per row of ``probs`` (B, K), one uniform per row
+    in row order: the inverse CDF of the row with its negative (roundoff)
+    entries clipped to 0.  A uniform that lands on a CDF step goes to the
+    next outcome, and an all-zero row picks the last outcome."""
+    cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
+    u = rng.random(len(cdf)) * cdf[:, -1]
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
 
 
 class RegisterState:
@@ -476,10 +478,10 @@ class RegisterState:
     ``rho`` is one dense (B, d, d) stack over the registers ``labels`` of
     dimensions ``dims``, in that order: B independent rounds undergo the
     same operations.  ``attach`` appends a register by one Kronecker
-    product, and an operator (one matrix, or a stack of B) acts on its
-    registers lifted to the whole stack.  This is the one deliberately
-    mutable object in the module; the engine makes a fresh instance for every
-    batch.
+    product, and an operator (one matrix, or a stack of B) or a measurement
+    (one projector stack, or a stack of B) acts on its registers lifted to
+    the whole stack.  This is the one deliberately mutable object in the
+    module; the engine makes a fresh instance for every batch.
     """
 
     def __init__(self, labels, dims, rho):
@@ -517,32 +519,22 @@ class RegisterState:
         lifted = (embed_operator(k, self.dims, targets) for k in kraus_list)
         self.rho = sum(k @ self.rho @ k.conj().swapaxes(-1, -2) for k in lifted)
 
-    def measure(self, obs: Observable, label, rng, which=None):
+    def measure(self, projectors, label, rng):
         """Projective measurement of register ``label`` in every element.
 
-        ``obs`` is one Observable, or a list of Observables sharing one
-        spectrum, element b measuring ``obs[which[b]]``.  One uniform per
-        element picks its outcome by inverse CDF of the Born probabilities.
-        Returns the eigenvalues found, shape (B,).
+        ``projectors`` is one (K, d, d) stack of outcome projectors, or a
+        (B, K, d, d) stack, element b measuring ``projectors[b]``.  Each
+        element's outcome is ``pick``ed from its Born probabilities.
+        Returns the outcome indices, shape (B,).
         """
-        if which is None:
-            obs, which = [obs], np.zeros(self.batch, dtype=np.intp)
-        values = obs[0].eigenvalues
-        if any(o.eigenvalues.shape != values.shape
-               or not np.max(np.abs(o.eigenvalues - values)) <= EIGENVALUE_GROUP_TOL
-               for o in obs):
-            raise ValueError("observables measured in one batch must share a spectrum")
-        projs = np.array([o.eigenprojectors for o in obs])[np.asarray(which)]
+        projs = np.broadcast_to(projectors, (self.batch,) + np.shape(projectors)[-3:])
         # (k, B, d, d): outcome k's projector for every element
         full = embed_operator(projs.swapaxes(0, 1), self.dims, [self.labels.index(label)])
-        probs = np.einsum("kbij,bji->bk", full, self.rho).real
-        cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
-        u = rng.random(self.batch) * cdf[:, -1]
-        k = np.minimum((cdf <= u[:, None]).sum(axis=1), len(values) - 1)
+        k = pick(np.einsum("kbij,bji->bk", full, self.rho).real, rng)
         sel = full[k, np.arange(self.batch)]
         post = sel @ self.rho @ sel
         self.rho = post / np.einsum("bii->b", post).real[:, None, None]
-        return values[k]
+        return k
 
     def trace_out(self, label):
         """Drop register ``label``; returns the checked (B, d, d) stack of

@@ -512,6 +512,16 @@ def test_bad_counts_exit_with_schema_code(tmp_path, args):
     assert not out.exists()
 
 
+def test_verify_output_does_not_depend_on_restarts(tmp_path):
+    # every suite's LOCC1 search is two-party, which runs one start
+    outputs = []
+    for restarts in ("1", "6"):
+        out = tmp_path / f"verify{restarts}.json"
+        assert cli.main(["verify", "--restarts", restarts, "--output", str(out)]) == cli.EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_injected_violation_fails(tmp_path):
     rc = cli.main(["verify", "--restarts", "2", "--inject-violation",
                    "--output", str(tmp_path / "v.json")])

@@ -400,7 +400,7 @@ def test_definetti_ghz_least_squares_dictionary():
 # ---------------------------------------------------------------- suites
 
 def test_inequality_suites_all_pass():
-    results = metrics.run_inequality_suites(restarts=3)
+    results = metrics.run_inequality_suites()
     assert {r.name for r in results} == {
         "fuchs_van_de_graaf", "gentle_measurement", "uniform_continuity",
         "definetti_iid", "locc1_vs_trace_distance"}
@@ -409,5 +409,5 @@ def test_inequality_suites_all_pass():
 
 
 def test_inequality_suites_injected_violation():
-    results = metrics.run_inequality_suites(restarts=2, inject_violation=True)
+    results = metrics.run_inequality_suites(inject_violation=True)
     assert any(not r.passed for r in results)

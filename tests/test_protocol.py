@@ -617,7 +617,9 @@ def test_draw_accepts_a_total_within_numpy_tolerance():
 def test_sensor_model_is_shared_read_only_and_run_order_free():
     frame, probes, sensor, values = protocol._sensor_model(2)
     assert protocol._sensor_model(2)[1] is probes
-    for array in (probes, values, frame.pole0.amplitudes, *sensor[-1].eigenprojectors):
+    # X, Y, Z and the discarded round's trivial measurement, by outcome
+    assert sensor.shape == (4, values.size, 4, 4)
+    for array in (probes, sensor, values, frame.pole0.amplitudes):
         with pytest.raises(ValueError):
             array.flat[0] = 1
     cases = [(make_config(n=2, T=500, p_c=0.4, p_e=0.4, p_d=0.2), adversary.depolarizing_attack(0.2)),

@@ -36,6 +36,11 @@ def copies(labels, dims, state, batch=1):
     return q.RegisterState(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape))
 
 
+def measured_values(world, obs, label, rng):
+    """The eigenvalues of ``obs`` that measuring it on register ``label`` finds."""
+    return obs.eigenvalues[world.measure(np.array(obs.eigenprojectors), label, rng)]
+
+
 # ---------------------------------------------------------------- paulis
 
 def test_pauli_z_on_ket0():
@@ -308,7 +313,7 @@ def test_measurement_frequencies_match_born_rule():
     # eigenvalues ascending: -1 (amplitude sin 0.4 on |1>), then +1
     probs = [np.sin(0.4) ** 2, np.cos(0.4) ** 2]
     shots = 100_000
-    outcomes = copies(["A"], [2], state, batch=shots).measure(obs, "A", rng)
+    outcomes = measured_values(copies(["A"], [2], state, batch=shots), obs, "A", rng)
     counts = np.array([(outcomes < 0).sum(), (outcomes > 0).sum()])
     for k in range(2):
         sigma = np.sqrt(shots * probs[k] * (1 - probs[k]))
@@ -319,8 +324,7 @@ def test_measurement_reproducible_for_fixed_seed():
     obs = q.pauli("Z")
 
     def outcomes(rng, batch=20):
-        return copies(["A"], [2], q.PureState(PLUS), batch).measure(
-            obs, "A", rng)
+        return measured_values(copies(["A"], [2], q.PureState(PLUS), batch), obs, "A", rng)
 
     a = outcomes(np.random.default_rng(9))
     assert np.array_equal(a, outcomes(np.random.default_rng(9)))
@@ -333,27 +337,51 @@ def test_measurement_post_state_is_eigenstate():
     rng = np.random.default_rng(5)
     obs = q.pauli("X")
     w = copies(["A"], [2], q.PureState(KET0), batch=8)
-    vals = w.measure(obs, "A", rng)
+    vals = measured_values(w, obs, "A", rng)
     for val, post in zip(vals, w.rho):
         assert q.expectation(obs, post) == pytest.approx(val)
 
 
 def test_measurement_per_element_observables():
-    # element b measures obs[which[b]]: X on |+> and Z on |1> are certain
+    # element b measures projectors[b]: X on |+> (outcome +1, the second)
+    # and Z on |1> (outcome -1, the first) are certain
     w = register(q.PureState(PLUS), q.PureState(KET1), q.PureState(PLUS))
-    vals = w.measure([q.pauli("X"), q.pauli("Z")], "A", np.random.default_rng(7),
-                     which=[0, 1, 0])
-    assert vals.tolist() == [1.0, -1.0, 1.0]
-    with pytest.raises(ValueError):
-        w.measure([q.pauli("X"), q.Observable.from_matrix(np.diag([0.0, 2.0]))], "A",
-                  np.random.default_rng(7), which=[0, 1, 0])
+    x, z = (np.array(q.pauli(a).eigenprojectors) for a in "XZ")
+    assert w.measure(np.array([x, z, x]), "A", np.random.default_rng(7)).tolist() == [1, 0, 1]
+
+
+class FixedUniforms:
+    """An rng whose ``random(size)`` hands out the given uniforms in order."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size):
+        out, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+        return np.array(out)
+
+
+def test_pick_is_one_clipped_inverse_cdf_per_row():
+    probs = np.array([[0.0, 0.0, 0.0],     # all zero: the last outcome
+                      [0.25, -1e-3, 0.75],  # the negative entry counts as 0
+                      [0.25, 0.5, 0.25],    # u * total on a CDF step: the next outcome
+                      [0.5, 0.5, 0.0]])
+    assert q.pick(probs, FixedUniforms(0.3, 0.25, 0.75, 0.99)).tolist() == [2, 2, 2, 1]
+    # one uniform per row, in row order, and no more
+    probs = np.random.default_rng(4).random((50, 4))
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    picked = q.pick(probs, rng)
+    u = twin.random(len(probs))
+    assert picked.tolist() == [np.cumsum(p).searchsorted(x * np.cumsum(p)[-1], side="right")
+                               for p, x in zip(probs, u)]
+    assert rng.random() == twin.random()
 
 
 def test_measurement_dimension_guard():
     rng = np.random.default_rng(6)
     rho4 = q.random_density_matrix(4, rng)
     with pytest.raises(q.DimensionMismatchError):
-        register(rho4).measure(q.pauli("Z"), "A", rng)
+        register(rho4).measure(np.array(q.pauli("Z").eigenprojectors), "A", rng)
     with pytest.raises(q.DimensionMismatchError):
         q.expectation(q.pauli("Z"), rho4)
 
@@ -378,11 +406,18 @@ def test_ket0_vs_plus():
     assert q.trace_distance(a, b) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
-def test_mixed_fidelity_consistent_with_pure_overloads():
+def test_fidelity_matches_pure_closed_forms():
+    # the one general formula against |<a|b>|^2 and <psi|rho|psi>
     rng = np.random.default_rng(13)
-    psi = q.random_pure_state(4, rng)
-    rho = q.random_density_matrix(4, rng)
-    assert q.fidelity(psi, rho) == pytest.approx(q.fidelity(psi.density(), rho), abs=1e-9)
+    for d in range(2, 33):
+        for _ in range(5):
+            a, b = q.random_pure_state(d, rng), q.random_pure_state(d, rng)
+            rho = q.random_density_matrix(d, rng)
+            overlap = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+            inside = (a.amplitudes.conj() @ rho.data @ a.amplitudes).real
+            assert abs(q.fidelity(a, b) - overlap) <= 1e-10
+            assert abs(q.fidelity(a, rho) - inside) <= 1e-10
+            assert abs(q.fidelity(rho, a) - inside) <= 1e-10
 
 
 def test_fuchs_van_de_graaf_random_pairs():
@@ -464,8 +499,8 @@ def test_register_state_stabilizer_round_is_deterministic():
     rng = np.random.default_rng(23)
     frame = q.LogicalFrame.standard(1)
     w = copies(["A", "B"], [2, 2], q.resource_state(1), batch=20)
-    a = w.measure(q.pauli("X"), "A", rng)
-    b = w.measure(q.bold_pauli(frame, "Z"), "B", rng)
+    a = measured_values(w, q.pauli("X"), "A", rng)
+    b = measured_values(w, q.bold_pauli(frame, "Z"), "B", rng)
     assert set(a.tolist()) == {-1.0, 1.0}
     assert np.allclose(a * b, 1.0)
 
@@ -555,20 +590,18 @@ class DenseRegister:
             acc += full @ self.rho @ full.conj().swapaxes(-1, -2)
         self.rho = acc
 
-    def measure(self, obs, label, rng, which=None):
-        if which is None:
-            obs, which = [obs], np.zeros(self.rho.shape[0], dtype=np.intp)
-        values = obs[0].eigenvalues
-        projs = np.array([o.eigenprojectors for o in obs])[np.asarray(which)]
+    def measure(self, projectors, label, rng):
+        batch = self.rho.shape[0]
+        projs = np.broadcast_to(projectors, (batch,) + np.shape(projectors)[-3:])
         full = q.embed_operator(projs.swapaxes(0, 1), self.dims, [self.index(label)])
         probs = np.einsum("kbij,bji->bk", full, self.rho).real
         cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
-        u = rng.random(self.rho.shape[0]) * cdf[:, -1]
-        k = np.minimum((cdf <= u[:, None]).sum(axis=1), len(values) - 1)
-        sel = full[k, np.arange(self.rho.shape[0])]
+        u = rng.random(batch) * cdf[:, -1]
+        k = np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+        sel = full[k, np.arange(batch)]
         post = sel @ self.rho @ sel
         self.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
-        return values[k]
+        return k
 
     def reduced(self, label):
         return q._partial_trace_stack(self.rho, self.dims, [self.index(label)])
@@ -634,15 +667,15 @@ def test_register_matches_dense_oracle(probe_dim, seed):
         dense.trace_out(label)
         agree()
 
-    def measured(obs, label, which=None):
+    def measured(projectors, label):
         draw = int(rng.integers(2 ** 32))
-        a = reg.measure(obs, label, np.random.default_rng(draw), which)
-        b = dense.measure(obs, label, np.random.default_rng(draw), which)
-        assert np.abs(a - b).max() < 1e-12
+        a = reg.measure(projectors, label, np.random.default_rng(draw))
+        b = dense.measure(projectors, label, np.random.default_rng(draw))
+        assert np.array_equal(a, b)
         agree()
 
     frame = q.LogicalFrame.standard(probe_dim.bit_length() - 1)
-    sensor = [q.bold_pauli(frame, a) for a in q.PAULI_AXES]
+    sensor = np.array([q.bold_pauli(frame, a).eigenprojectors for a in q.PAULI_AXES])
     pure = q.random_pure_state(2, rng)
 
     both("attach", "E1", random_stack(rng, batch, 2))
@@ -653,11 +686,11 @@ def test_register_matches_dense_oracle(probe_dim, seed):
     dropped("E4")
     both("apply_unitary", random_unitaries(rng, batch, 2), ["E1"])
     both("apply_kraus", random_kraus(rng, 2 * probe_dim), ["E2", "B"])
-    measured(sensor, "B", rng.integers(len(sensor), size=batch))
+    measured(sensor[rng.integers(len(sensor), size=batch)], "B")
     both("attach", "E3", random_stack(rng, batch, 2))
     both("apply_unitary", random_unitaries(rng, batch, 8 * probe_dim), ["E3", "E1", "B", "E2"])
     dropped("E2")
-    measured(q.pauli("Z"), "E3")
+    measured(np.array(q.pauli("Z").eigenprojectors), "E3")
     both("apply_kraus", random_kraus(rng, 2), ["E1"])
     dropped("E3")
     dropped("B")
@@ -665,5 +698,5 @@ def test_register_matches_dense_oracle(probe_dim, seed):
     dropped("E1")
     both("attach", "E1", random_stack(rng, batch, probe_dim))
     both("apply_unitary", random_unitaries(rng, batch, probe_dim), ["E1"])
-    measured(sensor, "E1", rng.integers(len(sensor), size=batch))
+    measured(sensor[rng.integers(len(sensor), size=batch)], "E1")
     assert reg.labels == dense.labels == ["E1"]

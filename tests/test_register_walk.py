@@ -54,7 +54,7 @@ def run_register_walk(config, attack):
     hooks and the sensor make, in call order.
     """
     rng = np.random.default_rng(config.seed)
-    frame, probes, sensor, _values = protocol._sensor_model(config.n)
+    frame, probes, sensor, values = protocol._sensor_model(config.n)
     attack.on_run_start(config.public(), frame)
     T, L, d = config.T, attack.block_length, 2 ** config.n
     encoders = protocol._encoders(config)
@@ -78,7 +78,7 @@ def run_register_walk(config, attack):
             world.apply_unitary(encoders[protocol._SETTING_ENCODER[setting[t]]], [world.probe])
             if config.direction == "two_way":
                 attack.backward_state(world, rng)
-            b_out[t] = np.rint(world.measure(sensor, world.probe, rng, bob_axis[t]))
+            b_out[t] = values[world.measure(sensor[bob_axis[t]], world.probe, rng)]
             attack.end_round(world, rng)
     return protocol.Transcript(
         config, np.ravel_multi_index((setting, label, b_out + 1), protocol._CELL_SHAPE))
