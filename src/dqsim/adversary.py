@@ -185,12 +185,8 @@ class InterceptResendAttack(AttackModel):
 
     def forward_branches(self, n, frame):
         weight = 1.0 / len(self.axes)
-        branches = []
-        for axis in self.axes:
-            obs = qcore.bold_pauli(frame, axis)
-            for value, proj in zip(obs.eigenvalues, obs.eigenprojectors):
-                branches.append((f"{axis}:{int(round(value)):+d}", weight, [proj]))
-        return branches
+        return [(f"{axis}:{slot - 1:+d}", weight, [proj]) for axis in self.axes
+                for slot, proj in enumerate(qcore.logical_projectors(frame, axis))]
 
     def record_round(self, forward_branch, forward_labels,
                      backward_branch=None, backward_labels=None):
@@ -199,7 +195,11 @@ class InterceptResendAttack(AttackModel):
 
 def intercept_resend(basis_strategy="random") -> AttackModel:
     """Measure the probe in a fixed or uniformly random logical Pauli basis
-    and resend the collapsed state; outcomes land in classical memory."""
+    and resend the collapsed state; outcomes land in classical memory.
+
+    Each axis A measured gives three branches, the outcome slots of
+    ``qcore.logical_projectors`` labelled "A:-1", "A:+0" (leak; the zero
+    operator at n = 1) and "A:+1"."""
     return InterceptResendAttack(basis_strategy)
 
 
@@ -274,9 +274,7 @@ class TwoWaySwapLeakAttack(AttackModel):
         if self._p_e <= 0:
             raise ValueError("swap-leak attack needs a nonzero encoding probability")
         self._n = public_config["n"]
-        xbar = qcore.bold_pauli(frame, "X")
-        self._xbar, self._xbar_values = (np.array(xbar.eigenprojectors),
-                                         np.rint(xbar.eigenvalues).astype(np.int64))
+        self._xbar = qcore.logical_projectors(frame, "X")
         self._substitute = qcore.mub_probe(frame, "+X").density()
         self._sum = 0
         self._count = 0
@@ -286,7 +284,7 @@ class TwoWaySwapLeakAttack(AttackModel):
         world.attach(world.probe, self._substitute)
 
     def backward_state(self, world, rng):
-        outcome = self._xbar_values[world.measure(self._xbar, world.probe, rng)]
+        outcome = world.measure(self._xbar, world.probe, rng) - 1  # slot -> -1, 0, +1
         # running sum and count of the nonzero outcomes, this round included
         total = self._sum + np.cumsum(outcome)
         count = self._count + np.cumsum(outcome != 0)
@@ -347,7 +345,7 @@ def expected_check_fidelity(attack: AttackModel, n: int, variant="entanglement")
         rho = np.einsum("abrs->arbs", pushed).reshape(2 * d, 2 * d)
         total = 0.0
         for a_axis, b_axis in (("X", "Z"), ("Z", "X"), ("Y", "Y")):
-            op = np.kron(qcore.pauli_matrix(a_axis), qcore.bold_pauli(frame, b_axis).matrix)
+            op = np.kron(qcore.pauli_matrix(a_axis), qcore.bold_pauli(frame, b_axis))
             total += float(np.trace(op @ rho).real)
         return (1.0 + total) / 4.0
 
@@ -357,7 +355,7 @@ def expected_check_fidelity(attack: AttackModel, n: int, variant="entanglement")
     fidelities = {}
     for label, rho in zip(qcore.SIGNED_LABELS, pushed):
         axis, sign = qcore.parse_probe_label(label)
-        mean = sign * float(np.trace(qcore.bold_pauli(frame, axis).matrix @ rho).real)
+        mean = sign * float(np.trace(qcore.bold_pauli(frame, axis) @ rho).real)
         fidelities[label] = (mean + 1.0) / 2.0
     return fidelities
 

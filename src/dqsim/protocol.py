@@ -21,13 +21,16 @@ exact (the equivalence of the two formulations), and the provider's
 Each round's sensor setting and probe label are drawn from the prior
 ``_prior``; with the sensor's outcome they make the round's cell, the one
 column a transcript stores, and every other field of a round is a lookup
-in a small per-cell table.  Memoryless attacks run on a vectorized fast
-path: each (setting, label) pair has an exact outcome table computed once,
-and one categorical draw from the prior times the tables gives every round
-its cell and branches together.  Block-memory attacks draw each round's
-outcome from its exact law given the adversary's ancilla, a batch of
-independent blocks at a time, one position inside the block after another;
-register attacks act on a batch of rounds' register states.
+in a small per-cell table.  Every engine measures with one projector table
+whose outcome index is the cell's slot (-1, leak, +1) at every n, so no
+outcome passes through a value map.  Memoryless attacks run on a
+vectorized fast path: each (setting, label) pair has an exact outcome
+table computed once, and one categorical draw from the prior times the
+tables gives every round its cell and branches together.  Block-memory
+attacks draw each round's outcome from its exact law given the
+adversary's ancilla, a batch of independent blocks at a time, one
+position inside the block after another; register attacks act on a batch
+of rounds' register states.
 No engine reads the variant, and each draws randomness in a fixed
 documented order, so a seed fully determines the transcript.  The check
 and the estimator read per-label signed sums of the cell counts; only
@@ -344,26 +347,24 @@ def parse_transcript(text: str):
 @functools.lru_cache(maxsize=None)
 def _sensor_model(n):
     """The n-qubit probe states and sensor model shared by every run at n:
-    the frame, the six probe densities in ``qcore.SIGNED_LABELS`` order, the
-    sensor as one projector table of shape (4, outcome, d, d), the
-    eigenprojectors of X, Y, Z and then the trivial measurement of a
-    discarded round, so that ``_SETTING_AXIS`` indexes it (-1: discarded),
-    and the outcomes' shared values as int8.  Its arrays are read-only,
-    since every caller shares them."""
+    the frame, the six probe densities in ``qcore.SIGNED_LABELS`` order, and
+    the sensor as one projector table of shape (4, slot, d, d), its last
+    axis a round's cell slot: ``qcore.logical_projectors`` of X, Y, Z and
+    then the trivial measurement of a discarded round, so that
+    ``_SETTING_AXIS`` indexes it (-1: discarded).  Its arrays are
+    read-only, since every caller shares them."""
     frame = qcore.LogicalFrame.standard(n)
     probes = np.array([qcore.mub_probe(frame, lab).density().data
                        for lab in qcore.SIGNED_LABELS])
-    bold = [qcore.bold_pauli(frame, a) for a in AXES]
-    values = np.rint(bold[0].eigenvalues).astype(np.int8)
-    # the trivial measurement on the same outcomes, so that discarded rounds
-    # share a batch and a table shape with measured ones: it always yields
-    # the last outcome and leaves the state as it is
-    sensor = np.zeros((len(AXES) + 1, values.size, 2 ** n, 2 ** n), dtype=complex)
-    sensor[:-1] = [o.eigenprojectors for o in bold]
+    # the trivial measurement, so that discarded rounds share a batch and a
+    # table shape with measured ones: it always yields slot +1 and leaves
+    # the state as it is
+    sensor = np.zeros((len(AXES) + 1, 3, 2 ** n, 2 ** n), dtype=complex)
+    sensor[:-1] = [qcore.logical_projectors(frame, a) for a in AXES]
     sensor[-1, -1] = np.eye(2 ** n)
-    for array in (probes, sensor, values):
+    for array in (probes, sensor):
         array.setflags(write=False)
-    return frame, probes, sensor, values
+    return frame, probes, sensor
 
 
 def _encoders(config):
@@ -387,16 +388,15 @@ def _build_tables(config, fwd, bwd):
     """Exact outcome tables of every cell under the forward instrument
     ``fwd`` and the backward instrument ``bwd`` (None: identity), one float
     array of shape (setting, probe label, forward branch, backward branch,
-    sensor outcome): the probabilities of a round's branches and outcome,
-    the outcomes in ``_sensor_model(n)``'s ``values`` order.  A discarded
-    round's mass lies on the last outcome.  The six probe states are pushed
-    through the forward instrument once as a stack, encoded once and pushed
-    through the backward one; each encoder's states are contracted with
-    every sensor projector, and the settings gather their encoder and
-    projectors.  A total off 1, or an entry below 0, by more than
+    outcome slot): the probabilities of a round's branches and of its
+    cell's outcome slot.  A discarded round's mass lies on slot +1.  The
+    six probe states are pushed through the forward instrument once as a
+    stack, encoded once and pushed through the backward one; each encoder's
+    states are contracted with every sensor projector, and the settings
+    gather their encoder and projectors.  A total off 1, or an entry below 0, by more than
     ``_TABLE_TOLERANCE`` raises UnsupportedAttackError; roundoff negatives
     are set to 0."""
-    _frame, probes, sensor, _values = _sensor_model(config.n)
+    _frame, probes, sensor = _sensor_model(config.n)
     enc = _encoders(config)[:, None, None]
     states = enc @ qcore.apply_instrument(probes, fwd) @ enc.conj().swapaxes(-1, -2)
     states = states[..., None, :, :] if bwd is None else qcore.apply_instrument(states, bwd)
@@ -487,9 +487,8 @@ def _run_fast(config, attack, rng, fwd, bwd) -> Transcript:
     """
     tables = _prior(config)[..., None, None, None] * _build_tables(config, fwd, bwd)
     # each table entry's (cell, forward branch, backward branch)
-    setting, label, forward, backward, outcome = np.indices(tables.shape)
-    *_, values = _sensor_model(config.n)
-    cell = np.ravel_multi_index((setting, label, values[outcome] + 1), _CELL_SHAPE)
+    setting, label, forward, backward, slot = np.indices(tables.shape)
+    cell = np.ravel_multi_index((setting, label, slot), _CELL_SHAPE)
     entries = np.stack([cell, forward, backward]).reshape(3, -1)
     entries = entries.astype(np.min_scalar_type(max(_N_CELLS, *tables.shape)))
     cell, forward, backward = np.take(entries, _draw(tables, rng, config.T), axis=1)
@@ -518,10 +517,10 @@ def _memory_maps(config, coupling):
     """Each cell's linear map on a block-memory attack's ancilla qubit under
     the coupling C, M(sigma) = Tr_probe[(P_k U_s (x) I) C (rho_l (x) sigma)
     C^dagger (U_s^dagger P_k (x) I)], as a matrix on the flattened sigma,
-    shape (setting, label, outcome, 4, 4).  A coupling off unitary by more
-    than 1e-10, or maps whose traces summed over the outcomes miss the
+    shape (setting, label, outcome slot, 4, 4).  A coupling off unitary by
+    more than 1e-10, or maps whose traces summed over the outcomes miss the
     trace by more than ``_TABLE_TOLERANCE``, raise UnsupportedAttackError."""
-    _frame, probes, sensor, _values = _sensor_model(config.n)
+    _frame, probes, sensor = _sensor_model(config.n)
     d, c = 2 ** config.n, np.asarray(coupling, dtype=complex)
     if not (c.shape == (2 * d, 2 * d) and np.abs(c @ c.conj().T - np.eye(2 * d)).max() <= 1e-10):
         raise UnsupportedAttackError("the attack's coupling is not unitary on probe and qubit")
@@ -535,33 +534,33 @@ def _memory_maps(config, coupling):
     return maps
 
 
-def _run_memory(config, attack, rng, coupling, setting, label, b_out):
+def _run_memory(config, attack, rng, coupling, setting, label, slot):
     """Block-memory attacks: each block's ancilla starts in |0>, and the round's
-    cell maps give its outcome's law and the ancilla after it.  Draw order,
-    batch by batch: position by position, one uniform per round for the sensor's
-    outcome; then, in "measure" mode, one per block but the run's last."""
+    cell maps give its outcome slot's law and the ancilla after it.  Draw
+    order, batch by batch: position by position, one uniform per round for
+    the sensor's outcome; then, in "measure" mode, one per block but the
+    run's last."""
     maps = _memory_maps(config, coupling)
-    *_, values = _sensor_model(config.n)
     for last, positions in _batches(config, attack.block_length):
         sigma = np.tile([1, 0, 0, 0j], (positions[0].size, 1))  # |0><0|, flattened
         for t in positions:
             after = (maps[setting[t], label[t]] @ sigma[:t.size, None, :, None])[..., 0]
             probs = (after[..., 0] + after[..., 3]).real
-            k, b = qcore.pick(probs, rng), np.arange(t.size)
-            b_out[t] = values[k]
+            slot[t] = k = qcore.pick(probs, rng)
+            b = np.arange(t.size)
             sigma[:t.size] = after[b, k] / probs[b, k, None]
         if attack.ancilla_mode == "measure":
             p1 = sigma[:sigma.shape[0] - last, 3].real
             attack.record_readouts(np.where(rng.random(p1.size) < p1, -1, 1))
 
 
-def _run_register(config, attack, rng, setting, label, b_out):
+def _run_register(config, attack, rng, setting, label, slot):
     """Register attacks: a batch of rounds at a time on a register state
     holding each round's probe, through the attack's ``forward_state`` and,
     in two-way runs, ``backward_state`` hooks around the sensor's encoding.
     Draw order, batch by batch: one uniform per round for each measurement
     the hooks make, in call order, then one per round for the sensor's."""
-    _frame, probes, sensor, values = _sensor_model(config.n)
+    _frame, probes, sensor = _sensor_model(config.n)
     encoders = _encoders(config)[_SETTING_ENCODER]
     for _last, (t,) in _batches(config, 1):
         world = qcore.RegisterState(["B"], [2 ** config.n], probes[label[t]])
@@ -569,7 +568,7 @@ def _run_register(config, attack, rng, setting, label, b_out):
         world.apply_unitary(encoders[setting[t]], [world.probe])
         if config.direction == "two_way":
             attack.backward_state(world, rng)
-        b_out[t] = values[world.measure(sensor[_SETTING_AXIS[setting[t]]], world.probe, rng)]
+        slot[t] = world.measure(sensor[_SETTING_AXIS[setting[t]]], world.probe, rng)
 
 
 def run(config: ProtocolConfig, attack) -> Transcript:
@@ -588,15 +587,15 @@ def run(config: ProtocolConfig, attack) -> Transcript:
         return _run_fast(config, attack, rng, fwd, bwd)
     coupling = attack.block_coupling(config.n)
     setting, label = np.divmod(_draw(_prior(config), rng, config.T), len(qcore.SIGNED_LABELS))
-    b_out = np.zeros(config.T, dtype=np.int8)
+    slot = np.zeros(config.T, dtype=np.int8)
     if coupling is None:
         try:
-            _run_register(config, attack, rng, setting, label, b_out)
+            _run_register(config, attack, rng, setting, label, slot)
         except ValueError as exc:  # a state the hooks made is not a density matrix
             raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
     else:
-        _run_memory(config, attack, rng, coupling, setting, label, b_out)
-    return Transcript(config, np.ravel_multi_index((setting, label, b_out + 1), _CELL_SHAPE))
+        _run_memory(config, attack, rng, coupling, setting, label, slot)
+    return Transcript(config, np.ravel_multi_index((setting, label, slot), _CELL_SHAPE))
 
 
 # ---------------------------------------------------------------- reconciliation

@@ -1,12 +1,14 @@
 """Exact linear-algebra substrate for small multi-qubit protocol simulations.
 
-States, observables, Kraus instruments and measurements for registers of up to a few
+States, Kraus instruments and measurements for registers of up to a few
 qubits, plus the specific entangled resource states, logical-subspace Pauli
 operators and phase-encoding unitaries used by the sensing protocols.
 Everything is dense complex linear algebra, sized for probes of up to
 ``protocol.MAX_QUBITS`` = 5 qubits.  An instrument is a list of weighted
-Kraus branches and a measurement a stack of outcome projectors; every
-sampled outcome comes from one inverse-CDF rule, ``pick``.
+Kraus branches and a measurement a stack of outcome projectors; a logical
+Pauli's measurement is ``logical_projectors``' closed-form stack in the
+outcome slots (-1, leak, +1), and every sampled outcome comes from one
+inverse-CDF rule, ``pick``.
 
 All objects are immutable after construction and all operations are pure
 functions taking an explicit rng where sampling is involved, so concurrent
@@ -26,7 +28,6 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
-EIGENVALUE_GROUP_TOL = 1e-8
 
 PAULI_AXES = ("X", "Y", "Z")
 
@@ -148,71 +149,16 @@ def canonical_eigh(matrix):
     return vals, vecs
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Hermitian operator with cached spectral decomposition.
-
-    ``eigenvalues`` holds the distinct eigenvalues (ascending) and
-    ``eigenprojectors`` the matching orthogonal projectors, complete on the
-    whole space.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenprojectors: tuple
-
-    def __post_init__(self):
-        m = _frozen(np.asarray(self.matrix, dtype=complex))
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenvalues", _frozen(np.asarray(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "eigenprojectors", tuple(_frozen(p) for p in self.eigenprojectors))
-        if not all(np.isfinite(a).all() for a in (m, self.eigenvalues, *self.eigenprojectors)):
-            raise ValueError("observable has a non-finite entry")
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
-            raise ValueError("observable is not Hermitian within tolerance")
-        recon = sum(l * p for l, p in zip(self.eigenvalues, self.eigenprojectors))
-        if not np.max(np.abs(recon - m)) <= HERMITIAN_TOL:
-            raise ValueError("spectral decomposition does not reproduce the matrix")
-        total = sum(self.eigenprojectors)
-        if not np.max(np.abs(total - np.eye(self.dim))) <= HERMITIAN_TOL:
-            raise ValueError("eigenprojectors are not complete")
-        for i, p in enumerate(self.eigenprojectors):
-            for q in self.eigenprojectors[i + 1:]:
-                if not np.max(np.abs(p @ q)) <= HERMITIAN_TOL:
-                    raise ValueError("eigenprojectors are not orthogonal")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "Observable":
-        matrix = np.asarray(matrix, dtype=complex)
-        vals, vecs = canonical_eigh(matrix)
-        distinct = []
-        projectors = []
-        k = 0
-        while k < len(vals):
-            j = k
-            while j + 1 < len(vals) and vals[j + 1] - vals[k] < EIGENVALUE_GROUP_TOL:
-                j += 1
-            block = vecs[:, k:j + 1]
-            distinct.append(float(np.mean(vals[k:j + 1])))
-            projectors.append(block @ block.conj().T)
-            k = j + 1
-        return cls(matrix, np.array(distinct), tuple(projectors))
-
-
-def pauli(axis: str) -> Observable:
-    """Single-qubit Pauli observable in the computational basis."""
-    axis = axis.upper()
-    if axis not in PAULI_AXES:
+def _pauli_axis(axis):
+    """``axis`` as one of PAULI_AXES, in any case; ValueError otherwise."""
+    if not isinstance(axis, str) or axis.upper() not in PAULI_AXES:
         raise ValueError(f"unknown Pauli axis {axis!r}")
-    return Observable.from_matrix(_PAULI[axis])
+    return axis.upper()
 
 
 def pauli_matrix(axis: str):
-    return _PAULI[axis.upper()].copy()
+    """Single-qubit Pauli matrix in the computational basis."""
+    return _PAULI[_pauli_axis(axis)].copy()
 
 
 @dataclass(frozen=True)
@@ -255,25 +201,17 @@ class LogicalFrame:
         p0, p1 = self.pole0.amplitudes, self.pole1.amplitudes
         return np.outer(p0, p0.conj()) + np.outer(p1, p1.conj())
 
-    def _bold_matrix(self, axis: str):
-        p0, p1 = self.pole0.amplitudes, self.pole1.amplitudes
-        m00 = np.outer(p0, p0.conj())
-        m11 = np.outer(p1, p1.conj())
-        m01 = np.outer(p0, p1.conj())
-        m10 = np.outer(p1, p0.conj())
-        if axis == "Y":
-            return m00 - m11
-        if axis == "Z":
-            return m01 + m10
-        return -1j * m01 + 1j * m10
 
-
-def bold_pauli(frame: LogicalFrame, axis: str) -> Observable:
-    """Logical Pauli of the frame: +-1 on the subspace, 0 on its complement."""
-    axis = axis.upper()
-    if axis not in PAULI_AXES:
-        raise ValueError(f"unknown Pauli axis {axis!r}")
-    return Observable.from_matrix(frame._bold_matrix(axis))
+def bold_pauli(frame: LogicalFrame, axis: str):
+    """Logical Pauli matrix of the frame: +-1 on the subspace, 0 on its complement."""
+    axis = _pauli_axis(axis)
+    p0, p1 = frame.pole0.amplitudes, frame.pole1.amplitudes
+    m01, m10 = np.outer(p0, p1.conj()), np.outer(p1, p0.conj())
+    if axis == "Y":
+        return np.outer(p0, p0.conj()) - np.outer(p1, p1.conj())
+    if axis == "Z":
+        return m01 + m10
+    return -1j * m01 + 1j * m10
 
 
 def parse_probe_label(label) -> tuple:
@@ -305,6 +243,16 @@ def mub_probe(frame: LogicalFrame, label) -> PureState:
     else:
         vec = (p0 + sign * 1j * p1) / np.sqrt(2)
     return PureState(vec)
+
+
+def logical_projectors(frame: LogicalFrame, axis: str):
+    """The measurement of a logical Pauli, one read-only (3, d, d) stack in
+    outcome-slot order: |-a><-a|, the leak projector I - (subspace
+    projector), |+a><+a|.  At n = 1 the frame spans the qubit and the leak
+    slot is exactly zero."""
+    minus, plus = (mub_probe(frame, (_pauli_axis(axis), sign)).amplitudes for sign in (-1, 1))
+    leak = np.eye(frame.dim) - frame.subspace_projector() if frame.n > 1 else np.zeros((2, 2))
+    return _frozen([np.outer(minus, minus.conj()), leak, np.outer(plus, plus.conj())])
 
 
 def _kron_stack(a, b):
@@ -340,7 +288,7 @@ def resource_state(n: int) -> PureState:
     """
     frame = LogicalFrame.standard(n)
     s_total = sum(
-        np.kron(_PAULI[a], frame._bold_matrix(b))
+        np.kron(_PAULI[a], bold_pauli(frame, b))
         for a, b in (("X", "Z"), ("Z", "X"), ("Y", "Y"))
     )
     vals, vecs = canonical_eigh(s_total)
@@ -373,15 +321,6 @@ def apply_instrument(states, branches):
     weighted branch images, shape (..., branch, d, d)."""
     return np.stack([weight * sum(k @ states @ k.conj().T for k in kraus)
                      for _label, weight, kraus in branches], axis=-3)
-
-
-def expectation(obs: Observable, state) -> float:
-    """Tr[O rho]."""
-    rho = as_density(state)
-    if obs.dim != rho.dim:
-        raise DimensionMismatchError("observable and state dimensions differ")
-    val = np.trace(obs.matrix @ rho.data)
-    return float(val.real)
 
 
 def _sqrtm_psd(m):

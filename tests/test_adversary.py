@@ -12,6 +12,7 @@ import pytest
 import scipy.stats
 
 from dqsim import adversary, protocol, qcore
+from test_qcore import spectrum
 
 I2 = np.eye(2, dtype=complex)
 FRAME1 = qcore.LogicalFrame.standard(1)
@@ -113,13 +114,11 @@ def dephasing_oracle_entanglement_fidelity(axes):
     measure-and-resend channels of the given axes, enumerating projectors."""
     total = 0.0
     for a_axis, b_axis in (("X", "Z"), ("Z", "X"), ("Y", "Y")):
-        op = np.kron(qcore.pauli_matrix(a_axis),
-                     qcore.bold_pauli(FRAME1, b_axis).matrix)
+        op = np.kron(qcore.pauli_matrix(a_axis), qcore.bold_pauli(FRAME1, b_axis))
         acc = 0.0
         for w_axis in axes:
-            obs = qcore.bold_pauli(FRAME1, w_axis)
             pushed = np.zeros((4, 4), dtype=complex)
-            for proj in obs.eigenprojectors:
+            for _v, proj in spectrum(qcore.bold_pauli(FRAME1, w_axis)):
                 k = np.kron(I2, proj)
                 pushed += k @ RESOURCE1 @ k.conj().T
             acc += np.trace(op @ pushed).real / len(axes)
@@ -195,10 +194,8 @@ def two_round_joint_oracle(theta):
     randomized protocol visits them as (unsifted) check rounds.
     """
     probe = qcore.mub_probe(FRAME1, "+X").density().data
-    obs = qcore.bold_pauli(FRAME1, "Y")
     cr = qcore.embed_operator(coupling_unitary(theta), [2, 2], [0, 1])
-    projs = {int(round(v)): np.kron(p, I2)
-             for v, p in zip(obs.eigenvalues, obs.eigenprojectors)}
+    projs = {round(v): np.kron(p, I2) for v, p in spectrum(qcore.bold_pauli(FRAME1, "Y"))}
 
     rho_e = np.array([[1, 0], [0, 0]], dtype=complex)
     joint = {}
@@ -233,16 +230,16 @@ def test_memory_attack_block_correlations_match_oracle():
     assert tv_gap > 0.05
 
     # the memory engine's cell maps with pinned settings (a check round on
-    # the Y axis, probe +X) give the joint law of a block's two outcomes
+    # the Y axis, probe +X) give the joint law of a block's two outcomes,
+    # outcome o in slot o + 1 (the leak slot's law is 0 at n = 1)
     coupling = adversary.entangling_memory_attack(theta).block_coupling(1)
     maps = protocol._memory_maps(make_config(T=2), coupling)
     setting = [axis for _action, _pick, axis in protocol._SETTINGS].index("Y")
     label = qcore.SIGNED_LABELS.index("+X")
-    *_, values = protocol._sensor_model(1)
     start = np.array([1, 0, 0, 0], dtype=complex)  # the ancilla's |0><0|, flattened
-    for k1, o1 in enumerate(values.tolist()):
-        for k2, o2 in enumerate(values.tolist()):
-            after = maps[setting, label, k2] @ maps[setting, label, k1] @ start
+    for o1 in (-1, 0, 1):
+        for o2 in (-1, 0, 1):
+            after = maps[setting, label, o2 + 1] @ maps[setting, label, o1 + 1] @ start
             assert abs(after[0] + after[3] - joint.get((o1, o2), 0.0)) < 1e-12
 
 
@@ -250,7 +247,7 @@ def exact_fidelity_oracle_over_block(theta, block_length=2):
     """Exact expected check fidelity averaged over block positions, using
     the unconditional ancilla trajectory."""
     cr = qcore.embed_operator(coupling_unitary(theta), [2, 2, 2], [1, 2])
-    check_ops = [np.kron(np.kron(qcore.pauli_matrix(a), qcore.bold_pauli(FRAME1, b).matrix), I2)
+    check_ops = [np.kron(np.kron(qcore.pauli_matrix(a), qcore.bold_pauli(FRAME1, b)), I2)
                  for a, b in (("X", "Z"), ("Z", "X"), ("Y", "Y"))]
     rho_e = np.array([[1, 0], [0, 0]], dtype=complex)
     values = []

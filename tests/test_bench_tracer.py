@@ -3,6 +3,7 @@ live package; renaming or removing a traced name must fail here, not only
 in a traced benchmark run."""
 
 import importlib.util
+import math
 import pathlib
 
 import dqsim
@@ -42,3 +43,20 @@ def test_names_the_benchmark_reads_untraced_exist():
     assert callable(cli.build_attack)
     assert isinstance(cli.CSV_COLUMNS, list) and cli.CSV_COLUMNS
     assert isinstance(qcore.LogicalFrame.standard(1), qcore.LogicalFrame)
+    # the calls each ``run`` op makes to get its expected check fidelity:
+    # a branch list and finite fidelities for the memoryless attacks, None
+    # for the memory attacks
+    memoryless = (("identity", {}), ("depolarizing", {"p": 0.05}),
+                  ("intercept_resend", {"basis_strategy": "random"}))
+    for n in (1, 4):
+        for name, params in memoryless:
+            attack = cli.build_attack({"attack": {"name": name, "params": params}})
+            assert isinstance(attack.forward_branches(n, qcore.LogicalFrame.standard(n)), list)
+            assert math.isfinite(adversary.expected_check_fidelity(attack, n, "entanglement"))
+            per_label = adversary.expected_check_fidelity(attack, n, "mub")
+            assert all(math.isfinite(f) for f in per_label.values())
+    memory = (("entangling_memory", {"coupling_angle": 0.3, "block_length": 2}, 1),
+              ("two_way_swap_leak", {}, 1), ("two_way_swap_leak", {}, 3))
+    for name, params, n in memory:
+        attack = cli.build_attack({"attack": {"name": name, "params": params}})
+        assert attack.forward_branches(n, qcore.LogicalFrame.standard(n)) is None

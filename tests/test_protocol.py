@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dqsim import adversary, protocol, qcore
+from test_qcore import spectrum
 from test_register_walk import StatefulAdapter
 
 
@@ -615,11 +616,11 @@ def test_draw_accepts_a_total_within_numpy_tolerance():
 
 
 def test_sensor_model_is_shared_read_only_and_run_order_free():
-    frame, probes, sensor, values = protocol._sensor_model(2)
+    frame, probes, sensor = protocol._sensor_model(2)
     assert protocol._sensor_model(2)[1] is probes
-    # X, Y, Z and the discarded round's trivial measurement, by outcome
-    assert sensor.shape == (4, values.size, 4, 4)
-    for array in (probes, sensor, values, frame.pole0.amplitudes):
+    # X, Y, Z and the discarded round's trivial measurement, by outcome slot
+    assert sensor.shape == (4, 3, 4, 4)
+    for array in (probes, sensor, frame.pole0.amplitudes):
         with pytest.raises(ValueError):
             array.flat[0] = 1
     cases = [(make_config(n=2, T=500, p_c=0.4, p_e=0.4, p_d=0.2), adversary.depolarizing_attack(0.2)),
@@ -866,7 +867,9 @@ def reference_entanglement_tables(cfg, attack):
     """Literal (1+n)-qubit tables: the resource state evolves with the
     attack and the encoding on its probe factor, and each entry is the Born
     probability Tr[(P_a (x) P_b) M] of provider outcome a and sensor outcome
-    b, listed as (probability, forward branch, backward branch, a, b)."""
+    b, listed as (probability, forward branch, backward branch, a, b); the
+    outcomes and projectors are the eigh oracle's spectra, so a logical
+    Pauli has no leak outcome b = 0 at n = 1."""
     n = cfg.n
     frame = qcore.LogicalFrame.standard(n)
     rho0 = qcore.resource_state(n).density().data
@@ -882,8 +885,8 @@ def reference_entanglement_tables(cfg, attack):
             return [[m] for m in mats]
         return [literal_branches(m, bwd) for m in mats]
 
-    def spectral(obs):
-        return [(int(round(v)), p) for v, p in zip(obs.eigenvalues, obs.eigenprojectors)]
+    def spectral(matrix):
+        return [(round(v), p) for v, p in spectrum(matrix)]
 
     unmeasured = [(protocol._B_ABSENT, np.eye(2 ** n))]
     tables = {}
@@ -896,30 +899,28 @@ def reference_entanglement_tables(cfg, attack):
                 tables[action, ai, bi] = [
                     (np.trace(np.kron(pa, pb) @ m).real, i, j, a, b)
                     for i, row in enumerate(grids) for j, m in enumerate(row)
-                    for a, pa in spectral(qcore.pauli(a_axis)) for b, pb in b_spec]
+                    for a, pa in spectral(qcore.pauli_matrix(a_axis)) for b, pb in b_spec]
     return tables
 
 
 def exact_tables(cfg, attack):
-    """The sensor outcomes of each axis and the fast path's exact outcome
-    tables under this attack, one table per (action, probe label, sensor
-    pick) with the outcomes in ``outcomes[axis]`` order: a discarded round's
-    table keeps only its last outcome, ``_B_ABSENT``, the others being
-    exactly 0."""
-    frame, _probes, _sensor, values = protocol._sensor_model(cfg.n)
+    """The fast path's exact outcome tables under this attack, one table
+    per (action, probe label, sensor pick) with the outcome slots (-1, leak,
+    +1) on the last axis.  A discarded round's mass lies on slot +1, its
+    other slots and, at n = 1, every leak slot being exactly 0."""
+    frame = qcore.LogicalFrame.standard(cfg.n)
     fwd = attack.forward_branches(cfg.n, frame)
     bwd = attack.backward_branches(cfg.n, frame) if cfg.direction == "two_way" else None
     stacked = protocol._build_tables(cfg, fwd, bwd)
-    outcomes = {axis: values for axis in protocol.AXES}
-    outcomes[None] = np.array([protocol._B_ABSENT], dtype=np.int8)
+    if cfg.n == 1:
+        assert np.all(stacked[..., 1] == 0.0)
     tables = {}
     for setting, (action, pick, axis) in enumerate(protocol._SETTINGS):
         for label, table in enumerate(stacked[setting]):
             if axis is None:
                 assert np.all(table[..., :-1] == 0.0)
-                table = table[..., -1:]
             tables[action, label, pick] = table
-    return outcomes, tables
+    return tables
 
 
 ORACLE_ATTACKS = {
@@ -937,27 +938,35 @@ ORACLE_ATTACKS = {
 def test_entanglement_tables_match_joint_born_probabilities(n, direction, attack_name):
     # the label-keyed tables equal the literal provider-plus-probe
     # simulation entry by entry: the provider's outcome s on axis a, which
-    # has probability 1/2, leaves the probe in label s.partner(a)
+    # has probability 1/2, leaves the probe in label s.partner(a), and the
+    # sensor's outcome b lands in slot b + 1 (slot +1 when unmeasured);
+    # a slot the oracle has no outcome for, the leak slot at n = 1 among
+    # them, holds exactly 0
     cfg = make_config(n=n, direction=direction, true_phi=0.37 / n)
     attack = ORACLE_ATTACKS[attack_name]()
-    outcomes, tables = exact_tables(cfg, attack)
+    tables = exact_tables(cfg, attack)
     reference = reference_entanglement_tables(cfg, attack)
     assert set(tables) == {(action, label, bi) for action, _ai, bi in reference
                            for label in range(len(qcore.SIGNED_LABELS))}
     for (action, ai, bi), entries in reference.items():
         probs = np.array([e[0] for e in entries])
         assert abs(probs.sum() - 1.0) < 1e-12
+        axis = SENSOR_AXES[action][bi]
         for a in (-1, 1):
             label = ("+" if a > 0 else "-") + PARTNER[protocol.AXES[ai]]
             table = tables[action, qcore.SIGNED_LABELS.index(label), bi]
             mine = [e for e in entries if e[3] == a]
-            # entries run over (forward branch, backward branch, outcome)
-            f, w, k = np.indices(table.shape).reshape(3, -1)
-            b = outcomes[SENSOR_AXES[action][bi]][k]
-            assert [e[1:3] + e[4:] for e in mine] == list(
-                zip(f.tolist(), w.tolist(), b.tolist()))
-            mine_probs = np.array([e[0] for e in mine])
-            assert np.max(np.abs(mine_probs - 0.5 * table.ravel())) < 1e-12
+            expected, seen = np.zeros_like(table), np.zeros(table.shape, dtype=bool)
+            for p, f, w, _a, b in mine:
+                slot = 2 if axis is None else b + 1
+                expected[f, w, slot], seen[f, w, slot] = p, True
+            assert seen.sum() == len(mine)
+            assert np.max(np.abs(expected - 0.5 * table)) < 1e-12
+            assert np.all(table[~seen] == 0.0)
+    if n == 1:
+        # nor can a block-memory round land in a leak cell
+        coupling = adversary.entangling_memory_attack(0.7).block_coupling(1)
+        assert np.all(protocol._memory_maps(cfg, coupling)[:, :, 1] == 0.0)
 
 
 @pytest.mark.parametrize("attack_name", sorted(ORACLE_ATTACKS))
@@ -984,9 +993,8 @@ def test_fidelity_oracle_matches_literal_push(n, attack_name):
         axis, sign = qcore.parse_probe_label(label)
         probe = qcore.mub_probe(frame, label).density().data
         rho = sum(literal_branches(probe, fwd, provider_dim=1))
-        obs = qcore.bold_pauli(frame, axis)
         mean = sign * sum(round(v) * np.trace(proj @ rho).real
-                          for v, proj in zip(obs.eigenvalues, obs.eigenprojectors))
+                          for v, proj in spectrum(qcore.bold_pauli(frame, axis)))
         assert abs(value - (1.0 + mean) / 2.0) < 1e-12
 
 
@@ -995,14 +1003,15 @@ def test_fidelity_oracle_matches_literal_push(n, attack_name):
 def exact_cell_probabilities(cfg, attack):
     """P(action, probe label, sensor axis, sensor outcome) of one round,
     from the fast path's exact outcome tables."""
-    outcomes, tables = exact_tables(cfg, attack)
+    tables = exact_tables(cfg, attack)
     p_action = (cfg.p_c, cfg.p_e, cfg.p_d)
     cells = {}
     for (action, label, pick), table in tables.items():
         axis = SENSOR_AXES[action][pick]
         weight = p_action[action] / len(qcore.SIGNED_LABELS) / len(SENSOR_AXES[action])
-        for b, p in zip(outcomes[axis].tolist(), table.sum(axis=(0, 1))):
-            cell = (action, label, -1 if axis is None else protocol.AXES.index(axis), b)
+        for slot, p in enumerate(table.sum(axis=(0, 1))):
+            cell = (action, label, -1 if axis is None else protocol.AXES.index(axis),
+                    protocol._B_ABSENT if axis is None else slot - 1)
             cells[cell] = cells.get(cell, 0.0) + weight * p
     return cells
 

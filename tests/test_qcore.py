@@ -36,32 +36,52 @@ def copies(labels, dims, state, batch=1):
     return q.RegisterState(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape))
 
 
-def measured_values(world, obs, label, rng):
-    """The eigenvalues of ``obs`` that measuring it on register ``label`` finds."""
-    return obs.eigenvalues[world.measure(np.array(obs.eigenprojectors), label, rng)]
+def spectrum(matrix):
+    """Oracle: a Hermitian matrix's distinct eigenvalues, ascending (within
+    1e-8 of each other counts as one), each with its eigenprojector, by
+    numpy's eigh."""
+    vals, vecs = np.linalg.eigh(matrix)
+    groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > 1e-8) + 1)
+    return [(float(vals[g].mean()), vecs[:, g] @ vecs[:, g].conj().T) for g in groups]
+
+
+def measured_values(world, matrix, label, rng):
+    """The eigenvalues of ``matrix`` that measuring it on register ``label`` finds."""
+    values, projectors = zip(*spectrum(matrix))
+    return np.array(values)[world.measure(np.array(projectors), label, rng)]
+
+
+def expect(matrix, state):
+    """Tr[O rho]."""
+    return np.trace(matrix @ q.as_density(state).data).real
 
 
 # ---------------------------------------------------------------- paulis
 
 def test_pauli_z_on_ket0():
-    assert q.expectation(q.pauli("Z"), q.PureState(KET0)) == pytest.approx(1.0)
+    assert expect(q.pauli_matrix("Z"), q.PureState(KET0)) == pytest.approx(1.0)
 
 
 def test_pauli_y_eigenstates_are_circular():
     # Y = |R><R| - |L><L|
-    py = q.pauli("Y")
-    assert np.allclose(py.matrix @ KET_R, KET_R)
-    assert np.allclose(py.matrix @ KET_L, -KET_L)
+    py = q.pauli_matrix("Y")
+    assert np.allclose(py @ KET_R, KET_R)
+    assert np.allclose(py @ KET_L, -KET_L)
 
 
 def test_pauli_commutator_algebra():
-    px, py, pz = (q.pauli(a).matrix for a in "XYZ")
+    px, py, pz = (q.pauli_matrix(a) for a in "XYZ")
     assert np.allclose(px @ py - py @ px, 2j * pz)
 
 
 def test_pauli_rejects_unknown_axis():
-    with pytest.raises(ValueError):
-        q.pauli("W")
+    # the ValueError bold_pauli raises, for an unknown name or a non-string
+    assert np.array_equal(q.pauli_matrix("z"), Z)
+    for axis in ("W", "", None, 3, ("X",)):
+        with pytest.raises(ValueError, match="unknown Pauli axis"):
+            q.pauli_matrix(axis)
+        with pytest.raises(ValueError, match="unknown Pauli axis"):
+            q.bold_pauli(q.LogicalFrame.standard(1), axis)
 
 
 # ---------------------------------------------------------------- logical frames
@@ -69,21 +89,19 @@ def test_pauli_rejects_unknown_axis():
 def test_bold_pauli_n1_standard_frame_reduces_to_pauli():
     frame = q.LogicalFrame.standard(1)
     for axis in "XYZ":
-        assert np.allclose(q.bold_pauli(frame, axis).matrix, q.pauli(axis).matrix)
+        assert np.allclose(q.bold_pauli(frame, axis), q.pauli_matrix(axis))
 
 
 def test_bold_z_spectrum_n2():
     frame = q.LogicalFrame.standard(2)
-    obs = q.bold_pauli(frame, "Z")
-    assert np.allclose(obs.eigenvalues, [-1.0, 0.0, 1.0])
-    # the zero eigenvalue carries the rank-2 complement
-    zero_proj = obs.eigenprojectors[1]
-    assert np.trace(zero_proj).real == pytest.approx(2.0)
+    assert np.allclose([v for v, _p in spectrum(q.bold_pauli(frame, "Z"))], [-1.0, 0.0, 1.0])
+    # the zero eigenvalue carries the rank-2 complement, the leak slot
+    assert np.trace(q.logical_projectors(frame, "Z")[1]).real == pytest.approx(2.0)
 
 
 def test_bold_z_is_logical_flip():
     frame = q.LogicalFrame.standard(2)
-    zb = q.bold_pauli(frame, "Z").matrix
+    zb = q.bold_pauli(frame, "Z")
     val = frame.pole0.amplitudes.conj() @ zb @ frame.pole1.amplitudes
     assert val == pytest.approx(1.0)
 
@@ -99,12 +117,36 @@ def computational(n):
 def test_bold_pauli_subspace_algebra(make_frame, n):
     frame = make_frame(n)
     proj = frame.subspace_projector()
-    mats = {a: q.bold_pauli(frame, a).matrix for a in "XYZ"}
+    mats = {a: q.bold_pauli(frame, a) for a in "XYZ"}
     for a in "XYZ":
         assert np.allclose(mats[a] @ mats[a], proj, atol=1e-10)
     for a, b in (("X", "Y"), ("Y", "Z"), ("Z", "X")):
         anti = mats[a] @ mats[b] + mats[b] @ mats[a]
         assert np.max(np.abs(anti)) < 1e-10
+
+
+@pytest.mark.parametrize("axis", q.PAULI_AXES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_logical_projectors_match_eigh_oracle(n, axis):
+    # slots (-1, leak, +1): a read-only complete orthogonal stack whose
+    # outer slots are the eigh oracle's +-1 eigenprojectors of the logical
+    # Pauli and whose leak slot is the rank d - 2 rest, exactly 0 at n = 1
+    frame, d = q.LogicalFrame.standard(n), 2 ** n
+    stack = q.logical_projectors(frame, axis)
+    assert stack.shape == (3, d, d)
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 0.0
+    assert np.abs(stack.sum(axis=0) - np.eye(d)).max() <= 1e-12
+    for i in range(3):
+        for j in range(3):
+            product = stack[i] @ stack[j]
+            assert np.abs(product - (stack[i] if i == j else 0.0)).max() <= 1e-12
+    eig = dict((round(v), p) for v, p in spectrum(q.bold_pauli(frame, axis)))
+    assert np.abs(stack[0] - eig[-1]).max() <= 1e-12
+    assert np.abs(stack[2] - eig[1]).max() <= 1e-12
+    assert np.trace(stack[1]).real == pytest.approx(d - 2, abs=1e-12)
+    if n == 1:
+        assert np.all(stack[1] == 0.0)
 
 
 # ---------------------------------------------------------------- encoding
@@ -120,8 +162,8 @@ def test_encoding_phi_pi_is_global_phase():
     w = register(rho)
     w.apply_unitary(u, ["A"])
     for axis in "XYZ":
-        assert q.expectation(q.pauli(axis), w.rho[0]) == pytest.approx(
-            q.expectation(q.pauli(axis), rho))
+        assert expect(q.pauli_matrix(axis), w.rho[0]) == pytest.approx(
+            expect(q.pauli_matrix(axis), rho))
 
 
 def test_encoding_eigenvalue_on_rr_matches_expm_oracle():
@@ -149,9 +191,9 @@ def test_encoding_preserves_logical_span(n):
 def stabilizer_ops(n):
     frame = q.LogicalFrame.standard(n)
     return [
-        np.kron(X, q.bold_pauli(frame, "Z").matrix),
-        np.kron(Z, q.bold_pauli(frame, "X").matrix),
-        np.kron(Y, q.bold_pauli(frame, "Y").matrix),
+        np.kron(X, q.bold_pauli(frame, "Z")),
+        np.kron(Z, q.bold_pauli(frame, "X")),
+        np.kron(Y, q.bold_pauli(frame, "Y")),
     ]
 
 
@@ -203,7 +245,7 @@ def test_mub_probe_is_signed_plus_one_eigenvector(n, label):
     frame = q.LogicalFrame.standard(n)
     axis, sign = q.parse_probe_label(label)
     probe = q.mub_probe(frame, label)
-    mat = sign * q.bold_pauli(frame, axis).matrix
+    mat = sign * q.bold_pauli(frame, axis)
     assert np.allclose(mat @ probe.amplitudes, probe.amplitudes, atol=1e-12)
 
 
@@ -288,10 +330,6 @@ def test_depolarizing_kraus_stack_is_complete_and_read_only():
 
 # ---------------------------------------------------------------- measurement
 
-def test_expectation_z_ket0():
-    assert q.expectation(q.pauli("Z"), q.PureState(KET0)) == pytest.approx(1.0)
-
-
 def test_encoded_probe_expectation_matches_rotation_oracle():
     # oracle: raw-numpy evolution of |+> under cos(phi) I + i sin(phi) Y
     phi = 0.37
@@ -303,13 +341,13 @@ def test_encoded_probe_expectation_matches_rotation_oracle():
     frame = q.LogicalFrame.standard(1)
     w = register(q.mub_probe(frame, "+X"))
     w.apply_unitary(q.encoding_unitary(1, phi), ["A"])
-    assert q.expectation(q.bold_pauli(frame, "X"), w.rho[0]) == pytest.approx(oracle)
+    assert expect(q.bold_pauli(frame, "X"), w.rho[0]) == pytest.approx(oracle)
 
 
 def test_measurement_frequencies_match_born_rule():
     rng = np.random.default_rng(123)
     state = q.PureState(np.array([np.cos(0.4), np.sin(0.4)], dtype=complex))
-    obs = q.pauli("Z")
+    obs = Z
     # eigenvalues ascending: -1 (amplitude sin 0.4 on |1>), then +1
     probs = [np.sin(0.4) ** 2, np.cos(0.4) ** 2]
     shots = 100_000
@@ -321,7 +359,7 @@ def test_measurement_frequencies_match_born_rule():
 
 
 def test_measurement_reproducible_for_fixed_seed():
-    obs = q.pauli("Z")
+    obs = Z
 
     def outcomes(rng, batch=20):
         return measured_values(copies(["A"], [2], q.PureState(PLUS), batch), obs, "A", rng)
@@ -335,18 +373,17 @@ def test_measurement_reproducible_for_fixed_seed():
 
 def test_measurement_post_state_is_eigenstate():
     rng = np.random.default_rng(5)
-    obs = q.pauli("X")
     w = copies(["A"], [2], q.PureState(KET0), batch=8)
-    vals = measured_values(w, obs, "A", rng)
+    vals = measured_values(w, X, "A", rng)
     for val, post in zip(vals, w.rho):
-        assert q.expectation(obs, post) == pytest.approx(val)
+        assert expect(X, post) == pytest.approx(val)
 
 
 def test_measurement_per_element_observables():
     # element b measures projectors[b]: X on |+> (outcome +1, the second)
     # and Z on |1> (outcome -1, the first) are certain
     w = register(q.PureState(PLUS), q.PureState(KET1), q.PureState(PLUS))
-    x, z = (np.array(q.pauli(a).eigenprojectors) for a in "XZ")
+    x, z = (np.array([p for _v, p in spectrum(m)]) for m in (X, Z))
     assert w.measure(np.array([x, z, x]), "A", np.random.default_rng(7)).tolist() == [1, 0, 1]
 
 
@@ -381,9 +418,7 @@ def test_measurement_dimension_guard():
     rng = np.random.default_rng(6)
     rho4 = q.random_density_matrix(4, rng)
     with pytest.raises(q.DimensionMismatchError):
-        register(rho4).measure(np.array(q.pauli("Z").eigenprojectors), "A", rng)
-    with pytest.raises(q.DimensionMismatchError):
-        q.expectation(q.pauli("Z"), rho4)
+        register(rho4).measure(np.array([p for _v, p in spectrum(Z)]), "A", rng)
 
 
 # ---------------------------------------------------------------- distances
@@ -469,19 +504,6 @@ def test_density_matrix_invariants_enforced():
             q.DensityMatrix(bad)
 
 
-def test_observable_spectral_invariants():
-    obs = q.Observable.from_matrix(np.kron(Z, Z))
-    recon = sum(l * p for l, p in zip(obs.eigenvalues, obs.eigenprojectors))
-    assert np.max(np.abs(recon - obs.matrix)) < 1e-10
-    assert np.allclose(sum(obs.eigenprojectors), np.eye(4), atol=1e-10)
-    projectors = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            q.Observable(np.diag([bad, 1.0]), np.array([-1.0, 1.0]), projectors)
-        with pytest.raises(ValueError):
-            q.Observable(Z, np.array([-1.0, 1.0]), (np.diag([0.0, 1.0]), np.diag([bad, 0.0])))
-
-
 def test_canonical_eigh_phase_convention():
     h = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
     _, v1 = q.canonical_eigh(h)
@@ -499,7 +521,7 @@ def test_register_state_stabilizer_round_is_deterministic():
     rng = np.random.default_rng(23)
     frame = q.LogicalFrame.standard(1)
     w = copies(["A", "B"], [2, 2], q.resource_state(1), batch=20)
-    a = measured_values(w, q.pauli("X"), "A", rng)
+    a = measured_values(w, X, "A", rng)
     b = measured_values(w, q.bold_pauli(frame, "Z"), "B", rng)
     assert set(a.tolist()) == {-1.0, 1.0}
     assert np.allclose(a * b, 1.0)
@@ -675,7 +697,7 @@ def test_register_matches_dense_oracle(probe_dim, seed):
         agree()
 
     frame = q.LogicalFrame.standard(probe_dim.bit_length() - 1)
-    sensor = np.array([q.bold_pauli(frame, a).eigenprojectors for a in q.PAULI_AXES])
+    sensor = np.array([q.logical_projectors(frame, a) for a in q.PAULI_AXES])
     pure = q.random_pure_state(2, rng)
 
     both("attach", "E1", random_stack(rng, batch, 2))
@@ -690,7 +712,7 @@ def test_register_matches_dense_oracle(probe_dim, seed):
     both("attach", "E3", random_stack(rng, batch, 2))
     both("apply_unitary", random_unitaries(rng, batch, 8 * probe_dim), ["E3", "E1", "B", "E2"])
     dropped("E2")
-    measured(np.array(q.pauli("Z").eigenprojectors), "E3")
+    measured(np.array([p for _v, p in spectrum(Z)]), "E3")
     both("apply_kraus", random_kraus(rng, 2), ["E1"])
     dropped("E3")
     dropped("B")

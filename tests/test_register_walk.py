@@ -54,14 +54,14 @@ def run_register_walk(config, attack):
     hooks and the sensor make, in call order.
     """
     rng = np.random.default_rng(config.seed)
-    frame, probes, sensor, values = protocol._sensor_model(config.n)
+    frame, probes, sensor = protocol._sensor_model(config.n)
     attack.on_run_start(config.public(), frame)
     T, L, d = config.T, attack.block_length, 2 ** config.n
     encoders = protocol._encoders(config)
     setting, label = np.divmod(protocol._draw(protocol._prior(config), rng, T),
                                len(qcore.SIGNED_LABELS))
     bob_axis = protocol._SETTING_AXIS[setting]
-    b_out = np.zeros(T, dtype=np.int8)
+    slot = np.zeros(T, dtype=np.int8)
 
     per_batch = max(1, protocol._BATCH_BYTES // (16 * (2 * d) ** 2 * L))
     n_blocks = -(-T // L)
@@ -78,10 +78,10 @@ def run_register_walk(config, attack):
             world.apply_unitary(encoders[protocol._SETTING_ENCODER[setting[t]]], [world.probe])
             if config.direction == "two_way":
                 attack.backward_state(world, rng)
-            b_out[t] = values[world.measure(sensor[bob_axis[t]], world.probe, rng)]
+            slot[t] = world.measure(sensor[bob_axis[t]], world.probe, rng)
             attack.end_round(world, rng)
     return protocol.Transcript(
-        config, np.ravel_multi_index((setting, label, b_out + 1), protocol._CELL_SHAPE))
+        config, np.ravel_multi_index((setting, label, slot), protocol._CELL_SHAPE))
 
 
 class HookedEntanglingMemory(RegisterHooks, adversary.EntanglingMemoryAttack):
