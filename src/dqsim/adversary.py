@@ -151,9 +151,7 @@ class UnitaryTamperAttack(AttackModel):
     def __init__(self, axis, angle):
         self.angle = _real("angle", angle)
         self.name = f"unitary_tamper({axis}, {self.angle:.6g})"
-        if not isinstance(axis, str) or axis.upper() not in qcore.PAULI_AXES:
-            raise ValueError(f"unknown Pauli axis {axis!r}")
-        self.axis = axis.upper()
+        self.axis = qcore.pauli_axis(axis)
 
     def forward_branches(self, n, frame):
         p = qcore.pauli_matrix(self.axis)

@@ -20,6 +20,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
@@ -135,8 +136,9 @@ def load_scenario(path) -> dict:
         for key, typ in (("start", (int, float)), ("stop", (int, float)), ("steps", int)):
             if not isinstance(sweep[key], typ) or isinstance(sweep[key], bool):
                 raise SchemaError(f"sweep.{key} has the wrong type")
-        if not (_finite(sweep["start"]) and _finite(sweep["stop"])):
-            raise SchemaError("sweep.start and sweep.stop must be finite")
+        if not (_finite(sweep["start"]) and _finite(sweep["stop"])
+                and _finite(float(sweep["stop"]) - float(sweep["start"]))):
+            raise SchemaError("sweep.start, sweep.stop and their difference must be finite")
         if not 1 <= sweep["steps"] <= MAX_GRID_STEPS:
             raise SchemaError(f"sweep.steps must lie in [1, {MAX_GRID_STEPS}]")
     if "output" in raw:
@@ -266,8 +268,9 @@ def _batched_phi_variance(transcript):
     return summary.variance_of_mean
 
 
-def run_sweep_point(scenario, value, seed_override=None):
-    """Twin runs (attacked versus identity, shared seed) at one sweep point."""
+def run_sweep_point(scenario, value, seed_override=None, push=None):
+    """Twin runs (attacked versus identity, shared seed) at one sweep point;
+    ``push``, if given, is the attacked twin's ``protocol.forward_push``."""
     variable = scenario["sweep"]["variable"]
     if variable == "phi":
         config = replace(build_config(scenario, seed_override), true_phi=float(value))
@@ -276,7 +279,7 @@ def run_sweep_point(scenario, value, seed_override=None):
         config = build_config(scenario, seed_override)
         attack = build_attack(scenario, {variable.split(".", 1)[1]: float(value)})
     ideal = adversary.identity_attack()
-    tr_att = protocol.run(config, attack)
+    tr_att = protocol.run(config, attack, push=push)
     tr_idl = protocol.run(config, ideal)
     chk = protocol.check_fidelity(tr_att)
     est_att = protocol.estimate_phase(tr_att)
@@ -320,12 +323,19 @@ def sweep_values(scenario):
 def cmd_sweep(scenario, seed_override=None, threads=1) -> int:
     if "sweep" not in scenario:
         raise SchemaError("sweep command needs a sweep block")
+    if threads < 1:
+        raise SchemaError("--threads must be at least 1")
     values = sweep_values(scenario)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda v: run_sweep_point(scenario, v, seed_override), values))
+    # the adversary never learns the phase: one push serves a phase sweep
+    push = (protocol.forward_push(build_config(scenario, seed_override), build_attack(scenario))
+            if scenario["sweep"]["variable"] == "phi" else None)
+    point = functools.partial(run_sweep_point, scenario, seed_override=seed_override, push=push)
+    workers = min(threads, len(values), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(point, values))
     else:
-        rows = [run_sweep_point(scenario, v, seed_override) for v in values]
+        rows = [point(v) for v in values]
     path = scenario.get("output", {}).get("csv", "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

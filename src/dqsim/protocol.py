@@ -379,26 +379,55 @@ def _labels(branches):
     return tuple(label for label, _weight, _kraus in branches)
 
 
+def _start(config, attack):
+    """Hand the attack the run's public parameters and return the frame;
+    UnsupportedAttackError if it cannot run under ``config``."""
+    if attack.requires_two_way and config.direction != "two_way":
+        raise UnsupportedAttackError(f"attack {attack.name!r} requires two-way operation")
+    frame, *_ = _sensor_model(config.n)
+    try:
+        attack.on_run_start(config.public(), frame)
+    except ValueError as exc:
+        raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
+    return frame
+
+
+def _push(n, fwd):
+    """The one forward push: the instrument ``fwd``'s branch labels and the
+    six probes of size n through every branch, a read-only (probe label,
+    branch, d, d) stack; None for no instrument (a memory attack)."""
+    if fwd is None:
+        return None
+    states = qcore.apply_instrument(_sensor_model(n)[1], fwd)
+    states.setflags(write=False)
+    return _labels(fwd), states
+
+
+def forward_push(config, attack):
+    """``run``'s forward push of the attack, built ahead.  The attack never
+    learns the phase or the seed, so one push serves a whole phase sweep."""
+    return _push(config.n, attack.forward_branches(config.n, _start(config, attack)))
+
+
 # A table's total may differ from 1 by roundoff only; an instrument whose
 # tables miss it by more does not preserve trace.
 _TABLE_TOLERANCE = 1e-9
 
 
-def _build_tables(config, fwd, bwd):
-    """Exact outcome tables of every cell under the forward instrument
-    ``fwd`` and the backward instrument ``bwd`` (None: identity), one float
-    array of shape (setting, probe label, forward branch, backward branch,
-    outcome slot): the probabilities of a round's branches and of its
-    cell's outcome slot.  A discarded round's mass lies on slot +1.  The
-    six probe states are pushed through the forward instrument once as a
-    stack, encoded once and pushed through the backward one; each encoder's
-    states are contracted with every sensor projector, and the settings
-    gather their encoder and projectors.  A total off 1, or an entry below 0, by more than
-    ``_TABLE_TOLERANCE`` raises UnsupportedAttackError; roundoff negatives
-    are set to 0."""
-    _frame, probes, sensor = _sensor_model(config.n)
+def _build_tables(config, pushed, bwd):
+    """Exact outcome tables of every cell from the pushed probe states of
+    ``_push`` and the backward instrument ``bwd`` (None: identity),
+    one float array of shape (setting, probe label, forward branch,
+    backward branch, outcome slot): the probabilities of a round's branches
+    and of its cell's outcome slot.  A discarded round's mass lies on slot
+    +1.  The pushed stack is encoded once and pushed through the backward
+    instrument; each encoder's states are contracted with every sensor
+    projector, and the settings gather their encoder and projectors.  A
+    total off 1, or an entry below 0, by more than ``_TABLE_TOLERANCE``
+    raises UnsupportedAttackError; roundoff negatives are set to 0."""
+    sensor = _sensor_model(config.n)[2]
     enc = _encoders(config)[:, None, None]
-    states = enc @ qcore.apply_instrument(probes, fwd) @ enc.conj().swapaxes(-1, -2)
+    states = enc @ pushed @ enc.conj().swapaxes(-1, -2)
     states = states[..., None, :, :] if bwd is None else qcore.apply_instrument(states, bwd)
     # Tr(P rho) is the sum over the entries of P^T times rho
     d = 2 ** config.n
@@ -477,15 +506,16 @@ def _draw(weights, rng, T):
     return out
 
 
-def _run_fast(config, attack, rng, fwd, bwd) -> Transcript:
+def _run_fast(config, attack, rng, fwd_labels, pushed, bwd) -> Transcript:
     """Memoryless attacks: every round's setting, probe label, branches and
-    outcome are one draw from the prior times the stacked exact tables under
-    the attack's forward and backward instruments ``fwd`` and ``bwd``.  The
-    attack records every round's branches in one ``record_round`` call.
+    outcome are one draw from the prior times the stacked exact tables from
+    the attack's forward push (``_push``: branch labels ``fwd_labels``, states
+    ``pushed``) and backward instrument ``bwd``.  The attack records every
+    round's branches in one ``record_round`` call.
 
     Draw order: one uniform per round, through ``_draw``.
     """
-    tables = _prior(config)[..., None, None, None] * _build_tables(config, fwd, bwd)
+    tables = _prior(config)[..., None, None, None] * _build_tables(config, pushed, bwd)
     # each table entry's (cell, forward branch, backward branch)
     setting, label, forward, backward, slot = np.indices(tables.shape)
     cell = np.ravel_multi_index((setting, label, slot), _CELL_SHAPE)
@@ -493,7 +523,7 @@ def _run_fast(config, attack, rng, fwd, bwd) -> Transcript:
     entries = entries.astype(np.min_scalar_type(max(_N_CELLS, *tables.shape)))
     cell, forward, backward = np.take(entries, _draw(tables, rng, config.T), axis=1)
     backward = () if bwd is None else (backward, _labels(bwd))
-    attack.record_round(forward, _labels(fwd), *backward)
+    attack.record_round(forward, fwd_labels, *backward)
     return Transcript(config, cell)
 
 
@@ -571,20 +601,21 @@ def _run_register(config, attack, rng, setting, label, slot):
         slot[t] = world.measure(sensor[_SETTING_AXIS[setting[t]]], world.probe, rng)
 
 
-def run(config: ProtocolConfig, attack) -> Transcript:
-    """Execute T rounds against the given adversary; deterministic per seed."""
-    if attack.requires_two_way and config.direction != "two_way":
-        raise UnsupportedAttackError(f"attack {attack.name!r} requires two-way operation")
+def run(config: ProtocolConfig, attack, push=None) -> Transcript:
+    """Execute T rounds against the given adversary; deterministic per seed.
+
+    ``push`` is a forward push built ahead by ``forward_push`` for an equal
+    attack under the same public parameters, as a phase sweep builds one
+    for all its points; without it a memoryless attack's push is built
+    here.  Either way the attack gets ``on_run_start``, and the encoding,
+    backward leg, sensor projection, trace check and draw run here, so the
+    transcript is the same."""
+    frame = _start(config, attack)
+    push = push or _push(config.n, attack.forward_branches(config.n, frame))
     rng = np.random.default_rng(config.seed)
-    frame, *_ = _sensor_model(config.n)
-    try:
-        attack.on_run_start(config.public(), frame)
-    except ValueError as exc:
-        raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
-    fwd = attack.forward_branches(config.n, frame)
-    if fwd is not None:
+    if push is not None:
         bwd = attack.backward_branches(config.n, frame) if config.direction == "two_way" else None
-        return _run_fast(config, attack, rng, fwd, bwd)
+        return _run_fast(config, attack, rng, *push, bwd)
     coupling = attack.block_coupling(config.n)
     setting, label = np.divmod(_draw(_prior(config), rng, config.T), len(qcore.SIGNED_LABELS))
     slot = np.zeros(config.T, dtype=np.int8)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,7 @@ def canonical_eigh(matrix):
     return vals, vecs
 
 
-def _pauli_axis(axis):
+def pauli_axis(axis):
     """``axis`` as one of PAULI_AXES, in any case; ValueError otherwise."""
     if not isinstance(axis, str) or axis.upper() not in PAULI_AXES:
         raise ValueError(f"unknown Pauli axis {axis!r}")
@@ -158,7 +159,7 @@ def _pauli_axis(axis):
 
 def pauli_matrix(axis: str):
     """Single-qubit Pauli matrix in the computational basis."""
-    return _PAULI[_pauli_axis(axis)].copy()
+    return _PAULI[pauli_axis(axis)].copy()
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ class LogicalFrame:
 
 def bold_pauli(frame: LogicalFrame, axis: str):
     """Logical Pauli matrix of the frame: +-1 on the subspace, 0 on its complement."""
-    axis = _pauli_axis(axis)
+    axis = pauli_axis(axis)
     p0, p1 = frame.pole0.amplitudes, frame.pole1.amplitudes
     m01, m10 = np.outer(p0, p1.conj()), np.outer(p1, p0.conj())
     if axis == "Y":
@@ -215,18 +216,17 @@ def bold_pauli(frame: LogicalFrame, axis: str):
 
 
 def parse_probe_label(label) -> tuple:
-    """Normalize a signed Pauli label like '+X' or ('Z', -1) to (axis, sign)."""
+    """Normalize a signed Pauli label like '+X' or ('Z', -1) to (axis, sign).
+    A string holds at most one sign; a tuple holds a ``pauli_axis`` and an
+    int sign +-1, not a bool.  Anything else raises ValueError."""
     if isinstance(label, str):
-        label = label.strip()
-        sign = -1 if label.startswith("-") else 1
-        axis = label.lstrip("+-").upper()
-    else:
-        axis, sign = label
-        axis = axis.upper()
-        sign = int(sign)
-    if axis not in PAULI_AXES or sign not in (1, -1):
+        text = label.strip()
+        axis = text[1:] if text.startswith(("+", "-")) else text
+        return pauli_axis(axis), -1 if text.startswith("-") else 1
+    sign = label[1] if isinstance(label, tuple) and len(label) == 2 else None
+    if isinstance(sign, bool) or not isinstance(sign, numbers.Integral) or sign not in (1, -1):
         raise ValueError(f"invalid signed Pauli label {label!r}")
-    return axis, sign
+    return pauli_axis(label[0]), int(sign)
 
 
 SIGNED_LABELS = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
@@ -250,7 +250,7 @@ def logical_projectors(frame: LogicalFrame, axis: str):
     outcome-slot order: |-a><-a|, the leak projector I - (subspace
     projector), |+a><+a|.  At n = 1 the frame spans the qubit and the leak
     slot is exactly zero."""
-    minus, plus = (mub_probe(frame, (_pauli_axis(axis), sign)).amplitudes for sign in (-1, 1))
+    minus, plus = (mub_probe(frame, (pauli_axis(axis), sign)).amplitudes for sign in (-1, 1))
     leak = np.eye(frame.dim) - frame.subspace_projector() if frame.n > 1 else np.zeros((2, 2))
     return _frozen([np.outer(minus, minus.conj()), leak, np.outer(plus, plus.conj())])
 

@@ -1,5 +1,6 @@
 """Tests for scenario loading, subcommands, output contracts and exit codes."""
 
+import csv
 import hashlib
 import json
 import math
@@ -7,13 +8,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dqsim import adversary, cli, protocol, qcore
+from dqsim import adversary, cli, metrics, protocol, qcore
 
 
 def write_scenario(tmp_path, **overrides):
@@ -120,10 +122,13 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
                             "params": {"axis": "Y", "angle": None}}}, cli.EXIT_SCHEMA),
     ("run", {}, {"attack": {"name": "entangling_memory",
                             "params": {"coupling_angle": [0.3]}}}, cli.EXIT_SCHEMA),
+    # finite ends whose difference overflows: linspace would make nan and inf
+    ("sweep", {}, {"sweep": {"variable": "phi", "start": -1e308, "stop": 1e308,
+                             "steps": 3}}, cli.EXIT_SCHEMA),
 ], ids=["T2", "T_past_MAX_ROUNDS", "no_check_rounds", "memory_n2", "steps_string",
         "variable_number", "block_length_fractional", "steps_past_MAX_GRID_STEPS",
         "p_boolean", "angle_boolean", "block_length_boolean", "p_string", "angle_null",
-        "coupling_angle_list"])
+        "coupling_angle_list", "sweep_span_overflows"])
 def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
                                             block_edit, code):
     path, scenario = write_scenario(tmp_path, **block_edit)
@@ -351,6 +356,153 @@ def test_sweep_threads_match_serial(tmp_path):
     serial = (tmp_path / "sweep.csv").read_bytes()
     cli.main(["--threads", "3", "sweep", str(path)])
     assert (tmp_path / "sweep.csv").read_bytes() == serial
+
+
+def reference_sweep_point(scenario, value):
+    """One sweep row from two fresh ``protocol.run`` calls, each building
+    its own forward push: the sweep point as it was computed before a phase
+    sweep shared one push, kept as the oracle."""
+    variable = scenario["sweep"]["variable"]
+    if variable == "phi":
+        config = replace(cli.build_config(scenario), true_phi=float(value))
+        attack = cli.build_attack(scenario)
+    else:
+        config = cli.build_config(scenario)
+        attack = cli.build_attack(scenario, {variable.split(".", 1)[1]: float(value)})
+    tr_att = protocol.run(config, attack)
+    tr_idl = protocol.run(config, adversary.identity_attack())
+    chk = protocol.check_fidelity(tr_att)
+    est_att = protocol.estimate_phase(tr_att)
+    est_idl = protocol.estimate_phase(tr_idl)
+    var_att = cli._batched_phi_variance(tr_att)
+    var_idl = cli._batched_phi_variance(tr_idl)
+    mode = cli._bounds_mode(scenario, config)
+    phi = config.true_phi
+    eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,
+                            T=config.T, N_d=tr_att.N_d, n=config.n, phi=phi)
+    f_hat = chk.fidelity_estimate
+    if isinstance(f_hat, dict):
+        f_hat = min(f_hat.values())
+    row = {
+        "theta": phi / 2.0, "phi": phi, "F_hat": f_hat,
+        "epsilon_implied": chk.epsilon_implied, "passed": chk.passed,
+        "phi_hat": est_att.phi_hat, "phi_hat_se": est_att.standard_error,
+        "bias_emp": abs(est_att.phi_hat - est_idl.phi_hat),
+        "bias_bound": metrics.bias_bound(eps0, config.n, phi),
+        "var_emp": var_att, "var_discrepancy": abs(var_att - var_idl),
+        "var_bound": metrics.variance_bound(eps0, config.n, phi, mode, N_e=max(tr_att.N_e, 1)),
+        "mode": mode, "variant": config.variant, "sweep_value": float(value),
+    }
+    return [cli._fmt(row[c]) for c in cli.CSV_COLUMNS]
+
+
+def spy_attacked_pushes(monkeypatch):
+    """Wrap ``protocol._push``; returns the list of the branch labels of
+    every push it sees, identity twins' pushes left out."""
+    pushed, push = [], protocol._push
+
+    def spy(n, fwd):
+        out = push(n, fwd)
+        if out is not None and out[0] != ("identity",):
+            pushed.append(out[0])
+        return out
+
+    monkeypatch.setattr(protocol, "_push", spy)
+    return pushed
+
+
+SWEEP_ORACLE_CASES = {
+    "depolarizing_n1": (1, {"name": "depolarizing", "params": {"p": 0.1}}),
+    "depolarizing_n4": (4, {"name": "depolarizing", "params": {"p": 0.1}}),
+    "intercept_resend_n2": (2, {"name": "intercept_resend",
+                                "params": {"basis_strategy": "random"}}),
+    "y_tamper_n2": (2, {"name": "unitary_tamper", "params": {"axis": "Y", "angle": 0.2}}),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("direction", protocol.DIRECTIONS)
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+@pytest.mark.parametrize("case", sorted(SWEEP_ORACLE_CASES))
+def test_phi_sweep_rows_match_fresh_twin_runs(tmp_path, monkeypatch, case, variant,
+                                              direction, threads):
+    # a phase sweep pushes the probes through the attack once, and every
+    # row is the one two fresh runs per point give
+    n, attack = SWEEP_ORACLE_CASES[case]
+    path, scenario = write_scenario(tmp_path, attack=attack,
+                                    sweep={"variable": "phi", "start": 0.1, "stop": 0.6,
+                                           "steps": 3})
+    scenario["protocol"].update(variant=variant, direction=direction, n=n, T=1500)
+    path.write_text(json.dumps(scenario))
+    pushed = spy_attacked_pushes(monkeypatch)
+    assert cli.main(["--threads", threads, "sweep", str(path)]) == cli.EXIT_OK
+    assert len(pushed) == 1
+    monkeypatch.undo()
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == cli.CSV_COLUMNS
+    assert rows == [reference_sweep_point(scenario, v) for v in cli.sweep_values(scenario)]
+
+
+def test_attack_sweep_pushes_once_per_point(tmp_path, monkeypatch):
+    path, scenario = write_scenario(
+        tmp_path, attack={"name": "depolarizing", "params": {"p": 0.0}},
+        sweep={"variable": "attack.p", "start": 0.0, "stop": 0.4, "steps": 3})
+    scenario["protocol"].update(n=2, T=1500)
+    path.write_text(json.dumps(scenario))
+    pushed = spy_attacked_pushes(monkeypatch)
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
+    assert len(pushed) == 3
+    monkeypatch.undo()
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        _header, *rows = list(csv.reader(fh))
+    assert rows == [reference_sweep_point(scenario, v) for v in cli.sweep_values(scenario)]
+
+
+class RecordingPool:
+    """Stands in for ``ThreadPoolExecutor``: records the pool size asked
+    for and maps in the calling thread, so no thread starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, values):
+        return map(fn, values)
+
+
+@pytest.mark.parametrize("threads, cores, pool", [
+    ("100000", 4, 3), ("2", 4, 2), ("3", 2, 2), ("3", None, None), ("3", 1, None), ("1", 4, None),
+])
+def test_sweep_pool_bounded_by_points_and_cores(tmp_path, monkeypatch, threads, cores, pool):
+    path, scenario = write_scenario(
+        tmp_path, sweep={"variable": "phi", "start": 0.3, "stop": 0.9, "steps": 3})
+    scenario["protocol"]["T"] = 1000
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
+    serial = (tmp_path / "sweep.csv").read_bytes()
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    assert cli.main(["--threads", threads, "sweep", str(path)]) == cli.EXIT_OK
+    assert RecordingPool.sizes == ([] if pool is None else [pool])
+    assert (tmp_path / "sweep.csv").read_bytes() == serial
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "-100000"])
+def test_sweep_rejects_threads_below_one(tmp_path, capsys, threads):
+    path, _ = write_scenario(
+        tmp_path, sweep={"variable": "phi", "start": 0.3, "stop": 0.9, "steps": 3})
+    assert cli.main(["--threads", threads, "sweep", str(path)]) == cli.EXIT_SCHEMA
+    assert "schema error: --threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_over_attack_parameter(tmp_path):

@@ -548,9 +548,9 @@ def fast_path_weights(variant, direction, n, attack):
     """The fast path's flat draw weights: the prior times the exact tables."""
     cfg = make_config(variant=variant, direction=direction, n=n)
     frame = qcore.LogicalFrame.standard(n)
-    fwd = attack.forward_branches(n, frame)
     bwd = attack.backward_branches(n, frame) if direction == "two_way" else None
-    return protocol._prior(cfg)[..., None, None, None] * protocol._build_tables(cfg, fwd, bwd)
+    tables = protocol._build_tables(cfg, protocol.forward_push(cfg, attack)[1], bwd)
+    return protocol._prior(cfg)[..., None, None, None] * tables
 
 
 DRAW_ATTACKS = {
@@ -909,9 +909,8 @@ def exact_tables(cfg, attack):
     +1) on the last axis.  A discarded round's mass lies on slot +1, its
     other slots and, at n = 1, every leak slot being exactly 0."""
     frame = qcore.LogicalFrame.standard(cfg.n)
-    fwd = attack.forward_branches(cfg.n, frame)
     bwd = attack.backward_branches(cfg.n, frame) if cfg.direction == "two_way" else None
-    stacked = protocol._build_tables(cfg, fwd, bwd)
+    stacked = protocol._build_tables(cfg, protocol.forward_push(cfg, attack)[1], bwd)
     if cfg.n == 1:
         assert np.all(stacked[..., 1] == 0.0)
     tables = {}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dqsim import adversary
 from dqsim import qcore as q
 
 I2 = np.eye(2, dtype=complex)
@@ -75,13 +76,17 @@ def test_pauli_commutator_algebra():
 
 
 def test_pauli_rejects_unknown_axis():
-    # the ValueError bold_pauli raises, for an unknown name or a non-string
+    # one rule, pauli_axis, for every function that takes an axis name
     assert np.array_equal(q.pauli_matrix("z"), Z)
+    assert q.pauli_axis("y") == "Y"
+    frame = q.LogicalFrame.standard(1)
+    takers = (q.pauli_axis, q.pauli_matrix, lambda a: q.bold_pauli(frame, a),
+              lambda a: q.logical_projectors(frame, a), lambda a: q.parse_probe_label((a, 1)),
+              lambda a: adversary.unitary_tamper(a, 0.1))
     for axis in ("W", "", None, 3, ("X",)):
-        with pytest.raises(ValueError, match="unknown Pauli axis"):
-            q.pauli_matrix(axis)
-        with pytest.raises(ValueError, match="unknown Pauli axis"):
-            q.bold_pauli(q.LogicalFrame.standard(1), axis)
+        for take in takers:
+            with pytest.raises(ValueError, match="unknown Pauli axis"):
+                take(axis)
 
 
 # ---------------------------------------------------------------- logical frames
@@ -237,6 +242,27 @@ def test_mub_probe_pole_axis():
     assert np.allclose(q.mub_probe(frame, "-Y").amplitudes, frame.pole1.amplitudes)
     plus = (frame.pole0.amplitudes + frame.pole1.amplitudes) / np.sqrt(2)
     assert np.allclose(q.mub_probe(frame, "+Z").amplitudes, plus)
+
+
+@pytest.mark.parametrize("label, parsed", [
+    ("+X", ("X", 1)), ("-y", ("Y", -1)), (" z ", ("Z", 1)), (("Z", -1), ("Z", -1)),
+    (("x", 1), ("X", 1)), (("Y", np.int64(-1)), ("Y", -1)),
+])
+def test_parse_probe_label_accepts_signed_axes(label, parsed):
+    assert q.parse_probe_label(label) == parsed
+    assert all(type(v) in (str, int) for v in q.parse_probe_label(label))
+
+
+@pytest.mark.parametrize("label", [
+    (3, 1), ("X", None), 5, None, ("X", 1.5), ("X", -1.9), ("X", True), ("X", False),
+    ("X", "1"), ("X", 0), ("X", 2), ("W", 1), "+W", ("X",), ("X", 1, 2), ["X", 1],
+    "--X", "+-X", "-+-z", "+", "", "+ X",
+])
+def test_parse_probe_label_rejects_malformed_labels(label):
+    # an axis string with an int sign +-1 only; everything else is the
+    # documented ValueError, never AttributeError or TypeError
+    with pytest.raises(ValueError):
+        q.parse_probe_label(label)
 
 
 @pytest.mark.parametrize("n", [1, 2])
