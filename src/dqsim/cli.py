@@ -230,6 +230,10 @@ def _dump_json(payload, path):
 
 
 def cmd_run(scenario, seed_override=None, strict_abort=False) -> int:
+    out = {"transcript": "transcript.tsv", "summary": "summary.json", **scenario.get("output", {})}
+    # one spelled path only: symlinks and hard links are not resolved
+    if os.path.abspath(out["transcript"]) == os.path.abspath(out["summary"]):
+        raise SchemaError(f"output.transcript and output.summary are one file: {out['summary']!r}")
     config = build_config(scenario, seed_override)
     attack = build_attack(scenario)
     transcript = protocol.run(config, attack)
@@ -238,10 +242,8 @@ def cmd_run(scenario, seed_override=None, strict_abort=False) -> int:
         est = protocol.estimate_phase(transcript)
     except protocol.InsufficientRoundsError:
         est = None
-    out = scenario.get("output", {})
-    transcript.serialize(out.get("transcript", "transcript.tsv"))
-    _dump_json(_summary_payload(config, transcript, chk, est, attack),
-               out.get("summary", "summary.json"))
+    transcript.serialize(out["transcript"])
+    _dump_json(_summary_payload(config, transcript, chk, est, attack), out["summary"])
     if strict_abort and not chk.passed:
         return EXIT_ABORTED
     return EXIT_OK

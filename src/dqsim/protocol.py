@@ -301,20 +301,26 @@ class Transcript:
                       f"#direction\t{cfg.direction}\n#n\t{cfg.n}\n#T\t{cfg.T}\n"
                       "#columns\tindex\taction\talice_obs\talice_out\tprobe"
                       "\tbob_obs\tbob_out\tstatus\n").encode("ascii"))
-            # kept check rounds, then kept estimation rounds, then the rest;
-            # int32 holds every index below MAX_ROUNDS and divides faster
-            order = np.argsort(((_CELL_STATUS + 2) % 3)[self.cell], kind="stable").astype(np.int32)
+            # kept check rounds, then kept estimation rounds, then the rest
+            order = np.argsort(((_CELL_STATUS + 2) % 3)[self.cell], kind="stable")
             # a row is the round's index in decimal, then its cell's suffix; the
             # slots before an index's leading digit, and the padding, hold 0
             suffixes = _ROW_SUFFIXES[cfg.variant]
-            places = 10 ** np.arange(len(str(cfg.T - 1)) - 1, -1, -1, dtype=np.int32)
-            rows = np.empty((_CHUNK_ROWS, places.size + suffixes.shape[1]), dtype=np.uint8)
+            record = np.dtype((np.void, suffixes.shape[1]))  # one cell's suffix
+            width = len(str(cfg.T - 1))
+            rows = np.empty((_CHUNK_ROWS, width + record.itemsize), dtype=np.uint8)
             for start in range(0, cfg.T, _CHUNK_ROWS):
-                index = order[start:start + _CHUNK_ROWS]
+                index = q = order[start:start + _CHUNK_ROWS].astype(np.uint32)
                 chunk = rows[:index.size]
-                chunk[:, :places.size] = np.where((index[:, None] >= places) | (places == 1),
-                                                  index[:, None] // places % 10 + ord("0"), 0)
-                np.take(suffixes, self.cell[index], axis=0, out=chunk[:, places.size:])
+                # digits right to left, by a scalar divisor: numpy's fast path
+                for place in range(width - 1, -1, -1):
+                    quot = q // 10
+                    chunk[:, place] = q - quot * 10 + ord("0")
+                    q = quot
+                for k in range(1, width):
+                    chunk[:, width - 1 - k] *= index >= 10 ** k
+                np.take(suffixes.view(record)[:, 0], self.cell[index],
+                        out=chunk[:, width:].view(record)[:, 0])
                 fh.write(chunk[chunk != 0].tobytes())
 
     def serialized(self) -> str:

@@ -325,6 +325,19 @@ def test_run_unwritable_output_gives_io_exit(tmp_path):
     assert cli.main(["run", str(path)]) == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("output", [
+    {"transcript": "out.txt", "summary": "sub/../out.txt"},
+    {"transcript": "./summary.json"},  # the summary's default
+], ids=["explicit_pair", "default_summary"])
+def test_run_rejects_one_file_for_both_outputs(tmp_path, monkeypatch, capsys, output):
+    # the summary would silently overwrite the transcript
+    monkeypatch.chdir(tmp_path)
+    path, _ = write_scenario(tmp_path, output=output)
+    assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+    assert "one file" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scenario.json"]
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_csv_contract_and_determinism(tmp_path):

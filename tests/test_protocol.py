@@ -3,6 +3,7 @@
 import hashlib
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -377,6 +378,15 @@ def test_serialization_field_level_roundtrip(variant):
         assert row["bob_out"] == ("NA" if b_out == protocol._B_ABSENT else str(b_out))
 
 
+def reference_header(tr):
+    """The transcript's header lines, without line ends."""
+    cfg = tr.config
+    return ["#dqs-transcript v1", f"#config_hash\t{tr.config_hash()}", f"#seed\t{cfg.seed}",
+            f"#variant\t{cfg.variant}", f"#direction\t{cfg.direction}", f"#n\t{cfg.n}",
+            f"#T\t{cfg.T}",
+            "#columns\tindex\taction\talice_obs\talice_out\tprobe\tbob_obs\tbob_out\tstatus"]
+
+
 def reference_serialized(tr):
     """The transcript formatted one row at a time in Python: the reference
     the chunked writer of ``Transcript.serialize`` must match byte for byte."""
@@ -384,10 +394,7 @@ def reference_serialized(tr):
     partner = {"X": "Z", "Y": "Y", "Z": "X"}
     action, probe, bob_axis, bob_out, status = (
         getattr(tr, name).tolist() for name in ("action", "probe", "bob_axis", "bob_out", "status"))
-    lines = ["#dqs-transcript v1", f"#config_hash\t{tr.config_hash()}", f"#seed\t{cfg.seed}",
-             f"#variant\t{cfg.variant}", f"#direction\t{cfg.direction}", f"#n\t{cfg.n}",
-             f"#T\t{cfg.T}",
-             "#columns\tindex\taction\talice_obs\talice_out\tprobe\tbob_obs\tbob_out\tstatus"]
+    lines = reference_header(tr)
     # kept check rounds, then kept estimation rounds, then the rest; sorted() is stable
     disclosure = {"kept_check": 0, "kept_estimation": 1, "discarded": 2}
     for i in sorted(range(cfg.T), key=lambda i: disclosure[protocol.SIFT_STATUSES[status[i]]]):
@@ -406,7 +413,16 @@ def reference_serialized(tr):
 BLOCK = protocol._CHUNK_ROWS
 
 
-@pytest.mark.parametrize("T", [1, 9, 10, 11, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def assert_same_text(got, expected):
+    """Assert two transcripts are equal, naming the first differing row:
+    pytest's own diff of two megabyte strings runs for minutes."""
+    if got != expected:
+        rows = zip(got.split("\n"), expected.split("\n"))
+        pytest.fail(f"first differing row: {next((r for r in rows if r[0] != r[1]), 'row count')}")
+
+
+@pytest.mark.parametrize("T", [1, 9, 10, 11, 100, 101, 1000, 10 ** 4 + 1,
+                               BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 @pytest.mark.parametrize("variant", ["entanglement", "mub"])
 @pytest.mark.parametrize("attack", ["two_way_depolarizing", "intercept_resend"])
 def test_serialize_matches_reference_writer(tmp_path, T, variant, attack):
@@ -420,16 +436,49 @@ def test_serialize_matches_reference_writer(tmp_path, T, variant, attack):
     cfg = replace(cfg, variant=variant, T=T, p_c=0.4, p_e=0.4, p_d=0.2, seed=T)
     tr = protocol.run(cfg, attack_model)
     expected = reference_serialized(tr)
-    assert tr.serialized() == expected
+    assert_same_text(tr.serialized(), expected)
     # a str path and an os.PathLike path both get the same bytes
     tr.serialize(str(tmp_path / "str.tsv"))
     tr.serialize(tmp_path / "pathlike.tsv")
     for name in ("str.tsv", "pathlike.tsv"):
-        assert (tmp_path / name).read_bytes() == expected.encode("ascii")
+        assert_same_text((tmp_path / name).read_bytes().decode("ascii"), expected)
     if T > 2 * BLOCK:
         assert attack == "intercept_resend" or tr.N_leak > 0
         _, rows = protocol.parse_transcript(expected)
         assert sorted(int(r["index"]) for r in rows) == list(range(T))
+
+
+def test_serialize_writes_seven_digit_indices():
+    # T = 10^6 + 1 gives 7-digit indices, the width of every T up to
+    # MAX_ROUNDS; with every round a kept check round the disclosure order is
+    # the round order, so each row is its index and its cell's reference row
+    kept = np.flatnonzero(protocol._CELL_STATUS == 1)
+    small = protocol.Transcript(make_config(T=kept.size), kept)
+    rows = reference_serialized(small).splitlines()[len(reference_header(small)):]
+    suffixes = [row.split("\t", 1)[1] for row in rows]
+    T = 10 ** 6 + 1
+    tr = protocol.Transcript(make_config(T=T), np.resize(kept, T))
+    expected = reference_header(tr) + [f"{i}\t{suffixes[i % kept.size]}" for i in range(T)]
+    assert_same_text(tr.serialized(), "\n".join(expected) + "\n")
+
+
+@pytest.mark.parametrize("T", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+def test_serialize_writes_one_chunk_at_a_time(T, variant):
+    # one header write, then one write per chunk of rows, none longer than a
+    # chunk of unpadded rows: no buffer holds more than one chunk
+    cells = np.random.default_rng(T).integers(0, len(protocol._CELL_STATUS), T)
+    tr = protocol.Transcript(make_config(T=T, variant=variant), cells)
+    writes = []
+    tr.serialize(SimpleNamespace(write=writes.append))  # a handle that keeps each write
+    header, *chunks = writes
+    assert header.decode("ascii") == "\n".join(reference_header(tr)) + "\n"
+    assert len(chunks) == math.ceil(T / BLOCK)
+    row_bytes = len(str(T - 1)) + protocol._ROW_SUFFIXES[variant].shape[1]
+    assert all(len(chunk) <= BLOCK * row_bytes and chunk.endswith(b"\n") for chunk in chunks)
+    assert [chunk.count(b"\n") for chunk in chunks] == [
+        min(BLOCK, T - start) for start in range(0, T, BLOCK)]
+    assert b"".join(writes).decode("ascii") == tr.serialized()
 
 
 def test_transcript_columns_are_read_only():
