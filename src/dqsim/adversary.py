@@ -85,11 +85,12 @@ class AttackModel:
 
     def record_round(self, forward_branch, forward_labels,
                      backward_branch=None, backward_labels=None):
-        """Classical-memory hook, called once per fast-path run with every
-        round's forward branch, an integer array in round order indexing the
-        instrument's label tuple ``forward_labels``; the backward pair is
-        None when no backward instrument acts (one-way runs, or
-        ``backward_branches`` None)."""
+        """Classical-memory hook, called once per fast-path ``protocol.run``
+        with every round's forward branch, an integer array in round order
+        indexing the instrument's label tuple ``forward_labels``; the
+        backward pair is None when no backward instrument acts (one-way
+        runs, or ``backward_branches`` None).  A sweep point's counts-first
+        twins (``protocol.twin_counts``) draw no rounds and never call it."""
 
     # -- block-memory interface -----------------------------------------------
     # The coupling acts on (probe, ancilla) on each round's forward leg; the

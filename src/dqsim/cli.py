@@ -251,28 +251,29 @@ def cmd_run(scenario, seed_override=None, strict_abort=False) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-# Windows of the empirical variance estimate ``var_emp``.
+# Near-equal windows of rounds of the empirical variance estimate ``var_emp``.
 VARIANCE_WINDOWS = 20
 
 
-def _batched_phi_variance(transcript):
-    """Estimator-variance estimate: variance over per-window phase estimates
-    divided by the window count."""
-    values = protocol.estimation_products(transcript)
-    n = transcript.config.n
-    usable = min(VARIANCE_WINDOWS, values.size)
-    if usable < 2:
+def _batched_phi_variance(config, windows):
+    """Estimator-variance estimate from the cell counts of windows of rounds:
+    the variance over the windows' pooled phase estimates divided by their
+    number.  A window with no kept non-leak estimation round is left out,
+    and fewer than 2 usable windows give inf."""
+    sums, kept = protocol.estimation_sums(windows)
+    usable = kept > 0
+    if usable.sum() < 2:
         return math.inf
-    size = values.size // usable
-    trimmed = values[: usable * size].reshape(usable, size)
-    phis = np.arccos(np.clip(trimmed.mean(axis=1), -1.0, 1.0)) / (2.0 * n)
-    summary = stats.batch_statistics(phis, usable)
-    return summary.variance_of_mean
+    phis = np.arccos(np.clip(sums[usable] / kept[usable], -1.0, 1.0)) / (2.0 * config.n)
+    return stats.batch_statistics(phis, phis.size).variance_of_mean
 
 
 def run_sweep_point(scenario, value, seed_override=None, push=None):
-    """Twin runs (attacked versus identity, shared seed) at one sweep point;
-    ``push``, if given, is the attacked twin's ``protocol.forward_push``."""
+    """Twin runs (attacked versus identity, shared seed) at one sweep point.
+    Under a memoryless attack the twins' window counts come from their
+    exact joint law (``protocol.twin_counts``), no round drawn one by one; a
+    memory attack runs both twins.  ``push``, if given, is the attacked
+    twin's ``protocol.forward_push``."""
     variable = scenario["sweep"]["variable"]
     if variable == "phi":
         config = replace(build_config(scenario, seed_override), true_phi=float(value))
@@ -281,14 +282,14 @@ def run_sweep_point(scenario, value, seed_override=None, push=None):
         config = build_config(scenario, seed_override)
         attack = build_attack(scenario, {variable.split(".", 1)[1]: float(value)})
     ideal = adversary.identity_attack()
-    tr_att = protocol.run(config, attack, push=push)
-    tr_idl = protocol.run(config, ideal)
+    windows = protocol.twin_counts(config, attack, ideal, VARIANCE_WINDOWS, push)
+    if windows is None:  # the twins share the seed's prior draw
+        windows = [protocol.run(config, a).window_counts(VARIANCE_WINDOWS) for a in (attack, ideal)]
+    tr_att, tr_idl = (protocol.CellCounts(config, w.sum(axis=0)) for w in windows)
     chk = protocol.check_fidelity(tr_att)
     est_att = protocol.estimate_phase(tr_att)
     est_idl = protocol.estimate_phase(tr_idl)
-
-    var_att = _batched_phi_variance(tr_att)
-    var_idl = _batched_phi_variance(tr_idl)
+    var_att, var_idl = (_batched_phi_variance(config, w) for w in windows)
     mode = _bounds_mode(scenario, config)
     phi = config.true_phi
     eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,

@@ -26,9 +26,11 @@ whose outcome index is the cell's slot (-1, leak, +1) at every n, so no
 outcome passes through a value map.  Memoryless attacks run on a
 vectorized fast path: each (setting, label) pair has an exact outcome
 table computed once, and one categorical draw from the prior times the
-tables gives every round its cell and branches together.  Block-memory
-attacks draw each round's outcome from its exact law given the
-adversary's ancilla, a batch of independent blocks at a time, one
+tables gives every round its cell and branches together; under them a
+sweep point draws its twins' cell counts by window from their exact joint
+law, with one multinomial (``twin_counts``) and no round one by one.
+Block-memory attacks draw each round's outcome from its exact law given
+the adversary's ancilla, a batch of independent blocks at a time, one
 position inside the block after another; register attacks act on a batch
 of rounds' register states.
 No engine reads the variant, and each draws randomness in a fixed
@@ -232,7 +234,28 @@ def _rounds_in(cells):
     return property(lambda self: int(self.counts.ravel()[cells].sum()))
 
 
-class Transcript:
+class CellCounts:
+    """A run's rounds per cell, ``counts``, read-only of shape ``_CELL_SHAPE``:
+    all that the round counts, the check and the estimator read."""
+
+    def __init__(self, config, counts):
+        self.config = config
+        self.counts = np.asarray(counts)
+        self.counts.setflags(write=False)
+
+    N_c = _rounds_in(_CELL_STATUS == 1)
+    N_e = _rounds_in(_CELL_STATUS == 2)
+    N_d = _rounds_in(_CELL_ACTION == 2)
+    N_sifted_away = _rounds_in((_CELL_STATUS == 0) & (_CELL_ACTION != 2))
+    N_leak = _rounds_in((_CELL_STATUS > 0) & (_CELL_OUT == 0))
+
+    @property
+    def leak_rate(self) -> float:
+        kept = self.N_c + self.N_e
+        return self.N_leak / kept if kept else 0.0
+
+
+class Transcript(CellCounts):
     """Ordered record of one protocol execution: one read-only uint8
     ``cell`` column, each round's flat index into ``_CELL_SHAPE`` (setting,
     probe label, outcome slot); every other field is a per-cell lookup.
@@ -241,8 +264,8 @@ class Transcript:
     ``bob_axis`` AXES (-1 when the sensor did not measure) and ``status``
     SIFT_STATUSES; ``bob_out`` is +-1, 0 for a leak outcome or -9 when
     unmeasured.  ``counts`` holds the rounds in each cell; the round counts,
-    the check and the estimator read it, and only ``estimation_products``
-    and serialization need the round order.
+    the check and the estimator read it, and only ``estimation_products``,
+    ``window_counts`` and serialization need the round order.
 
     Both variants record the probe label.  In the entanglement variant it
     is the state the provider's measurement left the sensor with: the
@@ -259,9 +282,9 @@ class Transcript:
                 or (cell.size and not 0 <= cell.min() <= cell.max() < _N_CELLS)):
             raise ValueError(f"cells must be a 1-D integer array of T = {config.T} "
                              f"entries in [0, {_N_CELLS})")
-        self.config = config
         self.cell = cell.astype(np.uint8)
         self.cell.setflags(write=False)
+        super().__init__(config, np.bincount(self.cell, minlength=_N_CELLS).reshape(_CELL_SHAPE))
 
     action = _lookup(_CELL_ACTION)
     probe = _lookup(_CELL_LABEL)
@@ -269,26 +292,15 @@ class Transcript:
     bob_out = _lookup(_CELL_OUT)
     status = _lookup(_CELL_STATUS)
 
-    @functools.cached_property
-    def counts(self) -> np.ndarray:
-        """Rounds per cell, a read-only array of shape ``_CELL_SHAPE``."""
-        counts = np.bincount(self.cell, minlength=_N_CELLS).reshape(_CELL_SHAPE)
-        counts.setflags(write=False)
-        return counts
-
-    N_c = _rounds_in(_CELL_STATUS == 1)
-    N_e = _rounds_in(_CELL_STATUS == 2)
-    N_d = _rounds_in(_CELL_ACTION == 2)
-    N_sifted_away = _rounds_in((_CELL_STATUS == 0) & (_CELL_ACTION != 2))
-    N_leak = _rounds_in((_CELL_STATUS > 0) & (_CELL_OUT == 0))
-
-    @property
-    def leak_rate(self) -> float:
-        kept = self.N_c + self.N_e
-        return self.N_leak / kept if kept else 0.0
-
     def config_hash(self) -> str:
         return self.config.config_hash()
+
+    def window_counts(self, windows):
+        """Rounds per cell in ``windows`` windows of rounds, round t in window
+        t * windows // T, shape (windows, *_CELL_SHAPE)."""
+        window = np.arange(self.config.T) * windows // self.config.T
+        counts = np.bincount(window * _N_CELLS + self.cell, minlength=windows * _N_CELLS)
+        return counts.reshape(windows, *_CELL_SHAPE)
 
     def serialize(self, target) -> None:
         """Write the line-oriented transcript, check rounds disclosed first, as
@@ -302,7 +314,8 @@ class Transcript:
                       "#columns\tindex\taction\talice_obs\talice_out\tprobe"
                       "\tbob_obs\tbob_out\tstatus\n").encode("ascii"))
             # kept check rounds, then kept estimation rounds, then the rest
-            order = np.argsort(((_CELL_STATUS + 2) % 3)[self.cell], kind="stable")
+            status = self.status
+            order = np.concatenate([np.flatnonzero(status == s) for s in (1, 2, 0)])
             # a row is the round's index in decimal, then its cell's suffix; the
             # slots before an index's leading digit, and the padding, hold 0
             suffixes = _ROW_SUFFIXES[cfg.variant]
@@ -467,24 +480,11 @@ _DRAW_CHUNK = 2 ** 14
 _TOTAL_TOL = math.sqrt(np.finfo(float).eps)
 
 
-def _draw(weights, rng, T):
-    """T independent draws of an entry of the probability array ``weights``,
-    one uniform each: the entries' flat indices, in the smallest integer
-    dtype that holds ``weights.size``.
-
-    The draw is the one ``rng.choice(weights.size, T, p=weights.ravel())``
-    makes, index for index, and it leaves ``rng`` in the same state: the
-    uniforms come from ``rng.random`` in order, and each round takes the
-    inverse CDF ``searchsorted(cdf, u, side="right")`` of numpy's own CDF
-    ``cumsum / total``.  A guide table (indexed search) finds most of them
-    without a search.  Scaled by the power of two ``_GUIDE_BUCKETS`` = m,
-    the CDF and the uniforms keep their order exactly, and a uniform u in
-    bucket k = floor(u m) has #(cdf m <= k) <= result <= #(cdf m < k + 1);
-    where the two counts agree the table holds the result, and the other
-    rounds, fewer than ``weights.size`` buckets' worth, search the scaled
-    CDF.  Weights with a non-finite or negative entry, or whose total is
-    off 1 by more than sqrt(eps), raise ValueError, as in ``rng.choice``.
-    """
+def _cdf(weights):
+    """numpy's CDF of a categorical draw from the probability array
+    ``weights``: ``cumsum / total`` over its flattened entries.  Weights
+    with a non-finite or negative entry, or whose total is off 1 by more
+    than sqrt(eps), raise ValueError, as in ``rng.choice``."""
     p = np.asarray(weights, dtype=float).ravel()
     if not np.isfinite(p).all():
         raise ValueError("probabilities must be finite")
@@ -494,41 +494,72 @@ def _draw(weights, rng, T):
         raise ValueError("probabilities must sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(weights, rng, T):
+    """T independent draws of an entry of the probability array ``weights``,
+    one uniform each: the entries' flat indices, in the smallest integer
+    dtype that holds ``weights.size``.
+
+    The draw is the one ``rng.choice(weights.size, T, p=weights.ravel())``
+    makes, index for index, and it leaves ``rng`` in the same state: the
+    uniforms come from ``rng.random`` in order, and each round takes the
+    inverse CDF ``searchsorted(cdf, u, side="right")`` of ``_cdf``.  A
+    guide table (indexed search) finds most of them without a search.
+    Scaled by the power of two ``_GUIDE_BUCKETS`` = m, the CDF and the
+    uniforms keep their order exactly, and a uniform u in bucket
+    k = floor(u m) has #(cdf m <= k) <= result <= #(cdf m < k + 1); where
+    the two counts agree the table holds the result, and the other rounds,
+    fewer than ``weights.size`` buckets' worth, search the scaled CDF.
+    """
+    cdf = _cdf(weights)
     cdf *= _GUIDE_BUCKETS
     edges = np.arange(_GUIDE_BUCKETS + 1, dtype=float)
     lo = cdf.searchsorted(edges[:-1], side="right")
     hi = cdf.searchsorted(edges[1:], side="left")
-    # an ambiguous bucket holds p.size, which no draw returns
-    dtype = np.min_scalar_type(p.size)
-    guide = np.where(lo == hi, lo, p.size).astype(dtype)
+    # an ambiguous bucket holds cdf.size, which no draw returns
+    dtype = np.min_scalar_type(cdf.size)
+    guide = np.where(lo == hi, lo, cdf.size).astype(dtype)
     out = np.empty(T, dtype=dtype)
     for start in range(0, T, _DRAW_CHUNK):
         u = rng.random(min(_DRAW_CHUNK, T - start))
         u *= _GUIDE_BUCKETS
         chunk = out[start:start + u.size]
         np.take(guide, u.astype(np.intp), out=chunk)
-        ambiguous = np.flatnonzero(chunk == p.size)
+        ambiguous = np.flatnonzero(chunk == cdf.size)
         chunk[ambiguous] = cdf.searchsorted(u[ambiguous], side="right")
     return out
 
 
-def _run_fast(config, attack, rng, fwd_labels, pushed, bwd) -> Transcript:
+def _pair_law(weights_a, weights_b):
+    """The joint law of the entries ``_draw`` picks from ``weights_a`` and
+    from ``weights_b`` with one shared uniform u.  Each inverts its
+    ``_cdf``, so the pair is constant between the two CDFs' merged
+    breakpoints: each interval's width (its probability, 0 between equal
+    breakpoints), and the entry ``searchsorted(cdf, u, side="right")`` of
+    each on it, the count of the CDF's values below the interval's end,
+    shape (2, interval)."""
+    cdfs = [_cdf(weights_a), _cdf(weights_b)]
+    edges = np.sort(np.concatenate([[0.0], *cdfs]))
+    return np.diff(edges), np.stack([cdf.searchsorted(edges[1:], side="left") for cdf in cdfs])
+
+
+def _run_fast(config, attack, rng, tables, fwd_labels, bwd_labels) -> Transcript:
     """Memoryless attacks: every round's setting, probe label, branches and
-    outcome are one draw from the prior times the stacked exact tables from
-    the attack's forward push (``_push``: branch labels ``fwd_labels``, states
-    ``pushed``) and backward instrument ``bwd``.  The attack records every
+    outcome are one draw from ``tables``, the law ``_fast_law`` gives with
+    the forward and backward branch labels.  The attack records every
     round's branches in one ``record_round`` call.
 
     Draw order: one uniform per round, through ``_draw``.
     """
-    tables = _prior(config)[..., None, None, None] * _build_tables(config, pushed, bwd)
     # each table entry's (cell, forward branch, backward branch)
     setting, label, forward, backward, slot = np.indices(tables.shape)
     cell = np.ravel_multi_index((setting, label, slot), _CELL_SHAPE)
     entries = np.stack([cell, forward, backward]).reshape(3, -1)
     entries = entries.astype(np.min_scalar_type(max(_N_CELLS, *tables.shape)))
     cell, forward, backward = np.take(entries, _draw(tables, rng, config.T), axis=1)
-    backward = () if bwd is None else (backward, _labels(bwd))
+    backward = () if bwd_labels is None else (backward, bwd_labels)
     attack.record_round(forward, fwd_labels, *backward)
     return Transcript(config, cell)
 
@@ -607,6 +638,46 @@ def _run_register(config, attack, rng, setting, label, slot):
         slot[t] = world.measure(sensor[_SETTING_AXIS[setting[t]]], world.probe, rng)
 
 
+def _fast_law(config, attack, push=None):
+    """Start ``attack`` on a run of ``config``.  A memoryless attack's round
+    law, the prior times ``_build_tables`` of its forward push (``push`` if
+    given) and backward instrument, with their branch labels (None: no
+    backward instrument); None for a memory attack."""
+    frame = _start(config, attack)
+    push = push or _push(config.n, attack.forward_branches(config.n, frame))
+    if push is None:
+        return None
+    bwd = attack.backward_branches(config.n, frame) if config.direction == "two_way" else None
+    return (_prior(config)[..., None, None, None] * _build_tables(config, push[1], bwd),
+            push[0], None if bwd is None else _labels(bwd))
+
+
+def twin_counts(config, attack, ideal, windows, push=None):
+    """The ``Transcript.window_counts`` of ``run(config, attack, push)`` and
+    of its twin ``run(config, ideal)``, shape (twin, window, *_CELL_SHAPE),
+    drawn from their exact joint law with no round drawn one by one; None,
+    the attacks started, for a memory attack.  ``run`` picks both twins'
+    entries with one uniform per round (``_pair_law``), so a window's pairs
+    of cells are multinomial.  Draw order: one ``rng.multinomial``."""
+    fast = _fast_law(config, attack, push)
+    if fast is None:
+        return None
+    weights = [fast[0], _fast_law(config, ideal)[0]]
+    probs, entries = _pair_law(*weights)
+    cell = np.arange(_N_CELLS).reshape(_CELL_SHAPE)[:, :, None, None]  # over the branches
+    pair = [np.broadcast_to(cell, w.shape).ravel()[e] for w, e in zip(weights, entries)]
+    law = np.bincount(pair[0] * _N_CELLS + pair[1], probs, _N_CELLS ** 2)
+    pairs = np.flatnonzero(law)
+    sizes = np.diff(-(-np.arange(windows + 1) * config.T // windows))  # as in window_counts
+    drawn = np.random.default_rng(config.seed).multinomial(sizes, law[pairs])
+    # each drawn count's flat index into the (twin, window, cell) counts
+    index = (np.arange(2 * windows).reshape(2, -1, 1) * _N_CELLS
+             + np.stack(divmod(pairs, _N_CELLS))[:, None])
+    counts = np.bincount(index.ravel(), np.broadcast_to(drawn, index.shape).ravel(),
+                         2 * windows * _N_CELLS)
+    return counts.astype(np.int64).reshape(2, windows, *_CELL_SHAPE)
+
+
 def run(config: ProtocolConfig, attack, push=None) -> Transcript:
     """Execute T rounds against the given adversary; deterministic per seed.
 
@@ -616,12 +687,10 @@ def run(config: ProtocolConfig, attack, push=None) -> Transcript:
     here.  Either way the attack gets ``on_run_start``, and the encoding,
     backward leg, sensor projection, trace check and draw run here, so the
     transcript is the same."""
-    frame = _start(config, attack)
-    push = push or _push(config.n, attack.forward_branches(config.n, frame))
+    law = _fast_law(config, attack, push)
     rng = np.random.default_rng(config.seed)
-    if push is not None:
-        bwd = attack.backward_branches(config.n, frame) if config.direction == "two_way" else None
-        return _run_fast(config, attack, rng, *push, bwd)
+    if law is not None:
+        return _run_fast(config, attack, rng, *law)
     coupling = attack.block_coupling(config.n)
     setting, label = np.divmod(_draw(_prior(config), rng, config.T), len(qcore.SIGNED_LABELS))
     slot = np.zeros(config.T, dtype=np.int8)
@@ -675,15 +744,18 @@ def _correlators(transcript, rounds):
 
 def estimation_products(transcript):
     """Pooled +-1 values from kept estimation rounds, in round order, as
-    int8: one gather from the per-cell product table.
-
-    Each is the sensor outcome times the probe label's sign, which in the
-    entanglement variant is the provider's outcome.  Leak outcomes excluded.
-    Sums of +-1 values are exact in float64, so means taken from this array
-    equal those taken from its float copy.
-    """
+    int8: one gather from the per-cell product table.  Each is the sensor
+    outcome times the probe label's sign, which in the entanglement variant
+    is the provider's outcome.  Leak outcomes excluded."""
     products = _CELL_PRODUCT[transcript.cell]
     return products[products != 0]
+
+
+def estimation_sums(counts):
+    """The sum of the ``estimation_products`` and their number from cell
+    counts, one pair per leading index of ``counts`` (..., *_CELL_SHAPE)."""
+    flat = np.reshape(counts, (-1, _N_CELLS))
+    return flat @ _CELL_PRODUCT, flat @ (_CELL_PRODUCT != 0)
 
 
 def check_fidelity(transcript) -> CheckResult:

@@ -371,24 +371,24 @@ def test_sweep_threads_match_serial(tmp_path):
     assert (tmp_path / "sweep.csv").read_bytes() == serial
 
 
-def reference_sweep_point(scenario, value):
-    """One sweep row from two fresh ``protocol.run`` calls, each building
-    its own forward push: the sweep point as it was computed before a phase
-    sweep shared one push, kept as the oracle."""
+def reference_sweep_point(scenario, value, seed=None, push=None):
+    """One sweep row from two per-round ``protocol.run`` calls under one seed,
+    the attacked one with ``push`` if given: the sweep point as it was
+    computed before its twins were drawn counts-first, kept as the oracle."""
     variable = scenario["sweep"]["variable"]
     if variable == "phi":
-        config = replace(cli.build_config(scenario), true_phi=float(value))
+        config = replace(cli.build_config(scenario, seed), true_phi=float(value))
         attack = cli.build_attack(scenario)
     else:
-        config = cli.build_config(scenario)
+        config = cli.build_config(scenario, seed)
         attack = cli.build_attack(scenario, {variable.split(".", 1)[1]: float(value)})
-    tr_att = protocol.run(config, attack)
+    tr_att = protocol.run(config, attack, push)
     tr_idl = protocol.run(config, adversary.identity_attack())
     chk = protocol.check_fidelity(tr_att)
     est_att = protocol.estimate_phase(tr_att)
     est_idl = protocol.estimate_phase(tr_idl)
-    var_att = cli._batched_phi_variance(tr_att)
-    var_idl = cli._batched_phi_variance(tr_idl)
+    var_att, var_idl = (cli._batched_phi_variance(config, tr.window_counts(cli.VARIANCE_WINDOWS))
+                        for tr in (tr_att, tr_idl))
     mode = cli._bounds_mode(scenario, config)
     phi = config.true_phi
     eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,
@@ -396,7 +396,7 @@ def reference_sweep_point(scenario, value):
     f_hat = chk.fidelity_estimate
     if isinstance(f_hat, dict):
         f_hat = min(f_hat.values())
-    row = {
+    return {
         "theta": phi / 2.0, "phi": phi, "F_hat": f_hat,
         "epsilon_implied": chk.epsilon_implied, "passed": chk.passed,
         "phi_hat": est_att.phi_hat, "phi_hat_se": est_att.standard_error,
@@ -406,7 +406,18 @@ def reference_sweep_point(scenario, value):
         "var_bound": metrics.variance_bound(eps0, config.n, phi, mode, N_e=max(tr_att.N_e, 1)),
         "mode": mode, "variant": config.variant, "sweep_value": float(value),
     }
+
+
+def formatted(row):
+    """A sweep row's CSV cells."""
     return [cli._fmt(row[c]) for c in cli.CSV_COLUMNS]
+
+
+def sweep_rows(tmp_path):
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == cli.CSV_COLUMNS
+    return rows
 
 
 def spy_attacked_pushes(monkeypatch):
@@ -432,6 +443,26 @@ SWEEP_ORACLE_CASES = {
     "y_tamper_n2": (2, {"name": "unitary_tamper", "params": {"axis": "Y", "angle": 0.2}}),
 }
 
+# The counts-first rows against the per-round oracle's, SWEEP_SEEDS seeds
+# each (disjoint, so the samples are independent) at one sweep point: the
+# means of phi_hat, F_hat and bias_emp must agree within Z_SWEEP Welch
+# standard errors.  Under one law the statistic is Student t with about 78
+# degrees of freedom, so a statistic fails falsely with probability 3.4e-6,
+# a case with 1.0e-5, and the 16 cases together with 1.7e-4.
+SWEEP_SEEDS = 40
+Z_SWEEP = 5.0
+
+
+def assert_rows_agree_in_law(scenario, value):
+    push = protocol.forward_push(cli.build_config(scenario), cli.build_attack(scenario))
+    new = [cli.run_sweep_point(scenario, value, seed, push) for seed in range(SWEEP_SEEDS)]
+    old = [reference_sweep_point(scenario, value, seed, push)
+           for seed in range(SWEEP_SEEDS, 2 * SWEEP_SEEDS)]
+    for column in ("phi_hat", "F_hat", "bias_emp"):
+        a, b = (np.array([row[column] for row in rows]) for rows in (new, old))
+        se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+        assert abs(a.mean() - b.mean()) <= Z_SWEEP * se + 1e-12, (column, a.mean(), b.mean(), se)
+
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize("direction", protocol.DIRECTIONS)
@@ -439,8 +470,10 @@ SWEEP_ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(SWEEP_ORACLE_CASES))
 def test_phi_sweep_rows_match_fresh_twin_runs(tmp_path, monkeypatch, case, variant,
                                               direction, threads):
-    # a phase sweep pushes the probes through the attack once, and every
-    # row is the one two fresh runs per point give
+    # a phase sweep pushes the probes through the attack once; its rows are
+    # its points' own, at any thread count, and agree in law with the rows
+    # of two per-round runs per point (the thread count changes no row, so
+    # the law is compared once per case)
     n, attack = SWEEP_ORACLE_CASES[case]
     path, scenario = write_scenario(tmp_path, attack=attack,
                                     sweep={"variable": "phi", "start": 0.1, "stop": 0.6,
@@ -451,10 +484,92 @@ def test_phi_sweep_rows_match_fresh_twin_runs(tmp_path, monkeypatch, case, varia
     assert cli.main(["--threads", threads, "sweep", str(path)]) == cli.EXIT_OK
     assert len(pushed) == 1
     monkeypatch.undo()
-    with open(tmp_path / "sweep.csv", newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert header == cli.CSV_COLUMNS
-    assert rows == [reference_sweep_point(scenario, v) for v in cli.sweep_values(scenario)]
+    values = cli.sweep_values(scenario)
+    assert sweep_rows(tmp_path) == [formatted(cli.run_sweep_point(scenario, v)) for v in values]
+    if threads == "1":
+        assert_rows_agree_in_law(scenario, values[1])
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_ORACLE_CASES))
+def test_run_with_a_shared_push_is_the_fresh_run(tmp_path, case):
+    # the oracle above hands its attacked runs the sweep's one push
+    n, attack = SWEEP_ORACLE_CASES[case]
+    _, scenario = write_scenario(tmp_path, attack=attack)
+    for direction in protocol.DIRECTIONS:
+        config = replace(cli.build_config(scenario), n=n, T=500, direction=direction)
+        push = protocol.forward_push(config, cli.build_attack(scenario))
+        np.testing.assert_array_equal(
+            protocol.run(replace(config, true_phi=0.7), cli.build_attack(scenario), push).cell,
+            protocol.run(replace(config, true_phi=0.7), cli.build_attack(scenario)).cell)
+
+
+def test_counts_first_twins_keep_the_shared_seed_coupling():
+    # criterion 05's scenario at phi = 0.6: the shared seed holds bias_emp's
+    # spread near the per-round twins' and far below that of twins under
+    # independent seeds.  Standard deviations over 40 seeds each; with the
+    # ratios measured (new/per-round about 1.1, new/independent about 0.2)
+    # each bound fails falsely with probability below 2e-8 (F test, 39 and 39
+    # degrees of freedom).
+    scenario = {
+        "protocol": {"variant": "entanglement", "direction": "one_way", "n": 1,
+                     "T": 30_000, "p_c": 0.5, "p_e": 0.5, "p_d": 0.0,
+                     "epsilon_threshold": 0.251, "true_phi": 0.3, "seed": 20240105},
+        "attack": {"name": "depolarizing", "params": {"p": 0.084}},
+        "sweep": {"variable": "phi", "start": 0.6, "stop": 0.6, "steps": 1},
+    }
+    seeds = range(100, 140)
+    new = [cli.run_sweep_point(scenario, 0.6, seed) for seed in seeds]
+    old = [reference_sweep_point(scenario, 0.6, seed) for seed in seeds]
+    config = replace(cli.build_config(scenario), true_phi=0.6)
+    independent = [abs(row["phi_hat"] - protocol.estimate_phase(protocol.run(
+        replace(config, seed=seed + 1000), adversary.identity_attack())).phi_hat)
+        for row, seed in zip(old, seeds)]
+    spread_new, spread_old = (np.std([row["bias_emp"] for row in rows], ddof=1)
+                              for rows in (new, old))
+    assert spread_new <= 3.0 * spread_old
+    assert spread_new <= 0.5 * np.std(independent, ddof=1)
+
+
+MEMORY_SWEEPS = {
+    "entangling_memory_phi": ("one_way", {"name": "entangling_memory", "params": {
+        "coupling_angle": 0.3, "block_length": 3, "ancilla_mode": "measure"}}, "phi"),
+    "entangling_memory_coupling": ("one_way", {"name": "entangling_memory", "params": {
+        "coupling_angle": 0.3}}, "attack.coupling_angle"),
+    "swap_leak_phi": ("two_way", {"name": "two_way_swap_leak"}, "phi"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMORY_SWEEPS))
+def test_memory_sweep_rows_match_per_round_twins(tmp_path, case):
+    # a memory attack's twins still run round by round, and their window
+    # counts come from the cell columns
+    direction, attack, variable = MEMORY_SWEEPS[case]
+    path, scenario = write_scenario(tmp_path, attack=attack,
+                                    sweep={"variable": variable, "start": 0.2, "stop": 0.6,
+                                           "steps": 3})
+    scenario["protocol"].update(direction=direction, T=600, p_c=0.4, p_e=0.4, p_d=0.2)
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
+    assert sweep_rows(tmp_path) == [formatted(reference_sweep_point(scenario, v))
+                                     for v in cli.sweep_values(scenario)]
+
+
+@pytest.mark.parametrize("attack,sweep", [
+    ({"name": "intercept_resend", "params": {"basis_strategy": "random"}},
+     {"variable": "phi", "start": 0.1, "stop": 0.6, "steps": 3}),
+    ({"name": "depolarizing", "params": {"p": 0.0}},
+     {"variable": "attack.p", "start": 0.0, "stop": 0.4, "steps": 3}),
+], ids=["intercept_resend_phi", "depolarizing_p"])
+def test_counts_first_points_draw_no_rounds(tmp_path, monkeypatch, attack, sweep):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counts-first sweep point drew rounds one by one")
+
+    path, _ = write_scenario(tmp_path, attack=attack, sweep=sweep)
+    monkeypatch.setattr(protocol, "run", refuse)
+    for cls in (adversary.AttackModel, adversary.InterceptResendAttack):
+        monkeypatch.setattr(cls, "record_round", refuse)
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
+    assert len(sweep_rows(tmp_path)) == 3
 
 
 def test_attack_sweep_pushes_once_per_point(tmp_path, monkeypatch):
@@ -467,9 +582,8 @@ def test_attack_sweep_pushes_once_per_point(tmp_path, monkeypatch):
     assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
     assert len(pushed) == 3
     monkeypatch.undo()
-    with open(tmp_path / "sweep.csv", newline="") as fh:
-        _header, *rows = list(csv.reader(fh))
-    assert rows == [reference_sweep_point(scenario, v) for v in cli.sweep_values(scenario)]
+    assert sweep_rows(tmp_path) == [formatted(cli.run_sweep_point(scenario, v))
+                                    for v in cli.sweep_values(scenario)]
 
 
 class RecordingPool:
@@ -714,26 +828,28 @@ def test_equivalence_subcommand(tmp_path):
 # They pin the check, the estimator, the bounds and the equivalence report
 # on top of the transcripts that STREAM_DIGESTS in test_protocol pins; the
 # equivalence report analyses one run as both variants, so it does not
-# depend on the scenario's variant.
+# depend on the scenario's variant.  The sweep entries moved when
+# ``var_emp`` took windows of rounds and twins under memoryless attacks
+# became counts-first.
 ANALYSIS_DIGESTS = {
     ("entanglement", "fast"): {
         "run": "c1a474274f042b792c6c38657b03b1b6f708ff251a663bc09fd3a9f39f44aedf",
-        "sweep": "ee1edf6acb7804b85e6daeec0febfc6205363833d46a85f6513f7aab1037d37c",
+        "sweep": "51945a4c48b56269abbf318d8efe15b415494a277e9f13a142c56e80a6e73113",
         "equivalence": "ec13cbadb5f29064c6f1bdb88c6df5db453c7addd77a260b77c6f1befe4489d8",
     },
     ("entanglement", "stateful"): {
         "run": "68fdfd446f3113debeaf9846012c68eaede326998965c41facb89a67d6663aa8",
-        "sweep": "be3433ac9fc6de98c73db18ba3b9b4c7e6f21c650a2246fd53fea90d570566f2",
+        "sweep": "d3dbce719b341bdfb12150e7d6e0aa3fbda1e68c035072def8ec3640832ff359",
         "equivalence": "ede39b056e41cca1e70092e65016f427556479b91b5b8171e973e8943990bafb",
     },
     ("mub", "fast"): {
         "run": "b4b372211e3ee2950da21cf52f5296477262f3d5c2cbd392da35d13cab87068f",
-        "sweep": "bccdd2c63f3c0d348373b08d6dab7cb8170c5cef87b4300e6ad639db1f7e9062",
+        "sweep": "503fe7967dd7cf19eb3f6ed72f27279c7d1485adede94df3a9a8ca55fb48adf6",
         "equivalence": "ec13cbadb5f29064c6f1bdb88c6df5db453c7addd77a260b77c6f1befe4489d8",
     },
     ("mub", "stateful"): {
         "run": "473fdb4af53942968431a6ead441a905b5d7b70df1830409a451d00dfe409587",
-        "sweep": "5aae885fbb006173993c4ad1fe516b65dbdd843a5da8813f36e1cb48400ce3e4",
+        "sweep": "6c296effa2bd21216b3f81a465d3614caaf8f7416a498d2ddbf54b51da8ea550",
         "equivalence": "ede39b056e41cca1e70092e65016f427556479b91b5b8171e973e8943990bafb",
     },
 }

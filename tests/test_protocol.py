@@ -664,6 +664,73 @@ def test_draw_accepts_a_total_within_numpy_tolerance():
                                   numpys.choice(2, 100, p=weights))
 
 
+PAIR_LAW_ATTACKS = {
+    "depolarizing": lambda: adversary.depolarizing_attack(0.05),
+    "intercept_resend": lambda: adversary.intercept_resend("random"),
+    "y_tamper": lambda: adversary.unitary_tamper("Y", 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_LAW_ATTACKS))
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("direction", protocol.DIRECTIONS)
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_pair_law_is_the_shared_uniform_coupling(variant, direction, n, name):
+    # summed over either twin the pair law is the other's draw law, and every
+    # interval wider than roundoff carries the entries both inverse CDFs
+    # give at its midpoint; the narrower ones lie between CDF values that
+    # differ by roundoff only
+    weights = [fast_path_weights(variant, direction, n, attack())
+               for attack in (PAIR_LAW_ATTACKS[name], adversary.identity_attack)]
+    probs, entries = protocol._pair_law(*weights)
+    cdfs = [protocol._cdf(w) for w in weights]
+    edges = np.sort(np.concatenate([[0.0], *cdfs]))
+    np.testing.assert_array_equal(probs, np.diff(edges))
+    wide = probs > 1e-12
+    middle = edges[:-1][wide] + probs[wide] / 2
+    for w, cdf, entry in zip(weights, cdfs, entries):
+        law = np.diff(cdf, prepend=0.0)
+        np.testing.assert_allclose(np.bincount(entry, probs, w.size), law, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(entry[wide], cdf.searchsorted(middle, side="right"))
+    # and the two draws from one seed land on pairs the law carries
+    drawn = [protocol._draw(w, np.random.default_rng([5, n]), 3000) for w in weights]
+    carried = {(a, b) for a, b in entries.T}
+    assert {(a, b) for a, b in zip(*drawn)} <= carried
+
+
+def test_twin_counts_share_the_transcript_windows():
+    # counts-first twins: T rounds each, in the windows ``window_counts``
+    # cuts a transcript into; the identity against itself gives one count
+    # array twice; a memory attack gets None
+    cfg = make_config(n=2, T=1013, p_c=0.4, p_e=0.4, p_d=0.2)
+    attack = adversary.intercept_resend("random")
+    twins = protocol.twin_counts(cfg, attack, adversary.identity_attack(), 20)
+    assert twins.shape == (2, 20, *protocol._CELL_SHAPE) and twins.dtype == np.int64
+    windows = protocol.run(cfg, attack.clone()).window_counts(20)
+    assert windows.shape == (20, *protocol._CELL_SHAPE)
+    for counts in (*twins, windows):
+        np.testing.assert_array_equal(counts.sum(axis=(-3, -2, -1)), windows.sum(axis=(1, 2, 3)))
+    assert windows.sum() == cfg.T and {int(s) for s in windows.sum(axis=(1, 2, 3))} == {50, 51}
+    np.testing.assert_array_equal(windows.sum(axis=0), protocol.run(cfg, attack.clone()).counts)
+    same = protocol.twin_counts(cfg, adversary.identity_attack(), adversary.identity_attack(), 20)
+    np.testing.assert_array_equal(same[0], same[1])
+    memory = adversary.entangling_memory_attack(0.3)
+    assert protocol.twin_counts(make_config(), memory, adversary.identity_attack(), 20) is None
+
+
+def test_estimation_sums_match_the_products():
+    # each window's summed products and count are those of its rounds
+    tr = protocol.run(make_config(n=2, T=997, p_c=0.4, p_e=0.4, p_d=0.2),
+                      adversary.depolarizing_attack(0.3))
+    sums, kept = protocol.estimation_sums(tr.window_counts(7))
+    window = np.arange(tr.config.T) * 7 // tr.config.T
+    products = protocol._CELL_PRODUCT[tr.cell]
+    for w in range(7):
+        assert sums[w] == products[window == w].sum()
+        assert kept[w] == np.count_nonzero(products[window == w])
+    assert sums.sum() == protocol.estimation_products(tr).sum()
+
+
 def test_sensor_model_is_shared_read_only_and_run_order_free():
     frame, probes, sensor = protocol._sensor_model(2)
     assert protocol._sensor_model(2)[1] is probes
