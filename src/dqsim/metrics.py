@@ -194,6 +194,9 @@ _REFINE_OFFSETS = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1,
                                        indexing="ij"), axis=-1).reshape(-1, 2)
 _REFINE_ROUNDS = 20
 _SWEEP_TOL, _MAX_SWEEPS = 1e-7, 40
+# The verification suites' memory: pairs per stack of states, and
+# (pair, candidate) points per optimizer pass.
+_STACK_PAIRS, _PASS_POINTS = 25, 1024
 
 
 def _half_trace_norm_qubit(ops):
@@ -218,61 +221,73 @@ def _qubit_bases(angles):
 
 
 def _sequential_distances(delta, n_parties, params):
-    """Distance reached by each parameter vector of a (K, 2 * blocks) stack.
+    """Distance reached by each parameter vector of a (..., K, 2 * blocks)
+    stack against a (..., d, d) stack of difference operators: (..., K).
 
     After outcome history h, party j measures in the basis of block
     2^j - 1 + h.  The last party measures each conditional difference
     operator in its eigenbasis, which is optimal there, so every value is
     attained by an explicit sequential measurement.
     """
-    k = params.shape[0]
-    angles = params.reshape(k, -1, 2)
-    ops = np.broadcast_to(delta, (k, 1) + delta.shape)
+    angles = params.reshape(params.shape[:-1] + (-1, 2))
+    ops = delta[..., None, None, :, :]
     for j in range(n_parties - 1):
         histories, rest = 2 ** j, ops.shape[-1] // 2
-        bases = _qubit_bases(angles[:, histories - 1:2 * histories - 1])
+        bases = _qubit_bases(angles[..., histories - 1:2 * histories - 1, :])
         # outcome i's projector entries conj(v_ia) v_ib times the (a, b) blocks
-        projs = np.einsum("khai,khbi->khiab", bases.conj(), bases).reshape(k, histories, 2, 4)
-        blocks = ops.reshape(k, histories, 2, rest, 2, rest).transpose(0, 1, 2, 4, 3, 5)
-        ops = projs @ blocks.reshape(k, histories, 4, rest * rest)
-        ops = ops.reshape(k, 2 * histories, rest, rest)
-    return _half_trace_norm_qubit(ops).sum(axis=1)
+        projs = np.einsum("...hai,...hbi->...hiab", bases.conj(), bases)
+        projs = projs.reshape(projs.shape[:-2] + (4,))
+        blocks = ops.reshape(ops.shape[:-2] + (2, rest, 2, rest)).swapaxes(-3, -2)
+        ops = projs @ blocks.reshape(blocks.shape[:-4] + (4, rest * rest))
+        ops = ops.reshape(ops.shape[:-3] + (2 * histories, rest, rest))
+    return _half_trace_norm_qubit(ops).sum(axis=-1)
 
 
-def _maximize_block(objective, params, block):
-    """Best (value, params) when only one block's two angles vary."""
+def _maximize_block(objective, values, params, block):
+    """Best (values, params) of each pair when only one block's angles vary."""
     cols = slice(2 * block, 2 * block + 2)
+    rows = np.arange(len(params))
 
-    def best_of(angles):
-        stack = np.repeat(params[None], len(angles), axis=0)
-        stack[:, cols] = angles
-        values = objective(stack)
-        i = int(np.argmax(values))
-        return values[i], stack[i]
+    def improve(values, params, angles):
+        if angles.ndim == 2 and params.shape[1] == 2:  # one block: every pair's stack
+            stack = angles
+        else:
+            stack = np.repeat(params[:, None], angles.shape[-2], axis=1)
+            stack[..., cols] = angles
+        trial = objective(stack)
+        top, best = trial.max(axis=1), trial.argmax(axis=1)
+        stack = np.broadcast_to(stack, trial.shape + params.shape[1:])[rows, best]
+        return np.where(top > values, top, values), np.where((top > values)[:, None], stack, params)
 
-    value, params = best_of(np.vstack([params[cols], _GRID]))
+    values, params = improve(values, params, _GRID)
     step = _GRID_STEP
     for _ in range(_REFINE_ROUNDS):
-        trial_value, trial = best_of(params[cols] + _REFINE_OFFSETS * step)
-        if trial_value > value:
-            value, params = trial_value, trial
+        values, params = improve(values, params, params[:, None, cols] + _REFINE_OFFSETS * step)
         step = step / 2
-    return value, params
+    return values, params
 
 
-def _block_ascent(objective, params, n_blocks):
-    """Maximize each block in turn until a sweep gains less than _SWEEP_TOL.
+def _block_ascent(deltas, n_parties, params):
+    """Maximize each block of each pair's start, a row of params, in turn
+    until a sweep gains less than _SWEEP_TOL on every pair; a single block
+    is done after one sweep, since a second would repeat it."""
+    n_blocks = params.shape[1] // 2
 
-    A single block is done after one sweep, since a second would repeat it.
-    """
-    value = objective(params[None])[0]
+    def objective(stack):  # (K, 2 * blocks) shared, or (P, K, 2 * blocks)
+        step = max(1, _PASS_POINTS // stack.shape[-2])
+        return np.concatenate([
+            _sequential_distances(deltas[p:p + step], n_parties,
+                                  stack if stack.ndim == 2 else stack[p:p + step])
+            for p in range(0, len(deltas), step)])
+
+    values = objective(params[:, None])[:, 0]
     for _ in range(_MAX_SWEEPS):
-        start = value
+        start = values
         for block in range(n_blocks):
-            value, params = _maximize_block(objective, params, block)
-        if n_blocks == 1 or value - start < _SWEEP_TOL:
-            return value, params, True
-    return value, params, False
+            values, params = _maximize_block(objective, values, params, block)
+        if n_blocks == 1 or (values - start < _SWEEP_TOL).all():
+            return values, params, True
+    return values, params, False
 
 
 def locc1_lower_bound(rho, sigma, dims, restarts=32, rng=None) -> Locc1Result:
@@ -310,13 +325,10 @@ def locc1_lower_bound(rho, sigma, dims, restarts=32, rng=None) -> Locc1Result:
         rng = np.random.default_rng(0) if rng is None else rng
         high = np.tile([math.pi, 2 * math.pi], n_blocks)
         starts += [rng.uniform(0.0, high) for _ in range(restarts - 1)]
-
-    def objective(stack):
-        return _sequential_distances(delta, len(dims), stack)
-
-    value, params, converged = max(
-        (_block_ascent(objective, x0, n_blocks) for x0 in starts), key=lambda r: r[0])
-    return Locc1Result(float(value), params, len(starts), converged)
+    values, params, converged = max(
+        (_block_ascent(delta[None], len(dims), x0[None]) for x0 in starts),
+        key=lambda r: r[0][0])
+    return Locc1Result(float(values[0]), params[0], len(starts), converged)
 
 
 # ---------------------------------------------------------------- inequality checks
@@ -330,30 +342,42 @@ class InequalityReport:
     detail: dict = field(default_factory=dict)
 
 
+def _gentle_sides(e_ops, tau, sigma):
+    """Tr[E sigma], Tr[E tau] - 2 D(tau, sigma) and D(tau, sigma) for (..., d, d)
+    stacks of measurement operators, checked here, and checked states."""
+    e_ops = np.asarray(e_ops, dtype=complex)
+    if not np.abs(e_ops - e_ops.conj().swapaxes(-1, -2)).max() <= qcore.HERMITIAN_TOL:
+        raise ValueError("measurement operator is not Hermitian within tolerance")
+    vals = np.linalg.eigvalsh(e_ops)
+    if (vals[..., 0] < -1e-10).any() or (vals[..., -1] > 1 + 1e-10).any():
+        raise ValueError("measurement operator must satisfy 0 <= E <= 1")
+    d = qcore.trace_distance_stack(tau, sigma)
+    lhs = np.trace(e_ops @ sigma, axis1=-2, axis2=-1).real
+    return lhs, np.trace(e_ops @ tau, axis1=-2, axis2=-1).real - 2.0 * d, d
+
+
 def gentle_measurement_check(e_op, tau, sigma) -> InequalityReport:
     """Check Tr[E sigma] >= Tr[E tau] - 2 D(tau, sigma).
 
     The trace distance upper-bounds the sequential-measurement distance, so
     the check is conservative and must always pass.
     """
-    e_op = np.asarray(e_op, dtype=complex)
-    vals = np.linalg.eigvalsh(e_op)
-    if vals[0] < -1e-10 or vals[-1] > 1 + 1e-10:
-        raise ValueError("measurement operator must satisfy 0 <= E <= 1")
     rt, rs = qcore.as_density(tau), qcore.as_density(sigma)
-    d = qcore.trace_distance(rt, rs)
-    lhs = float(np.trace(e_op @ rs.data).real)
-    rhs = float(np.trace(e_op @ rt.data).real) - 2.0 * d
+    lhs, rhs, d = (float(x) for x in _gentle_sides(e_op, rt.data, rs.data))
     return InequalityReport("gentle_measurement", lhs, rhs, lhs >= rhs - 1e-10,
                             {"trace_distance": d})
 
 
-def uniform_continuity_bound(a: float, K: int, distance: float) -> float:
-    """Right-hand side 2 a K * distance of the local-observable continuity bound."""
-    if a < 0:
-        raise ValueError("operator-norm bound must be nonnegative")
-    if K < 1:
+def uniform_continuity_bound(a, K, distance):
+    """Right-hand side 2 a K * distance of the local-observable continuity
+    bound; arrays give one bound per element."""
+    a, distance = np.asarray(a, dtype=float), np.asarray(distance, dtype=float)
+    if not (np.isfinite(a) & (a >= 0)).all():
+        raise ValueError("operator-norm bound must be finite and nonnegative")
+    if (np.asarray(K) < 1).any():
         raise ValueError("term count must be >= 1")
+    if not (np.isfinite(distance) & (distance >= 0)).all():
+        raise ValueError("distance must be finite and nonnegative")
     return 2.0 * a * K * distance
 
 
@@ -374,6 +398,8 @@ def definetti_inequality_check(sigma, m: int, k: int, mixture, restarts=8,
     target = np.zeros((2 ** k, 2 ** k), dtype=complex)
     total_w = 0.0
     for w, comp in mixture:
+        if not (math.isfinite(w) and w >= 0):
+            raise ValueError(f"mixture weight {w!r} must be finite and nonnegative")
         comp = qcore.as_density(comp)
         if comp.dim != 2:
             raise qcore.DimensionMismatchError("mixture components must be single-qubit")
@@ -392,24 +418,67 @@ def definetti_inequality_check(sigma, m: int, k: int, mixture, restarts=8,
 
 # ---------------------------------------------------------------- verification suites
 
-def _random_measurement_operator(dim, rng):
-    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-    return (basis * rng.uniform(0, 1, size=dim)) @ basis.conj().T
+def _fuchs_van_de_graaf(rng):
+    """1 - sqrt F <= D <= sqrt(1 - F) on 200 random pairs of each dimension 2, 4, 8."""
+    sides = []
+    for dim in np.repeat((2, 4, 8), 200 // _STACK_PAIRS):
+        a, b = qcore.ginibre_states(rng.normal(size=(_STACK_PAIRS, 2, 2, dim, dim))).swapaxes(0, 1)
+        f, d = qcore.fidelity_stack(a, b), qcore.trace_distance_stack(a, b)
+        sides.append(np.stack([[1 - np.sqrt(f), d], [d, np.sqrt(1 - f)]], axis=-1))
+    return tuple(np.concatenate(sides, axis=1))
 
 
-def _random_local_observable(rng, max_terms=3):
-    """Sum of K product observables on two qubits; returns (matrix, a, K)."""
-    K = int(rng.integers(1, max_terms + 1))
-    total = np.zeros((4, 4), dtype=complex)
-    a = 0.0
-    for _ in range(K):
-        g1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        g2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h1, h2 = g1 + g1.conj().T, g2 + g2.conj().T
-        term = np.kron(h1, h2)
-        a = max(a, float(np.max(np.abs(np.linalg.eigvalsh(term)))))
-        total += term
-    return total, a, K
+def _gentle_measurement(rng):
+    """Gentle measurement on 100 random two-qubit (E, tau, sigma) triples."""
+    draws = [(rng.normal(size=(2, 4, 4)), rng.uniform(0, 1, size=4),
+              rng.normal(size=(2, 2, 4, 4))) for _ in range(100)]
+    normals, weights, states = (np.array(x) for x in zip(*draws))
+    basis = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])[0]
+    e_ops = (basis * weights[:, None]) @ basis.conj().swapaxes(-1, -2)
+    tau, sigma = qcore.ginibre_states(states).swapaxes(0, 1)
+    return _gentle_sides(e_ops, tau, sigma)[:2]
+
+
+def _uniform_continuity(rng):
+    """|Tr[O (s1 - s2)]| <= 2 a K D(s1, s2) for 100 random sums O of K product terms."""
+    counts, normals, states = [], [], []
+    for _ in range(100):
+        counts.append(int(rng.integers(1, 4)))
+        normals.append(rng.normal(size=(counts[-1], 2, 2, 2, 2)))  # term, factor, re/im
+        states.append(rng.normal(size=(2, 2, 4, 4)))
+    g = np.concatenate(normals)
+    h = g[:, :, 0] + 1j * g[:, :, 1]
+    h = h + h.conj().swapaxes(-1, -2)
+    terms = np.einsum("tij,tkl->tikjl", h[:, 0], h[:, 1]).reshape(-1, 4, 4)
+    starts = np.cumsum(counts) - counts
+    a = np.maximum.reduceat(np.abs(np.linalg.eigvalsh(terms)).max(axis=-1), starts)
+    s1, s2 = qcore.ginibre_states(np.array(states)).swapaxes(0, 1)
+    lhs = np.abs(np.trace(np.add.reduceat(terms, starts) @ (s1 - s2), axis1=-2, axis2=-1).real)
+    return lhs, uniform_continuity_bound(a, np.array(counts), qcore.trace_distance_stack(s1, s2))
+
+
+def _definetti_iid(rng):
+    """The marginal-vs-mixture check on a random iid three-qubit state."""
+    comp = qcore.random_density_matrix(2, rng)
+    iid = qcore.DensityMatrix(qcore.kron_power(comp.data, 3))
+    report = definetti_inequality_check(iid, m=3, k=2, mixture=[(1.0, comp)])
+    return np.array([report.lhs]), np.array([report.rhs])
+
+
+def _locc1_vs_trace_distance(rng):
+    """The LOCC1 bound of 50 random two-qubit pairs against their trace distance."""
+    a, b = qcore.ginibre_states(rng.normal(size=(50, 2, 2, 4, 4))).swapaxes(0, 1)
+    return _block_ascent(a - b, 2, np.zeros((50, 2)))[0], qcore.trace_distance_stack(a, b)
+
+
+_SUITES = (  # (name, suite, which of its checks hold)
+    ("fuchs_van_de_graaf", _fuchs_van_de_graaf, lambda lhs, rhs: (lhs <= rhs + 1e-9).all(-1)),
+    ("gentle_measurement", _gentle_measurement, lambda lhs, rhs: lhs >= rhs - 1e-10),
+    ("uniform_continuity", _uniform_continuity, lambda lhs, rhs: lhs <= rhs + 1e-9),
+    ("definetti_iid", _definetti_iid,
+     lambda lhs, rhs: (lhs <= 1e-9) & (1e-9 <= rhs + 1e-12) & (lhs <= rhs + 1e-9)),
+    ("locc1_vs_trace_distance", _locc1_vs_trace_distance, lambda lhs, rhs: lhs <= rhs + 1e-9),
+)
 
 
 @dataclass
@@ -430,67 +499,19 @@ def run_inequality_suites(seed=20240001, inject_violation=False):
     pairs, the gentle-measurement check on random triples, uniform
     continuity for local observables, the iid product-mixture case of the
     marginal-vs-mixture bound, and lower-bound-vs-trace-distance sanity of
-    the sequential-measurement optimizer.  Every optimizer search here is
-    two-party, so it runs one start and draws nothing from ``rng``.
+    the sequential-measurement optimizer.  Each suite draws the states that
+    checking one at a time would, in the same order, from the one generator,
+    and returns per-check (lhs, rhs) arrays from validated stacks; the 50
+    two-party optimizer searches run as one search over a pair axis, one
+    start each, drawing nothing from ``rng``.
     ``inject_violation`` appends one deliberately failed check so harness
     error paths can be exercised.
     """
     rng = np.random.default_rng(seed)
     results = []
-
-    checks = violations = 0
-    for dim in (2, 4, 8):
-        for _ in range(200):
-            a = qcore.random_density_matrix(dim, rng)
-            b = qcore.random_density_matrix(dim, rng)
-            f = qcore.fidelity(a, b)
-            d = qcore.trace_distance(a, b)
-            checks += 1
-            if not (1 - math.sqrt(f) <= d + 1e-9 and d <= math.sqrt(1 - f) + 1e-9):
-                violations += 1
-    results.append(SuiteResult("fuchs_van_de_graaf", checks, violations))
-
-    checks = violations = 0
-    for _ in range(100):
-        e_op = _random_measurement_operator(4, rng)
-        tau = qcore.random_density_matrix(4, rng)
-        sig = qcore.random_density_matrix(4, rng)
-        checks += 1
-        if not gentle_measurement_check(e_op, tau, sig).holds:
-            violations += 1
-    results.append(SuiteResult("gentle_measurement", checks, violations))
-
-    checks = violations = 0
-    for _ in range(100):
-        obs, a, K = _random_local_observable(rng)
-        s1 = qcore.random_density_matrix(4, rng)
-        s2 = qcore.random_density_matrix(4, rng)
-        lhs = abs(np.trace(obs @ (s1.data - s2.data)).real)
-        rhs = uniform_continuity_bound(a, K, qcore.trace_distance(s1, s2))
-        checks += 1
-        if lhs > rhs + 1e-9:
-            violations += 1
-    results.append(SuiteResult("uniform_continuity", checks, violations))
-
-    checks = violations = 0
-    comp = qcore.random_density_matrix(2, rng)
-    iid = qcore.DensityMatrix(qcore.kron_power(comp.data, 3))
-    report = definetti_inequality_check(iid, m=3, k=2, mixture=[(1.0, comp)])
-    checks += 1
-    if not (report.lhs <= 1e-9 <= report.rhs + 1e-12 and report.holds):
-        violations += 1
-    results.append(SuiteResult("definetti_iid", checks, violations))
-
-    checks = violations = 0
-    for _ in range(50):
-        a = qcore.random_density_matrix(4, rng)
-        b = qcore.random_density_matrix(4, rng)
-        res = locc1_lower_bound(a, b, dims=[2, 2])
-        checks += 1
-        if res.lower_bound > qcore.trace_distance(a, b) + 1e-9:
-            violations += 1
-    results.append(SuiteResult("locc1_vs_trace_distance", checks, violations))
-
+    for name, suite, holds in _SUITES:
+        lhs, rhs = suite(rng)
+        results.append(SuiteResult(name, len(lhs), int(np.count_nonzero(~holds(lhs, rhs)))))
     if inject_violation:
         results.append(SuiteResult("injected_negated_inequality", 1, 1))
     return results

@@ -323,10 +323,19 @@ def apply_instrument(states, branches):
                      for _label, weight, kraus in branches], axis=-3)
 
 
-def _sqrtm_psd(m):
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+def fidelity_stack(a, b):
+    """``fidelity`` of each pair of checked states of two (..., d, d) stacks."""
+    vals, vecs = np.linalg.eigh(a)
+    sa = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    vals = np.clip(np.linalg.eigvalsh(sa @ b @ sa), 0.0, None)
+    # drop each matrix's numerical noise floor; sqrt amplifies it otherwise
+    vals[vals < vals[..., -1:] * 1e-13] = 0.0
+    return np.sqrt(vals).sum(axis=-1) ** 2
+
+
+def trace_distance_stack(a, b):
+    """``trace_distance`` of each pair of states of two (..., d, d) stacks."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
 def fidelity(a, b) -> float:
@@ -335,13 +344,7 @@ def fidelity(a, b) -> float:
     ra, rb = as_density(a), as_density(b)
     if ra.dim != rb.dim:
         raise DimensionMismatchError("states have different dimensions")
-    sa = _sqrtm_psd(ra.data)
-    prod = sa @ rb.data @ sa
-    vals = np.clip(np.linalg.eigvalsh(prod), 0.0, None)
-    # drop the numerical noise floor; sqrt amplifies it otherwise
-    if vals.size and vals[-1] > 0:
-        vals[vals < vals[-1] * 1e-13] = 0.0
-    return float(np.sum(np.sqrt(vals)) ** 2)
+    return float(fidelity_stack(ra.data, rb.data))
 
 
 def trace_distance(a, b) -> float:
@@ -349,8 +352,7 @@ def trace_distance(a, b) -> float:
     ra, rb = as_density(a), as_density(b)
     if ra.dim != rb.dim:
         raise DimensionMismatchError("states have different dimensions")
-    vals = np.linalg.eigvalsh(ra.data - rb.data)
-    return float(0.5 * np.sum(np.abs(vals)))
+    return float(trace_distance_stack(ra.data, rb.data))
 
 
 def _partial_trace_stack(rho, dims, keep):
@@ -393,11 +395,17 @@ def random_pure_state(dim: int, rng) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
+def ginibre_states(normals):
+    """Checked Ginibre-induced (..., d, d) states from (..., 2, d, d) normals,
+    real then imaginary parts; ``random_density_matrix`` is the one-state case."""
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return _check_density_stack(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+
+
 def random_density_matrix(dim: int, rng) -> DensityMatrix:
     """Ginibre-induced random state of full rank."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix(ginibre_states(rng.normal(size=(2, dim, dim))))
 
 
 def pick(probs, rng):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsim import metrics, qcore
+from test_verify_suites import random_local_observable, random_measurement_operator
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -312,7 +313,7 @@ def test_gentle_measurement_identity_operator():
 def test_gentle_measurement_random_triples():
     rng = np.random.default_rng(8)
     for _ in range(100):
-        e_op = metrics._random_measurement_operator(4, rng)
+        e_op = random_measurement_operator(4, rng)
         tau = qcore.random_density_matrix(4, rng)
         sig = qcore.random_density_matrix(4, rng)
         assert metrics.gentle_measurement_check(e_op, tau, sig).holds
@@ -324,17 +325,33 @@ def test_gentle_measurement_rejects_bad_operator():
         metrics.gentle_measurement_check(2.0 * np.eye(2), rho, rho)
 
 
+def test_gentle_measurement_rejects_non_hermitian_operator():
+    # eigvalsh reads one triangle, where this E looks like 0.5 I
+    e_op = np.array([[0.5, 5.0], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        metrics.gentle_measurement_check(e_op, qcore.PureState(KET0), np.eye(2) / 2)
+
+
 # ---------------------------------------------------------------- uniform continuity
 
 def test_uniform_continuity_values():
     assert metrics.uniform_continuity_bound(1.0, 1, 0.0) == 0.0
     assert metrics.uniform_continuity_bound(1.0, 1, 0.1) == pytest.approx(0.2)
+    np.testing.assert_allclose(
+        metrics.uniform_continuity_bound(np.array([1.0, 0.5]), np.array([1, 3]), 0.1), [0.2, 0.3])
+
+
+@pytest.mark.parametrize("a, distance", [(math.nan, 0.1), (math.inf, 0.1), (-1.0, 0.1),
+                                         (1.0, -0.5), (1.0, math.nan), (1.0, math.inf)])
+def test_uniform_continuity_rejects_bad_numbers(a, distance):
+    with pytest.raises(ValueError):
+        metrics.uniform_continuity_bound(a, 1, distance)
 
 
 def test_uniform_continuity_random_local_observables():
     rng = np.random.default_rng(10)
     for _ in range(100):
-        obs, a, K = metrics._random_local_observable(rng)
+        obs, a, K = random_local_observable(rng)
         s1 = qcore.random_density_matrix(4, rng)
         s2 = qcore.random_density_matrix(4, rng)
         lhs = abs(np.trace(obs @ (s1.data - s2.data)).real)
@@ -350,6 +367,15 @@ def test_definetti_iid_point_mass():
                                              restarts=2)
     assert rep.lhs <= 1e-9
     assert rep.holds
+
+
+@pytest.mark.parametrize("weights", [(math.nan,), (1.5, -0.5), (math.inf, 0.0)])
+def test_definetti_rejects_bad_mixture_weights(weights):
+    comp = qcore.random_density_matrix(2, np.random.default_rng(11))
+    iid = qcore.DensityMatrix(qcore.kron_power(comp.data, 3))
+    bad = next(w for w in weights if not (math.isfinite(w) and w >= 0))
+    with pytest.raises(ValueError, match=f"mixture weight {bad!r}"):
+        metrics.definetti_inequality_check(iid, m=3, k=2, mixture=[(w, comp) for w in weights])
 
 
 def test_definetti_k1_reduced_state_is_exact_mixture():

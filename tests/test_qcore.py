@@ -493,6 +493,38 @@ def test_fuchs_van_de_graaf_random_pairs():
             assert d <= np.sqrt(1 - f) + 1e-9
 
 
+def test_stack_kernels_match_per_pair_calls():
+    # per-matrix noise floor: pure, orthogonal and full-rank pairs share a stack
+    rng = np.random.default_rng(23)
+    for d in (2, 4, 8):
+        states = q.ginibre_states(rng.normal(size=(20, 2, 2, d, d)))
+        pure = np.zeros((2, 2, d, d), dtype=complex)
+        pure[0, :, 0, 0] = pure[1, 0, 0, 0] = pure[1, 1, -1, -1] = 1.0
+        states = np.concatenate([pure, states])
+        a, b = states[:, 0], states[:, 1]
+        np.testing.assert_allclose(q.fidelity_stack(a, b),
+                                   [q.fidelity(x, y) for x, y in zip(a, b)], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q.trace_distance_stack(a, b),
+                                   [q.trace_distance(x, y) for x, y in zip(a, b)],
+                                   rtol=0, atol=1e-12)
+
+
+def test_ginibre_states_are_the_random_density_matrix_draws():
+    for d in (2, 4, 8):
+        rng, per_call = np.random.default_rng(d), np.random.default_rng(d)
+        stack = q.ginibre_states(rng.normal(size=(30, 2, d, d)))
+        np.testing.assert_array_equal(
+            stack, [q.random_density_matrix(d, per_call).data for _ in range(30)])
+        assert rng.bit_generator.state == per_call.bit_generator.state
+
+
+def test_ginibre_states_checks_every_state():
+    normals = np.random.default_rng(0).normal(size=(3, 2, 2, 2))
+    normals[1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        q.ginibre_states(normals)
+
+
 def test_trace_distance_unitary_invariance():
     rng = np.random.default_rng(19)
     for _ in range(50):
