@@ -179,17 +179,19 @@ class InterceptResendAttack(AttackModel):
             self.axes = [strategy]
         else:
             raise ValueError("basis strategy must be 'random' or a Pauli axis name")
-        # every recorded round's outcome label, in round order, run after run
-        self.memory = []
+        # the branches' outcome labels, and every recorded round's branch as
+        # an index into them, in round order, run after run
+        self.labels = tuple(f"{axis}:{slot:+d}" for axis in self.axes for slot in (-1, 0, 1))
+        self.memory = np.zeros(0, dtype=np.intp)
 
     def forward_branches(self, n, frame):
         weight = 1.0 / len(self.axes)
-        return [(f"{axis}:{slot - 1:+d}", weight, [proj]) for axis in self.axes
-                for slot, proj in enumerate(qcore.logical_projectors(frame, axis))]
+        projectors = [proj for axis in self.axes for proj in qcore.logical_projectors(frame, axis)]
+        return [(label, weight, [proj]) for label, proj in zip(self.labels, projectors)]
 
     def record_round(self, forward_branch, forward_labels,
                      backward_branch=None, backward_labels=None):
-        self.memory.extend(np.array(forward_labels, dtype=object)[forward_branch].tolist())
+        self.memory = np.concatenate([self.memory, forward_branch])
 
 
 def intercept_resend(basis_strategy="random") -> AttackModel:
@@ -206,8 +208,9 @@ class EntanglingMemoryAttack(AttackModel):
     """Couples each probe in a block to one persistent ancilla qubit.
 
     The ancilla is reset at block boundaries, either silently (traced out)
-    or after a recorded Z measurement.  Exact simulation is limited to
-    single-qubit probes and short blocks.
+    or after a recorded Z measurement.  The attack runs on single-qubit
+    probes only, and blocks of 1 to 3 rounds: the lengths at which the exact
+    per-cell engine is pinned byte for byte to the block register walk.
     """
 
     max_block_length = 3
@@ -218,8 +221,8 @@ class EntanglingMemoryAttack(AttackModel):
         if not _real("block_length", block_length).is_integer():
             raise ValueError(f"block length must be a whole number, not {block_length!r}")
         if block_length < 1 or block_length > self.max_block_length:
-            raise ValueError(
-                f"block length beyond exact-simulation limit {self.max_block_length}")
+            raise ValueError(f"block length must lie in [1, {self.max_block_length}], "
+                             f"the range pinned to the block register walk")
         if ancilla_mode not in ("trace", "measure"):
             raise ValueError("ancilla_mode must be 'trace' or 'measure'")
         self.block_length = int(block_length)

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -269,11 +268,9 @@ def _batched_phi_variance(config, windows):
 
 
 def run_sweep_point(scenario, value, seed_override=None, push=None):
-    """Twin runs (attacked versus identity, shared seed) at one sweep point.
-    Under a memoryless attack the twins' window counts come from their
-    exact joint law (``protocol.twin_counts``), no round drawn one by one; a
-    memory attack runs both twins.  ``push``, if given, is the attacked
-    twin's ``protocol.forward_push``."""
+    """Twin runs (attacked versus identity, shared seed) at one sweep point,
+    from their window counts (``protocol.twin_counts``).  ``push``, if
+    given, is the attacked twin's ``protocol.forward_push``."""
     variable = scenario["sweep"]["variable"]
     if variable == "phi":
         config = replace(build_config(scenario, seed_override), true_phi=float(value))
@@ -283,8 +280,6 @@ def run_sweep_point(scenario, value, seed_override=None, push=None):
         attack = build_attack(scenario, {variable.split(".", 1)[1]: float(value)})
     ideal = adversary.identity_attack()
     windows = protocol.twin_counts(config, attack, ideal, VARIANCE_WINDOWS, push)
-    if windows is None:  # the twins share the seed's prior draw
-        windows = [protocol.run(config, a).window_counts(VARIANCE_WINDOWS) for a in (attack, ideal)]
     tr_att, tr_idl = (protocol.CellCounts(config, w.sum(axis=0)) for w in windows)
     chk = protocol.check_fidelity(tr_att)
     est_att = protocol.estimate_phase(tr_att)
@@ -326,19 +321,13 @@ def sweep_values(scenario):
 def cmd_sweep(scenario, seed_override=None, threads=1) -> int:
     if "sweep" not in scenario:
         raise SchemaError("sweep command needs a sweep block")
+    # no sweep reads ``threads``; existing command lines keep their exit codes
     if threads < 1:
         raise SchemaError("--threads must be at least 1")
-    values = sweep_values(scenario)
     # the adversary never learns the phase: one push serves a phase sweep
     push = (protocol.forward_push(build_config(scenario, seed_override), build_attack(scenario))
             if scenario["sweep"]["variable"] == "phi" else None)
-    point = functools.partial(run_sweep_point, scenario, seed_override=seed_override, push=push)
-    workers = min(threads, len(values), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, values))
-    else:
-        rows = [point(v) for v in values]
+    rows = [run_sweep_point(scenario, v, seed_override, push) for v in sweep_values(scenario)]
     path = scenario.get("output", {}).get("csv", "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -427,7 +416,9 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed (64-bit)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps")
+                        help="accepted and checked (at least 1) for existing "
+                             "command lines, but it changes nothing: a sweep "
+                             "runs its points one after the other")
     parser.add_argument("--strict-abort", action="store_true",
                         help="exit with code 3 when the fidelity check fails")
     sub = parser.add_subparsers(dest="command", required=True)

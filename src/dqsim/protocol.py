@@ -26,9 +26,10 @@ whose outcome index is the cell's slot (-1, leak, +1) at every n, so no
 outcome passes through a value map.  Memoryless attacks run on a
 vectorized fast path: each (setting, label) pair has an exact outcome
 table computed once, and one categorical draw from the prior times the
-tables gives every round its cell and branches together; under them a
-sweep point draws its twins' cell counts by window from their exact joint
-law, with one multinomial (``twin_counts``) and no round one by one.
+tables gives every round its cell and branches together.  A sweep point's
+twin counts by window (``twin_counts``) come, under them, from the twins'
+exact joint law with one multinomial and no round one by one, and under a
+memory attack from two runs.
 Block-memory attacks draw each round's outcome from its exact law given
 the adversary's ancilla, a batch of independent blocks at a time, one
 position inside the block after another; register attacks act on a batch
@@ -224,6 +225,12 @@ _ROW_SUFFIXES = {variant: _row_suffixes(variant) for variant in VARIANTS}
 _CHUNK_ROWS = 2 ** 14
 
 
+def _window_sizes(T, windows):
+    """The rounds in each of ``windows`` near-equal windows of T rounds, round
+    t in window t * windows // T: window w starts at ceil(w T / windows)."""
+    return np.diff(-(-np.arange(windows + 1) * T // windows))
+
+
 def _lookup(table):
     """A read-only field of every round: the per-cell ``table`` at its cell."""
     return property(lambda self: table[self.cell])
@@ -296,9 +303,9 @@ class Transcript(CellCounts):
         return self.config.config_hash()
 
     def window_counts(self, windows):
-        """Rounds per cell in ``windows`` windows of rounds, round t in window
-        t * windows // T, shape (windows, *_CELL_SHAPE)."""
-        window = np.arange(self.config.T) * windows // self.config.T
+        """Rounds per cell in ``windows`` windows of rounds (``_window_sizes``),
+        shape (windows, *_CELL_SHAPE)."""
+        window = np.repeat(np.arange(windows), _window_sizes(self.config.T, windows))
         counts = np.bincount(window * _N_CELLS + self.cell, minlength=windows * _N_CELLS)
         return counts.reshape(windows, *_CELL_SHAPE)
 
@@ -423,8 +430,9 @@ def _push(n, fwd):
 
 
 def forward_push(config, attack):
-    """``run``'s forward push of the attack, built ahead.  The attack never
-    learns the phase or the seed, so one push serves a whole phase sweep."""
+    """The forward push of the attack that ``run`` builds, built ahead for
+    ``twin_counts``.  The attack never learns the phase or the seed, so one
+    push serves a whole phase sweep."""
     return _push(config.n, attack.forward_branches(config.n, _start(config, attack)))
 
 
@@ -653,23 +661,25 @@ def _fast_law(config, attack, push=None):
 
 
 def twin_counts(config, attack, ideal, windows, push=None):
-    """The ``Transcript.window_counts`` of ``run(config, attack, push)`` and
-    of its twin ``run(config, ideal)``, shape (twin, window, *_CELL_SHAPE),
-    drawn from their exact joint law with no round drawn one by one; None,
-    the attacks started, for a memory attack.  ``run`` picks both twins'
-    entries with one uniform per round (``_pair_law``), so a window's pairs
-    of cells are multinomial.  Draw order: one ``rng.multinomial``."""
+    """The ``Transcript.window_counts`` of ``run(config, attack)`` and of its
+    twin ``run(config, ideal)``, shape (twin, window, *_CELL_SHAPE).  Under a
+    memoryless attack, whose forward push is ``push`` if given (``forward_push``
+    of an equal attack), they are drawn from the twins' exact joint law with
+    no round drawn one by one: ``run`` picks both twins' entries with one
+    uniform per round (``_pair_law``), so a window's pairs of cells are
+    multinomial.  Draw order: one ``rng.multinomial``.  Under a memory attack
+    both twins run."""
     fast = _fast_law(config, attack, push)
-    if fast is None:
-        return None
+    if fast is None:  # the twins share the seed's prior draw
+        return np.stack([run(config, a).window_counts(windows) for a in (attack, ideal)])
     weights = [fast[0], _fast_law(config, ideal)[0]]
     probs, entries = _pair_law(*weights)
     cell = np.arange(_N_CELLS).reshape(_CELL_SHAPE)[:, :, None, None]  # over the branches
     pair = [np.broadcast_to(cell, w.shape).ravel()[e] for w, e in zip(weights, entries)]
     law = np.bincount(pair[0] * _N_CELLS + pair[1], probs, _N_CELLS ** 2)
     pairs = np.flatnonzero(law)
-    sizes = np.diff(-(-np.arange(windows + 1) * config.T // windows))  # as in window_counts
-    drawn = np.random.default_rng(config.seed).multinomial(sizes, law[pairs])
+    drawn = np.random.default_rng(config.seed).multinomial(_window_sizes(config.T, windows),
+                                                           law[pairs])
     # each drawn count's flat index into the (twin, window, cell) counts
     index = (np.arange(2 * windows).reshape(2, -1, 1) * _N_CELLS
              + np.stack(divmod(pairs, _N_CELLS))[:, None])
@@ -678,16 +688,9 @@ def twin_counts(config, attack, ideal, windows, push=None):
     return counts.astype(np.int64).reshape(2, windows, *_CELL_SHAPE)
 
 
-def run(config: ProtocolConfig, attack, push=None) -> Transcript:
-    """Execute T rounds against the given adversary; deterministic per seed.
-
-    ``push`` is a forward push built ahead by ``forward_push`` for an equal
-    attack under the same public parameters, as a phase sweep builds one
-    for all its points; without it a memoryless attack's push is built
-    here.  Either way the attack gets ``on_run_start``, and the encoding,
-    backward leg, sensor projection, trace check and draw run here, so the
-    transcript is the same."""
-    law = _fast_law(config, attack, push)
+def run(config: ProtocolConfig, attack) -> Transcript:
+    """Execute T rounds against the given adversary; deterministic per seed."""
+    law = _fast_law(config, attack)
     rng = np.random.default_rng(config.seed)
     if law is not None:
         return _run_fast(config, attack, rng, *law)

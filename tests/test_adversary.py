@@ -149,7 +149,7 @@ def test_intercept_resend_records_outcomes():
     att = adversary.intercept_resend("random")
     protocol.run(make_config(T=500, seed=62), att)
     assert len(att.memory) == 500
-    axes = {label.split(":")[0] for label in att.memory}
+    axes = {att.labels[branch].split(":")[0] for branch in att.memory}
     assert axes == {"X", "Y", "Z"}
 
 
@@ -354,7 +354,7 @@ def test_attack_clone_is_independent():
     clone = att.clone()
     protocol.run(make_config(T=100, seed=95), att)
     assert len(att.memory) == 100
-    assert clone.memory == []
+    assert clone.memory.size == 0
 
 
 # ---------------------------------------------------------------- one-way isolation

@@ -1,25 +1,28 @@
 """The benchmark's tracer times dqsim by wrapping named attributes of the
-live package; renaming or removing a traced name must fail here, not only
-in a traced benchmark run."""
+live package, and its workloads call ``cli.main`` with fixed command lines;
+renaming or removing a traced name, or a flag those lines pass, must fail
+here, not only in a benchmark run."""
 
 import importlib.util
 import math
 import pathlib
+import sys
 
 import dqsim
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up by name
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_uninstalls_on_live_package():
-    tracer_module = load_tracer()
+    tracer_module = load_bench_module("tracer")
     targets = tracer_module._targets(dqsim)
     # the tracer reads each name from its owner's own namespace
     originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _name, _tag in targets]
@@ -60,3 +63,15 @@ def test_names_the_benchmark_reads_untraced_exist():
     for name, params, n in memory:
         attack = cli.build_attack({"attack": {"name": name, "params": params}})
         assert attack.forward_branches(n, qcore.LogicalFrame.standard(n)) is None
+
+
+def test_benchmark_command_lines_parse(tmp_path):
+    # every op of every workload, full and toy, is a command line the parser
+    # takes: a flag the benchmark passes cannot leave the parser unnoticed
+    workloads = load_bench_module("workloads")
+    parser = dqsim.cli.build_parser()
+    argvs = [op.argv for workload in workloads.WORKLOADS for toy in (False, True)
+             for op in workloads.build(workload, 7, str(tmp_path / f"{workload}_{toy}"), toy)]
+    assert len(argvs) == 49
+    for argv in argvs:
+        assert parser.parse_args(argv).command in ("run", "sweep", "verify")

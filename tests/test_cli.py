@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -360,21 +361,26 @@ def test_sweep_csv_contract_and_determinism(tmp_path):
     assert (tmp_path / "sweep.csv").read_bytes() == first
 
 
-def test_sweep_threads_match_serial(tmp_path):
+def test_sweep_threads_match_serial(tmp_path, monkeypatch):
+    # --threads is accepted and changes nothing: no thread starts, same bytes
+    def refuse(self):
+        raise AssertionError("a sweep started a thread")
+
     path, _ = write_scenario(
         tmp_path,
         attack={"name": "depolarizing", "params": {"p": 0.2}},
         sweep={"variable": "phi", "start": 0.3, "stop": 0.9, "steps": 3})
-    cli.main(["sweep", str(path)])
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
     serial = (tmp_path / "sweep.csv").read_bytes()
-    cli.main(["--threads", "3", "sweep", str(path)])
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert cli.main(["--threads", "3", "sweep", str(path)]) == cli.EXIT_OK
     assert (tmp_path / "sweep.csv").read_bytes() == serial
 
 
-def reference_sweep_point(scenario, value, seed=None, push=None):
-    """One sweep row from two per-round ``protocol.run`` calls under one seed,
-    the attacked one with ``push`` if given: the sweep point as it was
-    computed before its twins were drawn counts-first, kept as the oracle."""
+def reference_sweep_point(scenario, value, seed=None):
+    """One sweep row from two per-round ``protocol.run`` calls under one seed:
+    the sweep point as it was computed before its twins were drawn
+    counts-first, kept as the oracle."""
     variable = scenario["sweep"]["variable"]
     if variable == "phi":
         config = replace(cli.build_config(scenario, seed), true_phi=float(value))
@@ -382,7 +388,7 @@ def reference_sweep_point(scenario, value, seed=None, push=None):
     else:
         config = cli.build_config(scenario, seed)
         attack = cli.build_attack(scenario, {variable.split(".", 1)[1]: float(value)})
-    tr_att = protocol.run(config, attack, push)
+    tr_att = protocol.run(config, attack)
     tr_idl = protocol.run(config, adversary.identity_attack())
     chk = protocol.check_fidelity(tr_att)
     est_att = protocol.estimate_phase(tr_att)
@@ -456,7 +462,7 @@ Z_SWEEP = 5.0
 def assert_rows_agree_in_law(scenario, value):
     push = protocol.forward_push(cli.build_config(scenario), cli.build_attack(scenario))
     new = [cli.run_sweep_point(scenario, value, seed, push) for seed in range(SWEEP_SEEDS)]
-    old = [reference_sweep_point(scenario, value, seed, push)
+    old = [reference_sweep_point(scenario, value, seed)
            for seed in range(SWEEP_SEEDS, 2 * SWEEP_SEEDS)]
     for column in ("phi_hat", "F_hat", "bias_emp"):
         a, b = (np.array([row[column] for row in rows]) for rows in (new, old))
@@ -471,9 +477,9 @@ def assert_rows_agree_in_law(scenario, value):
 def test_phi_sweep_rows_match_fresh_twin_runs(tmp_path, monkeypatch, case, variant,
                                               direction, threads):
     # a phase sweep pushes the probes through the attack once; its rows are
-    # its points' own, at any thread count, and agree in law with the rows
-    # of two per-round runs per point (the thread count changes no row, so
-    # the law is compared once per case)
+    # those of points that build their own push, at any --threads (which
+    # changes no row, so the law is compared once per case), and agree in law
+    # with the rows of two per-round runs per point
     n, attack = SWEEP_ORACLE_CASES[case]
     path, scenario = write_scenario(tmp_path, attack=attack,
                                     sweep={"variable": "phi", "start": 0.1, "stop": 0.6,
@@ -492,15 +498,19 @@ def test_phi_sweep_rows_match_fresh_twin_runs(tmp_path, monkeypatch, case, varia
 
 @pytest.mark.parametrize("case", sorted(SWEEP_ORACLE_CASES))
 def test_run_with_a_shared_push_is_the_fresh_run(tmp_path, case):
-    # the oracle above hands its attacked runs the sweep's one push
+    # a phase sweep hands every point's twin counts its one push; they are
+    # the counts of a push built fresh at the point
     n, attack = SWEEP_ORACLE_CASES[case]
     _, scenario = write_scenario(tmp_path, attack=attack)
     for direction in protocol.DIRECTIONS:
         config = replace(cli.build_config(scenario), n=n, T=500, direction=direction)
         push = protocol.forward_push(config, cli.build_attack(scenario))
-        np.testing.assert_array_equal(
-            protocol.run(replace(config, true_phi=0.7), cli.build_attack(scenario), push).cell,
-            protocol.run(replace(config, true_phi=0.7), cli.build_attack(scenario)).cell)
+        phased = replace(config, true_phi=0.7)
+        shared = protocol.twin_counts(phased, cli.build_attack(scenario),
+                                      adversary.identity_attack(), 20, push)
+        fresh = protocol.twin_counts(phased, cli.build_attack(scenario),
+                                     adversary.identity_attack(), 20)
+        np.testing.assert_array_equal(shared, fresh)
 
 
 def test_counts_first_twins_keep_the_shared_seed_coupling():
@@ -584,43 +594,6 @@ def test_attack_sweep_pushes_once_per_point(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert sweep_rows(tmp_path) == [formatted(cli.run_sweep_point(scenario, v))
                                     for v in cli.sweep_values(scenario)]
-
-
-class RecordingPool:
-    """Stands in for ``ThreadPoolExecutor``: records the pool size asked
-    for and maps in the calling thread, so no thread starts."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, values):
-        return map(fn, values)
-
-
-@pytest.mark.parametrize("threads, cores, pool", [
-    ("100000", 4, 3), ("2", 4, 2), ("3", 2, 2), ("3", None, None), ("3", 1, None), ("1", 4, None),
-])
-def test_sweep_pool_bounded_by_points_and_cores(tmp_path, monkeypatch, threads, cores, pool):
-    path, scenario = write_scenario(
-        tmp_path, sweep={"variable": "phi", "start": 0.3, "stop": 0.9, "steps": 3})
-    scenario["protocol"]["T"] = 1000
-    path.write_text(json.dumps(scenario))
-    assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
-    serial = (tmp_path / "sweep.csv").read_bytes()
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-    assert cli.main(["--threads", threads, "sweep", str(path)]) == cli.EXIT_OK
-    assert RecordingPool.sizes == ([] if pool is None else [pool])
-    assert (tmp_path / "sweep.csv").read_bytes() == serial
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "-100000"])

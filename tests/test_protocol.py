@@ -701,7 +701,7 @@ def test_pair_law_is_the_shared_uniform_coupling(variant, direction, n, name):
 def test_twin_counts_share_the_transcript_windows():
     # counts-first twins: T rounds each, in the windows ``window_counts``
     # cuts a transcript into; the identity against itself gives one count
-    # array twice; a memory attack gets None
+    # array twice; a memory attack gets its two runs' window counts
     cfg = make_config(n=2, T=1013, p_c=0.4, p_e=0.4, p_d=0.2)
     attack = adversary.intercept_resend("random")
     twins = protocol.twin_counts(cfg, attack, adversary.identity_attack(), 20)
@@ -714,8 +714,10 @@ def test_twin_counts_share_the_transcript_windows():
     np.testing.assert_array_equal(windows.sum(axis=0), protocol.run(cfg, attack.clone()).counts)
     same = protocol.twin_counts(cfg, adversary.identity_attack(), adversary.identity_attack(), 20)
     np.testing.assert_array_equal(same[0], same[1])
-    memory = adversary.entangling_memory_attack(0.3)
-    assert protocol.twin_counts(make_config(), memory, adversary.identity_attack(), 20) is None
+    cfg, memory = replace(cfg, n=1), adversary.entangling_memory_attack(0.3, 3, "measure")
+    np.testing.assert_array_equal(
+        protocol.twin_counts(cfg, memory.clone(), adversary.identity_attack(), 20),
+        [protocol.run(cfg, a).window_counts(20) for a in (memory, adversary.identity_attack())])
 
 
 def test_estimation_sums_match_the_products():
@@ -803,7 +805,7 @@ def test_engines_give_both_variants_the_same_columns(case):
     mub = protocol.run(replace(cfg, variant="mub"), attacks[1])
     for column in ("action", "probe", "bob_axis", "bob_out", "status"):
         assert np.array_equal(getattr(ent, column), getattr(mub, column))
-    assert getattr(attacks[0], "memory", None) == getattr(attacks[1], "memory", None)
+    np.testing.assert_array_equal(*(getattr(a, "memory", []) for a in attacks))
     assert attacks[0].eve_estimate() == attacks[1].eve_estimate()
 
 
@@ -910,7 +912,7 @@ def test_fast_path_consults_the_attack_once_per_run(make_inner):
             assert len(labels) == cfg.T
             assert set(labels) <= {label for label, _w, _k in legs}
     if isinstance(attack.inner, adversary.InterceptResendAttack):
-        assert attack.inner.memory == list(forward)
+        assert [attack.inner.labels[branch] for branch in attack.inner.memory] == forward
 
 
 def test_attack_without_an_interface_is_rejected():
