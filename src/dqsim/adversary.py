@@ -72,7 +72,8 @@ class AttackModel:
         return copy.deepcopy(self)
 
     def on_run_start(self, public_config: dict, frame) -> None:
-        """Called once per run with the protocol's public parameters."""
+        """Called once per run with the protocol's public parameters, and
+        once for all phases of a memoryless attack's ``twin_counts`` call."""
 
     # -- instrument interface (memoryless attacks) --------------------------
     def forward_branches(self, n, frame):
@@ -95,8 +96,8 @@ class AttackModel:
     # -- block-memory interface -----------------------------------------------
     # The coupling acts on (probe, ancilla) on each round's forward leg; the
     # ancilla starts each block of ``block_length`` rounds in |0>.  In
-    # ``ancilla_mode`` "measure" each batch of blocks' Z readouts (+-1, in
-    # block order, the run's last block left out) go to ``record_readouts``.
+    # ``ancilla_mode`` "measure" a run's Z readouts (+-1, in block order, the
+    # run's last block left out) go to ``record_readouts`` in one call.
     ancilla_mode = "trace"
 
     def block_coupling(self, n):
@@ -208,9 +209,10 @@ class EntanglingMemoryAttack(AttackModel):
     """Couples each probe in a block to one persistent ancilla qubit.
 
     The ancilla is reset at block boundaries, either silently (traced out)
-    or after a recorded Z measurement.  The attack runs on single-qubit
-    probes only, and blocks of 1 to 3 rounds: the lengths at which the exact
-    per-cell engine is pinned byte for byte to the block register walk.
+    or after a Z measurement, whose outcomes (+-1) ``memory`` holds in block
+    order, run after run.  The attack runs on single-qubit probes only, and
+    blocks of 1 to 3 rounds: the lengths at which the exact per-cell engine
+    is pinned byte for byte to the block register walk.
     """
 
     max_block_length = 3
@@ -227,7 +229,7 @@ class EntanglingMemoryAttack(AttackModel):
             raise ValueError("ancilla_mode must be 'trace' or 'measure'")
         self.block_length = int(block_length)
         self.ancilla_mode = ancilla_mode
-        self.memory = []
+        self.memory = np.zeros(0, dtype=np.intp)
 
     def on_run_start(self, public_config, frame):
         if public_config["n"] != 1:
@@ -240,7 +242,7 @@ class EntanglingMemoryAttack(AttackModel):
         return coupling
 
     def record_readouts(self, outcomes):
-        self.memory.extend(outcomes.tolist())
+        self.memory = np.concatenate([self.memory, outcomes])
 
 
 def entangling_memory_attack(coupling_angle, block_length=2,

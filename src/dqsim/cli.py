@@ -267,19 +267,8 @@ def _batched_phi_variance(config, windows):
     return stats.batch_statistics(phis, phis.size).variance_of_mean
 
 
-def run_sweep_point(scenario, value, seed_override=None, push=None):
-    """Twin runs (attacked versus identity, shared seed) at one sweep point,
-    from their window counts (``protocol.twin_counts``).  ``push``, if
-    given, is the attacked twin's ``protocol.forward_push``."""
-    variable = scenario["sweep"]["variable"]
-    if variable == "phi":
-        config = replace(build_config(scenario, seed_override), true_phi=float(value))
-        attack = build_attack(scenario)
-    else:
-        config = build_config(scenario, seed_override)
-        attack = build_attack(scenario, {variable.split(".", 1)[1]: float(value)})
-    ideal = adversary.identity_attack()
-    windows = protocol.twin_counts(config, attack, ideal, VARIANCE_WINDOWS, push)
+def _sweep_row(scenario, config, value, windows):
+    """A sweep row from both twins' window counts at ``config``."""
     tr_att, tr_idl = (protocol.CellCounts(config, w.sum(axis=0)) for w in windows)
     chk = protocol.check_fidelity(tr_att)
     est_att = protocol.estimate_phase(tr_att)
@@ -318,16 +307,30 @@ def sweep_values(scenario):
                        int(block["steps"]))
 
 
+def sweep_rows(scenario, seed_override=None):
+    """The sweep's rows in order, from twin runs (attacked versus identity,
+    shared seed): one ``protocol.twin_counts`` call over every phase of a
+    ``phi`` sweep, one call per point of an ``attack.<param>`` sweep."""
+    config = build_config(scenario, seed_override)
+    variable, values = scenario["sweep"]["variable"], sweep_values(scenario)
+    if variable == "phi":
+        counts = protocol.twin_counts(config, build_attack(scenario), adversary.identity_attack(),
+                                      VARIANCE_WINDOWS, values)
+        return [_sweep_row(scenario, replace(config, true_phi=float(value)), value, windows)
+                for value, windows in zip(values, counts)]
+    param = variable.split(".", 1)[1]
+    return [_sweep_row(scenario, config, value, protocol.twin_counts(
+        config, build_attack(scenario, {param: float(value)}), adversary.identity_attack(),
+        VARIANCE_WINDOWS, [config.true_phi])[0]) for value in values]
+
+
 def cmd_sweep(scenario, seed_override=None, threads=1) -> int:
     if "sweep" not in scenario:
         raise SchemaError("sweep command needs a sweep block")
     # no sweep reads ``threads``; existing command lines keep their exit codes
     if threads < 1:
         raise SchemaError("--threads must be at least 1")
-    # the adversary never learns the phase: one push serves a phase sweep
-    push = (protocol.forward_push(build_config(scenario, seed_override), build_attack(scenario))
-            if scenario["sweep"]["variable"] == "phi" else None)
-    rows = [run_sweep_point(scenario, v, seed_override, push) for v in sweep_values(scenario)]
+    rows = sweep_rows(scenario, seed_override)
     path = scenario.get("output", {}).get("csv", "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

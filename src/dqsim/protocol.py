@@ -26,10 +26,10 @@ whose outcome index is the cell's slot (-1, leak, +1) at every n, so no
 outcome passes through a value map.  Memoryless attacks run on a
 vectorized fast path: each (setting, label) pair has an exact outcome
 table computed once, and one categorical draw from the prior times the
-tables gives every round its cell and branches together.  A sweep point's
-twin counts by window (``twin_counts``) come, under them, from the twins'
-exact joint law with one multinomial and no round one by one, and under a
-memory attack from two runs.
+tables gives every round its cell and branches together.  A sweep's twin
+counts by window (``twin_counts``) come, under them, from one push for all
+its phases and, per phase, the twins' exact joint law with one multinomial
+and no round one by one; under a memory attack, from two runs per phase.
 Block-memory attacks draw each round's outcome from its exact law given
 the adversary's ancilla, a batch of independent blocks at a time, one
 position inside the block after another; register attacks act on a batch
@@ -48,6 +48,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -107,10 +108,12 @@ class ProtocolConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"probe qubit count must lie in [1, {MAX_QUBITS}]")
-        if not 1 <= self.T <= MAX_ROUNDS:
-            raise ValueError(f"round count must lie in [1, {MAX_ROUNDS}]")
+        for name, value, low, high in (("n", self.n, 1, MAX_QUBITS), ("T", self.T, 1, MAX_ROUNDS),
+                                       ("seed", self.seed, 0, 2 ** 64 - 1)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if not low <= value <= high:
+                raise ValueError(f"{name} must lie in [{low}, {high}]")
         for name in ("p_c", "p_e", "p_d", "epsilon_threshold", "true_phi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -121,8 +124,6 @@ class ProtocolConfig:
             raise ValueError("action probabilities must sum to 1")
         if self.epsilon_threshold < 0:
             raise ValueError("safety threshold must be nonnegative")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
 
     def public(self) -> dict:
         """Protocol parameters the adversary legitimately knows."""
@@ -139,8 +140,8 @@ class ProtocolConfig:
 
     def config_hash(self) -> str:
         payload = {
-            "variant": self.variant, "direction": self.direction, "n": self.n,
-            "T": self.T, "p_c": repr(self.p_c), "p_e": repr(self.p_e),
+            "variant": self.variant, "direction": self.direction, "n": int(self.n),
+            "T": int(self.T), "p_c": repr(self.p_c), "p_e": repr(self.p_e),
             "p_d": repr(self.p_d), "epsilon_threshold": repr(self.epsilon_threshold),
             "true_phi": repr(self.true_phi), "seed": int(self.seed),
         }
@@ -405,19 +406,6 @@ def _labels(branches):
     return tuple(label for label, _weight, _kraus in branches)
 
 
-def _start(config, attack):
-    """Hand the attack the run's public parameters and return the frame;
-    UnsupportedAttackError if it cannot run under ``config``."""
-    if attack.requires_two_way and config.direction != "two_way":
-        raise UnsupportedAttackError(f"attack {attack.name!r} requires two-way operation")
-    frame, *_ = _sensor_model(config.n)
-    try:
-        attack.on_run_start(config.public(), frame)
-    except ValueError as exc:
-        raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
-    return frame
-
-
 def _push(n, fwd):
     """The one forward push: the instrument ``fwd``'s branch labels and the
     six probes of size n through every branch, a read-only (probe label,
@@ -429,11 +417,22 @@ def _push(n, fwd):
     return _labels(fwd), states
 
 
-def forward_push(config, attack):
-    """The forward push of the attack that ``run`` builds, built ahead for
-    ``twin_counts``.  The attack never learns the phase or the seed, so one
-    push serves a whole phase sweep."""
-    return _push(config.n, attack.forward_branches(config.n, _start(config, attack)))
+def _legs(config, attack):
+    """Start ``attack`` on a run of ``config`` (UnsupportedAttackError if it
+    cannot run under it): a memoryless attack's forward push (``_push``) and
+    backward instrument (None: identity), None for a memory attack."""
+    if attack.requires_two_way and config.direction != "two_way":
+        raise UnsupportedAttackError(f"attack {attack.name!r} requires two-way operation")
+    frame, *_ = _sensor_model(config.n)
+    try:
+        attack.on_run_start(config.public(), frame)
+    except ValueError as exc:
+        raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
+    push = _push(config.n, attack.forward_branches(config.n, frame))
+    if push is None:
+        return None
+    return push, (attack.backward_branches(config.n, frame)
+                  if config.direction == "two_way" else None)
 
 
 # A table's total may differ from 1 by roundoff only; an instrument whose
@@ -553,21 +552,20 @@ def _pair_law(weights_a, weights_b):
     return np.diff(edges), np.stack([cdf.searchsorted(edges[1:], side="left") for cdf in cdfs])
 
 
-def _run_fast(config, attack, rng, tables, fwd_labels, bwd_labels) -> Transcript:
+def _run_fast(config, attack, rng, legs) -> Transcript:
     """Memoryless attacks: every round's setting, probe label, branches and
-    outcome are one draw from ``tables``, the law ``_fast_law`` gives with
-    the forward and backward branch labels.  The attack records every
-    round's branches in one ``record_round`` call.
-
-    Draw order: one uniform per round, through ``_draw``.
-    """
+    outcome are one draw from the round law ``_law`` of the attack's
+    ``_legs``, and the attack records every round's branches in one
+    ``record_round`` call.  Draw order: one uniform per round (``_draw``)."""
+    (fwd_labels, _pushed), bwd = legs
+    tables = _law(config, legs)
     # each table entry's (cell, forward branch, backward branch)
     setting, label, forward, backward, slot = np.indices(tables.shape)
     cell = np.ravel_multi_index((setting, label, slot), _CELL_SHAPE)
     entries = np.stack([cell, forward, backward]).reshape(3, -1)
     entries = entries.astype(np.min_scalar_type(max(_N_CELLS, *tables.shape)))
     cell, forward, backward = np.take(entries, _draw(tables, rng, config.T), axis=1)
-    backward = () if bwd_labels is None else (backward, bwd_labels)
+    backward = () if bwd is None else (backward, _labels(bwd))
     attack.record_round(forward, fwd_labels, *backward)
     return Transcript(config, cell)
 
@@ -614,8 +612,8 @@ def _run_memory(config, attack, rng, coupling, setting, label, slot):
     cell maps give its outcome slot's law and the ancilla after it.  Draw
     order, batch by batch: position by position, one uniform per round for
     the sensor's outcome; then, in "measure" mode, one per block but the
-    run's last."""
-    maps = _memory_maps(config, coupling)
+    run's last, all of whose readouts go to one ``record_readouts`` call."""
+    maps, readouts = _memory_maps(config, coupling), []
     for last, positions in _batches(config, attack.block_length):
         sigma = np.tile([1, 0, 0, 0j], (positions[0].size, 1))  # |0><0|, flattened
         for t in positions:
@@ -626,7 +624,9 @@ def _run_memory(config, attack, rng, coupling, setting, label, slot):
             sigma[:t.size] = after[b, k] / probs[b, k, None]
         if attack.ancilla_mode == "measure":
             p1 = sigma[:sigma.shape[0] - last, 3].real
-            attack.record_readouts(np.where(rng.random(p1.size) < p1, -1, 1))
+            readouts.append(np.where(rng.random(p1.size) < p1, -1, 1))
+    if attack.ancilla_mode == "measure":
+        attack.record_readouts(np.concatenate(readouts))
 
 
 def _run_register(config, attack, rng, setting, label, slot):
@@ -646,54 +646,49 @@ def _run_register(config, attack, rng, setting, label, slot):
         slot[t] = world.measure(sensor[_SETTING_AXIS[setting[t]]], world.probe, rng)
 
 
-def _fast_law(config, attack, push=None):
-    """Start ``attack`` on a run of ``config``.  A memoryless attack's round
-    law, the prior times ``_build_tables`` of its forward push (``push`` if
-    given) and backward instrument, with their branch labels (None: no
-    backward instrument); None for a memory attack."""
-    frame = _start(config, attack)
-    push = push or _push(config.n, attack.forward_branches(config.n, frame))
-    if push is None:
-        return None
-    bwd = attack.backward_branches(config.n, frame) if config.direction == "two_way" else None
-    return (_prior(config)[..., None, None, None] * _build_tables(config, push[1], bwd),
-            push[0], None if bwd is None else _labels(bwd))
+def _law(config, legs):
+    """A memoryless attack's round law at ``config``'s phase from its ``_legs``."""
+    return _prior(config)[..., None, None, None] * _build_tables(config, legs[0][1], legs[1])
 
 
-def twin_counts(config, attack, ideal, windows, push=None):
-    """The ``Transcript.window_counts`` of ``run(config, attack)`` and of its
-    twin ``run(config, ideal)``, shape (twin, window, *_CELL_SHAPE).  Under a
-    memoryless attack, whose forward push is ``push`` if given (``forward_push``
-    of an equal attack), they are drawn from the twins' exact joint law with
-    no round drawn one by one: ``run`` picks both twins' entries with one
-    uniform per round (``_pair_law``), so a window's pairs of cells are
-    multinomial.  Draw order: one ``rng.multinomial``.  Under a memory attack
-    both twins run."""
-    fast = _fast_law(config, attack, push)
-    if fast is None:  # the twins share the seed's prior draw
-        return np.stack([run(config, a).window_counts(windows) for a in (attack, ideal)])
-    weights = [fast[0], _fast_law(config, ideal)[0]]
-    probs, entries = _pair_law(*weights)
+def twin_counts(config, attack, ideal, windows, phis):
+    """The ``Transcript.window_counts`` of ``run(cfg, attack)`` and of its
+    twin ``run(cfg, ideal)``, ``cfg`` being ``config`` at each ``true_phi`` of
+    ``phis``: shape (phase, twin, window, *_CELL_SHAPE).  The attack never
+    learns the phase, so a memoryless one is started, and both twins pushed,
+    once for all phases; each phase's pairs of cells are then multinomial per
+    window under the twins' exact joint law (``run`` picks both twins'
+    entries with one uniform per round, ``_pair_law``).  Draw order, per
+    phase: one ``rng.multinomial`` from ``config.seed``.  Under a memory
+    attack each phase runs both twins, the attacked one on a clone."""
+    legs = _legs(config, attack)
+    configs = [replace(config, true_phi=float(phi)) for phi in phis]
+    if legs is None:  # the twins share the seed's prior draw
+        return np.array([[run(cfg, a).window_counts(windows) for a in (attack.clone(), ideal)]
+                         for cfg in configs])
+    ideal_legs, sizes, out = _legs(config, ideal), _window_sizes(config.T, windows), []
     cell = np.arange(_N_CELLS).reshape(_CELL_SHAPE)[:, :, None, None]  # over the branches
-    pair = [np.broadcast_to(cell, w.shape).ravel()[e] for w, e in zip(weights, entries)]
-    law = np.bincount(pair[0] * _N_CELLS + pair[1], probs, _N_CELLS ** 2)
-    pairs = np.flatnonzero(law)
-    drawn = np.random.default_rng(config.seed).multinomial(_window_sizes(config.T, windows),
-                                                           law[pairs])
-    # each drawn count's flat index into the (twin, window, cell) counts
-    index = (np.arange(2 * windows).reshape(2, -1, 1) * _N_CELLS
-             + np.stack(divmod(pairs, _N_CELLS))[:, None])
-    counts = np.bincount(index.ravel(), np.broadcast_to(drawn, index.shape).ravel(),
-                         2 * windows * _N_CELLS)
-    return counts.astype(np.int64).reshape(2, windows, *_CELL_SHAPE)
+    # each (twin, window)'s offset into the flat counts, to which a drawn pair adds its cells
+    base = np.arange(2 * windows).reshape(2, -1, 1) * _N_CELLS
+    for cfg in configs:
+        weights = [_law(cfg, legs), _law(cfg, ideal_legs)]
+        probs, entries = _pair_law(*weights)
+        pair = [np.broadcast_to(cell, w.shape).ravel()[e] for w, e in zip(weights, entries)]
+        law = np.bincount(pair[0] * _N_CELLS + pair[1], probs, _N_CELLS ** 2)
+        pairs = np.flatnonzero(law)
+        drawn = np.random.default_rng(config.seed).multinomial(sizes, law[pairs])
+        index = base + np.stack(divmod(pairs, _N_CELLS))[:, None]
+        out.append(np.bincount(index.ravel(), np.broadcast_to(drawn, index.shape).ravel(),
+                               2 * windows * _N_CELLS))
+    return np.array(out, dtype=np.int64).reshape(len(configs), 2, windows, *_CELL_SHAPE)
 
 
 def run(config: ProtocolConfig, attack) -> Transcript:
     """Execute T rounds against the given adversary; deterministic per seed."""
-    law = _fast_law(config, attack)
+    legs = _legs(config, attack)
     rng = np.random.default_rng(config.seed)
-    if law is not None:
-        return _run_fast(config, attack, rng, *law)
+    if legs is not None:
+        return _run_fast(config, attack, rng, legs)
     coupling = attack.block_coupling(config.n)
     setting, label = np.divmod(_draw(_prior(config), rng, config.T), len(qcore.SIGNED_LABELS))
     slot = np.zeros(config.T, dtype=np.int8)

@@ -287,6 +287,8 @@ def test_memory_attack_measured_ancilla_records():
     protocol.run(make_config(T=400, seed=84), att)
     assert len(att.memory) >= 199
     assert set(att.memory) <= {1, -1}
+    # one integer column, as intercept-resend keeps, not a per-readout list
+    assert isinstance(att.memory, np.ndarray) and att.memory.dtype == np.intp
 
 
 # ---------------------------------------------------------------- two-way swap leak

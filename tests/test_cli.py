@@ -419,11 +419,17 @@ def formatted(row):
     return [cli._fmt(row[c]) for c in cli.CSV_COLUMNS]
 
 
-def sweep_rows(tmp_path):
+def csv_rows(tmp_path):
     with open(tmp_path / "sweep.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == cli.CSV_COLUMNS
     return rows
+
+
+def point_row(scenario, value, seed=None):
+    """The row of ``cli.sweep_rows`` at one value: a one-step sweep there."""
+    sweep = dict(scenario["sweep"], start=value, stop=value, steps=1)
+    return cli.sweep_rows(dict(scenario, sweep=sweep), seed)[0]
 
 
 def spy_attacked_pushes(monkeypatch):
@@ -460,8 +466,7 @@ Z_SWEEP = 5.0
 
 
 def assert_rows_agree_in_law(scenario, value):
-    push = protocol.forward_push(cli.build_config(scenario), cli.build_attack(scenario))
-    new = [cli.run_sweep_point(scenario, value, seed, push) for seed in range(SWEEP_SEEDS)]
+    new = [point_row(scenario, value, seed) for seed in range(SWEEP_SEEDS)]
     old = [reference_sweep_point(scenario, value, seed)
            for seed in range(SWEEP_SEEDS, 2 * SWEEP_SEEDS)]
     for column in ("phi_hat", "F_hat", "bias_emp"):
@@ -477,7 +482,7 @@ def assert_rows_agree_in_law(scenario, value):
 def test_phi_sweep_rows_match_fresh_twin_runs(tmp_path, monkeypatch, case, variant,
                                               direction, threads):
     # a phase sweep pushes the probes through the attack once; its rows are
-    # those of points that build their own push, at any --threads (which
+    # those of one-step sweeps at its points, at any --threads (which
     # changes no row, so the law is compared once per case), and agree in law
     # with the rows of two per-round runs per point
     n, attack = SWEEP_ORACLE_CASES[case]
@@ -491,26 +496,28 @@ def test_phi_sweep_rows_match_fresh_twin_runs(tmp_path, monkeypatch, case, varia
     assert len(pushed) == 1
     monkeypatch.undo()
     values = cli.sweep_values(scenario)
-    assert sweep_rows(tmp_path) == [formatted(cli.run_sweep_point(scenario, v)) for v in values]
+    assert csv_rows(tmp_path) == [formatted(point_row(scenario, v)) for v in values]
     if threads == "1":
         assert_rows_agree_in_law(scenario, values[1])
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_ORACLE_CASES))
 def test_run_with_a_shared_push_is_the_fresh_run(tmp_path, case):
-    # a phase sweep hands every point's twin counts its one push; they are
-    # the counts of a push built fresh at the point
+    # one twin_counts call starts the attack and pushes the probes once for
+    # all its phases; each phase's counts are those of a one-phase call on a
+    # fresh attack
     n, attack = SWEEP_ORACLE_CASES[case]
     _, scenario = write_scenario(tmp_path, attack=attack)
+    phis = [0.1, 0.7, 1.3]
     for direction in protocol.DIRECTIONS:
         config = replace(cli.build_config(scenario), n=n, T=500, direction=direction)
-        push = protocol.forward_push(config, cli.build_attack(scenario))
-        phased = replace(config, true_phi=0.7)
-        shared = protocol.twin_counts(phased, cli.build_attack(scenario),
-                                      adversary.identity_attack(), 20, push)
-        fresh = protocol.twin_counts(phased, cli.build_attack(scenario),
-                                     adversary.identity_attack(), 20)
-        np.testing.assert_array_equal(shared, fresh)
+        shared = protocol.twin_counts(config, cli.build_attack(scenario),
+                                      adversary.identity_attack(), 20, phis)
+        assert shared.shape == (len(phis), 2, 20, *protocol._CELL_SHAPE)
+        for phi, counts in zip(phis, shared):
+            fresh = protocol.twin_counts(config, cli.build_attack(scenario),
+                                         adversary.identity_attack(), 20, [phi])
+            np.testing.assert_array_equal(counts, fresh[0])
 
 
 def test_counts_first_twins_keep_the_shared_seed_coupling():
@@ -528,7 +535,7 @@ def test_counts_first_twins_keep_the_shared_seed_coupling():
         "sweep": {"variable": "phi", "start": 0.6, "stop": 0.6, "steps": 1},
     }
     seeds = range(100, 140)
-    new = [cli.run_sweep_point(scenario, 0.6, seed) for seed in seeds]
+    new = [point_row(scenario, 0.6, seed) for seed in seeds]
     old = [reference_sweep_point(scenario, 0.6, seed) for seed in seeds]
     config = replace(cli.build_config(scenario), true_phi=0.6)
     independent = [abs(row["phi_hat"] - protocol.estimate_phase(protocol.run(
@@ -560,8 +567,8 @@ def test_memory_sweep_rows_match_per_round_twins(tmp_path, case):
     scenario["protocol"].update(direction=direction, T=600, p_c=0.4, p_e=0.4, p_d=0.2)
     path.write_text(json.dumps(scenario))
     assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
-    assert sweep_rows(tmp_path) == [formatted(reference_sweep_point(scenario, v))
-                                     for v in cli.sweep_values(scenario)]
+    assert csv_rows(tmp_path) == [formatted(reference_sweep_point(scenario, v))
+                                  for v in cli.sweep_values(scenario)]
 
 
 @pytest.mark.parametrize("attack,sweep", [
@@ -579,7 +586,7 @@ def test_counts_first_points_draw_no_rounds(tmp_path, monkeypatch, attack, sweep
     for cls in (adversary.AttackModel, adversary.InterceptResendAttack):
         monkeypatch.setattr(cls, "record_round", refuse)
     assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
-    assert len(sweep_rows(tmp_path)) == 3
+    assert len(csv_rows(tmp_path)) == 3
 
 
 def test_attack_sweep_pushes_once_per_point(tmp_path, monkeypatch):
@@ -592,8 +599,8 @@ def test_attack_sweep_pushes_once_per_point(tmp_path, monkeypatch):
     assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
     assert len(pushed) == 3
     monkeypatch.undo()
-    assert sweep_rows(tmp_path) == [formatted(cli.run_sweep_point(scenario, v))
-                                    for v in cli.sweep_values(scenario)]
+    assert csv_rows(tmp_path) == [formatted(point_row(scenario, v))
+                                  for v in cli.sweep_values(scenario)]
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "-100000"])
@@ -850,6 +857,38 @@ def test_analysis_output_digests(tmp_path, variant, engine):
     digests = {command: hashlib.sha256(out.read_bytes()).hexdigest()
                for command, out in outputs.items()}
     assert digests == ANALYSIS_DIGESTS[variant, engine]
+
+
+# sha256 of the CSVs of sweeps no ANALYSIS_DIGESTS entry covers, with each
+# scenario's protocol edit, attack and sweep: an attack-parameter sweep,
+# whose points each build their own attack, at n = 2 on both variants, and
+# a two-way phase sweep under intercept-resend, whose forward instrument
+# has nine labelled branches.
+SWEEP_DIGESTS = {
+    "depolarizing_p/entanglement": (
+        dict(variant="entanglement", n=2), {"name": "depolarizing", "params": {"p": 0.0}},
+        {"variable": "attack.p", "start": 0.0, "stop": 0.3, "steps": 3},
+        "149dcfb2620fbc6162beb7f0c60a38c4a404a6c8c5bcf8103455c463b1fe5adf"),
+    "depolarizing_p/mub": (
+        dict(variant="mub", n=2), {"name": "depolarizing", "params": {"p": 0.0}},
+        {"variable": "attack.p", "start": 0.0, "stop": 0.3, "steps": 3},
+        "f8b56d013dd06d79ff90ecb5bdba7f14ae91260e5306ee8e57b65017fc8f1ac7"),
+    "intercept_resend_phi/two_way": (
+        dict(direction="two_way", n=2),
+        {"name": "intercept_resend", "params": {"basis_strategy": "random"}},
+        {"variable": "phi", "start": 0.1, "stop": 0.7, "steps": 3},
+        "e9ba54446ec37c001faad01ac09f950ec88268312a423411a47733e62b1c5235"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_DIGESTS))
+def test_sweep_output_digests(tmp_path, case):
+    protocol_edit, attack, sweep, digest = SWEEP_DIGESTS[case]
+    path, scenario = write_scenario(tmp_path, attack=attack, sweep=sweep)
+    scenario["protocol"].update(T=3000, p_c=0.4, p_e=0.4, p_d=0.2, seed=2024, **protocol_edit)
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- scenario fuzzing

@@ -65,6 +65,23 @@ def test_config_literals_enforced():
         make_config(seed=-1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("T", 100.0), ("n", 1.0), ("seed", 1.5), ("seed", "3"), ("n", True), ("seed", True),
+    ("T", np.float64(100.0)), ("seed", None),
+])
+def test_config_rejects_non_integral_counts(field, value):
+    # a float, a string or a bool is no count, though it may compare like one
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        make_config(**{field: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = make_config(n=np.int64(2), T=np.int32(100), seed=np.uint64(2 ** 64 - 1))
+    assert cfg.config_hash() == make_config(n=2, T=100, seed=2 ** 64 - 1).config_hash()
+    with pytest.raises(ValueError, match="^seed must lie in"):
+        make_config(seed=2 ** 64)
+
+
 def test_config_hash_is_stable_and_sensitive():
     a, b = make_config(), make_config()
     assert a.config_hash() == b.config_hash()
@@ -598,7 +615,8 @@ def fast_path_weights(variant, direction, n, attack):
     cfg = make_config(variant=variant, direction=direction, n=n)
     frame = qcore.LogicalFrame.standard(n)
     bwd = attack.backward_branches(n, frame) if direction == "two_way" else None
-    tables = protocol._build_tables(cfg, protocol.forward_push(cfg, attack)[1], bwd)
+    pushed = protocol._push(n, attack.forward_branches(n, frame))[1]
+    tables = protocol._build_tables(cfg, pushed, bwd)
     return protocol._prior(cfg)[..., None, None, None] * tables
 
 
@@ -704,19 +722,22 @@ def test_twin_counts_share_the_transcript_windows():
     # array twice; a memory attack gets its two runs' window counts
     cfg = make_config(n=2, T=1013, p_c=0.4, p_e=0.4, p_d=0.2)
     attack = adversary.intercept_resend("random")
-    twins = protocol.twin_counts(cfg, attack, adversary.identity_attack(), 20)
-    assert twins.shape == (2, 20, *protocol._CELL_SHAPE) and twins.dtype == np.int64
+    twins = protocol.twin_counts(cfg, attack, adversary.identity_attack(), 20, [cfg.true_phi])
+    assert twins.shape == (1, 2, 20, *protocol._CELL_SHAPE) and twins.dtype == np.int64
+    twins = twins[0]
     windows = protocol.run(cfg, attack.clone()).window_counts(20)
     assert windows.shape == (20, *protocol._CELL_SHAPE)
     for counts in (*twins, windows):
         np.testing.assert_array_equal(counts.sum(axis=(-3, -2, -1)), windows.sum(axis=(1, 2, 3)))
     assert windows.sum() == cfg.T and {int(s) for s in windows.sum(axis=(1, 2, 3))} == {50, 51}
     np.testing.assert_array_equal(windows.sum(axis=0), protocol.run(cfg, attack.clone()).counts)
-    same = protocol.twin_counts(cfg, adversary.identity_attack(), adversary.identity_attack(), 20)
+    same = protocol.twin_counts(cfg, adversary.identity_attack(), adversary.identity_attack(), 20,
+                                [cfg.true_phi])[0]
     np.testing.assert_array_equal(same[0], same[1])
     cfg, memory = replace(cfg, n=1), adversary.entangling_memory_attack(0.3, 3, "measure")
     np.testing.assert_array_equal(
-        protocol.twin_counts(cfg, memory.clone(), adversary.identity_attack(), 20),
+        protocol.twin_counts(cfg, memory.clone(), adversary.identity_attack(), 20,
+                             [cfg.true_phi])[0],
         [protocol.run(cfg, a).window_counts(20) for a in (memory, adversary.identity_attack())])
 
 
@@ -1028,7 +1049,8 @@ def exact_tables(cfg, attack):
     other slots and, at n = 1, every leak slot being exactly 0."""
     frame = qcore.LogicalFrame.standard(cfg.n)
     bwd = attack.backward_branches(cfg.n, frame) if cfg.direction == "two_way" else None
-    stacked = protocol._build_tables(cfg, protocol.forward_push(cfg, attack)[1], bwd)
+    pushed = protocol._push(cfg.n, attack.forward_branches(cfg.n, frame))[1]
+    stacked = protocol._build_tables(cfg, pushed, bwd)
     if cfg.n == 1:
         assert np.all(stacked[..., 1] == 0.0)
     tables = {}
