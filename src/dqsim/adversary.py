@@ -27,10 +27,10 @@ readouts come back to an attack.  Attacks that need the return leg
 declare ``requires_two_way`` and are rejected outright in one-way runs.
 
 ``expected_check_fidelity`` is the exact check fidelity under a memoryless
-attack's forward instrument, applied by ``qcore.apply_instrument`` as the
-engine applies it.  Depolarizing noise shrinks every check correlator by
-1 - p (the logical Paulis are traceless), so ``calibrate_depolarizing``
-inverts the fidelity 1 - 3p/4 in closed form.
+attack's forward instrument, applied densely by ``qcore.apply_instrument``
+(an independent check of the engine's ket push).  Depolarizing noise shrinks
+every check correlator by 1 - p (the logical Paulis are traceless), so
+``calibrate_depolarizing`` inverts the fidelity 1 - 3p/4 in closed form.
 """
 
 from __future__ import annotations

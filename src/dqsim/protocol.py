@@ -374,24 +374,24 @@ def parse_transcript(text: str):
 @functools.lru_cache(maxsize=None)
 def _sensor_model(n):
     """The n-qubit probe states and sensor model shared by every run at n:
-    the frame, the six probe densities in ``qcore.SIGNED_LABELS`` order, and
-    the sensor as one projector table of shape (4, slot, d, d), its last
-    axis a round's cell slot: ``qcore.logical_projectors`` of X, Y, Z and
-    then the trivial measurement of a discarded round, so that
-    ``_SETTING_AXIS`` indexes it (-1: discarded).  Its arrays are
-    read-only, since every caller shares them."""
+    the frame, the six probe kets in ``qcore.SIGNED_LABELS`` order and their
+    densities, shape (6, d) and (6, d, d), and the sensor as one projector
+    table of shape (4, slot, d, d), its last axis a round's cell slot:
+    ``qcore.logical_projectors`` of X, Y, Z and then the trivial measurement
+    of a discarded round, so that ``_SETTING_AXIS`` indexes it (-1:
+    discarded).  Its arrays are read-only, since every caller shares them."""
     frame = qcore.LogicalFrame.standard(n)
-    probes = np.array([qcore.mub_probe(frame, lab).density().data
-                       for lab in qcore.SIGNED_LABELS])
+    kets = np.array([qcore.mub_probe(frame, lab).amplitudes for lab in qcore.SIGNED_LABELS])
+    probes = kets[:, :, None] * kets[:, None, :].conj()
     # the trivial measurement, so that discarded rounds share a batch and a
     # table shape with measured ones: it always yields slot +1 and leaves
     # the state as it is
     sensor = np.zeros((len(AXES) + 1, 3, 2 ** n, 2 ** n), dtype=complex)
     sensor[:-1] = [qcore.logical_projectors(frame, a) for a in AXES]
     sensor[-1, -1] = np.eye(2 ** n)
-    for array in (probes, sensor):
+    for array in (kets, probes, sensor):
         array.setflags(write=False)
-    return frame, probes, sensor
+    return frame, kets, probes, sensor
 
 
 def _encoders(config):
@@ -409,10 +409,18 @@ def _labels(branches):
 def _push(n, fwd):
     """The one forward push: the instrument ``fwd``'s branch labels and the
     six probes of size n through every branch, a read-only (probe label,
-    branch, d, d) stack; None for no instrument (a memory attack)."""
+    branch, d, d) stack; None for no instrument (a memory attack).  It maps
+    the pure probes' kets: w Z^T Z* for a ket's images Z = K psi, m d^2 work,
+    a slice of operators (64 KB of images) at a time to keep temporaries small."""
     if fwd is None:
         return None
-    states = qcore.apply_instrument(_sensor_model(n)[1], fwd)
+    kets, states = _sensor_model(n)[1], []
+    step = max(1, 4096 // kets.size)
+    for _label, weight, kraus in fwd:
+        parts = ((kets @ np.asarray(kraus[i:i + step]).swapaxes(-1, -2)).swapaxes(0, 1)
+                 for i in range(0, len(kraus), step))  # (probe, operator, d) each
+        states.append(weight * sum(z.swapaxes(-1, -2) @ z.conj() for z in parts))
+    states = np.stack(states, axis=1)
     states.setflags(write=False)
     return _labels(fwd), states
 
@@ -451,7 +459,7 @@ def _build_tables(config, pushed, bwd):
     projector, and the settings gather their encoder and projectors.  A
     total off 1, or an entry below 0, by more than ``_TABLE_TOLERANCE``
     raises UnsupportedAttackError; roundoff negatives are set to 0."""
-    sensor = _sensor_model(config.n)[2]
+    sensor = _sensor_model(config.n)[3]
     enc = _encoders(config)[:, None, None]
     states = enc @ pushed @ enc.conj().swapaxes(-1, -2)
     states = states[..., None, :, :] if bwd is None else qcore.apply_instrument(states, bwd)
@@ -593,7 +601,7 @@ def _memory_maps(config, coupling):
     shape (setting, label, outcome slot, 4, 4).  A coupling off unitary by
     more than 1e-10, or maps whose traces summed over the outcomes miss the
     trace by more than ``_TABLE_TOLERANCE``, raise UnsupportedAttackError."""
-    _frame, probes, sensor = _sensor_model(config.n)
+    _frame, _kets, probes, sensor = _sensor_model(config.n)
     d, c = 2 ** config.n, np.asarray(coupling, dtype=complex)
     if not (c.shape == (2 * d, 2 * d) and np.abs(c @ c.conj().T - np.eye(2 * d)).max() <= 1e-10):
         raise UnsupportedAttackError("the attack's coupling is not unitary on probe and qubit")
@@ -635,7 +643,7 @@ def _run_register(config, attack, rng, setting, label, slot):
     in two-way runs, ``backward_state`` hooks around the sensor's encoding.
     Draw order, batch by batch: one uniform per round for each measurement
     the hooks make, in call order, then one per round for the sensor's."""
-    _frame, probes, sensor = _sensor_model(config.n)
+    _frame, _kets, probes, sensor = _sensor_model(config.n)
     encoders = _encoders(config)[_SETTING_ENCODER]
     for _last, (t,) in _batches(config, 1):
         world = qcore.RegisterState(["B"], [2 ** config.n], probes[label[t]])

@@ -318,7 +318,9 @@ def depolarizing_channel(p: float, n_qubits: int = 1):
 def apply_instrument(states, branches):
     """A stack of states (..., d, d) through every branch of a weighted
     instrument, a list of (label, weight, kraus_operators) branches: the
-    weighted branch images, shape (..., branch, d, d)."""
+    weighted branch images, shape (..., branch, d, d), densely: m d^3 per state
+    for m Kraus operators, for the backward leg's mixed states and the fidelity
+    oracle, while the forward push maps the probes' kets (``protocol._push``)."""
     return np.stack([weight * sum(k @ states @ k.conj().T for k in kraus)
                      for _label, weight, kraus in branches], axis=-3)
 

@@ -1,5 +1,6 @@
 """Tests for round execution, sifting, reconciliation and estimation."""
 
+import functools
 import hashlib
 import math
 from dataclasses import replace
@@ -755,11 +756,15 @@ def test_estimation_sums_match_the_products():
 
 
 def test_sensor_model_is_shared_read_only_and_run_order_free():
-    frame, probes, sensor = protocol._sensor_model(2)
-    assert protocol._sensor_model(2)[1] is probes
+    frame, kets, probes, sensor = protocol._sensor_model(2)
+    assert protocol._sensor_model(2)[2] is probes
+    # the densities are the kets' outer products, bit for bit
+    for label, ket, rho in zip(qcore.SIGNED_LABELS, kets, probes):
+        assert np.array_equal(ket, qcore.mub_probe(frame, label).amplitudes)
+        assert np.array_equal(rho, qcore.mub_probe(frame, label).density().data)
     # X, Y, Z and the discarded round's trivial measurement, by outcome slot
     assert sensor.shape == (4, 3, 4, 4)
-    for array in (probes, sensor, frame.pole0.amplitudes):
+    for array in (kets, probes, sensor, frame.pole0.amplitudes):
         with pytest.raises(ValueError):
             array.flat[0] = 1
     cases = [(make_config(n=2, T=500, p_c=0.4, p_e=0.4, p_d=0.2), adversary.depolarizing_attack(0.2)),
@@ -771,6 +776,34 @@ def test_sensor_model_is_shared_read_only_and_run_order_free():
         for cfg, attack in cases:
             protocol.run(replace(cfg, n=n), attack.clone())
     assert [protocol.run(cfg, attack.clone()).serialized() for cfg, attack in cases] == first
+
+
+PUSH_ATTACKS = {
+    "identity": adversary.identity_attack,
+    **{f"depolarizing_{p}": functools.partial(adversary.depolarizing_attack, p)
+       for p in (0.0, 0.05, 1.0)},
+    **{f"tamper_{axis}": functools.partial(adversary.unitary_tamper, axis, 0.3) for axis in "XYZ"},
+    **{f"intercept_resend_{basis}": functools.partial(adversary.intercept_resend, basis)
+       for basis in ("random", "Z")},
+}
+
+
+@pytest.mark.parametrize("n", range(1, protocol.MAX_QUBITS + 1))
+def test_ket_push_is_the_dense_push(n):
+    # the forward push maps the six probe kets; each pushed density equals
+    # the probe density pushed through every Kraus operator densely
+    frame, _kets, probes, _sensor = protocol._sensor_model(n)
+    for name, make in PUSH_ATTACKS.items():
+        fwd = make().forward_branches(n, frame)
+        labels, pushed = protocol._push(n, fwd)
+        assert labels == tuple(label for label, _w, _k in fwd), name
+        dense = qcore.apply_instrument(probes, fwd)
+        assert pushed.shape == dense.shape, name
+        assert np.abs(pushed - dense).max() < 1e-13, name
+        with pytest.raises(ValueError):
+            pushed.flat[0] = 1
+    for memory in (adversary.entangling_memory_attack(0.3), adversary.two_way_swap_leak()):
+        assert protocol._push(n, memory.forward_branches(n, frame)) is None
 
 
 # ---------------------------------------------------------------- equivalence

@@ -54,7 +54,7 @@ def run_register_walk(config, attack):
     hooks and the sensor make, in call order.
     """
     rng = np.random.default_rng(config.seed)
-    frame, probes, sensor = protocol._sensor_model(config.n)
+    frame, _kets, probes, sensor = protocol._sensor_model(config.n)
     attack.on_run_start(config.public(), frame)
     T, L, d = config.T, attack.block_length, 2 ** config.n
     encoders = protocol._encoders(config)
