@@ -10,6 +10,7 @@ inequality checks the verification command drives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,8 +87,8 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
         raise ValueError(f"unknown mode {mode!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError("threshold must be finite and nonnegative")
     if mode == "one_way_individual":
         return math.sqrt(2.0 / 3.0) * threshold if variant == "entanglement" else threshold
     if T is None or N_d is None or n is None:
@@ -98,8 +99,8 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
     inner = (2.0 / 3.0) * square if variant == "entanglement" else square
     value = math.sqrt(inner + coef * f)
     if mode == "two_way_gc":
-        if phi is None:
-            raise ValueError("two-way mode needs phi")
+        if phi is None or not math.isfinite(phi):
+            raise ValueError("two-way mode needs a finite phi")
         value += abs(math.sin(min(n * phi, math.pi / 2)))
     return value
 
@@ -109,11 +110,18 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
 SIN_FLOOR = 1e-12
 
 
-def bias_bound(eps0: float, n: int, phi: float) -> float:
-    """eps0 / (n |sin(2 n phi)|); infinite where the denominator vanishes."""
+def _sine_denominator(eps0, n, phi):
+    """n |sin(2 n phi)|, once both bounds' inputs are checked; eps0 may be +inf."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
-    denom = n * abs(math.sin(2 * n * phi))
+    if math.isnan(eps0) or not math.isfinite(phi):
+        raise ValueError("eps0 must not be NaN and phi must be finite")
+    return n * abs(math.sin(2 * n * phi))
+
+
+def bias_bound(eps0: float, n: int, phi: float) -> float:
+    """eps0 / (n |sin(2 n phi)|); infinite where the denominator vanishes."""
+    denom = _sine_denominator(eps0, n, phi)
     if denom < SIN_FLOOR:
         return math.inf
     return eps0 / denom
@@ -121,11 +129,9 @@ def bias_bound(eps0: float, n: int, phi: float) -> float:
 
 def variance_bound(eps0: float, n: int, phi: float, mode: str, N_e=None) -> float:
     """Variance-difference bound for the requested attack mode."""
-    if n < 1:
-        raise ValueError("qubit count must be >= 1")
+    denom = _sine_denominator(eps0, n, phi) ** 2
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    denom = (n * math.sin(2 * n * phi)) ** 2
     if mode == "one_way_individual":
         if N_e is None or N_e < 1:
             raise ValueError("individual mode needs N_e >= 1")
@@ -139,24 +145,10 @@ def variance_bound(eps0: float, n: int, phi: float, mode: str, N_e=None) -> floa
 
 def bound_report(mode, variant, threshold, n, phi, T=None, N_d=None, N_e=None) -> BoundReport:
     """Bundle f, eps0 and both bounds for one operating point."""
-    if mode == "one_way_individual":
-        f_value = None
-    else:
-        f_value = f_definetti(T, N_d, n)
+    f_value = None if mode == "one_way_individual" else f_definetti(T, N_d, n)
     e0 = epsilon0(mode, variant, threshold, T=T, N_d=N_d, n=n, phi=phi)
-    return BoundReport(
-        mode=mode,
-        protocol_variant=variant,
-        f_value=f_value,
-        epsilon0=e0,
-        bias_bound=bias_bound(e0, n, phi),
-        variance_bound=variance_bound(e0, n, phi, mode, N_e=N_e),
-        phi=phi,
-        n=n,
-        T=T,
-        N_d=N_d,
-        N_e=N_e,
-    )
+    return BoundReport(mode, variant, f_value, e0, bias_bound(e0, n, phi),
+                       variance_bound(e0, n, phi, mode, N_e=N_e), phi, n, T, N_d, N_e)
 
 
 # ---------------------------------------------------------------- arc length
@@ -194,8 +186,8 @@ _REFINE_OFFSETS = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1,
                                        indexing="ij"), axis=-1).reshape(-1, 2)
 _REFINE_ROUNDS = 20
 _SWEEP_TOL, _MAX_SWEEPS = 1e-7, 40
-# The verification suites' memory: pairs per stack of states, and
-# (pair, candidate) points per optimizer pass.
+# The verification suites' memory: pairs per stack of states, and (pair,
+# candidate) points per optimizer product: one pair (70 KB) of the 544-point grid.
 _STACK_PAIRS, _PASS_POINTS = 25, 1024
 
 
@@ -220,6 +212,14 @@ def _qubit_bases(angles):
                      np.stack([phase * s, -phase * c], axis=-1)], axis=-2)
 
 
+def _projector_rows(angles):
+    """Outcome i's projector entries conj(v_ia) v_ib, flattened over (a, b),
+    in the qubit bases of a (..., 2) stack of Bloch angles: (..., 2, 4)."""
+    bases = _qubit_bases(angles)
+    projs = np.einsum("...ai,...bi->...iab", bases.conj(), bases)
+    return projs.reshape(projs.shape[:-2] + (4,))
+
+
 def _sequential_distances(delta, n_parties, params):
     """Distance reached by each parameter vector of a (..., K, 2 * blocks)
     stack against a (..., d, d) stack of difference operators: (..., K).
@@ -233,10 +233,7 @@ def _sequential_distances(delta, n_parties, params):
     ops = delta[..., None, None, :, :]
     for j in range(n_parties - 1):
         histories, rest = 2 ** j, ops.shape[-1] // 2
-        bases = _qubit_bases(angles[..., histories - 1:2 * histories - 1, :])
-        # outcome i's projector entries conj(v_ia) v_ib times the (a, b) blocks
-        projs = np.einsum("...hai,...hbi->...hiab", bases.conj(), bases)
-        projs = projs.reshape(projs.shape[:-2] + (4,))
+        projs = _projector_rows(angles[..., histories - 1:2 * histories - 1, :])
         blocks = ops.reshape(ops.shape[:-2] + (2, rest, 2, rest)).swapaxes(-3, -2)
         ops = projs @ blocks.reshape(blocks.shape[:-4] + (4, rest * rest))
         ops = ops.reshape(ops.shape[:-3] + (2 * histories, rest, rest))
@@ -267,18 +264,34 @@ def _maximize_block(objective, values, params, block):
     return values, params
 
 
+def _shared_distances(deltas, angles):
+    """Two-party distances of a (P, 4, 4) stack of difference operators at a
+    (K, 2) stack of Bloch angles shared by every pair: (P, K).  The (2K, 4)
+    projector rows are built once, and each slice of _PASS_POINTS // K pairs
+    (at least one) is one product with its (a, b) blocks, (4, 4 * pairs)."""
+    step = max(1, _PASS_POINTS // len(angles))
+    projs, values = _projector_rows(angles).reshape(-1, 4), []
+    for p in range(0, len(deltas), step):  # (a, b) x (pair, r, s) blocks
+        blocks = deltas[p:p + step].reshape(-1, 2, 2, 2, 2).transpose(1, 3, 0, 2, 4)
+        ops = (projs @ blocks.reshape(4, -1)).reshape(len(angles), 2, -1, 2, 2)
+        values.append(_half_trace_norm_qubit(ops).sum(axis=1).T)
+    return np.concatenate(values)
+
+
 def _block_ascent(deltas, n_parties, params):
     """Maximize each block of each pair's start, a row of params, in turn
     until a sweep gains less than _SWEEP_TOL on every pair; a single block
-    is done after one sweep, since a second would repeat it."""
+    is done after one sweep, since a second would repeat it.  The two-party
+    grid, one candidate stack for every pair, is scored by _shared_distances."""
     n_blocks = params.shape[1] // 2
 
-    def objective(stack):  # (K, 2 * blocks) shared, or (P, K, 2 * blocks)
+    def objective(stack):  # (K, 2) shared by every pair, or (P, K, 2 * blocks)
+        if stack.ndim == 2:
+            return _shared_distances(deltas, stack)
         step = max(1, _PASS_POINTS // stack.shape[-2])
-        return np.concatenate([
-            _sequential_distances(deltas[p:p + step], n_parties,
-                                  stack if stack.ndim == 2 else stack[p:p + step])
-            for p in range(0, len(deltas), step)])
+        return np.concatenate([_sequential_distances(deltas[p:p + step], n_parties,
+                                                     stack[p:p + step])
+                               for p in range(0, len(deltas), step)])
 
     values = objective(params[:, None])[:, 0]
     for _ in range(_MAX_SWEEPS):
@@ -310,8 +323,8 @@ def locc1_lower_bound(rho, sigma, dims, restarts=32, rng=None) -> Locc1Result:
     dims = [int(d) for d in dims]
     if not 1 <= len(dims) <= 3 or any(d != 2 for d in dims):
         raise ValueError("supported partitions: 1 to 3 parties of dimension 2")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral) or restarts < 1:
+        raise ValueError(f"restarts must be an integer >= 1, not {restarts!r}")
     ra, rb = qcore.as_density(rho), qcore.as_density(sigma)
     if ra.dim != rb.dim or ra.dim != 2 ** len(dims):
         raise qcore.DimensionMismatchError("states do not match the party dims")
@@ -370,12 +383,13 @@ def gentle_measurement_check(e_op, tau, sigma) -> InequalityReport:
 
 def uniform_continuity_bound(a, K, distance):
     """Right-hand side 2 a K * distance of the local-observable continuity
-    bound; arrays give one bound per element."""
+    bound for an integer count K >= 1 of terms; arrays give one bound each."""
     a, distance = np.asarray(a, dtype=float), np.asarray(distance, dtype=float)
     if not (np.isfinite(a) & (a >= 0)).all():
         raise ValueError("operator-norm bound must be finite and nonnegative")
-    if (np.asarray(K) < 1).any():
-        raise ValueError("term count must be >= 1")
+    K = np.asarray(K)
+    if K.dtype.kind not in "iu" or (K < 1).any():
+        raise ValueError("term count must be an integer >= 1")
     if not (np.isfinite(distance) & (distance >= 0)).all():
         raise ValueError("distance must be finite and nonnegative")
     return 2.0 * a * K * distance

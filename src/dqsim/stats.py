@@ -71,21 +71,7 @@ def batch_statistics(values, batches: int) -> BatchSummary:
     dropped = values.size - size * batches
     trimmed = values[: size * batches].reshape(batches, size)
     means = trimmed.mean(axis=1)
-    mean = float(means.mean())
-    if batches > 1:
-        batch_var = float(means.var(ddof=1))
-    else:
-        batch_var = 0.0
-    if size > 1:
-        within = float(trimmed.var(axis=1, ddof=1).mean())
-    else:
-        within = 0.0
-    return BatchSummary(
-        mean=mean,
-        variance_of_mean=batch_var / batches,
-        batch_variance=batch_var,
-        within_batch_variance=within,
-        batches=batches,
-        batch_size=size,
-        dropped=dropped,
-    )
+    batch_var = float(means.var(ddof=1)) if batches > 1 else 0.0
+    within = float(trimmed.var(axis=1, ddof=1).mean()) if size > 1 else 0.0
+    return BatchSummary(float(means.mean()), batch_var / batches, batch_var, within,
+                        batches, size, dropped)

@@ -75,6 +75,19 @@ def test_epsilon0_threshold_rescaling_consistency():
         metrics.epsilon0("one_way_gc", "entanglement", eps, **kw), abs=1e-12)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_epsilon0_rejects_non_finite_threshold(threshold):
+    for mode in metrics.MODES:
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            metrics.epsilon0(mode, "mub", threshold, T=10, N_d=1, n=1, phi=0.3)
+
+
+@pytest.mark.parametrize("phi", [None, math.nan, math.inf])
+def test_epsilon0_two_way_needs_finite_phi(phi):
+    with pytest.raises(ValueError, match="finite phi"):
+        metrics.epsilon0("two_way_gc", "mub", 0.1, T=10, N_d=1, n=1, phi=phi)
+
+
 def test_epsilon0_invalid_mode_rejected():
     with pytest.raises(ValueError):
         metrics.epsilon0("sideways", "mub", 0.1)
@@ -87,6 +100,24 @@ def test_epsilon0_invalid_mode_rejected():
 def test_bias_bound_examples():
     assert metrics.bias_bound(0.1, 1, math.pi / 4) == pytest.approx(0.1)
     assert metrics.bias_bound(0.1, 1, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("eps0, phi", [(math.nan, 0.3), (0.1, math.nan), (0.1, math.inf),
+                                       (math.inf, -math.inf)])
+def test_bounds_reject_nan_eps0_and_non_finite_phi(eps0, phi):
+    with pytest.raises(ValueError, match="eps0 must not be NaN and phi must be finite"):
+        metrics.bias_bound(eps0, 1, phi)
+    for mode in metrics.MODES:
+        with pytest.raises(ValueError, match="eps0 must not be NaN and phi must be finite"):
+            metrics.variance_bound(eps0, 1, phi, mode, N_e=10)
+
+
+def test_bounds_keep_infinite_eps0():
+    # a finite threshold whose square overflows gives eps0 = inf
+    eps0 = metrics.epsilon0("one_way_gc", "mub", 1e200, T=10, N_d=1, n=1)
+    assert eps0 == math.inf
+    assert metrics.bias_bound(eps0, 1, 0.3) == math.inf
+    assert metrics.variance_bound(eps0, 1, 0.3, "one_way_gc") == math.inf
 
 
 def test_variance_bound_gc_example():
@@ -282,6 +313,20 @@ def test_locc1_rejects_zero_restarts():
         metrics.locc1_lower_bound(rho, rho, dims=[2, 2], restarts=0)
 
 
+@pytest.mark.parametrize("restarts", [2.5, math.nan, True, False, "4", None])
+@pytest.mark.parametrize("parties", [1, 2, 3])
+def test_locc1_rejects_non_integer_restarts(restarts, parties):
+    rho = qcore.random_density_matrix(2 ** parties, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"restarts must be an integer >= 1, not {restarts!r}"):
+        metrics.locc1_lower_bound(rho, rho, dims=[2] * parties, restarts=restarts)
+
+
+def test_locc1_accepts_numpy_integer_restarts():
+    rho = qcore.random_density_matrix(8, np.random.default_rng(0))
+    res = metrics.locc1_lower_bound(rho, rho, dims=[2, 2, 2], restarts=np.int64(2))
+    assert res.restarts_used == 2
+
+
 def test_half_trace_norm_qubit_matches_eigvalsh():
     rng = np.random.default_rng(14)
     g = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
@@ -348,6 +393,19 @@ def test_uniform_continuity_rejects_bad_numbers(a, distance):
         metrics.uniform_continuity_bound(a, 1, distance)
 
 
+@pytest.mark.parametrize("K", [math.nan, 1.5, 2.0, True, 0, -1, np.array([1, 0]),
+                               np.array([1.0, 2.0]), np.array([True, True])])
+def test_uniform_continuity_rejects_bad_term_counts(K):
+    with pytest.raises(ValueError, match="term count must be an integer >= 1"):
+        metrics.uniform_continuity_bound(1.0, K, 0.1)
+
+
+def test_uniform_continuity_accepts_integer_term_counts():
+    assert metrics.uniform_continuity_bound(1.0, np.int64(2), 0.1) == pytest.approx(0.4)
+    np.testing.assert_allclose(metrics.uniform_continuity_bound(
+        1.0, np.array([1, 2], dtype=np.uint8), 0.1), [0.2, 0.4])
+
+
 def test_uniform_continuity_random_local_observables():
     rng = np.random.default_rng(10)
     for _ in range(100):
@@ -367,6 +425,16 @@ def test_definetti_iid_point_mass():
                                              restarts=2)
     assert rep.lhs <= 1e-9
     assert rep.holds
+
+
+@pytest.mark.parametrize("restarts", [2.5, math.nan, True])
+def test_definetti_rejects_non_integer_restarts(restarts):
+    comp = qcore.random_density_matrix(2, np.random.default_rng(11))
+    iid = qcore.DensityMatrix(qcore.kron_power(comp.data, 4))
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            metrics.definetti_inequality_check(iid, m=4, k=k, mixture=[(1.0, comp)],
+                                               restarts=restarts)
 
 
 @pytest.mark.parametrize("weights", [(math.nan,), (1.5, -0.5), (math.inf, 0.0)])

@@ -12,6 +12,7 @@ a check of the counts alone would not see a suite that checks other states.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,3 +118,30 @@ def test_pair_axis_locc1_search_matches_per_pair_calls():
     np.testing.assert_array_equal(values, [c.lower_bound for c in calls])
     np.testing.assert_array_equal(params, [c.best_measurement_parameters for c in calls])
     assert converged and all(c.converged for c in calls)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shared_grid_pass_matches_per_pair_distances(seed):
+    # the suite's 50 pairs; the full grid is one pair per slice, every 7th
+    # point 13 pairs per slice with a shorter last slice
+    rng = np.random.default_rng(seed)
+    a, b = qcore.ginibre_states(rng.normal(size=(50, 2, 2, 4, 4))).swapaxes(0, 1)
+    deltas = a - b
+    for grid in (metrics._GRID, metrics._GRID[::7]):
+        shared = metrics._shared_distances(deltas, grid)
+        assert shared.shape == (50, len(grid))
+        for delta, row in zip(deltas, shared):
+            np.testing.assert_array_equal(row, metrics._sequential_distances(delta[None], 2, grid)[0])
+
+
+def test_locc1_suite_peak_memory_below_one_megabyte():
+    # a grid pass over all 50 pairs in one product would hold their
+    # (50, 544, 2, 4) complex stack, 3.5 MB, and peak near 5 MB
+    metrics._locc1_vs_trace_distance(np.random.default_rng(SEEDS[0]))
+    tracemalloc.start()
+    try:
+        metrics._locc1_vs_trace_distance(np.random.default_rng(SEEDS[0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
