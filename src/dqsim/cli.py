@@ -254,12 +254,11 @@ def cmd_run(scenario, seed_override=None, strict_abort=False) -> int:
 VARIANCE_WINDOWS = 20
 
 
-def _batched_phi_variance(config, windows):
-    """Estimator-variance estimate from the cell counts of windows of rounds:
-    the variance over the windows' pooled phase estimates divided by their
-    number.  A window with no kept non-leak estimation round is left out,
-    and fewer than 2 usable windows give inf."""
-    sums, kept = protocol.estimation_sums(windows)
+def _batched_phi_variance(config, classes):
+    """Estimator-variance estimate from windows of rounds' ``protocol.product_classes``: the
+    variance over the windows' pooled phase estimates divided by their number.  A window
+    with no kept non-leak estimation round is left out, and fewer than 2 usable give inf."""
+    sums, kept = classes[:, 2] - classes[:, 0], classes[:, 2] + classes[:, 0]
     usable = kept > 0
     if usable.sum() < 2:
         return math.inf
@@ -267,13 +266,12 @@ def _batched_phi_variance(config, windows):
     return stats.batch_statistics(phis, phis.size).variance_of_mean
 
 
-def _sweep_row(scenario, config, value, windows):
-    """A sweep row from both twins' window counts at ``config``."""
-    tr_att, tr_idl = (protocol.CellCounts(config, w.sum(axis=0)) for w in windows)
+def _sweep_row(scenario, config, value, counts, classes):
+    """A sweep row at ``config`` from both twins' counts and window classes."""
+    tr_att, tr_idl = (protocol.CellCounts(config, c) for c in counts)
     chk = protocol.check_fidelity(tr_att)
-    est_att = protocol.estimate_phase(tr_att)
-    est_idl = protocol.estimate_phase(tr_idl)
-    var_att, var_idl = (_batched_phi_variance(config, w) for w in windows)
+    est_att, est_idl = (protocol.estimate_phase(tr) for tr in (tr_att, tr_idl))
+    var_att, var_idl = (_batched_phi_variance(config, k) for k in classes)
     mode = _bounds_mode(scenario, config)
     phi = config.true_phi
     eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,
@@ -314,14 +312,14 @@ def sweep_rows(scenario, seed_override=None):
     config = build_config(scenario, seed_override)
     variable, values = scenario["sweep"]["variable"], sweep_values(scenario)
     if variable == "phi":
-        counts = protocol.twin_counts(config, build_attack(scenario), adversary.identity_attack(),
-                                      VARIANCE_WINDOWS, values)
-        return [_sweep_row(scenario, replace(config, true_phi=float(value)), value, windows)
-                for value, windows in zip(values, counts)]
+        counts, classes = protocol.twin_counts(
+            config, build_attack(scenario), adversary.identity_attack(), VARIANCE_WINDOWS, values)
+        return [_sweep_row(scenario, replace(config, true_phi=float(value)), value, *twins)
+                for value, *twins in zip(values, counts, classes)]
     param = variable.split(".", 1)[1]
-    return [_sweep_row(scenario, config, value, protocol.twin_counts(
+    return [_sweep_row(scenario, config, value, *(part[0] for part in protocol.twin_counts(
         config, build_attack(scenario, {param: float(value)}), adversary.identity_attack(),
-        VARIANCE_WINDOWS, [config.true_phi])[0]) for value in values]
+        VARIANCE_WINDOWS, [config.true_phi]))) for value in values]
 
 
 def cmd_sweep(scenario, seed_override=None, threads=1) -> int:

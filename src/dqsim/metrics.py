@@ -112,10 +112,12 @@ SIN_FLOOR = 1e-12
 
 def _sine_denominator(eps0, n, phi):
     """n |sin(2 n phi)|, once both bounds' inputs are checked; eps0 may be +inf."""
-    if n < 1:
-        raise ValueError("qubit count must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"qubit count n must be an integer >= 1, not {n!r}")
     if math.isnan(eps0) or not math.isfinite(phi):
         raise ValueError("eps0 must not be NaN and phi must be finite")
+    if eps0 < 0:
+        raise ValueError(f"eps0 must be nonnegative, not {eps0!r}")
     return n * abs(math.sin(2 * n * phi))
 
 

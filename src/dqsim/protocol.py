@@ -27,9 +27,9 @@ outcome passes through a value map.  Memoryless attacks run on a
 vectorized fast path: each (setting, label) pair has an exact outcome
 table computed once, and one categorical draw from the prior times the
 tables gives every round its cell and branches together.  A sweep's twin
-counts by window (``twin_counts``) come, under them, from one push for all
-its phases and, per phase, the twins' exact joint law with one multinomial
-and no round one by one; under a memory attack, from two runs per phase.
+counts (``twin_counts``) come, under them, from one push, one table build
+per slice of phases and, per phase, the twins' exact joint law, with no
+round drawn one by one; under a memory attack, from two runs per phase.
 Block-memory attacks draw each round's outcome from its exact law given
 the adversary's ancilla, a batch of independent blocks at a time, one
 position inside the block after another; register attacks act on a batch
@@ -127,16 +127,7 @@ class ProtocolConfig:
 
     def public(self) -> dict:
         """Protocol parameters the adversary legitimately knows."""
-        return {
-            "variant": self.variant,
-            "direction": self.direction,
-            "n": self.n,
-            "T": self.T,
-            "p_c": self.p_c,
-            "p_e": self.p_e,
-            "p_d": self.p_d,
-            "epsilon_threshold": self.epsilon_threshold,
-        }
+        return {k: v for k, v in vars(self).items() if k not in ("true_phi", "seed")}
 
     def config_hash(self) -> str:
         payload = {
@@ -181,7 +172,7 @@ _SETTINGS = (tuple((0, pick, axis) for pick, axis in enumerate(AXES))
 _SETTING_ACTION = np.array([action for action, _pick, _axis in _SETTINGS], dtype=np.int8)
 _SETTING_AXIS = np.array([-1 if axis is None else AXES.index(axis)
                           for _action, _pick, axis in _SETTINGS], dtype=np.int8)
-# whether a setting encodes: its index into ``_encoders(config)``
+# whether a setting encodes: its index into ``_encoders``
 _SETTING_ENCODER = np.array([action == 1 for action, _pick, _axis in _SETTINGS],
                             dtype=np.intp)
 
@@ -202,6 +193,8 @@ _CELL_STATUS = np.where(_LABEL_AXIS[_CELL_LABEL] == _CELL_AXIS,
 # a kept estimation round's product of sensor outcome and label sign; 0 for
 # every other round and for leak outcomes
 _CELL_PRODUCT = np.where(_CELL_STATUS == 2, _LABEL_SIGN[_CELL_LABEL] * _CELL_OUT, 0).astype(np.int8)
+# its product's class: the slot of -1, 0 (no product) or +1
+_CELL_CLASS = _CELL_PRODUCT.astype(np.intp) + 1
 
 
 def _row_suffixes(variant):
@@ -394,16 +387,11 @@ def _sensor_model(n):
     return frame, kets, probes, sensor
 
 
-def _encoders(config):
-    """The identity and the run's phase encoding, stacked so that
-    ``_SETTING_ENCODER`` indexes them."""
-    return np.stack([np.eye(2 ** config.n, dtype=complex),
-                     qcore.encoding_unitary(config.n, config.true_phi)])
-
-
-def _labels(branches):
-    """An instrument's branch labels, in branch order."""
-    return tuple(label for label, _weight, _kraus in branches)
+def _encoders(n, phi):
+    """The identity and the phase encoding at ``phi``, stacked so that
+    ``_SETTING_ENCODER`` indexes them; a list of phases gives each its own."""
+    enc = qcore.encoding_unitary(n, phi)
+    return np.stack([np.broadcast_to(np.eye(2 ** n, dtype=complex), enc.shape), enc])
 
 
 def _push(n, fwd):
@@ -422,7 +410,7 @@ def _push(n, fwd):
         states.append(weight * sum(z.swapaxes(-1, -2) @ z.conj() for z in parts))
     states = np.stack(states, axis=1)
     states.setflags(write=False)
-    return _labels(fwd), states
+    return tuple(branch[0] for branch in fwd), states
 
 
 def _legs(config, attack):
@@ -448,34 +436,34 @@ def _legs(config, attack):
 _TABLE_TOLERANCE = 1e-9
 
 
-def _build_tables(config, pushed, bwd):
-    """Exact outcome tables of every cell from the pushed probe states of
-    ``_push`` and the backward instrument ``bwd`` (None: identity),
-    one float array of shape (setting, probe label, forward branch,
+def _build_tables(n, phis, pushed, bwd):
+    """Exact outcome tables of every cell at each phase of ``phis`` from the
+    pushed probe states of ``_push`` and the backward instrument ``bwd``
+    (None: identity), shape (phase, setting, probe label, forward branch,
     backward branch, outcome slot): the probabilities of a round's branches
-    and of its cell's outcome slot.  A discarded round's mass lies on slot
-    +1.  The pushed stack is encoded once and pushed through the backward
-    instrument; each encoder's states are contracted with every sensor
-    projector, and the settings gather their encoder and projectors.  A
-    total off 1, or an entry below 0, by more than ``_TABLE_TOLERANCE``
-    raises UnsupportedAttackError; roundoff negatives are set to 0."""
-    sensor = _sensor_model(config.n)[3]
-    enc = _encoders(config)[:, None, None]
+    and of its cell's outcome slot, a discarded round's mass on slot +1.
+    The pushed stack is encoded at every phase and pushed through ``bwd``,
+    contracted with every sensor projector, and each setting gathers its
+    encoder and projectors.  A total off 1, or an entry below 0, by more than
+    ``_TABLE_TOLERANCE`` raises UnsupportedAttackError; roundoff negatives
+    are set to 0."""
+    sensor = _sensor_model(n)[3]
+    enc = _encoders(n, phis)[..., None, None, :, :]
     states = enc @ pushed @ enc.conj().swapaxes(-1, -2)
     states = states[..., None, :, :] if bwd is None else qcore.apply_instrument(states, bwd)
     # Tr(P rho) is the sum over the entries of P^T times rho
-    d = 2 ** config.n
+    d = 2 ** n
     probs = (states.reshape(states.shape[:-2] + (d * d,))
              @ sensor.swapaxes(-1, -2).reshape(-1, d * d).T).real
     probs = probs.reshape(probs.shape[:-1] + sensor.shape[:2])
     tables = probs[_SETTING_ENCODER, ..., _SETTING_AXIS, :]
-    totals, least = tables.sum(axis=(2, 3, 4)), tables.min()
+    totals, least = tables.sum(axis=(-3, -2, -1)), tables.min()
     total = totals.flat[np.argmax(np.abs(totals - 1.0))]
     if not (abs(total - 1.0) <= _TABLE_TOLERANCE and least >= -_TABLE_TOLERANCE):
         raise UnsupportedAttackError(
             f"the attack's instrument does not preserve trace: an outcome "
             f"table sums to {total:.12g} with least entry {least:.3g}")
-    return np.clip(tables, 0.0, None)
+    return np.clip(tables, 0.0, None).swapaxes(0, 1)
 
 
 def _prior(config):
@@ -566,14 +554,14 @@ def _run_fast(config, attack, rng, legs) -> Transcript:
     ``_legs``, and the attack records every round's branches in one
     ``record_round`` call.  Draw order: one uniform per round (``_draw``)."""
     (fwd_labels, _pushed), bwd = legs
-    tables = _law(config, legs)
+    tables = _law(config, [config.true_phi], legs)[0]
     # each table entry's (cell, forward branch, backward branch)
     setting, label, forward, backward, slot = np.indices(tables.shape)
     cell = np.ravel_multi_index((setting, label, slot), _CELL_SHAPE)
     entries = np.stack([cell, forward, backward]).reshape(3, -1)
     entries = entries.astype(np.min_scalar_type(max(_N_CELLS, *tables.shape)))
     cell, forward, backward = np.take(entries, _draw(tables, rng, config.T), axis=1)
-    backward = () if bwd is None else (backward, _labels(bwd))
+    backward = () if bwd is None else (backward, tuple(branch[0] for branch in bwd))
     attack.record_round(forward, fwd_labels, *backward)
     return Transcript(config, cell)
 
@@ -605,7 +593,8 @@ def _memory_maps(config, coupling):
     d, c = 2 ** config.n, np.asarray(coupling, dtype=complex)
     if not (c.shape == (2 * d, 2 * d) and np.abs(c @ c.conj().T - np.eye(2 * d)).max() <= 1e-10):
         raise UnsupportedAttackError("the attack's coupling is not unitary on probe and qubit")
-    measured = sensor[_SETTING_AXIS] @ _encoders(config)[_SETTING_ENCODER][:, None]
+    encoders = _encoders(config.n, config.true_phi)[_SETTING_ENCODER]
+    measured = sensor[_SETTING_AXIS] @ encoders[:, None]
     w = np.einsum("skpr,reqg->skpeqg", measured, c.reshape(d, 2, d, 2))
     maps = np.einsum("skpeqg,lqr,skpfrh->slkefgh", w, probes, w.conj(), optimize=True)
     maps = maps.reshape(maps.shape[:3] + (4, 4))
@@ -644,7 +633,7 @@ def _run_register(config, attack, rng, setting, label, slot):
     Draw order, batch by batch: one uniform per round for each measurement
     the hooks make, in call order, then one per round for the sensor's."""
     _frame, _kets, probes, sensor = _sensor_model(config.n)
-    encoders = _encoders(config)[_SETTING_ENCODER]
+    encoders = _encoders(config.n, config.true_phi)[_SETTING_ENCODER]
     for _last, (t,) in _batches(config, 1):
         world = qcore.RegisterState(["B"], [2 ** config.n], probes[label[t]])
         attack.forward_state(world, rng)
@@ -654,41 +643,60 @@ def _run_register(config, attack, rng, setting, label, slot):
         slot[t] = world.measure(sensor[_SETTING_AXIS[setting[t]]], world.probe, rng)
 
 
-def _law(config, legs):
-    """A memoryless attack's round law at ``config``'s phase from its ``_legs``."""
-    return _prior(config)[..., None, None, None] * _build_tables(config, legs[0][1], legs[1])
+def _law(config, phis, legs):
+    """A memoryless attack's round law at each phase of ``phis`` from its ``_legs``."""
+    tables = _build_tables(config.n, phis, legs[0][1], legs[1])
+    return _prior(config)[..., None, None, None] * tables
+
+
+# Bytes of a slice of phases' encoded states, after the backward leg, that a sweep builds at once.
+_SLICE_BYTES = 1 << 20
+
+
+def _twin_draw(weights, sizes, rng):
+    """Both twins' cell counts and their windows' product classes, shape (2,
+    _N_CELLS) and (2, window, 3), from their round laws ``weights``: each pair
+    of cells, and so each of the nine (attacked, identity) pairs of product
+    classes, has an exact law (``_pair_law``).  Draw order: a multinomial of the
+    window ``sizes`` over the classes holding pairs, then one per such class over its pairs."""
+    probs, entries = _pair_law(*weights)
+    # each interval's cells, from its entries (setting, label, branches, slot)
+    a, b = (e // (w.size * 3 // _N_CELLS) * 3 + e % 3 for w, e in zip(weights, entries))
+    law = np.bincount(a * _N_CELLS + b, probs, _N_CELLS ** 2)
+    pairs = np.flatnonzero(law)
+    (a, b), law = divmod(pairs, _N_CELLS), law[pairs]
+    kind = 3 * _CELL_CLASS[a] + _CELL_CLASS[b]
+    class_law = np.bincount(kind, law, 9)
+    classes = np.flatnonzero(class_law)  # holding pairs: no roundoff remainder lands elsewhere
+    kinds, drawn = np.zeros((len(sizes), 9), dtype=np.int64), np.zeros(pairs.size)
+    kinds[:, classes] = rng.multinomial(sizes, class_law[classes])
+    for k in classes:
+        drawn[kind == k] = rng.multinomial(kinds[:, k].sum(), law[kind == k] / class_law[k])
+    kinds = kinds.reshape(len(sizes), 3, 3)
+    return ([np.bincount(c, drawn, _N_CELLS) for c in (a, b)],
+            [kinds.sum(axis=2), kinds.sum(axis=1)])
 
 
 def twin_counts(config, attack, ideal, windows, phis):
-    """The ``Transcript.window_counts`` of ``run(cfg, attack)`` and of its
-    twin ``run(cfg, ideal)``, ``cfg`` being ``config`` at each ``true_phi`` of
-    ``phis``: shape (phase, twin, window, *_CELL_SHAPE).  The attack never
-    learns the phase, so a memoryless one is started, and both twins pushed,
-    once for all phases; each phase's pairs of cells are then multinomial per
-    window under the twins' exact joint law (``run`` picks both twins'
-    entries with one uniform per round, ``_pair_law``).  Draw order, per
-    phase: one ``rng.multinomial`` from ``config.seed``.  Under a memory
-    attack each phase runs both twins, the attacked one on a clone."""
+    """The ``counts`` of ``run(cfg, attack)`` and of its twin ``run(cfg, ideal)``,
+    ``cfg`` being ``config`` at each ``true_phi`` of ``phis``, shape (phase,
+    twin, *_CELL_SHAPE), and the ``product_classes`` of their ``windows``
+    windows of rounds (``_window_sizes``), shape (phase, twin, window, 3).  A
+    memoryless attack, which never learns the phase, is started and pushed
+    once; each phase is a ``_twin_draw`` seeded by ``config.seed``.  Under a
+    memory attack both twins run at each phase, the attacked one on a clone."""
     legs = _legs(config, attack)
-    configs = [replace(config, true_phi=float(phi)) for phi in phis]
     if legs is None:  # the twins share the seed's prior draw
-        return np.array([[run(cfg, a).window_counts(windows) for a in (attack.clone(), ideal)]
-                         for cfg in configs])
+        counts = np.array([[run(replace(config, true_phi=float(phi)), a).window_counts(windows)
+                            for a in (attack.clone(), ideal)] for phi in phis])
+        return counts.sum(axis=2), product_classes(counts)
     ideal_legs, sizes, out = _legs(config, ideal), _window_sizes(config.T, windows), []
-    cell = np.arange(_N_CELLS).reshape(_CELL_SHAPE)[:, :, None, None]  # over the branches
-    # each (twin, window)'s offset into the flat counts, to which a drawn pair adds its cells
-    base = np.arange(2 * windows).reshape(2, -1, 1) * _N_CELLS
-    for cfg in configs:
-        weights = [_law(cfg, legs), _law(cfg, ideal_legs)]
-        probs, entries = _pair_law(*weights)
-        pair = [np.broadcast_to(cell, w.shape).ravel()[e] for w, e in zip(weights, entries)]
-        law = np.bincount(pair[0] * _N_CELLS + pair[1], probs, _N_CELLS ** 2)
-        pairs = np.flatnonzero(law)
-        drawn = np.random.default_rng(config.seed).multinomial(sizes, law[pairs])
-        index = base + np.stack(divmod(pairs, _N_CELLS))[:, None]
-        out.append(np.bincount(index.ravel(), np.broadcast_to(drawn, index.shape).ravel(),
-                               2 * windows * _N_CELLS))
-    return np.array(out, dtype=np.int64).reshape(len(configs), 2, windows, *_CELL_SHAPE)
+    step = max(1, _SLICE_BYTES // (32 * legs[0][1].size * (len(legs[1]) if legs[1] else 1)))
+    for start in range(0, len(phis), step):
+        laws = [_law(config, phis[start:start + step], lg) for lg in (legs, ideal_legs)]
+        out += [_twin_draw(w, sizes, np.random.default_rng(config.seed)) for w in zip(*laws)]
+    counts, classes = (np.array([o[i] for o in out], dtype=np.int64) for i in (0, 1))
+    return counts.reshape(len(phis), 2, *_CELL_SHAPE), classes.reshape(len(phis), 2, windows, 3)
 
 
 def run(config: ProtocolConfig, attack) -> Transcript:
@@ -757,11 +765,11 @@ def estimation_products(transcript):
     return products[products != 0]
 
 
-def estimation_sums(counts):
-    """The sum of the ``estimation_products`` and their number from cell
-    counts, one pair per leading index of ``counts`` (..., *_CELL_SHAPE)."""
-    flat = np.reshape(counts, (-1, _N_CELLS))
-    return flat @ _CELL_PRODUCT, flat @ (_CELL_PRODUCT != 0)
+def product_classes(counts):
+    """Rounds per ``estimation_products`` value -1, 0 (no product: every other
+    round) and +1, shape (..., 3), from cell counts (..., *_CELL_SHAPE)."""
+    flat = np.reshape(counts, np.shape(counts)[:-3] + (_N_CELLS,))
+    return flat @ (_CELL_CLASS[:, None] == np.arange(3))
 
 
 def check_fidelity(transcript) -> CheckResult:
@@ -847,14 +855,6 @@ def run_mub_equivalence(config: ProtocolConfig, attack) -> EquivalenceReport:
         except InsufficientRoundsError:
             return None
 
-    return EquivalenceReport(
-        entanglement_fidelity=c_ent.fidelity_estimate,
-        mub_fidelities=c_mub.fidelity_estimate,
-        combined_from_mub=combined,
-        identity_sigma=sigma,
-        identity_holds=holds,
-        entanglement_passed=c_ent.passed,
-        mub_passed=c_mub.passed,
-        entanglement_phi_hat=phi_or_none(t_ent),
-        mub_phi_hat=phi_or_none(t_mub),
-    )
+    return EquivalenceReport(c_ent.fidelity_estimate, c_mub.fidelity_estimate, combined,
+                             sigma, holds, c_ent.passed, c_mub.passed, phi_or_none(t_ent),
+                             phi_or_none(t_mub))

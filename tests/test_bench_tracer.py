@@ -75,3 +75,19 @@ def test_benchmark_command_lines_parse(tmp_path):
     assert len(argvs) == 49
     for argv in argvs:
         assert parser.parse_args(argv).command in ("run", "sweep", "verify")
+
+
+def test_toy_sweep_ops_pass_the_benchmark_checks(tmp_path):
+    # the benchmark's own sweep ops, run and checked by its own code: a break
+    # of the sweep interface that its checker rejects (an exit code, the CSV
+    # header, a row count, a non-finite cell) fails here, not only in a
+    # benchmark run; a repeat writes the same bytes
+    workloads = load_bench_module("workloads")
+    ops = workloads.build("sweep_twin", 7, str(tmp_path), toy=True)
+    assert [op.check for op in ops] == ["sweep", "sweep"]
+    for op in ops:
+        rc, _wall = workloads.call(op)
+        assert workloads.problems(op, rc) == []
+        first = workloads.digests(op)
+        rc, _wall = workloads.call(op)
+        assert rc == 0 and sorted(first) == ["csv"] and workloads.digests(op) == first

@@ -393,8 +393,8 @@ def reference_sweep_point(scenario, value, seed=None):
     chk = protocol.check_fidelity(tr_att)
     est_att = protocol.estimate_phase(tr_att)
     est_idl = protocol.estimate_phase(tr_idl)
-    var_att, var_idl = (cli._batched_phi_variance(config, tr.window_counts(cli.VARIANCE_WINDOWS))
-                        for tr in (tr_att, tr_idl))
+    var_att, var_idl = (cli._batched_phi_variance(config, protocol.product_classes(
+        tr.window_counts(cli.VARIANCE_WINDOWS))) for tr in (tr_att, tr_idl))
     mode = cli._bounds_mode(scenario, config)
     phi = config.true_phi
     eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,
@@ -513,11 +513,13 @@ def test_run_with_a_shared_push_is_the_fresh_run(tmp_path, case):
         config = replace(cli.build_config(scenario), n=n, T=500, direction=direction)
         shared = protocol.twin_counts(config, cli.build_attack(scenario),
                                       adversary.identity_attack(), 20, phis)
-        assert shared.shape == (len(phis), 2, 20, *protocol._CELL_SHAPE)
-        for phi, counts in zip(phis, shared):
+        assert shared[0].shape == (len(phis), 2, *protocol._CELL_SHAPE)
+        assert shared[1].shape == (len(phis), 2, 20, 3)
+        for i, phi in enumerate(phis):
             fresh = protocol.twin_counts(config, cli.build_attack(scenario),
                                          adversary.identity_attack(), 20, [phi])
-            np.testing.assert_array_equal(counts, fresh[0])
+            for part, one in zip(shared, fresh):
+                np.testing.assert_array_equal(part[i], one[0])
 
 
 def test_counts_first_twins_keep_the_shared_seed_coupling():
@@ -812,11 +814,13 @@ def test_equivalence_subcommand(tmp_path):
 # ``var_emp`` took windows of rounds and twins under memoryless attacks
 # became counts-first; the fast ones moved again when the forward push went
 # from densities to kets, which moves the pair law by at most 2.2e-16 but
-# adds or drops a zero-width interval, and so a category of the multinomial.
+# adds or drops a zero-width interval, and so a category of the multinomial;
+# and again when each window came to draw the nine product classes of its
+# pairs, and the whole run the pairs within each class.
 ANALYSIS_DIGESTS = {
     ("entanglement", "fast"): {
         "run": "c1a474274f042b792c6c38657b03b1b6f708ff251a663bc09fd3a9f39f44aedf",
-        "sweep": "97a9ff4a68af0a862bc3338d574f88c0719f030064b12063d81fd9e0217e0b71",
+        "sweep": "da6031a2718343a9828a7c468d823c4d2bb3d5ef779423876917ed207fc571e8",
         "equivalence": "ec13cbadb5f29064c6f1bdb88c6df5db453c7addd77a260b77c6f1befe4489d8",
     },
     ("entanglement", "stateful"): {
@@ -826,7 +830,7 @@ ANALYSIS_DIGESTS = {
     },
     ("mub", "fast"): {
         "run": "b4b372211e3ee2950da21cf52f5296477262f3d5c2cbd392da35d13cab87068f",
-        "sweep": "5910f6b9920746efdc1c040099adfb71de53021484aaa04a5090e3cf4f2f48de",
+        "sweep": "8edb25827dc907fecfaf63cc12824aa9a370ff25e0541d4506ec7fc9fa6dec41",
         "equivalence": "ec13cbadb5f29064c6f1bdb88c6df5db453c7addd77a260b77c6f1befe4489d8",
     },
     ("mub", "stateful"): {
@@ -865,22 +869,23 @@ def test_analysis_output_digests(tmp_path, variant, engine):
 # scenario's protocol edit, attack and sweep: an attack-parameter sweep,
 # whose points each build their own attack, at n = 2 on both variants, and
 # a two-way phase sweep under intercept-resend, whose forward instrument
-# has nine labelled branches.  The phase sweep's CSV moved for the reason the
-# fast sweep entries of ANALYSIS_DIGESTS did.
+# has nine labelled branches.  All three moved for the reasons the fast
+# sweep entries of ANALYSIS_DIGESTS did (the attack-parameter sweeps only
+# with the class draw).
 SWEEP_DIGESTS = {
     "depolarizing_p/entanglement": (
         dict(variant="entanglement", n=2), {"name": "depolarizing", "params": {"p": 0.0}},
         {"variable": "attack.p", "start": 0.0, "stop": 0.3, "steps": 3},
-        "149dcfb2620fbc6162beb7f0c60a38c4a404a6c8c5bcf8103455c463b1fe5adf"),
+        "968a4379a0a7ec30f659d067d98b3e2b70441096aa62eb9cd00a9089ab04551a"),
     "depolarizing_p/mub": (
         dict(variant="mub", n=2), {"name": "depolarizing", "params": {"p": 0.0}},
         {"variable": "attack.p", "start": 0.0, "stop": 0.3, "steps": 3},
-        "f8b56d013dd06d79ff90ecb5bdba7f14ae91260e5306ee8e57b65017fc8f1ac7"),
+        "840cca8549060cc63f43d81d5dbe6612d5dadb4d34c61125b33ad3befbbda00d"),
     "intercept_resend_phi/two_way": (
         dict(direction="two_way", n=2),
         {"name": "intercept_resend", "params": {"basis_strategy": "random"}},
         {"variable": "phi", "start": 0.1, "stop": 0.7, "steps": 3},
-        "1f3e902d374432c8e1164b73fd8150340320361f58961647355f6d7cae4f6b2e"),
+        "851a5b063b772e066c48f4bbb4cf3c8fb3af963ef283b2f568cf7103698320ee"),
 }
 
 

@@ -7,6 +7,8 @@ import shutil
 import pytest
 
 DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# the file a demo writes next to itself that the repository keeps, by demo
+KEPT_OUTPUTS = {"03_bounds_sweep": "bounds_sweep.csv"}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
@@ -15,3 +17,6 @@ def test_demo_runs(tmp_path, capsys, demo):
     script = shutil.copy(demo, tmp_path)
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out
+    if demo.stem in KEPT_OUTPUTS:
+        kept = KEPT_OUTPUTS[demo.stem]
+        assert (tmp_path / kept).read_bytes() == (demo.parent / kept).read_bytes()

@@ -112,6 +112,32 @@ def test_bounds_reject_nan_eps0_and_non_finite_phi(eps0, phi):
             metrics.variance_bound(eps0, 1, phi, mode, N_e=10)
 
 
+@pytest.mark.parametrize("eps0, n, match", [
+    (-0.5, 1, "eps0 must be nonnegative, not -0.5"),
+    (-1e-300, 2, "eps0 must be nonnegative"),
+    (-math.inf, 1, "eps0 must be nonnegative"),
+    (0.5, 1.5, "qubit count n must be an integer >= 1, not 1.5"),
+    (0.5, 2.0, "qubit count n must be an integer >= 1, not 2.0"),
+    (0.5, True, "qubit count n must be an integer >= 1, not True"),
+    (0.5, 0, "qubit count n must be an integer >= 1, not 0"),
+], ids=["negative", "negative_tiny", "negative_inf", "n_fraction", "n_float", "n_bool",
+        "n_zero"])
+def test_bounds_reject_negative_eps0_and_non_integer_n(eps0, n, match):
+    # a negative eps0 gave a negative bound (bias_bound(-0.5, 1, 0.3) = -0.886),
+    # and n = 1.5 or True a bound for no probe size
+    with pytest.raises(ValueError, match=match):
+        metrics.bias_bound(eps0, n, 0.3)
+    for mode in metrics.MODES:
+        with pytest.raises(ValueError, match=match):
+            metrics.variance_bound(eps0, n, 0.3, mode, N_e=10)
+
+
+def test_bounds_take_numpy_integer_n_and_zero_eps0():
+    assert metrics.bias_bound(0.1, np.int64(1), math.pi / 4) == pytest.approx(0.1)
+    assert metrics.bias_bound(0.0, 2, 0.3) == 0.0
+    assert metrics.variance_bound(0.0, 2, 0.3, "one_way_gc") == 0.0
+
+
 def test_bounds_keep_infinite_eps0():
     # a finite threshold whose square overflows gives eps0 = inf
     eps0 = metrics.epsilon0("one_way_gc", "mub", 1e200, T=10, N_d=1, n=1)

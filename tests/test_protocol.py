@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -617,7 +618,7 @@ def fast_path_weights(variant, direction, n, attack):
     frame = qcore.LogicalFrame.standard(n)
     bwd = attack.backward_branches(n, frame) if direction == "two_way" else None
     pushed = protocol._push(n, attack.forward_branches(n, frame))[1]
-    tables = protocol._build_tables(cfg, pushed, bwd)
+    tables = protocol._build_tables(n, [cfg.true_phi], pushed, bwd)[0]
     return protocol._prior(cfg)[..., None, None, None] * tables
 
 
@@ -718,41 +719,43 @@ def test_pair_law_is_the_shared_uniform_coupling(variant, direction, n, name):
 
 
 def test_twin_counts_share_the_transcript_windows():
-    # counts-first twins: T rounds each, in the windows ``window_counts``
-    # cuts a transcript into; the identity against itself gives one count
-    # array twice; a memory attack gets its two runs' window counts
+    # counts-first twins: T rounds each, their window classes in the windows
+    # ``window_counts`` cuts a transcript into; the identity against itself
+    # gives one count array twice; a memory attack gets its two runs' counts
+    # and window classes
     cfg = make_config(n=2, T=1013, p_c=0.4, p_e=0.4, p_d=0.2)
-    attack = adversary.intercept_resend("random")
-    twins = protocol.twin_counts(cfg, attack, adversary.identity_attack(), 20, [cfg.true_phi])
-    assert twins.shape == (1, 2, 20, *protocol._CELL_SHAPE) and twins.dtype == np.int64
-    twins = twins[0]
+    attack, identity = adversary.intercept_resend("random"), adversary.identity_attack()
+    counts, classes = protocol.twin_counts(cfg, attack, identity, 20, [cfg.true_phi])
+    assert counts.shape == (1, 2, *protocol._CELL_SHAPE) and counts.dtype == np.int64
+    assert classes.shape == (1, 2, 20, 3) and classes.dtype == np.int64
     windows = protocol.run(cfg, attack.clone()).window_counts(20)
     assert windows.shape == (20, *protocol._CELL_SHAPE)
-    for counts in (*twins, windows):
-        np.testing.assert_array_equal(counts.sum(axis=(-3, -2, -1)), windows.sum(axis=(1, 2, 3)))
+    np.testing.assert_array_equal(counts[0].sum(axis=(1, 2, 3)), [cfg.T, cfg.T])
+    for twin in classes[0]:
+        np.testing.assert_array_equal(twin.sum(axis=1), windows.sum(axis=(1, 2, 3)))
     assert windows.sum() == cfg.T and {int(s) for s in windows.sum(axis=(1, 2, 3))} == {50, 51}
     np.testing.assert_array_equal(windows.sum(axis=0), protocol.run(cfg, attack.clone()).counts)
-    same = protocol.twin_counts(cfg, adversary.identity_attack(), adversary.identity_attack(), 20,
-                                [cfg.true_phi])[0]
-    np.testing.assert_array_equal(same[0], same[1])
+    for part in protocol.twin_counts(cfg, identity, identity, 20, [cfg.true_phi]):
+        np.testing.assert_array_equal(part[0, 0], part[0, 1])
     cfg, memory = replace(cfg, n=1), adversary.entangling_memory_attack(0.3, 3, "measure")
-    np.testing.assert_array_equal(
-        protocol.twin_counts(cfg, memory.clone(), adversary.identity_attack(), 20,
-                             [cfg.true_phi])[0],
-        [protocol.run(cfg, a).window_counts(20) for a in (memory, adversary.identity_attack())])
+    runs = [protocol.run(cfg, a).window_counts(20) for a in (memory.clone(), identity)]
+    counts, classes = protocol.twin_counts(cfg, memory, identity, 20, [cfg.true_phi])
+    np.testing.assert_array_equal(counts[0], [w.sum(axis=0) for w in runs])
+    np.testing.assert_array_equal(classes[0], protocol.product_classes(runs))
 
 
-def test_estimation_sums_match_the_products():
-    # each window's summed products and count are those of its rounds
+def test_product_classes_match_the_products():
+    # each window's classes give the summed products and count of its rounds
     tr = protocol.run(make_config(n=2, T=997, p_c=0.4, p_e=0.4, p_d=0.2),
                       adversary.depolarizing_attack(0.3))
-    sums, kept = protocol.estimation_sums(tr.window_counts(7))
+    classes = protocol.product_classes(tr.window_counts(7))
+    assert classes.shape == (7, 3)
     window = np.arange(tr.config.T) * 7 // tr.config.T
     products = protocol._CELL_PRODUCT[tr.cell]
     for w in range(7):
-        assert sums[w] == products[window == w].sum()
-        assert kept[w] == np.count_nonzero(products[window == w])
-    assert sums.sum() == protocol.estimation_products(tr).sum()
+        np.testing.assert_array_equal(classes[w], np.bincount(products[window == w] + 1,
+                                                              minlength=3))
+    assert classes[:, 2].sum() - classes[:, 0].sum() == protocol.estimation_products(tr).sum()
 
 
 def test_sensor_model_is_shared_read_only_and_run_order_free():
@@ -1017,6 +1020,117 @@ def test_instrument_roundoff_within_tolerance_runs(weight):
     assert protocol.check_fidelity(tr).fidelity_estimate == 1.0
 
 
+@pytest.mark.parametrize("name", sorted(NOT_TRACE_PRESERVING))
+def test_multi_phase_twins_reject_an_instrument_that_does_not_preserve_trace(name):
+    # the trace check covers every phase of a stacked table build
+    cfg = make_config(n=2, T=500)
+    with pytest.raises(protocol.UnsupportedAttackError, match="does not preserve trace"):
+        protocol.twin_counts(cfg, _Instrument(NOT_TRACE_PRESERVING[name]),
+                             adversary.identity_attack(), 20, np.linspace(0.1, 1.3, 5))
+
+
+# ---------------------------------------------------------------- sweep twins
+
+# every memoryless attack dqsim ships, and return-leg instruments for two-way runs
+SHIPPED_MEMORYLESS = {
+    "identity": adversary.identity_attack,
+    "depolarizing": lambda: adversary.depolarizing_attack(0.2),
+    "unitary_tamper": lambda: adversary.unitary_tamper("Y", 0.3),
+    "intercept_resend_random": lambda: adversary.intercept_resend("random"),
+    "intercept_resend_z": lambda: adversary.intercept_resend("Z"),
+    "backward_depolarizing": lambda: _BackwardDepolarizing(0.3),
+    "backward_tamper": _BackwardTamper,
+}
+STACK_PHASES = np.linspace(-0.4, 2.9, 13)
+
+
+@pytest.mark.parametrize("direction", protocol.DIRECTIONS)
+@pytest.mark.parametrize("n,name", [
+    (n, name) for n in range(1, 6) for name in sorted(SHIPPED_MEMORYLESS)
+    # the dense return leg of 1025 Kraus operators takes seconds at n = 5
+    if (n, name) != (5, "backward_depolarizing")])
+def test_stacked_table_build_is_the_one_phase_build(n, name, direction):
+    # one build over a stack of phases gives, bit for bit, each phase's own
+    # build, on both variants (the build reads neither)
+    for variant in protocol.VARIANTS:
+        cfg = make_config(variant=variant, direction=direction, n=n)
+        (_labels, pushed), bwd = protocol._legs(cfg, SHIPPED_MEMORYLESS[name]())
+        stacked = protocol._build_tables(n, STACK_PHASES, pushed, bwd)
+        assert stacked.shape[:3] == (STACK_PHASES.size, *protocol._CELL_SHAPE[:2])
+        for phi, tables in zip(STACK_PHASES, stacked):
+            assert np.array_equal(tables, protocol._build_tables(n, [phi], pushed, bwd)[0])
+
+
+@pytest.mark.parametrize("name", ["depolarizing", "intercept_resend_random", "backward_tamper"])
+def test_twin_counts_across_slice_edges_are_the_one_phase_counts(monkeypatch, name):
+    # slices of two phases: five phases cross two slice edges, and each phase's
+    # counts and window classes are those of a call at that phase alone
+    cfg = make_config(n=3, T=700, direction="two_way", p_c=0.4, p_e=0.4, p_d=0.2)
+    legs = protocol._legs(cfg, SHIPPED_MEMORYLESS[name]())
+    monkeypatch.setattr(protocol, "_SLICE_BYTES",
+                        2 * 32 * legs[0][1].size * (len(legs[1]) if legs[1] else 1))
+    phis = np.linspace(0.1, 1.3, 5)
+    identity = adversary.identity_attack()
+    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), identity, 20, phis)
+    for i, phi in enumerate(phis):
+        one = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), identity, 20, [phi])
+        np.testing.assert_array_equal(counts[i], one[0][0])
+        np.testing.assert_array_equal(classes[i], one[1][0])
+
+
+def test_twin_counts_memory_stays_bounded_over_many_phases():
+    # 1000 phases at n = 5: their encoded probe states alone take 196 MB, and
+    # the tables built in one slice peaked at 439 MiB; a slice at a time, the
+    # traced peak was 16.7 MiB, nearly all of it the depolarizing channel's
+    # 1025 Kraus operators (16.8 MB)
+    cfg = make_config(n=5, T=1000, p_c=0.4, p_e=0.4, p_d=0.2)
+    tracemalloc.start()
+    try:
+        counts, classes = protocol.twin_counts(cfg, adversary.depolarizing_attack(0.1),
+                                               adversary.identity_attack(), 20,
+                                               np.linspace(0.0, 3.0, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape[0] == classes.shape[0] == 1000
+    assert peak < 32 * 2 ** 20
+
+
+CLASS_DRAW_CASES = {
+    "entanglement/one_way/n1/depolarizing": ("entanglement", "one_way", 1, 997, "depolarizing"),
+    "mub/one_way/n2/intercept_resend": ("mub", "one_way", 2, 997, "intercept_resend_random"),
+    "entanglement/two_way/n3/backward_tamper": ("entanglement", "two_way", 3, 503,
+                                                "backward_tamper"),
+    "mub/one_way/n4/unitary_tamper": ("mub", "one_way", 4, 2000, "unitary_tamper"),
+    "fewer_rounds_than_windows": ("entanglement", "one_way", 2, 7, "depolarizing"),
+    # every round in the one class (no product, no product): eight classes hold no pair
+    "no_estimation_rounds": ("mub", "one_way", 2, 997, "depolarizing"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2 ** 64 - 1])
+@pytest.mark.parametrize("case", sorted(CLASS_DRAW_CASES))
+def test_twin_class_draw_is_consistent(case, seed):
+    # each window's classes sum to its size, each twin's counts to T, and a
+    # twin's counts, mapped to product classes, are its window classes
+    # summed over the windows
+    variant, direction, n, T, name = CLASS_DRAW_CASES[case]
+    p_e = 0.0 if case == "no_estimation_rounds" else 0.4
+    cfg = make_config(variant=variant, direction=direction, n=n, T=T, p_c=0.8 - p_e, p_e=p_e,
+                      p_d=0.2, seed=seed)
+    phis = np.linspace(0.2, 1.1, 3)
+    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](),
+                                           adversary.identity_attack(), 20, phis)
+    assert counts.shape == (3, 2, *protocol._CELL_SHAPE) and classes.shape == (3, 2, 20, 3)
+    assert counts.min() >= 0 and classes.min() >= 0
+    np.testing.assert_array_equal(classes.sum(axis=-1),
+                                  np.broadcast_to(protocol._window_sizes(T, 20), (3, 2, 20)))
+    np.testing.assert_array_equal(counts.sum(axis=(-3, -2, -1)), np.full((3, 2), T))
+    np.testing.assert_array_equal(protocol.product_classes(counts), classes.sum(axis=2))
+    if p_e == 0:
+        np.testing.assert_array_equal(classes[..., 1].sum(axis=-1), np.full((3, 2), T))
+
+
 # ---------------------------------------------------------------- outcome-table oracle
 
 PARTNER = {"X": "Z", "Y": "Y", "Z": "X"}
@@ -1083,7 +1197,7 @@ def exact_tables(cfg, attack):
     frame = qcore.LogicalFrame.standard(cfg.n)
     bwd = attack.backward_branches(cfg.n, frame) if cfg.direction == "two_way" else None
     pushed = protocol._push(cfg.n, attack.forward_branches(cfg.n, frame))[1]
-    stacked = protocol._build_tables(cfg, pushed, bwd)
+    stacked = protocol._build_tables(cfg.n, [cfg.true_phi], pushed, bwd)[0]
     if cfg.n == 1:
         assert np.all(stacked[..., 1] == 0.0)
     tables = {}

@@ -57,7 +57,7 @@ def run_register_walk(config, attack):
     frame, _kets, probes, sensor = protocol._sensor_model(config.n)
     attack.on_run_start(config.public(), frame)
     T, L, d = config.T, attack.block_length, 2 ** config.n
-    encoders = protocol._encoders(config)
+    encoders = protocol._encoders(config.n, config.true_phi)
     setting, label = np.divmod(protocol._draw(protocol._prior(config), rng, T),
                                len(qcore.SIGNED_LABELS))
     bob_axis = protocol._SETTING_AXIS[setting]
