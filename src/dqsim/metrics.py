@@ -54,18 +54,23 @@ class Locc1Result:
     converged: bool
 
 
+def _check_count(name, value, low):
+    """Refuse a bool, a value that is not a numbers.Integral, or one below low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+
+
 def f_definetti(T: int, N_d: int, n: int) -> float:
     """Permutation-symmetry error term (T - N_d - 1) sqrt(n / (2 N_d)).
 
     N_d = 0 returns 0 by convention; that case only arises in
     individual-attack accounting, where the term plays no role.
     """
-    if T < 1:
-        raise ValueError("round count T must be >= 1")
-    if not 0 <= N_d < T:
+    _check_count("round count T", T, 1)
+    _check_count("discarded-round count N_d", N_d, 0)
+    _check_count("qubit count n", n, 1)
+    if N_d >= T:
         raise ValueError("discarded-round count must satisfy 0 <= N_d < T")
-    if n < 1:
-        raise ValueError("qubit count must be >= 1")
     if N_d == 0:
         return 0.0
     return (T - N_d - 1) * math.sqrt(n / (2.0 * N_d))
@@ -112,8 +117,7 @@ SIN_FLOOR = 1e-12
 
 def _sine_denominator(eps0, n, phi):
     """n |sin(2 n phi)|, once both bounds' inputs are checked; eps0 may be +inf."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"qubit count n must be an integer >= 1, not {n!r}")
+    _check_count("qubit count n", n, 1)
     if math.isnan(eps0) or not math.isfinite(phi):
         raise ValueError("eps0 must not be NaN and phi must be finite")
     if eps0 < 0:
@@ -188,8 +192,9 @@ _REFINE_OFFSETS = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1,
                                        indexing="ij"), axis=-1).reshape(-1, 2)
 _REFINE_ROUNDS = 20
 _SWEEP_TOL, _MAX_SWEEPS = 1e-7, 40
-# The verification suites' memory: pairs per stack of states, and (pair,
-# candidate) points per optimizer product: one pair (70 KB) of the 544-point grid.
+# The verification suites' memory: _STACK_PAIRS pairs per stack of states (200 add 1.9 MB
+# to the suites' peak RSS), and _PASS_POINTS (pair, candidate) points per optimizer slice:
+# one pair (70 KB) of the 544-point grid, 40 pairs of a 25-point refinement grid.
 _STACK_PAIRS, _PASS_POINTS = 25, 1024
 
 
@@ -227,18 +232,23 @@ def _sequential_distances(delta, n_parties, params):
     stack against a (..., d, d) stack of difference operators: (..., K).
 
     After outcome history h, party j measures in the basis of block
-    2^j - 1 + h.  The last party measures each conditional difference
-    operator in its eigenbasis, which is optimal there, so every value is
-    attained by an explicit sequential measurement.
+    2^j - 1 + h.  The first party's K bases meet each operator's (a, b)
+    blocks in one (2K, 4) by (4, rest * rest) product; a later party's bases
+    meet their own candidate's blocks.  The last party measures each
+    conditional difference operator in its eigenbasis, which is optimal
+    there, so every value is attained by an explicit sequential measurement.
     """
     angles = params.reshape(params.shape[:-1] + (-1, 2))
-    ops = delta[..., None, None, :, :]
+    lead = np.broadcast_shapes(delta.shape[:-2], params.shape[:-2]) + params.shape[-2:-1]
+    ops = delta
     for j in range(n_parties - 1):
         histories, rest = 2 ** j, ops.shape[-1] // 2
         projs = _projector_rows(angles[..., histories - 1:2 * histories - 1, :])
+        if j == 0:  # (..., K, 1, 2, 4) -> (..., 2K, 4), one product per operator
+            projs = projs.reshape(params.shape[:-2] + (-1, 4))
         blocks = ops.reshape(ops.shape[:-2] + (2, rest, 2, rest)).swapaxes(-3, -2)
         ops = projs @ blocks.reshape(blocks.shape[:-4] + (4, rest * rest))
-        ops = ops.reshape(ops.shape[:-3] + (2 * histories, rest, rest))
+        ops = ops.reshape(lead + (2 * histories, rest, rest))
     return _half_trace_norm_qubit(ops).sum(axis=-1)
 
 

@@ -91,3 +91,19 @@ def test_toy_sweep_ops_pass_the_benchmark_checks(tmp_path):
         first = workloads.digests(op)
         rc, _wall = workloads.call(op)
         assert rc == 0 and sorted(first) == ["csv"] and workloads.digests(op) == first
+
+
+def test_toy_verify_ops_pass_the_benchmark_checks(tmp_path):
+    # the benchmark's own verify ops, run and checked by its own code: a
+    # suite that loses a check, reports a violation or stops writing its
+    # JSON fails here, not only in a benchmark run; a repeat writes the
+    # same bytes
+    workloads = load_bench_module("workloads")
+    ops = workloads.build("verify_suites", 7, str(tmp_path), toy=True)
+    assert [op.check for op in ops] == ["verify", "verify"]
+    for op in ops:
+        rc, _wall = workloads.call(op)
+        assert workloads.problems(op, rc) == []
+        first = workloads.digests(op)
+        rc, _wall = workloads.call(op)
+        assert rc == 0 and sorted(first) == ["verify"] and workloads.digests(op) == first

@@ -36,6 +36,31 @@ def test_f_term_preconditions():
         metrics.f_definetti(0, 0, 1)
 
 
+@pytest.mark.parametrize("counts, match", [
+    ((100, 10.5, 1), "discarded-round count N_d must be an integer >= 0, not 10.5"),
+    ((100, True, 1), "discarded-round count N_d must be an integer >= 0, not True"),
+    ((100.0, 10, 1), "round count T must be an integer >= 1, not 100.0"),
+    ((True, 0, 1), "round count T must be an integer >= 1, not True"),
+    ((100, 10, 1.5), "qubit count n must be an integer >= 1, not 1.5"),
+    ((100, 10, True), "qubit count n must be an integer >= 1, not True"),
+    ((100, 10, 0), "qubit count n must be an integer >= 1, not 0"),
+], ids=["N_d_fraction", "N_d_bool", "T_float", "T_bool", "n_fraction", "n_bool", "n_zero"])
+def test_f_term_and_epsilon0_reject_non_integer_counts(counts, match):
+    # f_definetti(100, 10.5, 1) gave 19.31, and epsilon0 with n = 1.5 or
+    # True a threshold for no probe size
+    T, N_d, n = counts
+    with pytest.raises(ValueError, match=match):
+        metrics.f_definetti(T, N_d, n)
+    for mode in ("one_way_gc", "two_way_gc"):
+        with pytest.raises(ValueError, match=match):
+            metrics.epsilon0(mode, "mub", 0.1, T=T, N_d=N_d, n=n, phi=0.3)
+
+
+def test_f_term_takes_numpy_integer_counts():
+    assert metrics.f_definetti(np.int64(100), np.int32(90), np.uint8(1)) == pytest.approx(
+        metrics.f_definetti(100, 90, 1))
+
+
 # ---------------------------------------------------------------- epsilon0
 
 def test_epsilon0_individual_entanglement():

@@ -11,6 +11,7 @@ per-check sides, the same violation counts and the same generator state;
 a check of the counts alone would not see a suite that checks other states.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -134,6 +135,31 @@ def test_shared_grid_pass_matches_per_pair_distances(seed):
             np.testing.assert_array_equal(row, metrics._sequential_distances(delta[None], 2, grid)[0])
 
 
+@pytest.mark.parametrize("parties", [2, 3])
+def test_first_party_fold_keeps_every_pair_and_candidate(parties):
+    # the first party scores each pair's K candidates as one (2K, 4)
+    # product: a stack of pairs, one pair at a time and a candidate stack
+    # shared by every pair must give the same bits in the same places
+    rng = np.random.default_rng(40 + parties)
+    d, pairs, k = 2 ** parties, 5, 25
+    a, b = qcore.ginibre_states(rng.normal(size=(pairs, 2, 2, d, d))).swapaxes(0, 1)
+    deltas = a - b
+    blocks = 2 ** (parties - 1) - 1
+    stack = rng.uniform(0.0, 2 * math.pi, size=(pairs, k, 2 * blocks))
+    got = metrics._sequential_distances(deltas, parties, stack)
+    assert got.shape == (pairs, k)
+    for p in range(pairs):
+        np.testing.assert_array_equal(got[p], metrics._sequential_distances(
+            deltas[p], parties, stack[p]))
+        np.testing.assert_array_equal(got[p:p + 1], metrics._sequential_distances(
+            deltas[p:p + 1], parties, stack[p:p + 1]))
+    shared = metrics._sequential_distances(deltas, parties, stack[0])
+    assert shared.shape == (pairs, k)
+    np.testing.assert_array_equal(shared, metrics._sequential_distances(
+        deltas, parties, np.broadcast_to(stack[0], stack.shape)))
+    assert metrics._sequential_distances(deltas[:1], parties, stack[0]).shape == (1, k)
+
+
 def test_locc1_suite_peak_memory_below_one_megabyte():
     # a grid pass over all 50 pairs in one product would hold their
     # (50, 544, 2, 4) complex stack, 3.5 MB, and peak near 5 MB
@@ -145,3 +171,51 @@ def test_locc1_suite_peak_memory_below_one_megabyte():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+# sha256 of the LOCC1 search's values and params (float64 bytes, values
+# first): the suite's 50 two-party pairs at each of SEEDS, and three
+# three-party pairs from random starts.  `verify` writes only counts, so
+# a bound that moves but stays on its side of the inequality shows here.
+LOCC1_SUITE_DIGESTS = {
+    20240001: "6c0311edfe1f68571bf35755d9ccdce54b21213cfb0e62c6269035f1d0f4d7b4",
+    7: "071ee97ea64e725b578871136b3cd5a362ae9253f1116eb50cfb97ec125d7d32",
+    123456: "df2f192a8cd3a1974ed56c9330ab98abc2af766b0ec95e55e61dde8d406fa8bb",
+}
+LOCC1_THREE_PARTY_DIGEST = "3ea0dc37b66e3cd7ce4d0566641c0cac8913cf43517ef3b12a1a9c88d771e175"
+
+
+def search_digest(values, params):
+    h = hashlib.sha256()
+    for a in (values, params):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_locc1_suite_search_is_pinned(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    for name, suite, _ in metrics._SUITES:  # the suites drawn before it
+        if name == "locc1_vs_trace_distance":
+            break
+        suite(rng)
+    searches, ascent = [], metrics._block_ascent
+
+    def recorded(*args):
+        searches.append(ascent(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(metrics, "_block_ascent", recorded)
+    metrics._locc1_vs_trace_distance(rng)
+    [(values, params, converged)] = searches
+    assert values.shape == (50,) and converged
+    assert search_digest(values, params) == LOCC1_SUITE_DIGESTS[seed]
+
+
+def test_three_party_search_is_pinned():
+    rng = np.random.default_rng(11)
+    a, b = qcore.ginibre_states(rng.normal(size=(3, 2, 2, 8, 8))).swapaxes(0, 1)
+    starts = rng.uniform(0.0, np.tile([math.pi, 2 * math.pi], 3), size=(3, 6))
+    values, params, converged = metrics._block_ascent(a - b, 3, starts)
+    assert converged
+    assert search_digest(values, params) == LOCC1_THREE_PARTY_DIGEST
