@@ -38,6 +38,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,11 @@ class EveEstimate:
 
 
 def _real(name, value):
-    """``value`` as a float, if it is a real number and not a bool."""
+    """``value`` as a float, if it is a finite real number and not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {value!r}")
+    if not abs(value) <= sys.float_info.max:  # a huge integer is not finite either
+        raise ValueError(f"{name} must be finite")
     return float(value)
 
 

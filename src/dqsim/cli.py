@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -50,12 +50,6 @@ class SchemaError(ValueError):
 
 
 # ---------------------------------------------------------------- scenario schema
-
-_PROTOCOL_FIELDS = {
-    "variant": str, "direction": str, "n": int, "T": int, "p_c": (int, float),
-    "p_e": (int, float), "p_d": (int, float), "epsilon_threshold": (int, float),
-    "true_phi": (int, float), "seed": int,
-}
 
 ATTACKS = {
     "identity": (adversary.identity_attack, set()),
@@ -98,13 +92,9 @@ def load_scenario(path) -> dict:
     _require_keys(raw, {"protocol", "attack", "sweep", "output", "bounds"},
                   {"protocol", "attack"}, "scenario")
 
-    proto = raw["protocol"]
-    _require_keys(proto, _PROTOCOL_FIELDS, _PROTOCOL_FIELDS, "protocol block")
-    for key, typ in _PROTOCOL_FIELDS.items():
-        if not isinstance(proto[key], typ) or isinstance(proto[key], bool):
-            raise SchemaError(f"protocol.{key} has the wrong type")
-        if typ is not str and not _finite(proto[key]):
-            raise SchemaError(f"protocol.{key} must be finite")
+    # the values are ``ProtocolConfig``'s to check, and the attack's parameters its factory's
+    names = {field.name for field in fields(protocol.ProtocolConfig)}
+    _require_keys(raw["protocol"], names, names, "protocol block")
 
     attack = raw["attack"]
     _require_keys(attack, {"name", "params"}, {"name"}, "attack block")
@@ -116,11 +106,6 @@ def load_scenario(path) -> dict:
         raise SchemaError("attack.params must be an object")
     _, allowed = ATTACKS[name]
     _require_keys(params, allowed, set(), f"attack.params for {name!r}")
-    for key, value in params.items():
-        if isinstance(value, bool):
-            raise SchemaError(f"attack.params.{key} has the wrong type")
-        if isinstance(value, (int, float)) and not _finite(value):
-            raise SchemaError(f"attack.params.{key} must be finite")
 
     if "sweep" in raw:
         sweep = raw["sweep"]
@@ -312,14 +297,14 @@ def sweep_rows(scenario, seed_override=None):
     config = build_config(scenario, seed_override)
     variable, values = scenario["sweep"]["variable"], sweep_values(scenario)
     if variable == "phi":
-        counts, classes = protocol.twin_counts(
-            config, build_attack(scenario), adversary.identity_attack(), VARIANCE_WINDOWS, values)
+        counts, classes = protocol.twin_counts(config, build_attack(scenario), VARIANCE_WINDOWS,
+                                               values)
         return [_sweep_row(scenario, replace(config, true_phi=float(value)), value, *twins)
                 for value, *twins in zip(values, counts, classes)]
     param = variable.split(".", 1)[1]
     return [_sweep_row(scenario, config, value, *(part[0] for part in protocol.twin_counts(
-        config, build_attack(scenario, {param: float(value)}), adversary.identity_attack(),
-        VARIANCE_WINDOWS, [config.true_phi]))) for value in values]
+        config, build_attack(scenario, {param: float(value)}), VARIANCE_WINDOWS,
+        [config.true_phi]))) for value in values]
 
 
 def cmd_sweep(scenario, seed_override=None, threads=1) -> int:
@@ -340,11 +325,6 @@ def cmd_sweep(scenario, seed_override=None, threads=1) -> int:
 
 # ---------------------------------------------------------------- bounds
 
-# the counts each bound mode needs, by argument name
-_BOUNDS_COUNTS = {"one_way_individual": ("N_e",), "one_way_gc": ("T", "N_d"),
-                  "two_way_gc": ("T", "N_d")}
-
-
 def _bounds_phis(args):
     """The phi grid of a bounds request, once its inputs are checked."""
     if args.phi is not None:
@@ -355,15 +335,11 @@ def _bounds_phis(args):
         ends = [args.phi_start, args.phi_stop]
     else:
         raise SchemaError("bounds needs --phi or --phi-start/stop/steps")
-    if not all(math.isfinite(v) for v in [args.epsilon, *ends]):
-        raise SchemaError("--epsilon and the phi values must be finite")
+    if not all(math.isfinite(v) for v in ends):
+        raise SchemaError("the phi values must be finite")
     # the bound formulas do float arithmetic on the counts, exact up to 2^53
     if any(abs(v) > 2 ** 53 for v in (args.n, args.T, args.N_d, args.N_e) if v is not None):
         raise SchemaError("--n, --T, --N-d and --N-e must lie in [-2^53, 2^53]")
-    missing = ["--" + name.replace("_", "-") for name in _BOUNDS_COUNTS[args.mode]
-               if getattr(args, name) is None]
-    if missing:
-        raise SchemaError(f"bounds --mode {args.mode} needs {' and '.join(missing)}")
     if args.phi is not None:
         return ends
     return list(np.linspace(args.phi_start, args.phi_stop, args.phi_steps))

@@ -94,10 +94,12 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
         raise ValueError(f"unknown variant {variant!r}")
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError("threshold must be finite and nonnegative")
-    if mode == "one_way_individual":
+    if mode == "one_way_individual":  # the counts play no part, but any given is checked
+        for name, value, low in (("round count T", T, 1), ("discarded-round count N_d", N_d, 0),
+                                 ("qubit count n", n, 1)):
+            if value is not None:
+                _check_count(name, value, low)
         return math.sqrt(2.0 / 3.0) * threshold if variant == "entanglement" else threshold
-    if T is None or N_d is None or n is None:
-        raise ValueError("collective modes need T, N_d and n")
     f = f_definetti(T, N_d, n)
     coef = 2.0 if (mode == "two_way_gc" and variant == "mub") else 4.0
     square = stats.squared(threshold)
@@ -139,8 +141,7 @@ def variance_bound(eps0: float, n: int, phi: float, mode: str, N_e=None) -> floa
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "one_way_individual":
-        if N_e is None or N_e < 1:
-            raise ValueError("individual mode needs N_e >= 1")
+        _check_count("estimation-round count N_e", N_e, 1)
         numer = 2.0 * eps0 / N_e + stats.squared(eps0)
     else:
         numer = 2.0 * eps0 + stats.squared(eps0)

@@ -45,16 +45,16 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import io
 import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import qcore, stats
+from . import adversary, qcore, stats
 
 VARIANTS = ("entanglement", "mub")
 DIRECTIONS = ("one_way", "two_way")
@@ -114,11 +114,14 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be an integer, not {value!r}")
             if not low <= value <= high:
                 raise ValueError(f"{name} must lie in [{low}, {high}]")
+        # checked, never coerced: ``config_hash`` hashes the repr of each value as given
         for name in ("p_c", "p_e", "p_d", "epsilon_threshold", "true_phi"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+            if not abs(value) <= sys.float_info.max:  # a huge integer is not finite either
                 raise ValueError(f"{name} must be finite")
-        for name in ("p_c", "p_e", "p_d"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+            if name.startswith("p_") and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if abs(self.p_c + self.p_e + self.p_d - 1.0) > 1e-12:
             raise ValueError("action probabilities must sum to 1")
@@ -336,30 +339,6 @@ class Transcript(CellCounts):
                 np.take(suffixes.view(record)[:, 0], self.cell[index],
                         out=chunk[:, width:].view(record)[:, 0])
                 fh.write(chunk[chunk != 0].tobytes())
-
-    def serialized(self) -> str:
-        buf = io.BytesIO()
-        self.serialize(buf)
-        return buf.getvalue().decode("ascii")
-
-
-def parse_transcript(text: str):
-    """Parse a serialized transcript into (header dict, list of row dicts)."""
-    header, rows = {}, []
-    columns = None
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split("\t")
-            if parts[0] == "columns":
-                columns = parts[1:]
-            elif len(parts) == 2:
-                header[parts[0]] = parts[1]
-            continue
-        values = line.split("\t")
-        rows.append(dict(zip(columns, values)))
-    return header, rows
 
 
 # ---------------------------------------------------------------- run engine
@@ -677,20 +656,20 @@ def _twin_draw(weights, sizes, rng):
             [kinds.sum(axis=2), kinds.sum(axis=1)])
 
 
-def twin_counts(config, attack, ideal, windows, phis):
-    """The ``counts`` of ``run(cfg, attack)`` and of its twin ``run(cfg, ideal)``,
+def twin_counts(config, attack, windows, phis):
+    """The ``counts`` of ``run(cfg, attack)`` and of its identity-attack twin,
     ``cfg`` being ``config`` at each ``true_phi`` of ``phis``, shape (phase,
     twin, *_CELL_SHAPE), and the ``product_classes`` of their ``windows``
     windows of rounds (``_window_sizes``), shape (phase, twin, window, 3).  A
     memoryless attack, which never learns the phase, is started and pushed
     once; each phase is a ``_twin_draw`` seeded by ``config.seed``.  Under a
     memory attack both twins run at each phase, the attacked one on a clone."""
-    legs = _legs(config, attack)
+    legs, identity = _legs(config, attack), adversary.identity_attack()
     if legs is None:  # the twins share the seed's prior draw
         counts = np.array([[run(replace(config, true_phi=float(phi)), a).window_counts(windows)
-                            for a in (attack.clone(), ideal)] for phi in phis])
+                            for a in (attack.clone(), identity)] for phi in phis])
         return counts.sum(axis=2), product_classes(counts)
-    ideal_legs, sizes, out = _legs(config, ideal), _window_sizes(config.T, windows), []
+    ideal_legs, sizes, out = _legs(config, identity), _window_sizes(config.T, windows), []
     step = max(1, _SLICE_BYTES // (32 * legs[0][1].size * (len(legs[1]) if legs[1] else 1)))
     for start in range(0, len(phis), step):
         laws = [_law(config, phis[start:start + step], lg) for lg in (legs, ideal_legs)]
@@ -800,7 +779,7 @@ def estimate_phase(transcript) -> EstimateResult:
     variances = [(1.0 - c ** 2) / counts[k] for k, c in means.items()]
     mean_sum = min(2.0, max(-2.0, sum(means.values())))
     var = stats.phase_variance(tuple(variances), mean_sum) / n ** 2
-    return EstimateResult(phi_hat, means, counts, math.sqrt(var) if var != math.inf else math.inf)
+    return EstimateResult(phi_hat, means, counts, math.sqrt(var))
 
 
 # ---------------------------------------------------------------- equivalence

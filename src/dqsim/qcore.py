@@ -392,11 +392,6 @@ def embed_operator(op, dims, targets):
     return full.transpose(*range(len(lead)), *back, *(b + n for b in back)).reshape(lead + (d, d))
 
 
-def random_pure_state(dim: int, rng) -> PureState:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(v / np.linalg.norm(v))
-
-
 def ginibre_states(normals):
     """Checked Ginibre-induced (..., d, d) states from (..., 2, d, d) normals,
     real then imaginary parts; ``random_density_matrix`` is the one-state case."""

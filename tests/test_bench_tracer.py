@@ -8,6 +8,8 @@ import math
 import pathlib
 import sys
 
+import pytest
+
 import dqsim
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -77,33 +79,22 @@ def test_benchmark_command_lines_parse(tmp_path):
         assert parser.parse_args(argv).command in ("run", "sweep", "verify")
 
 
-def test_toy_sweep_ops_pass_the_benchmark_checks(tmp_path):
-    # the benchmark's own sweep ops, run and checked by its own code: a break
-    # of the sweep interface that its checker rejects (an exit code, the CSV
-    # header, a row count, a non-finite cell) fails here, not only in a
-    # benchmark run; a repeat writes the same bytes
+@pytest.mark.parametrize("workload", ["run_io", "sweep_twin", "stateful_memory",
+                                      "verify_suites"])
+def test_toy_ops_pass_the_benchmark_checks(tmp_path, workload):
+    # the benchmark's own toy ops, run and checked by its own code: a break of
+    # an interface that its checker rejects (an exit code, a summary count, a
+    # check fidelity beyond its exact value, the CSV header, a non-finite
+    # cell, a lost suite check) fails here, not only in a benchmark run; the
+    # run ops go through load_scenario, build_attack and
+    # expected_check_fidelity as well; a repeat writes the same bytes
     workloads = load_bench_module("workloads")
-    ops = workloads.build("sweep_twin", 7, str(tmp_path), toy=True)
-    assert [op.check for op in ops] == ["sweep", "sweep"]
+    ops = workloads.build(workload, 7, str(tmp_path), toy=True)
+    assert ops
     for op in ops:
         rc, _wall = workloads.call(op)
-        assert workloads.problems(op, rc) == []
+        assert workloads.problems(op, rc) == [], op.kind
         first = workloads.digests(op)
         rc, _wall = workloads.call(op)
-        assert rc == 0 and sorted(first) == ["csv"] and workloads.digests(op) == first
-
-
-def test_toy_verify_ops_pass_the_benchmark_checks(tmp_path):
-    # the benchmark's own verify ops, run and checked by its own code: a
-    # suite that loses a check, reports a violation or stops writing its
-    # JSON fails here, not only in a benchmark run; a repeat writes the
-    # same bytes
-    workloads = load_bench_module("workloads")
-    ops = workloads.build("verify_suites", 7, str(tmp_path), toy=True)
-    assert [op.check for op in ops] == ["verify", "verify"]
-    for op in ops:
-        rc, _wall = workloads.call(op)
-        assert workloads.problems(op, rc) == []
-        first = workloads.digests(op)
-        rc, _wall = workloads.call(op)
-        assert rc == 0 and sorted(first) == ["verify"] and workloads.digests(op) == first
+        assert rc == 0 and sorted(first) == sorted(op.outputs), op.kind
+        assert workloads.digests(op) == first, op.kind

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqsim import adversary, cli, metrics, protocol, qcore
+from test_protocol import parse_transcript
 
 
 def write_scenario(tmp_path, **overrides):
@@ -97,6 +98,44 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
     assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
 
 
+# The library refuses what load_scenario leaves to it: each owner of a value
+# (ProtocolConfig, the attack factories, the bounds in metrics) raises a
+# ValueError that names the argument.
+_REFUSED_CONFIG = dict(variant="mub", direction="one_way", n=1, T=100, p_c=0.5, p_e=0.5,
+                       p_d=0.0, epsilon_threshold=0.2, true_phi=0.3, seed=1)
+_NOT_FINITE = {"inf": math.inf, "nan": math.nan, "beyond_float": 10 ** 400}
+_NOT_REAL = {"true": True, "string": "0.5", "null": None, **_NOT_FINITE}
+_ATTACK_CALLS = {
+    "p": (adversary.depolarizing_attack, {}),
+    "angle": (adversary.unitary_tamper, {"axis": "X"}),
+    "coupling_angle": (adversary.entangling_memory_attack, {}),
+    "block_length": (adversary.entangling_memory_attack, {"coupling_angle": 0.3}),
+}
+_REFUSALS = (
+    [pytest.param(protocol.ProtocolConfig, {**_REFUSED_CONFIG, field: value}, field,
+                  id=f"ProtocolConfig-{field}-{label}")
+     for field in ("p_c", "p_e", "p_d", "epsilon_threshold", "true_phi")
+     for label, value in _NOT_REAL.items()]
+    + [pytest.param(factory, {**kwargs, name: value}, name,
+                    id=f"{factory.__name__}-{name}-{label}")
+       for name, (factory, kwargs) in _ATTACK_CALLS.items()
+       for label, value in _NOT_FINITE.items()]
+    + [pytest.param(metrics.variance_bound, {"eps0": 0.1, "n": 1, "phi": 0.3,
+                                             "mode": "one_way_individual", "N_e": value},
+                    "N_e", id=f"variance_bound-N_e-{value}") for value in (1.5, True)]
+    + [pytest.param(metrics.epsilon0, {"mode": "one_way_individual", "variant": "mub",
+                                       "threshold": 0.1, name: value},
+                    name, id=f"epsilon0-{name}-{value}")
+       for name in ("T", "N_d", "n") for value in (1.5, True)]
+)
+
+
+@pytest.mark.parametrize("call,kwargs,name", _REFUSALS)
+def test_library_refuses_bad_inputs_naming_the_argument(call, kwargs, name):
+    with pytest.raises(ValueError, match=rf"(^| ){name} must be"):
+        call(**kwargs)
+
+
 @pytest.mark.parametrize("command,protocol_edit,block_edit,code", [
     ("run", {"T": 2}, {}, cli.EXIT_INSUFFICIENT_ROUNDS),
     ("run", {"T": protocol.MAX_ROUNDS + 1}, {}, cli.EXIT_SCHEMA),
@@ -126,10 +165,18 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
     # finite ends whose difference overflows: linspace would make nan and inf
     ("sweep", {}, {"sweep": {"variable": "phi", "start": -1e308, "stop": 1e308,
                              "steps": 3}}, cli.EXIT_SCHEMA),
+    # values only the library refuses: load_scenario checks keys, not values
+    ("run", {"epsilon_threshold": True}, {}, cli.EXIT_SCHEMA),
+    ("run", {"true_phi": "0.3"}, {}, cli.EXIT_SCHEMA),
+    ("run", {}, {"attack": {"name": "unitary_tamper",
+                            "params": {"axis": "Y", "angle": float("inf")}}}, cli.EXIT_SCHEMA),
+    ("run", {}, {"attack": {"name": "entangling_memory",
+                            "params": {"coupling_angle": float("nan")}}}, cli.EXIT_SCHEMA),
 ], ids=["T2", "T_past_MAX_ROUNDS", "no_check_rounds", "memory_n2", "steps_string",
         "variable_number", "block_length_fractional", "steps_past_MAX_GRID_STEPS",
         "p_boolean", "angle_boolean", "block_length_boolean", "p_string", "angle_null",
-        "coupling_angle_list", "sweep_span_overflows"])
+        "coupling_angle_list", "sweep_span_overflows", "threshold_boolean", "phi_string",
+        "angle_inf", "coupling_angle_nan"])
 def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
                                             block_edit, code):
     path, scenario = write_scenario(tmp_path, **block_edit)
@@ -288,7 +335,7 @@ def test_run_writes_transcript_and_summary(tmp_path):
     assert summary["passed"] is True
     assert summary["F_hat"] == 1.0
     assert abs(summary["phi_hat"] - 0.3) < 5 * summary["phi_hat_se"]
-    header, rows = protocol.parse_transcript((tmp_path / "tr.tsv").read_text())
+    header, rows = parse_transcript((tmp_path / "tr.tsv").read_text())
     assert len(rows) == scenario["protocol"]["T"]
     assert int(header["seed"]) == 777
 
@@ -511,13 +558,11 @@ def test_run_with_a_shared_push_is_the_fresh_run(tmp_path, case):
     phis = [0.1, 0.7, 1.3]
     for direction in protocol.DIRECTIONS:
         config = replace(cli.build_config(scenario), n=n, T=500, direction=direction)
-        shared = protocol.twin_counts(config, cli.build_attack(scenario),
-                                      adversary.identity_attack(), 20, phis)
+        shared = protocol.twin_counts(config, cli.build_attack(scenario), 20, phis)
         assert shared[0].shape == (len(phis), 2, *protocol._CELL_SHAPE)
         assert shared[1].shape == (len(phis), 2, 20, 3)
         for i, phi in enumerate(phis):
-            fresh = protocol.twin_counts(config, cli.build_attack(scenario),
-                                         adversary.identity_attack(), 20, [phi])
+            fresh = protocol.twin_counts(config, cli.build_attack(scenario), 20, [phi])
             for part, one in zip(shared, fresh):
                 np.testing.assert_array_equal(part[i], one[0])
 
@@ -972,6 +1017,11 @@ def _mutated(attack, T, edits):
 @example(attack=0, T=100, edits=[("sweep", 1, 10 ** 400)])      # start beyond float
 @example(attack=0, T=100, edits=[("protocol", 2, 2 ** 63)])     # n past MAX_QUBITS
 @example(attack=0, T=10 ** 13, edits=[])                         # T past MAX_ROUNDS
+# values that only ProtocolConfig refuses, the scenario loader checking keys alone
+@example(attack=0, T=100, edits=[("protocol", 6, 10 ** 400)])   # threshold beyond float
+@example(attack=0, T=100, edits=[("protocol", 7, 10 ** 400)])   # true_phi beyond float
+@example(attack=0, T=100, edits=[("protocol", 6, True)])        # threshold true
+@example(attack=0, T=100, edits=[("protocol", 7, True)])        # true_phi true
 @given(attack=st.integers(0, len(_FUZZ_ATTACKS) - 1), T=_FUZZ_T, edits=st.lists(
     st.tuples(st.sampled_from(sorted(_FUZZ_BLOCKS)), st.integers(0, 20), _FUZZ_VALUES),
     max_size=3))

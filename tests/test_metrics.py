@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsim import metrics, qcore
+from test_qcore import random_pure_state
 from test_verify_suites import random_local_observable, random_measurement_operator
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -501,7 +502,7 @@ def test_definetti_k1_reduced_state_is_exact_mixture():
     # k = 1 makes the bound zero; the eigendecomposition of the marginal is
     # itself a valid product-state mixture, so the distance must vanish
     rng = np.random.default_rng(12)
-    psi = qcore.random_pure_state(8, rng)
+    psi = random_pure_state(8, rng)
     sym = qcore.as_density(psi)
     marginal = qcore.partial_trace(sym, [2, 2, 2], [0])
     vals, vecs = qcore.canonical_eigh(marginal.data)

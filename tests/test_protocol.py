@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from dqsim import adversary, protocol, qcore
 from test_qcore import spectrum
-from test_register_walk import StatefulAdapter
+from test_register_walk import StatefulAdapter, serialized
 
 
 def make_config(**overrides):
@@ -166,7 +166,7 @@ def test_run_is_deterministic_per_seed():
     cfg = make_config(T=2000, seed=555)
     t1 = protocol.run(cfg, adversary.identity_attack())
     t2 = protocol.run(cfg, adversary.identity_attack())
-    assert t1.serialized() == t2.serialized()
+    assert serialized(t1) == serialized(t2)
 
 
 def test_two_way_identity_reproduces_one_way():
@@ -345,11 +345,26 @@ def test_mirrored_outcomes_or_signs_negate_every_correlator(variant, counts):
 
 # ---------------------------------------------------------------- serialization
 
+def parse_transcript(text):
+    """A serialized transcript as (header dict, list of row dicts)."""
+    header, rows, columns = {}, [], None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            key, *values = line[1:].split("\t")
+            if key == "columns":
+                columns = values
+            elif len(values) == 1:
+                header[key] = values[0]
+        elif line:
+            rows.append(dict(zip(columns, line.split("\t"))))
+    return header, rows
+
+
 def test_serialization_disclosure_order_and_roundtrip():
     cfg = make_config(T=2000, p_c=0.4, p_e=0.4, p_d=0.2, seed=21)
     tr = protocol.run(cfg, adversary.identity_attack())
-    text = tr.serialized()
-    header, rows = protocol.parse_transcript(text)
+    text = serialized(tr)
+    header, rows = parse_transcript(text)
     assert header["config_hash"] == tr.config_hash()
     assert int(header["seed"]) == cfg.seed
     assert len(rows) == cfg.T
@@ -363,7 +378,7 @@ def test_serialization_disclosure_order_and_roundtrip():
 def test_serialized_counts_match_transcript():
     cfg = make_config(T=1500, seed=2)
     tr = protocol.run(cfg, adversary.identity_attack())
-    _, rows = protocol.parse_transcript(tr.serialized())
+    _, rows = parse_transcript(serialized(tr))
     kept_check = sum(r["status"] == "kept_check" for r in rows)
     kept_est = sum(r["status"] == "kept_estimation" for r in rows)
     assert kept_check == tr.N_c
@@ -380,7 +395,7 @@ def test_serialization_field_level_roundtrip(variant):
                       p_d=0.2, seed=47)
     tr = protocol.run(cfg, adversary.depolarizing_attack(0.5))
     assert tr.N_leak > 0
-    _, rows = protocol.parse_transcript(tr.serialized())
+    _, rows = parse_transcript(serialized(tr))
     partner = {"X": "Z", "Y": "Y", "Z": "X"}
     for row in rows:
         i = int(row["index"])
@@ -455,7 +470,7 @@ def test_serialize_matches_reference_writer(tmp_path, T, variant, attack):
     cfg = replace(cfg, variant=variant, T=T, p_c=0.4, p_e=0.4, p_d=0.2, seed=T)
     tr = protocol.run(cfg, attack_model)
     expected = reference_serialized(tr)
-    assert_same_text(tr.serialized(), expected)
+    assert_same_text(serialized(tr), expected)
     # a str path and an os.PathLike path both get the same bytes
     tr.serialize(str(tmp_path / "str.tsv"))
     tr.serialize(tmp_path / "pathlike.tsv")
@@ -463,7 +478,7 @@ def test_serialize_matches_reference_writer(tmp_path, T, variant, attack):
         assert_same_text((tmp_path / name).read_bytes().decode("ascii"), expected)
     if T > 2 * BLOCK:
         assert attack == "intercept_resend" or tr.N_leak > 0
-        _, rows = protocol.parse_transcript(expected)
+        _, rows = parse_transcript(expected)
         assert sorted(int(r["index"]) for r in rows) == list(range(T))
 
 
@@ -478,7 +493,7 @@ def test_serialize_writes_seven_digit_indices():
     T = 10 ** 6 + 1
     tr = protocol.Transcript(make_config(T=T), np.resize(kept, T))
     expected = reference_header(tr) + [f"{i}\t{suffixes[i % kept.size]}" for i in range(T)]
-    assert_same_text(tr.serialized(), "\n".join(expected) + "\n")
+    assert_same_text(serialized(tr), "\n".join(expected) + "\n")
 
 
 @pytest.mark.parametrize("T", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
@@ -497,7 +512,7 @@ def test_serialize_writes_one_chunk_at_a_time(T, variant):
     assert all(len(chunk) <= BLOCK * row_bytes and chunk.endswith(b"\n") for chunk in chunks)
     assert [chunk.count(b"\n") for chunk in chunks] == [
         min(BLOCK, T - start) for start in range(0, T, BLOCK)]
-    assert b"".join(writes).decode("ascii") == tr.serialized()
+    assert b"".join(writes).decode("ascii") == serialized(tr)
 
 
 def test_transcript_columns_are_read_only():
@@ -606,7 +621,7 @@ def test_rng_stream_digest(variant, engine):
         cfg = make_config(n=2, T=300, direction="two_way")
         attack = adversary.two_way_swap_leak()
     cfg = replace(cfg, variant=variant, p_c=0.4, p_e=0.4, p_d=0.2, seed=2024)
-    digest = hashlib.sha256(protocol.run(cfg, attack).serialized().encode()).hexdigest()
+    digest = hashlib.sha256(serialized(protocol.run(cfg, attack)).encode()).hexdigest()
     assert digest == STREAM_DIGESTS[variant, engine], (
         f"the seed-to-transcript map changed: bump RNG_STREAM (now {RNG_STREAM}) "
         "and record the new digests")
@@ -725,7 +740,7 @@ def test_twin_counts_share_the_transcript_windows():
     # and window classes
     cfg = make_config(n=2, T=1013, p_c=0.4, p_e=0.4, p_d=0.2)
     attack, identity = adversary.intercept_resend("random"), adversary.identity_attack()
-    counts, classes = protocol.twin_counts(cfg, attack, identity, 20, [cfg.true_phi])
+    counts, classes = protocol.twin_counts(cfg, attack, 20, [cfg.true_phi])
     assert counts.shape == (1, 2, *protocol._CELL_SHAPE) and counts.dtype == np.int64
     assert classes.shape == (1, 2, 20, 3) and classes.dtype == np.int64
     windows = protocol.run(cfg, attack.clone()).window_counts(20)
@@ -735,11 +750,11 @@ def test_twin_counts_share_the_transcript_windows():
         np.testing.assert_array_equal(twin.sum(axis=1), windows.sum(axis=(1, 2, 3)))
     assert windows.sum() == cfg.T and {int(s) for s in windows.sum(axis=(1, 2, 3))} == {50, 51}
     np.testing.assert_array_equal(windows.sum(axis=0), protocol.run(cfg, attack.clone()).counts)
-    for part in protocol.twin_counts(cfg, identity, identity, 20, [cfg.true_phi]):
+    for part in protocol.twin_counts(cfg, identity, 20, [cfg.true_phi]):
         np.testing.assert_array_equal(part[0, 0], part[0, 1])
     cfg, memory = replace(cfg, n=1), adversary.entangling_memory_attack(0.3, 3, "measure")
     runs = [protocol.run(cfg, a).window_counts(20) for a in (memory.clone(), identity)]
-    counts, classes = protocol.twin_counts(cfg, memory, identity, 20, [cfg.true_phi])
+    counts, classes = protocol.twin_counts(cfg, memory, 20, [cfg.true_phi])
     np.testing.assert_array_equal(counts[0], [w.sum(axis=0) for w in runs])
     np.testing.assert_array_equal(classes[0], protocol.product_classes(runs))
 
@@ -774,11 +789,11 @@ def test_sensor_model_is_shared_read_only_and_run_order_free():
              (make_config(n=2, T=200, p_c=0.4, p_e=0.4, p_d=0.2, direction="two_way"),
               adversary.two_way_swap_leak())]
     protocol._sensor_model.cache_clear()
-    first = [protocol.run(cfg, attack.clone()).serialized() for cfg, attack in cases]
+    first = [serialized(protocol.run(cfg, attack.clone())) for cfg, attack in cases]
     for n in (1, 3, 4):
         for cfg, attack in cases:
             protocol.run(replace(cfg, n=n), attack.clone())
-    assert [protocol.run(cfg, attack.clone()).serialized() for cfg, attack in cases] == first
+    assert [serialized(protocol.run(cfg, attack.clone())) for cfg, attack in cases] == first
 
 
 PUSH_ATTACKS = {
@@ -1025,8 +1040,8 @@ def test_multi_phase_twins_reject_an_instrument_that_does_not_preserve_trace(nam
     # the trace check covers every phase of a stacked table build
     cfg = make_config(n=2, T=500)
     with pytest.raises(protocol.UnsupportedAttackError, match="does not preserve trace"):
-        protocol.twin_counts(cfg, _Instrument(NOT_TRACE_PRESERVING[name]),
-                             adversary.identity_attack(), 20, np.linspace(0.1, 1.3, 5))
+        protocol.twin_counts(cfg, _Instrument(NOT_TRACE_PRESERVING[name]), 20,
+                             np.linspace(0.1, 1.3, 5))
 
 
 # ---------------------------------------------------------------- sweep twins
@@ -1070,10 +1085,9 @@ def test_twin_counts_across_slice_edges_are_the_one_phase_counts(monkeypatch, na
     monkeypatch.setattr(protocol, "_SLICE_BYTES",
                         2 * 32 * legs[0][1].size * (len(legs[1]) if legs[1] else 1))
     phis = np.linspace(0.1, 1.3, 5)
-    identity = adversary.identity_attack()
-    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), identity, 20, phis)
+    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), 20, phis)
     for i, phi in enumerate(phis):
-        one = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), identity, 20, [phi])
+        one = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), 20, [phi])
         np.testing.assert_array_equal(counts[i], one[0][0])
         np.testing.assert_array_equal(classes[i], one[1][0])
 
@@ -1086,8 +1100,7 @@ def test_twin_counts_memory_stays_bounded_over_many_phases():
     cfg = make_config(n=5, T=1000, p_c=0.4, p_e=0.4, p_d=0.2)
     tracemalloc.start()
     try:
-        counts, classes = protocol.twin_counts(cfg, adversary.depolarizing_attack(0.1),
-                                               adversary.identity_attack(), 20,
+        counts, classes = protocol.twin_counts(cfg, adversary.depolarizing_attack(0.1), 20,
                                                np.linspace(0.0, 3.0, 1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1119,8 +1132,7 @@ def test_twin_class_draw_is_consistent(case, seed):
     cfg = make_config(variant=variant, direction=direction, n=n, T=T, p_c=0.8 - p_e, p_e=p_e,
                       p_d=0.2, seed=seed)
     phis = np.linspace(0.2, 1.1, 3)
-    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](),
-                                           adversary.identity_attack(), 20, phis)
+    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), 20, phis)
     assert counts.shape == (3, 2, *protocol._CELL_SHAPE) and classes.shape == (3, 2, 20, 3)
     assert counts.min() >= 0 and classes.min() >= 0
     np.testing.assert_array_equal(classes.sum(axis=-1),

@@ -37,6 +37,12 @@ def copies(labels, dims, state, batch=1):
     return q.RegisterState(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape))
 
 
+def random_pure_state(dim, rng):
+    """A Haar-random pure state: normalized complex Gaussian amplitudes."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return q.PureState(v / np.linalg.norm(v))
+
+
 def spectrum(matrix):
     """Oracle: a Hermitian matrix's distinct eigenvalues, ascending (within
     1e-8 of each other counts as one), each with its eigenprojector, by
@@ -472,7 +478,7 @@ def test_fidelity_matches_pure_closed_forms():
     rng = np.random.default_rng(13)
     for d in range(2, 33):
         for _ in range(5):
-            a, b = q.random_pure_state(d, rng), q.random_pure_state(d, rng)
+            a, b = random_pure_state(d, rng), random_pure_state(d, rng)
             rho = q.random_density_matrix(d, rng)
             overlap = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
             inside = (a.amplitudes.conj() @ rho.data @ a.amplitudes).real
@@ -756,7 +762,7 @@ def test_register_matches_dense_oracle(probe_dim, seed):
 
     frame = q.LogicalFrame.standard(probe_dim.bit_length() - 1)
     sensor = np.array([q.logical_projectors(frame, a) for a in q.PAULI_AXES])
-    pure = q.random_pure_state(2, rng)
+    pure = random_pure_state(2, rng)
 
     both("attach", "E1", random_stack(rng, batch, 2))
     reg.attach("E2", pure)
