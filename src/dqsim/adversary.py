@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +51,6 @@ class EveEstimate:
     phi_hat_eve: float | None
     samples_used: int
     standard_error: float = math.inf
-
-
-def _real(name, value):
-    """``value`` as a float, if it is a finite real number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, not {value!r}")
-    if not abs(value) <= sys.float_info.max:  # a huge integer is not finite either
-        raise ValueError(f"{name} must be finite")
-    return float(value)
 
 
 class AttackModel:
@@ -137,7 +126,7 @@ def identity_attack() -> AttackModel:
 
 class DepolarizingAttack(AttackModel):
     def __init__(self, p):
-        p = _real("p", p)
+        p = qcore.real("p", p)
         self.name = f"depolarizing(p={p:.6g})"
         if not 0.0 <= p <= 1.0:
             raise ValueError("depolarizing probability must lie in [0, 1]")
@@ -154,7 +143,7 @@ def depolarizing_attack(p: float) -> AttackModel:
 
 class UnitaryTamperAttack(AttackModel):
     def __init__(self, axis, angle):
-        self.angle = _real("angle", angle)
+        self.angle = qcore.real("angle", angle)
         self.name = f"unitary_tamper({axis}, {self.angle:.6g})"
         self.axis = qcore.pauli_axis(axis)
 
@@ -221,9 +210,9 @@ class EntanglingMemoryAttack(AttackModel):
     max_block_length = 3
 
     def __init__(self, coupling_angle, block_length=2, ancilla_mode="trace"):
-        self.coupling_angle = _real("coupling_angle", coupling_angle)
+        self.coupling_angle = qcore.real("coupling_angle", coupling_angle)
         self.name = f"entangling_memory({self.coupling_angle:.6g}, block={block_length})"
-        if not _real("block_length", block_length).is_integer():
+        if not qcore.real("block_length", block_length).is_integer():
             raise ValueError(f"block length must be a whole number, not {block_length!r}")
         if block_length < 1 or block_length > self.max_block_length:
             raise ValueError(f"block length must lie in [1, {self.max_block_length}], "

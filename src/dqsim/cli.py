@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import math
 import os
@@ -52,13 +53,12 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------- scenario schema
 
 ATTACKS = {
-    "identity": (adversary.identity_attack, set()),
-    "depolarizing": (adversary.depolarizing_attack, {"p"}),
-    "unitary_tamper": (adversary.unitary_tamper, {"axis", "angle"}),
-    "intercept_resend": (adversary.intercept_resend, {"basis_strategy"}),
-    "entangling_memory": (adversary.entangling_memory_attack,
-                          {"coupling_angle", "block_length", "ancilla_mode"}),
-    "two_way_swap_leak": (adversary.two_way_swap_leak, set()),
+    "identity": adversary.identity_attack,
+    "depolarizing": adversary.depolarizing_attack,
+    "unitary_tamper": adversary.unitary_tamper,
+    "intercept_resend": adversary.intercept_resend,
+    "entangling_memory": adversary.entangling_memory_attack,
+    "two_way_swap_leak": adversary.two_way_swap_leak,
 }
 
 
@@ -104,7 +104,7 @@ def load_scenario(path) -> dict:
     params = attack.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("attack.params must be an object")
-    _, allowed = ATTACKS[name]
+    allowed = inspect.signature(ATTACKS[name]).parameters
     _require_keys(params, allowed, set(), f"attack.params for {name!r}")
 
     if "sweep" in raw:
@@ -153,9 +153,8 @@ def build_attack(scenario, override=None):
     params = dict(scenario["attack"].get("params", {}))
     if override:
         params.update(override)
-    factory, _allowed = ATTACKS[name]
     try:
-        return factory(**params)
+        return ATTACKS[name](**params)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid attack parameters for {name!r}: {exc}") from exc
 
@@ -240,15 +239,13 @@ VARIANCE_WINDOWS = 20
 
 
 def _batched_phi_variance(config, classes):
-    """Estimator-variance estimate from windows of rounds' ``protocol.product_classes``: the
-    variance over the windows' pooled phase estimates divided by their number.  A window
-    with no kept non-leak estimation round is left out, and fewer than 2 usable give inf."""
+    """Estimator-variance estimate from windows of rounds' ``protocol.product_classes``:
+    ``stats.batch_statistics`` of the windows' pooled phase estimates.  A window with no
+    kept non-leak estimation round gives no estimate."""
     sums, kept = classes[:, 2] - classes[:, 0], classes[:, 2] + classes[:, 0]
     usable = kept > 0
-    if usable.sum() < 2:
-        return math.inf
-    phis = np.arccos(np.clip(sums[usable] / kept[usable], -1.0, 1.0)) / (2.0 * config.n)
-    return stats.batch_statistics(phis, phis.size).variance_of_mean
+    return stats.batch_statistics(
+        np.arccos(np.clip(sums[usable] / kept[usable], -1.0, 1.0)) / (2.0 * config.n))
 
 
 def _sweep_row(scenario, config, value, counts, classes):

@@ -10,7 +10,6 @@ inequality checks the verification command drives.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,21 +53,15 @@ class Locc1Result:
     converged: bool
 
 
-def _check_count(name, value, low):
-    """Refuse a bool, a value that is not a numbers.Integral, or one below low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
-
-
 def f_definetti(T: int, N_d: int, n: int) -> float:
     """Permutation-symmetry error term (T - N_d - 1) sqrt(n / (2 N_d)).
 
     N_d = 0 returns 0 by convention; that case only arises in
     individual-attack accounting, where the term plays no role.
     """
-    _check_count("round count T", T, 1)
-    _check_count("discarded-round count N_d", N_d, 0)
-    _check_count("qubit count n", n, 1)
+    qcore.integer("round count T", T, 1)
+    qcore.integer("discarded-round count N_d", N_d, 0)
+    qcore.integer("qubit count n", n, 1)
     if N_d >= T:
         raise ValueError("discarded-round count must satisfy 0 <= N_d < T")
     if N_d == 0:
@@ -92,13 +85,13 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
         raise ValueError(f"unknown mode {mode!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError("threshold must be finite and nonnegative")
+    if qcore.real("threshold", threshold) < 0:
+        raise ValueError(f"threshold must be nonnegative, not {threshold!r}")
     if mode == "one_way_individual":  # the counts play no part, but any given is checked
         for name, value, low in (("round count T", T, 1), ("discarded-round count N_d", N_d, 0),
                                  ("qubit count n", n, 1)):
             if value is not None:
-                _check_count(name, value, low)
+                qcore.integer(name, value, low)
         return math.sqrt(2.0 / 3.0) * threshold if variant == "entanglement" else threshold
     f = f_definetti(T, N_d, n)
     coef = 2.0 if (mode == "two_way_gc" and variant == "mub") else 4.0
@@ -106,8 +99,7 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
     inner = (2.0 / 3.0) * square if variant == "entanglement" else square
     value = math.sqrt(inner + coef * f)
     if mode == "two_way_gc":
-        if phi is None or not math.isfinite(phi):
-            raise ValueError("two-way mode needs a finite phi")
+        qcore.real("phi", phi)
         value += abs(math.sin(min(n * phi, math.pi / 2)))
     return value
 
@@ -119,9 +111,12 @@ SIN_FLOOR = 1e-12
 
 def _sine_denominator(eps0, n, phi):
     """n |sin(2 n phi)|, once both bounds' inputs are checked; eps0 may be +inf."""
-    _check_count("qubit count n", n, 1)
-    if math.isnan(eps0) or not math.isfinite(phi):
-        raise ValueError("eps0 must not be NaN and phi must be finite")
+    qcore.integer("qubit count n", n, 1)
+    # an infinite eps0 is left to the sign check: +inf, the eps0 of a finite threshold
+    # whose square overflows, stays valid
+    if eps0 not in (math.inf, -math.inf):
+        qcore.real("eps0", eps0)
+    qcore.real("phi", phi)
     if eps0 < 0:
         raise ValueError(f"eps0 must be nonnegative, not {eps0!r}")
     return n * abs(math.sin(2 * n * phi))
@@ -141,7 +136,7 @@ def variance_bound(eps0: float, n: int, phi: float, mode: str, N_e=None) -> floa
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "one_way_individual":
-        _check_count("estimation-round count N_e", N_e, 1)
+        qcore.integer("estimation-round count N_e", N_e, 1)
         numer = 2.0 * eps0 / N_e + stats.squared(eps0)
     else:
         numer = 2.0 * eps0 + stats.squared(eps0)
@@ -336,8 +331,7 @@ def locc1_lower_bound(rho, sigma, dims, restarts=32, rng=None) -> Locc1Result:
     dims = [int(d) for d in dims]
     if not 1 <= len(dims) <= 3 or any(d != 2 for d in dims):
         raise ValueError("supported partitions: 1 to 3 parties of dimension 2")
-    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral) or restarts < 1:
-        raise ValueError(f"restarts must be an integer >= 1, not {restarts!r}")
+    qcore.integer("restarts", restarts, 1)
     ra, rb = qcore.as_density(rho), qcore.as_density(sigma)
     if ra.dim != rb.dim or ra.dim != 2 ** len(dims):
         raise qcore.DimensionMismatchError("states do not match the party dims")

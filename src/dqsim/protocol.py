@@ -47,9 +47,7 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import os
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,17 +108,10 @@ class ProtocolConfig:
             raise ValueError(f"unknown direction {self.direction!r}")
         for name, value, low, high in (("n", self.n, 1, MAX_QUBITS), ("T", self.T, 1, MAX_ROUNDS),
                                        ("seed", self.seed, 0, 2 ** 64 - 1)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            if not low <= value <= high:
-                raise ValueError(f"{name} must lie in [{low}, {high}]")
+            qcore.integer(name, value, low, high)
         # checked, never coerced: ``config_hash`` hashes the repr of each value as given
         for name in ("p_c", "p_e", "p_d", "epsilon_threshold", "true_phi"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, not {value!r}")
-            if not abs(value) <= sys.float_info.max:  # a huge integer is not finite either
-                raise ValueError(f"{name} must be finite")
+            value = qcore.real(name, getattr(self, name))
             if name.startswith("p_") and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if abs(self.p_c + self.p_e + self.p_d - 1.0) > 1e-12:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,26 @@ def pauli_axis(axis):
     return axis.upper()
 
 
+def integer(name, value, low, high=math.inf) -> int:
+    """``value`` as an int, if it is an integer, not a bool, in [low, high]; ValueError
+    otherwise, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+    if value > high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], not {value!r}")
+    return int(value)
+
+
+def real(name, value) -> float:
+    """``value`` as a float, if it is a finite real number and not a bool; ValueError
+    otherwise, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    if not abs(value) <= sys.float_info.max:  # a huge integer is not finite either
+        raise ValueError(f"{name} must be finite")
+    return float(value)
+
+
 def pauli_matrix(axis: str):
     """Single-qubit Pauli matrix in the computational basis."""
     return _PAULI[pauli_axis(axis)].copy()
@@ -224,7 +245,7 @@ def parse_probe_label(label) -> tuple:
         axis = text[1:] if text.startswith(("+", "-")) else text
         return pauli_axis(axis), -1 if text.startswith("-") else 1
     sign = label[1] if isinstance(label, tuple) and len(label) == 2 else None
-    if isinstance(sign, bool) or not isinstance(sign, numbers.Integral) or sign not in (1, -1):
+    if sign is None or integer("label sign", sign, -1, 1) == 0:
         raise ValueError(f"invalid signed Pauli label {label!r}")
     return pauli_axis(label[0]), int(sign)
 

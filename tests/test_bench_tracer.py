@@ -98,3 +98,22 @@ def test_toy_ops_pass_the_benchmark_checks(tmp_path, workload):
         rc, _wall = workloads.call(op)
         assert rc == 0 and sorted(first) == sorted(op.outputs), op.kind
         assert workloads.digests(op) == first, op.kind
+
+
+def test_traced_sweep_records_the_analysis_spans(tmp_path):
+    # a traced sweep op records a span for each analysis name the tracer
+    # wraps on its path; a name that the sweep stops reaching through its
+    # module attribute reads 0 in the benchmark's per-layer rows, and fails here
+    tracer_module = load_bench_module("tracer")
+    workloads = load_bench_module("workloads")
+    op = workloads.build("sweep_twin", 7, str(tmp_path), toy=True)[0]
+    with tracer_module.Tracer() as tracer:
+        tracer.install(dqsim)
+        tracer.op = 0
+        rc, _wall = workloads.call(op)
+        tracer.op = None
+    assert workloads.problems(op, rc) == []
+    names = {span[0] for span in tracer.spans}
+    assert {"stats.batch_statistics", "stats.phase_variance", "protocol.check_fidelity",
+            "protocol.estimate_phase", "metrics.epsilon0", "metrics.bias_bound",
+            "metrics.variance_bound"} <= names

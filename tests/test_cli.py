@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -69,6 +70,25 @@ def test_unknown_attack_param_rejected(tmp_path):
     assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
 
 
+def test_attack_keys_are_the_factory_parameters(tmp_path, monkeypatch):
+    # an attack's keys are read from its factory, with no second list to keep:
+    # a new factory's parameter is a key and a sweep variable at once, and an
+    # unknown key, an unknown swept parameter or a missing argument exits 2
+    monkeypatch.setitem(cli.ATTACKS, "scaled_noise",
+                        lambda strength: adversary.depolarizing_attack(strength / 2))
+    sweep = {"variable": "attack.strength", "start": 0.0, "stop": 0.2, "steps": 2}
+    cases = [({"strength": 0.2}, None, "run", cli.EXIT_OK),
+             ({"strength": 0.2}, sweep, "sweep", cli.EXIT_OK),
+             ({"strength": 0.2, "p": 0.1}, None, "run", cli.EXIT_SCHEMA),
+             ({"strength": 0.2}, {**sweep, "variable": "attack.p"}, "sweep", cli.EXIT_SCHEMA),
+             ({}, None, "run", cli.EXIT_SCHEMA)]
+    for params, sweep_block, command, code in cases:
+        blocks = {"sweep": sweep_block} if sweep_block else {}
+        path, _ = write_scenario(tmp_path, attack={"name": "scaled_noise", "params": params},
+                                 **blocks)
+        assert cli.main([command, str(path)]) == code, (params, sweep_block)
+
+
 def test_bad_sweep_variable_rejected(tmp_path):
     path, _ = write_scenario(
         tmp_path, sweep={"variable": "z", "start": 0, "stop": 1, "steps": 2})
@@ -127,6 +147,19 @@ _REFUSALS = (
                                        "threshold": 0.1, name: value},
                     name, id=f"epsilon0-{name}-{value}")
        for name in ("T", "N_d", "n") for value in (1.5, True)]
+    # a bool threshold or eps0 gave a bound, and a huge integer an OverflowError
+    + [pytest.param(metrics.epsilon0, {"mode": mode, "variant": "mub", "threshold": 0.1,
+                                       "T": 10, "N_d": 1, "n": 1, "phi": 0.3, name: value},
+                    name, id=f"epsilon0-{mode}-{name}-{label}")
+       for mode in metrics.MODES for name in ("threshold", "phi")
+       if name == "threshold" or mode == "two_way_gc"
+       for label, value in _NOT_REAL.items()]
+    + [pytest.param(bound, {"eps0": 0.1, "n": 1, "phi": 0.3, **mode, name: value}, name,
+                    id=f"{bound.__name__}-{name}-{label}")
+       for bound, mode in ((metrics.bias_bound, {}),
+                           (metrics.variance_bound, {"mode": "one_way_gc"}))
+       for name in ("eps0", "phi") for label, value in _NOT_REAL.items()
+       if (name, label) != ("eps0", "inf")]
 )
 
 
@@ -249,7 +282,7 @@ class _Lossy(adversary.AttackModel):
 
 @pytest.mark.parametrize("kind", ["half_weight", "incomplete_kraus"])
 def test_run_rejects_instrument_that_does_not_preserve_trace(tmp_path, monkeypatch, kind):
-    monkeypatch.setitem(cli.ATTACKS, "lossy", (_Lossy, {"kind"}))
+    monkeypatch.setitem(cli.ATTACKS, "lossy", _Lossy)
     path, _ = write_scenario(tmp_path, attack={"name": "lossy", "params": {"kind": kind}})
     assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
     assert not (tmp_path / "tr.tsv").exists()
@@ -272,7 +305,7 @@ class _BadCoupling(adversary.EntanglingMemoryAttack):
 
 @pytest.mark.parametrize("kind", ["non_unitary", "nan"])
 def test_run_rejects_coupling_that_is_not_unitary(tmp_path, monkeypatch, capsys, kind):
-    monkeypatch.setitem(cli.ATTACKS, "bad_coupling", (_BadCoupling, {"kind"}))
+    monkeypatch.setitem(cli.ATTACKS, "bad_coupling", _BadCoupling)
     path, _ = write_scenario(tmp_path, attack={"name": "bad_coupling", "params": {"kind": kind}})
     assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
     err = capsys.readouterr().err
@@ -295,7 +328,7 @@ class _BadSubstitute(adversary.TwoWaySwapLeakAttack):
 
 @pytest.mark.parametrize("kind", ["not_unit_trace", "not_positive"])
 def test_run_rejects_substitute_that_is_not_a_state(tmp_path, monkeypatch, capsys, kind):
-    monkeypatch.setitem(cli.ATTACKS, "bad_substitute", (_BadSubstitute, {"kind"}))
+    monkeypatch.setitem(cli.ATTACKS, "bad_substitute", _BadSubstitute)
     protocol = {"variant": "mub", "direction": "two_way", "n": 1, "T": 300, "p_c": 0.5,
                 "p_e": 0.5, "p_d": 0.0, "epsilon_threshold": 0.251, "true_phi": 0.3,
                 "seed": 7}
@@ -964,7 +997,8 @@ _FUZZ_BLOCKS = {
                                  "epsilon_threshold", "true_phi", "seed"]),
     "attack": (("attack",), ["name", "params"]),
     "params": (("attack", "params"),
-               sorted({k for _factory, keys in cli.ATTACKS.values() for k in keys})),
+               sorted({k for factory in cli.ATTACKS.values()
+                    for k in inspect.signature(factory).parameters})),
     "sweep": (("sweep",), ["variable", "start", "stop", "steps"]),
     "output": (("output",), ["transcript", "summary", "csv"]),
 }
