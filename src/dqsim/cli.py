@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -239,46 +239,16 @@ VARIANCE_WINDOWS = 20
 
 
 def _batched_phi_variance(config, classes):
-    """Estimator-variance estimate from windows of rounds' ``protocol.product_classes``:
-    ``stats.batch_statistics`` of the windows' pooled phase estimates.  A window with no
-    kept non-leak estimation round gives no estimate."""
-    sums, kept = classes[:, 2] - classes[:, 0], classes[:, 2] + classes[:, 0]
-    usable = kept > 0
-    return stats.batch_statistics(
-        np.arccos(np.clip(sums[usable] / kept[usable], -1.0, 1.0)) / (2.0 * config.n))
-
-
-def _sweep_row(scenario, config, value, counts, classes):
-    """A sweep row at ``config`` from both twins' counts and window classes."""
-    tr_att, tr_idl = (protocol.CellCounts(config, c) for c in counts)
-    chk = protocol.check_fidelity(tr_att)
-    est_att, est_idl = (protocol.estimate_phase(tr) for tr in (tr_att, tr_idl))
-    var_att, var_idl = (_batched_phi_variance(config, k) for k in classes)
-    mode = _bounds_mode(scenario, config)
-    phi = config.true_phi
-    eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,
-                            T=config.T, N_d=tr_att.N_d, n=config.n, phi=phi)
-    f_hat = chk.fidelity_estimate
-    if isinstance(f_hat, dict):
-        f_hat = min(f_hat.values())
-    return {
-        "theta": phi / 2.0,
-        "phi": phi,
-        "F_hat": f_hat,
-        "epsilon_implied": chk.epsilon_implied,
-        "passed": chk.passed,
-        "phi_hat": est_att.phi_hat,
-        "phi_hat_se": est_att.standard_error,
-        "bias_emp": abs(est_att.phi_hat - est_idl.phi_hat),
-        "bias_bound": metrics.bias_bound(eps0, config.n, phi),
-        "var_emp": var_att,
-        "var_discrepancy": abs(var_att - var_idl),
-        "var_bound": metrics.variance_bound(eps0, config.n, phi, mode,
-                                            N_e=max(tr_att.N_e, 1)),
-        "mode": mode,
-        "variant": config.variant,
-        "sweep_value": float(value),
-    }
+    """Estimator-variance estimates from windows of rounds' ``protocol.product_classes``,
+    shape (..., window, 3): ``stats.batch_statistics`` of each run's windows' pooled phase
+    estimates, nested as the leading axes are.  A window with no kept non-leak estimation
+    round gives no estimate."""
+    sums, kept = classes[..., 2] - classes[..., 0], classes[..., 2] + classes[..., 0]
+    phis = np.arccos(np.clip(sums / np.maximum(kept, 1), -1.0, 1.0)) / (2.0 * config.n)
+    windows = classes.shape[-2]
+    variances = [stats.batch_statistics(p[k > 0]) for p, k in
+                 zip(phis.reshape(-1, windows), kept.reshape(-1, windows))]
+    return np.reshape(variances, classes.shape[:-2]).tolist()
 
 
 def sweep_values(scenario):
@@ -290,18 +260,49 @@ def sweep_values(scenario):
 def sweep_rows(scenario, seed_override=None):
     """The sweep's rows in order, from twin runs (attacked versus identity,
     shared seed): one ``protocol.twin_counts`` call over every phase of a
-    ``phi`` sweep, one call per point of an ``attack.<param>`` sweep."""
+    ``phi`` sweep, one call per point of an ``attack.<param>`` sweep; one
+    check, one estimate and one window pass analyse every point's twins."""
     config = build_config(scenario, seed_override)
     variable, values = scenario["sweep"]["variable"], sweep_values(scenario)
     if variable == "phi":
-        counts, classes = protocol.twin_counts(config, build_attack(scenario), VARIANCE_WINDOWS,
-                                               values)
-        return [_sweep_row(scenario, replace(config, true_phi=float(value)), value, *twins)
-                for value, *twins in zip(values, counts, classes)]
-    param = variable.split(".", 1)[1]
-    return [_sweep_row(scenario, config, value, *(part[0] for part in protocol.twin_counts(
-        config, build_attack(scenario, {param: float(value)}), VARIANCE_WINDOWS,
-        [config.true_phi]))) for value in values]
+        phis = values.tolist()
+        draws = [protocol.twin_counts(config, build_attack(scenario), VARIANCE_WINDOWS, values)]
+    else:
+        param, phis = variable.split(".", 1)[1], [config.true_phi] * len(values)
+        draws = [protocol.twin_counts(config, build_attack(scenario, {param: float(value)}),
+                                      VARIANCE_WINDOWS, [config.true_phi]) for value in values]
+    counts, classes = (np.concatenate(part) for part in zip(*draws))
+    attacked = protocol.CellCounts(config, counts[:, 0])
+    chk = protocol.check_fidelity(attacked)
+    est = protocol.estimate_phase(protocol.CellCounts(config, counts))
+    variances = _batched_phi_variance(config, classes)
+    mode = _bounds_mode(scenario, config)
+    rows = []
+    for i, (value, phi, N_d, N_e) in enumerate(zip(values, phis, attacked.N_d, attacked.N_e)):
+        eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied[i],
+                                T=config.T, N_d=N_d, n=config.n, phi=phi)
+        f_hat = chk.fidelity_estimate[i]
+        if isinstance(f_hat, dict):
+            f_hat = min(f_hat.values())
+        (phi_att, phi_idl), (var_att, var_idl) = est.phi_hat[i], variances[i]
+        rows.append({
+            "theta": phi / 2.0,
+            "phi": phi,
+            "F_hat": f_hat,
+            "epsilon_implied": chk.epsilon_implied[i],
+            "passed": chk.passed[i],
+            "phi_hat": phi_att,
+            "phi_hat_se": est.standard_error[i][0],
+            "bias_emp": abs(phi_att - phi_idl),
+            "bias_bound": metrics.bias_bound(eps0, config.n, phi),
+            "var_emp": var_att,
+            "var_discrepancy": abs(var_att - var_idl),
+            "var_bound": metrics.variance_bound(eps0, config.n, phi, mode, N_e=max(N_e, 1)),
+            "mode": mode,
+            "variant": config.variant,
+            "sweep_value": float(value),
+        })
+    return rows
 
 
 def cmd_sweep(scenario, seed_override=None, threads=1) -> int:

@@ -408,10 +408,8 @@ def definetti_inequality_check(sigma, m: int, k: int, mixture, restarts=8,
     marginal of a permutation-invariant m-party qubit state and an explicit
     product-state mixture against (k-1) sqrt(log2(d) / (2 (m-k))).
     """
-    if m > 4:
-        raise ValueError("at most 4 parties supported")
-    if not 1 <= k < m:
-        raise ValueError("need 1 <= k < m")
+    m = qcore.integer("m", m, 2, 4)  # at most 4 parties
+    k = qcore.integer("k", k, 1, m - 1)
     rho = qcore.as_density(sigma)
     if rho.dim != 2 ** m:
         raise qcore.DimensionMismatchError("state is not an m-qubit state")
@@ -419,13 +417,14 @@ def definetti_inequality_check(sigma, m: int, k: int, mixture, restarts=8,
     target = np.zeros((2 ** k, 2 ** k), dtype=complex)
     total_w = 0.0
     for w, comp in mixture:
-        if not (math.isfinite(w) and w >= 0):
-            raise ValueError(f"mixture weight {w!r} must be finite and nonnegative")
+        weight = qcore.real(f"mixture weight {w!r}", w)
+        if weight < 0:
+            raise ValueError(f"mixture weight {w!r} must be nonnegative")
         comp = qcore.as_density(comp)
         if comp.dim != 2:
             raise qcore.DimensionMismatchError("mixture components must be single-qubit")
-        target += w * qcore.kron_power(comp.data, k)
-        total_w += w
+        target += weight * qcore.kron_power(comp.data, k)
+        total_w += weight
     if abs(total_w - 1.0) > 1e-9:
         raise ValueError("mixture weights must sum to 1")
     target = qcore.DensityMatrix(target / total_w)

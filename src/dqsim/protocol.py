@@ -36,8 +36,9 @@ position inside the block after another; register attacks act on a batch
 of rounds' register states.
 No engine reads the variant, and each draws randomness in a fixed
 documented order, so a seed fully determines the transcript.  The check
-and the estimator read per-label signed sums of the cell counts; only
-their pooling into correlators (``_POOLS``) depends on the variant.
+and the estimator read every correlator's signed sum and round count as
+one product of the cell counts of one or more runs with a per-cell matrix
+(``_POOLS``); only that pooling depends on the variant.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -225,13 +226,15 @@ def _lookup(table):
 
 
 def _rounds_in(cells):
-    """A round count: the rounds in the cells the per-cell mask selects."""
-    return property(lambda self: int(self.counts.ravel()[cells].sum()))
+    """A round count per run: the rounds in the cells the per-cell mask selects."""
+    return property(lambda self: (self.counts.reshape(*self.counts.shape[:-3], -1)
+                                  @ cells).tolist())
 
 
 class CellCounts:
     """A run's rounds per cell, ``counts``, read-only of shape ``_CELL_SHAPE``:
-    all that the round counts, the check and the estimator read."""
+    all that the round counts, the check and the estimator read.  With leading
+    axes, a stack of runs under one config: each value but ``leak_rate`` nests per run."""
 
     def __init__(self, config, counts):
         self.config = config
@@ -619,6 +622,18 @@ def _law(config, phis, legs):
     return _prior(config)[..., None, None, None] * tables
 
 
+def exact_cells(config, attack):
+    """The exact law of one round's cell under a memoryless attack, shape
+    _CELL_SHAPE: its round law (``_law``) at ``config.true_phi`` summed over
+    the branches.  A memory attack, whose rounds have no one law, raises
+    UnsupportedAttackError."""
+    legs = _legs(config, attack)
+    if legs is None:
+        raise UnsupportedAttackError(f"attack {attack.name!r} keeps a memory: "
+                                     "its rounds have no one exact law")
+    return _law(config, [config.true_phi], legs)[0].sum(axis=(2, 3))
+
+
 # Bytes of a slice of phases' encoded states, after the backward leg, that a sweep builds at once.
 _SLICE_BYTES = 1 << 20
 
@@ -690,40 +705,50 @@ def run(config: ProtocolConfig, attack) -> Transcript:
 
 # ---------------------------------------------------------------- reconciliation
 
-def _axis_pool(axis_of):
-    """Correlators that each pool both signed labels of one axis, from
-    {name: axis}: the names and the (label, correlator) mask matrix."""
-    return tuple(axis_of), _LABEL_AXIS[:, None] == [AXES.index(a) for a in axis_of.values()]
+def _pool(rounds, pooled):
+    """The names of {name: probe axis or signed label pooled} and the (cell, 2 x
+    correlator) integer matrix that takes cell counts to their signed sums and
+    round counts: a kept ``rounds`` cell adds its label's sign times its outcome
+    (0: leak), and that product's square, to each correlator pooling its label."""
+    member = np.array([[p in (label, qcore.parse_probe_label(label)[0]) for p in pooled.values()]
+                       for label in qcore.SIGNED_LABELS])[_CELL_LABEL]
+    kept = _CELL_STATUS == SIFT_STATUSES.index("kept_" + rounds)
+    signed = np.where(kept, _LABEL_SIGN[_CELL_LABEL] * _CELL_OUT, 0)[:, None] * member
+    return tuple(pooled), np.hstack([signed, np.abs(signed)]).astype(np.int64)
 
 
-# How each variant pools its kept check and estimation rounds: each
-# correlator's name and the signed labels it pools.  An entanglement-variant
-# correlator, named by (provider axis, sensor axis), pools both signs of the
-# sensor's axis; the direct-probe check keeps every signed label apart.
+# How each variant pools its kept check and estimation rounds.  An
+# entanglement-variant correlator, named by (provider axis, sensor axis),
+# pools both signs of the sensor's axis; the direct-probe check keeps every
+# signed label apart.
 _POOLS = {
-    ("entanglement", "check"): _axis_pool({a + b: b for a, b in CHECK_PAIRS}),
-    ("mub", "check"): (qcore.SIGNED_LABELS, np.eye(len(qcore.SIGNED_LABELS), dtype=bool)),
-    ("entanglement", "estimation"): _axis_pool({a + b: b for a, b in ESTIMATION_PAIRS}),
-    ("mub", "estimation"): _axis_pool({axis: axis for axis in ENCODE_AXES}),
+    ("entanglement", "check"): _pool("check", {a + b: b for a, b in CHECK_PAIRS}),
+    ("mub", "check"): _pool("check", {label: label for label in qcore.SIGNED_LABELS}),
+    ("entanglement", "estimation"): _pool("estimation", {a + b: b for a, b in ESTIMATION_PAIRS}),
+    ("mub", "estimation"): _pool("estimation", {axis: axis for axis in ENCODE_AXES}),
 }
 
 
-def _correlators(transcript, rounds):
-    """Each correlator's mean and round count by name, and their pooled mean,
-    from the kept ``rounds`` ("check" or "estimation").  A signed label gives
-    the signed sum sign * (n(+1) - n(-1)) and the count n(+1) + n(-1), leak
-    outcomes left out; a correlator sums those of the labels it pools."""
-    names, pool = _POOLS[transcript.config.variant, rounds]
-    kept = np.where(_CELL_STATUS == SIFT_STATUSES.index("kept_" + rounds),
-                    transcript.counts.ravel(), 0)
-    minus, _leak, plus = kept.reshape(_CELL_SHAPE).sum(axis=0).T
-    sums, counts = np.stack([_LABEL_SIGN * (plus - minus), plus + minus]) @ pool
-    missing = [name for name, count in zip(names, counts) if count == 0]
-    if missing:
-        raise InsufficientRoundsError(
-            f"no kept {rounds} rounds for correlator(s) {', '.join(missing)}")
-    return (dict(zip(names, (sums / counts).tolist())), dict(zip(names, counts.tolist())),
-            float(sums.sum() / counts.sum()))
+def _correlators(cells, rounds, result, analyse):
+    """The ``result`` of ``analyse(means, counts, pooled)`` for each run of
+    ``cells``, each field nested as its leading axes: each correlator's mean and
+    round count by name and their pooled mean, from the kept ``rounds``."""
+    names, pool = _POOLS[cells.config.variant, rounds]
+
+    def per_run(totals, depth):
+        if depth:
+            runs = [per_run(t, depth - 1) for t in totals]
+            return result(*([getattr(r, f.name) for r in runs] for f in fields(result)))
+        sums, counts = totals[:len(names)], totals[len(names):]
+        missing = [name for name, count in zip(names, counts) if count == 0]
+        if missing:
+            raise InsufficientRoundsError(
+                f"no kept {rounds} rounds for correlator(s) {', '.join(missing)}")
+        means = dict(zip(names, [s / c for s, c in zip(sums, counts)]))
+        return result(*analyse(means, dict(zip(names, counts)), sum(sums) / sum(counts)))
+
+    totals = cells.counts.reshape(*cells.counts.shape[:-3], -1) @ pool
+    return per_run(totals.tolist(), totals.ndim - 1)
 
 
 def estimation_products(transcript):
@@ -743,34 +768,42 @@ def product_classes(counts):
 
 
 def check_fidelity(transcript) -> CheckResult:
-    """Fidelity estimate from the kept check rounds, with the pass decision.
+    """Fidelity estimate from the kept check rounds, with the pass decision;
+    for counts with leading axes, each field holds every run's value.
 
     Entanglement variant: (1 + sum of the three check correlators) / 4
     against 1 - eps^2.  Direct-probe variant: per-label fidelities
     (mean + 1) / 2, all of which must clear 1 - eps^2.
     """
     cfg = transcript.config
-    means, counts, _pooled = _correlators(transcript, "check")
-    if cfg.variant == "entanglement":
-        estimate = worst = (1.0 + sum(means.values())) / 4.0
-    else:
-        estimate = {k: (m + 1.0) / 2.0 for k, m in means.items()}
-        worst = min(estimate.values())
-    passed = worst >= 1.0 - stats.squared(cfg.epsilon_threshold)
-    eps_implied = math.sqrt(min(1.0, max(0.0, 1.0 - worst)))
-    return CheckResult(estimate, passed, eps_implied, means, counts)
+    floor = 1.0 - stats.squared(cfg.epsilon_threshold)
+
+    def analyse(means, counts, _pooled):
+        if cfg.variant == "entanglement":
+            estimate = worst = (1.0 + sum(means.values())) / 4.0
+        else:
+            estimate = {k: (m + 1.0) / 2.0 for k, m in means.items()}
+            worst = min(estimate.values())
+        eps_implied = math.sqrt(min(1.0, max(0.0, 1.0 - worst)))
+        return estimate, worst >= floor, eps_implied, means, counts
+
+    return _correlators(transcript, "check", CheckResult, analyse)
 
 
 def estimate_phase(transcript) -> EstimateResult:
     """Pooled-correlator phase estimate arccos(m) / (2n) from kept
-    estimation rounds, with its propagated standard error."""
+    estimation rounds, with its propagated standard error; for counts with
+    leading axes, each field holds every run's value."""
     n = transcript.config.n
-    means, counts, pooled = _correlators(transcript, "estimation")
-    phi_hat = math.acos(min(1.0, max(-1.0, pooled))) / (2.0 * n)
-    variances = [(1.0 - c ** 2) / counts[k] for k, c in means.items()]
-    mean_sum = min(2.0, max(-2.0, sum(means.values())))
-    var = stats.phase_variance(tuple(variances), mean_sum) / n ** 2
-    return EstimateResult(phi_hat, means, counts, math.sqrt(var))
+
+    def analyse(means, counts, pooled):
+        phi_hat = math.acos(min(1.0, max(-1.0, pooled))) / (2.0 * n)
+        variances = [(1.0 - c ** 2) / counts[k] for k, c in means.items()]
+        mean_sum = min(2.0, max(-2.0, sum(means.values())))
+        var = stats.phase_variance(tuple(variances), mean_sum) / n ** 2
+        return phi_hat, means, counts, math.sqrt(var)
+
+    return _correlators(transcript, "estimation", EstimateResult, analyse)
 
 
 # ---------------------------------------------------------------- equivalence

@@ -117,3 +117,21 @@ def test_traced_sweep_records_the_analysis_spans(tmp_path):
     assert {"stats.batch_statistics", "stats.phase_variance", "protocol.check_fidelity",
             "protocol.estimate_phase", "metrics.epsilon0", "metrics.bias_bound",
             "metrics.variance_bound"} <= names
+
+
+def test_traced_run_records_the_run_path_spans(tmp_path):
+    # the same guard for a ``run_io`` op: the run, its analysis and the
+    # transcript writer each record a span, so their per-layer rows cannot
+    # silently read 0
+    tracer_module = load_bench_module("tracer")
+    workloads = load_bench_module("workloads")
+    op = workloads.build("run_io", 7, str(tmp_path), toy=True)[0]
+    with tracer_module.Tracer() as tracer:
+        tracer.install(dqsim)
+        tracer.op = 0
+        rc, _wall = workloads.call(op)
+        tracer.op = None
+    assert workloads.problems(op, rc) == []
+    names = {span[0] for span in tracer.spans}
+    assert {"protocol.run", "protocol.check_fidelity", "protocol.estimate_phase",
+            "protocol.Transcript.serialize"} <= names

@@ -683,6 +683,24 @@ def test_attack_sweep_pushes_once_per_point(tmp_path, monkeypatch):
                                   for v in cli.sweep_values(scenario)]
 
 
+def test_sweep_with_one_point_lacking_rounds_exits_insufficient(tmp_path, capsys):
+    # seed 13 leaves the middle point's attacked twin no kept YY check round;
+    # the points on either side analyse alone, and the whole sweep, analysed
+    # in one stacked check, stops with the exit code of a row-by-row sweep
+    path, scenario = write_scenario(
+        tmp_path, attack={"name": "depolarizing", "params": {"p": 0.1}},
+        sweep={"variable": "phi", "start": 0.2, "stop": 1.0, "steps": 3})
+    scenario["protocol"].update(T=24, p_c=0.4, p_e=0.4, p_d=0.2, seed=13)
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_INSUFFICIENT_ROUNDS
+    assert "no kept check rounds for correlator(s) YY" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+    for value in (0.2, 1.0):
+        assert point_row(scenario, value)["phi"] == value
+    with pytest.raises(protocol.InsufficientRoundsError):
+        point_row(scenario, 0.6)
+
+
 @pytest.mark.parametrize("threads", ["0", "-1", "-100000"])
 def test_sweep_rejects_threads_below_one(tmp_path, capsys, threads):
     path, _ = write_scenario(

@@ -499,6 +499,24 @@ def test_definetti_rejects_bad_mixture_weights(weights):
         metrics.definetti_inequality_check(iid, m=3, k=2, mixture=[(w, comp) for w in weights])
 
 
+@pytest.mark.parametrize("m,k,weight,message", [
+    (3, 2, True, "mixture weight True must be a real number"),
+    (3, True, 1.0, "k must be an integer >= 1, not True"),
+    (3, 2, 10 ** 400, "must be finite"),
+    (3.0, 2, 1.0, "m must be an integer >= 2, not 3.0"),
+    (3, 2.0, 1.0, "k must be an integer >= 1, not 2.0"),
+    (5, 2, 1.0, r"m must lie in \[2, 4\], not 5"),
+    (3, 3, 1.0, r"k must lie in \[1, 2\], not 3"),
+])
+def test_definetti_checks_inputs_by_the_library_rules(m, k, weight, message):
+    # a bool, an integer beyond float range or a float count is refused with a
+    # ValueError naming the argument, before any state is formed
+    mixed = qcore.DensityMatrix(np.eye(8) / 8)
+    comp = qcore.DensityMatrix(np.eye(2) / 2)
+    with pytest.raises(ValueError, match=message):
+        metrics.definetti_inequality_check(mixed, m=m, k=k, mixture=[(weight, comp)])
+
+
 def test_definetti_k1_reduced_state_is_exact_mixture():
     # k = 1 makes the bound zero; the eigendecomposition of the marginal is
     # itself a valid product-state mixture, so the distance must vanish

@@ -304,6 +304,132 @@ def test_cell_counts_reproduce_round_counts_and_product_means(variant):
     assert est.phi_hat == math.acos(mean) / (2 * cfg.n)
 
 
+def single_runs(field, shape):
+    """A stacked result field's per-run values in C order, checking its nesting."""
+    if not shape:
+        return [field]
+    assert isinstance(field, list) and len(field) == shape[0]
+    return [value for row in field for value in single_runs(row, shape[1:])]
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+@pytest.mark.parametrize("shape", [(1,), (5, 2), (2, 3, 2)])
+def test_stacked_analysis_is_the_per_run_analysis_bit_for_bit(variant, shape):
+    # random counts with leading axes: every field, and every round count,
+    # nests one value per run, and each value is the one-run call's, bit for bit
+    rng = np.random.default_rng(len(shape) + 7)
+    counts = rng.integers(1, 400, size=shape + protocol._CELL_SHAPE)
+    cfg = make_config(variant=variant, n=2, epsilon_threshold=0.6)
+    stacked = protocol.CellCounts(cfg, counts)
+    singles = [protocol.CellCounts(cfg, c) for c in counts.reshape(-1, *protocol._CELL_SHAPE)]
+    for analyse in (protocol.check_fidelity, protocol.estimate_phase):
+        result = analyse(stacked)
+        per_run = [analyse(one) for one in singles]
+        for field in vars(result):
+            values = single_runs(getattr(result, field), shape)
+            assert [repr(v) for v in values] == [repr(getattr(r, field)) for r in per_run]
+    for name in ("N_c", "N_e", "N_d", "N_sifted_away", "N_leak"):
+        assert single_runs(getattr(stacked, name), shape) == [getattr(one, name) for one in singles]
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+def test_single_run_analysis_keeps_python_types(variant):
+    # the summary JSON and the sweep's cell formatting read these types
+    tr = protocol.run(make_config(variant=variant, n=2), adversary.depolarizing_attack(0.2))
+    chk, est = protocol.check_fidelity(tr), protocol.estimate_phase(tr)
+    assert type(chk.passed) is bool
+    for value in (chk.epsilon_implied, est.phi_hat, est.standard_error):
+        assert type(value) is float
+    estimates = chk.fidelity_estimate
+    if variant == "entanglement":
+        assert type(estimates) is float
+    else:
+        assert type(estimates) is dict and {type(f) for f in estimates.values()} == {float}
+    for result in (chk, est):
+        assert type(result.correlator_means) is dict and type(result.sample_counts) is dict
+        assert {type(m) for m in result.correlator_means.values()} == {float}
+        assert {type(c) for c in result.sample_counts.values()} == {int}
+    assert {type(getattr(tr, name)) for name in ("N_c", "N_e", "N_d", "N_sifted_away",
+                                                 "N_leak")} == {int}
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+@pytest.mark.parametrize("rounds", ["check", "estimation"])
+def test_stack_with_one_run_lacking_a_correlator_raises(variant, rounds):
+    counts = np.random.default_rng(3).integers(1, 50, size=(4, 2) + protocol._CELL_SHAPE)
+    # run (2, 1) keeps no -X and +X rounds of its kind, so both variants lack
+    # a correlator; the other runs analyse without error
+    status = protocol._CELL_STATUS.reshape(protocol._CELL_SHAPE)
+    x_labels = [qcore.SIGNED_LABELS.index(label) for label in ("+X", "-X")]
+    lacking = np.zeros(protocol._CELL_SHAPE, dtype=bool)
+    lacking[:, x_labels] = True
+    counts[2, 1][lacking & (status == protocol.SIFT_STATUSES.index("kept_" + rounds))] = 0
+    cfg = make_config(variant=variant)
+    analyse = protocol.check_fidelity if rounds == "check" else protocol.estimate_phase
+    with pytest.raises(protocol.InsufficientRoundsError, match=f"no kept {rounds} rounds"):
+        analyse(protocol.CellCounts(cfg, counts))
+    with pytest.raises(protocol.InsufficientRoundsError):
+        analyse(protocol.CellCounts(cfg, counts[2, 1]))
+    analyse(protocol.CellCounts(cfg, np.delete(counts, 2, axis=0)))
+
+
+EXACT_ATTACKS = {
+    "identity": adversary.identity_attack,
+    "depolarizing": lambda: adversary.depolarizing_attack(0.1),
+    **{f"{axis}_tamper": functools.partial(adversary.unitary_tamper, axis, 0.2)
+       for axis in protocol.AXES},
+    "intercept_resend": adversary.intercept_resend,
+}
+
+
+def moved_leaks(law):
+    """The law with each cell's leak mass split evenly over its -1 and +1 slots:
+    a leak counted as outcome 0, as ``adversary.expected_check_fidelity`` counts it."""
+    moved = law.copy()
+    moved[..., [0, 2]] += law[..., 1:2] / 2
+    moved[..., 1] = 0.0
+    return moved
+
+
+def fidelity_gap(estimate, exact):
+    if isinstance(exact, dict):
+        return max(abs(estimate[k] - exact[k]) for k in exact)
+    return abs(estimate - exact)
+
+
+@pytest.mark.parametrize("variant", protocol.VARIANTS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_cells_give_the_exact_check_fidelity(variant, n):
+    # each attack's exact one-round cell law, read through one stacked check:
+    # without leak mass it gives the exact expected fidelity; with it (register
+    # noise and X or Z tampers at n >= 2) the check leaves leaks out where the
+    # exact value counts them as 0, and moving the leak mass onto -1 and +1
+    # evenly reproduces it
+    cfg = make_config(variant=variant, n=n, p_c=0.5, p_e=0.4, p_d=0.1, true_phi=0.3 / n)
+    laws = np.stack([protocol.exact_cells(cfg, make()) for make in EXACT_ATTACKS.values()])
+    assert laws.shape == (len(EXACT_ATTACKS), *protocol._CELL_SHAPE)
+    np.testing.assert_allclose(laws.sum(axis=(1, 2, 3)), 1.0, rtol=0, atol=1e-12)
+    assert laws.min() >= 0.0
+    cells = protocol.CellCounts(cfg, laws)
+    plain = protocol.check_fidelity(cells).fidelity_estimate
+    moved = protocol.check_fidelity(protocol.CellCounts(cfg, moved_leaks(laws))).fidelity_estimate
+    leaky = []
+    for i, (name, make) in enumerate(EXACT_ATTACKS.items()):
+        exact = adversary.expected_check_fidelity(make(), n, variant)
+        assert fidelity_gap(moved[i], exact) <= 1e-12, name
+        if cells.N_leak[i] <= 1e-12:
+            assert fidelity_gap(plain[i], exact) <= 1e-12, name
+        else:
+            assert fidelity_gap(plain[i], exact) > 0.01, name
+            leaky.append(name)
+    assert leaky == ([] if n == 1 else ["depolarizing", "X_tamper", "Z_tamper"])
+
+
+def test_exact_cells_refuse_a_memory_attack():
+    with pytest.raises(protocol.UnsupportedAttackError, match="memory"):
+        protocol.exact_cells(make_config(), adversary.entangling_memory_attack(0.3))
+
+
 # ---------------------------------------------------------------- correlator symmetries
 
 _OPPOSITE_LABEL = np.array([qcore.SIGNED_LABELS.index({"+": "-", "-": "+"}[lab[0]] + lab[1:])
