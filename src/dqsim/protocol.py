@@ -209,9 +209,27 @@ def _row_suffixes(variant):
     return np.array(rows).view(np.uint8).reshape(_N_CELLS, -1)
 
 
+def _suffix_records(suffixes):
+    """Each cell's suffix length, and its first and its last m bytes as two
+    m-byte records, m the shortest suffix, that agree where they overlap."""
+    length = np.count_nonzero(suffixes, axis=1)
+    m = int(length.min())
+    assert m >= 8 and 2 * m >= length.max()  # see Transcript.serialize
+    tail = np.take_along_axis(suffixes, (length - m)[:, None] + np.arange(m), axis=1)
+    return length.astype(np.uint8), np.stack([suffixes[:, :m], tail]).view((np.void, m))[..., 0]
+
+
+def _scatter(buf, at, records):
+    """Write each record into the byte array ``buf`` at its byte offset in ``at``."""
+    np.ndarray((buf.size - records.itemsize + 1,), records.dtype, buf, strides=(1,))[at] = records
+
+
 _ROW_SUFFIXES = {variant: _row_suffixes(variant) for variant in VARIANTS}
-# Rows serialized per chunk; the row buffer stays under a megabyte.
+_SUFFIX_RECORDS = {variant: _suffix_records(_ROW_SUFFIXES[variant]) for variant in VARIANTS}
+# Rows serialized per chunk; each of a chunk's buffers stays under a megabyte.
 _CHUNK_ROWS = 2 ** 14
+# the 10^4 four-digit texts "0000" to "9999", each one 4-byte record
+_DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view("V4")[:, 0]
 
 
 def _window_sizes(T, windows):
@@ -302,7 +320,16 @@ class Transcript(CellCounts):
 
     def serialize(self, target) -> None:
         """Write the line-oriented transcript, check rounds disclosed first, as
-        bytes to a path (``os.PathLike``, str, bytes) or a binary handle."""
+        bytes to a path (``os.PathLike``, str, bytes) or a binary handle.
+
+        A row is the round's index in decimal, then its cell's suffix.  Each
+        chunk of ``_CHUNK_ROWS`` rows is one write of one byte buffer, sized
+        from the rows' lengths, that fixed-width records fill (``_scatter``).
+        First each index, below ``MAX_ROUNDS`` < 10^8, goes in as 8 digits
+        that end where its suffix starts; their leading zeros, at most 7, land
+        in 8 bytes of headroom before the first row or on the end of the row
+        before.  Then each suffix goes in as its first and its last m bytes,
+        m >= 8 the shortest suffix (``_suffix_records``), over those zeros."""
         own = isinstance(target, (str, bytes, os.PathLike))
         with open(target, "wb") if own else contextlib.nullcontext(target) as fh:
             cfg = self.config
@@ -314,25 +341,23 @@ class Transcript(CellCounts):
             # kept check rounds, then kept estimation rounds, then the rest
             status = self.status
             order = np.concatenate([np.flatnonzero(status == s) for s in (1, 2, 0)])
-            # a row is the round's index in decimal, then its cell's suffix; the
-            # slots before an index's leading digit, and the padding, hold 0
-            suffixes = _ROW_SUFFIXES[cfg.variant]
-            record = np.dtype((np.void, suffixes.shape[1]))  # one cell's suffix
+            length, (heads, tails) = _SUFFIX_RECORDS[cfg.variant]
             width = len(str(cfg.T - 1))
-            rows = np.empty((_CHUNK_ROWS, width + record.itemsize), dtype=np.uint8)
             for start in range(0, cfg.T, _CHUNK_ROWS):
-                index = q = order[start:start + _CHUNK_ROWS].astype(np.uint32)
-                chunk = rows[:index.size]
-                # digits right to left, by a scalar divisor: numpy's fast path
-                for place in range(width - 1, -1, -1):
-                    quot = q // 10
-                    chunk[:, place] = q - quot * 10 + ord("0")
-                    q = quot
+                rows = order[start:start + _CHUNK_ROWS]
+                cells = self.cell[rows]
+                suffix = np.take(length, cells)
+                size = suffix + 1  # the row's length: its suffix and digits
                 for k in range(1, width):
-                    chunk[:, width - 1 - k] *= index >= 10 ** k
-                np.take(suffixes.view(record)[:, 0], self.cell[index],
-                        out=chunk[:, width:].view(record)[:, 0])
-                fh.write(chunk[chunk != 0].tobytes())
+                    np.add(size, rows >= 10 ** k, out=size)
+                end = np.cumsum(size, dtype=np.intp) + 8
+                split = end - suffix
+                buf = np.empty(end[-1], dtype=np.uint8)
+                digits = np.take(_DIGITS, np.stack(np.divmod(rows, 10 ** 4), axis=1))
+                _scatter(buf, split - 8, digits.view((np.void, 8))[:, 0])
+                _scatter(buf, split, np.take(heads, cells))
+                _scatter(buf, end - tails.itemsize, np.take(tails, cells))
+                fh.write(buf[8:].tobytes())
 
 
 # ---------------------------------------------------------------- run engine

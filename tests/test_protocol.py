@@ -2,6 +2,8 @@
 
 import functools
 import hashlib
+import io
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -639,6 +641,177 @@ def test_serialize_writes_one_chunk_at_a_time(T, variant):
     assert [chunk.count(b"\n") for chunk in chunks] == [
         min(BLOCK, T - start) for start in range(0, T, BLOCK)]
     assert b"".join(writes).decode("ascii") == serialized(tr)
+
+
+# each status's place in the disclosure order: kept check, kept estimation, the rest
+DISCLOSURE_RANK = np.array([2, 0, 1])
+# the cells a run gives: a discarded round lies in outcome slot +1
+RUN_CELLS = np.flatnonzero((protocol._CELL_ACTION != 2) | (protocol._CELL_SLOT == 2))
+
+
+@functools.lru_cache(maxsize=None)
+def suffix_texts(variant):
+    """Each cell's reference row after its index and tab, from the reference writer."""
+    cells = np.arange(len(protocol._CELL_STATUS))
+    tr = protocol.Transcript(make_config(variant=variant, T=cells.size), cells)
+    rows = reference_serialized(tr).splitlines()[len(reference_header(tr)):]
+    return dict((int(index), text) for index, text in (row.split("\t", 1) for row in rows))
+
+
+def suffix_widths(variant):
+    """Each cell's suffix length in bytes, its tab and line end included."""
+    return np.count_nonzero(protocol._ROW_SUFFIXES[variant], axis=1)
+
+
+def in_disclosure_order(variant, cells):
+    """A transcript of ``cells`` that must already be in disclosure order, so
+    that its rows come out in round order, and its reference text."""
+    assert all(np.diff(DISCLOSURE_RANK[protocol._CELL_STATUS[cells]]) >= 0)
+    tr = protocol.Transcript(make_config(variant=variant, T=len(cells)), cells)
+    texts = suffix_texts(variant)
+    rows = [f"{i}\t{texts[cell]}" for i, cell in enumerate(np.asarray(cells).tolist())]
+    return tr, "\n".join(reference_header(tr) + rows) + "\n"
+
+
+def width_runs(variant):
+    """Per status in disclosure order, one run cell of each suffix width, in a
+    sequence in which every ordered pair of those widths is adjacent."""
+    widths = suffix_widths(variant)
+    runs = []
+    for status in np.argsort(DISCLOSURE_RANK):
+        cell_of = {widths[c]: c for c in RUN_CELLS.tolist() if protocol._CELL_STATUS[c] == status}
+        runs.append([cell_of[w] for pair in itertools.product(sorted(cell_of), repeat=2)
+                     for w in pair])
+    return runs
+
+
+def index_width_cases(variant):
+    """(d, first index, cells): rows whose indices all have d digits, d = 1 to
+    7, to follow ``first`` rounds of kept-check filler; within each status every
+    ordered pair of suffix widths is adjacent, and, for d <= 5, also every pair
+    across two statuses."""
+    check, estimation, rest = width_runs(variant)
+    within = check + estimation + rest
+    crossing = [[a, b] for before, after in ((check, estimation), (estimation, rest), (check, rest))
+                for a, b in itertools.product(sorted(set(before)), sorted(set(after)))]
+    for d in range(1, 8):
+        first = 10 ** (d - 1) if d > 1 else 0
+        room = 10 ** d - first
+        # runs longer than the d-digit indices go in overlapping pieces
+        pieces = [within[i:i + room] for i in range(0, len(within) - 1, room - 1)]
+        for cells in pieces + (crossing if d <= 5 else []):
+            yield d, first, cells
+
+
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+def test_serialize_writes_every_index_width_after_every_suffix_width(variant):
+    # each index's zero fill lands on the row before it, which its suffix then
+    # writes over: every (suffix width before, index digits, suffix width)
+    # within a status occurs, and across statuses for indices up to 5 digits
+    widths = suffix_widths(variant)
+    kept_check = RUN_CELLS[protocol._CELL_STATUS[RUN_CELLS] == 1]
+    seen = set()
+    for d, first, cells in index_width_cases(variant):
+        filler = np.resize(kept_check, first)
+        tr, expected = in_disclosure_order(variant, np.concatenate([filler, cells]).astype(int))
+        assert len(str(first + len(cells) - 1)) == d
+        if d <= 4:
+            assert expected == reference_serialized(tr)
+        assert_same_text(serialized(tr), expected)
+        seen |= {(widths[tr.cell[i - 1]], d, widths[tr.cell[i]])
+                 for i in range(max(first, 1), tr.config.T) if i % BLOCK}
+    runs = [sorted(set(widths[run])) for run in width_runs(variant)]
+    wanted = {(a, d, b) for d in range(1, 8) for run in runs for a in run for b in run}
+    wanted |= {(a, d, b) for d in range(1, 6) for i, j in ((0, 1), (1, 2), (0, 2))
+               for a in runs[i] for b in runs[j]}
+    assert wanted <= seen
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+def test_serialize_starts_a_chunk_with_a_short_index(variant, d):
+    # the first row of each chunk has no row before it: its index's zero fill
+    # lands in the buffer's headroom.  The one kept check round, index
+    # 10^(d-1), comes first; the discarded rounds follow in round order.
+    first = 10 ** (d - 1) if d > 1 else 1
+    kept_check = RUN_CELLS[protocol._CELL_STATUS[RUN_CELLS] == 1]
+    discarded = RUN_CELLS[protocol._CELL_STATUS[RUN_CELLS] == 0]
+    cells = np.append(np.resize(discarded, first), kept_check[d % kept_check.size]).tolist()
+    tr = protocol.Transcript(make_config(variant=variant, T=first + 1), cells)
+    texts = suffix_texts(variant)
+    rows = [f"{i}\t{texts[cells[i]]}" for i in [first, *range(first)]]
+    expected = "\n".join(reference_header(tr) + rows) + "\n"
+    if d <= 4:
+        assert expected == reference_serialized(tr)
+    assert_same_text(serialized(tr), expected)
+
+
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+def test_serialize_writes_one_round_of_each_cell(variant):
+    for cell in range(len(protocol._CELL_STATUS)):
+        tr = protocol.Transcript(make_config(variant=variant, T=1), [cell])
+        assert serialized(tr) == reference_serialized(tr)
+
+
+@pytest.mark.parametrize("T", [10 ** k + e for k in range(1, 6) for e in (-1, 1)])
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+def test_serialize_changes_index_width_inside_a_chunk(variant, T):
+    # rows in round order: indices 10^k - 1 and 10^k are neighbours in one
+    # chunk, and T - 1 sets the widest index (10^6 + 1: the seven-digit test)
+    cells = np.random.default_rng(T).choice(RUN_CELLS, T)
+    cells = cells[np.argsort(DISCLOSURE_RANK[protocol._CELL_STATUS[cells]], kind="stable")]
+    tr, expected = in_disclosure_order(variant, cells)
+    if T < 10 ** 5:
+        assert expected == reference_serialized(tr)
+    assert_same_text(serialized(tr), expected)
+
+
+def parse_rows(variant, data):
+    """Each serialized row's (index, cell), in order, read back through the
+    inverse of the suffix table: independent of the reference writer."""
+    suffixes = protocol._ROW_SUFFIXES[variant]
+    cell_of = {suffixes[c][suffixes[c] != 0].tobytes(): c for c in RUN_CELLS.tolist()}
+    assert len(cell_of) == RUN_CELLS.size  # a run's cells have distinct rows
+    lines = data.split(b"\n")[:-1]
+    assert data.endswith(b"\n") and all(line.startswith(b"#") for line in lines[:8])
+    rows = []
+    for line in lines[8:]:
+        index, text = line.split(b"\t", 1)
+        assert index.isdigit() and (index == b"0" or not index.startswith(b"0"))
+        rows.append((int(index), cell_of[b"\t" + text + b"\n"]))
+    return rows
+
+
+@pytest.mark.parametrize("T", [1, 9, 10, 10 ** 4 + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+def test_serialized_rows_parse_back_to_the_cells(variant, T):
+    cells = np.random.default_rng(T).choice(RUN_CELLS, T)
+    tr = protocol.Transcript(make_config(variant=variant, T=T), cells)
+    buf = io.BytesIO()
+    tr.serialize(buf)
+    rows = parse_rows(variant, buf.getvalue())
+    index = [i for i, _ in rows]
+    assert [cell for _, cell in rows] == cells[index].tolist()
+    assert sorted(index) == list(range(T))
+    rank = [(DISCLOSURE_RANK[protocol._CELL_STATUS[cell]], i) for i, cell in rows]
+    assert rank == sorted(rank)  # by status in disclosure order, then by index
+
+
+@pytest.mark.parametrize("variant", ["entanglement", "mub"])
+def test_serialize_holds_less_than_a_transcript(variant):
+    # one T = 1e5 transcript is 3.56-3.71 MB: a writer that built it whole and
+    # wrote it in slices would pass the chunk test but not this one
+    tr = protocol.run(make_config(variant=variant, T=10 ** 5, p_c=0.4, p_e=0.4, p_d=0.2),
+                      adversary.identity_attack())
+    sink = SimpleNamespace(write=lambda chunk: None)
+    tr.serialize(sink)
+    tracemalloc.start()
+    try:
+        tr.serialize(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 10 ** 6
 
 
 def test_transcript_columns_are_read_only():
