@@ -15,7 +15,7 @@ config = protocol.ProtocolConfig(
     true_phi=0.3, seed=2024,
 )
 
-transcript = protocol.run(config, adversary.identity_attack())
+transcript = protocol.run(config, adversary.IdentityAttack())
 check = protocol.check_fidelity(transcript)
 estimate = protocol.estimate_phase(transcript)
 

@@ -14,13 +14,13 @@ from dqsim import adversary, protocol
 THRESHOLD = 0.251
 
 attacks = [
-    adversary.identity_attack(),
-    adversary.depolarizing_attack(adversary.calibrate_depolarizing(0.937)),
-    adversary.depolarizing_attack(0.5),
-    adversary.unitary_tamper("Y", 0.15),
-    adversary.intercept_resend("random"),
-    adversary.intercept_resend("Z"),
-    adversary.entangling_memory_attack(np.pi / 2, block_length=2),
+    adversary.IdentityAttack(),
+    adversary.DepolarizingAttack(adversary.calibrate_depolarizing(0.937)),
+    adversary.DepolarizingAttack(0.5),
+    adversary.UnitaryTamperAttack("Y", 0.15),
+    adversary.InterceptResendAttack("random"),
+    adversary.InterceptResendAttack("Z"),
+    adversary.EntanglingMemoryAttack(np.pi / 2, block_length=2),
 ]
 
 print(f"{'attack':42s} {'F_hat':>8s} {'implied':>8s} {'passed':>7s}")

@@ -19,7 +19,7 @@ config = protocol.ProtocolConfig(
     true_phi=0.3, seed=404,
 )
 
-attack = adversary.two_way_swap_leak()
+attack = adversary.TwoWaySwapLeakAttack()
 transcript = protocol.run(config, attack)
 check = protocol.check_fidelity(transcript)
 alice = protocol.estimate_phase(transcript)
@@ -37,6 +37,6 @@ try:
     protocol.run(protocol.ProtocolConfig(
         variant="mub", direction="one_way", n=1, T=100,
         p_c=0.4, p_e=0.5, p_d=0.1, epsilon_threshold=0.251,
-        true_phi=0.3, seed=405), adversary.two_way_swap_leak())
+        true_phi=0.3, seed=405), adversary.TwoWaySwapLeakAttack())
 except ValueError as exc:
     print(f"  ValueError: {exc}")

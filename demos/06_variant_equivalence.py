@@ -20,7 +20,7 @@ config = protocol.ProtocolConfig(
 
 print("fidelity identity under depolarizing noise:")
 for p in (0.05, 0.2):
-    rep = protocol.run_mub_equivalence(config, adversary.depolarizing_attack(p))
+    rep = protocol.run_mub_equivalence(config, adversary.DepolarizingAttack(p))
     print(f"  p={p}: entangled {rep.entanglement_fidelity:.5f}  "
           f"combined from per-label {rep.combined_from_mub:.5f}  "
           f"(4 sigma = {4 * rep.identity_sigma:.5f})  holds: {rep.identity_holds}")
@@ -33,7 +33,7 @@ for i, p in enumerate(grid):
             variant="entanglement", direction="one_way", n=1, T=60_000,
             p_c=0.9, p_e=0.1, p_d=0.0, epsilon_threshold=0.35,
             true_phi=0.3, seed=700 + i),
-        adversary.depolarizing_attack(float(p)))
+        adversary.DepolarizingAttack(float(p)))
     agree = "agree" if rep.entanglement_passed == rep.mub_passed else "DISAGREE"
     print(f"  p={p:.4f}: entangled {str(rep.entanglement_passed):5s} "
           f"direct-probe {str(rep.mub_passed):5s}  [{agree}]")

@@ -1,8 +1,9 @@
 """Pluggable eavesdropper strategies.
 
-An attack intercepts the probe on its way to the sensor (forward leg) and,
-in two-way operation, again on its way back (backward leg).  It is one of
-three kinds:
+An attack, an ``AttackModel`` subclass whose class is its one
+constructor, intercepts the probe on its way to the sensor (forward leg)
+and, in two-way operation, again on its way back (backward leg).  It is
+one of three kinds:
 
 - A memoryless attack describes each leg as a weighted quantum instrument
   on the probe register: a list of (label, weight, kraus_operators)
@@ -113,18 +114,17 @@ class AttackModel:
 
 
 class IdentityAttack(AttackModel):
+    """Null adversary: the probe passes unchanged."""
+
     name = "identity"
 
     def forward_branches(self, n, frame):
         return [("identity", 1.0, [np.eye(2 ** n, dtype=complex)])]
 
 
-def identity_attack() -> AttackModel:
-    """Null adversary: the probe passes unchanged."""
-    return IdentityAttack()
-
-
 class DepolarizingAttack(AttackModel):
+    """Per-round register depolarizing noise of strength p on the probe."""
+
     def __init__(self, p):
         p = qcore.real("p", p)
         self.name = f"depolarizing(p={p:.6g})"
@@ -136,12 +136,13 @@ class DepolarizingAttack(AttackModel):
         return [("depolarizing", 1.0, qcore.depolarizing_channel(self.p, n))]
 
 
-def depolarizing_attack(p: float) -> AttackModel:
-    """Per-round register depolarizing noise of strength p on the probe."""
-    return DepolarizingAttack(p)
-
-
 class UnitaryTamperAttack(AttackModel):
+    """Coherent per-qubit rotation exp(i*angle*P) applied to every probe.
+
+    Uses the same generator convention as the phase encoding, so a Y-axis
+    tamper by angle t shifts the retrieved phase by exactly t.
+    """
+
     def __init__(self, axis, angle):
         self.angle = qcore.real("angle", angle)
         self.name = f"unitary_tamper({axis}, {self.angle:.6g})"
@@ -153,17 +154,15 @@ class UnitaryTamperAttack(AttackModel):
         return [("tamper", 1.0, [qcore.kron_power(single, n)])]
 
 
-def unitary_tamper(axis: str, angle: float) -> AttackModel:
-    """Coherent per-qubit rotation exp(i*angle*P) applied to every probe.
-
-    Uses the same generator convention as the phase encoding, so a Y-axis
-    tamper by angle t shifts the retrieved phase by exactly t.
-    """
-    return UnitaryTamperAttack(axis, angle)
-
-
 class InterceptResendAttack(AttackModel):
-    def __init__(self, basis_strategy):
+    """Measure the probe in a fixed or uniformly random logical Pauli basis
+    and resend the collapsed state; outcomes land in classical memory.
+
+    Each axis A measured gives three branches, the outcome slots of
+    ``qcore.logical_projectors`` labelled "A:-1", "A:+0" (leak; the zero
+    operator at n = 1) and "A:+1"."""
+
+    def __init__(self, basis_strategy="random"):
         self.name = f"intercept_resend({basis_strategy})"
         strategy = basis_strategy.upper() if isinstance(basis_strategy, str) else basis_strategy
         if strategy == "RANDOM":
@@ -185,16 +184,6 @@ class InterceptResendAttack(AttackModel):
     def record_round(self, forward_branch, forward_labels,
                      backward_branch=None, backward_labels=None):
         self.memory = np.concatenate([self.memory, forward_branch])
-
-
-def intercept_resend(basis_strategy="random") -> AttackModel:
-    """Measure the probe in a fixed or uniformly random logical Pauli basis
-    and resend the collapsed state; outcomes land in classical memory.
-
-    Each axis A measured gives three branches, the outcome slots of
-    ``qcore.logical_projectors`` labelled "A:-1", "A:+0" (leak; the zero
-    operator at n = 1) and "A:+1"."""
-    return InterceptResendAttack(basis_strategy)
 
 
 class EntanglingMemoryAttack(AttackModel):
@@ -237,15 +226,9 @@ class EntanglingMemoryAttack(AttackModel):
         self.memory = np.concatenate([self.memory, outcomes])
 
 
-def entangling_memory_attack(coupling_angle, block_length=2,
-                             ancilla_mode="trace") -> AttackModel:
-    """Block-collective attack: controlled rotation onto a persistent ancilla."""
-    return EntanglingMemoryAttack(coupling_angle, block_length, ancilla_mode)
-
-
 class TwoWaySwapLeakAttack(AttackModel):
-    """Substitute the probe on the forward leg, read the encoding off the
-    returned substitute, and forward the stored original.
+    """Two-way runs only: substitute the probe on the forward leg, read the
+    encoding off the returned substitute, and forward the stored original.
 
     The substitute is the +1 eigenstate of the equatorial logical Pauli X,
     so on encoded rounds the returned substitute has expectation
@@ -310,11 +293,6 @@ class TwoWaySwapLeakAttack(AttackModel):
         return EveEstimate(phi_hat, count, se)
 
 
-def two_way_swap_leak() -> AttackModel:
-    """Return-leg interception that estimates the phase; two-way mode only."""
-    return TwoWaySwapLeakAttack()
-
-
 # ---------------------------------------------------------------- calibration
 
 def expected_check_fidelity(attack: AttackModel, n: int, variant="entanglement"):
@@ -359,6 +337,6 @@ def expected_check_fidelity(attack: AttackModel, n: int, variant="entanglement")
 def calibrate_depolarizing(target_fidelity: float) -> float:
     """The depolarizing strength whose expected check fidelity (entanglement
     variant) is the target F: 4 (1 - F) / 3 at every n."""
-    if not 0.25 <= target_fidelity <= 1.0:
+    if not 0.25 <= qcore.real("target_fidelity", target_fidelity) <= 1.0:
         raise ValueError("reachable targets lie in [0.25, 1]")
     return 4.0 * (1.0 - target_fidelity) / 3.0

@@ -27,7 +27,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from . import adversary, metrics, protocol, stats
+from . import adversary, metrics, protocol, qcore, stats
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -53,12 +53,12 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------- scenario schema
 
 ATTACKS = {
-    "identity": adversary.identity_attack,
-    "depolarizing": adversary.depolarizing_attack,
-    "unitary_tamper": adversary.unitary_tamper,
-    "intercept_resend": adversary.intercept_resend,
-    "entangling_memory": adversary.entangling_memory_attack,
-    "two_way_swap_leak": adversary.two_way_swap_leak,
+    "identity": adversary.IdentityAttack,
+    "depolarizing": adversary.DepolarizingAttack,
+    "unitary_tamper": adversary.UnitaryTamperAttack,
+    "intercept_resend": adversary.InterceptResendAttack,
+    "entangling_memory": adversary.EntanglingMemoryAttack,
+    "two_way_swap_leak": adversary.TwoWaySwapLeakAttack,
 }
 
 
@@ -73,12 +73,17 @@ def _require_keys(block, allowed, required, where):
         raise SchemaError(f"missing key(s) {sorted(missing)} in {where}")
 
 
-def _finite(number) -> bool:
-    """Whether a JSON number is finite as a float; a huge integer is not."""
+def _check_grid(start, stop, steps):
+    """Check a grid's (name, value) pairs: finite real ends whose difference is
+    finite too (``np.linspace`` would make nan and inf of it), and an integer
+    count of points in [1, MAX_GRID_STEPS]."""
     try:
-        return math.isfinite(number)
-    except OverflowError:
-        return False
+        low, high = qcore.real(*start), qcore.real(*stop)
+        qcore.integer(*steps, 1, MAX_GRID_STEPS)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    if not math.isfinite(high - low):
+        raise SchemaError(f"{stop[0]} - {start[0]} must be finite")
 
 
 def load_scenario(path) -> dict:
@@ -92,7 +97,7 @@ def load_scenario(path) -> dict:
     _require_keys(raw, {"protocol", "attack", "sweep", "output", "bounds"},
                   {"protocol", "attack"}, "scenario")
 
-    # the values are ``ProtocolConfig``'s to check, and the attack's parameters its factory's
+    # the values are ``ProtocolConfig``'s to check, and the attack's parameters its class's
     names = {field.name for field in fields(protocol.ProtocolConfig)}
     _require_keys(raw["protocol"], names, names, "protocol block")
 
@@ -117,14 +122,7 @@ def load_scenario(path) -> dict:
             raise SchemaError("sweep.variable must be 'phi' or 'attack.<param>'")
         if variable.startswith("attack.") and variable.split(".", 1)[1] not in allowed:
             raise SchemaError(f"swept parameter {variable!r} unknown for {name!r}")
-        for key, typ in (("start", (int, float)), ("stop", (int, float)), ("steps", int)):
-            if not isinstance(sweep[key], typ) or isinstance(sweep[key], bool):
-                raise SchemaError(f"sweep.{key} has the wrong type")
-        if not (_finite(sweep["start"]) and _finite(sweep["stop"])
-                and _finite(float(sweep["stop"]) - float(sweep["start"]))):
-            raise SchemaError("sweep.start, sweep.stop and their difference must be finite")
-        if not 1 <= sweep["steps"] <= MAX_GRID_STEPS:
-            raise SchemaError(f"sweep.steps must lie in [1, {MAX_GRID_STEPS}]")
+        _check_grid(*((f"sweep.{key}", sweep[key]) for key in ("start", "stop", "steps")))
     if "output" in raw:
         _require_keys(raw["output"], {"transcript", "summary", "csv"}, set(),
                       "output block")
@@ -325,21 +323,15 @@ def cmd_sweep(scenario, seed_override=None, threads=1) -> int:
 
 def _bounds_phis(args):
     """The phi grid of a bounds request, once its inputs are checked."""
-    if args.phi is not None:
-        ends = [args.phi]
-    elif None not in (args.phi_start, args.phi_stop, args.phi_steps):
-        if not 1 <= args.phi_steps <= MAX_GRID_STEPS:
-            raise SchemaError(f"--phi-steps must lie in [1, {MAX_GRID_STEPS}]")
-        ends = [args.phi_start, args.phi_stop]
-    else:
-        raise SchemaError("bounds needs --phi or --phi-start/stop/steps")
-    if not all(math.isfinite(v) for v in ends):
-        raise SchemaError("the phi values must be finite")
     # the bound formulas do float arithmetic on the counts, exact up to 2^53
     if any(abs(v) > 2 ** 53 for v in (args.n, args.T, args.N_d, args.N_e) if v is not None):
         raise SchemaError("--n, --T, --N-d and --N-e must lie in [-2^53, 2^53]")
     if args.phi is not None:
-        return ends
+        return [qcore.real("--phi", args.phi)]
+    if None in (args.phi_start, args.phi_stop, args.phi_steps):
+        raise SchemaError("bounds needs --phi or --phi-start/stop/steps")
+    _check_grid(("--phi-start", args.phi_start), ("--phi-stop", args.phi_stop),
+                ("--phi-steps", args.phi_steps))
     return list(np.linspace(args.phi_start, args.phi_stop, args.phi_steps))
 
 
@@ -446,10 +438,9 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario)
             return cmd_sweep(scenario, args.seed, args.threads)
         if args.command == "bounds":
-            phis = _bounds_phis(args)
             try:
                 return cmd_bounds(args.mode, args.variant, args.epsilon, args.n,
-                                  phis, T=args.T, N_d=args.N_d, N_e=args.N_e,
+                                  _bounds_phis(args), T=args.T, N_d=args.N_d, N_e=args.N_e,
                                   output=args.output)
             except ValueError as exc:
                 raise SchemaError(str(exc)) from exc

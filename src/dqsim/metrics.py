@@ -161,8 +161,10 @@ def delta_arc(u) -> float:
     Computed by sorting the phases and subtracting the largest gap from 2*pi.
     """
     u = np.asarray(u, dtype=complex)
-    if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > UNITARY_TOL:
-        raise ValueError("input is not unitary within tolerance")
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size or not np.isfinite(u).all():
+        raise ValueError("u must be a nonempty square matrix of finite numbers")
+    if not np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= UNITARY_TOL:  # NaN fails
+        raise ValueError("u must be unitary within tolerance")
     phases = np.sort(np.angle(np.linalg.eigvals(u)))
     gaps = np.diff(phases)
     wrap = phases[0] + 2 * math.pi - phases[-1]

@@ -695,7 +695,7 @@ def twin_counts(config, attack, windows, phis):
     memoryless attack, which never learns the phase, is started and pushed
     once; each phase is a ``_twin_draw`` seeded by ``config.seed``.  Under a
     memory attack both twins run at each phase, the attacked one on a clone."""
-    legs, identity = _legs(config, attack), adversary.identity_attack()
+    legs, identity = _legs(config, attack), adversary.IdentityAttack()
     if legs is None:  # the twins share the seed's prior draw
         counts = np.array([[run(replace(config, true_phi=float(phi)), a).window_counts(windows)
                             for a in (attack.clone(), identity)] for phi in phis])

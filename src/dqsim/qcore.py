@@ -326,7 +326,7 @@ def depolarizing_channel(p: float, n_qubits: int = 1):
     sqrt(p/d), since sum_ij |i><j| rho |j><i| = Tr(rho) I; the units are
     the rows of a d^2 x d^2 diagonal.
     """
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= real("p", p) <= 1.0:
         raise ValueError("depolarizing probability must lie in [0, 1]")
     d = 2 ** n_qubits
     kraus = np.zeros((d * d + 1, d, d), dtype=complex)

@@ -53,7 +53,7 @@ def test_criterion_02_ideal_protocol_consistency():
     """Identity attack: perfect check and unbiased estimate on a phase grid."""
     for i, phi in enumerate((0.2, 0.4, 0.6, math.pi / 4)):
         cfg = make_config(true_phi=phi, seed=20240102 + i)
-        tr = protocol.run(cfg, adversary.identity_attack())
+        tr = protocol.run(cfg, adversary.IdentityAttack())
         chk = protocol.check_fidelity(tr)
         est = protocol.estimate_phase(tr)
         assert chk.fidelity_estimate >= 0.999
@@ -65,7 +65,7 @@ def test_criterion_03_variant_equivalence():
     """Fidelity identity across variants and matched threshold decisions."""
     for i, p in enumerate((0.05, 0.2)):
         cfg = make_config(seed=20240103 + i)
-        rep = protocol.run_mub_equivalence(cfg, adversary.depolarizing_attack(p))
+        rep = protocol.run_mub_equivalence(cfg, adversary.DepolarizingAttack(p))
         assert rep.identity_holds, (
             f"identity violated at p={p}: {rep.entanglement_fidelity} vs "
             f"{rep.combined_from_mub} (sigma {rep.identity_sigma})")
@@ -78,7 +78,7 @@ def test_criterion_03_variant_equivalence():
     for i, p in enumerate(grid):
         cfg = make_config(epsilon_threshold=eps, p_c=0.9, p_e=0.1,
                           seed=20240110 + i)
-        rep = protocol.run_mub_equivalence(cfg, adversary.depolarizing_attack(float(p)))
+        rep = protocol.run_mub_equivalence(cfg, adversary.DepolarizingAttack(float(p)))
         assert rep.entanglement_passed == rep.mub_passed, f"decision split at p={p}"
         decisions.append(rep.entanglement_passed)
     assert any(decisions) and not all(decisions)
@@ -90,9 +90,9 @@ def test_criterion_04_depolarizing_oracle_and_calibration():
     for i, p in enumerate((0.084, 0.2, 0.5)):
         expected = 1 - 3 * p / 4  # symbolic oracle, see test_qcore Werner check
         assert adversary.expected_check_fidelity(
-            adversary.depolarizing_attack(p), 1) == pytest.approx(expected, abs=1e-12)
+            adversary.DepolarizingAttack(p), 1) == pytest.approx(expected, abs=1e-12)
         cfg = make_config(T=30_000, seed=20240104 + i)
-        chk = protocol.check_fidelity(protocol.run(cfg, adversary.depolarizing_attack(p)))
+        chk = protocol.check_fidelity(protocol.run(cfg, adversary.DepolarizingAttack(p)))
         assert abs(chk.fidelity_estimate - expected) < 4 * fidelity_sigma(chk)
     p_star = adversary.calibrate_depolarizing(0.937)
     assert p_star == pytest.approx(0.084, abs=1e-6)
@@ -176,7 +176,7 @@ def test_criterion_08_two_way_leak_demonstration():
     """The return-leg adversary estimates the phase; one-way denies her."""
     cfg = make_config(variant="mub", direction="two_way", T=20_000,
                       p_c=0.4, p_e=0.5, p_d=0.1, true_phi=0.3, seed=20240108)
-    attack = adversary.two_way_swap_leak()
+    attack = adversary.TwoWaySwapLeakAttack()
     tr = protocol.run(cfg, attack)
     assert tr.N_e + tr.N_sifted_away >= 0  # transcript sanity
     encoded_rounds = int(np.sum(tr.action == 1))
@@ -187,7 +187,7 @@ def test_criterion_08_two_way_leak_demonstration():
 
     with pytest.raises(ValueError):
         protocol.run(make_config(variant="mub", direction="one_way"),
-                     adversary.two_way_swap_leak())
+                     adversary.TwoWaySwapLeakAttack())
     report(8, f"eve phi_hat={estimate.phi_hat_eve:.4f} "
               f"(+-{estimate.standard_error:.4f}); one-way construction rejected")
 
@@ -209,7 +209,7 @@ def test_criterion_09_intercept_resend_detection():
     assert oracle == pytest.approx(0.5, abs=1e-12)
 
     cfg = make_config(T=30_000, seed=20240109)
-    chk = protocol.check_fidelity(protocol.run(cfg, adversary.intercept_resend("random")))
+    chk = protocol.check_fidelity(protocol.run(cfg, adversary.InterceptResendAttack("random")))
     assert abs(chk.fidelity_estimate - oracle) < 4 * fidelity_sigma(chk)
 
     # detection power: N_c ~ 500 kept check rounds per trial at T = 3000
@@ -218,7 +218,7 @@ def test_criterion_09_intercept_resend_detection():
     for trial in range(trials):
         cfg = make_config(T=3000, seed=20240200 + trial)
         result = protocol.check_fidelity(
-            protocol.run(cfg, adversary.intercept_resend("random")))
+            protocol.run(cfg, adversary.InterceptResendAttack("random")))
         rejections += not result.passed
     assert rejections / trials >= 0.99
     report(9, f"oracle F=0.5 matched; rejection frequency {rejections}/{trials}")

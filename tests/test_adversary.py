@@ -37,7 +37,7 @@ def fidelity_sigma(check_result):
 # ---------------------------------------------------------------- identity
 
 def test_identity_attack_properties():
-    att = adversary.identity_attack()
+    att = adversary.IdentityAttack()
     assert att.block_length == 1
     assert not att.requires_two_way
     assert adversary.expected_check_fidelity(att, 1) == pytest.approx(1.0)
@@ -50,19 +50,19 @@ def test_identity_attack_properties():
 # ---------------------------------------------------------------- depolarizing
 
 def test_depolarizing_limits():
-    assert adversary.expected_check_fidelity(adversary.depolarizing_attack(0.0), 1) \
+    assert adversary.expected_check_fidelity(adversary.DepolarizingAttack(0.0), 1) \
         == pytest.approx(1.0)
-    assert adversary.expected_check_fidelity(adversary.depolarizing_attack(1.0), 1) \
+    assert adversary.expected_check_fidelity(adversary.DepolarizingAttack(1.0), 1) \
         == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        adversary.depolarizing_attack(1.5)
+        adversary.DepolarizingAttack(1.5)
 
 
 @pytest.mark.parametrize("p", [0.084, 0.2, 0.5])
 def test_depolarizing_monte_carlo_matches_werner_oracle(p):
     # analytic oracle: expected estimate 1 - 3p/4 (see qcore tests)
     cfg = make_config(T=20_000, seed=int(1000 * p))
-    tr = protocol.run(cfg, adversary.depolarizing_attack(p))
+    tr = protocol.run(cfg, adversary.DepolarizingAttack(p))
     chk = protocol.check_fidelity(tr)
     assert abs(chk.fidelity_estimate - (1 - 3 * p / 4)) < 4 * fidelity_sigma(chk)
 
@@ -71,26 +71,26 @@ def test_depolarizing_calibration_recovers_operating_point():
     p_star = adversary.calibrate_depolarizing(0.937)
     assert p_star == pytest.approx(0.084, abs=1e-6)
     assert adversary.expected_check_fidelity(
-        adversary.depolarizing_attack(p_star), 1) == pytest.approx(0.937, abs=1e-9)
+        adversary.DepolarizingAttack(p_star), 1) == pytest.approx(0.937, abs=1e-9)
 
 
 @pytest.mark.parametrize("variant", ["entanglment", "MUB", ""])
 def test_expected_fidelity_rejects_unknown_variant(variant):
     with pytest.raises(ValueError, match="unknown variant"):
-        adversary.expected_check_fidelity(adversary.identity_attack(), 1, variant)
+        adversary.expected_check_fidelity(adversary.IdentityAttack(), 1, variant)
 
 
 # ---------------------------------------------------------------- unitary tamper
 
 def test_tamper_zero_angle_is_identity():
-    att = adversary.unitary_tamper("Y", 0.0)
+    att = adversary.UnitaryTamperAttack("Y", 0.0)
     assert adversary.expected_check_fidelity(att, 1) == pytest.approx(1.0)
 
 
 def test_tamper_y_shifts_phase_estimate():
     theta_e = 0.1
     cfg = make_config(T=40_000, true_phi=0.2, epsilon_threshold=0.5, seed=51)
-    tr = protocol.run(cfg, adversary.unitary_tamper("Y", theta_e))
+    tr = protocol.run(cfg, adversary.UnitaryTamperAttack("Y", theta_e))
     est = protocol.estimate_phase(tr)
     assert abs(est.phi_hat - (0.2 + theta_e)) <= 3 * est.standard_error
 
@@ -99,7 +99,7 @@ def test_tamper_fidelity_matches_closed_form_and_monte_carlo():
     # closed form: a Y rotation by t leaves the YY correlator alone and
     # rotates the two equatorial ones to cos(2t): F = (1 + cos(2t)) / 2
     t = 0.25
-    att = adversary.unitary_tamper("Y", t)
+    att = adversary.UnitaryTamperAttack("Y", t)
     expected = (1 + math.cos(2 * t)) / 2
     assert adversary.expected_check_fidelity(att, 1) == pytest.approx(expected, abs=1e-12)
     tr = protocol.run(make_config(T=20_000, seed=52), att.clone())
@@ -129,7 +129,7 @@ def dephasing_oracle_entanglement_fidelity(axes):
 def test_intercept_resend_random_axis_oracle():
     oracle = dephasing_oracle_entanglement_fidelity(("X", "Y", "Z"))
     assert oracle == pytest.approx(0.5, abs=1e-12)
-    att = adversary.intercept_resend("random")
+    att = adversary.InterceptResendAttack("random")
     assert adversary.expected_check_fidelity(att, 1) == pytest.approx(oracle, abs=1e-12)
     tr = protocol.run(make_config(T=20_000, seed=61), att.clone())
     chk = protocol.check_fidelity(tr)
@@ -137,7 +137,7 @@ def test_intercept_resend_random_axis_oracle():
 
 
 def test_intercept_resend_fixed_z_on_probes():
-    att = adversary.intercept_resend("Z")
+    att = adversary.InterceptResendAttack("Z")
     fmap = adversary.expected_check_fidelity(att, 1, variant="mub")
     assert fmap["+Z"] == pytest.approx(1.0)
     assert fmap["-Z"] == pytest.approx(1.0)
@@ -146,7 +146,7 @@ def test_intercept_resend_fixed_z_on_probes():
 
 
 def test_intercept_resend_records_outcomes():
-    att = adversary.intercept_resend("random")
+    att = adversary.InterceptResendAttack("random")
     protocol.run(make_config(T=500, seed=62), att)
     assert len(att.memory) == 500
     axes = {att.labels[branch].split(":")[0] for branch in att.memory}
@@ -155,7 +155,7 @@ def test_intercept_resend_records_outcomes():
 
 def test_intercept_resend_rejects_unknown_strategy():
     with pytest.raises(ValueError):
-        adversary.intercept_resend("diagonal")
+        adversary.InterceptResendAttack("diagonal")
 
 
 # ---------------------------------------------------------------- memoryless permutation invariance
@@ -163,7 +163,7 @@ def test_intercept_resend_rejects_unknown_strategy():
 def test_memoryless_outcome_distribution_permutation_invariant():
     # first-half and second-half kept-check products should be homogeneous
     cfg = make_config(T=40_000, seed=71)
-    tr = protocol.run(cfg, adversary.depolarizing_attack(0.3))
+    tr = protocol.run(cfg, adversary.DepolarizingAttack(0.3))
     signs = np.array([qcore.parse_probe_label(lab)[1] for lab in qcore.SIGNED_LABELS])
     kept = (tr.status == 1) & (tr.bob_out != protocol._B_ABSENT)
     products = signs[tr.probe[kept]] * tr.bob_out[kept]
@@ -216,7 +216,7 @@ def two_round_joint_oracle(theta):
 
 def test_memory_attack_zero_coupling_is_identity():
     cfg = make_config(T=3000, seed=81)
-    tr = protocol.run(cfg, adversary.entangling_memory_attack(0.0, block_length=2))
+    tr = protocol.run(cfg, adversary.EntanglingMemoryAttack(0.0, block_length=2))
     assert protocol.check_fidelity(tr).fidelity_estimate == 1.0
 
 
@@ -232,7 +232,7 @@ def test_memory_attack_block_correlations_match_oracle():
     # the memory engine's cell maps with pinned settings (a check round on
     # the Y axis, probe +X) give the joint law of a block's two outcomes,
     # outcome o in slot o + 1 (the leak slot's law is 0 at n = 1)
-    coupling = adversary.entangling_memory_attack(theta).block_coupling(1)
+    coupling = adversary.EntanglingMemoryAttack(theta).block_coupling(1)
     maps = protocol._memory_maps(make_config(T=2), coupling)
     setting = [axis for _action, _pick, axis in protocol._SETTINGS].index("Y")
     label = qcore.SIGNED_LABELS.index("+X")
@@ -266,23 +266,23 @@ def test_memory_attack_fidelity_decreases_with_coupling():
     assert all(oracle[i + 1] < oracle[i] + 1e-12 for i in range(len(oracle) - 1))
 
     tr = protocol.run(make_config(T=20_000, seed=83),
-                      adversary.entangling_memory_attack(math.pi / 2, block_length=2))
+                      adversary.EntanglingMemoryAttack(math.pi / 2, block_length=2))
     chk = protocol.check_fidelity(tr)
     assert abs(chk.fidelity_estimate - oracle[-1]) < 4 * fidelity_sigma(chk)
 
 
 def test_memory_attack_limits():
     with pytest.raises(ValueError):
-        adversary.entangling_memory_attack(0.3, block_length=4)
+        adversary.EntanglingMemoryAttack(0.3, block_length=4)
     # attack.<param> sweeps pass whole numbers as floats
-    assert adversary.entangling_memory_attack(0.3, block_length=2.0).block_length == 2
-    att = adversary.entangling_memory_attack(0.3, block_length=2)
+    assert adversary.EntanglingMemoryAttack(0.3, block_length=2.0).block_length == 2
+    att = adversary.EntanglingMemoryAttack(0.3, block_length=2)
     with pytest.raises(ValueError):
         protocol.run(make_config(n=2, T=10), att)
 
 
 def test_memory_attack_measured_ancilla_records():
-    att = adversary.entangling_memory_attack(math.pi / 2, block_length=2,
+    att = adversary.EntanglingMemoryAttack(math.pi / 2, block_length=2,
                                              ancilla_mode="measure")
     protocol.run(make_config(T=400, seed=84), att)
     assert len(att.memory) >= 199
@@ -296,7 +296,7 @@ def test_memory_attack_measured_ancilla_records():
 def test_swap_leak_estimates_phase_and_passes_check():
     cfg = make_config(variant="mub", direction="two_way", T=20_000,
                       p_c=0.4, p_e=0.5, p_d=0.1, true_phi=0.3, seed=91)
-    att = adversary.two_way_swap_leak()
+    att = adversary.TwoWaySwapLeakAttack()
     tr = protocol.run(cfg, att)
     estimate = att.eve_estimate()
     assert estimate.samples_used == cfg.T
@@ -313,7 +313,7 @@ def test_swap_leak_entanglement_variant():
     # perfect pair while the returned-substitute readout leaks the phase
     cfg = make_config(variant="entanglement", direction="two_way", T=12_000,
                       p_c=0.4, p_e=0.5, p_d=0.1, true_phi=0.3, seed=92)
-    att = adversary.two_way_swap_leak()
+    att = adversary.TwoWaySwapLeakAttack()
     tr = protocol.run(cfg, att)
     chk = protocol.check_fidelity(tr)
     assert chk.fidelity_estimate == 1.0
@@ -327,7 +327,7 @@ def test_swap_leak_at_the_largest_probes(n):
     # travels, so the register holds one 2^n-dimensional probe at a time
     # and the largest probes run in well under a second
     cfg = make_config(direction="two_way", n=n, T=400, p_c=0.4, p_e=0.5, p_d=0.1, seed=93)
-    att = adversary.two_way_swap_leak()
+    att = adversary.TwoWaySwapLeakAttack()
     chk = protocol.check_fidelity(protocol.run(cfg, att))
     assert chk.passed
     assert chk.fidelity_estimate == 1.0
@@ -339,20 +339,20 @@ def test_swap_leak_at_the_largest_probes(n):
 def test_swap_leak_rejected_in_one_way_mode():
     with pytest.raises(ValueError):
         protocol.run(make_config(variant="mub", direction="one_way"),
-                     adversary.two_way_swap_leak())
+                     adversary.TwoWaySwapLeakAttack())
 
 
 def test_swap_leak_needs_encoding_rounds():
     cfg = make_config(variant="mub", direction="two_way", p_c=1.0, p_e=0.0,
                       p_d=0.0, T=10)
     with pytest.raises(ValueError):
-        protocol.run(cfg, adversary.two_way_swap_leak())
+        protocol.run(cfg, adversary.TwoWaySwapLeakAttack())
 
 
 # ---------------------------------------------------------------- cloning
 
 def test_attack_clone_is_independent():
-    att = adversary.intercept_resend("random")
+    att = adversary.InterceptResendAttack("random")
     clone = att.clone()
     protocol.run(make_config(T=100, seed=95), att)
     assert len(att.memory) == 100

@@ -71,11 +71,11 @@ def test_unknown_attack_param_rejected(tmp_path):
 
 
 def test_attack_keys_are_the_factory_parameters(tmp_path, monkeypatch):
-    # an attack's keys are read from its factory, with no second list to keep:
-    # a new factory's parameter is a key and a sweep variable at once, and an
+    # an attack's keys are read from its constructor, with no second list to keep:
+    # a new constructor's parameter is a key and a sweep variable at once, and an
     # unknown key, an unknown swept parameter or a missing argument exits 2
     monkeypatch.setitem(cli.ATTACKS, "scaled_noise",
-                        lambda strength: adversary.depolarizing_attack(strength / 2))
+                        lambda strength: adversary.DepolarizingAttack(strength / 2))
     sweep = {"variable": "attack.strength", "start": 0.0, "stop": 0.2, "steps": 2}
     cases = [({"strength": 0.2}, None, "run", cli.EXIT_OK),
              ({"strength": 0.2}, sweep, "sweep", cli.EXIT_OK),
@@ -119,26 +119,26 @@ def test_non_finite_protocol_numbers_rejected(tmp_path, field, value):
 
 
 # The library refuses what load_scenario leaves to it: each owner of a value
-# (ProtocolConfig, the attack factories, the bounds in metrics) raises a
+# (ProtocolConfig, the attack classes, the bounds in metrics) raises a
 # ValueError that names the argument.
 _REFUSED_CONFIG = dict(variant="mub", direction="one_way", n=1, T=100, p_c=0.5, p_e=0.5,
                        p_d=0.0, epsilon_threshold=0.2, true_phi=0.3, seed=1)
 _NOT_FINITE = {"inf": math.inf, "nan": math.nan, "beyond_float": 10 ** 400}
 _NOT_REAL = {"true": True, "string": "0.5", "null": None, **_NOT_FINITE}
 _ATTACK_CALLS = {
-    "p": (adversary.depolarizing_attack, {}),
-    "angle": (adversary.unitary_tamper, {"axis": "X"}),
-    "coupling_angle": (adversary.entangling_memory_attack, {}),
-    "block_length": (adversary.entangling_memory_attack, {"coupling_angle": 0.3}),
+    "p": (adversary.DepolarizingAttack, {}),
+    "angle": (adversary.UnitaryTamperAttack, {"axis": "X"}),
+    "coupling_angle": (adversary.EntanglingMemoryAttack, {}),
+    "block_length": (adversary.EntanglingMemoryAttack, {"coupling_angle": 0.3}),
 }
 _REFUSALS = (
     [pytest.param(protocol.ProtocolConfig, {**_REFUSED_CONFIG, field: value}, field,
                   id=f"ProtocolConfig-{field}-{label}")
      for field in ("p_c", "p_e", "p_d", "epsilon_threshold", "true_phi")
      for label, value in _NOT_REAL.items()]
-    + [pytest.param(factory, {**kwargs, name: value}, name,
-                    id=f"{factory.__name__}-{name}-{label}")
-       for name, (factory, kwargs) in _ATTACK_CALLS.items()
+    + [pytest.param(cls, {**kwargs, name: value}, name,
+                    id=f"{cls.__name__}-{name}-{label}")
+       for name, (cls, kwargs) in _ATTACK_CALLS.items()
        for label, value in _NOT_FINITE.items()]
     + [pytest.param(metrics.variance_bound, {"eps0": 0.1, "n": 1, "phi": 0.3,
                                              "mode": "one_way_individual", "N_e": value},
@@ -160,6 +160,16 @@ _REFUSALS = (
                            (metrics.variance_bound, {"mode": "one_way_gc"}))
        for name in ("eps0", "phi") for label, value in _NOT_REAL.items()
        if (name, label) != ("eps0", "inf")]
+    # a bool probability or target passed, and a string one raised a TypeError
+    + [pytest.param(call, {**kwargs, name: value}, name, id=f"{call.__name__}-{name}-{label}")
+       for call, kwargs, name in ((qcore.depolarizing_channel, {"n_qubits": 1}, "p"),
+                                  (adversary.calibrate_depolarizing, {}, "target_fidelity"))
+       for label, value in _NOT_REAL.items()]
+    # a NaN, infinite or non-square matrix raised LinAlgError from the eigensolver
+    + [pytest.param(call, {"u": value}, "u", id=f"{call.__name__}-u-{label}")
+       for call in (metrics.delta_arc, metrics.acin_min_fidelity)
+       for label, value in (("nan", np.full((2, 2), np.nan)), ("inf", np.diag([np.inf, 1.0])),
+                            ("isometry", [[1, 0, 0], [0, 1, 0]]))]
 )
 
 
@@ -469,7 +479,7 @@ def reference_sweep_point(scenario, value, seed=None):
         config = cli.build_config(scenario, seed)
         attack = cli.build_attack(scenario, {variable.split(".", 1)[1]: float(value)})
     tr_att = protocol.run(config, attack)
-    tr_idl = protocol.run(config, adversary.identity_attack())
+    tr_idl = protocol.run(config, adversary.IdentityAttack())
     chk = protocol.check_fidelity(tr_att)
     est_att = protocol.estimate_phase(tr_att)
     est_idl = protocol.estimate_phase(tr_idl)
@@ -619,7 +629,7 @@ def test_counts_first_twins_keep_the_shared_seed_coupling():
     old = [reference_sweep_point(scenario, 0.6, seed) for seed in seeds]
     config = replace(cli.build_config(scenario), true_phi=0.6)
     independent = [abs(row["phi_hat"] - protocol.estimate_phase(protocol.run(
-        replace(config, seed=seed + 1000), adversary.identity_attack())).phi_hat)
+        replace(config, seed=seed + 1000), adversary.IdentityAttack())).phi_hat)
         for row, seed in zip(old, seeds)]
     spread_new, spread_old = (np.std([row["bias_emp"] for row in rows], ddof=1)
                               for rows in (new, old))
@@ -814,6 +824,40 @@ def test_bounds_phi_grid(tmp_path, capsys):
     assert len(rows) == 4
     assert [r["phi"] for r in rows] == pytest.approx([0.1, 0.3, 0.5, 0.7])
     assert all(r["mode"] == "one_way_gc" and r["n"] == 2 for r in rows)
+
+
+_SWEEP = {"variable": "phi", "start": 0.1, "stop": 0.5, "steps": 3}
+_GRID = ["--phi-start", "0.1", "--phi-stop", "0.5", "--phi-steps", "3"]
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    ("sweep", {"start": "0.1"}, "sweep.start must be a real number, not '0.1'"),
+    ("sweep", {"stop": 10 ** 400}, "sweep.stop must be finite"),
+    ("sweep", {"steps": 3.0}, "sweep.steps must be an integer >= 1, not 3.0"),
+    ("sweep", {"steps": True}, "sweep.steps must be an integer >= 1, not True"),
+    ("sweep", {"steps": 10 ** 15},
+     f"sweep.steps must lie in [1, {cli.MAX_GRID_STEPS}], not {10 ** 15}"),
+    ("sweep", {"start": -1e308, "stop": 1e308}, "sweep.stop - sweep.start must be finite"),
+    ("bounds", ["--phi", "nan"], "--phi must be finite"),
+    ("bounds", [*_GRID, "--phi-start", "inf"], "--phi-start must be finite"),
+    ("bounds", [*_GRID, "--phi-steps", "0"], "--phi-steps must be an integer >= 1, not 0"),
+    # finite ends whose difference overflows: linspace would warn and make nan and inf
+    ("bounds", [*_GRID, "--phi-start=-1e308", "--phi-stop", "1e308"],
+     "--phi-stop - --phi-start must be finite"),
+], ids=["start_string", "stop_beyond_float", "steps_float", "steps_boolean",
+        "steps_past_MAX_GRID_STEPS", "span_overflows", "phi_nan", "phi_start_inf",
+        "phi_steps_zero", "phi_span_overflows"])
+def test_grid_inputs_exit_with_a_message_naming_them(tmp_path, capsys, command, edit, message):
+    # a sweep's and a bounds grid's numbers follow qcore's two rules, and their
+    # ends' difference must be finite too
+    if command == "sweep":
+        path, _ = write_scenario(tmp_path, sweep={**_SWEEP, **edit})
+        argv = ["sweep", str(path)]
+    else:
+        argv = ["bounds", "--mode", "one_way_individual", "--variant", "mub",
+                "--epsilon", "0.1", "--N-e", "10", *edit]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == f"schema error: {message}\n"
 
 
 def test_huge_threshold_passes_and_bounds_are_infinite(tmp_path, capsys):
@@ -1015,8 +1059,8 @@ _FUZZ_BLOCKS = {
                                  "epsilon_threshold", "true_phi", "seed"]),
     "attack": (("attack",), ["name", "params"]),
     "params": (("attack", "params"),
-               sorted({k for factory in cli.ATTACKS.values()
-                    for k in inspect.signature(factory).parameters})),
+               sorted({k for cls in cli.ATTACKS.values()
+                    for k in inspect.signature(cls).parameters})),
     "sweep": (("sweep",), ["variable", "start", "stop", "steps"]),
     "output": (("output",), ["transcript", "summary", "csv"]),
 }

@@ -1,12 +1,15 @@
-"""Every demo script runs to completion against the current API."""
+"""Every demo script, and every python block of the README, runs to
+completion against the current API."""
 
 import pathlib
+import re
 import runpy
 import shutil
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # the file a demo writes next to itself that the repository keeps, by demo
 KEPT_OUTPUTS = {"03_bounds_sweep": "bounds_sweep.csv"}
 
@@ -20,3 +23,14 @@ def test_demo_runs(tmp_path, capsys, demo):
     if demo.stem in KEPT_OUTPUTS:
         kept = KEPT_OUTPUTS[demo.stem]
         assert (tmp_path / kept).read_bytes() == (demo.parent / kept).read_bytes()
+
+
+def test_readme_python_blocks_run():
+    # the blocks run in order in one namespace, as a reader pasting them would
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dqsim import adversary, protocol, qcore
+from dqsim import adversary, metrics, protocol, qcore
 from test_qcore import spectrum
 from test_register_walk import StatefulAdapter, serialized
 
@@ -102,8 +102,8 @@ def test_every_round_takes_the_only_possible_action(action, engine):
     # finds none
     p = {f"p_{a[0]}": float(a == action) for a in protocol.ACTIONS}
     cfg = make_config(T=200, **p)
-    tr = protocol.run(cfg, adversary.identity_attack() if engine == "fast"
-                      else adversary.entangling_memory_attack(0.3, 3, "measure"))
+    tr = protocol.run(cfg, adversary.IdentityAttack() if engine == "fast"
+                      else adversary.EntanglingMemoryAttack(0.3, 3, "measure"))
     assert np.all(tr.action == protocol.ACTIONS.index(action))
     assert tr.N_d == (200 if action == "discard" else 0)
     for needs, analyse in (("check", protocol.check_fidelity),
@@ -119,7 +119,7 @@ def test_sift_keep_rates_match_multinomial(variant):
     # (3 matching pairs of 9 and 2 of 6; axis match 1/3 and 2 x 1/6),
     # so N_c, N_e ~ Binomial(T, 1/6)
     cfg = make_config(variant=variant, T=30_000, seed=77)
-    tr = protocol.run(cfg, adversary.identity_attack())
+    tr = protocol.run(cfg, adversary.IdentityAttack())
     expect = 30_000 / 6
     sigma = math.sqrt(30_000 * (1 / 6) * (5 / 6))
     assert abs(tr.N_c - expect) < 4 * sigma
@@ -128,7 +128,7 @@ def test_sift_keep_rates_match_multinomial(variant):
 
 
 def test_identity_attack_check_outcomes_are_perfect():
-    tr = protocol.run(make_config(T=4000), adversary.identity_attack())
+    tr = protocol.run(make_config(T=4000), adversary.IdentityAttack())
     chk = protocol.check_fidelity(tr)
     assert chk.fidelity_estimate == 1.0
     assert chk.passed
@@ -137,7 +137,7 @@ def test_identity_attack_check_outcomes_are_perfect():
 
 def test_identity_attack_mub_check_outcomes_are_plus_one():
     cfg = make_config(variant="mub", T=6000)
-    tr = protocol.run(cfg, adversary.identity_attack())
+    tr = protocol.run(cfg, adversary.IdentityAttack())
     chk = protocol.check_fidelity(tr)
     assert set(chk.fidelity_estimate) == set(qcore.SIGNED_LABELS)
     assert all(v == 1.0 for v in chk.fidelity_estimate.values())
@@ -146,7 +146,7 @@ def test_identity_attack_mub_check_outcomes_are_plus_one():
 @pytest.mark.parametrize("variant", ["entanglement", "mub"])
 def test_identity_attack_phase_estimate_consistent(variant):
     cfg = make_config(variant=variant, T=40_000, true_phi=0.4, seed=31)
-    tr = protocol.run(cfg, adversary.identity_attack())
+    tr = protocol.run(cfg, adversary.IdentityAttack())
     est = protocol.estimate_phase(tr)
     assert abs(est.phi_hat - 0.4) <= 3 * est.standard_error
     assert 0.0 <= est.phi_hat <= math.pi / 2
@@ -155,7 +155,7 @@ def test_identity_attack_phase_estimate_consistent(variant):
 @pytest.mark.parametrize("n,phi", [(2, 0.2), (3, 0.12), (4, 0.08)])
 def test_identity_attack_phase_estimate_consistent_larger_registers(n, phi):
     cfg = make_config(n=n, T=40_000, true_phi=phi, seed=33 + n)
-    tr = protocol.run(cfg, adversary.identity_attack())
+    tr = protocol.run(cfg, adversary.IdentityAttack())
     chk = protocol.check_fidelity(tr)
     assert chk.fidelity_estimate == 1.0
     assert tr.N_leak == 0  # the ideal probe never leaves the logical span
@@ -166,15 +166,15 @@ def test_identity_attack_phase_estimate_consistent_larger_registers(n, phi):
 
 def test_run_is_deterministic_per_seed():
     cfg = make_config(T=2000, seed=555)
-    t1 = protocol.run(cfg, adversary.identity_attack())
-    t2 = protocol.run(cfg, adversary.identity_attack())
+    t1 = protocol.run(cfg, adversary.IdentityAttack())
+    t2 = protocol.run(cfg, adversary.IdentityAttack())
     assert serialized(t1) == serialized(t2)
 
 
 def test_two_way_identity_reproduces_one_way():
     kw = dict(T=5000, p_c=0.4, p_e=0.4, p_d=0.2, seed=5)
-    t1 = protocol.run(make_config(direction="one_way", **kw), adversary.identity_attack())
-    t2 = protocol.run(make_config(direction="two_way", **kw), adversary.identity_attack())
+    t1 = protocol.run(make_config(direction="one_way", **kw), adversary.IdentityAttack())
+    t2 = protocol.run(make_config(direction="two_way", **kw), adversary.IdentityAttack())
     for column in ("action", "probe", "bob_axis", "bob_out", "status"):
         assert np.array_equal(getattr(t1, column), getattr(t2, column))
     assert t1.config.direction != t2.config.direction
@@ -182,7 +182,7 @@ def test_two_way_identity_reproduces_one_way():
 
 def test_leak_outcomes_appear_for_n2_depolarizing():
     cfg = make_config(n=2, T=20_000, seed=9)
-    tr = protocol.run(cfg, adversary.depolarizing_attack(0.4))
+    tr = protocol.run(cfg, adversary.DepolarizingAttack(0.4))
     assert tr.N_leak > 0
     assert 0 < tr.leak_rate < 1
     chk = protocol.check_fidelity(tr)  # still computable after exclusion
@@ -190,7 +190,7 @@ def test_leak_outcomes_appear_for_n2_depolarizing():
 
 
 def test_leak_rate_zero_for_n1():
-    tr = protocol.run(make_config(T=3000), adversary.depolarizing_attack(0.4))
+    tr = protocol.run(make_config(T=3000), adversary.DepolarizingAttack(0.4))
     assert tr.N_leak == 0
 
 
@@ -277,7 +277,7 @@ def pooled(products, axis):
 def test_cell_counts_reproduce_round_counts_and_product_means(variant):
     # n = 2 under depolarizing noise, so that leak outcomes occur
     cfg = make_config(variant=variant, n=2, T=6000, p_c=0.4, p_e=0.4, p_d=0.2, seed=90)
-    tr = protocol.run(cfg, adversary.depolarizing_attack(0.3))
+    tr = protocol.run(cfg, adversary.DepolarizingAttack(0.3))
     assert tr.counts.sum() == cfg.T
     kept = tr.status > 0
     assert (tr.N_c, tr.N_e, tr.N_d, tr.N_sifted_away, tr.N_leak) == (
@@ -337,7 +337,7 @@ def test_stacked_analysis_is_the_per_run_analysis_bit_for_bit(variant, shape):
 @pytest.mark.parametrize("variant", protocol.VARIANTS)
 def test_single_run_analysis_keeps_python_types(variant):
     # the summary JSON and the sweep's cell formatting read these types
-    tr = protocol.run(make_config(variant=variant, n=2), adversary.depolarizing_attack(0.2))
+    tr = protocol.run(make_config(variant=variant, n=2), adversary.DepolarizingAttack(0.2))
     chk, est = protocol.check_fidelity(tr), protocol.estimate_phase(tr)
     assert type(chk.passed) is bool
     for value in (chk.epsilon_implied, est.phi_hat, est.standard_error):
@@ -376,11 +376,11 @@ def test_stack_with_one_run_lacking_a_correlator_raises(variant, rounds):
 
 
 EXACT_ATTACKS = {
-    "identity": adversary.identity_attack,
-    "depolarizing": lambda: adversary.depolarizing_attack(0.1),
-    **{f"{axis}_tamper": functools.partial(adversary.unitary_tamper, axis, 0.2)
+    "identity": adversary.IdentityAttack,
+    "depolarizing": lambda: adversary.DepolarizingAttack(0.1),
+    **{f"{axis}_tamper": functools.partial(adversary.UnitaryTamperAttack, axis, 0.2)
        for axis in protocol.AXES},
-    "intercept_resend": adversary.intercept_resend,
+    "intercept_resend": adversary.InterceptResendAttack,
 }
 
 
@@ -429,7 +429,49 @@ def test_exact_cells_give_the_exact_check_fidelity(variant, n):
 
 def test_exact_cells_refuse_a_memory_attack():
     with pytest.raises(protocol.UnsupportedAttackError, match="memory"):
-        protocol.exact_cells(make_config(), adversary.entangling_memory_attack(0.3))
+        protocol.exact_cells(make_config(), adversary.EntanglingMemoryAttack(0.3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_y_tamper_bias_and_epsilon_in_closed_form(n):
+    # the one-way Y tamper's exact law: the estimate is shifted by exactly theta
+    # and the check's implied epsilon is sin(n theta) in both variants, while the
+    # entanglement variant's epsilon0 is sqrt(2/3) of it, so its bias over
+    # ``bias_bound`` is sqrt(3/2) times the direct-probe variant's
+    for theta in (0.05, 0.2, 0.5):
+        attack = adversary.UnitaryTamperAttack("Y", theta)
+        # phases inside the estimator's range, n (phi + theta) < pi / 2
+        for phi in np.array([0.25, 0.5, 0.75]) * (math.pi / (2 * n) - theta):
+            ratios = {}
+            for variant in protocol.VARIANTS:
+                cfg = make_config(variant=variant, n=n, p_c=0.5, p_e=0.4, p_d=0.1,
+                                  true_phi=float(phi))
+                cells = protocol.CellCounts(cfg, protocol.exact_cells(cfg, attack))
+                bias = protocol.estimate_phase(cells).phi_hat - phi
+                eps = protocol.check_fidelity(cells).epsilon_implied
+                assert bias == pytest.approx(theta, abs=1e-12, rel=0)
+                assert eps == pytest.approx(math.sin(n * theta), abs=1e-12, rel=0)
+                eps0 = metrics.epsilon0("one_way_individual", variant, eps)
+                ratios[variant] = abs(bias) / metrics.bias_bound(eps0, n, phi)
+            assert ratios["entanglement"] == pytest.approx(
+                math.sqrt(1.5) * ratios["mub"], abs=1e-9, rel=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_check_infidelity_is_the_label_mean(n):
+    # the entanglement check's infidelity, scaled by 2/3, is the mean of the
+    # direct-probe check's six per-label infidelities on the same exact law,
+    # with or without leak mass in it
+    checks = {}
+    for variant in protocol.VARIANTS:
+        cfg = make_config(variant=variant, n=n, p_c=0.5, p_e=0.4, p_d=0.1, true_phi=0.3 / n)
+        laws = np.stack([protocol.exact_cells(cfg, make()) for make in EXACT_ATTACKS.values()])
+        checks[variant] = protocol.check_fidelity(protocol.CellCounts(cfg, laws))
+    for name, f_ent, f_labels in zip(EXACT_ATTACKS, checks["entanglement"].fidelity_estimate,
+                                     checks["mub"].fidelity_estimate):
+        assert set(f_labels) == set(qcore.SIGNED_LABELS)
+        label_mean = np.mean([1.0 - f for f in f_labels.values()])
+        assert 2.0 / 3.0 * (1.0 - f_ent) == pytest.approx(label_mean, abs=1e-12, rel=0), name
 
 
 # ---------------------------------------------------------------- correlator symmetries
@@ -490,7 +532,7 @@ def parse_transcript(text):
 
 def test_serialization_disclosure_order_and_roundtrip():
     cfg = make_config(T=2000, p_c=0.4, p_e=0.4, p_d=0.2, seed=21)
-    tr = protocol.run(cfg, adversary.identity_attack())
+    tr = protocol.run(cfg, adversary.IdentityAttack())
     text = serialized(tr)
     header, rows = parse_transcript(text)
     assert header["config_hash"] == tr.config_hash()
@@ -505,7 +547,7 @@ def test_serialization_disclosure_order_and_roundtrip():
 
 def test_serialized_counts_match_transcript():
     cfg = make_config(T=1500, seed=2)
-    tr = protocol.run(cfg, adversary.identity_attack())
+    tr = protocol.run(cfg, adversary.IdentityAttack())
     _, rows = parse_transcript(serialized(tr))
     kept_check = sum(r["status"] == "kept_check" for r in rows)
     kept_est = sum(r["status"] == "kept_estimation" for r in rows)
@@ -521,7 +563,7 @@ def test_serialization_field_level_roundtrip(variant):
     # of the probe label
     cfg = make_config(variant=variant, n=2, T=2000, p_c=0.4, p_e=0.4,
                       p_d=0.2, seed=47)
-    tr = protocol.run(cfg, adversary.depolarizing_attack(0.5))
+    tr = protocol.run(cfg, adversary.DepolarizingAttack(0.5))
     assert tr.N_leak > 0
     _, rows = parse_transcript(serialized(tr))
     partner = {"X": "Z", "Y": "Y", "Z": "X"}
@@ -592,9 +634,9 @@ def test_serialize_matches_reference_writer(tmp_path, T, variant, attack):
     # depolarizing noise at n = 2 gives leak outcomes
     if attack == "two_way_depolarizing":
         cfg = make_config(direction="two_way", n=2)
-        attack_model = adversary.depolarizing_attack(0.5)
+        attack_model = adversary.DepolarizingAttack(0.5)
     else:
-        cfg, attack_model = make_config(n=2), adversary.intercept_resend("random")
+        cfg, attack_model = make_config(n=2), adversary.InterceptResendAttack("random")
     cfg = replace(cfg, variant=variant, T=T, p_c=0.4, p_e=0.4, p_d=0.2, seed=T)
     tr = protocol.run(cfg, attack_model)
     expected = reference_serialized(tr)
@@ -802,7 +844,7 @@ def test_serialize_holds_less_than_a_transcript(variant):
     # one T = 1e5 transcript is 3.56-3.71 MB: a writer that built it whole and
     # wrote it in slices would pass the chunk test but not this one
     tr = protocol.run(make_config(variant=variant, T=10 ** 5, p_c=0.4, p_e=0.4, p_d=0.2),
-                      adversary.identity_attack())
+                      adversary.IdentityAttack())
     sink = SimpleNamespace(write=lambda chunk: None)
     tr.serialize(sink)
     tracemalloc.start()
@@ -815,7 +857,7 @@ def test_serialize_holds_less_than_a_transcript(variant):
 
 
 def test_transcript_columns_are_read_only():
-    tr = protocol.run(make_config(T=100), adversary.identity_attack())
+    tr = protocol.run(make_config(T=100), adversary.IdentityAttack())
     with pytest.raises(ValueError):
         tr.cell[0] = 2
 
@@ -911,14 +953,14 @@ STREAM_DIGESTS = {
 @pytest.mark.parametrize("variant,engine", sorted(STREAM_DIGESTS))
 def test_rng_stream_digest(variant, engine):
     if engine == "fast":
-        cfg, attack = make_config(n=2, T=2000), adversary.depolarizing_attack(0.2)
+        cfg, attack = make_config(n=2, T=2000), adversary.DepolarizingAttack(0.2)
     elif engine == "intercept_resend":
-        cfg, attack = make_config(n=2, T=2000), adversary.intercept_resend("random")
+        cfg, attack = make_config(n=2, T=2000), adversary.InterceptResendAttack("random")
     elif engine == "stateful":
-        cfg, attack = make_config(T=200), adversary.entangling_memory_attack(0.3)
+        cfg, attack = make_config(T=200), adversary.EntanglingMemoryAttack(0.3)
     else:
         cfg = make_config(n=2, T=300, direction="two_way")
-        attack = adversary.two_way_swap_leak()
+        attack = adversary.TwoWaySwapLeakAttack()
     cfg = replace(cfg, variant=variant, p_c=0.4, p_e=0.4, p_d=0.2, seed=2024)
     digest = hashlib.sha256(serialized(protocol.run(cfg, attack)).encode()).hexdigest()
     assert digest == STREAM_DIGESTS[variant, engine], (
@@ -937,10 +979,10 @@ def fast_path_weights(variant, direction, n, attack):
 
 
 DRAW_ATTACKS = {
-    "identity": adversary.identity_attack,
-    "depolarizing": lambda: adversary.depolarizing_attack(0.2),
-    "intercept_resend": lambda: adversary.intercept_resend("random"),
-    "unitary_tamper": lambda: adversary.unitary_tamper("Y", 0.3),
+    "identity": adversary.IdentityAttack,
+    "depolarizing": lambda: adversary.DepolarizingAttack(0.2),
+    "intercept_resend": lambda: adversary.InterceptResendAttack("random"),
+    "unitary_tamper": lambda: adversary.UnitaryTamperAttack("Y", 0.3),
 }
 CHUNK = protocol._DRAW_CHUNK
 # a bucket of the guide table crowded with 200 tiny entries: the rounds in
@@ -999,9 +1041,9 @@ def test_draw_accepts_a_total_within_numpy_tolerance():
 
 
 PAIR_LAW_ATTACKS = {
-    "depolarizing": lambda: adversary.depolarizing_attack(0.05),
-    "intercept_resend": lambda: adversary.intercept_resend("random"),
-    "y_tamper": lambda: adversary.unitary_tamper("Y", 0.2),
+    "depolarizing": lambda: adversary.DepolarizingAttack(0.05),
+    "intercept_resend": lambda: adversary.InterceptResendAttack("random"),
+    "y_tamper": lambda: adversary.UnitaryTamperAttack("Y", 0.2),
 }
 
 
@@ -1015,7 +1057,7 @@ def test_pair_law_is_the_shared_uniform_coupling(variant, direction, n, name):
     # give at its midpoint; the narrower ones lie between CDF values that
     # differ by roundoff only
     weights = [fast_path_weights(variant, direction, n, attack())
-               for attack in (PAIR_LAW_ATTACKS[name], adversary.identity_attack)]
+               for attack in (PAIR_LAW_ATTACKS[name], adversary.IdentityAttack)]
     probs, entries = protocol._pair_law(*weights)
     cdfs = [protocol._cdf(w) for w in weights]
     edges = np.sort(np.concatenate([[0.0], *cdfs]))
@@ -1038,7 +1080,7 @@ def test_twin_counts_share_the_transcript_windows():
     # gives one count array twice; a memory attack gets its two runs' counts
     # and window classes
     cfg = make_config(n=2, T=1013, p_c=0.4, p_e=0.4, p_d=0.2)
-    attack, identity = adversary.intercept_resend("random"), adversary.identity_attack()
+    attack, identity = adversary.InterceptResendAttack("random"), adversary.IdentityAttack()
     counts, classes = protocol.twin_counts(cfg, attack, 20, [cfg.true_phi])
     assert counts.shape == (1, 2, *protocol._CELL_SHAPE) and counts.dtype == np.int64
     assert classes.shape == (1, 2, 20, 3) and classes.dtype == np.int64
@@ -1051,7 +1093,7 @@ def test_twin_counts_share_the_transcript_windows():
     np.testing.assert_array_equal(windows.sum(axis=0), protocol.run(cfg, attack.clone()).counts)
     for part in protocol.twin_counts(cfg, identity, 20, [cfg.true_phi]):
         np.testing.assert_array_equal(part[0, 0], part[0, 1])
-    cfg, memory = replace(cfg, n=1), adversary.entangling_memory_attack(0.3, 3, "measure")
+    cfg, memory = replace(cfg, n=1), adversary.EntanglingMemoryAttack(0.3, 3, "measure")
     runs = [protocol.run(cfg, a).window_counts(20) for a in (memory.clone(), identity)]
     counts, classes = protocol.twin_counts(cfg, memory, 20, [cfg.true_phi])
     np.testing.assert_array_equal(counts[0], [w.sum(axis=0) for w in runs])
@@ -1061,7 +1103,7 @@ def test_twin_counts_share_the_transcript_windows():
 def test_product_classes_match_the_products():
     # each window's classes give the summed products and count of its rounds
     tr = protocol.run(make_config(n=2, T=997, p_c=0.4, p_e=0.4, p_d=0.2),
-                      adversary.depolarizing_attack(0.3))
+                      adversary.DepolarizingAttack(0.3))
     classes = protocol.product_classes(tr.window_counts(7))
     assert classes.shape == (7, 3)
     window = np.arange(tr.config.T) * 7 // tr.config.T
@@ -1084,9 +1126,10 @@ def test_sensor_model_is_shared_read_only_and_run_order_free():
     for array in (kets, probes, sensor, frame.pole0.amplitudes):
         with pytest.raises(ValueError):
             array.flat[0] = 1
-    cases = [(make_config(n=2, T=500, p_c=0.4, p_e=0.4, p_d=0.2), adversary.depolarizing_attack(0.2)),
+    cases = [(make_config(n=2, T=500, p_c=0.4, p_e=0.4, p_d=0.2),
+              adversary.DepolarizingAttack(0.2)),
              (make_config(n=2, T=200, p_c=0.4, p_e=0.4, p_d=0.2, direction="two_way"),
-              adversary.two_way_swap_leak())]
+              adversary.TwoWaySwapLeakAttack())]
     protocol._sensor_model.cache_clear()
     first = [serialized(protocol.run(cfg, attack.clone())) for cfg, attack in cases]
     for n in (1, 3, 4):
@@ -1096,11 +1139,12 @@ def test_sensor_model_is_shared_read_only_and_run_order_free():
 
 
 PUSH_ATTACKS = {
-    "identity": adversary.identity_attack,
-    **{f"depolarizing_{p}": functools.partial(adversary.depolarizing_attack, p)
+    "identity": adversary.IdentityAttack,
+    **{f"depolarizing_{p}": functools.partial(adversary.DepolarizingAttack, p)
        for p in (0.0, 0.05, 1.0)},
-    **{f"tamper_{axis}": functools.partial(adversary.unitary_tamper, axis, 0.3) for axis in "XYZ"},
-    **{f"intercept_resend_{basis}": functools.partial(adversary.intercept_resend, basis)
+    **{f"tamper_{axis}": functools.partial(adversary.UnitaryTamperAttack, axis, 0.3)
+       for axis in "XYZ"},
+    **{f"intercept_resend_{basis}": functools.partial(adversary.InterceptResendAttack, basis)
        for basis in ("random", "Z")},
 }
 
@@ -1119,7 +1163,7 @@ def test_ket_push_is_the_dense_push(n):
         assert np.abs(pushed - dense).max() < 1e-13, name
         with pytest.raises(ValueError):
             pushed.flat[0] = 1
-    for memory in (adversary.entangling_memory_attack(0.3), adversary.two_way_swap_leak()):
+    for memory in (adversary.EntanglingMemoryAttack(0.3), adversary.TwoWaySwapLeakAttack()):
         assert protocol._push(n, memory.forward_branches(n, frame)) is None
 
 
@@ -1127,7 +1171,7 @@ def test_ket_push_is_the_dense_push(n):
 
 def test_equivalence_identity_attack():
     cfg = make_config(T=20_000, seed=6)
-    rep = protocol.run_mub_equivalence(cfg, adversary.identity_attack())
+    rep = protocol.run_mub_equivalence(cfg, adversary.IdentityAttack())
     assert rep.entanglement_fidelity == 1.0
     assert all(v == 1.0 for v in rep.mub_fidelities.values())
     assert rep.combined_from_mub == 1.0
@@ -1137,7 +1181,7 @@ def test_equivalence_identity_attack():
 
 def test_equivalence_depolarizing_within_monte_carlo_error():
     cfg = make_config(T=60_000, seed=8)
-    rep = protocol.run_mub_equivalence(cfg, adversary.depolarizing_attack(0.2))
+    rep = protocol.run_mub_equivalence(cfg, adversary.DepolarizingAttack(0.2))
     assert rep.identity_holds
     assert abs(rep.entanglement_fidelity - rep.combined_from_mub) <= 4 * rep.identity_sigma + 1e-12
 
@@ -1152,16 +1196,17 @@ def test_equivalence_simulates_once(monkeypatch):
         return original(config, attack)
 
     monkeypatch.setattr(protocol, "run", counting_run)
-    rep = protocol.run_mub_equivalence(make_config(T=3000), adversary.depolarizing_attack(0.2))
+    rep = protocol.run_mub_equivalence(make_config(T=3000), adversary.DepolarizingAttack(0.2))
     assert variants == ["entanglement"]
     assert rep.identity_holds
 
 
 VARIANT_BLIND_CASES = {
-    "depolarizing": (dict(n=2), lambda: adversary.depolarizing_attack(0.3)),
-    "intercept_resend": (dict(direction="two_way"), lambda: adversary.intercept_resend("random")),
-    "memory": (dict(T=400), lambda: adversary.entangling_memory_attack(0.3, 2, "measure")),
-    "swap_leak": (dict(n=2, T=300, direction="two_way"), adversary.two_way_swap_leak),
+    "depolarizing": (dict(n=2), lambda: adversary.DepolarizingAttack(0.3)),
+    "intercept_resend": (dict(direction="two_way"),
+                         lambda: adversary.InterceptResendAttack("random")),
+    "memory": (dict(T=400), lambda: adversary.EntanglingMemoryAttack(0.3, 2, "measure")),
+    "swap_leak": (dict(n=2, T=300, direction="two_way"), adversary.TwoWaySwapLeakAttack),
 }
 
 
@@ -1184,7 +1229,7 @@ def test_engines_give_both_variants_the_same_columns(case):
 
 def test_two_way_attack_rejected_in_one_way_mode():
     with pytest.raises(ValueError):
-        protocol.run(make_config(direction="one_way"), adversary.two_way_swap_leak())
+        protocol.run(make_config(direction="one_way"), adversary.TwoWaySwapLeakAttack())
 
 
 class _BackwardDepolarizing(adversary.AttackModel):
@@ -1212,7 +1257,7 @@ class _BackwardTamper(adversary.AttackModel):
         return [("id", 1.0, [np.eye(2 ** n, dtype=complex)])]
 
     def backward_branches(self, n, frame):
-        return adversary.unitary_tamper("X", 0.2).forward_branches(n, frame)
+        return adversary.UnitaryTamperAttack("X", 0.2).forward_branches(n, frame)
 
 
 @pytest.mark.parametrize("variant", ["entanglement", "mub"])
@@ -1263,8 +1308,8 @@ class _Counting(adversary.AttackModel):
         self.inner.record_round(forward_branch, forward_labels, backward_branch, backward_labels)
 
 
-@pytest.mark.parametrize("make_inner", [lambda: adversary.depolarizing_attack(0.3),
-                                        lambda: adversary.intercept_resend("random"),
+@pytest.mark.parametrize("make_inner", [lambda: adversary.DepolarizingAttack(0.3),
+                                        lambda: adversary.InterceptResendAttack("random"),
                                         lambda: _BackwardTamper()],
                          ids=["depolarizing", "intercept_resend", "backward_tamper"])
 def test_fast_path_consults_the_attack_once_per_run(make_inner):
@@ -1347,11 +1392,11 @@ def test_multi_phase_twins_reject_an_instrument_that_does_not_preserve_trace(nam
 
 # every memoryless attack dqsim ships, and return-leg instruments for two-way runs
 SHIPPED_MEMORYLESS = {
-    "identity": adversary.identity_attack,
-    "depolarizing": lambda: adversary.depolarizing_attack(0.2),
-    "unitary_tamper": lambda: adversary.unitary_tamper("Y", 0.3),
-    "intercept_resend_random": lambda: adversary.intercept_resend("random"),
-    "intercept_resend_z": lambda: adversary.intercept_resend("Z"),
+    "identity": adversary.IdentityAttack,
+    "depolarizing": lambda: adversary.DepolarizingAttack(0.2),
+    "unitary_tamper": lambda: adversary.UnitaryTamperAttack("Y", 0.3),
+    "intercept_resend_random": lambda: adversary.InterceptResendAttack("random"),
+    "intercept_resend_z": lambda: adversary.InterceptResendAttack("Z"),
     "backward_depolarizing": lambda: _BackwardDepolarizing(0.3),
     "backward_tamper": _BackwardTamper,
 }
@@ -1399,7 +1444,7 @@ def test_twin_counts_memory_stays_bounded_over_many_phases():
     cfg = make_config(n=5, T=1000, p_c=0.4, p_e=0.4, p_d=0.2)
     tracemalloc.start()
     try:
-        counts, classes = protocol.twin_counts(cfg, adversary.depolarizing_attack(0.1), 20,
+        counts, classes = protocol.twin_counts(cfg, adversary.DepolarizingAttack(0.1), 20,
                                                np.linspace(0.0, 3.0, 1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1521,9 +1566,9 @@ def exact_tables(cfg, attack):
 
 
 ORACLE_ATTACKS = {
-    "depolarizing": lambda: adversary.depolarizing_attack(0.3),
-    "intercept_resend": lambda: adversary.intercept_resend("random"),
-    "unitary_tamper": lambda: adversary.unitary_tamper("X", 0.2),
+    "depolarizing": lambda: adversary.DepolarizingAttack(0.3),
+    "intercept_resend": lambda: adversary.InterceptResendAttack("random"),
+    "unitary_tamper": lambda: adversary.UnitaryTamperAttack("X", 0.2),
     "backward_depolarizing": lambda: _BackwardDepolarizing(0.3),
     "backward_tamper": _BackwardTamper,
 }
@@ -1562,7 +1607,7 @@ def test_entanglement_tables_match_joint_born_probabilities(n, direction, attack
             assert np.all(table[~seen] == 0.0)
     if n == 1:
         # nor can a block-memory round land in a leak cell
-        coupling = adversary.entangling_memory_attack(0.7).block_coupling(1)
+        coupling = adversary.EntanglingMemoryAttack(0.7).block_coupling(1)
         assert np.all(protocol._memory_maps(cfg, coupling)[:, :, 1] == 0.0)
 
 

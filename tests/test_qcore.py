@@ -88,7 +88,7 @@ def test_pauli_rejects_unknown_axis():
     frame = q.LogicalFrame.standard(1)
     takers = (q.pauli_axis, q.pauli_matrix, lambda a: q.bold_pauli(frame, a),
               lambda a: q.logical_projectors(frame, a), lambda a: q.parse_probe_label((a, 1)),
-              lambda a: adversary.unitary_tamper(a, 0.1))
+              lambda a: adversary.UnitaryTamperAttack(a, 0.1))
     for axis in ("W", "", None, 3, ("X",)):
         for take in takers:
             with pytest.raises(ValueError, match="unknown Pauli axis"):

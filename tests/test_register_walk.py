@@ -190,7 +190,7 @@ def test_memory_engine_matches_register_walk(variant, direction, mode, L):
     for seed, T in enumerate(edge_lengths(1, L)):
         config = make_config(variant, direction, 1, T, 40 + seed)
         angle = 0.3 + 0.1 * seed
-        assert_same_run(config, adversary.entangling_memory_attack(angle, L, mode),
+        assert_same_run(config, adversary.EntanglingMemoryAttack(angle, L, mode),
                         HookedEntanglingMemory(angle, L, mode))
 
 
@@ -203,12 +203,12 @@ def test_register_engine_matches_register_walk(n):
     # blocks of one round: the walk draws as the register engine draws
     for seed, T in enumerate(edge_lengths(n, 1) + [300]):
         config = make_config("mub", "two_way", n, T, 60 + seed)
-        assert_same_run(config, adversary.two_way_swap_leak(), WalkedSwapLeak())
+        assert_same_run(config, adversary.TwoWaySwapLeakAttack(), WalkedSwapLeak())
 
 
 def test_grid_reaches_ancilla_readouts():
     # the byte-identity grid would prove little if no ancilla were read out
     T = edge_lengths(1, 3)[-1]
-    memory = adversary.entangling_memory_attack(0.5, 3, "measure")
+    memory = adversary.EntanglingMemoryAttack(0.5, 3, "measure")
     protocol.run(make_config("mub", "one_way", 1, T, 46), memory)
     assert len(memory.memory) == -(-T // 3) - 1 and set(memory.memory) == {-1, 1}
