@@ -163,7 +163,9 @@ def delta_arc(u) -> float:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size or not np.isfinite(u).all():
         raise ValueError("u must be a nonempty square matrix of finite numbers")
-    if not np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= UNITARY_TOL:  # NaN fails
+    # a unitary's entries have modulus <= 1: a larger one is refused before u u^H can overflow
+    if not (np.abs(u).max() <= 1 + UNITARY_TOL
+            and np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= UNITARY_TOL):
         raise ValueError("u must be unitary within tolerance")
     phases = np.sort(np.angle(np.linalg.eigvals(u)))
     gaps = np.diff(phases)

@@ -68,10 +68,7 @@ ESTIMATION_PAIRS = (("X", "Z"), ("Z", "X"))
 
 _B_ABSENT = -9  # sensor outcome sentinel; 0 is a real (leak) outcome
 
-# Largest probe simulated exactly.  The costliest memoryless attack,
-# register depolarizing noise, has 4^n + 1 Kraus operators of size 2^n:
-# 16 MB of them at n = 5, 268 MB at n = 6.
-MAX_QUBITS = 5
+MAX_QUBITS = qcore.MAX_QUBITS  # largest probe simulated exactly
 # Most rounds in one run.  A run's per-round arrays (the draw, the cell
 # column, the disclosure order; transcript rows go out a chunk at a time)
 # take 17-25 bytes per round: the peak RSS of ``dqsim run`` at n = 1 and
@@ -638,7 +635,8 @@ def _run_register(config, attack, rng, setting, label, slot):
         world.apply_unitary(encoders[setting[t]], [world.probe])
         if config.direction == "two_way":
             attack.backward_state(world, rng)
-        slot[t] = world.measure(sensor[_SETTING_AXIS[setting[t]]], world.probe, rng)
+        projectors = sensor[_SETTING_AXIS[setting[t]]]  # read out, with no post-state
+        slot[t] = qcore.pick(world.probabilities(projectors, world.probe), rng)
 
 
 def _law(config, phis, legs):

@@ -4,7 +4,7 @@ States, Kraus instruments and measurements for registers of up to a few
 qubits, plus the specific entangled resource states, logical-subspace Pauli
 operators and phase-encoding unitaries used by the sensing protocols.
 Everything is dense complex linear algebra, sized for probes of up to
-``protocol.MAX_QUBITS`` = 5 qubits.  An instrument is a list of weighted
+``MAX_QUBITS`` = 5 qubits.  An instrument is a list of weighted
 Kraus branches and a measurement a stack of outcome projectors; a logical
 Pauli's measurement is ``logical_projectors``' closed-form stack in the
 outcome slots (-1, leak, +1), and every sampled outcome comes from one
@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -30,6 +31,10 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
+
+# Largest probe simulated exactly: register depolarizing noise has 4^n + 1
+# Kraus operators of size 2^n, 16 MB of them at n = 5 and 268 MB at n = 6.
+MAX_QUBITS = 5
 
 PAULI_AXES = ("X", "Y", "Z")
 
@@ -328,7 +333,7 @@ def depolarizing_channel(p: float, n_qubits: int = 1):
     """
     if not 0.0 <= real("p", p) <= 1.0:
         raise ValueError("depolarizing probability must lie in [0, 1]")
-    d = 2 ** n_qubits
+    d = 2 ** integer("n_qubits", n_qubits, 1, MAX_QUBITS)
     kraus = np.zeros((d * d + 1, d, d), dtype=complex)
     np.fill_diagonal(kraus[0], np.sqrt(1.0 - p))
     np.fill_diagonal(kraus[1:].reshape(d * d, d * d), np.sqrt(p / d))
@@ -401,12 +406,15 @@ def partial_trace(state, dims, keep) -> DensityMatrix:
 def embed_operator(op, dims, targets):
     """Lift ``op`` acting on the listed subsystems to the full product space,
     as its Kronecker product with the identity on the others moved into
-    place; a stack (..., d_t, d_t) is lifted matrix by matrix."""
+    place; a stack (..., d_t, d_t) is lifted matrix by matrix.  On every
+    subsystem in order the result is ``op`` itself (the input, if complex)."""
     op = np.asarray(op, dtype=complex)
     order = list(targets) + [i for i in range(len(dims)) if i not in targets]
     d, d_t = math.prod(dims), math.prod(dims[i] for i in targets)
     if op.ndim < 2 or op.shape[-2:] != (d_t, d_t):
         raise DimensionMismatchError("operator does not match target register dims")
+    if list(targets) == list(range(len(dims))):
+        return op
     n, lead = len(dims), op.shape[:-2]
     full = _kron_stack(op, np.eye(d // d_t)).reshape(lead + tuple(dims[i] for i in order) * 2)
     back = [len(lead) + order.index(i) for i in range(n)]
@@ -445,8 +453,9 @@ class RegisterState:
     same operations.  ``attach`` appends a register by one Kronecker
     product, and an operator (one matrix, or a stack of B) or a measurement
     (one projector stack, or a stack of B) acts on its registers lifted to
-    the whole stack.  This is the one deliberately mutable object in the
-    module; the engine makes a fresh instance for every batch.
+    the whole stack, computing only what is read (``embed_operator``,
+    ``apply_unitary``, ``probabilities``).  This is the one deliberately
+    mutable object in the module; the engine makes a fresh instance per batch.
     """
 
     def __init__(self, labels, dims, rho):
@@ -477,12 +486,30 @@ class RegisterState:
         self.dims.append(new.shape[-1])
 
     def apply_unitary(self, u, labels):
-        self.apply_kraus([u], labels)
+        """Conjugate registers ``labels`` by ``u``, or element b by ``u[b]``
+        for a stack; elements whose unitary is exactly I keep their bits."""
+        u = embed_operator(u, self.dims, [self.labels.index(label) for label in labels])
+        u = np.broadcast_to(u, self.rho.shape)
+        moving = np.flatnonzero((u != np.eye(u.shape[-1])).any(axis=(1, 2)))
+        if moving.size:
+            u, self.rho = u[moving], self.rho.copy()
+            self.rho[moving] = u @ self.rho[moving] @ u.conj().swapaxes(1, 2)
 
     def apply_kraus(self, kraus_list, labels):
         targets = [self.labels.index(label) for label in labels]
         lifted = (embed_operator(k, self.dims, targets) for k in kraus_list)
-        self.rho = sum(k @ self.rho @ k.conj().swapaxes(-1, -2) for k in lifted)
+        terms = (k @ self.rho @ k.conj().swapaxes(-1, -2) for k in lifted)
+        self.rho = functools.reduce(operator.iadd, terms)  # in place: no 0 + array copy
+
+    def _born(self, projectors, label):
+        """Each element's projectors on the whole stack (B, K, d, d) and their probabilities."""
+        projs = np.broadcast_to(projectors, (self.batch,) + np.shape(projectors)[-3:])
+        full = embed_operator(projs, self.dims, [self.labels.index(label)])
+        return full, np.einsum("bkij,bji->bk", full, self.rho).real
+
+    def probabilities(self, projectors, label):
+        """The Born probabilities (B, K) that ``measure`` picks from; the state is kept."""
+        return self._born(projectors, label)[1]
 
     def measure(self, projectors, label, rng):
         """Projective measurement of register ``label`` in every element.
@@ -492,11 +519,9 @@ class RegisterState:
         element's outcome is ``pick``ed from its Born probabilities.
         Returns the outcome indices, shape (B,).
         """
-        projs = np.broadcast_to(projectors, (self.batch,) + np.shape(projectors)[-3:])
-        # (k, B, d, d): outcome k's projector for every element
-        full = embed_operator(projs.swapaxes(0, 1), self.dims, [self.labels.index(label)])
-        k = pick(np.einsum("kbij,bji->bk", full, self.rho).real, rng)
-        sel = full[k, np.arange(self.batch)]
+        full, probs = self._born(projectors, label)
+        k = pick(probs, rng)
+        sel = full[np.arange(self.batch), k]
         post = sel @ self.rho @ sel
         self.rho = post / np.einsum("bii->b", post).real[:, None, None]
         return k

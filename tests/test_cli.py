@@ -165,6 +165,10 @@ _REFUSALS = (
        for call, kwargs, name in ((qcore.depolarizing_channel, {"n_qubits": 1}, "p"),
                                   (adversary.calibrate_depolarizing, {}, "target_fidelity"))
        for label, value in _NOT_REAL.items()]
+    # a negative or fractional qubit count raised a TypeError in np.zeros, and a
+    # bool one gave a one-qubit channel (test_qcore pins the cap above MAX_QUBITS)
+    + [pytest.param(qcore.depolarizing_channel, {"p": 0.1, "n_qubits": value}, "n_qubits",
+                    id=f"depolarizing_channel-n_qubits-{value}") for value in (-1, 1.5, True)]
     # a NaN, infinite or non-square matrix raised LinAlgError from the eigensolver
     + [pytest.param(call, {"u": value}, "u", id=f"{call.__name__}-u-{label}")
        for call in (metrics.delta_arc, metrics.acin_min_fidelity)

@@ -1,6 +1,7 @@
 """Tests for bound arithmetic, arc lengths and the measurement-distance tools."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ def test_delta_arc_global_phase_invariance(alpha, phi):
 def test_delta_arc_rejects_non_unitary():
     with pytest.raises(ValueError):
         metrics.delta_arc(np.diag([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("big", [1e200, -1e300j, 1e308])
+def test_delta_arc_refuses_a_huge_matrix_without_an_overflow_warning(big):
+    # u @ u^H overflowed on such entries and warned before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="u must be unitary within tolerance"):
+            metrics.delta_arc(np.diag([big, 1.0]))
 
 
 def test_acin_identity_and_closed_form():

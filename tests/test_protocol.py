@@ -968,6 +968,37 @@ def test_rng_stream_digest(variant, engine):
         "and record the new digests")
 
 
+# Swap-leak's register engine at the batch sizes around STREAM_DIGESTS' n = 2
+# pin: one batch of 1000 rounds at n = 1 (just under the 1024-round batch),
+# and batches of 64, 64, 64 and 8 rounds at n = 3.  Each case pins the
+# transcript digest and the attack's estimate afterwards.
+SWAP_LEAK_DIGESTS = {
+    ("entanglement", 1, 1000): (
+        "4be98190ac1edf2cbcab3ec0c7fb5d76bbf6d7ec58ec6c823726b690414ed0cb",
+        adversary.EveEstimate(0.28211557986379104, 1000, 0.025622335276876126)),
+    ("mub", 1, 1000): (
+        "b44b5210dfc518a0b596386fbaaadf2ba50af45e3591ef5ee5fefe860edf361c",
+        adversary.EveEstimate(0.28211557986379104, 1000, 0.025622335276876126)),
+    ("entanglement", 3, 200): (
+        "5eb8cebe33efd132d696fc1f3883c7a3632cd6c7f2880dc55627fa75e6f8e281",
+        adversary.EveEstimate(0.24510481760555614, 200, 0.02275251123891092)),
+    ("mub", 3, 200): (
+        "93da4339081aa4c68883204d3a5725309e5ef604b35b18d14ca0bcf820d93c51",
+        adversary.EveEstimate(0.24510481760555614, 200, 0.02275251123891092)),
+}
+
+
+@pytest.mark.parametrize("variant,n,T", sorted(SWAP_LEAK_DIGESTS))
+def test_swap_leak_stream_digest(variant, n, T):
+    cfg = make_config(variant=variant, direction="two_way", n=n, T=T,
+                      p_c=0.4, p_e=0.4, p_d=0.2, seed=2024)
+    attack = adversary.TwoWaySwapLeakAttack()
+    digest = hashlib.sha256(serialized(protocol.run(cfg, attack)).encode()).hexdigest()
+    assert (digest, attack.eve_estimate()) == SWAP_LEAK_DIGESTS[variant, n, T], (
+        f"the seed-to-transcript map changed: bump RNG_STREAM (now {RNG_STREAM}) "
+        "and record the new digests")
+
+
 def fast_path_weights(variant, direction, n, attack):
     """The fast path's flat draw weights: the prior times the exact tables."""
     cfg = make_config(variant=variant, direction=direction, n=n)

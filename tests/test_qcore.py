@@ -360,6 +360,12 @@ def test_depolarizing_kraus_stack_is_complete_and_read_only():
             kraus[0, 0, 0] = 0.0
 
 
+def test_depolarizing_channel_caps_n_qubits():
+    # the (4^n + 1, 2^n, 2^n) stack is not built past the largest probe
+    with pytest.raises(ValueError, match=r"^n_qubits must lie in \[1, 5\], not 6$"):
+        q.depolarizing_channel(0.1, q.MAX_QUBITS + 1)
+
+
 # ---------------------------------------------------------------- measurement
 
 def test_encoded_probe_expectation_matches_rotation_oracle():
@@ -676,11 +682,19 @@ class DenseRegister:
             acc += full @ self.rho @ full.conj().swapaxes(-1, -2)
         self.rho = acc
 
-    def measure(self, projectors, label, rng):
+    def lifted(self, projectors, label):
+        """(K, B, d, d): outcome k's projector on the whole stack, for every element."""
         batch = self.rho.shape[0]
         projs = np.broadcast_to(projectors, (batch,) + np.shape(projectors)[-3:])
-        full = q.embed_operator(projs.swapaxes(0, 1), self.dims, [self.index(label)])
-        probs = np.einsum("kbij,bji->bk", full, self.rho).real
+        return q.embed_operator(projs.swapaxes(0, 1), self.dims, [self.index(label)])
+
+    def probabilities(self, projectors, label):
+        return np.einsum("kbij,bji->bk", self.lifted(projectors, label), self.rho).real
+
+    def measure(self, projectors, label, rng):
+        batch = self.rho.shape[0]
+        full = self.lifted(projectors, label)
+        probs = self.probabilities(projectors, label)
         cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
         u = rng.random(batch) * cdf[:, -1]
         k = np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
@@ -786,3 +800,92 @@ def test_register_matches_dense_oracle(probe_dim, seed):
     both("apply_unitary", random_unitaries(rng, batch, probe_dim), ["E1"])
     measured(sensor[rng.integers(len(sensor), size=batch)], "E1")
     assert reg.labels == dense.labels == ["E1"]
+
+
+# ---------------------------------------------------------------- what the register computes
+
+def test_apply_unitary_leaves_exact_identity_elements_bit_for_bit():
+    # I rho I = rho: an element whose unitary is exactly the identity keeps
+    # its bits, and every other element matches the dense oracle; an
+    # all-identity stack does no work at all
+    rng = np.random.default_rng(41)
+    batch = 12
+    rho0 = random_stack(rng, batch, 2)
+    for labels, d in ((["B", "E"], 4), (["E"], 2)):
+        for moving in (np.array([1, 4, 5, 11]), np.arange(batch), np.array([], dtype=int)):
+            u = np.broadcast_to(np.eye(d, dtype=complex), (batch, d, d)).copy()
+            u[moving] = random_unitaries(rng, len(moving), d)
+            reg, dense = (cls(["B"], [2], rho0) for cls in (q.RegisterState, DenseRegister))
+            reg.attach("E", q.PureState(PLUS))
+            dense.attach("E", q.PureState(PLUS).density().data[None])
+            before = reg.rho
+            reg.apply_unitary(u, labels)
+            dense.apply_unitary(u, labels)
+            still = np.setdiff1d(np.arange(batch), moving)
+            assert np.array_equal(reg.rho[still].view(np.uint64), before[still].view(np.uint64))
+            assert np.abs(reg.rho - dense.rho).max() < 1e-12
+            assert (reg.rho is before) == (moving.size == 0)
+    # swap-leak's rounds that are not re-encoded get encoding_unitary(n, 0):
+    # exactly the identity
+    for n in (1, 2, 3):
+        eye = np.broadcast_to(np.eye(2 ** n), (3, 2 ** n, 2 ** n))
+        assert np.array_equal(q.encoding_unitary(n, np.zeros(3)), eye)
+
+
+def test_embed_operator_on_every_register_is_the_kronecker_lift():
+    # nothing to lift: the operator itself, equal to its general lift; a
+    # permuted or partial target list is still lifted
+    rng = np.random.default_rng(43)
+    ops = random_unitaries(rng, 5, 4)
+    whole = q.embed_operator(ops, [2, 2], [0, 1])
+    assert whole is ops
+    assert np.array_equal(whole, q._kron_stack(ops, np.eye(1)))
+    assert np.array_equal(q.embed_operator(ops[0], [4], [0]),
+                          np.kron(ops[0], np.eye(1)))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    assert np.allclose(q.embed_operator(ops, [2, 2], [1, 0]), swap @ ops @ swap, atol=1e-15)
+    assert q.embed_operator(ops, [2, 2, 2], [0, 1]).shape == (5, 8, 8)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_probabilities_are_the_born_probabilities_measure_picks_from(seed):
+    rng = np.random.default_rng(seed)
+    batch = 16
+    frame = q.LogicalFrame.standard(2)
+    sensor = np.array([q.logical_projectors(frame, a) for a in q.PAULI_AXES])
+    rho0 = random_stack(rng, batch, 4)
+    for projectors, labels in ((sensor[rng.integers(3, size=batch)], ["B"]),
+                               (sensor[1], ["B"]),
+                               (sensor[0], ["B", "E"])):
+        reg, dense = (cls(["B"], [4], rho0) for cls in (q.RegisterState, DenseRegister))
+        if labels == ["B", "E"]:
+            reg.attach("E", q.PureState(KET1))
+            dense.attach("E", q.PureState(KET1).density().data[None])
+        before = reg.rho.copy()
+        probs = reg.probabilities(projectors, "B")
+        assert probs.shape == (batch, 3)
+        assert np.abs(probs - dense.probabilities(projectors, "B")).max() < 1e-12
+        assert np.array_equal(reg.rho, before)  # the state is left as it is
+        # from equal generator states: the same outcomes and the same draws
+        draw = int(rng.integers(2 ** 32))
+        picker, measurer = np.random.default_rng(draw), np.random.default_rng(draw)
+        assert np.array_equal(q.pick(probs, picker), reg.measure(projectors, "B", measurer))
+        assert picker.random() == measurer.random()
+
+
+@pytest.mark.parametrize("n,T,batches", [(1, 1000, 1), (3, 200, 4)])
+def test_swap_leak_run_measures_once_per_batch(monkeypatch, n, T, batches):
+    # Eve's readout is the one measure of a batch: the sensor's closing read
+    # is a pick over Born probabilities, with no post-measurement state
+    from dqsim import protocol
+    calls, measure = [], q.RegisterState.measure
+
+    def counted(self, *args):
+        calls.append(self.batch)
+        return measure(self, *args)
+
+    monkeypatch.setattr(q.RegisterState, "measure", counted)
+    config = protocol.ProtocolConfig("entanglement", "two_way", n, T, 0.4, 0.4, 0.2, 0.25,
+                                     0.3, 7)
+    protocol.run(config, adversary.TwoWaySwapLeakAttack())
+    assert len(calls) == batches and sum(calls) == T
