@@ -11,7 +11,7 @@ one of three kinds:
   randomization and the branch label is what her classical memory records.
   The engine samples every round's branches and outcome from the exact
   joint distribution and hands the attack every round's branch, as an
-  index into the instrument's labels, in one ``record_round`` call.
+  index into the instrument it gave, in one ``record_round`` call.
 - A block-memory attack couples each probe of a block of at most three
   rounds to one ancilla qubit reset to |0> at the block's start, which is
   traced out or read out in Z at the block's end: it gives the coupling
@@ -24,8 +24,13 @@ one of three kinds:
 In one-way operation an attack never sees a measurement outcome or
 reconciliation data before acting on the probe: ``forward_state`` sees
 only the prepared probes, and only a block-memory attack's own ancilla
-readouts come back to an attack.  Attacks that need the return leg
-declare ``requires_two_way`` and are rejected outright in one-way runs.
+readouts come back to an attack.  An attack that cannot run under a
+configuration, such as one that needs the return leg in a one-way run,
+refuses it in ``on_run_start``.
+
+An attack object holds one run's state: ``on_run_start`` resets it, and
+each run's records replace the last run's, so one object run twice on one
+configuration gives the same run twice.
 
 ``expected_check_fidelity`` is the exact check fidelity under a memoryless
 attack's forward instrument, applied densely by ``qcore.apply_instrument``
@@ -36,7 +41,6 @@ every check correlator by 1 - p (the logical Paulis are traceless), so
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -59,14 +63,11 @@ class AttackModel:
 
     name = "abstract"
     block_length = 1
-    requires_two_way = False
-
-    def clone(self):
-        return copy.deepcopy(self)
 
     def on_run_start(self, public_config: dict, frame) -> None:
         """Called once per run with the protocol's public parameters, and
-        once for all phases of a memoryless attack's ``twin_counts`` call."""
+        once for all phases of a memoryless attack's ``twin_counts`` call;
+        a ValueError refuses the configuration."""
 
     # -- instrument interface (memoryless attacks) --------------------------
     def forward_branches(self, n, frame):
@@ -77,14 +78,13 @@ class AttackModel:
         """Weighted instrument for the return leg; None means identity."""
         return None
 
-    def record_round(self, forward_branch, forward_labels,
-                     backward_branch=None, backward_labels=None):
+    def record_round(self, forward_branch, backward_branch=None):
         """Classical-memory hook, called once per fast-path ``protocol.run``
         with every round's forward branch, an integer array in round order
-        indexing the instrument's label tuple ``forward_labels``; the
-        backward pair is None when no backward instrument acts (one-way
-        runs, or ``backward_branches`` None).  A sweep point's counts-first
-        twins (``protocol.twin_counts``) draw no rounds and never call it."""
+        indexing the branches ``forward_branches`` gave; the backward branch
+        is None when no backward instrument acts (one-way runs, or
+        ``backward_branches`` None).  A sweep point's counts-first twins
+        (``protocol.twin_counts``) draw no rounds and never call it."""
 
     # -- block-memory interface -----------------------------------------------
     # The coupling acts on (probe, ancilla) on each round's forward leg; the
@@ -171,27 +171,26 @@ class InterceptResendAttack(AttackModel):
             self.axes = [strategy]
         else:
             raise ValueError("basis strategy must be 'random' or a Pauli axis name")
-        # the branches' outcome labels, and every recorded round's branch as
-        # an index into them, in round order, run after run
+        # the branches' outcome labels, and the last run's branch of every
+        # round as an index into them, in round order
         self.labels = tuple(f"{axis}:{slot:+d}" for axis in self.axes for slot in (-1, 0, 1))
-        self.memory = np.zeros(0, dtype=np.intp)
+        self.memory = np.zeros(0, dtype=np.uint8)
 
     def forward_branches(self, n, frame):
         weight = 1.0 / len(self.axes)
         projectors = [proj for axis in self.axes for proj in qcore.logical_projectors(frame, axis)]
         return [(label, weight, [proj]) for label, proj in zip(self.labels, projectors)]
 
-    def record_round(self, forward_branch, forward_labels,
-                     backward_branch=None, backward_labels=None):
-        self.memory = np.concatenate([self.memory, forward_branch])
+    def record_round(self, forward_branch, backward_branch=None):
+        self.memory = forward_branch.copy()  # not a view that keeps the engine's draw
 
 
 class EntanglingMemoryAttack(AttackModel):
     """Couples each probe in a block to one persistent ancilla qubit.
 
     The ancilla is reset at block boundaries, either silently (traced out)
-    or after a Z measurement, whose outcomes (+-1) ``memory`` holds in block
-    order, run after run.  The attack runs on single-qubit probes only, and
+    or after a Z measurement, whose outcomes (+-1) in the last run ``memory``
+    holds in block order.  The attack runs on single-qubit probes only, and
     blocks of 1 to 3 rounds: the lengths at which the exact per-cell engine
     is pinned byte for byte to the block register walk.
     """
@@ -223,7 +222,7 @@ class EntanglingMemoryAttack(AttackModel):
         return coupling
 
     def record_readouts(self, outcomes):
-        self.memory = np.concatenate([self.memory, outcomes])
+        self.memory = outcomes
 
 
 class TwoWaySwapLeakAttack(AttackModel):
@@ -244,11 +243,12 @@ class TwoWaySwapLeakAttack(AttackModel):
     """
 
     name = "two_way_swap_leak"
-    requires_two_way = True
     _min_samples_for_reencoding = 50
     _sum = _count = 0  # the running outcome sum and count, reset by each run
 
     def on_run_start(self, public_config, frame):
+        if public_config["direction"] != "two_way":
+            raise ValueError("swap-leak attack needs two-way operation")
         self._p_e = public_config["p_e"]
         if self._p_e <= 0:
             raise ValueError("swap-leak attack needs a nonzero encoding probability")

@@ -78,8 +78,8 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
     times the symmetry term under the square root in the one-way case; the
     two-way direct-probe formula uses coefficient two instead (the two
     source formulas are deliberately kept distinct, never unified), and both
-    two-way forms add |sin(min(n*phi, pi/2))| for the undetectable
-    re-rotation.
+    two-way forms add sin(min(n*|phi|, pi/2)) for the undetectable
+    re-rotation, so that like both bounds it is even in phi.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -100,7 +100,7 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
     value = math.sqrt(inner + coef * f)
     if mode == "two_way_gc":
         qcore.real("phi", phi)
-        value += abs(math.sin(min(n * phi, math.pi / 2)))
+        value += math.sin(min(n * abs(phi), math.pi / 2))
     return value
 
 

@@ -390,9 +390,9 @@ def _encoders(n, phi):
 
 
 def _push(n, fwd):
-    """The one forward push: the instrument ``fwd``'s branch labels and the
-    six probes of size n through every branch, a read-only (probe label,
-    branch, d, d) stack; None for no instrument (a memory attack).  It maps
+    """The one forward push: the six probes of size n through every branch
+    of the instrument ``fwd``, a read-only (probe label, branch, d, d)
+    stack; None for no instrument (a memory attack).  It maps
     the pure probes' kets: w Z^T Z* for a ket's images Z = K psi, m d^2 work,
     a slice of operators (64 KB of images) at a time to keep temporaries small."""
     if fwd is None:
@@ -405,25 +405,23 @@ def _push(n, fwd):
         states.append(weight * sum(z.swapaxes(-1, -2) @ z.conj() for z in parts))
     states = np.stack(states, axis=1)
     states.setflags(write=False)
-    return tuple(branch[0] for branch in fwd), states
+    return states
 
 
 def _legs(config, attack):
     """Start ``attack`` on a run of ``config`` (UnsupportedAttackError if it
     cannot run under it): a memoryless attack's forward push (``_push``) and
     backward instrument (None: identity), None for a memory attack."""
-    if attack.requires_two_way and config.direction != "two_way":
-        raise UnsupportedAttackError(f"attack {attack.name!r} requires two-way operation")
     frame, *_ = _sensor_model(config.n)
     try:
         attack.on_run_start(config.public(), frame)
     except ValueError as exc:
         raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
-    push = _push(config.n, attack.forward_branches(config.n, frame))
-    if push is None:
+    pushed = _push(config.n, attack.forward_branches(config.n, frame))
+    if pushed is None:
         return None
-    return push, (attack.backward_branches(config.n, frame)
-                  if config.direction == "two_way" else None)
+    return pushed, (attack.backward_branches(config.n, frame)
+                    if config.direction == "two_way" else None)
 
 
 # A table's total may differ from 1 by roundoff only; an instrument whose
@@ -548,7 +546,6 @@ def _run_fast(config, attack, rng, legs) -> Transcript:
     outcome are one draw from the round law ``_law`` of the attack's
     ``_legs``, and the attack records every round's branches in one
     ``record_round`` call.  Draw order: one uniform per round (``_draw``)."""
-    (fwd_labels, _pushed), bwd = legs
     tables = _law(config, [config.true_phi], legs)[0]
     # each table entry's (cell, forward branch, backward branch)
     setting, label, forward, backward, slot = np.indices(tables.shape)
@@ -556,8 +553,7 @@ def _run_fast(config, attack, rng, legs) -> Transcript:
     entries = np.stack([cell, forward, backward]).reshape(3, -1)
     entries = entries.astype(np.min_scalar_type(max(_N_CELLS, *tables.shape)))
     cell, forward, backward = np.take(entries, _draw(tables, rng, config.T), axis=1)
-    backward = () if bwd is None else (backward, tuple(branch[0] for branch in bwd))
-    attack.record_round(forward, fwd_labels, *backward)
+    attack.record_round(forward, None if legs[1] is None else backward)
     return Transcript(config, cell)
 
 
@@ -641,7 +637,7 @@ def _run_register(config, attack, rng, setting, label, slot):
 
 def _law(config, phis, legs):
     """A memoryless attack's round law at each phase of ``phis`` from its ``_legs``."""
-    tables = _build_tables(config.n, phis, legs[0][1], legs[1])
+    tables = _build_tables(config.n, phis, *legs)
     return _prior(config)[..., None, None, None] * tables
 
 
@@ -692,14 +688,14 @@ def twin_counts(config, attack, windows, phis):
     windows of rounds (``_window_sizes``), shape (phase, twin, window, 3).  A
     memoryless attack, which never learns the phase, is started and pushed
     once; each phase is a ``_twin_draw`` seeded by ``config.seed``.  Under a
-    memory attack both twins run at each phase, the attacked one on a clone."""
+    memory attack both twins run at each phase, the attacked one on ``attack``."""
     legs, identity = _legs(config, attack), adversary.IdentityAttack()
     if legs is None:  # the twins share the seed's prior draw
         counts = np.array([[run(replace(config, true_phi=float(phi)), a).window_counts(windows)
-                            for a in (attack.clone(), identity)] for phi in phis])
+                            for a in (attack, identity)] for phi in phis])
         return counts.sum(axis=2), product_classes(counts)
     ideal_legs, sizes, out = _legs(config, identity), _window_sizes(config.T, windows), []
-    step = max(1, _SLICE_BYTES // (32 * legs[0][1].size * (len(legs[1]) if legs[1] else 1)))
+    step = max(1, _SLICE_BYTES // (32 * legs[0].size * (len(legs[1]) if legs[1] else 1)))
     for start in range(0, len(phis), step):
         laws = [_law(config, phis[start:start + step], lg) for lg in (legs, ideal_legs)]
         out += [_twin_draw(w, sizes, np.random.default_rng(config.seed)) for w in zip(*laws)]
@@ -850,8 +846,8 @@ def run_mub_equivalence(config: ProtocolConfig, attack) -> EquivalenceReport:
     """Analyse one simulation as both protocol variants and compare their
     fidelity estimates.
 
-    Neither engine reads the variant, so one run under a clone of the
-    attack, seeded from config.seed, gives the columns of both: the
+    Neither engine reads the variant, so one run under the attack,
+    seeded from config.seed, gives the columns of both: the
     entanglement-variant transcript and, with the same cells, the
     direct-probe view.  The entanglement-variant estimate should equal
     (1 + (1/2) sum_P (2 F_P - 1)) / 4 built from the six per-label
@@ -862,7 +858,7 @@ def run_mub_equivalence(config: ProtocolConfig, attack) -> EquivalenceReport:
     cfg_ent = replace(config, variant="entanglement")
     cfg_mub = replace(config, variant="mub",
                       epsilon_threshold=math.sqrt(2.0 / 3.0) * config.epsilon_threshold)
-    t_ent = run(cfg_ent, attack.clone())
+    t_ent = run(cfg_ent, attack)
     t_mub = Transcript(cfg_mub, t_ent.cell)
     c_ent = check_fidelity(t_ent)
     c_mub = check_fidelity(t_mub)

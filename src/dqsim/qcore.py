@@ -62,7 +62,7 @@ def _frozen(a):
 
 def kron_power(op, n):
     out = np.array([[1.0 + 0j]]) if op.ndim == 2 else np.array([1.0 + 0j])
-    for _ in range(n):
+    for _ in range(integer("n", n, 0)):
         out = np.kron(out, op)
     return out
 
@@ -209,6 +209,7 @@ class LogicalFrame:
     pole1: PureState
 
     def __post_init__(self):
+        integer("n", self.n, 1)
         if self.pole0.dim != 2 ** self.n or self.pole1.dim != 2 ** self.n:
             raise ValueError("pole dimension does not match qubit count")
         overlap = np.vdot(self.pole0.amplitudes, self.pole1.amplitudes)

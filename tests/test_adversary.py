@@ -6,13 +6,15 @@ against the attack implementations.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from dqsim import adversary, protocol, qcore
+from dqsim import adversary, cli, protocol, qcore
 from test_qcore import spectrum
+from test_register_walk import serialized
 
 I2 = np.eye(2, dtype=complex)
 FRAME1 = qcore.LogicalFrame.standard(1)
@@ -39,7 +41,6 @@ def fidelity_sigma(check_result):
 def test_identity_attack_properties():
     att = adversary.IdentityAttack()
     assert att.block_length == 1
-    assert not att.requires_two_way
     assert adversary.expected_check_fidelity(att, 1) == pytest.approx(1.0)
     rho = qcore.random_density_matrix(2, np.random.default_rng(0))
     (label, w, kraus), = att.forward_branches(1, FRAME1)
@@ -102,7 +103,7 @@ def test_tamper_fidelity_matches_closed_form_and_monte_carlo():
     att = adversary.UnitaryTamperAttack("Y", t)
     expected = (1 + math.cos(2 * t)) / 2
     assert adversary.expected_check_fidelity(att, 1) == pytest.approx(expected, abs=1e-12)
-    tr = protocol.run(make_config(T=20_000, seed=52), att.clone())
+    tr = protocol.run(make_config(T=20_000, seed=52), att)
     chk = protocol.check_fidelity(tr)
     assert abs(chk.fidelity_estimate - expected) < 4 * fidelity_sigma(chk)
 
@@ -131,7 +132,7 @@ def test_intercept_resend_random_axis_oracle():
     assert oracle == pytest.approx(0.5, abs=1e-12)
     att = adversary.InterceptResendAttack("random")
     assert adversary.expected_check_fidelity(att, 1) == pytest.approx(oracle, abs=1e-12)
-    tr = protocol.run(make_config(T=20_000, seed=61), att.clone())
+    tr = protocol.run(make_config(T=20_000, seed=61), att)
     chk = protocol.check_fidelity(tr)
     assert abs(chk.fidelity_estimate - oracle) < 4 * fidelity_sigma(chk)
 
@@ -287,7 +288,7 @@ def test_memory_attack_measured_ancilla_records():
     protocol.run(make_config(T=400, seed=84), att)
     assert len(att.memory) >= 199
     assert set(att.memory) <= {1, -1}
-    # one integer column, as intercept-resend keeps, not a per-readout list
+    # one integer column, not a per-readout list
     assert isinstance(att.memory, np.ndarray) and att.memory.dtype == np.intp
 
 
@@ -337,7 +338,7 @@ def test_swap_leak_at_the_largest_probes(n):
 
 
 def test_swap_leak_rejected_in_one_way_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(protocol.UnsupportedAttackError, match="needs two-way operation"):
         protocol.run(make_config(variant="mub", direction="one_way"),
                      adversary.TwoWaySwapLeakAttack())
 
@@ -349,14 +350,54 @@ def test_swap_leak_needs_encoding_rounds():
         protocol.run(cfg, adversary.TwoWaySwapLeakAttack())
 
 
-# ---------------------------------------------------------------- cloning
+# ---------------------------------------------------------------- one run's state
 
-def test_attack_clone_is_independent():
-    att = adversary.InterceptResendAttack("random")
-    clone = att.clone()
-    protocol.run(make_config(T=100, seed=95), att)
-    assert len(att.memory) == 100
-    assert clone.memory.size == 0
+REUSED_ATTACKS = {
+    "identity": adversary.IdentityAttack,
+    "depolarizing": lambda: adversary.DepolarizingAttack(0.2),
+    "unitary_tamper": lambda: adversary.UnitaryTamperAttack("Y", 0.3),
+    "intercept_resend_random": lambda: adversary.InterceptResendAttack("random"),
+    "intercept_resend_z": lambda: adversary.InterceptResendAttack("Z"),
+    "entangling_memory_trace": lambda: adversary.EntanglingMemoryAttack(0.4, 3),
+    "entangling_memory_measure": lambda: adversary.EntanglingMemoryAttack(0.4, 2, "measure"),
+    "two_way_swap_leak": adversary.TwoWaySwapLeakAttack,
+}
+
+
+def test_reused_attacks_cover_every_shipped_attack():
+    assert {type(make()) for make in REUSED_ATTACKS.values()} == set(cli.ATTACKS.values())
+
+
+@pytest.mark.parametrize("name", sorted(REUSED_ATTACKS))
+def test_reused_attack_gives_the_same_run(name):
+    # an attack holds one run's state: a second run of one object on one
+    # configuration is the first, byte for byte, and leaves the attack as a
+    # fresh object's run leaves it
+    cfg = make_config(direction="two_way", T=600, p_c=0.4, p_e=0.4, p_d=0.2, seed=95)
+    reused, fresh = REUSED_ATTACKS[name](), REUSED_ATTACKS[name]()
+    first = serialized(protocol.run(cfg, reused))
+    assert serialized(protocol.run(cfg, reused)) == first
+    assert serialized(protocol.run(cfg, fresh)) == first
+    assert reused.eve_estimate() == fresh.eve_estimate()
+    if hasattr(fresh, "memory"):
+        assert reused.memory.dtype == fresh.memory.dtype
+        np.testing.assert_array_equal(reused.memory, fresh.memory)
+
+
+def test_intercept_resend_retains_one_byte_per_round():
+    # the records are the last run's branches in the draw's uint8, a copy
+    # that keeps no (3, T) draw of the engine alive
+    attack, cfg = adversary.InterceptResendAttack("random"), make_config(T=10 ** 6, seed=98)
+    protocol.run(make_config(T=100), attack)  # builds the cached sensor model
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        protocol.run(cfg, attack)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert attack.memory.dtype == np.uint8 and attack.memory.shape == (cfg.T,)
+    assert retained <= cfg.T + 2 ** 14
 
 
 # ---------------------------------------------------------------- one-way isolation

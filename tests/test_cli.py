@@ -174,12 +174,31 @@ _REFUSALS = (
        for call in (metrics.delta_arc, metrics.acin_min_fidelity)
        for label, value in (("nan", np.full((2, 2), np.nan)), ("inf", np.diag([np.inf, 1.0])),
                             ("isometry", [[1, 0, 0], [0, 1, 0]]))]
+    # the logical frame owns its qubit count: a bool one gave a fidelity of 1, a
+    # fractional one a TypeError and zero qubits "poles are not orthogonal"
+    + [pytest.param(adversary.expected_check_fidelity,
+                    {"attack": adversary.IdentityAttack(), "n": value}, "n",
+                    id=f"expected_check_fidelity-n-{value}") for value in (True, 1.5, 0)]
 )
 
 
 @pytest.mark.parametrize("call,kwargs,name", _REFUSALS)
 def test_library_refuses_bad_inputs_naming_the_argument(call, kwargs, name):
     with pytest.raises(ValueError, match=rf"(^| ){name} must be"):
+        call(**kwargs)
+
+
+# Values of the right type past a bound: the owner names the argument and its range.
+_OUT_OF_RANGE = [
+    pytest.param(protocol.ProtocolConfig, {**_REFUSED_CONFIG, field: value}, field,
+                 id=f"ProtocolConfig-{field}-{value}")
+    for field, value in (("n", protocol.MAX_QUBITS + 1), ("T", protocol.MAX_ROUNDS + 1),
+                         ("p_c", 1.5), ("p_e", -0.5), ("p_d", 1.5))]
+
+
+@pytest.mark.parametrize("call,kwargs,name", _OUT_OF_RANGE)
+def test_library_refuses_out_of_range_inputs_naming_the_argument(call, kwargs, name):
+    with pytest.raises(ValueError, match=rf"(^| ){name} must lie in \["):
         call(**kwargs)
 
 
@@ -219,11 +238,13 @@ def test_library_refuses_bad_inputs_naming_the_argument(call, kwargs, name):
                             "params": {"axis": "Y", "angle": float("inf")}}}, cli.EXIT_SCHEMA),
     ("run", {}, {"attack": {"name": "entangling_memory",
                             "params": {"coupling_angle": float("nan")}}}, cli.EXIT_SCHEMA),
+    # an attack refuses a configuration it cannot run under in on_run_start
+    ("run", {}, {"attack": {"name": "two_way_swap_leak"}}, cli.EXIT_SCHEMA),
 ], ids=["T2", "T_past_MAX_ROUNDS", "no_check_rounds", "memory_n2", "steps_string",
         "variable_number", "block_length_fractional", "steps_past_MAX_GRID_STEPS",
         "p_boolean", "angle_boolean", "block_length_boolean", "p_string", "angle_null",
         "coupling_angle_list", "sweep_span_overflows", "threshold_boolean", "phi_string",
-        "angle_inf", "coupling_angle_nan"])
+        "angle_inf", "coupling_angle_nan", "swap_leak_one_way"])
 def test_failures_exit_with_documented_code(tmp_path, command, protocol_edit,
                                             block_edit, code):
     path, scenario = write_scenario(tmp_path, **block_edit)
@@ -532,10 +553,10 @@ def spy_attacked_pushes(monkeypatch):
     pushed, push = [], protocol._push
 
     def spy(n, fwd):
-        out = push(n, fwd)
-        if out is not None and out[0] != ("identity",):
-            pushed.append(out[0])
-        return out
+        labels = None if fwd is None else tuple(branch[0] for branch in fwd)
+        if labels not in (None, ("identity",)):
+            pushed.append(labels)
+        return push(n, fwd)
 
     monkeypatch.setattr(protocol, "_push", spy)
     return pushed

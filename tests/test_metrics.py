@@ -83,6 +83,20 @@ def test_epsilon0_two_way_sine_term():
     assert val == pytest.approx(0.09983341664682815, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", metrics.MODES)
+@pytest.mark.parametrize("variant", metrics.VARIANTS)
+def test_epsilon0_and_bounds_are_even_in_phi(mode, variant):
+    # the two-way re-rotation term folds phi to n |phi| before its cap at
+    # pi/2, so eps0 and both bounds read the same at -phi as at phi, past
+    # the cap too (n phi = 3 at n = 5, phi = 0.6)
+    for n in (1, 2, 5):
+        for phi in (0.0, 0.05, 0.3, 0.6, 1.4, 2.9):
+            pair = [metrics.bound_report(mode, variant, 0.1, n, sign * phi, T=1000, N_d=100,
+                                         N_e=200) for sign in (1, -1)]
+            values = [(r.epsilon0, r.bias_bound, r.variance_bound) for r in pair]
+            assert values[0] == values[1], (n, phi)
+
+
 def test_epsilon0_two_way_f_coefficients_differ_by_variant():
     # entanglement keeps coefficient 4, the direct-probe variant uses 2
     kw = dict(T=100, N_d=90, n=1, phi=0.0)

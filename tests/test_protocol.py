@@ -1004,7 +1004,7 @@ def fast_path_weights(variant, direction, n, attack):
     cfg = make_config(variant=variant, direction=direction, n=n)
     frame = qcore.LogicalFrame.standard(n)
     bwd = attack.backward_branches(n, frame) if direction == "two_way" else None
-    pushed = protocol._push(n, attack.forward_branches(n, frame))[1]
+    pushed = protocol._push(n, attack.forward_branches(n, frame))
     tables = protocol._build_tables(n, [cfg.true_phi], pushed, bwd)[0]
     return protocol._prior(cfg)[..., None, None, None] * tables
 
@@ -1115,17 +1115,17 @@ def test_twin_counts_share_the_transcript_windows():
     counts, classes = protocol.twin_counts(cfg, attack, 20, [cfg.true_phi])
     assert counts.shape == (1, 2, *protocol._CELL_SHAPE) and counts.dtype == np.int64
     assert classes.shape == (1, 2, 20, 3) and classes.dtype == np.int64
-    windows = protocol.run(cfg, attack.clone()).window_counts(20)
+    windows = protocol.run(cfg, attack).window_counts(20)
     assert windows.shape == (20, *protocol._CELL_SHAPE)
     np.testing.assert_array_equal(counts[0].sum(axis=(1, 2, 3)), [cfg.T, cfg.T])
     for twin in classes[0]:
         np.testing.assert_array_equal(twin.sum(axis=1), windows.sum(axis=(1, 2, 3)))
     assert windows.sum() == cfg.T and {int(s) for s in windows.sum(axis=(1, 2, 3))} == {50, 51}
-    np.testing.assert_array_equal(windows.sum(axis=0), protocol.run(cfg, attack.clone()).counts)
+    np.testing.assert_array_equal(windows.sum(axis=0), protocol.run(cfg, attack).counts)
     for part in protocol.twin_counts(cfg, identity, 20, [cfg.true_phi]):
         np.testing.assert_array_equal(part[0, 0], part[0, 1])
     cfg, memory = replace(cfg, n=1), adversary.EntanglingMemoryAttack(0.3, 3, "measure")
-    runs = [protocol.run(cfg, a).window_counts(20) for a in (memory.clone(), identity)]
+    runs = [protocol.run(cfg, a).window_counts(20) for a in (memory, identity)]
     counts, classes = protocol.twin_counts(cfg, memory, 20, [cfg.true_phi])
     np.testing.assert_array_equal(counts[0], [w.sum(axis=0) for w in runs])
     np.testing.assert_array_equal(classes[0], protocol.product_classes(runs))
@@ -1162,11 +1162,11 @@ def test_sensor_model_is_shared_read_only_and_run_order_free():
              (make_config(n=2, T=200, p_c=0.4, p_e=0.4, p_d=0.2, direction="two_way"),
               adversary.TwoWaySwapLeakAttack())]
     protocol._sensor_model.cache_clear()
-    first = [serialized(protocol.run(cfg, attack.clone())) for cfg, attack in cases]
+    first = [serialized(protocol.run(cfg, attack)) for cfg, attack in cases]
     for n in (1, 3, 4):
         for cfg, attack in cases:
-            protocol.run(replace(cfg, n=n), attack.clone())
-    assert [serialized(protocol.run(cfg, attack.clone())) for cfg, attack in cases] == first
+            protocol.run(replace(cfg, n=n), attack)
+    assert [serialized(protocol.run(cfg, attack)) for cfg, attack in cases] == first
 
 
 PUSH_ATTACKS = {
@@ -1187,8 +1187,7 @@ def test_ket_push_is_the_dense_push(n):
     frame, _kets, probes, _sensor = protocol._sensor_model(n)
     for name, make in PUSH_ATTACKS.items():
         fwd = make().forward_branches(n, frame)
-        labels, pushed = protocol._push(n, fwd)
-        assert labels == tuple(label for label, _w, _k in fwd), name
+        pushed = protocol._push(n, fwd)
         dense = qcore.apply_instrument(probes, fwd)
         assert pushed.shape == dense.shape, name
         assert np.abs(pushed - dense).max() < 1e-13, name
@@ -1329,14 +1328,10 @@ class _Counting(adversary.AttackModel):
         self.calls["backward_branches"] += 1
         return self.inner.backward_branches(n, frame)
 
-    def record_round(self, forward_branch, forward_labels,
-                     backward_branch=None, backward_labels=None):
+    def record_round(self, forward_branch, backward_branch=None):
         self.calls["record_round"] += 1
-        self.recorded.append(tuple(
-            None if branch is None else [labels[i] for i in branch]
-            for branch, labels in ((forward_branch, forward_labels),
-                                   (backward_branch, backward_labels))))
-        self.inner.record_round(forward_branch, forward_labels, backward_branch, backward_labels)
+        self.recorded.append((forward_branch, backward_branch))
+        self.inner.record_round(forward_branch, backward_branch)
 
 
 @pytest.mark.parametrize("make_inner", [lambda: adversary.DepolarizingAttack(0.3),
@@ -1351,15 +1346,15 @@ def test_fast_path_consults_the_attack_once_per_run(make_inner):
     assert attack.calls == {"forward_branches": 1, "backward_branches": 1, "record_round": 1}
     [(forward, backward)] = attack.recorded
     frame = qcore.LogicalFrame.standard(cfg.n)
-    for labels, legs in ((forward, attack.inner.forward_branches(cfg.n, frame)),
+    for branch, legs in ((forward, attack.inner.forward_branches(cfg.n, frame)),
                          (backward, attack.inner.backward_branches(cfg.n, frame))):
         if legs is None:
-            assert labels is None
+            assert branch is None
         else:
-            assert len(labels) == cfg.T
-            assert set(labels) <= {label for label, _w, _k in legs}
+            assert branch.shape == (cfg.T,)
+            assert set(branch.tolist()) <= set(range(len(legs)))
     if isinstance(attack.inner, adversary.InterceptResendAttack):
-        assert [attack.inner.labels[branch] for branch in attack.inner.memory] == forward
+        np.testing.assert_array_equal(attack.inner.memory, forward)
 
 
 def test_attack_without_an_interface_is_rejected():
@@ -1444,7 +1439,7 @@ def test_stacked_table_build_is_the_one_phase_build(n, name, direction):
     # build, on both variants (the build reads neither)
     for variant in protocol.VARIANTS:
         cfg = make_config(variant=variant, direction=direction, n=n)
-        (_labels, pushed), bwd = protocol._legs(cfg, SHIPPED_MEMORYLESS[name]())
+        pushed, bwd = protocol._legs(cfg, SHIPPED_MEMORYLESS[name]())
         stacked = protocol._build_tables(n, STACK_PHASES, pushed, bwd)
         assert stacked.shape[:3] == (STACK_PHASES.size, *protocol._CELL_SHAPE[:2])
         for phi, tables in zip(STACK_PHASES, stacked):
@@ -1458,7 +1453,7 @@ def test_twin_counts_across_slice_edges_are_the_one_phase_counts(monkeypatch, na
     cfg = make_config(n=3, T=700, direction="two_way", p_c=0.4, p_e=0.4, p_d=0.2)
     legs = protocol._legs(cfg, SHIPPED_MEMORYLESS[name]())
     monkeypatch.setattr(protocol, "_SLICE_BYTES",
-                        2 * 32 * legs[0][1].size * (len(legs[1]) if legs[1] else 1))
+                        2 * 32 * legs[0].size * (len(legs[1]) if legs[1] else 1))
     phis = np.linspace(0.1, 1.3, 5)
     counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), 20, phis)
     for i, phi in enumerate(phis):
@@ -1583,7 +1578,7 @@ def exact_tables(cfg, attack):
     other slots and, at n = 1, every leak slot being exactly 0."""
     frame = qcore.LogicalFrame.standard(cfg.n)
     bwd = attack.backward_branches(cfg.n, frame) if cfg.direction == "two_way" else None
-    pushed = protocol._push(cfg.n, attack.forward_branches(cfg.n, frame))[1]
+    pushed = protocol._push(cfg.n, attack.forward_branches(cfg.n, frame))
     stacked = protocol._build_tables(cfg.n, [cfg.true_phi], pushed, bwd)[0]
     if cfg.n == 1:
         assert np.all(stacked[..., 1] == 0.0)
