@@ -129,7 +129,7 @@ class DepolarizingAttack(AttackModel):
         p = qcore.real("p", p)
         self.name = f"depolarizing(p={p:.6g})"
         if not 0.0 <= p <= 1.0:
-            raise ValueError("depolarizing probability must lie in [0, 1]")
+            raise ValueError(f"p must lie in [0, 1], not {p!r}")
         self.p = p
 
     def forward_branches(self, n, frame):
@@ -201,10 +201,10 @@ class EntanglingMemoryAttack(AttackModel):
         self.coupling_angle = qcore.real("coupling_angle", coupling_angle)
         self.name = f"entangling_memory({self.coupling_angle:.6g}, block={block_length})"
         if not qcore.real("block_length", block_length).is_integer():
-            raise ValueError(f"block length must be a whole number, not {block_length!r}")
+            raise ValueError(f"block_length must be a whole number, not {block_length!r}")
         if block_length < 1 or block_length > self.max_block_length:
-            raise ValueError(f"block length must lie in [1, {self.max_block_length}], "
-                             f"the range pinned to the block register walk")
+            raise ValueError(f"block_length must lie in [1, {self.max_block_length}], "
+                             f"not {block_length!r}")
         if ancilla_mode not in ("trace", "measure"):
             raise ValueError("ancilla_mode must be 'trace' or 'measure'")
         self.block_length = int(block_length)
@@ -319,7 +319,8 @@ def expected_check_fidelity(attack: AttackModel, n: int, variant="entanglement")
         rho = np.einsum("abrs->arbs", pushed).reshape(2 * d, 2 * d)
         total = 0.0
         for a_axis, b_axis in (("X", "Z"), ("Z", "X"), ("Y", "Y")):
-            op = np.kron(qcore.pauli_matrix(a_axis), qcore.bold_pauli(frame, b_axis))
+            minus, _leak, plus = qcore.logical_projectors(frame, b_axis)
+            op = np.kron(qcore.pauli_matrix(a_axis), plus - minus)
             total += float(np.trace(op @ rho).real)
         return (1.0 + total) / 4.0
 
@@ -329,7 +330,8 @@ def expected_check_fidelity(attack: AttackModel, n: int, variant="entanglement")
     fidelities = {}
     for label, rho in zip(qcore.SIGNED_LABELS, pushed):
         axis, sign = qcore.parse_probe_label(label)
-        mean = sign * float(np.trace(qcore.bold_pauli(frame, axis) @ rho).real)
+        minus, _leak, plus = qcore.logical_projectors(frame, axis)
+        mean = sign * float(np.trace((plus - minus) @ rho).real)
         fidelities[label] = (mean + 1.0) / 2.0
     return fidelities
 
@@ -338,5 +340,5 @@ def calibrate_depolarizing(target_fidelity: float) -> float:
     """The depolarizing strength whose expected check fidelity (entanglement
     variant) is the target F: 4 (1 - F) / 3 at every n."""
     if not 0.25 <= qcore.real("target_fidelity", target_fidelity) <= 1.0:
-        raise ValueError("reachable targets lie in [0.25, 1]")
+        raise ValueError(f"target_fidelity must lie in [0.25, 1], not {target_fidelity!r}")
     return 4.0 * (1.0 - target_fidelity) / 3.0

@@ -56,8 +56,9 @@ class Locc1Result:
 def f_definetti(T: int, N_d: int, n: int) -> float:
     """Permutation-symmetry error term (T - N_d - 1) sqrt(n / (2 N_d)).
 
-    N_d = 0 returns 0 by convention; that case only arises in
-    individual-attack accounting, where the term plays no role.
+    N_d = 0 returns the limit N_d -> 0: inf, so that epsilon0 and both
+    collective bounds are inf when no round was discarded, and 0 at T = 1,
+    where the prefactor vanishes.
     """
     qcore.integer("round count T", T, 1)
     qcore.integer("discarded-round count N_d", N_d, 0)
@@ -65,7 +66,7 @@ def f_definetti(T: int, N_d: int, n: int) -> float:
     if N_d >= T:
         raise ValueError("discarded-round count must satisfy 0 <= N_d < T")
     if N_d == 0:
-        return 0.0
+        return math.inf if T > 1 else 0.0
     return (T - N_d - 1) * math.sqrt(n / (2.0 * N_d))
 
 

@@ -115,7 +115,8 @@ class ProtocolConfig:
         if abs(self.p_c + self.p_e + self.p_d - 1.0) > 1e-12:
             raise ValueError("action probabilities must sum to 1")
         if self.epsilon_threshold < 0:
-            raise ValueError("safety threshold must be nonnegative")
+            raise ValueError(f"epsilon_threshold must be nonnegative, "
+                             f"not {self.epsilon_threshold!r}")
 
     def public(self) -> dict:
         """Protocol parameters the adversary legitimately knows."""

@@ -2,7 +2,7 @@
 
 States, Kraus instruments and measurements for registers of up to a few
 qubits, plus the specific entangled resource states, logical-subspace Pauli
-operators and phase-encoding unitaries used by the sensing protocols.
+measurements and phase-encoding unitaries used by the sensing protocols.
 Everything is dense complex linear algebra, sized for probes of up to
 ``MAX_QUBITS`` = 5 qubits.  An instrument is a list of weighted
 Kraus branches and a measurement a stack of outcome projectors; a logical
@@ -10,9 +10,9 @@ Pauli's measurement is ``logical_projectors``' closed-form stack in the
 outcome slots (-1, leak, +1), and every sampled outcome comes from one
 inverse-CDF rule, ``pick``.
 
-All objects are immutable after construction and all operations are pure
-functions taking an explicit rng where sampling is involved, so concurrent
-read access is safe.
+``PureState``, ``DensityMatrix`` and ``LogicalFrame`` are frozen,
+``RegisterState`` is the one mutable object, and every function that
+samples takes an explicit rng.
 """
 
 from __future__ import annotations
@@ -140,22 +140,6 @@ def as_density(state) -> DensityMatrix:
     return DensityMatrix(arr)
 
 
-def canonical_eigh(matrix):
-    """Eigendecomposition with a reproducible convention.
-
-    Eigenvalues ascending; each eigenvector's phase is fixed so that its
-    first component with magnitude above 1e-9 is real and positive.
-    """
-    vals, vecs = np.linalg.eigh(matrix)
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-9)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            vecs[:, k] = col / phase
-    return vals, vecs
-
-
 def pauli_axis(axis):
     """``axis`` as one of PAULI_AXES, in any case; ValueError otherwise."""
     if not isinstance(axis, str) or axis.upper() not in PAULI_AXES:
@@ -190,13 +174,13 @@ def pauli_matrix(axis: str):
 
 @dataclass(frozen=True)
 class LogicalFrame:
-    """Two-dimensional logical subspace of an n-qubit register.
+    """Two-dimensional logical subspace of an n-qubit register, spanned by
+    the orthogonal ``pole0``/``pole1``.
 
-    ``pole0``/``pole1`` span the subspace and are the +1/-1 eigenstates of
-    the diagonal logical Pauli Y.  Logical Z is the flip |pole0><pole1| +
-    h.c. and logical X the corresponding -i/+i combination, so that the
-    three operators square to the subspace projector and anticommute
-    pairwise on it.
+    ``mub_probe`` holds the axis convention: the poles are the +1/-1
+    eigenstates of logical Y, and the logical Z and X eigenstates are their
+    real and imaginary equal-weight superpositions.  ``logical_projectors``
+    measures each logical Pauli through those probes.
 
     The protocol frame (``standard``) uses the per-qubit circular states
     R^n / L^n as poles: the per-qubit phase encoding then acts inside the
@@ -224,22 +208,6 @@ class LogicalFrame:
     def standard(cls, n: int) -> "LogicalFrame":
         """Protocol frame: poles R^n and L^n."""
         return cls(n, PureState(kron_power(KET_R, n)), PureState(kron_power(KET_L, n)))
-
-    def subspace_projector(self):
-        p0, p1 = self.pole0.amplitudes, self.pole1.amplitudes
-        return np.outer(p0, p0.conj()) + np.outer(p1, p1.conj())
-
-
-def bold_pauli(frame: LogicalFrame, axis: str):
-    """Logical Pauli matrix of the frame: +-1 on the subspace, 0 on its complement."""
-    axis = pauli_axis(axis)
-    p0, p1 = frame.pole0.amplitudes, frame.pole1.amplitudes
-    m01, m10 = np.outer(p0, p1.conj()), np.outer(p1, p0.conj())
-    if axis == "Y":
-        return np.outer(p0, p0.conj()) - np.outer(p1, p1.conj())
-    if axis == "Z":
-        return m01 + m10
-    return -1j * m01 + 1j * m10
 
 
 def parse_probe_label(label) -> tuple:
@@ -278,7 +246,9 @@ def logical_projectors(frame: LogicalFrame, axis: str):
     projector), |+a><+a|.  At n = 1 the frame spans the qubit and the leak
     slot is exactly zero."""
     minus, plus = (mub_probe(frame, (pauli_axis(axis), sign)).amplitudes for sign in (-1, 1))
-    leak = np.eye(frame.dim) - frame.subspace_projector() if frame.n > 1 else np.zeros((2, 2))
+    p0, p1 = frame.pole0.amplitudes, frame.pole1.amplitudes
+    leak = (np.eye(frame.dim) - (np.outer(p0, p0.conj()) + np.outer(p1, p1.conj()))
+            if frame.n > 1 else np.zeros((2, 2)))
     return _frozen([np.outer(minus, minus.conj()), leak, np.outer(plus, plus.conj())])
 
 
@@ -305,23 +275,19 @@ def encoding_unitary(n: int, phi):
 
 @functools.lru_cache(maxsize=None)
 def resource_state(n: int) -> PureState:
-    """Entangled (1+n)-qubit probe shared between the provider and sensor.
+    """Entangled (1+n)-qubit probe shared between the provider and sensor:
+    (|0>|a> + |1> Zb|a>)/sqrt(2), with |a> the +X probe of the standard
+    frame and Zb = P+ - P- of its logical Z measurement.
 
-    Defined operationally as the unique joint +1 eigenstate of the three
-    commuting check operators X (x) Zb, Z (x) Xb, Y (x) Yb, with the logical
-    operators taken in the standard frame.  For n = 1 this is
-    (|0>|+> + |1>|->)/sqrt(2); the reduced state on the first qubit is
-    maximally mixed for every n.
+    It is the joint +1 eigenstate of the commuting checks: Xb a = a and
+    Xb Zb a = -Zb a give Z (x) Xb, Zb^2 a = a gives X (x) Zb, and Y (x) Yb
+    is their product.  For n = 1 this is (|0>|+> + |1>|->)/sqrt(2) up to a
+    global phase; at every n the first qubit's reduced state is maximally mixed.
     """
     frame = LogicalFrame.standard(n)
-    s_total = sum(
-        np.kron(_PAULI[a], bold_pauli(frame, b))
-        for a, b in (("X", "Z"), ("Z", "X"), ("Y", "Y"))
-    )
-    vals, vecs = canonical_eigh(s_total)
-    if abs(vals[-1] - 3.0) > 1e-9 or vals[-2] > 3.0 - 1e-6:
-        raise RuntimeError("resource state eigenproblem is degenerate")
-    return PureState(vecs[:, -1])
+    minus, _leak, plus = logical_projectors(frame, "Z")
+    a = mub_probe(frame, "+X").amplitudes
+    return PureState(np.concatenate([a, (plus - minus) @ a]) / np.sqrt(2))
 
 
 def depolarizing_channel(p: float, n_qubits: int = 1):
@@ -333,7 +299,7 @@ def depolarizing_channel(p: float, n_qubits: int = 1):
     the rows of a d^2 x d^2 diagonal.
     """
     if not 0.0 <= real("p", p) <= 1.0:
-        raise ValueError("depolarizing probability must lie in [0, 1]")
+        raise ValueError(f"p must lie in [0, 1], not {p!r}")
     d = 2 ** integer("n_qubits", n_qubits, 1, MAX_QUBITS)
     kraus = np.zeros((d * d + 1, d, d), dtype=complex)
     np.fill_diagonal(kraus[0], np.sqrt(1.0 - p))

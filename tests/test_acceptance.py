@@ -12,7 +12,7 @@ import pytest
 import scipy.optimize
 
 from dqsim import adversary, cli, metrics, protocol, qcore
-from test_qcore import spectrum
+from test_qcore import pole_pauli, spectrum
 
 
 def report(num, text):
@@ -200,9 +200,9 @@ def test_criterion_09_intercept_resend_detection():
     rho0 = qcore.resource_state(1).density().data
     oracle_total = 0.0
     for a_axis, b_axis in (("X", "Z"), ("Z", "X"), ("Y", "Y")):
-        op = np.kron(qcore.pauli_matrix(a_axis), qcore.bold_pauli(frame, b_axis))
+        op = np.kron(qcore.pauli_matrix(a_axis), pole_pauli(frame, b_axis))
         for w_axis in ("X", "Y", "Z"):
-            for _v, proj in spectrum(qcore.bold_pauli(frame, w_axis)):
+            for _v, proj in spectrum(pole_pauli(frame, w_axis)):
                 k = np.kron(np.eye(2), proj)
                 oracle_total += np.trace(op @ k @ rho0 @ k.conj().T).real / 3.0
     oracle = (1 + oracle_total) / 4

@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from dqsim import adversary, cli, protocol, qcore
-from test_qcore import spectrum
+from test_qcore import pole_pauli, spectrum
 from test_register_walk import serialized
 
 I2 = np.eye(2, dtype=complex)
@@ -115,11 +115,11 @@ def dephasing_oracle_entanglement_fidelity(axes):
     measure-and-resend channels of the given axes, enumerating projectors."""
     total = 0.0
     for a_axis, b_axis in (("X", "Z"), ("Z", "X"), ("Y", "Y")):
-        op = np.kron(qcore.pauli_matrix(a_axis), qcore.bold_pauli(FRAME1, b_axis))
+        op = np.kron(qcore.pauli_matrix(a_axis), pole_pauli(FRAME1, b_axis))
         acc = 0.0
         for w_axis in axes:
             pushed = np.zeros((4, 4), dtype=complex)
-            for _v, proj in spectrum(qcore.bold_pauli(FRAME1, w_axis)):
+            for _v, proj in spectrum(pole_pauli(FRAME1, w_axis)):
                 k = np.kron(I2, proj)
                 pushed += k @ RESOURCE1 @ k.conj().T
             acc += np.trace(op @ pushed).real / len(axes)
@@ -196,7 +196,7 @@ def two_round_joint_oracle(theta):
     """
     probe = qcore.mub_probe(FRAME1, "+X").density().data
     cr = qcore.embed_operator(coupling_unitary(theta), [2, 2], [0, 1])
-    projs = {round(v): np.kron(p, I2) for v, p in spectrum(qcore.bold_pauli(FRAME1, "Y"))}
+    projs = {round(v): np.kron(p, I2) for v, p in spectrum(pole_pauli(FRAME1, "Y"))}
 
     rho_e = np.array([[1, 0], [0, 0]], dtype=complex)
     joint = {}
@@ -248,7 +248,7 @@ def exact_fidelity_oracle_over_block(theta, block_length=2):
     """Exact expected check fidelity averaged over block positions, using
     the unconditional ancilla trajectory."""
     cr = qcore.embed_operator(coupling_unitary(theta), [2, 2, 2], [1, 2])
-    check_ops = [np.kron(np.kron(qcore.pauli_matrix(a), qcore.bold_pauli(FRAME1, b)), I2)
+    check_ops = [np.kron(np.kron(qcore.pauli_matrix(a), pole_pauli(FRAME1, b)), I2)
                  for a, b in (("X", "Z"), ("Z", "X"), ("Y", "Y"))]
     rho_e = np.array([[1, 0], [0, 0]], dtype=complex)
     values = []

@@ -179,6 +179,11 @@ _REFUSALS = (
     + [pytest.param(adversary.expected_check_fidelity,
                     {"attack": adversary.IdentityAttack(), "n": value}, "n",
                     id=f"expected_check_fidelity-n-{value}") for value in (True, 1.5, 0)]
+    + [pytest.param(adversary.EntanglingMemoryAttack,
+                    {"coupling_angle": 0.3, "block_length": 2.5}, "block_length",
+                    id="EntanglingMemoryAttack-block_length-2.5"),
+       pytest.param(protocol.ProtocolConfig, {**_REFUSED_CONFIG, "epsilon_threshold": -0.1},
+                    "epsilon_threshold", id="ProtocolConfig-epsilon_threshold--0.1")]
 )
 
 
@@ -189,11 +194,19 @@ def test_library_refuses_bad_inputs_naming_the_argument(call, kwargs, name):
 
 
 # Values of the right type past a bound: the owner names the argument and its range.
-_OUT_OF_RANGE = [
-    pytest.param(protocol.ProtocolConfig, {**_REFUSED_CONFIG, field: value}, field,
-                 id=f"ProtocolConfig-{field}-{value}")
-    for field, value in (("n", protocol.MAX_QUBITS + 1), ("T", protocol.MAX_ROUNDS + 1),
-                         ("p_c", 1.5), ("p_e", -0.5), ("p_d", 1.5))]
+_OUT_OF_RANGE = (
+    [pytest.param(protocol.ProtocolConfig, {**_REFUSED_CONFIG, field: value}, field,
+                  id=f"ProtocolConfig-{field}-{value}")
+     for field, value in (("n", protocol.MAX_QUBITS + 1), ("T", protocol.MAX_ROUNDS + 1),
+                          ("p_c", 1.5), ("p_e", -0.5), ("p_d", 1.5))]
+    + [pytest.param(call, kwargs, name, id=f"{call.__name__}-{name}-{kwargs[name]}")
+       for call, kwargs, name in (
+           (adversary.DepolarizingAttack, {"p": 1.5}, "p"),
+           (qcore.depolarizing_channel, {"p": 1.5, "n_qubits": 1}, "p"),
+           (adversary.EntanglingMemoryAttack, {"coupling_angle": 0.3, "block_length": 4},
+            "block_length"),
+           (adversary.calibrate_depolarizing, {"target_fidelity": 0.1}, "target_fidelity"))]
+)
 
 
 @pytest.mark.parametrize("call,kwargs,name", _OUT_OF_RANGE)
@@ -791,12 +804,25 @@ def test_bounds_values(tmp_path, capsys):
 
 
 def test_bounds_two_way_sine_only(tmp_path, capsys):
+    # N_d = T - 1 makes the symmetry term's prefactor, and so the term, zero
     rc = cli.main(["bounds", "--mode", "two_way_gc", "--variant", "entanglement",
-                   "--epsilon", "0.0", "--n", "1", "--T", "10", "--N-d", "0",
+                   "--epsilon", "0.0", "--n", "1", "--T", "10", "--N-d", "9",
                    "--phi", "1.5707963267948966"])
     assert rc == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["bounds"][0]["epsilon0"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mode", ["one_way_gc", "two_way_gc"])
+def test_bounds_without_discarded_rounds_are_infinite(capsys, mode):
+    # no discarded round bounds the symmetry term: it is the limit N_d -> 0, inf
+    rc = cli.main(["bounds", "--mode", mode, "--variant", "mub", "--epsilon", "0.1",
+                   "--n", "1", "--T", "1000", "--N-d", "0", "--phi", "0.3"])
+    assert rc == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "Infinity" in out
+    row = json.loads(out)["bounds"][0]
+    assert row["epsilon0"] == row["bias_bound"] == row["variance_bound"] == math.inf
 
 
 def test_bounds_gc_f_value(tmp_path, capsys):

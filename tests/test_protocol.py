@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dqsim import adversary, metrics, protocol, qcore
-from test_qcore import spectrum
+from test_qcore import pole_pauli, spectrum
 from test_register_walk import StatefulAdapter, serialized
 
 
@@ -1563,7 +1563,7 @@ def reference_entanglement_tables(cfg, attack):
         for ai, a_axis in enumerate(protocol.AXES):
             for bi, b_axis in enumerate(b_axes):
                 b_spec = (unmeasured if b_axis is None
-                          else spectral(qcore.bold_pauli(frame, b_axis)))
+                          else spectral(pole_pauli(frame, b_axis)))
                 tables[action, ai, bi] = [
                     (np.trace(np.kron(pa, pb) @ m).real, i, j, a, b)
                     for i, row in enumerate(grids) for j, m in enumerate(row)
@@ -1662,7 +1662,7 @@ def test_fidelity_oracle_matches_literal_push(n, attack_name):
         probe = qcore.mub_probe(frame, label).density().data
         rho = sum(literal_branches(probe, fwd, provider_dim=1))
         mean = sign * sum(round(v) * np.trace(proj @ rho).real
-                          for v, proj in spectrum(qcore.bold_pauli(frame, axis)))
+                          for v, proj in spectrum(pole_pauli(frame, axis)))
         assert abs(value - (1.0 + mean) / 2.0) < 1e-12
 
 

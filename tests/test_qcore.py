@@ -52,6 +52,29 @@ def spectrum(matrix):
     return [(float(vals[g].mean()), vecs[:, g] @ vecs[:, g].conj().T) for g in groups]
 
 
+# the logical axes in the pole basis: Y diagonal, Z the flip, X the -i/+i flip
+POLE_BASIS_PAULI = {"X": Y, "Y": Z, "Z": X}
+
+
+def pole_pauli(frame, axis):
+    """Oracle: a logical Pauli written in the frame's pole basis, V s V^dagger
+    with the poles as the columns of V, +-1 on the subspace and 0 off it."""
+    poles = np.stack([frame.pole0.amplitudes, frame.pole1.amplitudes], axis=1)
+    return poles @ POLE_BASIS_PAULI[axis] @ poles.conj().T
+
+
+def bold_pauli(frame, axis):
+    """The logical Pauli P+ - P- of ``logical_projectors``."""
+    minus, _leak, plus = q.logical_projectors(frame, axis)
+    return plus - minus
+
+
+def subspace_projector(frame):
+    """Oracle: the projector onto the span of the frame's poles."""
+    p0, p1 = frame.pole0.amplitudes, frame.pole1.amplitudes
+    return np.outer(p0, p0.conj()) + np.outer(p1, p1.conj())
+
+
 def measured_values(world, matrix, label, rng):
     """The eigenvalues of ``matrix`` that measuring it on register ``label`` finds."""
     values, projectors = zip(*spectrum(matrix))
@@ -86,9 +109,8 @@ def test_pauli_rejects_unknown_axis():
     assert np.array_equal(q.pauli_matrix("z"), Z)
     assert q.pauli_axis("y") == "Y"
     frame = q.LogicalFrame.standard(1)
-    takers = (q.pauli_axis, q.pauli_matrix, lambda a: q.bold_pauli(frame, a),
-              lambda a: q.logical_projectors(frame, a), lambda a: q.parse_probe_label((a, 1)),
-              lambda a: adversary.UnitaryTamperAttack(a, 0.1))
+    takers = (q.pauli_axis, q.pauli_matrix, lambda a: q.logical_projectors(frame, a),
+              lambda a: q.parse_probe_label((a, 1)), lambda a: adversary.UnitaryTamperAttack(a, 0.1))
     for axis in ("W", "", None, 3, ("X",)):
         for take in takers:
             with pytest.raises(ValueError, match="unknown Pauli axis"):
@@ -100,19 +122,19 @@ def test_pauli_rejects_unknown_axis():
 def test_bold_pauli_n1_standard_frame_reduces_to_pauli():
     frame = q.LogicalFrame.standard(1)
     for axis in "XYZ":
-        assert np.allclose(q.bold_pauli(frame, axis), q.pauli_matrix(axis))
+        assert np.allclose(bold_pauli(frame, axis), q.pauli_matrix(axis))
 
 
 def test_bold_z_spectrum_n2():
     frame = q.LogicalFrame.standard(2)
-    assert np.allclose([v for v, _p in spectrum(q.bold_pauli(frame, "Z"))], [-1.0, 0.0, 1.0])
+    assert np.allclose([v for v, _p in spectrum(bold_pauli(frame, "Z"))], [-1.0, 0.0, 1.0])
     # the zero eigenvalue carries the rank-2 complement, the leak slot
     assert np.trace(q.logical_projectors(frame, "Z")[1]).real == pytest.approx(2.0)
 
 
 def test_bold_z_is_logical_flip():
     frame = q.LogicalFrame.standard(2)
-    zb = q.bold_pauli(frame, "Z")
+    zb = bold_pauli(frame, "Z")
     val = frame.pole0.amplitudes.conj() @ zb @ frame.pole1.amplitudes
     assert val == pytest.approx(1.0)
 
@@ -127,8 +149,8 @@ def computational(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bold_pauli_subspace_algebra(make_frame, n):
     frame = make_frame(n)
-    proj = frame.subspace_projector()
-    mats = {a: q.bold_pauli(frame, a) for a in "XYZ"}
+    proj = subspace_projector(frame)
+    mats = {a: bold_pauli(frame, a) for a in "XYZ"}
     for a in "XYZ":
         assert np.allclose(mats[a] @ mats[a], proj, atol=1e-10)
     for a, b in (("X", "Y"), ("Y", "Z"), ("Z", "X")):
@@ -152,7 +174,7 @@ def test_logical_projectors_match_eigh_oracle(n, axis):
         for j in range(3):
             product = stack[i] @ stack[j]
             assert np.abs(product - (stack[i] if i == j else 0.0)).max() <= 1e-12
-    eig = dict((round(v), p) for v, p in spectrum(q.bold_pauli(frame, axis)))
+    eig = dict((round(v), p) for v, p in spectrum(pole_pauli(frame, axis)))
     assert np.abs(stack[0] - eig[-1]).max() <= 1e-12
     assert np.abs(stack[2] - eig[1]).max() <= 1e-12
     assert np.trace(stack[1]).real == pytest.approx(d - 2, abs=1e-12)
@@ -192,7 +214,7 @@ def test_encoding_eigenvalue_on_rr_matches_expm_oracle():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_encoding_preserves_logical_span(n):
     frame = q.LogicalFrame.standard(n)
-    proj = frame.subspace_projector()
+    proj = subspace_projector(frame)
     u = q.encoding_unitary(n, 0.41)
     assert np.max(np.abs(u @ proj - proj @ u)) < 1e-12
 
@@ -202,13 +224,13 @@ def test_encoding_preserves_logical_span(n):
 def stabilizer_ops(n):
     frame = q.LogicalFrame.standard(n)
     return [
-        np.kron(X, q.bold_pauli(frame, "Z")),
-        np.kron(Z, q.bold_pauli(frame, "X")),
-        np.kron(Y, q.bold_pauli(frame, "Y")),
+        np.kron(X, pole_pauli(frame, "Z")),
+        np.kron(Z, pole_pauli(frame, "X")),
+        np.kron(Y, pole_pauli(frame, "Y")),
     ]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_resource_state_stabilizer_expectations(n):
     psi = q.resource_state(n).amplitudes
     for s in stabilizer_ops(n):
@@ -224,6 +246,17 @@ def test_resource_state_alice_marginal_maximally_mixed(n):
     assert np.allclose(red.data, I2 / 2, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_resource_state_is_the_unique_stabilizer_state(n):
+    # the closed form is the top eigenvector of the summed checks, whose
+    # eigenvalue 3 is non-degenerate with a gap of at least 1
+    vals, vecs = np.linalg.eigh(sum(stabilizer_ops(n)))
+    assert vals[-1] == pytest.approx(3.0, abs=1e-12)
+    assert vals[-1] - vals[-2] >= 1.0
+    psi = q.resource_state(n).amplitudes
+    assert abs(np.vdot(vecs[:, -1], psi)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_resource_state_n1_matches_polarization_form():
     # (|H>|D> + |V>|A>)/sqrt(2) under H->0, V->1, D->+, A->-
     target = (np.kron(KET0, PLUS) + np.kron(KET1, MINUS)) / np.sqrt(2)
@@ -236,7 +269,7 @@ def test_stabilizer_product_identity():
     for n in (1, 2):
         s1, s2, s3 = stabilizer_ops(n)
         frame = q.LogicalFrame.standard(n)
-        proj_full = np.kron(I2, frame.subspace_projector())
+        proj_full = np.kron(I2, subspace_projector(frame))
         assert np.allclose(s1 @ s2, s3 @ proj_full, atol=1e-10)
 
 
@@ -277,7 +310,7 @@ def test_mub_probe_is_signed_plus_one_eigenvector(n, label):
     frame = q.LogicalFrame.standard(n)
     axis, sign = q.parse_probe_label(label)
     probe = q.mub_probe(frame, label)
-    mat = sign * q.bold_pauli(frame, axis)
+    mat = sign * pole_pauli(frame, axis)
     assert np.allclose(mat @ probe.amplitudes, probe.amplitudes, atol=1e-12)
 
 
@@ -379,7 +412,7 @@ def test_encoded_probe_expectation_matches_rotation_oracle():
     frame = q.LogicalFrame.standard(1)
     w = register(q.mub_probe(frame, "+X"))
     w.apply_unitary(q.encoding_unitary(1, phi), ["A"])
-    assert expect(q.bold_pauli(frame, "X"), w.rho[0]) == pytest.approx(oracle)
+    assert expect(bold_pauli(frame, "X"), w.rho[0]) == pytest.approx(oracle)
 
 
 def test_measurement_frequencies_match_born_rule():
@@ -574,17 +607,6 @@ def test_density_matrix_invariants_enforced():
             q.DensityMatrix(bad)
 
 
-def test_canonical_eigh_phase_convention():
-    h = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
-    _, v1 = q.canonical_eigh(h)
-    _, v2 = q.canonical_eigh(h)
-    assert np.allclose(v1, v2)
-    for k in range(2):
-        first = v1[np.flatnonzero(np.abs(v1[:, k]) > 1e-9)[0], k]
-        assert first.imag == pytest.approx(0.0, abs=1e-12)
-        assert first.real > 0
-
-
 # ---------------------------------------------------------------- register machine
 
 def test_register_state_stabilizer_round_is_deterministic():
@@ -592,7 +614,7 @@ def test_register_state_stabilizer_round_is_deterministic():
     frame = q.LogicalFrame.standard(1)
     w = copies(["A", "B"], [2, 2], q.resource_state(1), batch=20)
     a = measured_values(w, X, "A", rng)
-    b = measured_values(w, q.bold_pauli(frame, "Z"), "B", rng)
+    b = measured_values(w, pole_pauli(frame, "Z"), "B", rng)
     assert set(a.tolist()) == {-1.0, 1.0}
     assert np.allclose(a * b, 1.0)
 
