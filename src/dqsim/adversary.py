@@ -126,11 +126,8 @@ class DepolarizingAttack(AttackModel):
     """Per-round register depolarizing noise of strength p on the probe."""
 
     def __init__(self, p):
-        p = qcore.real("p", p)
-        self.name = f"depolarizing(p={p:.6g})"
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], not {p!r}")
-        self.p = p
+        self.p = qcore.real("p", p, 0, 1)
+        self.name = f"depolarizing(p={self.p:.6g})"
 
     def forward_branches(self, n, frame):
         return [("depolarizing", 1.0, qcore.depolarizing_channel(self.p, n))]
@@ -200,11 +197,8 @@ class EntanglingMemoryAttack(AttackModel):
     def __init__(self, coupling_angle, block_length=2, ancilla_mode="trace"):
         self.coupling_angle = qcore.real("coupling_angle", coupling_angle)
         self.name = f"entangling_memory({self.coupling_angle:.6g}, block={block_length})"
-        if not qcore.real("block_length", block_length).is_integer():
+        if not qcore.real("block_length", block_length, 1, self.max_block_length).is_integer():
             raise ValueError(f"block_length must be a whole number, not {block_length!r}")
-        if block_length < 1 or block_length > self.max_block_length:
-            raise ValueError(f"block_length must lie in [1, {self.max_block_length}], "
-                             f"not {block_length!r}")
         if ancilla_mode not in ("trace", "measure"):
             raise ValueError("ancilla_mode must be 'trace' or 'measure'")
         self.block_length = int(block_length)
@@ -339,6 +333,4 @@ def expected_check_fidelity(attack: AttackModel, n: int, variant="entanglement")
 def calibrate_depolarizing(target_fidelity: float) -> float:
     """The depolarizing strength whose expected check fidelity (entanglement
     variant) is the target F: 4 (1 - F) / 3 at every n."""
-    if not 0.25 <= qcore.real("target_fidelity", target_fidelity) <= 1.0:
-        raise ValueError(f"target_fidelity must lie in [0.25, 1], not {target_fidelity!r}")
-    return 4.0 * (1.0 - target_fidelity) / 3.0
+    return 4.0 * (1.0 - qcore.real("target_fidelity", target_fidelity, 0.25, 1)) / 3.0

@@ -20,6 +20,9 @@ MODES = ("one_way_gc", "one_way_individual", "two_way_gc")
 VARIANTS = ("entanglement", "mub")
 
 UNITARY_TOL = 1e-10
+# Largest count (T, N_d, n, N_e) a bound takes: the formulas do float
+# arithmetic on the counts, which is exact up to 2^53.
+MAX_COUNT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,9 @@ def f_definetti(T: int, N_d: int, n: int) -> float:
     collective bounds are inf when no round was discarded, and 0 at T = 1,
     where the prefactor vanishes.
     """
-    qcore.integer("round count T", T, 1)
-    qcore.integer("discarded-round count N_d", N_d, 0)
-    qcore.integer("qubit count n", n, 1)
-    if N_d >= T:
-        raise ValueError("discarded-round count must satisfy 0 <= N_d < T")
+    qcore.integer("round count T", T, 1, MAX_COUNT)
+    qcore.integer("discarded-round count N_d", N_d, 0, T - 1)
+    qcore.integer("qubit count n", n, 1, MAX_COUNT)
     if N_d == 0:
         return math.inf if T > 1 else 0.0
     return (T - N_d - 1) * math.sqrt(n / (2.0 * N_d))
@@ -86,13 +87,12 @@ def epsilon0(mode: str, variant: str, threshold: float, T=None, N_d=None, n=None
         raise ValueError(f"unknown mode {mode!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if qcore.real("threshold", threshold) < 0:
-        raise ValueError(f"threshold must be nonnegative, not {threshold!r}")
+    qcore.real("threshold", threshold, 0)
     if mode == "one_way_individual":  # the counts play no part, but any given is checked
         for name, value, low in (("round count T", T, 1), ("discarded-round count N_d", N_d, 0),
                                  ("qubit count n", n, 1)):
             if value is not None:
-                qcore.integer(name, value, low)
+                qcore.integer(name, value, low, MAX_COUNT)
         return math.sqrt(2.0 / 3.0) * threshold if variant == "entanglement" else threshold
     f = f_definetti(T, N_d, n)
     coef = 2.0 if (mode == "two_way_gc" and variant == "mub") else 4.0
@@ -112,14 +112,11 @@ SIN_FLOOR = 1e-12
 
 def _sine_denominator(eps0, n, phi):
     """n |sin(2 n phi)|, once both bounds' inputs are checked; eps0 may be +inf."""
-    qcore.integer("qubit count n", n, 1)
-    # an infinite eps0 is left to the sign check: +inf, the eps0 of a finite threshold
-    # whose square overflows, stays valid
-    if eps0 not in (math.inf, -math.inf):
-        qcore.real("eps0", eps0)
+    qcore.integer("qubit count n", n, 1, MAX_COUNT)
+    # +inf, the eps0 of a finite threshold whose square overflows, stays valid
+    if eps0 != math.inf:
+        qcore.real("eps0", eps0, 0)
     qcore.real("phi", phi)
-    if eps0 < 0:
-        raise ValueError(f"eps0 must be nonnegative, not {eps0!r}")
     return n * abs(math.sin(2 * n * phi))
 
 
@@ -136,8 +133,9 @@ def variance_bound(eps0: float, n: int, phi: float, mode: str, N_e=None) -> floa
     denom = _sine_denominator(eps0, n, phi) ** 2
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if N_e is not None or mode == "one_way_individual":  # any N_e given is checked
+        qcore.integer("estimation-round count N_e", N_e, 1, MAX_COUNT)
     if mode == "one_way_individual":
-        qcore.integer("estimation-round count N_e", N_e, 1)
         numer = 2.0 * eps0 / N_e + stats.squared(eps0)
     else:
         numer = 2.0 * eps0 + stats.squared(eps0)
@@ -422,9 +420,7 @@ def definetti_inequality_check(sigma, m: int, k: int, mixture, restarts=8,
     target = np.zeros((2 ** k, 2 ** k), dtype=complex)
     total_w = 0.0
     for w, comp in mixture:
-        weight = qcore.real(f"mixture weight {w!r}", w)
-        if weight < 0:
-            raise ValueError(f"mixture weight {w!r} must be nonnegative")
+        weight = qcore.real(f"mixture weight {w!r}", w, 0)
         comp = qcore.as_density(comp)
         if comp.dim != 2:
             raise qcore.DimensionMismatchError("mixture components must be single-qubit")

@@ -108,15 +108,11 @@ class ProtocolConfig:
                                        ("seed", self.seed, 0, 2 ** 64 - 1)):
             qcore.integer(name, value, low, high)
         # checked, never coerced: ``config_hash`` hashes the repr of each value as given
-        for name in ("p_c", "p_e", "p_d", "epsilon_threshold", "true_phi"):
-            value = qcore.real(name, getattr(self, name))
-            if name.startswith("p_") and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        for name, high in (("p_c", 1), ("p_e", 1), ("p_d", 1), ("epsilon_threshold", math.inf)):
+            qcore.real(name, getattr(self, name), 0, high)
+        qcore.real("true_phi", self.true_phi)
         if abs(self.p_c + self.p_e + self.p_d - 1.0) > 1e-12:
             raise ValueError("action probabilities must sum to 1")
-        if self.epsilon_threshold < 0:
-            raise ValueError(f"epsilon_threshold must be nonnegative, "
-                             f"not {self.epsilon_threshold!r}")
 
     def public(self) -> dict:
         """Protocol parameters the adversary legitimately knows."""
@@ -860,7 +856,7 @@ def run_mub_equivalence(config: ProtocolConfig, attack) -> EquivalenceReport:
     cfg_mub = replace(config, variant="mub",
                       epsilon_threshold=math.sqrt(2.0 / 3.0) * config.epsilon_threshold)
     t_ent = run(cfg_ent, attack)
-    t_mub = Transcript(cfg_mub, t_ent.cell)
+    t_mub = CellCounts(cfg_mub, t_ent.counts)
     c_ent = check_fidelity(t_ent)
     c_mub = check_fidelity(t_mub)
 

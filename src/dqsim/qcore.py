@@ -157,13 +157,17 @@ def integer(name, value, low, high=math.inf) -> int:
     return int(value)
 
 
-def real(name, value) -> float:
-    """``value`` as a float, if it is a finite real number and not a bool; ValueError
-    otherwise, naming ``name``."""
+def real(name, value, low=-math.inf, high=math.inf) -> float:
+    """``value`` as a float, if it is a finite real number, not a bool, in [low, high];
+    ValueError otherwise, naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {value!r}")
     if not abs(value) <= sys.float_info.max:  # a huge integer is not finite either
         raise ValueError(f"{name} must be finite")
+    if not low <= value <= high:
+        if high == math.inf:
+            raise ValueError(f"{name} must be a real number >= {low}, not {value!r}")
+        raise ValueError(f"{name} must lie in [{low}, {high}], not {value!r}")
     return float(value)
 
 
@@ -207,6 +211,7 @@ class LogicalFrame:
     @classmethod
     def standard(cls, n: int) -> "LogicalFrame":
         """Protocol frame: poles R^n and L^n."""
+        n = integer("n", n, 1, MAX_QUBITS)  # before the 2^n-entry poles are built
         return cls(n, PureState(kron_power(KET_R, n)), PureState(kron_power(KET_L, n)))
 
 
@@ -265,6 +270,7 @@ def encoding_unitary(n: int, phi):
     Restricted to span{R^n, L^n} it acts as diag(e^{i n phi}, e^{-i n phi}).
     An array of angles gives the stack of their unitaries.
     """
+    n = integer("n", n, 1, MAX_QUBITS)
     phi = np.asarray(phi, dtype=float)[..., None, None]
     single = np.cos(phi) * _I2 + 1j * np.sin(phi) * _PAULI["Y"]
     out = single
@@ -298,8 +304,7 @@ def depolarizing_channel(p: float, n_qubits: int = 1):
     sqrt(p/d), since sum_ij |i><j| rho |j><i| = Tr(rho) I; the units are
     the rows of a d^2 x d^2 diagonal.
     """
-    if not 0.0 <= real("p", p) <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], not {p!r}")
+    real("p", p, 0, 1)
     d = 2 ** integer("n_qubits", n_qubits, 1, MAX_QUBITS)
     kraus = np.zeros((d * d + 1, d, d), dtype=complex)
     np.fill_diagonal(kraus[0], np.sqrt(1.0 - p))

@@ -179,11 +179,19 @@ _REFUSALS = (
     + [pytest.param(adversary.expected_check_fidelity,
                     {"attack": adversary.IdentityAttack(), "n": value}, "n",
                     id=f"expected_check_fidelity-n-{value}") for value in (True, 1.5, 0)]
+    # zero, negative and bool qubit counts gave a one-qubit rotation, a fractional one a
+    # TypeError
+    + [pytest.param(qcore.encoding_unitary, {"n": value, "phi": 0.3}, "n",
+                    id=f"encoding_unitary-n-{value}") for value in (0, True, -2, 1.5)]
     + [pytest.param(adversary.EntanglingMemoryAttack,
                     {"coupling_angle": 0.3, "block_length": 2.5}, "block_length",
                     id="EntanglingMemoryAttack-block_length-2.5"),
        pytest.param(protocol.ProtocolConfig, {**_REFUSED_CONFIG, "epsilon_threshold": -0.1},
-                    "epsilon_threshold", id="ProtocolConfig-epsilon_threshold--0.1")]
+                    "epsilon_threshold", id="ProtocolConfig-epsilon_threshold--0.1"),
+       pytest.param(metrics.definetti_inequality_check,
+                    {"sigma": np.eye(4) / 4, "m": 2, "k": 1,
+                     "mixture": [(-0.1, np.eye(2) / 2), (1.1, np.eye(2) / 2)]},
+                    "mixture weight -0.1", id="definetti_inequality_check-mixture_weight--0.1")]
 )
 
 
@@ -205,7 +213,24 @@ _OUT_OF_RANGE = (
            (qcore.depolarizing_channel, {"p": 1.5, "n_qubits": 1}, "p"),
            (adversary.EntanglingMemoryAttack, {"coupling_angle": 0.3, "block_length": 4},
             "block_length"),
-           (adversary.calibrate_depolarizing, {"target_fidelity": 0.1}, "target_fidelity"))]
+           (adversary.calibrate_depolarizing, {"target_fidelity": 0.1}, "target_fidelity"),
+           (adversary.EntanglingMemoryAttack, {"coupling_angle": 0.3, "block_length": 0.5},
+            "block_length"),
+           (metrics.f_definetti, {"T": 10, "N_d": 10, "n": 1}, "N_d"),
+           # the qubit count is checked before the 2^n-entry poles or rotations are built
+           (qcore.encoding_unitary, {"n": protocol.MAX_QUBITS + 1, "phi": 0.3}, "n"),
+           (qcore.LogicalFrame.standard, {"n": protocol.MAX_QUBITS + 1}, "n"),
+           (adversary.expected_check_fidelity,
+            {"attack": adversary.IdentityAttack(), "n": protocol.MAX_QUBITS + 1}, "n"))]
+    # a count past metrics.MAX_COUNT = 2^53 raised OverflowError where float arithmetic met it
+    + [pytest.param(call, kwargs, name, id=f"{call.__name__}-{name}-beyond_float")
+       for call, kwargs, name in (
+           (metrics.f_definetti, {"T": 10 ** 400, "N_d": 1, "n": 1}, "T"),
+           (metrics.bias_bound, {"eps0": 0.1, "n": 10 ** 400, "phi": 0.3}, "n"),
+           (metrics.variance_bound, {"eps0": 0.1, "n": 1, "phi": 0.3,
+                                     "mode": "one_way_individual", "N_e": 10 ** 400}, "N_e"),
+           (metrics.epsilon0, {"mode": "one_way_gc", "variant": "mub", "threshold": 0.1,
+                               "T": 10 ** 400, "N_d": 5, "n": 1}, "T"))]
 )
 
 
@@ -857,9 +882,14 @@ def test_bounds_requires_phi(capsys):
      "--phi", "0.5"],
     ["--mode", "one_way_individual", "--epsilon", "0.2", "--N-e", "10",
      "--n", str(10 ** 400), "--phi", "0.5"],
+    # a collective bound never reads N_e, but metrics checks any N_e it is given
+    ["--mode", "one_way_gc", "--epsilon", "0.2", "--T", "100", "--N-d", "10",
+     "--N-e", str(10 ** 400), "--phi", "0.5"],
+    ["--mode", "one_way_gc", "--epsilon", "0.2", "--T", "100", "--N-d", "10",
+     "--N-e", "-3", "--phi", "0.5"],
 ], ids=["epsilon_nan", "phi_inf", "grid_nan", "gc_without_T", "two_way_without_N_d",
         "negative_steps", "steps_past_MAX_GRID_STEPS", "T_beyond_float", "N_e_beyond_float",
-        "n_beyond_float"])
+        "n_beyond_float", "gc_N_e_beyond_float", "gc_N_e_negative"])
 def test_bounds_bad_inputs_exit_with_schema_code(args, capsys):
     assert cli.main(["bounds", "--variant", "entanglement", *args]) == cli.EXIT_SCHEMA
     assert "NaN" not in capsys.readouterr().out

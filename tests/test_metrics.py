@@ -158,9 +158,9 @@ def test_bounds_reject_nan_eps0_and_non_finite_phi(eps0, phi):
 
 
 @pytest.mark.parametrize("eps0, n, match", [
-    (-0.5, 1, "eps0 must be nonnegative, not -0.5"),
-    (-1e-300, 2, "eps0 must be nonnegative"),
-    (-math.inf, 1, "eps0 must be nonnegative"),
+    (-0.5, 1, "eps0 must be a real number >= 0, not -0.5"),
+    (-1e-300, 2, "eps0 must be a real number >= 0, not -1e-300"),
+    (-math.inf, 1, "eps0 must be finite"),
     (0.5, 1.5, "qubit count n must be an integer >= 1, not 1.5"),
     (0.5, 2.0, "qubit count n must be an integer >= 1, not 2.0"),
     (0.5, True, "qubit count n must be an integer >= 1, not True"),

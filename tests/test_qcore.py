@@ -5,6 +5,8 @@ oracles (raw-numpy constructions, scipy.linalg.expm, closed-form algebra)
 rather than with the code under test.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -115,6 +117,30 @@ def test_pauli_rejects_unknown_axis():
         for take in takers:
             with pytest.raises(ValueError, match="unknown Pauli axis"):
                 take(axis)
+
+
+def test_real_range_is_inclusive_and_checked_after_type_and_finiteness():
+    assert q.real("x", 0, 0, 1) == 0.0 and q.real("x", 1, 0, 1) == 1.0
+    assert q.real("x", 0.25, 0.25) == 0.25 and q.real("x", -1e308) == -1e308
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], not 1.5$"):
+        q.real("x", 1.5, 0, 1)
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], not -0.5$"):
+        q.real("x", -0.5, 0, 1)
+    with pytest.raises(ValueError, match=r"^x must be a real number >= 0, not -1e-300$"):
+        q.real("x", -1e-300, 0)
+    # bool, nan and inf fail their own rules first, whatever the range
+    with pytest.raises(ValueError, match=r"^x must be a real number, not True$"):
+        q.real("x", True, 0, 1)
+    for value in (np.nan, np.inf, -np.inf, 10 ** 400):
+        with pytest.raises(ValueError, match=r"^x must be finite$"):
+            q.real("x", value, 0, 1)
+
+
+def test_range_messages_have_one_owner():
+    # every range check in the package goes through qcore.integer or qcore.real
+    sources = sorted(pathlib.Path(q.__file__).parent.glob("*.py"))
+    assert [p.name for p in sources if "must lie in [" in p.read_text(encoding="utf-8")] == \
+        ["qcore.py"]
 
 
 # ---------------------------------------------------------------- logical frames
