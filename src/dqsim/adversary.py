@@ -223,17 +223,17 @@ class TwoWaySwapLeakAttack(AttackModel):
     """Two-way runs only: substitute the probe on the forward leg, read the
     encoding off the returned substitute, and forward the stored original.
 
-    The substitute is the +1 eigenstate of the equatorial logical Pauli X,
-    so on encoded rounds the returned substitute has expectation
-    cos(2 n phi) for that observable while unencoded rounds return it
-    untouched (outcome +1 with certainty).  A -1 outcome therefore certifies
-    an encoded round; those get re-encoded with the adversary's running
-    estimate (from every outcome up to and including the round's own)
-    before the original is released, and check rounds are always forwarded
-    faithfully.  The outcome depends only on the sensor's action and phi,
-    never on earlier re-encodings, so a batch of rounds is read out at once
-    and its running estimates come from prefix sums; the outcome sum and
-    count carry over between batches.
+    The substitute is the +1 eigenstate of the equatorial logical Pauli X, so
+    on encoded rounds the returned substitute has expectation cos(2 n phi)
+    for that observable while unencoded rounds return it untouched (outcome
+    +1 with certainty).  The outcome is ``pick``ed from the substitute's Born
+    probabilities, with no post-measurement state: the substitute is dropped.
+    A -1 outcome certifies an encoded round; those get re-encoded with the
+    adversary's running estimate (from every outcome up to and including the
+    round's own) before the original is released, and check rounds are
+    forwarded faithfully.  The outcome depends only on the sensor's action and
+    phi, so a batch of rounds is read out at once, its running estimates from
+    prefix sums; the outcome sum and count carry over between batches.
     """
 
     name = "two_way_swap_leak"
@@ -257,7 +257,7 @@ class TwoWaySwapLeakAttack(AttackModel):
         world.attach(world.probe, self._substitute)
 
     def backward_state(self, world, rng):
-        outcome = world.measure(self._xbar, world.probe, rng) - 1  # slot -> -1, 0, +1
+        outcome = qcore.pick(world.probabilities(self._xbar, world.probe), rng) - 1  # as -1, 0, +1
         # running sum and count of the nonzero outcomes, this round included
         total = self._sum + np.cumsum(outcome)
         count = self._count + np.cumsum(outcome != 0)

@@ -419,8 +419,8 @@ def definetti_inequality_check(sigma, m: int, k: int, mixture, restarts=8,
     reduced = qcore.partial_trace(rho, [2] * m, list(range(k)))
     target = np.zeros((2 ** k, 2 ** k), dtype=complex)
     total_w = 0.0
-    for w, comp in mixture:
-        weight = qcore.real(f"mixture weight {w!r}", w, 0)
+    for i, (w, comp) in enumerate(mixture):
+        weight = qcore.real(f"mixture weight {i}", w, 0)  # i indexes ``mixture``, from 0
         comp = qcore.as_density(comp)
         if comp.dim != 2:
             raise qcore.DimensionMismatchError("mixture components must be single-qubit")

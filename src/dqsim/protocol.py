@@ -584,7 +584,8 @@ def _memory_maps(config, coupling):
     encoders = _encoders(config.n, config.true_phi)[_SETTING_ENCODER]
     measured = sensor[_SETTING_AXIS] @ encoders[:, None]
     w = np.einsum("skpr,reqg->skpeqg", measured, c.reshape(d, 2, d, 2))
-    maps = np.einsum("skpeqg,lqr,skpfrh->slkefgh", w, probes, w.conj(), optimize=True)
+    path = ["einsum_path", (0, 2), (0, 1)]  # optimize=True's pick, without its per-run search
+    maps = np.einsum("skpeqg,lqr,skpfrh->slkefgh", w, probes, w.conj(), optimize=path)
     maps = maps.reshape(maps.shape[:3] + (4, 4))
     # each map's trace row, Tr M(sigma) = row . sigma, summed over the outcomes
     if not np.abs(maps[..., [0, 3], :].sum(axis=(2, 3)) - [1, 0, 0, 1]).max() <= _TABLE_TOLERANCE:

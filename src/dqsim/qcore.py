@@ -147,28 +147,31 @@ def pauli_axis(axis):
     return axis.upper()
 
 
+def _within(name, kind, value, low, high):
+    """``value`` if in [low, high], else ValueError "{name} must lie in [low, high], not v" or,
+    with no high, "{name} must be {kind} >= low, not v"; an int past float range shows its bits."""
+    if low <= value <= high:
+        return value
+    big = isinstance(value, int) and not abs(value) <= sys.float_info.max  # str may refuse it
+    shown = f"a {'negative ' * (value < 0)}{value.bit_length()}-bit integer" if big else repr(value)
+    shape = f"be {kind} >= {low}" if high == math.inf else f"lie in [{low}, {high}]"
+    raise ValueError(f"{name} must {shape}, not {shown}")
+
+
 def integer(name, value, low, high=math.inf) -> int:
-    """``value`` as an int, if it is an integer, not a bool, in [low, high]; ValueError
-    otherwise, naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    """``value`` as an int if it is an integer, not a bool, in [low, high] (``_within``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
-    if value > high:
-        raise ValueError(f"{name} must lie in [{low}, {high}], not {value!r}")
-    return int(value)
+    return int(_within(name, "an integer", value, low, high))
 
 
 def real(name, value, low=-math.inf, high=math.inf) -> float:
-    """``value`` as a float, if it is a finite real number, not a bool, in [low, high];
-    ValueError otherwise, naming ``name``."""
+    """``value`` as a float if it is finite and real, not a bool, in [low, high] (``_within``)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {value!r}")
     if not abs(value) <= sys.float_info.max:  # a huge integer is not finite either
         raise ValueError(f"{name} must be finite")
-    if not low <= value <= high:
-        if high == math.inf:
-            raise ValueError(f"{name} must be a real number >= {low}, not {value!r}")
-        raise ValueError(f"{name} must lie in [{low}, {high}], not {value!r}")
-    return float(value)
+    return float(_within(name, "a real number", value, low, high))
 
 
 def pauli_matrix(axis: str):
@@ -418,7 +421,7 @@ def pick(probs, rng):
 
 class RegisterState:
     """Mutable stack of multi-register density matrices, for round-by-round
-    simulation (the protocol's register engine).
+    simulation (the protocol's register engine, which makes one per batch).
 
     ``rho`` is one dense (B, d, d) stack over the registers ``labels`` of
     dimensions ``dims``, in that order: B independent rounds undergo the
@@ -426,8 +429,9 @@ class RegisterState:
     product, and an operator (one matrix, or a stack of B) or a measurement
     (one projector stack, or a stack of B) acts on its registers lifted to
     the whole stack, computing only what is read (``embed_operator``,
-    ``apply_unitary``, ``probabilities``).  This is the one deliberately
-    mutable object in the module; the engine makes a fresh instance per batch.
+    ``apply_unitary``, ``probabilities``; the engine reads each outcome as
+    ``pick`` over ``probabilities``, so ``measure``, which also keeps the
+    post-measurement state, has no engine caller).
     """
 
     def __init__(self, labels, dims, rho):

@@ -135,3 +135,20 @@ def test_traced_run_records_the_run_path_spans(tmp_path):
     names = {span[0] for span in tracer.spans}
     assert {"protocol.run", "protocol.check_fidelity", "protocol.estimate_phase",
             "protocol.Transcript.serialize"} <= names
+
+
+def test_traced_swap_leak_op_records_the_register_engine_spans(tmp_path):
+    # the same guard for a ``stateful_memory`` swap-leak op: the register
+    # engine's operator lift and the attack's backward hook each record a span
+    tracer_module = load_bench_module("tracer")
+    workloads = load_bench_module("workloads")
+    op = workloads.build("stateful_memory", 7, str(tmp_path), toy=True)[0]
+    assert op.expect["swap_leak"]
+    with tracer_module.Tracer() as tracer:
+        tracer.install(dqsim)
+        tracer.op = 0
+        rc, _wall = workloads.call(op)
+        tracer.op = None
+    assert workloads.problems(op, rc) == []
+    names = {span[0] for span in tracer.spans}
+    assert {"protocol.run", "qcore.embed_operator", "adversary.backward_state"} <= names

@@ -165,24 +165,23 @@ _REFUSALS = (
        for call, kwargs, name in ((qcore.depolarizing_channel, {"n_qubits": 1}, "p"),
                                   (adversary.calibrate_depolarizing, {}, "target_fidelity"))
        for label, value in _NOT_REAL.items()]
-    # a negative or fractional qubit count raised a TypeError in np.zeros, and a
-    # bool one gave a one-qubit channel (test_qcore pins the cap above MAX_QUBITS)
+    # a fractional qubit count raised a TypeError in np.zeros, and a bool one gave a
+    # one-qubit channel (test_qcore pins the cap above MAX_QUBITS)
     + [pytest.param(qcore.depolarizing_channel, {"p": 0.1, "n_qubits": value}, "n_qubits",
-                    id=f"depolarizing_channel-n_qubits-{value}") for value in (-1, 1.5, True)]
+                    id=f"depolarizing_channel-n_qubits-{value}") for value in (1.5, True)]
     # a NaN, infinite or non-square matrix raised LinAlgError from the eigensolver
     + [pytest.param(call, {"u": value}, "u", id=f"{call.__name__}-u-{label}")
        for call in (metrics.delta_arc, metrics.acin_min_fidelity)
        for label, value in (("nan", np.full((2, 2), np.nan)), ("inf", np.diag([np.inf, 1.0])),
                             ("isometry", [[1, 0, 0], [0, 1, 0]]))]
-    # the logical frame owns its qubit count: a bool one gave a fidelity of 1, a
-    # fractional one a TypeError and zero qubits "poles are not orthogonal"
+    # the logical frame owns its qubit count: a bool one gave a fidelity of 1 and a
+    # fractional one a TypeError
     + [pytest.param(adversary.expected_check_fidelity,
                     {"attack": adversary.IdentityAttack(), "n": value}, "n",
-                    id=f"expected_check_fidelity-n-{value}") for value in (True, 1.5, 0)]
-    # zero, negative and bool qubit counts gave a one-qubit rotation, a fractional one a
-    # TypeError
+                    id=f"expected_check_fidelity-n-{value}") for value in (True, 1.5)]
+    # a bool qubit count gave a one-qubit rotation, a fractional one a TypeError
     + [pytest.param(qcore.encoding_unitary, {"n": value, "phi": 0.3}, "n",
-                    id=f"encoding_unitary-n-{value}") for value in (0, True, -2, 1.5)]
+                    id=f"encoding_unitary-n-{value}") for value in (True, 1.5)]
     + [pytest.param(adversary.EntanglingMemoryAttack,
                     {"coupling_angle": 0.3, "block_length": 2.5}, "block_length",
                     id="EntanglingMemoryAttack-block_length-2.5"),
@@ -191,7 +190,7 @@ _REFUSALS = (
        pytest.param(metrics.definetti_inequality_check,
                     {"sigma": np.eye(4) / 4, "m": 2, "k": 1,
                      "mixture": [(-0.1, np.eye(2) / 2), (1.1, np.eye(2) / 2)]},
-                    "mixture weight -0.1", id="definetti_inequality_check-mixture_weight--0.1")]
+                    "mixture weight 0", id="definetti_inequality_check-mixture_weight--0.1")]
 )
 
 
@@ -217,6 +216,16 @@ _OUT_OF_RANGE = (
            (adversary.EntanglingMemoryAttack, {"coupling_angle": 0.3, "block_length": 0.5},
             "block_length"),
            (metrics.f_definetti, {"T": 10, "N_d": 10, "n": 1}, "N_d"),
+           # an integer below its range reads as one above it; a negative qubit count
+           # raised a TypeError in np.zeros
+           (metrics.f_definetti, {"T": 10, "N_d": -1, "n": 1}, "N_d"),
+           (qcore.depolarizing_channel, {"p": 0.1, "n_qubits": -1}, "n_qubits"),
+           # zero qubits gave "poles are not orthogonal", and zero or negative ones
+           # a one-qubit rotation
+           (adversary.expected_check_fidelity,
+            {"attack": adversary.IdentityAttack(), "n": 0}, "n"),
+           (qcore.encoding_unitary, {"n": 0, "phi": 0.3}, "n"),
+           (qcore.encoding_unitary, {"n": -2, "phi": 0.3}, "n"),
            # the qubit count is checked before the 2^n-entry poles or rotations are built
            (qcore.encoding_unitary, {"n": protocol.MAX_QUBITS + 1, "phi": 0.3}, "n"),
            (qcore.LogicalFrame.standard, {"n": protocol.MAX_QUBITS + 1}, "n"),
@@ -231,6 +240,12 @@ _OUT_OF_RANGE = (
                                      "mode": "one_way_individual", "N_e": 10 ** 400}, "N_e"),
            (metrics.epsilon0, {"mode": "one_way_gc", "variant": "mub", "threshold": 0.1,
                                "T": 10 ** 400, "N_d": 5, "n": 1}, "T"))]
+    # a count past Python's 4300-digit limit for str raised that limit's own
+    # ValueError, which names no argument
+    + [pytest.param(call, kwargs, name, id=f"{call.__name__}-{name}-beyond_str")
+       for call, kwargs, name in (
+           (metrics.f_definetti, {"T": 10 ** 5000, "N_d": 1, "n": 1}, "T"),
+           (protocol.ProtocolConfig, {**_REFUSED_CONFIG, "T": 10 ** 5000}, "T"))]
 )
 
 
@@ -921,7 +936,8 @@ _GRID = ["--phi-start", "0.1", "--phi-stop", "0.5", "--phi-steps", "3"]
     ("sweep", {"start": -1e308, "stop": 1e308}, "sweep.stop - sweep.start must be finite"),
     ("bounds", ["--phi", "nan"], "--phi must be finite"),
     ("bounds", [*_GRID, "--phi-start", "inf"], "--phi-start must be finite"),
-    ("bounds", [*_GRID, "--phi-steps", "0"], "--phi-steps must be an integer >= 1, not 0"),
+    ("bounds", [*_GRID, "--phi-steps", "0"],
+     f"--phi-steps must lie in [1, {cli.MAX_GRID_STEPS}], not 0"),
     # finite ends whose difference overflows: linspace would warn and make nan and inf
     ("bounds", [*_GRID, "--phi-start=-1e308", "--phi-stop", "1e308"],
      "--phi-stop - --phi-start must be finite"),

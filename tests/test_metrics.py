@@ -47,7 +47,7 @@ def test_f_term_preconditions():
     ((True, 0, 1), "round count T must be an integer >= 1, not True"),
     ((100, 10, 1.5), "qubit count n must be an integer >= 1, not 1.5"),
     ((100, 10, True), "qubit count n must be an integer >= 1, not True"),
-    ((100, 10, 0), "qubit count n must be an integer >= 1, not 0"),
+    ((100, 10, 0), rf"qubit count n must lie in \[1, {metrics.MAX_COUNT}\], not 0"),
 ], ids=["N_d_fraction", "N_d_bool", "T_float", "T_bool", "n_fraction", "n_bool", "n_zero"])
 def test_f_term_and_epsilon0_reject_non_integer_counts(counts, match):
     # f_definetti(100, 10.5, 1) gave 19.31, and epsilon0 with n = 1.5 or
@@ -164,7 +164,7 @@ def test_bounds_reject_nan_eps0_and_non_finite_phi(eps0, phi):
     (0.5, 1.5, "qubit count n must be an integer >= 1, not 1.5"),
     (0.5, 2.0, "qubit count n must be an integer >= 1, not 2.0"),
     (0.5, True, "qubit count n must be an integer >= 1, not True"),
-    (0.5, 0, "qubit count n must be an integer >= 1, not 0"),
+    (0.5, 0, rf"qubit count n must lie in \[1, {metrics.MAX_COUNT}\], not 0"),
 ], ids=["negative", "negative_tiny", "negative_inf", "n_fraction", "n_float", "n_bool",
         "n_zero"])
 def test_bounds_reject_negative_eps0_and_non_integer_n(eps0, n, match):
@@ -521,13 +521,14 @@ def test_definetti_rejects_non_integer_restarts(restarts):
 def test_definetti_rejects_bad_mixture_weights(weights):
     comp = qcore.random_density_matrix(2, np.random.default_rng(11))
     iid = qcore.DensityMatrix(qcore.kron_power(comp.data, 3))
-    bad = next(w for w in weights if not (math.isfinite(w) and w >= 0))
-    with pytest.raises(ValueError, match=f"mixture weight {bad!r}"):
+    # a weight is named by its index in the mixture, not by its value
+    bad = next(i for i, w in enumerate(weights) if not (math.isfinite(w) and w >= 0))
+    with pytest.raises(ValueError, match=f"^mixture weight {bad} must be"):
         metrics.definetti_inequality_check(iid, m=3, k=2, mixture=[(w, comp) for w in weights])
 
 
 @pytest.mark.parametrize("m,k,weight,message", [
-    (3, 2, True, "mixture weight True must be a real number"),
+    (3, 2, True, "mixture weight 0 must be a real number, not True"),
     (3, True, 1.0, "k must be an integer >= 1, not True"),
     (3, 2, 10 ** 400, "must be finite"),
     (3.0, 2, 1.0, "m must be an integer >= 2, not 3.0"),

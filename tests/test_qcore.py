@@ -923,17 +923,29 @@ def test_probabilities_are_the_born_probabilities_measure_picks_from(seed):
 
 @pytest.mark.parametrize("n,T,batches", [(1, 1000, 1), (3, 200, 4)])
 def test_swap_leak_run_measures_once_per_batch(monkeypatch, n, T, batches):
-    # Eve's readout is the one measure of a batch: the sensor's closing read
-    # is a pick over Born probabilities, with no post-measurement state
+    # no measure at all: each batch reads Eve's outcome, then the sensor's,
+    # as a pick over Born probabilities (Eve drops the substitute that a
+    # measure would keep), and the run gives its pinned transcript and estimate
+    import hashlib
+
     from dqsim import protocol
-    calls, measure = [], q.RegisterState.measure
+    from test_protocol import SWAP_LEAK_DIGESTS, make_config
+    from test_register_walk import serialized
+    calls = {"measure": [], "probabilities": []}
 
-    def counted(self, *args):
-        calls.append(self.batch)
-        return measure(self, *args)
+    def counting(method):
+        original = getattr(q.RegisterState, method)
 
-    monkeypatch.setattr(q.RegisterState, "measure", counted)
-    config = protocol.ProtocolConfig("entanglement", "two_way", n, T, 0.4, 0.4, 0.2, 0.25,
-                                     0.3, 7)
-    protocol.run(config, adversary.TwoWaySwapLeakAttack())
-    assert len(calls) == batches and sum(calls) == T
+        def counted(self, *args):
+            calls[method].append(self.batch)
+            return original(self, *args)
+        monkeypatch.setattr(q.RegisterState, method, counted)
+
+    counting("measure")
+    counting("probabilities")
+    config = make_config(direction="two_way", n=n, T=T, p_c=0.4, p_e=0.4, p_d=0.2, seed=2024)
+    attack = adversary.TwoWaySwapLeakAttack()
+    digest = hashlib.sha256(serialized(protocol.run(config, attack)).encode()).hexdigest()
+    assert calls["measure"] == []
+    assert len(calls["probabilities"]) == 2 * batches and sum(calls["probabilities"]) == 2 * T
+    assert (digest, attack.eve_estimate()) == SWAP_LEAK_DIGESTS["entanglement", n, T]
