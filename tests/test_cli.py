@@ -194,9 +194,15 @@ _REFUSALS = (
 )
 
 
-@pytest.mark.parametrize("call,kwargs,name", _REFUSALS)
-def test_library_refuses_bad_inputs_naming_the_argument(call, kwargs, name):
-    with pytest.raises(ValueError, match=rf"(^| ){name} must be"):
+# A value of the wrong kind "must be" one of the right kind.
+@pytest.mark.parametrize("call,kwargs,name,rule", [
+    *(pytest.param(*row.values, "must be", id=row.id) for row in _REFUSALS),
+    # zero qubits gave "poles are not orthogonal"; the range refuses them
+    pytest.param(adversary.expected_check_fidelity,
+                 {"attack": adversary.IdentityAttack(), "n": 0}, "n", r"must lie in \[",
+                 id="expected_check_fidelity-n-0")])
+def test_library_refuses_bad_inputs_naming_the_argument(call, kwargs, name, rule):
+    with pytest.raises(ValueError, match=rf"(^| ){name} {rule}"):
         call(**kwargs)
 
 
@@ -220,10 +226,7 @@ _OUT_OF_RANGE = (
            # raised a TypeError in np.zeros
            (metrics.f_definetti, {"T": 10, "N_d": -1, "n": 1}, "N_d"),
            (qcore.depolarizing_channel, {"p": 0.1, "n_qubits": -1}, "n_qubits"),
-           # zero qubits gave "poles are not orthogonal", and zero or negative ones
-           # a one-qubit rotation
-           (adversary.expected_check_fidelity,
-            {"attack": adversary.IdentityAttack(), "n": 0}, "n"),
+           # zero or negative qubits gave a one-qubit rotation
            (qcore.encoding_unitary, {"n": 0, "phi": 0.3}, "n"),
            (qcore.encoding_unitary, {"n": -2, "phi": 0.3}, "n"),
            # the qubit count is checked before the 2^n-entry poles or rotations are built
