@@ -2,11 +2,11 @@
 
 Library layout:
 
-- ``qcore``     exact states, observables, weighted Kraus instruments, measurements
+- ``qcore``     exact states, weighted Kraus instruments, projective measurements
 - ``metrics``   faithfulness bounds, sequential-measurement distance tools
 - ``stats``     error propagation, batch statistics, overflow-free squares
 - ``adversary`` pluggable eavesdropper strategies
-- ``protocol``  round-by-round execution of the sensing protocols
+- ``protocol``  the sensing protocols' engines, transcript and analysis
 - ``cli``       scenario runner, sweeps and bound reports
 """
 

@@ -6,12 +6,12 @@ and, in two-way operation, again on its way back (backward leg).  It is
 one of three kinds:
 
 - A memoryless attack describes each leg as a weighted quantum instrument
-  on the probe register: a list of (label, weight, kraus_operators)
-  branches, where the weight carries the adversary's own classical
-  randomization and the branch label is what her classical memory records.
+  on the probe register: a list of (weight, kraus_operators) branches,
+  where the weight carries the adversary's own classical randomization.
   The engine samples every round's branches and outcome from the exact
   joint distribution and hands the attack every round's branch, as an
-  index into the instrument it gave, in one ``record_round`` call.
+  index into the instrument it gave, in one ``record_round`` call: that
+  index is what the adversary's classical memory records.
 - A block-memory attack couples each probe of a block of at most three
   rounds to one ancilla qubit reset to |0> at the block's start, which is
   traced out or read out in Z at the block's end: it gives the coupling
@@ -119,7 +119,7 @@ class IdentityAttack(AttackModel):
     name = "identity"
 
     def forward_branches(self, n, frame):
-        return [("identity", 1.0, [np.eye(2 ** n, dtype=complex)])]
+        return [(1.0, [np.eye(2 ** n, dtype=complex)])]
 
 
 class DepolarizingAttack(AttackModel):
@@ -130,7 +130,7 @@ class DepolarizingAttack(AttackModel):
         self.name = f"depolarizing(p={self.p:.6g})"
 
     def forward_branches(self, n, frame):
-        return [("depolarizing", 1.0, qcore.depolarizing_channel(self.p, n))]
+        return [(1.0, qcore.depolarizing_channel(self.p, n))]
 
 
 class UnitaryTamperAttack(AttackModel):
@@ -148,7 +148,7 @@ class UnitaryTamperAttack(AttackModel):
     def forward_branches(self, n, frame):
         p = qcore.pauli_matrix(self.axis)
         single = math.cos(self.angle) * np.eye(2) + 1j * math.sin(self.angle) * p
-        return [("tamper", 1.0, [qcore.kron_power(single, n)])]
+        return [(1.0, [qcore.kron_power(single, n)])]
 
 
 class InterceptResendAttack(AttackModel):
@@ -156,8 +156,8 @@ class InterceptResendAttack(AttackModel):
     and resend the collapsed state; outcomes land in classical memory.
 
     Each axis A measured gives three branches, the outcome slots of
-    ``qcore.logical_projectors`` labelled "A:-1", "A:+0" (leak; the zero
-    operator at n = 1) and "A:+1"."""
+    ``qcore.logical_projectors``, which ``labels`` names "A:-1", "A:+0"
+    (leak; the zero operator at n = 1) and "A:+1"."""
 
     def __init__(self, basis_strategy="random"):
         self.name = f"intercept_resend({basis_strategy})"
@@ -176,7 +176,7 @@ class InterceptResendAttack(AttackModel):
     def forward_branches(self, n, frame):
         weight = 1.0 / len(self.axes)
         projectors = [proj for axis in self.axes for proj in qcore.logical_projectors(frame, axis)]
-        return [(label, weight, [proj]) for label, proj in zip(self.labels, projectors)]
+        return [(weight, [proj]) for proj in projectors]
 
     def record_round(self, forward_branch, backward_branch=None):
         self.memory = forward_branch.copy()  # not a view that keeps the engine's draw

@@ -86,6 +86,12 @@ def _check_grid(start, stop, steps):
         raise SchemaError(f"{stop[0]} - {start[0]} must be finite")
 
 
+@functools.lru_cache(maxsize=None)
+def _attack_params(cls):
+    """The parameter names an attack class's constructor takes, read once per class."""
+    return inspect.signature(cls).parameters
+
+
 def load_scenario(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -109,7 +115,7 @@ def load_scenario(path) -> dict:
     params = attack.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("attack.params must be an object")
-    allowed = inspect.signature(ATTACKS[name]).parameters
+    allowed = _attack_params(ATTACKS[name])
     _require_keys(params, allowed, set(), f"attack.params for {name!r}")
 
     if "sweep" in raw:
@@ -232,10 +238,6 @@ def cmd_run(scenario, seed_override=None, strict_abort=False) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-# Near-equal windows of rounds of the empirical variance estimate ``var_emp``.
-VARIANCE_WINDOWS = 20
-
-
 def _batched_phi_variance(config, classes):
     """Estimator-variance estimates from windows of rounds' ``protocol.product_classes``,
     shape (..., window, 3): ``stats.batch_statistics`` of each run's windows' pooled phase
@@ -264,11 +266,11 @@ def sweep_rows(scenario, seed_override=None):
     variable, values = scenario["sweep"]["variable"], sweep_values(scenario)
     if variable == "phi":
         phis = values.tolist()
-        draws = [protocol.twin_counts(config, build_attack(scenario), VARIANCE_WINDOWS, values)]
+        draws = [protocol.twin_counts(config, build_attack(scenario), values)]
     else:
         param, phis = variable.split(".", 1)[1], [config.true_phi] * len(values)
         draws = [protocol.twin_counts(config, build_attack(scenario, {param: float(value)}),
-                                      VARIANCE_WINDOWS, [config.true_phi]) for value in values]
+                                      [config.true_phi]) for value in values]
     counts, classes = (np.concatenate(part) for part in zip(*draws))
     attacked = protocol.CellCounts(config, counts[:, 0])
     chk = protocol.check_fidelity(attacked)
@@ -380,9 +382,9 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed (64-bit)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and checked (at least 1) for existing "
-                             "command lines, but it changes nothing: a sweep "
-                             "runs its points one after the other")
+                        help="accepted for existing command lines, but it changes "
+                             "nothing: a sweep runs its points one after the other "
+                             "(only sweep checks it, at least 1)")
     parser.add_argument("--strict-abort", action="store_true",
                         help="exit with code 3 when the fidelity check fails")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -152,18 +152,16 @@ _LABEL_SIGN = np.array([qcore.parse_probe_label(lab)[1]
                         for lab in qcore.SIGNED_LABELS], dtype=np.int8)
 
 
-# The sensor's settings in cell order: (action, pick, the axis measured or
-# None when discarded).  With the probe label a setting fixes a round's
-# outcome distribution.
-_SETTINGS = (tuple((0, pick, axis) for pick, axis in enumerate(AXES))
-             + tuple((1, pick, axis) for pick, axis in enumerate(ENCODE_AXES))
-             + ((2, 0, None),))
-_SETTING_ACTION = np.array([action for action, _pick, _axis in _SETTINGS], dtype=np.int8)
+# The sensor's settings in cell order: (action, the axis measured or None
+# when discarded).  With the probe label a setting fixes a round's outcome
+# distribution.
+_SETTINGS = (tuple((0, axis) for axis in AXES) + tuple((1, axis) for axis in ENCODE_AXES)
+             + ((2, None),))
+_SETTING_ACTION = np.array([action for action, _axis in _SETTINGS], dtype=np.int8)
 _SETTING_AXIS = np.array([-1 if axis is None else AXES.index(axis)
-                          for _action, _pick, axis in _SETTINGS], dtype=np.int8)
+                          for _action, axis in _SETTINGS], dtype=np.int8)
 # whether a setting encodes: its index into ``_encoders``
-_SETTING_ENCODER = np.array([action == 1 for action, _pick, _axis in _SETTINGS],
-                            dtype=np.intp)
+_SETTING_ENCODER = np.array([action == 1 for action, _axis in _SETTINGS], dtype=np.intp)
 
 
 # Every round lies in one cell: its setting, its probe label and the slot
@@ -224,6 +222,11 @@ _SUFFIX_RECORDS = {variant: _suffix_records(_ROW_SUFFIXES[variant]) for variant 
 _CHUNK_ROWS = 2 ** 14
 # the 10^4 four-digit texts "0000" to "9999", each one 4-byte record
 _DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view("V4")[:, 0]
+
+
+# Near-equal windows of rounds of a sweep point's empirical variance estimate
+# (``twin_counts``' window classes, the sweep's ``var_emp``).
+VARIANCE_WINDOWS = 20
 
 
 def _window_sizes(T, windows):
@@ -302,9 +305,6 @@ class Transcript(CellCounts):
     bob_out = _lookup(_CELL_OUT)
     status = _lookup(_CELL_STATUS)
 
-    def config_hash(self) -> str:
-        return self.config.config_hash()
-
     def window_counts(self, windows):
         """Rounds per cell in ``windows`` windows of rounds (``_window_sizes``),
         shape (windows, *_CELL_SHAPE)."""
@@ -327,7 +327,7 @@ class Transcript(CellCounts):
         own = isinstance(target, (str, bytes, os.PathLike))
         with open(target, "wb") if own else contextlib.nullcontext(target) as fh:
             cfg = self.config
-            fh.write((f"#dqs-transcript v1\n#config_hash\t{self.config_hash()}\n"
+            fh.write((f"#dqs-transcript v1\n#config_hash\t{cfg.config_hash()}\n"
                       f"#seed\t{int(cfg.seed)}\n#variant\t{cfg.variant}\n"
                       f"#direction\t{cfg.direction}\n#n\t{cfg.n}\n#T\t{cfg.T}\n"
                       "#columns\tindex\taction\talice_obs\talice_out\tprobe"
@@ -396,7 +396,7 @@ def _push(n, fwd):
         return None
     kets, states = _sensor_model(n)[1], []
     step = max(1, 4096 // kets.size)
-    for _label, weight, kraus in fwd:
+    for weight, kraus in fwd:
         parts = ((kets @ np.asarray(kraus[i:i + step]).swapaxes(-1, -2)).swapaxes(0, 1)
                  for i in range(0, len(kraus), step))  # (probe, operator, d) each
         states.append(weight * sum(z.swapaxes(-1, -2) @ z.conj() for z in parts))
@@ -679,26 +679,29 @@ def _twin_draw(weights, sizes, rng):
             [kinds.sum(axis=2), kinds.sum(axis=1)])
 
 
-def twin_counts(config, attack, windows, phis):
+def twin_counts(config, attack, phis):
     """The ``counts`` of ``run(cfg, attack)`` and of its identity-attack twin,
     ``cfg`` being ``config`` at each ``true_phi`` of ``phis``, shape (phase,
-    twin, *_CELL_SHAPE), and the ``product_classes`` of their ``windows``
-    windows of rounds (``_window_sizes``), shape (phase, twin, window, 3).  A
-    memoryless attack, which never learns the phase, is started and pushed
-    once; each phase is a ``_twin_draw`` seeded by ``config.seed``.  Under a
-    memory attack both twins run at each phase, the attacked one on ``attack``."""
+    twin, *_CELL_SHAPE), and the ``product_classes`` of their
+    ``VARIANCE_WINDOWS`` windows of rounds (``_window_sizes``), shape (phase,
+    twin, window, 3).  A memoryless attack, which never learns the phase, is
+    started and pushed once; each phase is a ``_twin_draw`` seeded by
+    ``config.seed``.  Under a memory attack both twins run at each phase, the
+    attacked one on ``attack``."""
     legs, identity = _legs(config, attack), adversary.IdentityAttack()
     if legs is None:  # the twins share the seed's prior draw
-        counts = np.array([[run(replace(config, true_phi=float(phi)), a).window_counts(windows)
-                            for a in (attack, identity)] for phi in phis])
+        counts = np.array([[run(replace(config, true_phi=float(phi)), a)
+                            .window_counts(VARIANCE_WINDOWS) for a in (attack, identity)]
+                           for phi in phis])
         return counts.sum(axis=2), product_classes(counts)
-    ideal_legs, sizes, out = _legs(config, identity), _window_sizes(config.T, windows), []
+    ideal_legs, sizes, out = _legs(config, identity), _window_sizes(config.T, VARIANCE_WINDOWS), []
     step = max(1, _SLICE_BYTES // (32 * legs[0].size * (len(legs[1]) if legs[1] else 1)))
     for start in range(0, len(phis), step):
         laws = [_law(config, phis[start:start + step], lg) for lg in (legs, ideal_legs)]
         out += [_twin_draw(w, sizes, np.random.default_rng(config.seed)) for w in zip(*laws)]
     counts, classes = (np.array([o[i] for o in out], dtype=np.int64) for i in (0, 1))
-    return counts.reshape(len(phis), 2, *_CELL_SHAPE), classes.reshape(len(phis), 2, windows, 3)
+    return (counts.reshape(len(phis), 2, *_CELL_SHAPE),
+            classes.reshape(len(phis), 2, VARIANCE_WINDOWS, 3))
 
 
 def run(config: ProtocolConfig, attack) -> Transcript:

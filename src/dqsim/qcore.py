@@ -22,7 +22,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,31 +181,27 @@ def pauli_matrix(axis: str):
 
 @dataclass(frozen=True)
 class LogicalFrame:
-    """Two-dimensional logical subspace of an n-qubit register, spanned by
-    the orthogonal ``pole0``/``pole1``.
+    """The protocol's two-dimensional logical subspace of an n-qubit
+    register, spanned by the orthogonal poles R^n and L^n of the per-qubit
+    circular states: the per-qubit phase encoding acts inside it as a
+    rotation about logical Y, and at n = 1 all three logical operators reduce
+    to the ordinary Paulis.
 
     ``mub_probe`` holds the axis convention: the poles are the +1/-1
     eigenstates of logical Y, and the logical Z and X eigenstates are their
     real and imaginary equal-weight superpositions.  ``logical_projectors``
     measures each logical Pauli through those probes.
-
-    The protocol frame (``standard``) uses the per-qubit circular states
-    R^n / L^n as poles: the per-qubit phase encoding then acts inside the
-    subspace as a rotation about logical Y, and at n = 1 all three logical
-    operators reduce to the ordinary Paulis.
     """
 
     n: int
-    pole0: PureState
-    pole1: PureState
+    pole0: PureState = field(init=False, compare=False, repr=False)
+    pole1: PureState = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        integer("n", self.n, 1)
-        if self.pole0.dim != 2 ** self.n or self.pole1.dim != 2 ** self.n:
-            raise ValueError("pole dimension does not match qubit count")
-        overlap = np.vdot(self.pole0.amplitudes, self.pole1.amplitudes)
-        if not abs(overlap) <= NORM_TOL * 10:
-            raise ValueError("poles are not orthogonal")
+        n = integer("n", self.n, 1, MAX_QUBITS)  # before the 2^n-entry poles are built
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pole0", PureState(kron_power(KET_R, n)))
+        object.__setattr__(self, "pole1", PureState(kron_power(KET_L, n)))
 
     @property
     def dim(self) -> int:
@@ -213,23 +209,19 @@ class LogicalFrame:
 
     @classmethod
     def standard(cls, n: int) -> "LogicalFrame":
-        """Protocol frame: poles R^n and L^n."""
-        n = integer("n", n, 1, MAX_QUBITS)  # before the 2^n-entry poles are built
-        return cls(n, PureState(kron_power(KET_R, n)), PureState(kron_power(KET_L, n)))
+        """The frame of n qubits, ``LogicalFrame(n)``."""
+        return cls(n)
 
 
 def parse_probe_label(label) -> tuple:
-    """Normalize a signed Pauli label like '+X' or ('Z', -1) to (axis, sign).
-    A string holds at most one sign; a tuple holds a ``pauli_axis`` and an
-    int sign +-1, not a bool.  Anything else raises ValueError."""
-    if isinstance(label, str):
-        text = label.strip()
-        axis = text[1:] if text.startswith(("+", "-")) else text
-        return pauli_axis(axis), -1 if text.startswith("-") else 1
-    sign = label[1] if isinstance(label, tuple) and len(label) == 2 else None
-    if sign is None or integer("label sign", sign, -1, 1) == 0:
+    """Normalize a signed Pauli label, a string like '+X', '-z' or 'Y' with
+    at most one sign before a ``pauli_axis``, to (axis, sign).  Anything
+    else raises ValueError."""
+    if not isinstance(label, str):
         raise ValueError(f"invalid signed Pauli label {label!r}")
-    return pauli_axis(label[0]), int(sign)
+    text = label.strip()
+    axis = text[1:] if text.startswith(("+", "-")) else text
+    return pauli_axis(axis), -1 if text.startswith("-") else 1
 
 
 SIGNED_LABELS = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
@@ -253,7 +245,8 @@ def logical_projectors(frame: LogicalFrame, axis: str):
     outcome-slot order: |-a><-a|, the leak projector I - (subspace
     projector), |+a><+a|.  At n = 1 the frame spans the qubit and the leak
     slot is exactly zero."""
-    minus, plus = (mub_probe(frame, (pauli_axis(axis), sign)).amplitudes for sign in (-1, 1))
+    axis = pauli_axis(axis)
+    minus, plus = (mub_probe(frame, sign + axis).amplitudes for sign in "-+")
     p0, p1 = frame.pole0.amplitudes, frame.pole1.amplitudes
     leak = (np.eye(frame.dim) - (np.outer(p0, p0.conj()) + np.outer(p1, p1.conj()))
             if frame.n > 1 else np.zeros((2, 2)))
@@ -318,12 +311,12 @@ def depolarizing_channel(p: float, n_qubits: int = 1):
 
 def apply_instrument(states, branches):
     """A stack of states (..., d, d) through every branch of a weighted
-    instrument, a list of (label, weight, kraus_operators) branches: the
+    instrument, a list of (weight, kraus_operators) branches: the
     weighted branch images, shape (..., branch, d, d), densely: m d^3 per state
     for m Kraus operators, for the backward leg's mixed states and the fidelity
     oracle, while the forward push maps the probes' kets (``protocol._push``)."""
     return np.stack([weight * sum(k @ states @ k.conj().T for k in kraus)
-                     for _label, weight, kraus in branches], axis=-3)
+                     for weight, kraus in branches], axis=-3)
 
 
 def fidelity_stack(a, b):

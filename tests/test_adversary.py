@@ -43,7 +43,7 @@ def test_identity_attack_properties():
     assert att.block_length == 1
     assert adversary.expected_check_fidelity(att, 1) == pytest.approx(1.0)
     rho = qcore.random_density_matrix(2, np.random.default_rng(0))
-    (label, w, kraus), = att.forward_branches(1, FRAME1)
+    (w, kraus), = att.forward_branches(1, FRAME1)
     assert w == 1.0
     assert np.allclose(kraus[0] @ rho.data @ kraus[0].conj().T, rho.data)
 
@@ -235,7 +235,7 @@ def test_memory_attack_block_correlations_match_oracle():
     # outcome o in slot o + 1 (the leak slot's law is 0 at n = 1)
     coupling = adversary.EntanglingMemoryAttack(theta).block_coupling(1)
     maps = protocol._memory_maps(make_config(T=2), coupling)
-    setting = [axis for _action, _pick, axis in protocol._SETTINGS].index("Y")
+    setting = [axis for _action, axis in protocol._SETTINGS].index("Y")
     label = qcore.SIGNED_LABELS.index("+X")
     start = np.array([1, 0, 0, 0], dtype=complex)  # the ancilla's |0><0|, flattened
     for o1 in (-1, 0, 1):

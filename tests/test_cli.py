@@ -367,8 +367,8 @@ class _Lossy(adversary.AttackModel):
 
     def forward_branches(self, n, frame):
         if self.kind == "half_weight":
-            return [("half", 0.5, [np.eye(2 ** n)])]
-        return [("lossy", 1.0, qcore.depolarizing_channel(0.3, n)[1:])]
+            return [(0.5, [np.eye(2 ** n)])]
+        return [(1.0, qcore.depolarizing_channel(0.3, n)[1:])]
 
 
 @pytest.mark.parametrize("kind", ["half_weight", "incomplete_kraus"])
@@ -565,7 +565,7 @@ def reference_sweep_point(scenario, value, seed=None):
     est_att = protocol.estimate_phase(tr_att)
     est_idl = protocol.estimate_phase(tr_idl)
     var_att, var_idl = (cli._batched_phi_variance(config, protocol.product_classes(
-        tr.window_counts(cli.VARIANCE_WINDOWS))) for tr in (tr_att, tr_idl))
+        tr.window_counts(protocol.VARIANCE_WINDOWS))) for tr in (tr_att, tr_idl))
     mode = cli._bounds_mode(scenario, config)
     phi = config.true_phi
     eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,
@@ -604,14 +604,17 @@ def point_row(scenario, value, seed=None):
 
 
 def spy_attacked_pushes(monkeypatch):
-    """Wrap ``protocol._push``; returns the list of the branch labels of
-    every push it sees, identity twins' pushes left out."""
+    """Wrap ``protocol._push``; returns the list of the instruments of every
+    push it sees, identity twins' pushes (of ``IdentityAttack``'s one
+    branch, weight 1 and the identity operator) left out."""
     pushed, push = [], protocol._push
 
     def spy(n, fwd):
-        labels = None if fwd is None else tuple(branch[0] for branch in fwd)
-        if labels not in (None, ("identity",)):
-            pushed.append(labels)
+        [(weight, [eye])] = adversary.IdentityAttack().forward_branches(n, qcore.LogicalFrame(n))
+        identity = (fwd is not None and len(fwd) == 1 and fwd[0][0] == weight
+                    and len(fwd[0][1]) == 1 and np.array_equal(fwd[0][1][0], eye))
+        if fwd is not None and not identity:
+            pushed.append(fwd)
         return push(n, fwd)
 
     monkeypatch.setattr(protocol, "_push", spy)
@@ -682,11 +685,11 @@ def test_run_with_a_shared_push_is_the_fresh_run(tmp_path, case):
     phis = [0.1, 0.7, 1.3]
     for direction in protocol.DIRECTIONS:
         config = replace(cli.build_config(scenario), n=n, T=500, direction=direction)
-        shared = protocol.twin_counts(config, cli.build_attack(scenario), 20, phis)
+        shared = protocol.twin_counts(config, cli.build_attack(scenario), phis)
         assert shared[0].shape == (len(phis), 2, *protocol._CELL_SHAPE)
         assert shared[1].shape == (len(phis), 2, 20, 3)
         for i, phi in enumerate(phis):
-            fresh = protocol.twin_counts(config, cli.build_attack(scenario), 20, [phi])
+            fresh = protocol.twin_counts(config, cli.build_attack(scenario), [phi])
             for part, one in zip(shared, fresh):
                 np.testing.assert_array_equal(part[i], one[0])
 

@@ -535,7 +535,8 @@ def test_definetti_rejects_bad_mixture_weights(weights):
     (3, 2.0, 1.0, "k must be an integer >= 1, not 2.0"),
     (5, 2, 1.0, r"m must lie in \[2, 4\], not 5"),
     (3, 3, 1.0, r"k must lie in \[1, 2\], not 3"),
-])
+], ids=["weight_bool", "k_bool", "weight_past_float", "m_float", "k_float", "m_above_range",
+        "k_above_range"])
 def test_definetti_checks_inputs_by_the_library_rules(m, k, weight, message):
     # a bool, an integer beyond float range or a float count is refused with a
     # ValueError naming the argument, before any state is formed

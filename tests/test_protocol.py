@@ -37,7 +37,7 @@ def synthetic_transcript(pair_products, est_products=None, config=None):
     axis) so the sensor outcome carries the product.
     """
     est_products = est_products or {}
-    settings = [(action, axis) for action, _pick, axis in protocol._SETTINGS]
+    settings = [(action, axis) for action, axis in protocol._SETTINGS]
     cells = []
     for action, products in ((0, pair_products), (1, est_products)):
         for key, vals in products.items():
@@ -535,7 +535,7 @@ def test_serialization_disclosure_order_and_roundtrip():
     tr = protocol.run(cfg, adversary.IdentityAttack())
     text = serialized(tr)
     header, rows = parse_transcript(text)
-    assert header["config_hash"] == tr.config_hash()
+    assert header["config_hash"] == tr.config.config_hash()
     assert int(header["seed"]) == cfg.seed
     assert len(rows) == cfg.T
     statuses = [r["status"] for r in rows]
@@ -585,7 +585,7 @@ def test_serialization_field_level_roundtrip(variant):
 def reference_header(tr):
     """The transcript's header lines, without line ends."""
     cfg = tr.config
-    return ["#dqs-transcript v1", f"#config_hash\t{tr.config_hash()}", f"#seed\t{cfg.seed}",
+    return ["#dqs-transcript v1", f"#config_hash\t{tr.config.config_hash()}", f"#seed\t{cfg.seed}",
             f"#variant\t{cfg.variant}", f"#direction\t{cfg.direction}", f"#n\t{cfg.n}",
             f"#T\t{cfg.T}",
             "#columns\tindex\taction\talice_obs\talice_out\tprobe\tbob_obs\tbob_out\tstatus"]
@@ -1112,7 +1112,7 @@ def test_twin_counts_share_the_transcript_windows():
     # and window classes
     cfg = make_config(n=2, T=1013, p_c=0.4, p_e=0.4, p_d=0.2)
     attack, identity = adversary.InterceptResendAttack("random"), adversary.IdentityAttack()
-    counts, classes = protocol.twin_counts(cfg, attack, 20, [cfg.true_phi])
+    counts, classes = protocol.twin_counts(cfg, attack, [cfg.true_phi])
     assert counts.shape == (1, 2, *protocol._CELL_SHAPE) and counts.dtype == np.int64
     assert classes.shape == (1, 2, 20, 3) and classes.dtype == np.int64
     windows = protocol.run(cfg, attack).window_counts(20)
@@ -1122,11 +1122,11 @@ def test_twin_counts_share_the_transcript_windows():
         np.testing.assert_array_equal(twin.sum(axis=1), windows.sum(axis=(1, 2, 3)))
     assert windows.sum() == cfg.T and {int(s) for s in windows.sum(axis=(1, 2, 3))} == {50, 51}
     np.testing.assert_array_equal(windows.sum(axis=0), protocol.run(cfg, attack).counts)
-    for part in protocol.twin_counts(cfg, identity, 20, [cfg.true_phi]):
+    for part in protocol.twin_counts(cfg, identity, [cfg.true_phi]):
         np.testing.assert_array_equal(part[0, 0], part[0, 1])
     cfg, memory = replace(cfg, n=1), adversary.EntanglingMemoryAttack(0.3, 3, "measure")
     runs = [protocol.run(cfg, a).window_counts(20) for a in (memory, identity)]
-    counts, classes = protocol.twin_counts(cfg, memory, 20, [cfg.true_phi])
+    counts, classes = protocol.twin_counts(cfg, memory, [cfg.true_phi])
     np.testing.assert_array_equal(counts[0], [w.sum(axis=0) for w in runs])
     np.testing.assert_array_equal(classes[0], protocol.product_classes(runs))
 
@@ -1271,10 +1271,10 @@ class _BackwardDepolarizing(adversary.AttackModel):
         self.p = p
 
     def forward_branches(self, n, frame):
-        return [("id", 1.0, [np.eye(2 ** n, dtype=complex)])]
+        return [(1.0, [np.eye(2 ** n, dtype=complex)])]
 
     def backward_branches(self, n, frame):
-        return [("depol", 1.0, qcore.depolarizing_channel(self.p, n))]
+        return [(1.0, qcore.depolarizing_channel(self.p, n))]
 
 
 class _BackwardTamper(adversary.AttackModel):
@@ -1284,7 +1284,7 @@ class _BackwardTamper(adversary.AttackModel):
     name = "backward_tamper"
 
     def forward_branches(self, n, frame):
-        return [("id", 1.0, [np.eye(2 ** n, dtype=complex)])]
+        return [(1.0, [np.eye(2 ** n, dtype=complex)])]
 
     def backward_branches(self, n, frame):
         return adversary.UnitaryTamperAttack("X", 0.2).forward_branches(n, frame)
@@ -1378,13 +1378,13 @@ class _Instrument(adversary.AttackModel):
 
 
 NOT_TRACE_PRESERVING = {
-    "half_weight": lambda n: [("half", 0.5, [np.eye(2 ** n)])],
+    "half_weight": lambda n: [(0.5, [np.eye(2 ** n)])],
     # the depolarizing channel without its identity Kraus operator
     "incomplete_kraus": lambda n: [
-        ("lossy", 1.0, qcore.depolarizing_channel(0.3, n)[1:])],
-    "negative_weight": lambda n: [("gain", 2.0, [np.eye(2 ** n)]),
-                                  ("loss", -1.0, [np.eye(2 ** n)])],
-    "non_finite": lambda n: [("nan", 1.0, [np.full((2 ** n, 2 ** n), np.nan)])],
+        (1.0, qcore.depolarizing_channel(0.3, n)[1:])],
+    "negative_weight": lambda n: [(2.0, [np.eye(2 ** n)]),
+                                  (-1.0, [np.eye(2 ** n)])],
+    "non_finite": lambda n: [(1.0, [np.full((2 ** n, 2 ** n), np.nan)])],
 }
 
 
@@ -1400,7 +1400,7 @@ def test_instrument_that_does_not_preserve_trace_is_rejected(variant, name):
 
 @pytest.mark.parametrize("weight", [1.0 - 1e-12, 1.0 + 1e-12])
 def test_instrument_roundoff_within_tolerance_runs(weight):
-    attack = _Instrument(lambda n: [("id", weight, [np.eye(2 ** n)])])
+    attack = _Instrument(lambda n: [(weight, [np.eye(2 ** n)])])
     tr = protocol.run(make_config(T=2000), attack)
     assert protocol.check_fidelity(tr).fidelity_estimate == 1.0
 
@@ -1410,7 +1410,7 @@ def test_multi_phase_twins_reject_an_instrument_that_does_not_preserve_trace(nam
     # the trace check covers every phase of a stacked table build
     cfg = make_config(n=2, T=500)
     with pytest.raises(protocol.UnsupportedAttackError, match="does not preserve trace"):
-        protocol.twin_counts(cfg, _Instrument(NOT_TRACE_PRESERVING[name]), 20,
+        protocol.twin_counts(cfg, _Instrument(NOT_TRACE_PRESERVING[name]),
                              np.linspace(0.1, 1.3, 5))
 
 
@@ -1455,9 +1455,9 @@ def test_twin_counts_across_slice_edges_are_the_one_phase_counts(monkeypatch, na
     monkeypatch.setattr(protocol, "_SLICE_BYTES",
                         2 * 32 * legs[0].size * (len(legs[1]) if legs[1] else 1))
     phis = np.linspace(0.1, 1.3, 5)
-    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), 20, phis)
+    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), phis)
     for i, phi in enumerate(phis):
-        one = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), 20, [phi])
+        one = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), [phi])
         np.testing.assert_array_equal(counts[i], one[0][0])
         np.testing.assert_array_equal(classes[i], one[1][0])
 
@@ -1470,7 +1470,7 @@ def test_twin_counts_memory_stays_bounded_over_many_phases():
     cfg = make_config(n=5, T=1000, p_c=0.4, p_e=0.4, p_d=0.2)
     tracemalloc.start()
     try:
-        counts, classes = protocol.twin_counts(cfg, adversary.DepolarizingAttack(0.1), 20,
+        counts, classes = protocol.twin_counts(cfg, adversary.DepolarizingAttack(0.1),
                                                np.linspace(0.0, 3.0, 1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1502,7 +1502,7 @@ def test_twin_class_draw_is_consistent(case, seed):
     cfg = make_config(variant=variant, direction=direction, n=n, T=T, p_c=0.8 - p_e, p_e=p_e,
                       p_d=0.2, seed=seed)
     phis = np.linspace(0.2, 1.1, 3)
-    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), 20, phis)
+    counts, classes = protocol.twin_counts(cfg, SHIPPED_MEMORYLESS[name](), phis)
     assert counts.shape == (3, 2, *protocol._CELL_SHAPE) and classes.shape == (3, 2, 20, 3)
     assert counts.min() >= 0 and classes.min() >= 0
     np.testing.assert_array_equal(classes.sum(axis=-1),
@@ -1525,7 +1525,7 @@ def literal_branches(rho, branches, provider_dim=2):
     by a literal Kronecker product onto a provider register of
     ``provider_dim`` (1: the probe alone)."""
     out = []
-    for _label, weight, kraus in branches:
+    for weight, kraus in branches:
         lifted = [np.kron(np.eye(provider_dim), k) for k in kraus]
         out.append(weight * sum(k @ rho @ k.conj().T for k in lifted))
     return out
@@ -1583,11 +1583,11 @@ def exact_tables(cfg, attack):
     if cfg.n == 1:
         assert np.all(stacked[..., 1] == 0.0)
     tables = {}
-    for setting, (action, pick, axis) in enumerate(protocol._SETTINGS):
+    for setting, (action, axis) in enumerate(protocol._SETTINGS):
         for label, table in enumerate(stacked[setting]):
             if axis is None:
                 assert np.all(table[..., :-1] == 0.0)
-            tables[action, label, pick] = table
+            tables[action, label, SENSOR_AXES[action].index(axis)] = table
     return tables
 
 

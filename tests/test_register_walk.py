@@ -130,7 +130,7 @@ class StatefulAdapter(RegisterHooks, adversary.AttackModel):
         n = public_config["n"]
 
         def kraus(branches):
-            return [math.sqrt(w) * k for _label, w, ks in branches for k in ks]
+            return [math.sqrt(w) * k for w, ks in branches for k in ks]
 
         self.fwd = kraus(self.inner.forward_branches(n, frame))
         bwd = self.inner.backward_branches(n, frame)
