@@ -17,9 +17,9 @@ one of three kinds:
   traced out or read out in Z at the block's end: it gives the coupling
   unitary and that readout mode.
 - A register attack (two-way swap-leak) acts on a ``qcore.RegisterState``
-  holding a batch of rounds' probes: ``forward_state`` before the sensor
-  encodes and, in two-way runs, ``backward_state`` after.  It keeps what
-  it stores between the legs itself.
+  holding a batch of rounds' probes as kets: ``forward_state`` before the
+  sensor encodes and, in two-way runs, ``backward_state`` after.  It acts on
+  pure states only and keeps what it stores between the legs itself.
 
 In one-way operation an attack never sees a measurement outcome or
 reconciliation data before acting on the probe: ``forward_state`` sees
@@ -102,7 +102,7 @@ class AttackModel:
 
     # -- register interface (two-way substitution) -----------------------------
     # Both hooks get a RegisterState whose batch axis holds a batch of
-    # rounds, in round order, and may draw from ``rng`` in call order.
+    # rounds' kets, in round order, and may draw from ``rng`` in call order.
     def forward_state(self, world, rng) -> None:
         raise NotImplementedError("the attack gives no instrument, coupling or register hooks")
 
@@ -248,7 +248,7 @@ class TwoWaySwapLeakAttack(AttackModel):
             raise ValueError("swap-leak attack needs a nonzero encoding probability")
         self._n = public_config["n"]
         self._xbar = qcore.logical_projectors(frame, "X")
-        self._substitute = qcore.mub_probe(frame, "+X").density()
+        self._substitute = qcore.mub_probe(frame, "+X")
         self._sum = 0
         self._count = 0
 

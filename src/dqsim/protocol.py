@@ -305,9 +305,10 @@ class Transcript(CellCounts):
     bob_out = _lookup(_CELL_OUT)
     status = _lookup(_CELL_STATUS)
 
-    def window_counts(self, windows):
-        """Rounds per cell in ``windows`` windows of rounds (``_window_sizes``),
-        shape (windows, *_CELL_SHAPE)."""
+    def window_counts(self):
+        """Rounds per cell in the ``VARIANCE_WINDOWS`` windows of rounds
+        (``_window_sizes``), shape (VARIANCE_WINDOWS, *_CELL_SHAPE)."""
+        windows = VARIANCE_WINDOWS
         window = np.repeat(np.arange(windows), _window_sizes(self.config.T, windows))
         counts = np.bincount(window * _N_CELLS + self.cell, minlength=windows * _N_CELLS)
         return counts.reshape(windows, *_CELL_SHAPE)
@@ -464,9 +465,9 @@ def _prior(config):
     return np.repeat(p[:, None], len(qcore.SIGNED_LABELS), axis=1)
 
 
-# The round draw's guide table splits [0, 1) into this many equal buckets,
-# a power of two so that scaling by it is exact, and it draws the uniforms
-# this many at a time.
+# The round draw's guide table splits [0, 1) into at most this many equal
+# buckets, a power of two so that scaling by it is exact, and it draws the
+# uniforms this many at a time.
 _GUIDE_BUCKETS = 2 ** 12
 _DRAW_CHUNK = 2 ** 14
 # numpy's tolerance on a categorical distribution's total
@@ -500,15 +501,15 @@ def _draw(weights, rng, T):
     uniforms come from ``rng.random`` in order, and each round takes the
     inverse CDF ``searchsorted(cdf, u, side="right")`` of ``_cdf``.  A
     guide table (indexed search) finds most of them without a search.
-    Scaled by the power of two ``_GUIDE_BUCKETS`` = m, the CDF and the
-    uniforms keep their order exactly, and a uniform u in bucket
-    k = floor(u m) has #(cdf m <= k) <= result <= #(cdf m < k + 1); where
-    the two counts agree the table holds the result, and the other rounds,
-    fewer than ``weights.size`` buckets' worth, search the scaled CDF.
+    Scaled by a power of two m (the least >= T, at most ``_GUIDE_BUCKETS``),
+    the CDF and the uniforms keep their order exactly, and a uniform u in
+    bucket k = floor(u m) has #(cdf m <= k) <= result <= #(cdf m < k + 1);
+    where the two counts agree the table holds the result, and the other
+    rounds, fewer than ``weights.size`` buckets' worth, search the scaled CDF.
     """
-    cdf = _cdf(weights)
-    cdf *= _GUIDE_BUCKETS
-    edges = np.arange(_GUIDE_BUCKETS + 1, dtype=float)
+    cdf, buckets = _cdf(weights), min(_GUIDE_BUCKETS, 1 << (T - 1).bit_length())
+    cdf *= buckets
+    edges = np.arange(buckets + 1, dtype=float)
     lo = cdf.searchsorted(edges[:-1], side="right")
     hi = cdf.searchsorted(edges[1:], side="left")
     # an ambiguous bucket holds cdf.size, which no draw returns
@@ -517,7 +518,7 @@ def _draw(weights, rng, T):
     out = np.empty(T, dtype=dtype)
     for start in range(0, T, _DRAW_CHUNK):
         u = rng.random(min(_DRAW_CHUNK, T - start))
-        u *= _GUIDE_BUCKETS
+        u *= buckets
         chunk = out[start:start + u.size]
         np.take(guide, u.astype(np.intp), out=chunk)
         ambiguous = np.flatnonzero(chunk == cdf.size)
@@ -554,9 +555,8 @@ def _run_fast(config, attack, rng, legs) -> Transcript:
     return Transcript(config, cell)
 
 
-# The memory engines draw their uniforms a batch at a time, so the batch size
-# is a stream constant: max(1, _BATCH_BYTES // (16 (2d)^2 L)) blocks of L rounds
-# at probe dimension d, as many probe-plus-qubit density matrices as fill it.
+# The memory engines draw their uniforms a batch of max(1, _BATCH_BYTES // (16 (2d)^2 L))
+# blocks of L rounds at a time (probe dimension d): a stream constant only.
 _BATCH_BYTES = 1 << 18
 
 
@@ -601,9 +601,10 @@ def _run_memory(config, attack, rng, coupling, setting, label, slot):
     run's last, all of whose readouts go to one ``record_readouts`` call."""
     maps, readouts = _memory_maps(config, coupling), []
     for last, positions in _batches(config, attack.block_length):
-        sigma = np.tile([1, 0, 0, 0j], (positions[0].size, 1))  # |0><0|, flattened
-        for t in positions:
-            after = (maps[setting[t], label[t]] @ sigma[:t.size, None, :, None])[..., 0]
+        sigma = np.empty((positions[0].size, 4), dtype=complex)
+        for i, t in enumerate(positions):  # sigma starts as |0><0|, flattened e0
+            after = (maps[setting[t], label[t], ..., 0] if i == 0 else
+                     (maps[setting[t], label[t]] @ sigma[:t.size, None, :, None])[..., 0])
             probs = (after[..., 0] + after[..., 3]).real
             slot[t] = k = qcore.pick(probs, rng)
             b = np.arange(t.size)
@@ -621,10 +622,10 @@ def _run_register(config, attack, rng, setting, label, slot):
     in two-way runs, ``backward_state`` hooks around the sensor's encoding.
     Draw order, batch by batch: one uniform per round for each measurement
     the hooks make, in call order, then one per round for the sensor's."""
-    _frame, _kets, probes, sensor = _sensor_model(config.n)
+    _frame, kets, _probes, sensor = _sensor_model(config.n)
     encoders = _encoders(config.n, config.true_phi)[_SETTING_ENCODER]
     for _last, (t,) in _batches(config, 1):
-        world = qcore.RegisterState(["B"], [2 ** config.n], probes[label[t]])
+        world = qcore.RegisterState(["B"], [2 ** config.n], kets[label[t]])
         attack.forward_state(world, rng)
         world.apply_unitary(encoders[setting[t]], [world.probe])
         if config.direction == "two_way":
@@ -690,9 +691,8 @@ def twin_counts(config, attack, phis):
     attacked one on ``attack``."""
     legs, identity = _legs(config, attack), adversary.IdentityAttack()
     if legs is None:  # the twins share the seed's prior draw
-        counts = np.array([[run(replace(config, true_phi=float(phi)), a)
-                            .window_counts(VARIANCE_WINDOWS) for a in (attack, identity)]
-                           for phi in phis])
+        counts = np.array([[run(replace(config, true_phi=float(phi)), a).window_counts()
+                            for a in (attack, identity)] for phi in phis])
         return counts.sum(axis=2), product_classes(counts)
     ideal_legs, sizes, out = _legs(config, identity), _window_sizes(config.T, VARIANCE_WINDOWS), []
     step = max(1, _SLICE_BYTES // (32 * legs[0].size * (len(legs[1]) if legs[1] else 1)))
@@ -716,7 +716,7 @@ def run(config: ProtocolConfig, attack) -> Transcript:
     if coupling is None:
         try:
             _run_register(config, attack, rng, setting, label, slot)
-        except ValueError as exc:  # a state the hooks made is not a density matrix
+        except ValueError as exc:  # a state the hooks made is not a pure state
             raise UnsupportedAttackError(f"attack {attack.name!r}: {exc}") from exc
     else:
         _run_memory(config, attack, rng, coupling, setting, label, slot)

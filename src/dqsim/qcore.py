@@ -12,7 +12,9 @@ inverse-CDF rule, ``pick``.
 
 ``PureState``, ``DensityMatrix`` and ``LogicalFrame`` are frozen,
 ``RegisterState`` is the one mutable object, and every function that
-samples takes an explicit rng.
+samples takes an explicit rng.  The register holds a stack of kets: what
+acts on it acts on pure states, ``trace_out`` returns kets, and it refuses
+a mixed state.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -75,10 +76,7 @@ class PureState:
 
     def __post_init__(self):
         amps = _frozen(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
-        object.__setattr__(self, "amplitudes", amps)
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1 by more than {NORM_TOL}")
+        object.__setattr__(self, "amplitudes", _check_kets(amps))
 
     @property
     def dim(self) -> int:
@@ -86,6 +84,17 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+
+
+def _check_kets(kets):
+    """``kets`` (..., d) if each is a unit vector within NORM_TOL, the one rule of
+    ``PureState`` and ``RegisterState`` (a non-finite ket fails it); ValueError otherwise."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in |inf|^2
+        norms = np.atleast_1d(np.sqrt(np.einsum("...i,...i->...", kets.conj(), kets).real))
+    off = norms[~(np.abs(norms - 1.0) <= NORM_TOL)]
+    if off.size:
+        raise ValueError(f"state vector norm {off[0]} deviates from 1 by more than {NORM_TOL}")
+    return kets
 
 
 @dataclass(frozen=True)
@@ -351,24 +360,18 @@ def trace_distance(a, b) -> float:
     return float(trace_distance_stack(ra.data, rb.data))
 
 
-def _partial_trace_stack(rho, dims, keep):
-    """Reduced stack (B, d_keep, d_keep) of a (B, d, d) stack on the
-    subsystems at the positions ``keep`` (indices into dims), by one einsum."""
-    n, keep = len(dims), sorted(keep)
-    rows = list(range(1, n + 1))
-    cols = [r if i not in keep else n + r for i, r in enumerate(rows)]
-    out = [0] + [rows[i] for i in keep] + [cols[i] for i in keep]
-    tensor = rho.reshape([rho.shape[0]] + list(dims) * 2)
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    return np.einsum(tensor, [0] + rows + cols, out).reshape(rho.shape[0], d_keep, d_keep)
-
-
 def partial_trace(state, dims, keep) -> DensityMatrix:
-    """Reduced state over the subsystems listed in ``keep`` (indices into dims)."""
+    """Reduced state over the subsystems listed in ``keep`` (indices into
+    dims), by one einsum that sums each other subsystem's row and column."""
     rho = as_density(state)
     if int(np.prod(dims)) != rho.dim:
         raise DimensionMismatchError("subsystem dims do not multiply to the state dim")
-    return DensityMatrix(_partial_trace_stack(rho.data[None], dims, keep)[0])
+    n, keep = len(dims), sorted(keep)
+    cols = [n + i if i in keep else i for i in range(n)]
+    d_keep = math.prod(dims[i] for i in keep)
+    reduced = np.einsum(rho.data.reshape(list(dims) * 2), list(range(n)) + cols,
+                        keep + [cols[i] for i in keep])
+    return DensityMatrix(reduced.reshape(d_keep, d_keep))
 
 
 def embed_operator(op, dims, targets):
@@ -413,99 +416,93 @@ def pick(probs, rng):
 
 
 class RegisterState:
-    """Mutable stack of multi-register density matrices, for round-by-round
+    """Mutable stack of multi-register pure states, for round-by-round
     simulation (the protocol's register engine, which makes one per batch).
 
-    ``rho`` is one dense (B, d, d) stack over the registers ``labels`` of
+    ``psi`` is one (B, d) stack of kets over the registers ``labels`` of
     dimensions ``dims``, in that order: B independent rounds undergo the
-    same operations.  ``attach`` appends a register by one Kronecker
-    product, and an operator (one matrix, or a stack of B) or a measurement
-    (one projector stack, or a stack of B) acts on its registers lifted to
-    the whole stack, computing only what is read (``embed_operator``,
-    ``apply_unitary``, ``probabilities``; the engine reads each outcome as
-    ``pick`` over ``probabilities``, so ``measure``, which also keeps the
-    post-measurement state, has no engine caller).
+    same operations.  Every ket it takes in passes ``PureState``'s rule
+    (``_check_kets``), and a mixed state is refused with ValueError.  An
+    operator (one matrix, or a stack of B) or a measurement (one operator
+    stack, or a stack of B) acts on its registers lifted to the whole stack
+    (``embed_operator``).  The engine reads each outcome as ``pick`` over
+    ``probabilities``, so ``measure``, which also keeps the post-measurement
+    ket, has no engine caller.
     """
 
-    def __init__(self, labels, dims, rho):
-        rho = np.asarray(rho, dtype=complex)
-        d = int(np.prod(dims))
-        if rho.ndim != 3 or rho.shape[1:] != (d, d):
+    def __init__(self, labels, dims, psi):
+        psi = np.asarray(psi, dtype=complex)
+        if psi.ndim != 2 or psi.shape[1] != math.prod(dims):
             raise DimensionMismatchError(
-                f"register stack of shape {rho.shape} does not match dims {list(dims)}")
-        self.labels, self.dims, self.rho = list(labels), list(dims), rho
+                f"register stack of shape {psi.shape} does not match dims {list(dims)}")
+        self.labels, self.dims, self.psi = list(labels), list(dims), _check_kets(psi)
         self.probe = self.labels[-1]
 
     @property
     def batch(self) -> int:
-        return self.rho.shape[0]
+        return self.psi.shape[0]
 
     def attach(self, label, state):
-        """Append register ``label`` in ``state``: one state for every
-        element, or a (B, d, d) stack of checked density matrices."""
-        if isinstance(state, (PureState, DensityMatrix)) or np.ndim(state) < 3:
-            new = as_density(state).data
+        """Append register ``label`` in ``state``, a PureState for every
+        element or a (B, d) stack of kets; a density matrix raises ValueError."""
+        if isinstance(state, PureState):
+            new = state.amplitudes[None]  # checked when it was made
+        elif np.ndim(state) == 2:
+            new = _check_kets(np.asarray(state, dtype=complex))
         else:
-            new = _check_density_stack(np.asarray(state, dtype=complex))
-        # a non-finite stack from the unchecked constructor is left for
-        # trace_out's check to reject
-        with np.errstate(invalid="ignore"):
-            self.rho = _kron_stack(self.rho, new)
+            raise ValueError("the register holds pure states: attach a PureState "
+                             "or a (B, d) stack of kets")
+        out = self.psi[:, :, None] * new[:, None, :]
+        self.psi = out.reshape(out.shape[0], -1)
         self.labels.append(label)
         self.dims.append(new.shape[-1])
 
     def apply_unitary(self, u, labels):
-        """Conjugate registers ``labels`` by ``u``, or element b by ``u[b]``
-        for a stack; elements whose unitary is exactly I keep their bits."""
+        """Apply ``u`` to registers ``labels``, or ``u[b]`` to element b for a stack."""
         u = embed_operator(u, self.dims, [self.labels.index(label) for label in labels])
-        u = np.broadcast_to(u, self.rho.shape)
-        moving = np.flatnonzero((u != np.eye(u.shape[-1])).any(axis=(1, 2)))
-        if moving.size:
-            u, self.rho = u[moving], self.rho.copy()
-            self.rho[moving] = u @ self.rho[moving] @ u.conj().swapaxes(1, 2)
+        self.psi = (u @ self.psi[:, :, None])[..., 0]
 
-    def apply_kraus(self, kraus_list, labels):
-        targets = [self.labels.index(label) for label in labels]
-        lifted = (embed_operator(k, self.dims, targets) for k in kraus_list)
-        terms = (k @ self.rho @ k.conj().swapaxes(-1, -2) for k in lifted)
-        self.rho = functools.reduce(operator.iadd, terms)  # in place: no 0 + array copy
+    def _born(self, operators, label):
+        """Each element's images K_k psi, (B, K, d), and their squared norms (B, K)."""
+        full = embed_operator(operators, self.dims, [self.labels.index(label)])
+        d = full.shape[-1]
+        images = (self.psi @ full.reshape(-1, d).T if full.ndim == 3  # one stack: one product
+                  else full.reshape(self.batch, -1, d) @ self.psi[:, :, None])
+        images = images.reshape(self.batch, -1, d)
+        return images, np.einsum("bki,bki->bk", images.conj(), images).real
 
-    def _born(self, projectors, label):
-        """Each element's projectors on the whole stack (B, K, d, d) and their probabilities."""
-        projs = np.broadcast_to(projectors, (self.batch,) + np.shape(projectors)[-3:])
-        full = embed_operator(projs, self.dims, [self.labels.index(label)])
-        return full, np.einsum("bkij,bji->bk", full, self.rho).real
-
-    def probabilities(self, projectors, label):
+    def probabilities(self, operators, label):
         """The Born probabilities (B, K) that ``measure`` picks from; the state is kept."""
-        return self._born(projectors, label)[1]
+        return self._born(operators, label)[1]
 
-    def measure(self, projectors, label, rng):
-        """Projective measurement of register ``label`` in every element.
-
-        ``projectors`` is one (K, d, d) stack of outcome projectors, or a
-        (B, K, d, d) stack, element b measuring ``projectors[b]``.  Each
-        element's outcome is ``pick``ed from its Born probabilities.
-        Returns the outcome indices, shape (B,).
-        """
-        full, probs = self._born(projectors, label)
+    def measure(self, operators, label, rng):
+        """Measure register ``label`` with Kraus operators, one (K, d, d) stack
+        or one per element, (B, K, d, d): each element's outcome k, returned,
+        is ``pick``ed from ||K_k psi||^2, and it keeps K_k psi normalized (for
+        a Kraus set that is not projective, one pure trajectory of its channel)."""
+        images, probs = self._born(operators, label)
         k = pick(probs, rng)
-        sel = full[np.arange(self.batch), k]
-        post = sel @ self.rho @ sel
-        self.rho = post / np.einsum("bii->b", post).real[:, None, None]
+        b = np.arange(self.batch)
+        self.psi = images[b, k] / np.sqrt(probs[b, k])[:, None]
         return k
 
     def trace_out(self, label):
-        """Drop register ``label``; returns the checked (B, d, d) stack of
-        its reduced states.  Dropping the only register leaves a stack of
-        1 x 1 ones."""
+        """Drop register ``label``; returns its (B, d) kets, each element's
+        leading Schmidt vector against the other registers, which keep theirs.
+        A leading Schmidt coefficient off 1 by more than NORM_TOL, which an
+        entangled register leaves, raises ValueError: the rest would be mixed.
+        The only register is returned as it is."""
         target = self.labels.index(label)
-        rho = _check_density_stack(self.rho)
         if len(self.dims) == 1:
-            dropped, self.rho = rho, np.ones((self.batch, 1, 1), dtype=complex)
+            dropped, self.psi = _check_kets(self.psi), np.ones((self.batch, 1), dtype=complex)
         else:
-            keep = [i for i in range(len(self.dims)) if i != target]
-            dropped = _check_density_stack(_partial_trace_stack(rho, self.dims, [target]))
-            self.rho = _check_density_stack(_partial_trace_stack(rho, self.dims, keep))
+            d = self.dims[target]
+            m = _check_kets(self.psi).reshape(self.batch, math.prod(self.dims[:target]), d, -1)
+            u, schmidt, vh = np.linalg.svd(m.swapaxes(1, 2).reshape(self.batch, d, -1),
+                                           full_matrices=False)
+            if not (np.abs(schmidt[:, 0] - 1.0) <= NORM_TOL).all():
+                raise ValueError(f"register {label!r} is entangled with the others: "
+                                 "dropping it would leave a mixed state")
+            dropped, self.psi = u[:, :, 0], schmidt[:, :1] * vh[:, 0]
         del self.labels[target], self.dims[target]
         return dropped

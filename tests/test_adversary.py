@@ -442,10 +442,10 @@ class _RegisterSpy(adversary.AttackModel):
 
     def forward_state(self, world, rng):
         self.forward_rounds += world.batch
-        # a freshly prepared round is always a pure state; any prior
-        # measurement or reconciliation would have broken purity
-        purity = np.einsum("bij,bji->b", world.rho, world.rho).real
-        if np.any(np.abs(purity - 1.0) > 1e-9):
+        # a freshly prepared round holds one of the six probe kets as
+        # prepared; any prior measurement or encoding would have moved it
+        kets = protocol._sensor_model(1)[1]
+        if not (world.psi[:, None, :] == kets).all(axis=2).any(axis=1).all():
             self.world_was_unmeasured = False
 
     def backward_state(self, world, rng):

@@ -405,19 +405,19 @@ def test_run_rejects_coupling_that_is_not_unitary(tmp_path, monkeypatch, capsys,
 
 
 class _BadSubstitute(adversary.TwoWaySwapLeakAttack):
-    """Swap-leak whose substitute is off unit trace or not positive."""
+    """Swap-leak whose substitute is a ket off unit norm or a mixed state."""
 
     def __init__(self, kind):
         self.kind = kind
 
     def on_run_start(self, public_config, frame):
         super().on_run_start(public_config, frame)
-        good = self._substitute.data
-        self._substitute = (1.5 * good if self.kind == "not_unit_trace"
-                            else np.diag([1.2, -0.2]).astype(complex))
+        good = self._substitute.amplitudes
+        self._substitute = (1.5 * good[None] if self.kind == "not_unit_norm"
+                            else qcore.DensityMatrix(np.eye(2) / 2))
 
 
-@pytest.mark.parametrize("kind", ["not_unit_trace", "not_positive"])
+@pytest.mark.parametrize("kind", ["not_unit_norm", "mixed"])
 def test_run_rejects_substitute_that_is_not_a_state(tmp_path, monkeypatch, capsys, kind):
     monkeypatch.setitem(cli.ATTACKS, "bad_substitute", _BadSubstitute)
     protocol = {"variant": "mub", "direction": "two_way", "n": 1, "T": 300, "p_c": 0.5,
@@ -427,7 +427,8 @@ def test_run_rejects_substitute_that_is_not_a_state(tmp_path, monkeypatch, capsy
                              attack={"name": "bad_substitute", "params": {"kind": kind}})
     assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
     err = capsys.readouterr().err
-    assert "density matrix" in err and "Traceback" not in err
+    message = {"not_unit_norm": "state vector norm", "mixed": "holds pure states"}[kind]
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "tr.tsv").exists()
 
 
@@ -565,7 +566,7 @@ def reference_sweep_point(scenario, value, seed=None):
     est_att = protocol.estimate_phase(tr_att)
     est_idl = protocol.estimate_phase(tr_idl)
     var_att, var_idl = (cli._batched_phi_variance(config, protocol.product_classes(
-        tr.window_counts(protocol.VARIANCE_WINDOWS))) for tr in (tr_att, tr_idl))
+        tr.window_counts())) for tr in (tr_att, tr_idl))
     mode = cli._bounds_mode(scenario, config)
     phi = config.true_phi
     eps0 = metrics.epsilon0(mode, config.variant, chk.epsilon_implied,

@@ -1031,6 +1031,10 @@ DRAW_CASES = {
     ("single_entry", 3000): np.array([1.0]),
     **{(f"chunks/{T}", T): np.array([0.1, 0.2, 0.3, 0.4])
        for T in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 3 * CHUNK + 1)},
+    # the guide table has the smallest power of two of buckets at or above T,
+    # at most protocol._GUIDE_BUCKETS: each side of a power of two, and past the cap
+    **{(f"buckets/{T}", T): protocol._prior(make_config(p_c=0.3, p_e=0.5, p_d=0.2))
+       for T in (2, 3, 1023, 1024, 1025, protocol._GUIDE_BUCKETS + 1)},
 }
 
 
@@ -1115,7 +1119,7 @@ def test_twin_counts_share_the_transcript_windows():
     counts, classes = protocol.twin_counts(cfg, attack, [cfg.true_phi])
     assert counts.shape == (1, 2, *protocol._CELL_SHAPE) and counts.dtype == np.int64
     assert classes.shape == (1, 2, 20, 3) and classes.dtype == np.int64
-    windows = protocol.run(cfg, attack).window_counts(20)
+    windows = protocol.run(cfg, attack).window_counts()
     assert windows.shape == (20, *protocol._CELL_SHAPE)
     np.testing.assert_array_equal(counts[0].sum(axis=(1, 2, 3)), [cfg.T, cfg.T])
     for twin in classes[0]:
@@ -1125,7 +1129,7 @@ def test_twin_counts_share_the_transcript_windows():
     for part in protocol.twin_counts(cfg, identity, [cfg.true_phi]):
         np.testing.assert_array_equal(part[0, 0], part[0, 1])
     cfg, memory = replace(cfg, n=1), adversary.EntanglingMemoryAttack(0.3, 3, "measure")
-    runs = [protocol.run(cfg, a).window_counts(20) for a in (memory, identity)]
+    runs = [protocol.run(cfg, a).window_counts() for a in (memory, identity)]
     counts, classes = protocol.twin_counts(cfg, memory, [cfg.true_phi])
     np.testing.assert_array_equal(counts[0], [w.sum(axis=0) for w in runs])
     np.testing.assert_array_equal(classes[0], protocol.product_classes(runs))
@@ -1135,11 +1139,12 @@ def test_product_classes_match_the_products():
     # each window's classes give the summed products and count of its rounds
     tr = protocol.run(make_config(n=2, T=997, p_c=0.4, p_e=0.4, p_d=0.2),
                       adversary.DepolarizingAttack(0.3))
-    classes = protocol.product_classes(tr.window_counts(7))
-    assert classes.shape == (7, 3)
-    window = np.arange(tr.config.T) * 7 // tr.config.T
+    windows = protocol.VARIANCE_WINDOWS
+    classes = protocol.product_classes(tr.window_counts())
+    assert classes.shape == (windows, 3)
+    window = np.arange(tr.config.T) * windows // tr.config.T
     products = protocol._CELL_PRODUCT[tr.cell]
-    for w in range(7):
+    for w in range(windows):
         np.testing.assert_array_equal(classes[w], np.bincount(products[window == w] + 1,
                                                               minlength=3))
     assert classes[:, 2].sum() - classes[:, 0].sum() == protocol.estimation_products(tr).sum()
@@ -1685,8 +1690,9 @@ def exact_cell_probabilities(cfg, attack):
 
 
 # The register engine runs memoryless instruments too, wrapped as register
-# attacks (``test_register_walk.StatefulAdapter``), so its cases check it
-# against the exact tables.  Each case passes when its chi-square p-value
+# attacks (``test_register_walk.StatefulAdapter``) that follow one pure
+# trajectory of each leg's Kraus set per round, so its cases check the ket
+# engine, trajectories included, against the exact tables.  Each case passes when its chi-square p-value
 # exceeds ALPHA; for a correct engine a case fails with probability ALPHA,
 # so the 80 cases below (40 per engine) fail together at most
 # 80 * ALPHA = 0.8 % of seeds.

@@ -13,6 +13,7 @@ import scipy.linalg
 
 from dqsim import adversary
 from dqsim import qcore as q
+from test_register_walk import DenseRegisterState
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -28,15 +29,30 @@ KET_L = np.array([1, -1j], dtype=complex) / np.sqrt(2)
 
 
 def register(*states):
-    """One-register state stack holding the given states, one per element."""
-    stack = np.array([q.as_density(s).data for s in states])
-    return q.RegisterState(["A"], [stack.shape[-1]], stack)
+    """One-register ket stack holding the given pure states, one per element."""
+    return q.RegisterState(["A"], [states[0].dim], [s.amplitudes for s in states])
 
 
 def copies(labels, dims, state, batch=1):
-    """A register stack of ``batch`` copies of one state."""
+    """A register ket stack of ``batch`` copies of one pure state."""
+    return q.RegisterState(labels, dims, np.broadcast_to(state.amplitudes, (batch, state.dim)))
+
+
+def dense_register(*states):
+    """The dense oracle register holding the given states, one per element."""
+    stack = np.array([q.as_density(s).data for s in states])
+    return DenseRegisterState(["A"], [stack.shape[-1]], stack)
+
+
+def dense_copies(labels, dims, state, batch=1):
+    """A dense oracle register of ``batch`` copies of one state."""
     rho = q.as_density(state).data
-    return q.RegisterState(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape))
+    return DenseRegisterState(labels, dims, np.broadcast_to(rho, (batch,) + rho.shape))
+
+
+def densities(kets):
+    """|psi><psi| of each ket of a (..., d) stack."""
+    return kets[..., :, None] * kets[..., None, :].conj()
 
 
 def random_pure_state(dim, rng):
@@ -211,12 +227,12 @@ def test_encoding_phi_zero_is_identity():
 def test_encoding_phi_pi_is_global_phase():
     u = q.encoding_unitary(1, np.pi)
     assert np.allclose(u, -I2)
-    rho = q.random_density_matrix(2, np.random.default_rng(0))
-    w = register(rho)
+    psi = random_pure_state(2, np.random.default_rng(0))
+    w = register(psi)
     w.apply_unitary(u, ["A"])
     for axis in "XYZ":
-        assert expect(q.pauli_matrix(axis), w.rho[0]) == pytest.approx(
-            expect(q.pauli_matrix(axis), rho))
+        assert expect(q.pauli_matrix(axis), q.PureState(w.psi[0])) == pytest.approx(
+            expect(q.pauli_matrix(axis), psi))
 
 
 def test_encoding_eigenvalue_on_rr_matches_expm_oracle():
@@ -351,14 +367,14 @@ def test_mub_probe_is_signed_plus_one_eigenvector(n, label):
 
 def test_apply_identity_channel():
     rho = q.random_density_matrix(4, np.random.default_rng(1))
-    w = register(rho)
+    w = dense_register(rho)
     w.apply_kraus([np.eye(4)], ["A"])
     assert np.allclose(w.rho[0], rho.data)
 
 
 def test_full_depolarizing_gives_maximally_mixed():
     rng = np.random.default_rng(2)
-    w = register(q.random_density_matrix(2, rng), q.random_density_matrix(2, rng))
+    w = dense_register(q.random_density_matrix(2, rng), q.random_density_matrix(2, rng))
     w.apply_kraus(q.depolarizing_channel(1.0, 1), ["A"])
     assert np.allclose(w.rho, I2 / 2, atol=1e-12)
 
@@ -367,7 +383,7 @@ def test_depolarized_resource_state_fidelity_oracle():
     # analytic oracle: (1-p)|psi><psi| + p/4 I has fidelity 1 - 3p/4 to |psi>
     psi = q.resource_state(1)
     for p in (0.084, 0.2, 0.5):
-        w = copies(["A", "B"], [2, 2], psi)
+        w = dense_copies(["A", "B"], [2, 2], psi)
         w.apply_kraus(q.depolarizing_channel(p, 1), ["B"])
         assert q.fidelity(psi, w.rho[0]) == pytest.approx(1 - 3 * p / 4, abs=1e-12)
 
@@ -406,11 +422,13 @@ def test_apply_instrument_stacks_weighted_branches():
 
 
 def test_apply_dimension_mismatch():
-    w = register(q.random_density_matrix(4, np.random.default_rng(3)))
+    w = dense_register(q.random_density_matrix(4, np.random.default_rng(3)))
     with pytest.raises(q.DimensionMismatchError):
         w.apply_kraus([np.eye(2)], ["A"])
     with pytest.raises(q.DimensionMismatchError):
         register(q.PureState(KET0)).apply_unitary(np.eye(4), ["A"])
+    with pytest.raises(q.DimensionMismatchError):
+        register(q.PureState(KET0)).measure(np.eye(4)[None], "A", np.random.default_rng(3))
 
 
 def test_depolarizing_kraus_stack_is_complete_and_read_only():
@@ -445,7 +463,7 @@ def test_encoded_probe_expectation_matches_rotation_oracle():
     frame = q.LogicalFrame.standard(1)
     w = register(q.mub_probe(frame, "+X"))
     w.apply_unitary(q.encoding_unitary(1, phi), ["A"])
-    assert expect(bold_pauli(frame, "X"), w.rho[0]) == pytest.approx(oracle)
+    assert expect(bold_pauli(frame, "X"), q.PureState(w.psi[0])) == pytest.approx(oracle)
 
 
 def test_measurement_frequencies_match_born_rule():
@@ -479,8 +497,8 @@ def test_measurement_post_state_is_eigenstate():
     rng = np.random.default_rng(5)
     w = copies(["A"], [2], q.PureState(KET0), batch=8)
     vals = measured_values(w, X, "A", rng)
-    for val, post in zip(vals, w.rho):
-        assert expect(X, post) == pytest.approx(val)
+    for val, post in zip(vals, w.psi):
+        assert expect(X, q.PureState(post)) == pytest.approx(val)
 
 
 def test_measurement_per_element_observables():
@@ -520,9 +538,9 @@ def test_pick_is_one_clipped_inverse_cdf_per_row():
 
 def test_measurement_dimension_guard():
     rng = np.random.default_rng(6)
-    rho4 = q.random_density_matrix(4, rng)
+    psi4 = random_pure_state(4, rng)
     with pytest.raises(q.DimensionMismatchError):
-        register(rho4).measure(np.array([p for _v, p in spectrum(Z)]), "A", rng)
+        register(psi4).measure(np.array([p for _v, p in spectrum(Z)]), "A", rng)
 
 
 # ---------------------------------------------------------------- distances
@@ -610,10 +628,8 @@ def test_trace_distance_unitary_invariance():
         b = q.random_density_matrix(4, rng)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u = np.linalg.qr(g)[0]
-        w = register(a, b)
-        w.apply_unitary(u, ["A"])
-        assert q.trace_distance(w.rho[0], w.rho[1]) == pytest.approx(
-            q.trace_distance(a, b), abs=1e-10)
+        ua, ub = (u @ rho.data @ u.conj().T for rho in (a, b))
+        assert q.trace_distance(ua, ub) == pytest.approx(q.trace_distance(a, b), abs=1e-10)
 
 
 # ---------------------------------------------------------------- type invariants
@@ -653,21 +669,21 @@ def test_register_state_stabilizer_round_is_deterministic():
 
 
 def test_register_attach_apply_trace_roundtrip():
-    rng = np.random.default_rng(29)
     w = copies(["B"], [2], q.PureState(KET0))
     w.attach("E", q.PureState(KET0))
     # CNOT from B onto E, but B is |0>, so E stays |0>
     cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     w.apply_unitary(cx, ["B", "E"])
-    assert np.allclose(w.trace_out("E"), np.outer(KET0, KET0.conj()))
+    assert np.allclose(w.trace_out("E"), [KET0])
     assert w.labels == ["B"]
-    assert np.allclose(w.rho, np.outer(KET0, KET0.conj()))
+    assert np.allclose(w.psi, [KET0])
 
 
 def test_register_kraus_matches_channel_apply():
-    # oracle: the channel lifted by kron and applied to the raw matrix
+    # oracle: the channel lifted by kron and applied to the raw matrix; a
+    # channel leaves mixed states, so it runs on the dense oracle register
     ch = q.depolarizing_channel(0.3, 1)
-    w = copies(["A", "B"], [2, 2], q.resource_state(1))
+    w = dense_copies(["A", "B"], [2, 2], q.resource_state(1))
     w.apply_kraus(ch, ["B"])
     rho = q.resource_state(1).density().data
     lifted = [np.kron(I2, k) for k in ch]
@@ -676,23 +692,66 @@ def test_register_kraus_matches_channel_apply():
 
 
 def test_register_stack_operators_and_checks():
-    # a stack of unitaries acts element by element; attach and trace_out
-    # check every element of a stack like DensityMatrix checks one matrix
+    # a stack of unitaries acts element by element; the constructor and
+    # attach check every ket of a stack as PureState checks one, attach
+    # refuses a density stack, and trace_out refuses to drop a register
+    # entangled with the others, leaving the state as it was, and refuses a
+    # non-finite state
     w = register(q.PureState(KET0), q.PureState(KET0))
     w.apply_unitary(np.stack([I2, X]), ["A"])
-    assert np.allclose(w.rho, [np.outer(KET0, KET0), np.outer(KET1, KET1)])
-    bad = np.array([np.outer(KET0, KET0), np.diag([1.5, -0.5])]).astype(complex)
-    with pytest.raises(ValueError):
-        w.attach("E", bad)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            w.attach("E", np.array([np.outer(KET0, KET0), np.diag([bad, 0.0])]))
+    assert np.allclose(w.psi, [KET0, KET1])
     for bad in (0.7, np.nan, np.inf):
-        rho = np.array([np.outer(KET0, KET0), np.diag([0.0, bad])], dtype=complex)
-        w = q.RegisterState(["A"], [2], rho)
-        w.attach("E", q.PureState(KET0))
-        with pytest.raises(ValueError):
-            w.trace_out("E")
+        kets = np.array([KET0, [bad, 0.0]])
+        with pytest.raises(ValueError, match="state vector norm"):
+            w.attach("E", kets)
+        with pytest.raises(ValueError, match="state vector norm"):
+            q.RegisterState(["A"], [2], kets)
+    with pytest.raises(ValueError, match="holds pure states"):
+        w.attach("E", np.array([np.outer(KET0, KET0), np.outer(KET1, KET1)]))
+    assert w.labels == ["A"]
+    w.attach("E", q.PureState(KET0))
+    w.apply_unitary(scipy.linalg.expm(-0.25j * np.pi * Y), ["A"])
+    w.apply_unitary(np.eye(4)[[0, 1, 3, 2]], ["A", "E"])  # CNOT: entangles A and E
+    before = w.psi
+    for label in ("A", "E"):
+        with pytest.raises(ValueError, match="entangled"):
+            w.trace_out(label)
+    assert w.labels == ["A", "E"] and w.psi is before
+    w.apply_unitary(np.full((4, 4), np.nan), ["A", "E"])  # no unitary: a non-finite state
+    with pytest.raises(ValueError, match="state vector norm nan"):
+        w.trace_out("E")
+
+
+def test_pure_state_and_register_share_one_ket_rule():
+    # PureState, the register's constructor and attach apply one unit-norm
+    # rule: the same kets pass and fail, at the same NORM_TOL edge, with the
+    # same message; a non-finite ket fails it, and so does a mixed state
+    # given as a matrix (its rows, or its flattened entries, are not unit)
+    w = register(q.PureState(KET0))
+    tol = q.NORM_TOL
+    mixed = (np.eye(2) / 2, np.diag([0.75, 0.25]))
+    refused = [PLUS * (1 - 2 * tol), PLUS * (1 + 2 * tol), np.array([1.0, 1.0]),
+               np.array([np.nan, 0.0]), np.array([np.inf, 0.0]), np.array([0.6, np.inf])]
+    for ket in refused:
+        for take in (q.PureState, lambda k: q.RegisterState(["A"], [2], k[None]),
+                     lambda k: w.attach("E", k[None])):
+            with pytest.raises(ValueError, match="^state vector norm .* by more than 1e-12$"):
+                take(ket)
+    for matrix in mixed:
+        for take in (q.PureState, lambda m: w.attach("E", m)):
+            with pytest.raises(ValueError, match="^state vector norm"):
+                take(matrix)
+        for take in (lambda m: w.attach("E", q.DensityMatrix(m)), lambda m: w.attach("E", m[None])):
+            with pytest.raises(ValueError, match="holds pure states"):
+                take(matrix)
+    assert w.labels == ["A"]
+    for scale in (1 - tol / 2, 1 + tol / 2):
+        ket = PLUS * scale
+        assert np.array_equal(q.PureState(ket).amplitudes, ket)
+        assert np.array_equal(q.RegisterState(["A"], [2], ket[None]).psi, ket[None])
+        w = register(q.PureState(KET0))
+        w.attach("E", ket[None])
+        assert w.labels == ["A", "E"]
 
 
 def test_embed_operator_on_noncontiguous_targets():
@@ -705,121 +764,52 @@ def test_embed_operator_on_noncontiguous_targets():
     assert np.argmax(np.abs(out)) == 0b101
 
 
-# ---------------------------------------------------------------- register vs dense oracle
-
-class DenseRegister:
-    """Oracle: the register machine on one dense (B, d, d) stack of every
-    register, with a Kronecker product on each attach and a partial trace on
-    each trace_out; ``reduced`` gives what trace_out drops."""
-
-    def __init__(self, labels, dims, rho):
-        self.labels, self.dims = list(labels), list(dims)
-        self.rho = np.asarray(rho, dtype=complex)
-
-    def index(self, label):
-        return self.labels.index(label)
-
-    def attach(self, label, state):
-        new = np.asarray(state, dtype=complex)
-        self.rho = q._kron_stack(self.rho, new)
-        self.labels.append(label)
-        self.dims.append(new.shape[-1])
-
-    def apply_unitary(self, u, labels):
-        full = q.embed_operator(u, self.dims, [self.index(l) for l in labels])
-        self.rho = full @ self.rho @ full.conj().swapaxes(-1, -2)
-
-    def apply_kraus(self, kraus_list, labels):
-        targets = [self.index(l) for l in labels]
-        acc = np.zeros_like(self.rho)
-        for k in kraus_list:
-            full = q.embed_operator(k, self.dims, targets)
-            acc += full @ self.rho @ full.conj().swapaxes(-1, -2)
-        self.rho = acc
-
-    def lifted(self, projectors, label):
-        """(K, B, d, d): outcome k's projector on the whole stack, for every element."""
-        batch = self.rho.shape[0]
-        projs = np.broadcast_to(projectors, (batch,) + np.shape(projectors)[-3:])
-        return q.embed_operator(projs.swapaxes(0, 1), self.dims, [self.index(label)])
-
-    def probabilities(self, projectors, label):
-        return np.einsum("kbij,bji->bk", self.lifted(projectors, label), self.rho).real
-
-    def measure(self, projectors, label, rng):
-        batch = self.rho.shape[0]
-        full = self.lifted(projectors, label)
-        probs = self.probabilities(projectors, label)
-        cdf = np.cumsum(np.clip(probs, 0.0, None), axis=1)
-        u = rng.random(batch) * cdf[:, -1]
-        k = np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
-        sel = full[k, np.arange(batch)]
-        post = sel @ self.rho @ sel
-        self.rho = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
-        return k
-
-    def reduced(self, label):
-        return q._partial_trace_stack(self.rho, self.dims, [self.index(label)])
-
-    def trace_out(self, label):
-        idx = self.index(label)
-        self.rho = q._partial_trace_stack(
-            self.rho, self.dims, [i for i in range(len(self.dims)) if i != idx])
-        del self.labels[idx]
-        del self.dims[idx]
-
+# ---------------------------------------------------------------- ket register vs dense oracle
 
 def random_unitaries(rng, batch, d):
     g = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
     return np.linalg.qr(g)[0]
 
 
-def random_kraus(rng, d, count=3):
-    """Kraus operators of a random channel on dimension d: the blocks of a
-    random (count * d, d) isometry."""
-    g = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
-    return list(np.linalg.qr(g)[0].reshape(count, d, d))
-
-
-def random_stack(rng, batch, d):
-    return np.array([q.random_density_matrix(d, rng).data for _ in range(batch)])
-
-
-def in_order(dense, labels):
-    """The dense oracle's joint stack with its registers in ``labels`` order."""
-    n, batch, d = len(dense.dims), dense.rho.shape[0], dense.rho.shape[-1]
-    order = [dense.index(l) for l in labels]
-    axes = [0] + [1 + i for i in order] + [1 + n + i for i in order]
-    return dense.rho.reshape([batch] + dense.dims * 2).transpose(axes).reshape(batch, d, d)
+def random_kets(rng, batch, d):
+    """``batch`` Haar-random kets of dimension d, a (batch, d) stack."""
+    g = rng.normal(size=(batch, d)) + 1j * rng.normal(size=(batch, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("probe_dim", [2, 4])
 @pytest.mark.parametrize("seed", range(4))
 def test_register_matches_dense_oracle(probe_dim, seed):
-    # the same seeded sequence on the register and on the dense oracle:
-    # attach, operators on one, two and four registers, stacked
-    # measurements with the same draws, the reduced states trace_out
-    # returns, and swap-leak's pattern of dropping the only register and
-    # attaching a new one under its label
+    # the same seeded pure sequence on the ket register and on the dense
+    # oracle: attach, unitaries on one, two and four registers, stacked
+    # measurements with the same draws (rank-one ones free the measured
+    # register of its entanglement), the kets trace_out returns against the
+    # oracle's reduced states, a refused trace-out of an entangled register,
+    # and swap-leak's pattern of dropping the only register and attaching a
+    # new one under its label
     rng = np.random.default_rng(seed)
     batch = 16
-    rho0 = random_stack(rng, batch, probe_dim)
-    reg = q.RegisterState(["B"], [probe_dim], rho0)
-    dense = DenseRegister(["B"], [probe_dim], rho0)
+    psi0 = random_kets(rng, batch, probe_dim)
+    reg = q.RegisterState(["B"], [probe_dim], psi0)
+    dense = DenseRegisterState(["B"], [probe_dim], densities(psi0))
 
     def agree():
-        assert sorted(reg.labels) == sorted(dense.labels)
-        assert np.abs(reg.rho - in_order(dense, reg.labels)).max() < 1e-12
+        assert reg.labels == dense.labels
+        assert np.abs(densities(reg.psi) - dense.rho).max() < 1e-12
 
-    def both(method, *args):
-        getattr(reg, method)(*args)
-        getattr(dense, method)(*args)
+    def attached(label, state):
+        reg.attach(label, state)
+        dense.attach(label, state if isinstance(state, q.PureState) else densities(state))
+        agree()
+
+    def unitary(u, labels):
+        reg.apply_unitary(u, labels)
+        dense.apply_unitary(u, labels)
         agree()
 
     def dropped(label):
-        expected = dense.reduced(label)
-        assert np.abs(reg.trace_out(label) - expected).max() < 1e-12
-        dense.trace_out(label)
+        kets = reg.trace_out(label)
+        assert np.abs(densities(kets) - dense.trace_out(label)).max() < 1e-12
         agree()
 
     def measured(projectors, label):
@@ -831,55 +821,79 @@ def test_register_matches_dense_oracle(probe_dim, seed):
 
     frame = q.LogicalFrame.standard(probe_dim.bit_length() - 1)
     sensor = np.array([q.logical_projectors(frame, a) for a in q.PAULI_AXES])
-    pure = random_pure_state(2, rng)
+    z_basis = np.array([p for _v, p in spectrum(Z)])
 
-    both("attach", "E1", random_stack(rng, batch, 2))
-    reg.attach("E2", pure)
-    dense.attach("E2", pure.density().data[None])
-    agree()
-    both("attach", "E4", random_stack(rng, batch, 2))
+    attached("E1", random_kets(rng, batch, 2))
+    attached("E2", random_pure_state(2, rng))
+    attached("E4", random_kets(rng, batch, 2))
     dropped("E4")
-    both("apply_unitary", random_unitaries(rng, batch, 2), ["E1"])
-    both("apply_kraus", random_kraus(rng, 2 * probe_dim), ["E2", "B"])
+    unitary(random_unitaries(rng, batch, 2), ["E1"])
+    unitary(random_unitaries(rng, batch, 2 * probe_dim), ["E2", "B"])
+    with pytest.raises(ValueError, match="entangled"):
+        reg.trace_out("E2")
+    agree()
     measured(sensor[rng.integers(len(sensor), size=batch)], "B")
-    both("attach", "E3", random_stack(rng, batch, 2))
-    both("apply_unitary", random_unitaries(rng, batch, 8 * probe_dim), ["E3", "E1", "B", "E2"])
-    dropped("E2")
-    measured(np.array([p for _v, p in spectrum(Z)]), "E3")
-    both("apply_kraus", random_kraus(rng, 2), ["E1"])
-    dropped("E3")
-    dropped("B")
-    assert reg.labels == dense.labels == ["E1"]
-    dropped("E1")
-    both("attach", "E1", random_stack(rng, batch, probe_dim))
-    both("apply_unitary", random_unitaries(rng, batch, probe_dim), ["E1"])
+    measured(z_basis, "E2")
+    attached("E3", random_kets(rng, batch, 2))
+    unitary(random_unitaries(rng, batch, 8 * probe_dim), ["E3", "E1", "B", "E2"])
+    measured(z_basis, "E3")
+    measured(z_basis, "E1")
+    dropped("E1")  # a middle register
+    dropped("E3")  # the last
+    measured(np.array([np.diag(row) for row in np.eye(probe_dim)]), "B")
+    dropped("B")  # the first
+    assert reg.labels == dense.labels == ["E2"]
+    dropped("E2")  # the only one
+    attached("E1", random_kets(rng, batch, probe_dim))
+    unitary(random_unitaries(rng, batch, probe_dim), ["E1"])
     measured(sensor[rng.integers(len(sensor), size=batch)], "E1")
     assert reg.labels == dense.labels == ["E1"]
+
+
+def test_measure_follows_one_pure_trajectory_of_a_kraus_set():
+    # a Kraus set that is not projective: outcome k with probability
+    # ||K_k psi||^2, then the ket K_k psi normalized; averaged over the
+    # outcomes the states give the channel's image (the dense oracle's)
+    rng = np.random.default_rng(47)
+    kraus = q.depolarizing_channel(0.6, 1)
+    psi = random_kets(rng, 3, 2)
+    reg = q.RegisterState(["B"], [2], psi)
+    images = np.einsum("kij,bj->bki", kraus, psi)
+    probs = (np.abs(images) ** 2).sum(axis=2)
+    assert np.abs(reg.probabilities(kraus, "B") - probs).max() < 1e-15
+    dense = DenseRegisterState(["B"], [2], densities(psi))
+    dense.apply_kraus(kraus, ["B"])
+    assert np.abs(np.einsum("bki,bkj->bij", images, images.conj()) - dense.rho).max() < 1e-15
+    k = reg.measure(kraus, "B", np.random.default_rng(5))
+    assert k.tolist() == q.pick(probs, np.random.default_rng(5)).tolist()
+    b = np.arange(3)
+    np.testing.assert_allclose(reg.psi, images[b, k] / np.sqrt(probs[b, k])[:, None],
+                               rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------- what the register computes
 
 def test_apply_unitary_leaves_exact_identity_elements_bit_for_bit():
-    # I rho I = rho: an element whose unitary is exactly the identity keeps
-    # its bits, and every other element matches the dense oracle; an
-    # all-identity stack does no work at all
+    # I psi = psi: an element whose unitary is exactly the identity keeps
+    # its bits (1 x + 0 y = x; only a zero's sign could move, and these kets
+    # have no zero), and every other element matches the dense oracle
     rng = np.random.default_rng(41)
     batch = 12
-    rho0 = random_stack(rng, batch, 2)
+    psi0 = random_kets(rng, batch, 2)
     for labels, d in ((["B", "E"], 4), (["E"], 2)):
         for moving in (np.array([1, 4, 5, 11]), np.arange(batch), np.array([], dtype=int)):
             u = np.broadcast_to(np.eye(d, dtype=complex), (batch, d, d)).copy()
             u[moving] = random_unitaries(rng, len(moving), d)
-            reg, dense = (cls(["B"], [2], rho0) for cls in (q.RegisterState, DenseRegister))
+            reg = q.RegisterState(["B"], [2], psi0)
+            dense = DenseRegisterState(["B"], [2], densities(psi0))
             reg.attach("E", q.PureState(PLUS))
-            dense.attach("E", q.PureState(PLUS).density().data[None])
-            before = reg.rho
+            dense.attach("E", q.PureState(PLUS))
+            before = reg.psi
             reg.apply_unitary(u, labels)
             dense.apply_unitary(u, labels)
             still = np.setdiff1d(np.arange(batch), moving)
-            assert np.array_equal(reg.rho[still].view(np.uint64), before[still].view(np.uint64))
-            assert np.abs(reg.rho - dense.rho).max() < 1e-12
-            assert (reg.rho is before) == (moving.size == 0)
+            assert np.array_equal(reg.psi[still].view(np.uint64), before[still].view(np.uint64))
+            assert np.abs(densities(reg.psi) - dense.rho).max() < 1e-12
     # swap-leak's rounds that are not re-encoded get encoding_unitary(n, 0):
     # exactly the identity
     for n in (1, 2, 3):
@@ -908,19 +922,20 @@ def test_probabilities_are_the_born_probabilities_measure_picks_from(seed):
     batch = 16
     frame = q.LogicalFrame.standard(2)
     sensor = np.array([q.logical_projectors(frame, a) for a in q.PAULI_AXES])
-    rho0 = random_stack(rng, batch, 4)
+    psi0 = random_kets(rng, batch, 4)
     for projectors, labels in ((sensor[rng.integers(3, size=batch)], ["B"]),
                                (sensor[1], ["B"]),
                                (sensor[0], ["B", "E"])):
-        reg, dense = (cls(["B"], [4], rho0) for cls in (q.RegisterState, DenseRegister))
+        reg = q.RegisterState(["B"], [4], psi0)
+        dense = DenseRegisterState(["B"], [4], densities(psi0))
         if labels == ["B", "E"]:
             reg.attach("E", q.PureState(KET1))
-            dense.attach("E", q.PureState(KET1).density().data[None])
-        before = reg.rho.copy()
+            dense.attach("E", q.PureState(KET1))
+        before = reg.psi.copy()
         probs = reg.probabilities(projectors, "B")
         assert probs.shape == (batch, 3)
         assert np.abs(probs - dense.probabilities(projectors, "B")).max() < 1e-12
-        assert np.array_equal(reg.rho, before)  # the state is left as it is
+        assert np.array_equal(reg.psi, before)  # the state is left as it is
         # from equal generator states: the same outcomes and the same draws
         draw = int(rng.integers(2 ** 32))
         picker, measurer = np.random.default_rng(draw), np.random.default_rng(draw)

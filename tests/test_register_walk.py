@@ -1,22 +1,27 @@
-"""The block register walk: a byte-level oracle for the block-memory engine.
+"""The block register walk: a byte-level oracle for the block-memory engine
+and the register engine.
 
 The walk runs an attack's rounds on explicit register states: a batch of
 independent blocks at a time, one position inside the block after another,
-on a ``qcore.RegisterState`` whose leading batch axis holds that position's
-round of every block, through four attack hooks (``RegisterHooks``).  It
-draws its uniforms in the order the memory engines of ``protocol.run``
-draw theirs, so for a seed the walk and ``protocol.run`` give the same
-transcript byte for byte; a chi-square test would not see an engine that
-gets the laws subtly wrong.  With blocks of one round and no block hooks
-the walk is ``protocol.run``'s own register engine, which runs the
-swap-leak attack and memoryless instruments wrapped as register attacks
+on a ``DenseRegisterState``, the register engine on dense density-matrix
+stacks, whose leading batch axis holds that position's round of every
+block, through four attack hooks (``RegisterHooks``).  It draws its
+uniforms in the order the memory engines of ``protocol.run`` draw theirs,
+so for a seed the walk and ``protocol.run`` give the same transcript byte
+for byte; a chi-square test would not see an engine that gets the laws
+subtly wrong.  With blocks of one round and no block hooks the walk is
+``protocol.run``'s own register engine, run densely: the engine holds kets
+(``qcore.RegisterState``), and swap-leak gives the same bytes on both.
+Memoryless instruments run on the ket engine as register attacks
 (``StatefulAdapter``, checked against the exact outcome tables in
 ``test_protocol``).
 """
 
+import functools
 import hashlib
 import io
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -24,10 +29,121 @@ import pytest
 from dqsim import adversary, protocol, qcore
 
 
+def _partial_trace_stack(rho, dims, keep):
+    """Reduced stack (B, d_keep, d_keep) of a (B, d, d) stack on the
+    subsystems at the positions ``keep`` (indices into dims), by one einsum."""
+    n, keep = len(dims), sorted(keep)
+    rows = list(range(1, n + 1))
+    cols = [r if i not in keep else n + r for i, r in enumerate(rows)]
+    out = [0] + [rows[i] for i in keep] + [cols[i] for i in keep]
+    tensor = rho.reshape([rho.shape[0]] + list(dims) * 2)
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    return np.einsum(tensor, [0] + rows + cols, out).reshape(rho.shape[0], d_keep, d_keep)
+
+
+class DenseRegisterState:
+    """The register engine on one dense (B, d, d) stack of density matrices:
+    the oracle of ``qcore.RegisterState``, which holds kets, and the walk's
+    register, which holds the entangling-memory ancilla's mixed states.
+
+    ``rho`` is one dense stack over the registers ``labels`` of dimensions
+    ``dims``, in that order: B independent rounds undergo the same
+    operations.  ``attach`` appends a register by one Kronecker product,
+    and an operator (one matrix, or a stack of B) or a measurement (one
+    projector stack, or a stack of B) acts on its registers lifted to the
+    whole stack (``qcore.embed_operator``).  ``apply_kraus`` applies a
+    channel, which may leave a mixed state; attached stacks and the states
+    ``trace_out`` hands back and keeps are checked as density matrices.
+    """
+
+    def __init__(self, labels, dims, rho):
+        rho = np.asarray(rho, dtype=complex)
+        d = int(np.prod(dims))
+        if rho.ndim != 3 or rho.shape[1:] != (d, d):
+            raise qcore.DimensionMismatchError(
+                f"register stack of shape {rho.shape} does not match dims {list(dims)}")
+        self.labels, self.dims, self.rho = list(labels), list(dims), rho
+        self.probe = self.labels[-1]
+
+    @property
+    def batch(self) -> int:
+        return self.rho.shape[0]
+
+    def attach(self, label, state):
+        """Append register ``label`` in ``state``: one state for every
+        element, or a (B, d, d) stack of checked density matrices."""
+        if isinstance(state, (qcore.PureState, qcore.DensityMatrix)) or np.ndim(state) < 3:
+            new = qcore.as_density(state).data
+        else:
+            new = qcore._check_density_stack(np.asarray(state, dtype=complex))
+        # a non-finite stack from the unchecked constructor is left for
+        # trace_out's check to reject
+        with np.errstate(invalid="ignore"):
+            self.rho = qcore._kron_stack(self.rho, new)
+        self.labels.append(label)
+        self.dims.append(new.shape[-1])
+
+    def apply_unitary(self, u, labels):
+        """Conjugate registers ``labels`` by ``u``, or element b by ``u[b]``
+        for a stack; elements whose unitary is exactly I keep their bits."""
+        u = qcore.embed_operator(u, self.dims, [self.labels.index(label) for label in labels])
+        u = np.broadcast_to(u, self.rho.shape)
+        moving = np.flatnonzero((u != np.eye(u.shape[-1])).any(axis=(1, 2)))
+        if moving.size:
+            u, self.rho = u[moving], self.rho.copy()
+            self.rho[moving] = u @ self.rho[moving] @ u.conj().swapaxes(1, 2)
+
+    def apply_kraus(self, kraus_list, labels):
+        targets = [self.labels.index(label) for label in labels]
+        lifted = (qcore.embed_operator(k, self.dims, targets) for k in kraus_list)
+        terms = (k @ self.rho @ k.conj().swapaxes(-1, -2) for k in lifted)
+        self.rho = functools.reduce(operator.iadd, terms)  # in place: no 0 + array copy
+
+    def _born(self, projectors, label):
+        """Each element's projectors on the whole stack (B, K, d, d) and their probabilities."""
+        projs = np.broadcast_to(projectors, (self.batch,) + np.shape(projectors)[-3:])
+        full = qcore.embed_operator(projs, self.dims, [self.labels.index(label)])
+        return full, np.einsum("bkij,bji->bk", full, self.rho).real
+
+    def probabilities(self, projectors, label):
+        """The Born probabilities (B, K) that ``measure`` picks from; the state is kept."""
+        return self._born(projectors, label)[1]
+
+    def measure(self, projectors, label, rng):
+        """Projective measurement of register ``label`` in every element.
+
+        ``projectors`` is one (K, d, d) stack of outcome projectors, or a
+        (B, K, d, d) stack, element b measuring ``projectors[b]``.  Each
+        element's outcome is ``pick``ed from its Born probabilities.
+        Returns the outcome indices, shape (B,).
+        """
+        full, probs = self._born(projectors, label)
+        k = qcore.pick(probs, rng)
+        sel = full[np.arange(self.batch), k]
+        post = sel @ self.rho @ sel
+        self.rho = post / np.einsum("bii->b", post).real[:, None, None]
+        return k
+
+    def trace_out(self, label):
+        """Drop register ``label``; returns the checked (B, d, d) stack of
+        its reduced states.  Dropping the only register leaves a stack of
+        1 x 1 ones."""
+        target = self.labels.index(label)
+        rho = qcore._check_density_stack(self.rho)
+        if len(self.dims) == 1:
+            dropped, self.rho = rho, np.ones((self.batch, 1, 1), dtype=complex)
+        else:
+            keep = [i for i in range(len(self.dims)) if i != target]
+            reduced = (_partial_trace_stack(rho, self.dims, part) for part in ([target], keep))
+            dropped, self.rho = map(qcore._check_density_stack, reduced)
+        del self.labels[target], self.dims[target]
+        return dropped
+
+
 class RegisterHooks:
     """The walk's attack interface.  ``begin_block`` opens ``blocks``
     independent blocks of ``block_length`` rounds.  Then, for each position
-    inside a block, the round hooks get a RegisterState whose batch axis
+    inside a block, the round hooks get a DenseRegisterState whose batch axis
     holds that position's round of every block still running, in block
     order: all of them, or all but the last when the run's final block is
     short."""
@@ -74,7 +190,7 @@ def run_register_walk(config, attack):
             t = t[t < T]
             if t.size == 0:
                 break
-            world = qcore.RegisterState(["B"], [d], probes[label[t]])
+            world = DenseRegisterState(["B"], [d], probes[label[t]])
             attack.forward_state(world, rng)
             world.apply_unitary(encoders[protocol._SETTING_ENCODER[setting[t]]], [world.probe])
             if config.direction == "two_way":
@@ -117,10 +233,11 @@ class HookedEntanglingMemory(RegisterHooks, adversary.EntanglingMemoryAttack):
             self.memory = np.concatenate([self.memory, np.where(rng.random(p1.size) < p1, -1, 1)])
 
 
-class StatefulAdapter(RegisterHooks, adversary.AttackModel):
-    """A memoryless attack run on the walk: each leg's weighted instrument
-    becomes one Kraus set, the branch weight w folded in as sqrt(w), applied
-    with apply_kraus."""
+class StatefulAdapter(adversary.AttackModel):
+    """A memoryless attack run on the register engine: each leg's weighted
+    instrument becomes one Kraus set, the branch weight w folded in as
+    sqrt(w), whose pure trajectory ``measure`` follows, one draw per round:
+    averaged over the draws, each round's state is the instrument's image."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -130,18 +247,18 @@ class StatefulAdapter(RegisterHooks, adversary.AttackModel):
         n = public_config["n"]
 
         def kraus(branches):
-            return [math.sqrt(w) * k for w, ks in branches for k in ks]
+            return np.array([math.sqrt(w) * k for w, ks in branches for k in ks])
 
         self.fwd = kraus(self.inner.forward_branches(n, frame))
         bwd = self.inner.backward_branches(n, frame)
         self.bwd = None if bwd is None else kraus(bwd)
 
     def forward_state(self, world, rng):
-        world.apply_kraus(self.fwd, [world.probe])
+        world.measure(self.fwd, world.probe, rng)
 
     def backward_state(self, world, rng):
         if self.bwd is not None:
-            world.apply_kraus(self.bwd, [world.probe])
+            world.measure(self.bwd, world.probe, rng)
 
 
 # ---------------------------------------------------------------- byte identity
